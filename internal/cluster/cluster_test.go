@@ -93,6 +93,7 @@ func uniRSpec(rs, ss []tuple.Tuple, eps float64, collect bool) dpe.Spec {
 		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
 			return replicate.Universal(g, p, false, dst)
 		},
+		Cells:   g.NumCells(),
 		Part:    dpe.HashPartitioner{N: 24},
 		Workers: 3,
 		Collect: collect,
@@ -110,6 +111,7 @@ func cloneSpec(rs, ss []tuple.Tuple, eps float64) dpe.Spec {
 	return dpe.Spec{
 		R: rs, S: ss, Eps: eps,
 		AssignR: both, AssignS: both,
+		Cells:      g.NumCells(),
 		Part:       dpe.HashPartitioner{N: 24},
 		Workers:    3,
 		Collect:    true,
@@ -419,23 +421,48 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 			t.Fatalf("plan round trip: got %+v, want %+v", out, in)
 		}
 	})
-	t.Run("task", func(t *testing.T) {
-		rs := []dpe.Keyed{{Cell: 5, Src: 0, T: tuple.Tuple{ID: 1, Pt: geom.Point{X: 1, Y: 2}}}}
-		ss := []dpe.Keyed{{Cell: 5, Src: 1, T: tuple.Tuple{ID: 2, Pt: geom.Point{X: 3, Y: 4}, Payload: []byte("p")}}}
-		frame, local, remote := encodeTask(taskHeader{plan: 1, part: 2, attempt: 3}, rs, ss,
-			func(src int) bool { return src == 0 })
-		if local <= 0 || remote <= 0 {
-			t.Fatalf("byte classification: local=%d remote=%d", local, remote)
+	t.Run("taskPayload", func(t *testing.T) {
+		// A payload-carrying slab: the column travels with its rows and
+		// the byte split charges each producer its payload bytes plus the
+		// per-row length prefix.
+		rs := &colpipe.Slab{
+			Ranks: []int32{5}, Starts: []int32{0, 2},
+			Xs: []float64{1, 2}, Ys: []float64{3, 4}, IDs: []int64{1, 2},
+			Payloads:   [][]byte{[]byte("geom"), nil},
+			WorkerRows: []int32{1, 1}, WorkerPayload: []int64{4, 0},
 		}
-		h, gotR, gotS, err := decodeTask(frame[frameHeader:])
+		ss := &colpipe.Slab{
+			Ranks: []int32{5}, Starts: []int32{0, 1},
+			Xs: []float64{3}, Ys: []float64{4}, IDs: []int64{9},
+			WorkerRows: []int32{0, 1},
+		}
+		frame, local, remote := encodeTaskCols(taskHeader{plan: 1, part: 2, attempt: 3}, rs, ss,
+			func(src int) bool { return src == 0 })
+		if want := int64(colpipe.RowWire + 4 + 4); local != want {
+			t.Fatalf("local bytes = %d, want %d", local, want)
+		}
+		if want := int64(colpipe.RowWire + 4 + colpipe.RowWire); remote != want {
+			t.Fatalf("remote bytes = %d, want %d", remote, want)
+		}
+		h, gotR, gotS, err := decodeTaskCols(frame[frameHeader:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h != (taskHeader{plan: 1, part: 2, attempt: 3}) || len(gotR) != 1 || len(gotS) != 1 {
-			t.Fatalf("task round trip: %+v, %d/%d records", h, len(gotR), len(gotS))
+		if h != (taskHeader{plan: 1, part: 2, attempt: 3}) {
+			t.Fatalf("header round trip: %+v", h)
 		}
-		if gotR[0].Cell != 5 || gotR[0].T.ID != 1 || string(gotS[0].T.Payload) != "p" {
-			t.Fatalf("task records corrupted: %+v / %+v", gotR[0], gotS[0])
+		if len(gotR.Payloads) != 2 || string(gotR.Payloads[0]) != "geom" || gotR.Payloads[1] != nil {
+			t.Fatalf("payload column corrupted: %q", gotR.Payloads)
+		}
+		if gotS.Payloads != nil {
+			t.Fatalf("point slab grew a payload lane: %q", gotS.Payloads)
+		}
+		// A payload length running past the frame must be rejected.
+		bad := append([]byte(nil), frame[frameHeader:]...)
+		lenAt := 16 + 4 + 4 + 8 + 2*colpipe.RowWire + 1 // R slab's first payload length
+		bad[lenAt+3] = 0x7f
+		if _, _, _, err := decodeTaskCols(bad); err == nil {
+			t.Error("lying payload length accepted")
 		}
 	})
 	t.Run("taskCols", func(t *testing.T) {
@@ -453,8 +480,8 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 		}
 		frame, local, remote := encodeTaskCols(taskHeader{plan: 4, part: 2, attempt: 1}, rs, ss,
 			func(src int) bool { return src == 0 })
-		if local != 2*colsRowWire || remote != 2*colsRowWire {
-			t.Fatalf("byte classification: local=%d remote=%d, want %d each", local, remote, 2*colsRowWire)
+		if local != 2*colpipe.RowWire || remote != 2*colpipe.RowWire {
+			t.Fatalf("byte classification: local=%d remote=%d, want %d each", local, remote, 2*colpipe.RowWire)
 		}
 		h, gotR, gotS, err := decodeTaskCols(frame[frameHeader:])
 		if err != nil {

@@ -393,13 +393,10 @@ type run struct {
 	cm                 dpe.ClusterMetrics
 }
 
-// task is one reduce partition of a run: either the Keyed record
-// buckets (rs/ss) or, for columnar plans, the kernel-ready slabs
-// (colR/colS) — never both.
+// task is one reduce partition of a run: its two kernel-ready slabs.
 type task struct {
 	part        uint32
-	rs, ss      []dpe.Keyed
-	colR, colS  *colpipe.Slab
+	rs, ss      *colpipe.Slab
 	active      []attempt
 	nextAttempt uint32
 	retries     int
@@ -495,20 +492,11 @@ func (e engine) ExecutePrepared(ctx context.Context, pr *dpe.Prepared, opt dpe.E
 	start := time.Now()
 	var tasks []*task
 	for p := 0; p < pr.NumPartitions(); p++ {
-		var t *task
-		if pr.Columnar() {
-			rs, ss := pr.ColumnarPartition(p)
-			if rs.Rows() == 0 || ss.Rows() == 0 {
-				continue
-			}
-			t = &task{part: uint32(p), colR: rs, colS: ss}
-		} else {
-			rs, ss := pr.Partition(p)
-			if len(rs) == 0 || len(ss) == 0 {
-				continue
-			}
-			t = &task{part: uint32(p), rs: rs, ss: ss}
+		rs, ss := pr.Slabs(p)
+		if rs.Rows() == 0 || ss.Rows() == 0 {
+			continue
 		}
+		t := &task{part: uint32(p), rs: rs, ss: ss}
 		r.tasks[t.part] = t
 		tasks = append(tasks, t)
 	}
@@ -640,13 +628,7 @@ func (c *Coordinator) dispatch(r *run, t *task, w *remote, speculative bool) {
 
 	h := taskHeader{plan: r.id, part: t.part, attempt: att.id}
 	isLocal := func(src int) bool { return r.workers[src%nw] == w }
-	var frame []byte
-	var local, remote int64
-	if t.colR != nil {
-		frame, local, remote = encodeTaskCols(h, t.colR, t.colS, isLocal)
-	} else {
-		frame, local, remote = encodeTask(h, t.rs, t.ss, isLocal)
-	}
+	frame, local, remote := encodeTaskCols(h, t.rs, t.ss, isLocal)
 	r.mu.Lock()
 	r.cm.TaskBytesLocal += local
 	r.cm.TaskBytesRemote += remote
@@ -730,10 +712,9 @@ func (c *Coordinator) handleResult(w *remote, payload []byte) {
 		}
 	}
 	t.active = nil
-	// Free the partition buckets: a completed task's tuples are not
-	// needed for any retry.
+	// Drop the slab references: a completed task's rows are not needed
+	// for any retry.
 	t.rs, t.ss = nil, nil
-	t.colR, t.colS = nil, nil
 
 	r.durs = append(r.durs, m.dur)
 	r.busy[w.id] += m.dur

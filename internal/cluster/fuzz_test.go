@@ -44,11 +44,6 @@ func FuzzFrame(f *testing.F) {
 		},
 		broadcast: []byte("opaque plan bytes"),
 	}.encode()))
-	taskFrame, _, _ := encodeTask(taskHeader{plan: 7, part: 3, attempt: 1},
-		[]dpe.Keyed{{Cell: 5, T: tuple.Tuple{ID: 1, Pt: geom.Point{X: 1, Y: 2}}}},
-		[]dpe.Keyed{{Cell: 5, T: tuple.Tuple{ID: 2, Pt: geom.Point{X: 1.25, Y: 2}, Payload: []byte("p")}}},
-		func(int) bool { return true })
-	f.Add(taskFrame)
 	f.Add(appendFrame(msgResult, resultMsg{
 		taskHeader: taskHeader{plan: 7, part: 3, attempt: 1},
 		results:    1, checksum: 42, cost: 9,
@@ -77,7 +72,8 @@ func FuzzFrame(f *testing.F) {
 	lyingSpans = binary.LittleEndian.AppendUint32(lyingSpans, 1<<30) // a billion spans, no bytes
 	f.Add(appendFrame(msgSpans, lyingSpans))
 
-	// Columnar task frames of the v3 protocol.
+	// Task frames: point slabs (no payload column) and a payload-carrying
+	// side.
 	colsFrame, _, _ := encodeTaskCols(taskHeader{plan: 7, part: 3, attempt: 1},
 		&colpipe.Slab{Ranks: []int32{2, 9}, Starts: []int32{0, 1, 3},
 			Xs: []float64{1, 2, 3}, Ys: []float64{4, 5, 6}, IDs: []int64{7, 8, 9},
@@ -88,11 +84,32 @@ func FuzzFrame(f *testing.F) {
 		func(int) bool { return true })
 	f.Add(colsFrame)
 	f.Add(colsFrame[:len(colsFrame)-8]) // truncated mid-lane
+	paySlab := &colpipe.Slab{Ranks: []int32{9}, Starts: []int32{0, 2},
+		Xs: []float64{2, 3}, Ys: []float64{5, 6}, IDs: []int64{10, 11},
+		Payloads:   [][]byte{[]byte("geometry"), nil},
+		WorkerRows: []int32{2}, WorkerPayload: []int64{8}}
+	payFrame, _, _ := encodeTaskCols(taskHeader{plan: 7, part: 4}, paySlab, paySlab,
+		func(int) bool { return false })
+	f.Add(payFrame)
+	f.Add(payFrame[:len(payFrame)-3])                    // truncated inside the last payload length
+	f.Add(payFrame[:len(payFrame)-paySlab.WireSize()+4]) // S side cut right after its group count
+	// The R side's payload column starts after header, directory, lanes
+	// and the flag byte; rewrite its first length prefix.
+	lenAt := frameHeader + 16 + 4 + 4 + 8 + 2*colpipe.RowWire + 1
+	oversized := append([]byte(nil), payFrame...)
+	binary.LittleEndian.PutUint32(oversized[lenAt:], 1<<31) // payload longer than any frame
+	f.Add(oversized)
+	lyingLen := append([]byte(nil), payFrame...)
+	binary.LittleEndian.PutUint32(lyingLen[lenAt:], 9) // one byte too many: swallows the next prefix
+	f.Add(lyingLen)
+	badFlag := append([]byte(nil), payFrame...)
+	badFlag[lenAt-1] = 7 // unknown payload-column flag
+	f.Add(badFlag)
+	flagNoColumn := append([]byte(nil), colsFrame...)
+	flagNoColumn[len(flagNoColumn)-1] = 1 // claims a payload column, carries none
+	f.Add(flagNoColumn)
 
 	// Frames whose payloads lie about their contents.
-	lyingTask := appendTaskHeader(nil, taskHeader{plan: 1})
-	lyingTask = binary.LittleEndian.AppendUint32(lyingTask, 1<<30) // a billion records, no bytes
-	f.Add(appendFrame(msgTask, lyingTask))
 	lyingCols := appendTaskHeader(nil, taskHeader{plan: 1})
 	lyingCols = binary.LittleEndian.AppendUint32(lyingCols, 1<<30) // a billion groups, no bytes
 	f.Add(appendFrame(msgTaskCols, lyingCols))
@@ -115,8 +132,6 @@ func FuzzFrame(f *testing.F) {
 				decodeHello(payload)
 			case msgPlan:
 				decodePlan(payload)
-			case msgTask:
-				decodeTask(payload)
 			case msgTaskCols:
 				decodeTaskCols(payload)
 			case msgResult:

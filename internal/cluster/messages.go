@@ -139,157 +139,25 @@ func readTaskHeader(r *reader) taskHeader {
 	return taskHeader{plan: r.u64(), part: r.u32(), attempt: r.u32()}
 }
 
-// encodeTask frames one reduce partition's shuffle records. isLocal
-// classifies a record's producing map split as co-located with the
-// receiving worker; the returned local/remote byte counts cover the
-// record payload (cell key + tuple wire bytes) — the cluster's measured
-// counterpart of the engine's modelled shuffle reads.
-func encodeTask(h taskHeader, rs, ss []dpe.Keyed, isLocal func(src int) bool) (frame []byte, local, remote int64) {
-	size := 16 + 8
-	for _, rec := range rs {
-		size += 8 + rec.T.WireSize()
-	}
-	for _, rec := range ss {
-		size += 8 + rec.T.WireSize()
-	}
-	b := make([]byte, 0, size)
-	b = appendTaskHeader(b, h)
-	for _, side := range [2][]dpe.Keyed{rs, ss} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(side)))
-		for _, rec := range side {
-			n0 := len(b)
-			b = binary.LittleEndian.AppendUint64(b, uint64(rec.Cell))
-			b = tuple.AppendTuple(b, rec.T)
-			if isLocal(rec.Src) {
-				local += int64(len(b) - n0)
-			} else {
-				remote += int64(len(b) - n0)
-			}
-		}
-	}
-	return appendFrame(msgTask, b), local, remote
-}
-
-func decodeTask(b []byte) (h taskHeader, rs, ss []dpe.Keyed, err error) {
-	r := newReader(b)
-	h = readTaskHeader(r)
-	for side := 0; side < 2; side++ {
-		n := int(r.u32())
-		if !r.ok || n < 0 || n > len(r.b) {
-			return h, nil, nil, fmt.Errorf("cluster: task frame declares %d records beyond its size", n)
-		}
-		recs := make([]dpe.Keyed, 0, n)
-		for i := 0; i < n; i++ {
-			cell := int(int64(r.u64()))
-			t, consumed, terr := tuple.DecodeTuple(r.b)
-			if !r.ok || terr != nil {
-				return h, nil, nil, fmt.Errorf("cluster: short task frame")
-			}
-			r.b = r.b[consumed:]
-			recs = append(recs, dpe.Keyed{Cell: cell, T: t})
-		}
-		if side == 0 {
-			rs = recs
-		} else {
-			ss = recs
-		}
-	}
-	return h, rs, ss, r.err("task")
-}
-
-// colsRowWire is the wire footprint of one slab row: the f64 x, f64 y
-// and i64 id lanes (ranks live in the per-group directory, not per
-// row). Used for the local/remote shuffle split of a columnar task
-// frame.
-const colsRowWire = 8 + 8 + 8
-
-// appendSlab writes one side of a columnar task: the group directory
-// (rank list + offsets) followed by the raw column lanes. The row count
-// is implied by the last offset.
-func appendSlab(b []byte, s *colpipe.Slab) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Ranks)))
-	for _, r := range s.Ranks {
-		b = binary.LittleEndian.AppendUint32(b, uint32(r))
-	}
-	for _, o := range s.Starts {
-		b = binary.LittleEndian.AppendUint32(b, uint32(o))
-	}
-	for _, x := range s.Xs {
-		b = appendF64(b, x)
-	}
-	for _, y := range s.Ys {
-		b = appendF64(b, y)
-	}
-	for _, id := range s.IDs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(id))
-	}
-	return b
-}
-
-func slabWireSize(s *colpipe.Slab) int {
-	return 4 + 4*len(s.Ranks) + 4*len(s.Starts) + colsRowWire*s.Rows()
-}
-
-// readSlab decodes one side of a columnar task into dst. The lanes are
-// copied out of the frame so the slab outlives the read buffer.
-func readSlab(r *reader, dst *colpipe.Slab) error {
-	ng := int(r.u32())
-	if !r.ok || ng < 0 || 4*ng > len(r.b) {
-		return fmt.Errorf("cluster: columnar task frame declares %d groups beyond its size", ng)
-	}
-	dst.Ranks = make([]int32, ng)
-	for i := range dst.Ranks {
-		dst.Ranks[i] = int32(r.u32())
-	}
-	dst.Starts = make([]int32, ng+1)
-	for i := range dst.Starts {
-		dst.Starts[i] = int32(r.u32())
-	}
-	rows := 0
-	if r.ok {
-		rows = int(dst.Starts[ng])
-	}
-	if rows < 0 || colsRowWire*rows > len(r.b) {
-		return fmt.Errorf("cluster: columnar task frame declares %d rows beyond its size", rows)
-	}
-	for i := 0; i+1 < len(dst.Starts); i++ {
-		if dst.Starts[i] > dst.Starts[i+1] || dst.Starts[i] < 0 {
-			return fmt.Errorf("cluster: columnar task frame has non-monotonic group offsets")
-		}
-	}
-	dst.Xs = make([]float64, rows)
-	for i := range dst.Xs {
-		dst.Xs[i] = r.f64()
-	}
-	dst.Ys = make([]float64, rows)
-	for i := range dst.Ys {
-		dst.Ys[i] = r.f64()
-	}
-	dst.IDs = make([]int64, rows)
-	for i := range dst.IDs {
-		dst.IDs[i] = int64(r.u64())
-	}
-	return nil
-}
-
 // encodeTaskCols frames one reduce partition in the pipeline's native
-// columnar form: per side, the slab's group directory followed by the
-// raw x/y/id lanes, which the worker decodes straight into kernel-ready
+// columnar form: per side, the slab's wire encoding (group directory,
+// raw x/y/id lanes, optional length-prefixed payload column — see
+// colpipe's codec), which the worker decodes straight into kernel-ready
 // slabs — no tuple structs on either end. The local/remote byte split
-// attributes each producing map split's rows (WorkerRows × the per-row
-// lane footprint) by isLocal; the group directory bytes belong to the
-// partition, not a producer, and are left unattributed.
+// attributes each producing map split's encoded rows by isLocal; the
+// group directory bytes belong to the partition, not a producer, and are
+// left unattributed.
 func encodeTaskCols(h taskHeader, rs, ss *colpipe.Slab, isLocal func(src int) bool) (frame []byte, local, remote int64) {
-	b := make([]byte, 0, 16+slabWireSize(rs)+slabWireSize(ss))
+	b := make([]byte, 0, 16+rs.WireSize()+ss.WireSize())
 	b = appendTaskHeader(b, h)
-	b = appendSlab(b, rs)
-	b = appendSlab(b, ss)
+	b = rs.AppendWire(b)
+	b = ss.AppendWire(b)
 	for _, side := range [2]*colpipe.Slab{rs, ss} {
-		for w, rows := range side.WorkerRows {
+		for w := range side.WorkerRows {
 			if isLocal(w) {
-				local += colsRowWire * int64(rows)
+				local += side.WorkerWire(w)
 			} else {
-				remote += colsRowWire * int64(rows)
+				remote += side.WorkerWire(w)
 			}
 		}
 	}
@@ -299,14 +167,21 @@ func encodeTaskCols(h taskHeader, rs, ss *colpipe.Slab, isLocal func(src int) bo
 func decodeTaskCols(b []byte) (h taskHeader, rs, ss *colpipe.Slab, err error) {
 	r := newReader(b)
 	h = readTaskHeader(r)
+	if err := r.err("task"); err != nil {
+		return h, nil, nil, err
+	}
 	rs, ss = &colpipe.Slab{}, &colpipe.Slab{}
-	if err := readSlab(r, rs); err != nil {
-		return h, nil, nil, err
+	rest, err := rs.DecodeWire(r.b)
+	if err == nil {
+		rest, err = ss.DecodeWire(rest)
 	}
-	if err := readSlab(r, ss); err != nil {
-		return h, nil, nil, err
+	if err != nil {
+		return h, nil, nil, fmt.Errorf("cluster: task frame: %w", err)
 	}
-	return h, rs, ss, r.err("columnar task")
+	if len(rest) != 0 {
+		return h, nil, nil, fmt.Errorf("cluster: task frame carries %d trailing bytes", len(rest))
+	}
+	return h, rs, ss, nil
 }
 
 // resultMsg carries one completed task's join outcome back to the

@@ -18,8 +18,9 @@
 //
 //	length u32 (type + payload) | type u8 | payload
 //
-// in little-endian byte order, with tuples and pairs encoded by
-// internal/tuple's wire format. The protocol is deliberately dumb:
+// in little-endian byte order, with task partitions encoded by
+// internal/colpipe's slab codec and result pairs by internal/tuple's
+// wire format. The protocol is deliberately dumb:
 // no compression, no pipelining windows — measured bytes should map
 // one-to-one onto the replication and placement decisions under test.
 package cluster
@@ -37,7 +38,10 @@ import (
 // frames that stitch worker-process spans into the coordinator's trace.
 // v3 added the columnar task frame (msgTaskCols): a reduce partition
 // shipped as kernel-ready slab columns instead of per-record tuples.
-const protoVersion = 3
+// v4 made it the only task frame: the per-record frame (type 4) is
+// retired and each slab gains an optional length-prefixed payload
+// column, so payload-carrying joins ship column-wise too.
+const protoVersion = 4
 
 // helloMagic opens the worker → coordinator handshake.
 const helloMagic = "SJWK"
@@ -47,7 +51,6 @@ const (
 	msgHello     byte = 1  // worker → coordinator: magic, version, name
 	msgHeartbeat byte = 2  // worker → coordinator: liveness beacon
 	msgPlan      byte = 3  // coordinator → worker: per-execution plan broadcast
-	msgTask      byte = 4  // coordinator → worker: one reduce partition's records
 	msgResult    byte = 5  // worker → coordinator: one task's join outcome
 	msgTaskErr   byte = 6  // worker → coordinator: task execution failed
 	msgCancel    byte = 7  // coordinator → worker: drop a task (speculation lost)
@@ -55,6 +58,9 @@ const (
 	msgTrace     byte = 9  // coordinator → worker: trace context for a plan
 	msgSpans     byte = 10 // worker → coordinator: finished spans of one task
 	msgTaskCols  byte = 11 // coordinator → worker: one reduce partition as columnar slabs
+
+	// Type 4 was the per-record task frame of protocols v1–v3; it stays
+	// unassigned.
 )
 
 // defaultMaxFrame bounds a single frame; a task carries a whole reduce

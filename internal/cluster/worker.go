@@ -72,12 +72,11 @@ type workerPlan struct {
 	parent obs.SpanID
 }
 
-// workerTask is one queued task attempt: Keyed record buckets for a
-// tuple-form task, or decoded slabs for a columnar one.
+// workerTask is one queued task attempt: the decoded slabs of a reduce
+// partition.
 type workerTask struct {
-	h          taskHeader
-	rs, ss     []dpe.Keyed
-	colR, colS *colpipe.Slab
+	h      taskHeader
+	rs, ss *colpipe.Slab
 }
 
 // workerState is everything the read loop and the executors share.
@@ -195,8 +194,8 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 			if err := w.handleTrace(payload); err != nil {
 				return err
 			}
-		case msgTask:
-			h, rs, ss, err := decodeTask(payload)
+		case msgTaskCols:
+			h, rs, ss, err := decodeTaskCols(payload)
 			if err != nil {
 				return err
 			}
@@ -205,16 +204,6 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 			default:
 				// Queue full: the coordinator oversubscribed us wildly;
 				// refuse rather than deadlock the read loop.
-				w.sendTaskErr(h, "worker task queue overflow")
-			}
-		case msgTaskCols:
-			h, rs, ss, err := decodeTaskCols(payload)
-			if err != nil {
-				return err
-			}
-			select {
-			case tasks <- workerTask{h: h, colR: rs, colS: ss}:
-			default:
 				w.sendTaskErr(h, "worker task queue overflow")
 			}
 		case msgCancel:
@@ -254,8 +243,8 @@ func (w *workerState) handlePlan(payload []byte) error {
 	p := &workerPlan{eps: m.eps, selfFilter: m.selfFilter, collect: m.collect}
 	switch m.kernel.Kind {
 	case dpe.KernelSweep:
-		// nil kernel: JoinPartition runs the columnar zero-allocation
-		// sweep, so remote workers execute the same fast path as the
+		// nil kernel: JoinSlabs runs the columnar zero-allocation sweep
+		// in place, so remote workers execute the same fast path as the
 		// local engine.
 	case dpe.KernelRefPoint:
 		g := grid.New(m.kernel.Bounds, m.kernel.GridEps, m.kernel.GridRes)
@@ -330,12 +319,7 @@ func (w *workerState) runTask(t workerTask) {
 	sp.SetWorker(w.opt.Name).
 		SetInt("partition", int64(t.h.part)).
 		SetInt("attempt", int64(t.h.attempt))
-	var out dpe.PartitionResult
-	if t.colR != nil {
-		out = dpe.JoinSlabsTraced(t.colR, t.colS, plan.eps, plan.collect, plan.selfFilter, sp)
-	} else {
-		out = dpe.JoinPartitionTraced(t.rs, t.ss, plan.eps, plan.kernel, plan.collect, plan.selfFilter, sp)
-	}
+	out := dpe.JoinSlabsTraced(t.rs, t.ss, plan.eps, plan.kernel, plan.collect, plan.selfFilter, sp)
 	if plan.tr != nil {
 		// Ship the finished spans before the result on the same ordered
 		// connection, so the coordinator stitches them while the run is

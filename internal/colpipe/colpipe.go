@@ -16,6 +16,12 @@
 // counting sort a replica is an index range member like any native
 // point, not a copied tuple.
 //
+// Payloads. Joins whose kernel reads more than the point (object
+// geometry, size-model padding) carry an optional payload lane: one
+// []byte header per row, aliasing the input tuple's payload, permuted
+// with its row by the counting sort. Point joins never touch it — the
+// lane stays nil and costs nothing.
+//
 // Ranks. Groups are keyed by cell rank rather than raw cell id so the
 // caller can pick a locality-preserving traversal order: MortonRanks
 // and HilbertRanks map a grid's cells onto a Z-order or Hilbert curve,
@@ -29,6 +35,8 @@ import (
 	"slices"
 
 	"spatialjoin/internal/colsweep"
+	"spatialjoin/internal/geom"
+	"spatialjoin/internal/tuple"
 )
 
 // insertionSortMax is the group size below which the three-lane
@@ -48,6 +56,10 @@ type Seg struct {
 	Xs, Ys []float64
 	IDs    []int64
 	Bytes  int64
+
+	// Payloads is the optional payload lane: nil for point joins,
+	// otherwise parallel to the other lanes (see AppendPayload).
+	Payloads [][]byte
 }
 
 // Append adds one record to the segment. wireBytes is the record's
@@ -58,6 +70,20 @@ func (s *Seg) Append(rank int32, x, y float64, id int64, wireBytes int) {
 	s.Ys = append(s.Ys, y)
 	s.IDs = append(s.IDs, id)
 	s.Bytes += int64(wireBytes)
+}
+
+// AppendPayload is Append for records that may carry a payload. The
+// lane materialises on the first non-nil payload (earlier rows are
+// back-filled with nil), so a segment that never sees one stays a pure
+// point segment.
+func (s *Seg) AppendPayload(rank int32, x, y float64, id int64, wireBytes int, payload []byte) {
+	s.Append(rank, x, y, id, wireBytes)
+	if payload != nil || s.Payloads != nil {
+		for len(s.Payloads) < len(s.IDs)-1 {
+			s.Payloads = append(s.Payloads, nil)
+		}
+		s.Payloads = append(s.Payloads, payload)
+	}
 }
 
 // Len returns the number of records in the segment.
@@ -73,27 +99,25 @@ func (s *Seg) Grow(n int) {
 	s.IDs = slices.Grow(s.IDs, n)
 }
 
-// Reset truncates the segment, keeping capacity.
-func (s *Seg) Reset() {
-	s.Ranks, s.Xs, s.Ys, s.IDs = s.Ranks[:0], s.Xs[:0], s.Ys[:0], s.IDs[:0]
-	s.Bytes = 0
-}
-
 // Slab is one reduce partition's kernel-ready columnar input: records
 // grouped by ascending rank, each group sorted by x. Group k occupies
 // index range [Starts[k], Starts[k+1]) of the lanes. WorkerRows and
 // WorkerBytes record, per producing map split, the row count and
 // modelled wire bytes — the inputs of the local/remote shuffle-read
-// split (partition owner vs producing worker).
+// split (partition owner vs producing worker). Payloads is nil unless a
+// segment carried a payload lane; WorkerPayload then holds the payload
+// bytes each split contributed.
 type Slab struct {
-	Ranks  []int32 // distinct ranks present, ascending
-	Starts []int32 // len(Ranks)+1 group offsets
-	Xs, Ys []float64
-	IDs    []int64
-	Bytes  int64 // total modelled keyed wire bytes
+	Ranks    []int32 // distinct ranks present, ascending
+	Starts   []int32 // len(Ranks)+1 group offsets
+	Xs, Ys   []float64
+	IDs      []int64
+	Payloads [][]byte // nil, or one payload per row
+	Bytes    int64    // total modelled keyed wire bytes
 
-	WorkerRows  []int32
-	WorkerBytes []int64
+	WorkerRows    []int32
+	WorkerBytes   []int64
+	WorkerPayload []int64 // nil without a payload lane
 }
 
 // Rows returns the total number of records in the slab.
@@ -107,10 +131,25 @@ func (s *Slab) Group(k int) (lo, hi int) {
 	return int(s.Starts[k]), int(s.Starts[k+1])
 }
 
+// AppendTuples appends the rows of group k to dst as tuples — the view
+// a tuple-level kernel is handed. Payloads alias the slab's lane.
+func (s *Slab) AppendTuples(dst []tuple.Tuple, k int) []tuple.Tuple {
+	lo, hi := s.Group(k)
+	for i := lo; i < hi; i++ {
+		t := tuple.Tuple{ID: s.IDs[i], Pt: geom.Point{X: s.Xs[i], Y: s.Ys[i]}}
+		if s.Payloads != nil {
+			t.Payload = s.Payloads[i]
+		}
+		dst = append(dst, t)
+	}
+	return dst
+}
+
 // reset truncates the slab for reuse, sizing the per-worker counters.
 func (s *Slab) reset(workers int) {
 	s.Ranks, s.Starts = s.Ranks[:0], s.Starts[:0]
 	s.Xs, s.Ys, s.IDs = s.Xs[:0], s.Ys[:0], s.IDs[:0]
+	s.Payloads, s.WorkerPayload = nil, nil
 	s.Bytes = 0
 	if cap(s.WorkerRows) < workers {
 		s.WorkerRows = make([]int32, workers)
@@ -134,6 +173,7 @@ type Builder struct {
 	perm   []int32
 	tmpF   []float64
 	tmpI   []int64
+	tmpP   [][]byte
 }
 
 // NewBuilder returns a Builder for slabs whose ranks lie in
@@ -147,7 +187,8 @@ func NewBuilder(numRanks int) *Builder {
 // and each group sorted by x. dst's slices are reused across calls, so
 // a warm Builder/Slab pair builds with zero allocations in steady
 // state. Segment index w is taken to be the producing map split for
-// the per-worker byte accounting.
+// the per-worker byte accounting. The payload lane is built only when
+// some segment carries one.
 func (b *Builder) BuildInto(dst *Slab, segs []Seg) {
 	dst.reset(len(segs))
 
@@ -165,6 +206,14 @@ func (b *Builder) BuildInto(dst *Slab, segs []Seg) {
 		dst.WorkerRows[w] = int32(seg.Len())
 		dst.WorkerBytes[w] = seg.Bytes
 		dst.Bytes += seg.Bytes
+		if len(seg.Payloads) > 0 {
+			if dst.WorkerPayload == nil {
+				dst.WorkerPayload = make([]int64, len(segs))
+			}
+			for _, p := range seg.Payloads {
+				dst.WorkerPayload[w] += int64(len(p))
+			}
+		}
 	}
 	slices.Sort(dst.Ranks)
 
@@ -184,6 +233,9 @@ func (b *Builder) BuildInto(dst *Slab, segs []Seg) {
 	dst.Xs = slices.Grow(dst.Xs, total)[:total]
 	dst.Ys = slices.Grow(dst.Ys, total)[:total]
 	dst.IDs = slices.Grow(dst.IDs, total)[:total]
+	if dst.WorkerPayload != nil {
+		dst.Payloads = make([][]byte, total)
+	}
 	for w := range segs {
 		seg := &segs[w]
 		for i, r := range seg.Ranks {
@@ -192,6 +244,9 @@ func (b *Builder) BuildInto(dst *Slab, segs []Seg) {
 			dst.Xs[pos] = seg.Xs[i]
 			dst.Ys[pos] = seg.Ys[i]
 			dst.IDs[pos] = seg.IDs[i]
+			if i < len(seg.Payloads) {
+				dst.Payloads[pos] = seg.Payloads[i]
+			}
 		}
 	}
 
@@ -216,7 +271,9 @@ func (b *Builder) sortRange(dst *Slab, lo, hi int) {
 		return
 	}
 	xs, ys, ids := dst.Xs, dst.Ys, dst.IDs
-	if n <= insertionSortMax {
+	// Payload slabs always take the permutation sort, whose gather
+	// handles the extra lane; the insertion sort stays three-lane.
+	if n <= insertionSortMax && dst.Payloads == nil {
 		for i := lo + 1; i < hi; i++ {
 			x, y, id := xs[i], ys[i], ids[i]
 			j := i
@@ -255,6 +312,13 @@ func (b *Builder) sortRange(dst *Slab, lo, hi int) {
 	b.tmpF = append(b.tmpF[:0], ys[lo:hi]...)
 	for i, p := range perm {
 		ys[lo+i] = b.tmpF[p]
+	}
+	if dst.Payloads != nil {
+		b.tmpP = append(b.tmpP[:0], dst.Payloads[lo:hi]...)
+		for i, p := range perm {
+			dst.Payloads[lo+i] = b.tmpP[p]
+		}
+		clear(b.tmpP)
 	}
 }
 

@@ -1,6 +1,9 @@
 package colpipe
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -135,6 +138,107 @@ func TestBuildIntoZeroAllocSteadyState(t *testing.T) {
 		b.BuildInto(&slab, segs)
 	}); allocs > 0 {
 		t.Errorf("steady-state BuildInto allocates %.1f objects/op, want 0", allocs)
+	}
+	if slab.Payloads != nil || slab.WorkerPayload != nil {
+		t.Errorf("point slab grew a payload lane (%d payloads)", len(slab.Payloads))
+	}
+}
+
+// rowKey packs a row's identity into the payload that must stay with it.
+func rowKey(rank int32, x, y float64, id int64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(rank))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(y))
+	return binary.LittleEndian.AppendUint64(b, uint64(id))
+}
+
+// TestBuildIntoPayloadStaysWithRow is the payload-lane property: every
+// payload encodes the (rank, x, y, id) it was appended with, some rows
+// carry none, and after the counting sort and both group sorts
+// (insertion-sized and permutation-sized groups) each slab row still
+// holds exactly its own payload. A slab reused for a point partition
+// afterwards drops the lane again.
+func TestBuildIntoPayloadStaysWithRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	b := NewBuilder(64)
+	var slab Slab
+	for trial := 0; trial < 20; trial++ {
+		workers := 1 + rng.Intn(4)
+		segs := make([]Seg, workers)
+		numRanks := 1 + rng.Intn(64) // few ranks → large groups, many → tiny ones
+		bare := 0
+		var payloadBytes int64
+		for i, n := 0, rng.Intn(3000); i < n; i++ {
+			w := rng.Intn(workers)
+			rank, x, y, id := int32(rng.Intn(numRanks)), rng.Float64()*10, rng.Float64()*10, int64(i)
+			var payload []byte
+			if rng.Intn(8) > 0 {
+				payload = rowKey(rank, x, y, id)
+				payloadBytes += int64(len(payload))
+			} else {
+				bare++
+			}
+			segs[w].AppendPayload(rank, x, y, id, 32+len(payload), payload)
+		}
+		b.BuildInto(&slab, segs)
+
+		if payloadBytes == 0 {
+			if slab.Payloads != nil {
+				t.Fatalf("trial %d: no payload appended but the slab has a lane", trial)
+			}
+			continue
+		}
+		if len(slab.Payloads) != slab.Rows() {
+			t.Fatalf("trial %d: %d payloads for %d rows", trial, len(slab.Payloads), slab.Rows())
+		}
+		var gotBytes int64
+		for _, n := range slab.WorkerPayload {
+			gotBytes += n
+		}
+		if gotBytes != payloadBytes {
+			t.Fatalf("trial %d: per-worker payload bytes sum to %d, want %d", trial, gotBytes, payloadBytes)
+		}
+		for k := 0; k < slab.NumGroups(); k++ {
+			lo, hi := slab.Group(k)
+			for i := lo; i < hi; i++ {
+				if slab.Payloads[i] == nil {
+					bare--
+					continue
+				}
+				want := rowKey(slab.Ranks[k], slab.Xs[i], slab.Ys[i], slab.IDs[i])
+				if !bytes.Equal(slab.Payloads[i], want) {
+					t.Fatalf("trial %d group %d row %d (id %d): payload belongs to another row", trial, k, i, slab.IDs[i])
+				}
+			}
+			// The tuple views a kernel is handed carry the same lane.
+			for j, tu := range slab.AppendTuples(nil, k) {
+				i := lo + j
+				if tu.ID != slab.IDs[i] || tu.Pt.X != slab.Xs[i] || tu.Pt.Y != slab.Ys[i] ||
+					!bytes.Equal(tu.Payload, slab.Payloads[i]) {
+					t.Fatalf("trial %d group %d: tuple view %d diverges from its row", trial, k, j)
+				}
+			}
+		}
+		if bare != 0 {
+			t.Fatalf("trial %d: payload-less row count off by %d", trial, bare)
+		}
+
+		// Wire round trip: lanes and payload column survive bit for bit.
+		var back Slab
+		rest, err := back.DecodeWire(slab.AppendWire(nil))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("trial %d: wire round trip: %v (%d trailing bytes)", trial, err, len(rest))
+		}
+		if !slices.Equal(back.Ranks, slab.Ranks) || !slices.Equal(back.Starts, slab.Starts) ||
+			!slices.Equal(back.Xs, slab.Xs) || !slices.Equal(back.Ys, slab.Ys) || !slices.Equal(back.IDs, slab.IDs) ||
+			!slices.EqualFunc(back.Payloads, slab.Payloads, bytes.Equal) {
+			t.Fatalf("trial %d: slab changed across the wire", trial)
+		}
+	}
+
+	b.BuildInto(&slab, randSegs(rng, 2, 100, 64, 0))
+	if slab.Payloads != nil || slab.WorkerPayload != nil {
+		t.Fatal("slab reused for a point partition kept its payload lane")
 	}
 }
 

@@ -299,9 +299,8 @@ func SweepSorted(r, s *Cols, eps float64, out *Batch) {
 }
 
 // Probe reports the index of every point of the x-sorted slab c within
-// eps of (px, py) — the columnar analogue of sweep.ProbeSorted, used by
-// the streaming engine to probe one arriving point against a maintained
-// slab in O(log n + ε-window). Matches at distance exactly eps are
+// eps of (px, py) — used by the streaming engine to probe one arriving
+// point against a maintained slab in O(log n + ε-window). Matches at distance exactly eps are
 // reported (closed predicate).
 func Probe(c *Cols, px, py, eps float64, emit func(i int)) {
 	n := len(c.Xs)

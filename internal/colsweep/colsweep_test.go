@@ -184,7 +184,7 @@ func TestColumnarZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-func TestProbeMatchesScalar(t *testing.T) {
+func TestProbeMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for trial := 0; trial < 30; trial++ {
 		ts := randomTuples(rng, 1+rng.Intn(400), 10, 0)
@@ -195,14 +195,16 @@ func TestProbeMatchesScalar(t *testing.T) {
 		for probe := 0; probe < 20; probe++ {
 			p := geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 			var want, got sweep.Counter
-			sweep.ProbeSorted(ts, p, eps, func(m tuple.Tuple) {
-				want.EmitPair(tuple.Pair{RID: m.ID, SID: m.ID})
-			})
+			for _, m := range ts {
+				if p.SqDist(m.Pt) <= eps*eps {
+					want.EmitPair(tuple.Pair{RID: m.ID, SID: m.ID})
+				}
+			}
 			Probe(&cols, p.X, p.Y, eps, func(i int) {
 				got.EmitPair(tuple.Pair{RID: cols.IDs[i], SID: cols.IDs[i]})
 			})
 			if want != got {
-				t.Fatalf("trial %d: probe %d/%x, scalar %d/%x", trial, got.N, got.Checksum, want.N, want.Checksum)
+				t.Fatalf("trial %d: probe %d/%x, linear scan %d/%x", trial, got.N, got.Checksum, want.N, want.Checksum)
 			}
 		}
 	}

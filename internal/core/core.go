@@ -188,17 +188,15 @@ func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
 
 		Tracer:      cfg.Tracer,
 		TraceParent: cfg.TraceParent,
+
+		// The adaptive assigns emit cell ids of the 2ε-grid; ranking
+		// them along the Hilbert curve keeps adjacent slab groups
+		// spatially adjacent.
+		Cells:    gr.Grid.NumCells(),
+		CellRank: colpipe.HilbertRanks(gr.Grid.NX, gr.Grid.NY),
 	}
 	if cfg.Engine != nil {
 		spec.Broadcast = broadcastBlob(gr, part)
-	}
-	// The adaptive assigns emit cell ids of the 2ε-grid, all within
-	// [0, NumCells) — the contract that turns the map/shuffle into the
-	// columnar slab pipeline. Ranking cells along the Hilbert curve
-	// keeps adjacent slab groups spatially adjacent.
-	if cfg.Kernel == nil {
-		spec.Cells = gr.Grid.NumCells()
-		spec.CellRank = colpipe.HilbertRanks(gr.Grid.NX, gr.Grid.NY)
 	}
 	planSp.End()
 	prep, err := dpe.Prepare(spec)

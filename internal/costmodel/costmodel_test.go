@@ -18,6 +18,7 @@ func measured(g *grid.Grid, rs, ss []tuple.Tuple, assignR, assignS dpe.Assign) *
 	res, err := dpe.Run(dpe.Spec{
 		R: rs, S: ss, Eps: g.Eps,
 		AssignR: assignR, AssignS: assignS,
+		Cells:   g.NumCells(),
 		Part:    dpe.HashPartitioner{N: 64},
 		Workers: 4,
 	})

@@ -1,20 +1,24 @@
 package dpe
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"spatialjoin/internal/colpipe"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
+	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
 // columnarWorkloads are the differential inputs: uniform random points,
 // a lattice whose points sit exactly on cell borders (the replication
 // tie cases), and a comb of points exactly ε apart so the inclusive
-// distance boundary is exercised on both the scalar and columnar paths.
+// distance boundary is exercised on both the in-place sweep and the
+// Kernel callback.
 func columnarWorkloads(eps float64) map[string][2][]tuple.Tuple {
 	rng := rand.New(rand.NewSource(41))
 	random := [2][]tuple.Tuple{
@@ -36,10 +40,12 @@ func columnarWorkloads(eps float64) map[string][2][]tuple.Tuple {
 
 	// Exact ε-border: R at x=k·3ε, S exactly ε to the right — every
 	// pair's distance is exactly eps and must be emitted (inclusive ≤).
+	// 13 columns × 13 rows at ε = 0.5 keep the comb inside the 20×20
+	// bounds of uniSpec's grid (replication is only defined there).
 	var combR, combS []tuple.Tuple
-	for i := 0; i < 400; i++ {
-		x := float64(i%20) * 3 * eps
-		y := float64(i/20) * 3 * eps
+	for i := 0; i < 169; i++ {
+		x := float64(i%13) * 3 * eps
+		y := float64(i/13) * 3 * eps
 		combR = append(combR, tuple.Tuple{ID: int64(i), Pt: geom.Point{X: x, Y: y}})
 		combS = append(combS, tuple.Tuple{ID: 1_000_000 + int64(i), Pt: geom.Point{X: x + eps, Y: y}})
 	}
@@ -51,55 +57,56 @@ func columnarWorkloads(eps float64) map[string][2][]tuple.Tuple {
 	}
 }
 
-// columnarSpec is uniSpec plus the columnar gate: Cells (and optionally
-// CellRank) switch Prepare onto the slab pipeline.
+// columnarSpec is uniSpec with an optional Hilbert cell ranking.
 func columnarSpec(rs, ss []tuple.Tuple, eps float64, workers, nparts int, hilbert bool) (Spec, *grid.Grid) {
 	spec, g := uniSpec(rs, ss, eps, workers, nparts)
-	spec.Cells = g.NumCells()
 	if hilbert {
 		spec.CellRank = colpipe.HilbertRanks(g.NX, g.NY)
 	}
 	return spec, g
 }
 
-// TestColumnarMatchesScalarDifferential runs every workload through the
-// columnar pipeline and the Keyed scalar oracle (dpe.ScalarKernel) and
-// requires byte-identical outcomes: result count, checksum, and the
+// TestColumnarMatchesBruteForce runs every workload through the slab
+// pipeline — on the in-place columnar sweep and through the Kernel
+// callback (dpe.ScalarKernel) — and requires outcomes byte-identical to
+// a nested loop over the raw inputs: result count, checksum, and the
 // full collected pair set.
-func TestColumnarMatchesScalarDifferential(t *testing.T) {
+func TestColumnarMatchesBruteForce(t *testing.T) {
 	const eps = 0.5
 	for name, w := range columnarWorkloads(eps) {
+		var want sweep.Collector
+		var wantSum sweep.Counter
+		sweep.NestedLoop(w[0], w[1], eps, func(r, s tuple.Tuple) {
+			want.Emit(r, s)
+			wantSum.Emit(r, s)
+		})
+		sortPairs(want.Pairs)
+
 		for _, hilbert := range []bool{false, true} {
-			spec, _ := columnarSpec(w[0], w[1], eps, 3, 8, hilbert)
-			spec.Collect = true
-			col, err := Run(spec)
-			if err != nil {
-				t.Fatalf("%s columnar: %v", name, err)
-			}
-
-			oracle := spec
-			oracle.Kernel = ScalarKernel
-			want, err := Run(oracle)
-			if err != nil {
-				t.Fatalf("%s scalar: %v", name, err)
-			}
-
-			if col.Results != want.Results || col.Checksum != want.Checksum {
-				t.Fatalf("%s hilbert=%v: columnar %d/%x, scalar %d/%x",
-					name, hilbert, col.Results, col.Checksum, want.Results, want.Checksum)
-			}
-			sortPairs(col.Pairs)
-			sortPairs(want.Pairs)
-			if !slices.Equal(col.Pairs, want.Pairs) {
-				t.Fatalf("%s hilbert=%v: pair sets diverge (%d vs %d pairs)",
-					name, hilbert, len(col.Pairs), len(want.Pairs))
+			for _, kernel := range []Kernel{nil, ScalarKernel} {
+				spec, _ := columnarSpec(w[0], w[1], eps, 3, 8, hilbert)
+				spec.Collect = true
+				spec.Kernel = kernel
+				got, err := Run(spec)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got.Results != wantSum.N || got.Checksum != wantSum.Checksum {
+					t.Fatalf("%s hilbert=%v kernel=%v: %d/%x, brute force %d/%x",
+						name, hilbert, kernel != nil, got.Results, got.Checksum, wantSum.N, wantSum.Checksum)
+				}
+				sortPairs(got.Pairs)
+				if !slices.Equal(got.Pairs, want.Pairs) {
+					t.Fatalf("%s hilbert=%v kernel=%v: pair sets diverge (%d vs %d pairs)",
+						name, hilbert, kernel != nil, len(got.Pairs), len(want.Pairs))
+				}
 			}
 		}
 	}
 }
 
-// cellMembers maps cell id → sorted tuple IDs, the canonical form both
-// representations are reduced to for the per-cell comparison.
+// cellMembers maps cell id → sorted tuple IDs, the canonical form the
+// slabs and the reference are reduced to for the per-cell comparison.
 type cellMembers map[int][]int64
 
 func (m cellMembers) add(cell int, id int64) {
@@ -113,28 +120,21 @@ func (m cellMembers) sorted() cellMembers {
 	return m
 }
 
-// TestColumnarPartitionContents proves the index-permutation shuffle
-// reproduces the scalar path's partitions exactly: for every reduce
-// partition and every cell, the columnar slab group holds the same
-// tuple IDs — native and halo replicas alike — as the Keyed buckets.
+// TestColumnarPartitionContents proves the map + counting-sort shuffle
+// places every replica exactly where the assignment says: the reference
+// is computed here by calling the spec's Assign functions directly and
+// routing each cell through the partitioner, and for every reduce
+// partition and every cell the slab group must hold the same tuple IDs
+// — native and halo replicas alike. The modelled footprint must equal
+// one KeyedSize per reference replica.
 func TestColumnarPartitionContents(t *testing.T) {
 	const eps = 0.5
 	for name, w := range columnarWorkloads(eps) {
 		for _, hilbert := range []bool{false, true} {
 			spec, g := columnarSpec(w[0], w[1], eps, 3, 8, hilbert)
-			prCol, err := Prepare(spec)
+			pr, err := Prepare(spec)
 			if err != nil {
-				t.Fatalf("%s columnar prepare: %v", name, err)
-			}
-			if !prCol.Columnar() {
-				t.Fatalf("%s: prepared plan is not columnar", name)
-			}
-
-			oracle := spec
-			oracle.Kernel = ScalarKernel
-			prKey, err := Prepare(oracle)
-			if err != nil {
-				t.Fatalf("%s scalar prepare: %v", name, err)
+				t.Fatalf("%s prepare: %v", name, err)
 			}
 
 			// rank → cell, inverting CellRank (identity when unset).
@@ -147,50 +147,123 @@ func TestColumnarPartitionContents(t *testing.T) {
 				}
 			}
 
-			if prCol.NumPartitions() != prKey.NumPartitions() {
-				t.Fatalf("%s: %d columnar partitions, %d keyed",
-					name, prCol.NumPartitions(), prKey.NumPartitions())
+			nparts := spec.Part.NumPartitions()
+			if pr.NumPartitions() != nparts {
+				t.Fatalf("%s: %d partitions, want %d", name, pr.NumPartitions(), nparts)
 			}
-			for p := 0; p < prCol.NumPartitions(); p++ {
-				krs, kss := prKey.Partition(p)
-				crs, css := prCol.ColumnarPartition(p)
-				for side, pair := range [2]struct {
-					keyed []Keyed
-					slab  *colpipe.Slab
-				}{{krs, crs}, {kss, css}} {
-					wantCells := cellMembers{}
-					for _, rec := range pair.keyed {
-						wantCells.add(rec.Cell, rec.T.ID)
+			var wantBytes, wantRepl int64
+			var want [2][]cellMembers
+			for side, in := range [2][]tuple.Tuple{w[0], w[1]} {
+				want[side] = make([]cellMembers, nparts)
+				for p := range want[side] {
+					want[side][p] = cellMembers{}
+				}
+				assign, set := spec.AssignR, tuple.R
+				if side == 1 {
+					assign, set = spec.AssignS, tuple.S
+				}
+				var cells []int
+				for _, tu := range in {
+					cells = assign(tu.Pt, set, cells[:0])
+					wantRepl += int64(len(cells) - 1)
+					for _, c := range cells {
+						want[side][spec.Part.PartitionOf(c)].add(c, tu.ID)
+						wantBytes += int64(tu.KeyedSize())
 					}
-					gotCells := cellMembers{}
-					for k := 0; k < pair.slab.NumGroups(); k++ {
-						cell := rankCell[pair.slab.Ranks[k]]
-						lo, hi := pair.slab.Group(k)
+				}
+			}
+
+			for p := 0; p < nparts; p++ {
+				rs, ss := pr.Slabs(p)
+				for side, slab := range [2]*colpipe.Slab{rs, ss} {
+					if slab.Payloads != nil {
+						t.Fatalf("%s part %d side %d: point slab carries a payload lane", name, p, side)
+					}
+					got := cellMembers{}
+					for k := 0; k < slab.NumGroups(); k++ {
+						cell := rankCell[slab.Ranks[k]]
+						lo, hi := slab.Group(k)
 						for i := lo; i < hi; i++ {
-							gotCells.add(cell, pair.slab.IDs[i])
+							got.add(cell, slab.IDs[i])
 						}
 					}
-					wantCells.sorted()
-					gotCells.sorted()
-					if len(gotCells) != len(wantCells) {
+					wantCells := want[side][p].sorted()
+					got.sorted()
+					if len(got) != len(wantCells) {
 						t.Fatalf("%s hilbert=%v part %d side %d: %d cells, want %d",
-							name, hilbert, p, side, len(gotCells), len(wantCells))
+							name, hilbert, p, side, len(got), len(wantCells))
 					}
-					for cell, want := range wantCells {
-						if !slices.Equal(gotCells[cell], want) {
+					for cell, ids := range wantCells {
+						if !slices.Equal(got[cell], ids) {
 							t.Fatalf("%s hilbert=%v part %d side %d cell %d: members %v, want %v",
-								name, hilbert, p, side, cell, gotCells[cell], want)
+								name, hilbert, p, side, cell, got[cell], ids)
 						}
 					}
 				}
 			}
 
-			// The modelled shuffle footprint must agree too: replicas are
-			// index ranges, not copies, but the byte model still counts
-			// every keyed record.
-			if a, b := prCol.FootprintBytes(), prKey.FootprintBytes(); a != b {
-				t.Fatalf("%s hilbert=%v: columnar footprint %d bytes, keyed %d", name, hilbert, a, b)
+			// Replicas are index ranges, not copies, but the byte model
+			// still counts every keyed record.
+			if got := pr.FootprintBytes(); got != wantBytes {
+				t.Fatalf("%s hilbert=%v: footprint %d bytes, want %d", name, hilbert, got, wantBytes)
+			}
+			if got := pr.Replicated(); got != wantRepl {
+				t.Fatalf("%s hilbert=%v: %d replicas, want %d", name, hilbert, got, wantRepl)
 			}
 		}
+	}
+}
+
+// TestKernelViewsCarryPayloads checks the Kernel contract on the slab:
+// the callback sees each matched cell once, with every row's payload
+// still attached to its (id, point) and the cell id intact — even when
+// the spec asks for a Hilbert ranking, which kernel plans ignore.
+func TestKernelViewsCarryPayloads(t *testing.T) {
+	const eps = 0.5
+	rng := rand.New(rand.NewSource(43))
+	stamp := func(ts []tuple.Tuple) []tuple.Tuple {
+		for i := range ts {
+			ts[i].Payload = binary.LittleEndian.AppendUint64(nil, uint64(ts[i].ID))
+		}
+		return ts
+	}
+	rs := stamp(randomTuples(rng, 1500, 20, 0))
+	ss := stamp(randomTuples(rng, 1500, 20, 1_000_000))
+	spec, g := columnarSpec(rs, ss, eps, 3, 8, true)
+
+	var mu sync.Mutex
+	seen := map[int]bool{}
+	spec.Kernel = func(cell int, r, s []tuple.Tuple, eps float64, emit sweep.Emit) {
+		mu.Lock()
+		if seen[cell] {
+			t.Errorf("cell %d joined twice", cell)
+		}
+		seen[cell] = true
+		mu.Unlock()
+		for _, side := range [2][]tuple.Tuple{r, s} {
+			for _, tu := range side {
+				if len(tu.Payload) != 8 || int64(binary.LittleEndian.Uint64(tu.Payload)) != tu.ID {
+					t.Errorf("cell %d: tuple %d lost its payload (%x)", cell, tu.ID, tu.Payload)
+				}
+				// The id handed to the kernel must be the grid cell, not
+				// its Hilbert rank: every row is native to it or a halo
+				// replica from one of its eight neighbours.
+				cx, cy := g.CellCoords(cell)
+				hx, hy := g.Locate(tu.Pt)
+				if hx < cx-1 || hx > cx+1 || hy < cy-1 || hy > cy+1 {
+					t.Errorf("cell %d (%d,%d) handed a tuple native to (%d,%d)", cell, cx, cy, hx, hy)
+				}
+			}
+		}
+		sweep.PlaneSweep(r, s, eps, emit)
+	}
+	got, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want sweep.Counter
+	sweep.NestedLoop(rs, ss, eps, want.Emit)
+	if got.Results != want.N || got.Checksum != want.Checksum {
+		t.Fatalf("kernel join %d/%x, brute force %d/%x", got.Results, got.Checksum, want.N, want.Checksum)
 	}
 }

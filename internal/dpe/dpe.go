@@ -1,21 +1,28 @@
 // Package dpe (data-parallel engine) is the library's Apache Spark
 // substitute: it executes the keyed map → shuffle → partition-join
 // pipeline of the paper's Algorithm 5, with the byte-level shuffle
-// accounting the paper's evaluation reports.
+// accounting the paper's evaluation reports. There is one execution
+// format — the columnar slab of internal/colpipe — and every join
+// (adaptive, PBSM, clone, Sedona-like, extended-object, two-layer) runs
+// on it; the algorithms differ only in their assignment and kernel.
 //
 // The correspondence to Spark is deliberate and close:
 //
 //   - an input split per worker plays the role of an HDFS partition,
 //   - Assign is the flatMapToPair that keys each tuple by the 1D cell ids
-//     the replication algorithm chooses,
+//     the replication algorithm chooses; every replica is appended as
+//     one row of the map worker's per-partition columnar segment,
 //   - a Partitioner routes cell ids to reduce partitions (hash-based, or
 //     an explicit LPT placement), and each reduce partition is owned by a
 //     worker round-robin,
 //   - shuffled bytes are computed from the tuple wire-size model, and the
 //     subset that crosses worker boundaries is reported as "shuffle remote
 //     reads",
-//   - every reduce partition hash-groups its records by cell and joins
-//     each cell with a plane sweep, applying the ε-distance refinement.
+//   - the shuffle counting-sorts each reduce partition's segments into
+//     one slab per side — rows grouped by cell, each group x-sorted once
+//     — and the partition join merges the two slabs' group lists and
+//     sweeps each matched cell in place, applying the ε-distance
+//     refinement (or hands the cell's rows to the spec's Kernel).
 //
 // The reduce phase runs on a pluggable Engine: the default local engine
 // joins partitions on an in-process goroutine pool of simulated workers,
@@ -99,11 +106,14 @@ func (e ExplicitPartitioner) NumPartitions() int { return e.N }
 
 // Kernel joins the R and S tuples of one cell, emitting every pair within
 // eps exactly once. The default (nil) is the columnar zero-allocation
-// plane sweep of internal/colsweep; ScalarKernel restores the scalar
-// sweep as an explicit override (the differential-test oracle), the
-// Sedona-style baseline substitutes an R-tree build-and-probe kernel, and
-// the clone-join baseline a reference-point filter (which is why the
-// kernel receives the cell id it is joining).
+// plane sweep of internal/colsweep, run in place over the slab lanes. A
+// non-nil Kernel is a per-matched-cell callback: it is handed tuple
+// views of the cell's slab rows (x-sorted, payloads attached,
+// materialised into pooled scratch that is recycled when it returns, so
+// it must not retain the slices). ScalarKernel is the scalar sweep as an
+// explicit override, the Sedona-style baseline substitutes an R-tree
+// build-and-probe kernel, and the clone-join baseline a reference-point
+// filter (which is why the kernel receives the cell id it is joining).
 type Kernel func(cell int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit)
 
 // KernelKind enumerates the join kernels a remote worker can rebuild
@@ -149,10 +159,14 @@ type Spec struct {
 	TupleAssignR TupleAssign
 	TupleAssignS TupleAssign
 	Part         Partitioner
-	Workers      int    // simulated cluster nodes; defaults to GOMAXPROCS
-	Kernel       Kernel // local join kernel; the columnar plane sweep when nil
-	Collect      bool   // materialise result pairs (else count + checksum only)
-	Dedup        bool   // run a distinct() pass after the join (Table 6 variant)
+	Workers      int // simulated cluster nodes; defaults to GOMAXPROCS
+	// Kernel is the per-cell join callback; nil is the in-place columnar
+	// plane sweep. A Kernel plan carries tuple payloads through the
+	// shuffle (the kernel may read them); a nil-Kernel plan ships points
+	// only and accounts payload bytes in the model alone.
+	Kernel  Kernel
+	Collect bool // materialise result pairs (else count + checksum only)
+	Dedup   bool // run a distinct() pass after the join (Table 6 variant)
 	// SelfFilter keeps only pairs with r.ID < s.ID — the self-join mode,
 	// where both inputs are the same set: it drops identity pairs and
 	// one of the two orientations of every match.
@@ -187,22 +201,16 @@ type Spec struct {
 	Tracer      *obs.Tracer
 	TraceParent obs.SpanID
 
-	// Cells, when positive, declares that every cell id the point
-	// Assigns produce lies in [0, Cells) — the contract that enables
-	// the columnar pipeline: map workers append straight into SoA
-	// segments, the shuffle counting-sorts them into per-partition
-	// slabs (grouped by cell rank, each group x-sorted once), and the
-	// partition join sweeps slab subranges with zero re-boxing. The
-	// columnar path activates only for point joins on the default
-	// kernel (Kernel nil, no TupleAssign); any explicit kernel —
-	// including ScalarKernel, the differential oracle — keeps the
-	// keyed-record path, whose results the columnar path must match
-	// exactly.
+	// Cells declares that every cell id the Assigns produce lies in
+	// [0, Cells). Required: the map phase routes replicas through a
+	// Cells-sized partition table and the shuffle counting-sorts on it.
 	Cells int
 	// CellRank optionally maps cell id → slab group rank (any bijection
 	// onto [0, Cells)); nil means identity. Orchestrators pass a
 	// Hilbert- or Morton-curve ranking so adjacent slab groups are
-	// spatially adjacent (see colpipe.HilbertRanks).
+	// spatially adjacent (see colpipe.HilbertRanks). Ignored when Kernel
+	// is set: a kernel is handed its cell id, which the slab — locally
+	// and on a remote worker — carries as the group rank.
 	CellRank []int32
 }
 
@@ -327,38 +335,25 @@ type Result struct {
 	Pairs []tuple.Pair // populated when Spec.Collect (or Spec.Dedup) is set
 }
 
-// Keyed is one record of the shuffle: a tuple keyed by destination cell.
-// Src is the map split (simulated worker) that produced the record; a
-// distributed engine uses it to classify streamed bytes as local or
-// remote reads.
-type Keyed struct {
-	Cell int
-	Src  int
-	T    tuple.Tuple
-}
-
 // Prepared holds the reusable product of the map and shuffle phases: the
-// already-replicated, partition-bucketed tuples of both inputs, plus the
-// construction metrics. One Prepared can be Executed any number of times
-// (concurrently, if desired) without re-mapping or re-shuffling — the
-// substrate of prepared-plan serving, where plan construction is paid
-// once and amortised over many probes.
+// already-replicated inputs as one slab per side per reduce partition,
+// plus the construction metrics. One Prepared can be Executed any number
+// of times (concurrently, if desired) without re-mapping or re-shuffling
+// — the substrate of prepared-plan serving, where plan construction is
+// paid once and amortised over many probes.
 type Prepared struct {
 	spec         Spec
 	workers      int
-	partR, partS [][]Keyed
+	partR, partS []colpipe.Slab
 	build        Metrics // map + shuffle phase metrics
-
-	// Columnar-pipeline state: per-partition slabs replacing the keyed
-	// buckets when the spec qualifies (see Spec.Cells). partR/partS
-	// stay allocated (empty) so partition-count accessors keep working.
-	col        bool
-	colR, colS []colpipe.Slab
 }
 
 // Prepare runs the map and shuffle phases of the pipeline and returns the
-// partitioned datasets without joining them. It returns an error on
-// invalid configuration; the phases themselves cannot fail.
+// partitioned datasets without joining them: map workers append replicas
+// straight into columnar segments keyed by cell rank, and the shuffle
+// counting-sorts each partition's segments into a kernel-ready slab
+// (groups ascending by rank, each group x-sorted once). It returns an
+// error on invalid configuration; the phases themselves cannot fail.
 func Prepare(spec Spec) (*Prepared, error) {
 	if spec.Eps <= 0 {
 		return nil, fmt.Errorf("dpe: eps must be positive, got %v", spec.Eps)
@@ -373,6 +368,15 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if spec.PoolSize < 0 {
 		return nil, fmt.Errorf("dpe: pool size must not be negative, got %d", spec.PoolSize)
 	}
+	if spec.Cells <= 0 {
+		return nil, fmt.Errorf("dpe: Cells must be positive (the bound on assigned cell ids), got %d", spec.Cells)
+	}
+	if spec.Kernel != nil {
+		spec.CellRank = nil
+	}
+	if spec.CellRank != nil && len(spec.CellRank) != spec.Cells {
+		return nil, fmt.Errorf("dpe: CellRank ranks %d cells, Cells is %d", len(spec.CellRank), spec.Cells)
+	}
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -382,19 +386,18 @@ func Prepare(spec Spec) (*Prepared, error) {
 	res := &pr.build
 	nparts := spec.Part.NumPartitions()
 
-	// The columnar pipeline handles point joins on the default kernel;
-	// explicit kernels (the scalar oracle, R-tree and reference-point
-	// baselines) and whole-tuple assignments keep the keyed-record path.
-	if spec.Cells > 0 && spec.Kernel == nil && spec.TupleAssignR == nil && spec.TupleAssignS == nil {
-		prepareColumnar(pr, workers, nparts)
-		return pr, nil
+	// With every cell id in [0, Cells), partition routing is one table
+	// lookup per replica instead of a hash per replica.
+	partTab := make([]int32, spec.Cells)
+	for c := range partTab {
+		partTab[c] = int32(spec.Part.PartitionOf(c))
 	}
 
 	// ---- Map phase: flatMapToPair on both inputs, one split per worker.
 	replSp := spec.Tracer.Start(spec.TraceParent, obs.SpanReplicate)
 	start := time.Now()
-	outR, replR, busyR := mapPhase(spec.R, tuple.R, tupleAssign(spec.AssignR, spec.TupleAssignR), spec.Part, workers, spec.PoolSize)
-	outS, replS, busyS := mapPhase(spec.S, tuple.S, tupleAssign(spec.AssignS, spec.TupleAssignS), spec.Part, workers, spec.PoolSize)
+	outR, replR, busyR := mapPhase(&spec, tuple.R, partTab, nparts, workers)
+	outS, replS, busyS := mapPhase(&spec, tuple.S, partTab, nparts, workers)
 	res.ReplicatedR, res.ReplicatedS = replR, replS
 	res.MapTime = time.Since(start)
 	replSp.SetInt("replicated_r", replR).SetInt("replicated_s", replS)
@@ -404,36 +407,35 @@ func Prepare(spec Spec) (*Prepared, error) {
 		res.MapBusy[w] = busyR[w] + busyS[w]
 	}
 
-	// ---- Shuffle: merge per-worker map outputs into reduce partitions,
-	// accounting bytes; a record is a remote read when the partition's
-	// owner differs from the worker that produced it.
+	// ---- Shuffle: counting-sort each partition's per-worker segments
+	// into one slab per side. A record is a remote read when the
+	// partition's owner differs from the worker that produced it; the
+	// slab's per-worker byte counters carry that split.
 	shufSp := spec.Tracer.Start(spec.TraceParent, obs.SpanShuffle)
 	start = time.Now()
-	partR := make([][]Keyed, nparts)
-	partS := make([][]Keyed, nparts)
-	var bytesR, bytesS int64
-	var recsR, recsS int64
-	for w := 0; w < workers; w++ {
-		for p := 0; p < nparts; p++ {
-			owner := p % workers
-			for _, rec := range outR[w][p] {
-				sz := int64(rec.T.KeyedSize())
-				bytesR += sz
-				recsR++
-				if owner != w {
-					res.RemoteBytes += sz
-				}
+	builder := colpipe.NewBuilder(spec.Cells)
+	pr.partR = make([]colpipe.Slab, nparts)
+	pr.partS = make([]colpipe.Slab, nparts)
+	scratch := make([]colpipe.Seg, workers)
+	var bytesR, bytesS, recsR, recsS int64
+	for p := 0; p < nparts; p++ {
+		owner := p % workers
+		for w := 0; w < workers; w++ {
+			scratch[w] = outR[w][p]
+		}
+		builder.BuildInto(&pr.partR[p], scratch)
+		for w := 0; w < workers; w++ {
+			scratch[w] = outS[w][p]
+		}
+		builder.BuildInto(&pr.partS[p], scratch)
+		bytesR += pr.partR[p].Bytes
+		bytesS += pr.partS[p].Bytes
+		recsR += int64(pr.partR[p].Rows())
+		recsS += int64(pr.partS[p].Rows())
+		for w := 0; w < workers; w++ {
+			if w != owner {
+				res.RemoteBytes += pr.partR[p].WorkerBytes[w] + pr.partS[p].WorkerBytes[w]
 			}
-			for _, rec := range outS[w][p] {
-				sz := int64(rec.T.KeyedSize())
-				bytesS += sz
-				recsS++
-				if owner != w {
-					res.RemoteBytes += sz
-				}
-			}
-			partR[p] = append(partR[p], outR[w][p]...)
-			partS[p] = append(partS[p], outS[w][p]...)
 		}
 	}
 	res.ShuffledBytes = bytesR + bytesS
@@ -453,103 +455,39 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if spec.NetBandwidth > 0 {
 		res.NetTime = time.Duration(float64(res.RemoteBytes) / float64(workers) / spec.NetBandwidth * float64(time.Second))
 	}
-	pr.partR, pr.partS = partR, partS
 	return pr, nil
 }
 
-// prepareColumnar is Prepare's columnar pipeline: map workers append
-// replicas straight into SoA segments keyed by cell rank, and the
-// shuffle counting-sorts each partition's segments into a kernel-ready
-// slab (groups ascending by rank, each group x-sorted once). The byte
-// accounting is identical to the keyed path — every appended record
-// carries its KeyedSize — so ShuffledBytes, RemoteBytes and the
-// replication-byte span attributes match the scalar pipeline exactly.
-func prepareColumnar(pr *Prepared, workers, nparts int) {
-	spec := &pr.spec
-	res := &pr.build
-
-	// With every cell id in [0, Cells), partition routing becomes one
-	// table lookup per replica instead of a hash per replica.
-	partTab := make([]int32, spec.Cells)
-	for c := range partTab {
-		partTab[c] = int32(spec.Part.PartitionOf(c))
+// tupleAssign lifts a point Assign to a TupleAssign unless the caller
+// already supplied a whole-tuple assignment, which wins.
+func tupleAssign(pt Assign, whole TupleAssign) TupleAssign {
+	if whole != nil {
+		return whole
 	}
-
-	replSp := spec.Tracer.Start(spec.TraceParent, obs.SpanReplicate)
-	start := time.Now()
-	outR, replR, busyR := mapPhaseCol(spec.R, tuple.R, spec.AssignR, partTab, nparts, spec.CellRank, workers, spec.PoolSize)
-	outS, replS, busyS := mapPhaseCol(spec.S, tuple.S, spec.AssignS, partTab, nparts, spec.CellRank, workers, spec.PoolSize)
-	res.ReplicatedR, res.ReplicatedS = replR, replS
-	res.MapTime = time.Since(start)
-	replSp.SetInt("replicated_r", replR).SetInt("replicated_s", replS)
-	replSp.End()
-	res.MapBusy = make([]time.Duration, workers)
-	for w := 0; w < workers; w++ {
-		res.MapBusy[w] = busyR[w] + busyS[w]
+	return func(t tuple.Tuple, set tuple.Set, dst []int) []int {
+		return pt(t.Pt, set, dst)
 	}
-
-	// ---- Shuffle: counting-sort each partition's per-worker segments
-	// into one slab per side. A record is a remote read when the
-	// partition's owner differs from the worker that produced it; the
-	// slab's per-worker byte counters carry that split.
-	shufSp := spec.Tracer.Start(spec.TraceParent, obs.SpanShuffle)
-	start = time.Now()
-	builder := colpipe.NewBuilder(spec.Cells)
-	pr.colR = make([]colpipe.Slab, nparts)
-	pr.colS = make([]colpipe.Slab, nparts)
-	scratch := make([]colpipe.Seg, workers)
-	var bytesR, bytesS, recsR, recsS int64
-	for p := 0; p < nparts; p++ {
-		owner := p % workers
-		for w := 0; w < workers; w++ {
-			scratch[w] = outR[w][p]
-		}
-		builder.BuildInto(&pr.colR[p], scratch)
-		for w := 0; w < workers; w++ {
-			scratch[w] = outS[w][p]
-		}
-		builder.BuildInto(&pr.colS[p], scratch)
-		bytesR += pr.colR[p].Bytes
-		bytesS += pr.colS[p].Bytes
-		recsR += int64(pr.colR[p].Rows())
-		recsS += int64(pr.colS[p].Rows())
-		for w := 0; w < workers; w++ {
-			if w != owner {
-				res.RemoteBytes += pr.colR[p].WorkerBytes[w] + pr.colS[p].WorkerBytes[w]
-			}
-		}
-	}
-	res.ShuffledBytes = bytesR + bytesS
-	res.ShuffleTime = time.Since(start)
-	shufSp.SetInt("shuffled_bytes", res.ShuffledBytes).SetInt("remote_bytes", res.RemoteBytes)
-	shufSp.End()
-	if recsR > 0 {
-		replSp.SetInt("repl_bytes_r", replR*(bytesR/recsR))
-	}
-	if recsS > 0 {
-		replSp.SetInt("repl_bytes_s", replS*(bytesS/recsS))
-	}
-	if spec.NetBandwidth > 0 {
-		res.NetTime = time.Duration(float64(res.RemoteBytes) / float64(workers) / spec.NetBandwidth * float64(time.Second))
-	}
-
-	pr.col = true
-	// Empty keyed buckets keep NumPartitions and Partition working for
-	// callers that only inspect partition counts.
-	pr.partR = make([][]Keyed, nparts)
-	pr.partS = make([][]Keyed, nparts)
 }
 
-// mapPhaseCol is the columnar map phase: each worker assigns its split's
-// points and appends every replica — rank, coordinates, id, modelled
-// wire bytes — into its own per-partition segment. No Keyed records are
-// built; the halo replicas become ordinary slab rows after the shuffle.
-func mapPhaseCol(in []tuple.Tuple, set tuple.Set, assign Assign, partTab []int32, nparts int, rank []int32, workers, pool int) ([][]colpipe.Seg, int64, []time.Duration) {
+// mapPhase assigns one input over the worker pool: each worker appends
+// every replica of its split — rank, coordinates, id, modelled wire
+// bytes, and the payload when a Kernel will read it — into its own
+// per-partition segment. Halo replicas become ordinary slab rows after
+// the shuffle. It returns the per-worker, per-partition segments, the
+// replication count (assignments beyond the native cell) and the
+// per-worker busy time.
+func mapPhase(spec *Spec, set tuple.Set, partTab []int32, nparts, workers int) ([][]colpipe.Seg, int64, []time.Duration) {
+	in, assign := spec.R, tupleAssign(spec.AssignR, spec.TupleAssignR)
+	if set == tuple.S {
+		in, assign = spec.S, tupleAssign(spec.AssignS, spec.TupleAssignS)
+	}
+	rank, carry := spec.CellRank, spec.Kernel != nil
+
 	out := make([][]colpipe.Seg, workers)
 	repl := make([]int64, workers)
 	busy := make([]time.Duration, workers)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel(workers, pool))
+	sem := make(chan struct{}, maxParallel(workers, spec.PoolSize))
 	chunk := (len(in) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -578,7 +516,7 @@ func mapPhaseCol(in []tuple.Tuple, set tuple.Set, assign Assign, partTab []int32
 			}
 			for i := range split {
 				t := &split[i]
-				cells = assign(t.Pt, set, cells[:0])
+				cells = assign(*t, set, cells[:0])
 				repl[w] += int64(len(cells) - 1)
 				sz := t.KeyedSize()
 				for _, c := range cells {
@@ -586,7 +524,11 @@ func mapPhaseCol(in []tuple.Tuple, set tuple.Set, assign Assign, partTab []int32
 					if rank != nil {
 						rk = rank[c]
 					}
-					segs[partTab[c]].Append(rk, t.Pt.X, t.Pt.Y, t.ID, sz)
+					if carry {
+						segs[partTab[c]].AppendPayload(rk, t.Pt.X, t.Pt.Y, t.ID, sz, t.Payload)
+					} else {
+						segs[partTab[c]].Append(rk, t.Pt.X, t.Pt.Y, t.ID, sz)
+					}
 				}
 			}
 			busy[w] = time.Since(t0)
@@ -611,26 +553,13 @@ func (pr *Prepared) FootprintBytes() int64 { return pr.build.ShuffledBytes }
 // Replicated returns the replicated objects the plan serves per Execute.
 func (pr *Prepared) Replicated() int64 { return pr.build.Replicated() }
 
-// Workers returns the simulated cluster size of the plan: Keyed.Src
-// values lie in [0, Workers()).
-func (pr *Prepared) Workers() int { return pr.workers }
-
 // NumPartitions returns the number of reduce partitions of the plan.
 func (pr *Prepared) NumPartitions() int { return len(pr.partR) }
 
-// Partition returns the R and S shuffle records of one reduce partition.
-// The slices are shared and must not be mutated.
-func (pr *Prepared) Partition(p int) (rs, ss []Keyed) { return pr.partR[p], pr.partS[p] }
-
-// Columnar reports whether the plan's partitions are columnar slabs
-// (see Spec.Cells); when true, Partition returns empty slices and
-// ColumnarPartition holds the data.
-func (pr *Prepared) Columnar() bool { return pr.col }
-
-// ColumnarPartition returns the R and S slabs of one reduce partition
-// of a columnar plan. The slabs are shared and must not be mutated.
-func (pr *Prepared) ColumnarPartition(p int) (rs, ss *colpipe.Slab) {
-	return &pr.colR[p], &pr.colS[p]
+// Slabs returns the R and S slabs of one reduce partition. They are
+// shared and must not be mutated.
+func (pr *Prepared) Slabs(p int) (rs, ss *colpipe.Slab) {
+	return &pr.partR[p], &pr.partS[p]
 }
 
 // SelfFilter reports whether the plan joins in self-join mode.
@@ -755,64 +684,6 @@ func Run(spec Spec) (*Result, error) {
 	return pr.Execute(ExecOptions{Collect: spec.Collect})
 }
 
-// mapPhase runs the keyed assignment of one input over the worker pool.
-// It returns per-worker, per-partition record buffers and the replication
-// count (assignments beyond the native cell).
-// tupleAssign lifts a point Assign to a TupleAssign unless the caller
-// already supplied a whole-tuple assignment, which wins.
-func tupleAssign(pt Assign, whole TupleAssign) TupleAssign {
-	if whole != nil {
-		return whole
-	}
-	return func(t tuple.Tuple, set tuple.Set, dst []int) []int {
-		return pt(t.Pt, set, dst)
-	}
-}
-
-func mapPhase(in []tuple.Tuple, set tuple.Set, assign TupleAssign, part Partitioner, workers, pool int) ([][][]Keyed, int64, []time.Duration) {
-	nparts := part.NumPartitions()
-	out := make([][][]Keyed, workers)
-	repl := make([]int64, workers)
-	busy := make([]time.Duration, workers)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel(workers, pool))
-	chunk := (len(in) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo > len(in) {
-			lo = len(in)
-		}
-		if hi > len(in) {
-			hi = len(in)
-		}
-		out[w] = make([][]Keyed, nparts)
-		wg.Add(1)
-		go func(w int, split []tuple.Tuple) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t0 := time.Now()
-			var cells []int
-			for _, t := range split {
-				cells = assign(t, set, cells[:0])
-				repl[w] += int64(len(cells) - 1)
-				for _, c := range cells {
-					p := part.PartitionOf(c)
-					out[w][p] = append(out[w][p], Keyed{Cell: c, Src: w, T: t})
-				}
-			}
-			busy[w] = time.Since(t0)
-		}(w, in[lo:hi])
-	}
-	wg.Wait()
-	var total int64
-	for _, r := range repl {
-		total += r
-	}
-	return out, total, busy
-}
-
 // PartitionResult is the outcome of joining one reduce partition.
 type PartitionResult struct {
 	Results  int64
@@ -822,84 +693,24 @@ type PartitionResult struct {
 }
 
 // ScalarKernel is the scalar array-of-structs plane-sweep kernel — the
-// engine's pre-columnar default, kept as the differential-test oracle the
-// columnar kernel is verified against and as an explicit Spec.Kernel /
-// core.Config.Kernel override.
+// engine's pre-columnar default, kept as an explicit Spec.Kernel /
+// core.Config.Kernel override for the kernel ablation and as a second
+// opinion in the differential tests.
 func ScalarKernel(_ int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
 	sweep.PlaneSweep(rs, ss, eps, emit)
 }
 
-// JoinPartition groups a reduce partition's records by cell and joins
-// each cell independently. A nil kernel selects the columnar zero-
-// allocation sweep (internal/colsweep) with batched emission; a non-nil
-// kernel runs the scalar per-pair path — the route for the R-tree,
-// reference-point, and oracle kernels. It is the partition-level join
-// both the local engine and remote cluster workers run.
-func JoinPartition(rs, ss []Keyed, eps float64, kernel Kernel, collect, selfFilter bool) PartitionResult {
-	groupR := make(map[int][]tuple.Tuple)
-	for _, rec := range rs {
-		groupR[rec.Cell] = append(groupR[rec.Cell], rec.T)
+// JoinSlabs joins the matching rank groups of a partition's two slabs —
+// the reduce task both the local engine and remote cluster workers run.
+// With a nil kernel the sweep reads the slab lanes in place: no hash
+// grouping, no sorting, no tuple materialisation, zero allocations per
+// partition in steady state (result collection, when requested, is the
+// only growth). A non-nil kernel is called once per matched group with
+// tuple views of its rows and the group's rank as the cell id.
+func JoinSlabs(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) PartitionResult {
+	if kernel != nil {
+		return joinSlabsKernel(rs, ss, eps, kernel, collect, selfFilter)
 	}
-	groupS := make(map[int][]tuple.Tuple)
-	for _, rec := range ss {
-		groupS[rec.Cell] = append(groupS[rec.Cell], rec.T)
-	}
-	if kernel == nil {
-		return joinPartitionColumnar(groupR, groupS, eps, collect, selfFilter)
-	}
-	var out PartitionResult
-	var counter sweep.Counter
-	var coll sweep.Collector
-	emit := counter.Emit
-	if collect {
-		emit = func(r, s tuple.Tuple) {
-			counter.Emit(r, s)
-			coll.Emit(r, s)
-		}
-	}
-	if selfFilter {
-		inner := emit
-		emit = func(r, s tuple.Tuple) {
-			if r.ID < s.ID {
-				inner(r, s)
-			}
-		}
-	}
-	for cell, r := range groupR {
-		s := groupS[cell]
-		if len(s) == 0 {
-			continue
-		}
-		out.Cost += int64(len(r)) * int64(len(s))
-		kernel(cell, r, s, eps, emit)
-	}
-	out.Results = counter.N
-	out.Checksum = counter.Checksum
-	out.Pairs = coll.Pairs
-	return out
-}
-
-// JoinPartitionTraced is JoinPartition plus span instrumentation: the
-// partition's input sizes, pair count, and cost are attached to sp,
-// which is then ended. A nil sp (tracing disabled) adds zero work and
-// zero allocations — the guarantee the engines rely on to keep the
-// traced path on by default.
-func JoinPartitionTraced(rs, ss []Keyed, eps float64, kernel Kernel, collect, selfFilter bool, sp *obs.Span) PartitionResult {
-	out := JoinPartition(rs, ss, eps, kernel, collect, selfFilter)
-	sp.SetInt("tuples_r", int64(len(rs)))
-	sp.SetInt("tuples_s", int64(len(ss)))
-	sp.SetInt("pairs", out.Results)
-	sp.SetInt("cost", out.Cost)
-	sp.End()
-	return out
-}
-
-// JoinSlabs joins the matching rank groups of a columnar partition's
-// two slabs — the reduce task of the columnar pipeline. The sweep
-// reads the slab lanes in place: no hash grouping, no sorting, no
-// tuple materialisation, zero allocations per partition in steady
-// state (result collection, when requested, is the only growth).
-func JoinSlabs(rs, ss *colpipe.Slab, eps float64, collect, selfFilter bool) PartitionResult {
 	var out PartitionResult
 	var counter sweep.Counter
 	bufs := colsweep.Get()
@@ -920,48 +731,72 @@ func JoinSlabs(rs, ss *colpipe.Slab, eps float64, collect, selfFilter bool) Part
 	return out
 }
 
-// JoinSlabsTraced is JoinSlabs plus the span instrumentation of
-// JoinPartitionTraced: row counts, pair count and cost attached to sp,
-// which is then ended. A nil sp adds zero work.
-func JoinSlabsTraced(rs, ss *colpipe.Slab, eps float64, collect, selfFilter bool, sp *obs.Span) PartitionResult {
-	out := JoinSlabs(rs, ss, eps, collect, selfFilter)
+// tupleViews is the pooled scratch a Kernel's per-group tuple views are
+// materialised into.
+type tupleViews struct{ r, s []tuple.Tuple }
+
+var viewPool = sync.Pool{New: func() any { return new(tupleViews) }}
+
+// joinSlabsKernel is JoinSlabs for an explicit kernel: the same linear
+// merge of the two ascending rank lists, with each matched group's rows
+// materialised as tuples for the callback.
+func joinSlabsKernel(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) PartitionResult {
+	var out PartitionResult
+	var counter sweep.Counter
+	var coll sweep.Collector
+	emit := counter.Emit
+	if collect {
+		emit = func(r, s tuple.Tuple) {
+			counter.Emit(r, s)
+			coll.Emit(r, s)
+		}
+	}
+	if selfFilter {
+		inner := emit
+		emit = func(r, s tuple.Tuple) {
+			if r.ID < s.ID {
+				inner(r, s)
+			}
+		}
+	}
+	v := viewPool.Get().(*tupleViews)
+	ri, si := 0, 0
+	for ri < rs.NumGroups() && si < ss.NumGroups() {
+		switch {
+		case rs.Ranks[ri] < ss.Ranks[si]:
+			ri++
+		case rs.Ranks[ri] > ss.Ranks[si]:
+			si++
+		default:
+			v.r = rs.AppendTuples(v.r[:0], ri)
+			v.s = ss.AppendTuples(v.s[:0], si)
+			out.Cost += int64(len(v.r)) * int64(len(v.s))
+			kernel(int(rs.Ranks[ri]), v.r, v.s, eps, emit)
+			ri++
+			si++
+		}
+	}
+	// Drop the payload references before pooling the scratch.
+	clear(v.r[:cap(v.r)])
+	clear(v.s[:cap(v.s)])
+	viewPool.Put(v)
+	out.Results = counter.N
+	out.Checksum = counter.Checksum
+	out.Pairs = coll.Pairs
+	return out
+}
+
+// JoinSlabsTraced is JoinSlabs plus span instrumentation: the
+// partition's row counts, pair count and cost are attached to sp, which
+// is then ended. A nil sp (tracing disabled) adds zero work and zero
+// allocations — the guarantee the engines rely on to keep the traced
+// path on by default.
+func JoinSlabsTraced(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool, sp *obs.Span) PartitionResult {
+	out := JoinSlabs(rs, ss, eps, kernel, collect, selfFilter)
 	sp.SetInt("tuples_r", int64(rs.Rows()))
 	sp.SetInt("tuples_s", int64(ss.Rows()))
 	sp.SetInt("pairs", out.Results)
 	sp.SetInt("cost", out.Cost)
 	sp.End()
-	return out
-}
-
-// joinPartitionColumnar is the default partition join: every cell runs
-// through the columnar kernel with pooled buffers, results drain through
-// one batched sink shared across the partition's cells, and the counter
-// is fed per batch — zero allocations per cell in steady state (the
-// result materialisation, when requested, is the only growth).
-func joinPartitionColumnar(groupR, groupS map[int][]tuple.Tuple, eps float64, collect, selfFilter bool) PartitionResult {
-	var out PartitionResult
-	var counter sweep.Counter
-	bufs := colsweep.Get()
-	defer colsweep.Put(bufs)
-	sink := func(ps []tuple.Pair) {
-		for _, p := range ps {
-			counter.EmitPair(p)
-		}
-		if collect {
-			out.Pairs = append(out.Pairs, ps...)
-		}
-	}
-	bat := bufs.Batch(sink, selfFilter)
-	for cell, r := range groupR {
-		s := groupS[cell]
-		if len(s) == 0 {
-			continue
-		}
-		out.Cost += int64(len(r)) * int64(len(s))
-		colsweep.JoinCell(bufs, r, s, eps, bat)
-	}
-	bat.Flush()
-	out.Results = counter.N
-	out.Checksum = counter.Checksum
 	return out
 }

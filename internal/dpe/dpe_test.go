@@ -36,6 +36,7 @@ func uniSpec(rs, ss []tuple.Tuple, eps float64, workers, nparts int) (Spec, *gri
 		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
 			return replicate.Universal(g, p, false, dst)
 		},
+		Cells:   g.NumCells(),
 		Part:    HashPartitioner{N: nparts},
 		Workers: workers,
 	}
@@ -116,6 +117,7 @@ func TestReplicationCounts(t *testing.T) {
 		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
 			return replicate.Universal(g, p, false, dst)
 		},
+		Cells:   g.NumCells(),
 		Part:    HashPartitioner{N: 4},
 		Workers: 2,
 	}
@@ -149,6 +151,7 @@ func TestShuffleByteAccounting(t *testing.T) {
 		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
 			return replicate.Universal(g, p, false, dst)
 		},
+		Cells:   g.NumCells(),
 		Part:    HashPartitioner{N: 8},
 		Workers: 4,
 	}
@@ -207,7 +210,8 @@ func TestDedupSpec(t *testing.T) {
 	spec := Spec{
 		R: rs, S: ss, Eps: 1,
 		AssignR: dupAssign, AssignS: dupAssign,
-		Part: HashPartitioner{N: 16}, Workers: 4,
+		Cells: g.NumCells(),
+		Part:  HashPartitioner{N: 16}, Workers: 4,
 		Dedup: true,
 	}
 	res, err := Run(spec)
@@ -264,6 +268,7 @@ func TestRunValidation(t *testing.T) {
 		Eps:     1,
 		AssignR: func(p geom.Point, s tuple.Set, d []int) []int { return append(d, 0) },
 		AssignS: func(p geom.Point, s tuple.Set, d []int) []int { return append(d, 0) },
+		Cells:   1,
 		Part:    HashPartitioner{N: 1},
 	}
 	bad := ok
@@ -280,6 +285,16 @@ func TestRunValidation(t *testing.T) {
 	bad.Part = nil
 	if _, err := Run(bad); err == nil {
 		t.Error("expected error for nil partitioner")
+	}
+	bad = ok
+	bad.Cells = 0
+	if _, err := Run(bad); err == nil {
+		t.Error("expected error for missing Cells")
+	}
+	bad = ok
+	bad.CellRank = []int32{0, 1}
+	if _, err := Run(bad); err == nil {
+		t.Error("expected error for a CellRank that does not rank Cells cells")
 	}
 	if _, err := Run(ok); err != nil {
 		t.Errorf("valid empty spec failed: %v", err)

@@ -22,8 +22,7 @@ type LocalEngine struct{}
 func (LocalEngine) ExecutePrepared(ctx context.Context, pr *Prepared, opt ExecOptions) (*Result, error) {
 	spec := pr.spec
 	workers := pr.workers
-	partR, partS := pr.partR, pr.partS
-	nparts := len(partR)
+	nparts := len(pr.partR)
 
 	res := &Result{Metrics: pr.build}
 
@@ -31,8 +30,8 @@ func (LocalEngine) ExecutePrepared(ctx context.Context, pr *Prepared, opt ExecOp
 	execSp := tr.Start(opt.TraceParent, obs.SpanExecute)
 	execSp.SetInt("partitions", int64(nparts)).SetInt("workers", int64(workers))
 
-	// ---- Reduce phase: per-partition hash grouping by cell + plane
-	// sweep join with refinement.
+	// ---- Reduce phase: per-partition merge of the two slabs' cell
+	// groups + plane sweep join with refinement.
 	start := time.Now()
 	outs := make([]PartitionResult, nparts)
 	busy := make([]time.Duration, workers)
@@ -59,11 +58,7 @@ func (LocalEngine) ExecutePrepared(ctx context.Context, pr *Prepared, opt ExecOp
 				}
 				ts := tr.Start(execSp.SpanID(), obs.SpanTask)
 				ts.SetWorker(wname).SetInt("partition", int64(p))
-				if pr.col {
-					outs[p] = JoinSlabsTraced(&pr.colR[p], &pr.colS[p], opt.Eps, opt.Collect, spec.SelfFilter, ts)
-				} else {
-					outs[p] = JoinPartitionTraced(partR[p], partS[p], opt.Eps, spec.Kernel, opt.Collect, spec.SelfFilter, ts)
-				}
+				outs[p] = JoinSlabsTraced(&pr.partR[p], &pr.partS[p], opt.Eps, spec.Kernel, opt.Collect, spec.SelfFilter, ts)
 			}
 			busy[w] = time.Since(t0)
 		}(w)

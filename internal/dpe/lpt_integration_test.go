@@ -72,6 +72,7 @@ func TestLPTReducesMakespan(t *testing.T) {
 		res, err := Run(Spec{
 			R: rs, S: ss, Eps: 1,
 			AssignR: assign, AssignS: assign,
+			Cells:   g.NumCells(),
 			Part:    part,
 			Workers: 4,
 		})

@@ -4,42 +4,46 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialjoin/internal/colpipe"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/tuple"
 )
 
-func tracePartition(n int) (rs, ss []Keyed) {
+// tracePartition builds one reduce partition's two slabs: n points per
+// side spread over four cells.
+func tracePartition(n int) (rs, ss *colpipe.Slab) {
 	rng := rand.New(rand.NewSource(11))
+	segR, segS := make([]colpipe.Seg, 1), make([]colpipe.Seg, 1)
 	for i := 0; i < n; i++ {
-		rs = append(rs, Keyed{Cell: i % 4, T: tuple.Tuple{
-			ID: int64(i), Pt: geom.Point{X: rng.Float64() * 4, Y: rng.Float64() * 4},
-		}})
-		ss = append(ss, Keyed{Cell: i % 4, T: tuple.Tuple{
-			ID: 1<<40 | int64(i), Pt: geom.Point{X: rng.Float64() * 4, Y: rng.Float64() * 4},
-		}})
+		segR[0].Append(int32(i%4), rng.Float64()*4, rng.Float64()*4, int64(i), 32)
+		segS[0].Append(int32(i%4), rng.Float64()*4, rng.Float64()*4, 1<<40|int64(i), 32)
 	}
+	b := colpipe.NewBuilder(4)
+	rs, ss = &colpipe.Slab{}, &colpipe.Slab{}
+	b.BuildInto(rs, segR)
+	b.BuildInto(ss, segS)
 	return rs, ss
 }
 
-// TestObsNilTracerJoinPartition is the nil-tracer-overhead acceptance
-// gate: the traced JoinPartition path with tracing disabled must add
-// zero allocations over the untraced baseline, and the instrumentation
-// delta itself must be allocation-free.
-func TestObsNilTracerJoinPartition(t *testing.T) {
+// TestObsNilTracerJoinSlabs is the nil-tracer-overhead acceptance gate:
+// the traced partition join with tracing disabled must add zero
+// allocations over the untraced baseline, and the instrumentation delta
+// itself must be allocation-free.
+func TestObsNilTracerJoinSlabs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under -race")
 	}
 	rs, ss := tracePartition(256)
 
 	base := testing.AllocsPerRun(50, func() {
-		JoinPartition(rs, ss, 0.5, nil, false, false)
+		JoinSlabs(rs, ss, 0.5, nil, false, false)
 	})
 	traced := testing.AllocsPerRun(50, func() {
-		JoinPartitionTraced(rs, ss, 0.5, nil, false, false, nil)
+		JoinSlabsTraced(rs, ss, 0.5, nil, false, false, nil)
 	})
 	if extra := traced - base; extra != 0 {
-		t.Fatalf("traced JoinPartition with nil span: %.1f extra allocs/run, want 0 (base %.1f, traced %.1f)", extra, base, traced)
+		t.Fatalf("traced JoinSlabs with nil span: %.1f extra allocs/run, want 0 (base %.1f, traced %.1f)", extra, base, traced)
 	}
 
 	// The instrumentation alone (what the traced path adds around the
@@ -48,8 +52,8 @@ func TestObsNilTracerJoinPartition(t *testing.T) {
 	instr := testing.AllocsPerRun(1000, func() {
 		sp := tr.Start(0, obs.SpanTask)
 		sp.SetWorker("").SetInt("partition", 1)
-		sp.SetInt("tuples_r", int64(len(rs)))
-		sp.SetInt("tuples_s", int64(len(ss)))
+		sp.SetInt("tuples_r", int64(rs.Rows()))
+		sp.SetInt("tuples_s", int64(ss.Rows()))
 		sp.SetInt("pairs", 0)
 		sp.SetInt("cost", 0)
 		sp.End()
@@ -77,6 +81,7 @@ func TestObsLocalEngineTrace(t *testing.T) {
 	spec := Spec{
 		R: r, S: s, Eps: 0.3,
 		AssignR: assign, AssignS: assign,
+		Cells:   100,
 		Part:    HashPartitioner{N: 8},
 		Workers: 4, Dedup: true,
 		Tracer: tr, TraceParent: root.SpanID(),

@@ -96,36 +96,14 @@ func indexChunks(r *ColReader) cellChunks {
 	return cc
 }
 
-// mergeSorted merges two x-sorted slabs into dst (reset first) in one
-// linear pass, preserving x order.
-func mergeSorted(a, b colsweep.Cols, dst *colsweep.Cols) {
-	dst.Reset()
-	i, j := 0, 0
-	for i < a.Len() && j < b.Len() {
-		if a.Xs[i] <= b.Xs[j] {
-			dst.Append(a.Xs[i], a.Ys[i], a.IDs[i])
-			i++
-		} else {
-			dst.Append(b.Xs[j], b.Ys[j], b.IDs[j])
-			j++
-		}
-	}
-	for ; i < a.Len(); i++ {
-		dst.Append(a.Xs[i], a.Ys[i], a.IDs[i])
-	}
-	for ; j < b.Len(); j++ {
-		dst.Append(b.Xs[j], b.Ys[j], b.IDs[j])
-	}
-}
-
 // JoinFiles computes the ε-join of two partitioned colfiles built over
-// the same grid, streaming one partition pair at a time: for every
-// R-native cell, the S side is that cell's native chunk merged linearly
-// with its halo chunk, then swept with the columnar kernel. Every
-// qualifying (r, s) pair is emitted exactly once — r is native in
-// exactly one cell, and every s within eps of it lies in that cell's
-// native ∪ halo set by the MINDIST rule. Memory use is O(largest
-// partition), not O(dataset): chunk lanes are mmap views.
+// the same grid, streaming one partition pair at a time: every R-native
+// cell is swept with the columnar kernel against that cell's S native
+// chunk and, separately, its S halo chunk. Every qualifying (r, s) pair
+// is emitted exactly once — r is native in exactly one cell, and every
+// s within eps of it lies in exactly one of that cell's native or halo
+// chunk by the MINDIST rule. Nothing is copied: chunk lanes are mmap
+// views swept in place.
 //
 // eps must be positive and at most the threshold the files were
 // partitioned for. It returns the number of pairs emitted.
@@ -150,28 +128,20 @@ func JoinFiles(r, s *ColReader, eps float64, emit colsweep.EmitBatch) (int64, er
 	b := colsweep.Get()
 	defer colsweep.Put(b)
 	out := b.Batch(count, false)
-	var merged colsweep.Cols
 	for i := 0; i < r.NumChunks(); i++ {
 		info := r.Info(i)
 		if info.Kind != ChunkKindNative {
 			continue
 		}
 		rCols := r.Chunk(i)
-		sn, okN := sIdx.native[info.Cell]
-		sh, okH := sIdx.halo[info.Cell]
-		var sCols colsweep.Cols
-		switch {
-		case okN && okH:
-			mergeSorted(s.Chunk(sn), s.Chunk(sh), &merged)
-			sCols = merged
-		case okN:
-			sCols = s.Chunk(sn)
-		case okH:
-			sCols = s.Chunk(sh)
-		default:
-			continue
+		if sn, ok := sIdx.native[info.Cell]; ok {
+			sCols := s.Chunk(sn)
+			colsweep.SweepSorted(&rCols, &sCols, eps, out)
 		}
-		colsweep.SweepSorted(&rCols, &sCols, eps, out)
+		if sh, ok := sIdx.halo[info.Cell]; ok {
+			sCols := s.Chunk(sh)
+			colsweep.SweepSorted(&rCols, &sCols, eps, out)
+		}
 	}
 	out.Flush()
 	return pairs, nil

@@ -153,6 +153,7 @@ func Join(rs, ss []extgeom.Object, cfg Config) (*Result, error) {
 		R: centersR, S: centersS,
 		Eps:     epsE,
 		AssignR: assignR, AssignS: assignS,
+		Cells:   g.NumCells(),
 		Part:    dpe.HashPartitioner{N: partitions},
 		Workers: workers,
 		Kernel:  refineKernel(lookupR, lookupS, cfg.Eps),

@@ -34,12 +34,14 @@ func attrMap(attrs []Attr) map[string]any {
 	return m
 }
 
-func durMicros(s Span) int64 {
+func durNanos(s Span) int64 {
 	if s.Done == 0 || s.Done < s.Start {
 		return 0
 	}
-	return (s.Done - s.Start) / 1e3
+	return s.Done - s.Start
 }
+
+func durMicros(s Span) int64 { return durNanos(s) / 1e3 }
 
 // Tree assembles the recorded spans into a forest. Spans whose parent
 // is unknown (or would point forward in append order, which a cycle

@@ -249,6 +249,34 @@ func TestObsSkewReport(t *testing.T) {
 	}
 }
 
+// TestObsSkewSubMicrosecondTasks pins the straggler signal on fast
+// hosts: tasks that all finish below one microsecond round to 0 µs in
+// the reported fields, but the ratio is taken from the nanosecond spans
+// and stays ≥ 1 (and meaningful) instead of silently reading 0.
+func TestObsSkewSubMicrosecondTasks(t *testing.T) {
+	tr := New()
+	for i, ns := range []int64{200, 300, 900} {
+		tr.AddSpans([]Span{{ID: SpanID(i + 1), Name: SpanTask, Start: 1000, Done: 1000 + ns}})
+	}
+	sk := tr.Skew()
+	if sk.Tasks != 3 || sk.MaxTaskMicros != 0 || sk.MedianTaskMicros != 0 {
+		t.Fatalf("sub-µs tasks: %+v", sk)
+	}
+	if sk.StragglerRatio != 3 {
+		t.Fatalf("StragglerRatio = %v, want 900ns/300ns = 3", sk.StragglerRatio)
+	}
+
+	// Zero-length spans (a clock too coarse to see the task) are perfectly
+	// balanced, not undefined.
+	tr = New()
+	for i := 0; i < 4; i++ {
+		tr.AddSpans([]Span{{ID: SpanID(i + 1), Name: SpanTask, Start: 1000, Done: 1000}})
+	}
+	if sk := tr.Skew(); sk.StragglerRatio != 1 {
+		t.Fatalf("zero-length tasks: StragglerRatio = %v, want 1", sk.StragglerRatio)
+	}
+}
+
 func TestObsSpanLimit(t *testing.T) {
 	tr := New()
 	tr.SetLimit(4)

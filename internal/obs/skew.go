@@ -15,7 +15,11 @@ type SkewReport struct {
 	MaxTaskMicros    int64          `json:"max_task_micros"`
 	MedianTaskMicros int64          `json:"median_task_micros"`
 	// StragglerRatio is max/median task duration; 1.0 means perfectly
-	// balanced partitions, large values mean LPT had skew to absorb.
+	// balanced partitions, large values mean LPT had skew to absorb. It
+	// is computed from nanosecond spans (each counted as at least one
+	// clock tick), so it is ≥ 1 whenever a task ran — including joins
+	// whose tasks all finish below the microsecond the fields above are
+	// reported in.
 	StragglerRatio float64 `json:"straggler_ratio"`
 	// ReplicationBytes breaks the shuffled replica volume down by the
 	// agreement type that caused it ("R": LPiB agreements replicating
@@ -35,12 +39,12 @@ type SkewReport struct {
 func (t *Tracer) Skew() SkewReport {
 	var rep SkewReport
 	spans := t.Spans()
-	var durs []int64
+	var durs []int64 // task spans in nanoseconds
 	for _, s := range spans {
 		switch s.Name {
 		case SpanTask:
 			rep.Tasks++
-			durs = append(durs, durMicros(s))
+			durs = append(durs, max(durNanos(s), 1))
 			if s.Worker != "" {
 				if rep.TasksPerWorker == nil {
 					rep.TasksPerWorker = map[string]int{}
@@ -84,11 +88,10 @@ func (t *Tracer) Skew() SkewReport {
 	}
 	if len(durs) > 0 {
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		rep.MaxTaskMicros = durs[len(durs)-1]
-		rep.MedianTaskMicros = durs[len(durs)/2]
-		if rep.MedianTaskMicros > 0 {
-			rep.StragglerRatio = float64(rep.MaxTaskMicros) / float64(rep.MedianTaskMicros)
-		}
+		maxNs, medianNs := durs[len(durs)-1], durs[len(durs)/2]
+		rep.MaxTaskMicros = maxNs / 1e3
+		rep.MedianTaskMicros = medianNs / 1e3
+		rep.StragglerRatio = float64(maxNs) / float64(medianNs)
 	}
 	return rep
 }

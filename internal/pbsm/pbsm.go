@@ -126,6 +126,7 @@ func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
 		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
 			return replicate.Universal(g, p, !replicateR, dst)
 		},
+		Cells:   g.NumCells(),
 		Part:    dpe.HashPartitioner{N: partitions},
 		Workers: workers,
 		Collect: cfg.Collect,

@@ -105,6 +105,7 @@ func Join(rs, ss []tuple.Tuple, cfg Config) (*Result, error) {
 		R: rs, S: ss, Eps: cfg.Eps,
 		AssignR: assignR,
 		AssignS: assignS,
+		Cells:   qt.NumLeaves(),
 		Part:    dpe.HashPartitioner{N: partitions},
 		Workers: workers,
 		Kernel:  indexProbeKernel(smallIsR, cfg.Fanout),

@@ -10,9 +10,7 @@ package sweep
 
 import (
 	"slices"
-	"sort"
 
-	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
 )
 
@@ -56,14 +54,7 @@ func PlaneSweep(rs, ss []tuple.Tuple, eps float64, emit Emit) {
 	sweepSorted(r, s, eps, emit)
 }
 
-// PlaneSweepPreSorted is PlaneSweep for inputs already sorted by ascending
-// x coordinate. It performs no allocation or sorting.
-func PlaneSweepPreSorted(rs, ss []tuple.Tuple, eps float64, emit Emit) {
-	sweepSorted(rs, ss, eps, emit)
-}
-
-// SortByX sorts ts in place by ascending x coordinate. It is exported so
-// partitions can be pre-sorted once and joined with PlaneSweepPreSorted.
+// SortByX sorts ts in place by ascending x coordinate.
 func SortByX(ts []tuple.Tuple) {
 	slices.SortFunc(ts, func(a, b tuple.Tuple) int {
 		if a.Pt.X < b.Pt.X {
@@ -73,35 +64,6 @@ func SortByX(ts []tuple.Tuple) {
 			return 1
 		}
 		return 0
-	})
-}
-
-// PlaneSweepY is PlaneSweep sweeping along the y axis instead of x.
-func PlaneSweepY(rs, ss []tuple.Tuple, eps float64, emit Emit) {
-	if len(rs) == 0 || len(ss) == 0 {
-		return
-	}
-	if len(rs)*len(ss) <= nestedLoopThreshold*nestedLoopThreshold {
-		NestedLoop(rs, ss, eps, emit)
-		return
-	}
-	flip := func(ts []tuple.Tuple) []tuple.Tuple {
-		out := make([]tuple.Tuple, len(ts))
-		for i, t := range ts {
-			t.Pt.X, t.Pt.Y = t.Pt.Y, t.Pt.X
-			out[i] = t
-		}
-		return out
-	}
-	r := flip(rs)
-	s := flip(ss)
-	SortByX(r)
-	SortByX(s)
-	// Flip back inside the emit so callers observe original coordinates.
-	sweepSorted(r, s, eps, func(rt, st tuple.Tuple) {
-		rt.Pt.X, rt.Pt.Y = rt.Pt.Y, rt.Pt.X
-		st.Pt.X, st.Pt.Y = st.Pt.Y, st.Pt.X
-		emit(rt, st)
 	})
 }
 
@@ -124,7 +86,22 @@ func PlaneSweepBestAxis(rs, ss []tuple.Tuple, eps float64, emit Emit) {
 		PlaneSweep(rs, ss, eps, emit)
 		return
 	}
-	PlaneSweepY(rs, ss, eps, emit)
+	// Sweep along y: swap the coordinates of sorted copies, and swap
+	// them back inside the emit so callers observe original points.
+	flip := func(ts []tuple.Tuple) []tuple.Tuple {
+		out := make([]tuple.Tuple, len(ts))
+		for i, t := range ts {
+			t.Pt.X, t.Pt.Y = t.Pt.Y, t.Pt.X
+			out[i] = t
+		}
+		SortByX(out)
+		return out
+	}
+	sweepSorted(flip(rs), flip(ss), eps, func(rt, st tuple.Tuple) {
+		rt.Pt.X, rt.Pt.Y = rt.Pt.Y, rt.Pt.X
+		st.Pt.X, st.Pt.Y = st.Pt.Y, st.Pt.X
+		emit(rt, st)
+	})
 }
 
 // spreadXY returns the x and y extents of the union of rs and ss,
@@ -188,30 +165,6 @@ func sweepSorted(r, s []tuple.Tuple, eps float64, emit Emit) {
 			if r[i].Pt.SqDist(s[j].Pt) <= eps2 {
 				emit(r[i], s[j])
 			}
-		}
-	}
-}
-
-// ProbeSorted reports every tuple of sorted — which must be in ascending
-// x order — within eps of p. It is the incremental entry point of the
-// streaming join engine: one arriving point is probed against a cell's
-// maintained sorted slab in O(log n + window) without re-running a full
-// sweep. Matches at distance exactly eps are reported (closed predicate,
-// like every join in this package).
-func ProbeSorted(sorted []tuple.Tuple, p geom.Point, eps float64, emit func(tuple.Tuple)) {
-	if len(sorted) == 0 {
-		return
-	}
-	eps2 := eps * eps
-	lo := p.X - eps
-	start := sort.Search(len(sorted), func(i int) bool { return sorted[i].Pt.X >= lo })
-	for i := start; i < len(sorted) && sorted[i].Pt.X <= p.X+eps; i++ {
-		dy := p.Y - sorted[i].Pt.Y
-		if dy > eps || dy < -eps {
-			continue
-		}
-		if p.SqDist(sorted[i].Pt) <= eps2 {
-			emit(sorted[i])
 		}
 	}
 }

@@ -107,20 +107,6 @@ func TestPlaneSweepDoesNotMutateInputs(t *testing.T) {
 	}
 }
 
-func TestPlaneSweepPreSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	rs := randomTuples(rng, 300, 10, 0)
-	ss := randomTuples(rng, 300, 10, 1000)
-	want := pairsOf(rs, ss, 0.7, NestedLoop)
-
-	SortByX(rs)
-	SortByX(ss)
-	got := pairsOf(rs, ss, 0.7, PlaneSweepPreSorted)
-	if len(got) != len(want) {
-		t.Fatalf("pre-sorted sweep found %d pairs, oracle %d", len(got), len(want))
-	}
-}
-
 func TestCounterChecksumOrderIndependent(t *testing.T) {
 	rs := mkTuples([]geom.Point{{X: 0, Y: 0}, {X: 0.1, Y: 0}}, 0)
 	ss := mkTuples([]geom.Point{{X: 0, Y: 0.1}, {X: 0.1, Y: 0.1}}, 100)
@@ -198,36 +184,6 @@ func BenchmarkNestedLoop1k(b *testing.B) {
 	}
 }
 
-func TestPlaneSweepYMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
-		rs := randomTuples(rng, 50+rng.Intn(200), 15, 0)
-		ss := randomTuples(rng, 50+rng.Intn(200), 15, 1_000_000)
-		eps := 0.2 + rng.Float64()*2
-		var want, got Counter
-		NestedLoop(rs, ss, eps, want.Emit)
-		PlaneSweepY(rs, ss, eps, got.Emit)
-		if want.N != got.N || want.Checksum != got.Checksum {
-			t.Fatalf("trial %d: sweep-y %d/%x, oracle %d/%x", trial, got.N, got.Checksum, want.N, want.Checksum)
-		}
-	}
-}
-
-func TestPlaneSweepYEmitsOriginalCoordinates(t *testing.T) {
-	rs := mkTuples([]geom.Point{{X: 1, Y: 2}}, 0)
-	// Enough S points to exceed the nested-loop fast path.
-	var spts []geom.Point
-	for i := 0; i < 100; i++ {
-		spts = append(spts, geom.Point{X: 1, Y: 2.1})
-	}
-	ss := mkTuples(spts, 1000)
-	PlaneSweepY(rs, ss, 1, func(r, s tuple.Tuple) {
-		if r.Pt != (geom.Point{X: 1, Y: 2}) || s.Pt != (geom.Point{X: 1, Y: 2.1}) {
-			t.Fatalf("coordinates flipped in emit: %v, %v", r.Pt, s.Pt)
-		}
-	})
-}
-
 func TestPlaneSweepBestAxisMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	// Vertically elongated partition: best axis is y.
@@ -242,7 +198,14 @@ func TestPlaneSweepBestAxisMatchesOracle(t *testing.T) {
 	ss := mk(400, 1_000_000)
 	var want, got Counter
 	NestedLoop(rs, ss, 0.5, want.Emit)
-	PlaneSweepBestAxis(rs, ss, 0.5, got.Emit)
+	PlaneSweepBestAxis(rs, ss, 0.5, func(r, s tuple.Tuple) {
+		// The y sweep swaps coordinates internally; callers must still
+		// observe the original points.
+		if r.Pt != rs[r.ID].Pt || s.Pt != ss[s.ID-1_000_000].Pt {
+			t.Fatalf("coordinates flipped in emit: %v, %v", r.Pt, s.Pt)
+		}
+		got.Emit(r, s)
+	})
 	if want.N != got.N || want.Checksum != got.Checksum {
 		t.Fatalf("best-axis %d/%x, oracle %d/%x", got.N, got.Checksum, want.N, want.Checksum)
 	}
@@ -287,49 +250,4 @@ func TestPlaneSweepBestAxisTinyInputs(t *testing.T) {
 			t.Fatalf("trial %d: tiny best-axis %d/%x, oracle %d/%x", trial, got.N, got.Checksum, want.N, want.Checksum)
 		}
 	}
-}
-
-func TestPlaneSweepPreSortedZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	rs := randomTuples(rng, 2000, 50, 0)
-	ss := randomTuples(rng, 2000, 50, 1_000_000)
-	SortByX(rs)
-	SortByX(ss)
-	var c Counter
-	emit := c.Emit // bind the method value once, outside the measurement
-	allocs := testing.AllocsPerRun(10, func() {
-		PlaneSweepPreSorted(rs, ss, 0.5, emit)
-	})
-	if allocs != 0 {
-		t.Fatalf("PlaneSweepPreSorted allocated %v times per join, want 0", allocs)
-	}
-	if c.N == 0 {
-		t.Fatal("workload produced no pairs; the alloc assertion is vacuous")
-	}
-}
-
-func BenchmarkPlaneSweepWrongAxis(b *testing.B) {
-	// Horizontal strip: sweeping x is right, y is wrong.
-	rng := rand.New(rand.NewSource(2))
-	mk := func(n int, base int64) []tuple.Tuple {
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = geom.Point{X: rng.Float64() * 200, Y: rng.Float64()}
-		}
-		return mkTuples(pts, base)
-	}
-	rs := mk(5000, 0)
-	ss := mk(5000, 1_000_000)
-	b.Run("best", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var c Counter
-			PlaneSweepBestAxis(rs, ss, 0.3, c.Emit)
-		}
-	})
-	b.Run("wrong", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var c Counter
-			PlaneSweepY(rs, ss, 0.3, c.Emit)
-		}
-	})
 }

@@ -1,60 +1,16 @@
-// Wire encoding: the binary format tuples and result pairs travel in
-// over the cluster backend's shuffle protocol. The format is
-// little-endian and self-delimiting, so records can be streamed back to
-// back inside one frame:
-//
-//	tuple:  id u64 | x f64 | y f64 | payload len u32 | payload bytes
-//	pair:   rid u64 | sid u64
-//
-// WireSize (28 bytes + payload) intentionally differs from the
-// SerializedSize *model* (24 + payload): the model mirrors the paper's
-// accounting, while the wire format pays four extra bytes to delimit the
-// payload. Shuffle-byte counters measured on the wire therefore report
-// real, not modelled, bytes.
+// Wire encoding of result pairs, as they travel back from cluster
+// workers: little-endian rid u64 | sid u64. (Join inputs travel
+// column-wise, in internal/colpipe's slab codec.)
 
 package tuple
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
-
-// WireSize returns the number of bytes AppendTuple will write for t.
-func (t Tuple) WireSize() int { return 8 + 8 + 8 + 4 + len(t.Payload) }
 
 // PairWireSize is the encoded size of one result pair.
 const PairWireSize = 16
-
-// AppendTuple appends the wire encoding of t to dst and returns the
-// extended slice.
-func AppendTuple(dst []byte, t Tuple) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.ID))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.Pt.X))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.Pt.Y))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.Payload)))
-	return append(dst, t.Payload...)
-}
-
-// DecodeTuple decodes one tuple from the front of b, returning the tuple
-// and the number of bytes consumed.
-func DecodeTuple(b []byte) (Tuple, int, error) {
-	if len(b) < 28 {
-		return Tuple{}, 0, fmt.Errorf("tuple: decode: %d bytes, need at least 28", len(b))
-	}
-	var t Tuple
-	t.ID = int64(binary.LittleEndian.Uint64(b))
-	t.Pt.X = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	t.Pt.Y = math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
-	plen := int(binary.LittleEndian.Uint32(b[24:]))
-	if plen < 0 || len(b) < 28+plen {
-		return Tuple{}, 0, fmt.Errorf("tuple: decode: payload of %d bytes exceeds buffer of %d", plen, len(b)-28)
-	}
-	if plen > 0 {
-		t.Payload = append([]byte(nil), b[28:28+plen]...)
-	}
-	return t, 28 + plen, nil
-}
 
 // AppendPair appends the wire encoding of p to dst.
 func AppendPair(dst []byte, p Pair) []byte {

@@ -1,51 +1,6 @@
 package tuple
 
-import (
-	"bytes"
-	"testing"
-
-	"spatialjoin/internal/geom"
-)
-
-func TestTupleWireRoundTrip(t *testing.T) {
-	cases := []Tuple{
-		{ID: 0, Pt: geom.Point{X: 0, Y: 0}},
-		{ID: -7, Pt: geom.Point{X: -1.5, Y: 2.25}},
-		{ID: 1 << 40, Pt: geom.Point{X: 99.125, Y: -0.0625}, Payload: []byte("attrs")},
-		{ID: 42, Pt: geom.Point{X: 3, Y: 4}, Payload: make([]byte, 256)},
-	}
-	var buf []byte
-	for _, tc := range cases {
-		buf = AppendTuple(buf, tc)
-	}
-	for i, tc := range cases {
-		got, n, err := DecodeTuple(buf)
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
-		if n != tc.WireSize() {
-			t.Fatalf("case %d: consumed %d bytes, WireSize says %d", i, n, tc.WireSize())
-		}
-		if got.ID != tc.ID || got.Pt != tc.Pt || !bytes.Equal(got.Payload, tc.Payload) {
-			t.Fatalf("case %d: round trip %+v != %+v", i, got, tc)
-		}
-		buf = buf[n:]
-	}
-	if len(buf) != 0 {
-		t.Fatalf("%d trailing bytes after decoding all tuples", len(buf))
-	}
-}
-
-func TestTupleDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeTuple(make([]byte, 27)); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-	// A tuple whose declared payload length exceeds the buffer.
-	enc := AppendTuple(nil, Tuple{ID: 1, Payload: []byte("abcdef")})
-	if _, _, err := DecodeTuple(enc[:len(enc)-1]); err == nil {
-		t.Fatal("truncated payload accepted")
-	}
-}
+import "testing"
 
 func TestPairWireRoundTrip(t *testing.T) {
 	in := []Pair{{RID: 1, SID: 2}, {RID: -3, SID: 1 << 50}, {}}

@@ -166,6 +166,7 @@ func Prepare(cfg Config) (*Plan, error) {
 		Eps:          planEps,
 		TupleAssignR: p.assign(widen),
 		TupleAssignS: p.assign(0),
+		Cells:        grid.NumTiles(),
 		Part:         dpe.HashPartitioner{N: partitions},
 		Workers:      cfg.Workers,
 		PoolSize:     cfg.PoolSize,
