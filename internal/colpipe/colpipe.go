@@ -1,19 +1,20 @@
 // Package colpipe makes the columnar representation the pipeline's
-// native format, not just the kernel's: the map (replicate) phase
-// appends points to per-worker, per-partition columnar segments, the
-// shuffle counting-sorts those segments into per-partition slabs grouped
-// by cell rank with each group x-sorted once at build time, and the
-// partition join runs the colsweep kernel directly over group subranges
-// of the slab lanes — no []tuple.Tuple materialisation, no per-execute
-// hash grouping, no re-sorting.
+// native format, not just the kernel's: the shuffle is one parallel
+// counting sort — map workers log the rank of every replica and a
+// per-rank histogram (Log), one walk over the ranks turns the histograms
+// into every slab's group directory and every worker's write cursors
+// (Layout), the workers replay their logs and write each replica from
+// its input tuple straight to its final lane position (Log.Scatter), and
+// every group is x-sorted once (Sorter) — and the partition join runs
+// the colsweep kernel directly over group subranges of the slab lanes:
+// no []tuple.Tuple materialisation, no per-execute hash grouping, no
+// re-sorting.
 //
-// Layout. A Seg is append-only: one int32 rank lane plus the x/y/id
-// lanes, written by a single map worker. A Slab is the shuffle's
-// product: the distinct ranks of the partition in ascending order, a
-// Starts offset array (group k occupies [Starts[k], Starts[k+1])), and
-// the concatenated lanes with every group sorted by x. Halo replicas
-// are ordinary rows of the groups they were assigned to — after the
-// counting sort a replica is an index range member like any native
+// Layout. A Slab is the shuffle's product: the distinct ranks of the
+// partition in ascending order, a Starts offset array (group k occupies
+// [Starts[k], Starts[k+1])), and the concatenated lanes with every group
+// sorted by x. Halo replicas are ordinary rows of the groups they were
+// assigned to — a replica is an index range member like any native
 // point, not a copied tuple.
 //
 // Payloads. Joins whose kernel reads more than the point (object
@@ -29,9 +30,15 @@
 // consecutive sweeps touch nearby coordinate ranges, which keeps the
 // ε-window scans cache-warm. Any bijection cell → [0, NumRanks) is
 // valid; nil means identity (row-major cell order).
+//
+// Seg and Builder.BuildInto are the single-slab entry the benchmark's
+// layer pass still calls, on the same Layout and Sorter; nothing in the
+// engine uses them.
 package colpipe
 
 import (
+	"fmt"
+	"math"
 	"slices"
 
 	"spatialjoin/internal/colsweep"
@@ -47,66 +54,15 @@ const insertionSortMax = 24
 // quadratic scan over the group lanes beats the sweep's window logic.
 const nestedLoopCost = 64
 
-// Seg is one map worker's append-only columnar output for one reduce
-// partition: a rank lane parallel to the coordinate and id lanes, plus
-// the modelled wire bytes of the appended records (the shuffle's byte
-// accounting survives the loss of the tuple structs).
-type Seg struct {
-	Ranks  []int32
-	Xs, Ys []float64
-	IDs    []int64
-	Bytes  int64
-
-	// Payloads is the optional payload lane: nil for point joins,
-	// otherwise parallel to the other lanes (see AppendPayload).
-	Payloads [][]byte
-}
-
-// Append adds one record to the segment. wireBytes is the record's
-// modelled keyed wire size.
-func (s *Seg) Append(rank int32, x, y float64, id int64, wireBytes int) {
-	s.Ranks = append(s.Ranks, rank)
-	s.Xs = append(s.Xs, x)
-	s.Ys = append(s.Ys, y)
-	s.IDs = append(s.IDs, id)
-	s.Bytes += int64(wireBytes)
-}
-
-// AppendPayload is Append for records that may carry a payload. The
-// lane materialises on the first non-nil payload (earlier rows are
-// back-filled with nil), so a segment that never sees one stays a pure
-// point segment.
-func (s *Seg) AppendPayload(rank int32, x, y float64, id int64, wireBytes int, payload []byte) {
-	s.Append(rank, x, y, id, wireBytes)
-	if payload != nil || s.Payloads != nil {
-		for len(s.Payloads) < len(s.IDs)-1 {
-			s.Payloads = append(s.Payloads, nil)
-		}
-		s.Payloads = append(s.Payloads, payload)
-	}
-}
-
-// Len returns the number of records in the segment.
-func (s *Seg) Len() int { return len(s.Ranks) }
-
-// Grow reserves capacity for at least n more records, so a map worker
-// that can estimate its per-partition row count skips most of the
-// append-doubling copies.
-func (s *Seg) Grow(n int) {
-	s.Ranks = slices.Grow(s.Ranks, n)
-	s.Xs = slices.Grow(s.Xs, n)
-	s.Ys = slices.Grow(s.Ys, n)
-	s.IDs = slices.Grow(s.IDs, n)
-}
-
 // Slab is one reduce partition's kernel-ready columnar input: records
 // grouped by ascending rank, each group sorted by x. Group k occupies
 // index range [Starts[k], Starts[k+1]) of the lanes. WorkerRows and
 // WorkerBytes record, per producing map split, the row count and
 // modelled wire bytes — the inputs of the local/remote shuffle-read
-// split (partition owner vs producing worker). Payloads is nil unless a
-// segment carried a payload lane; WorkerPayload then holds the payload
-// bytes each split contributed.
+// split (partition owner vs producing worker). Payloads is nil unless
+// the plan carries payloads and some row of the slab has a non-empty
+// one; WorkerPayload then holds the payload bytes each split
+// contributed.
 type Slab struct {
 	Ranks    []int32 // distinct ranks present, ascending
 	Starts   []int32 // len(Ranks)+1 group offsets
@@ -145,127 +101,208 @@ func (s *Slab) AppendTuples(dst []tuple.Tuple, k int) []tuple.Tuple {
 	return dst
 }
 
-// reset truncates the slab for reuse, sizing the per-worker counters.
-func (s *Slab) reset(workers int) {
-	s.Ranks, s.Starts = s.Ranks[:0], s.Starts[:0]
-	s.Xs, s.Ys, s.IDs = s.Xs[:0], s.Ys[:0], s.IDs[:0]
-	s.Payloads, s.WorkerPayload = nil, nil
-	s.Bytes = 0
-	if cap(s.WorkerRows) < workers {
-		s.WorkerRows = make([]int32, workers)
-		s.WorkerBytes = make([]int64, workers)
+// Log is one map split's record of an assignment pass, the first step
+// of the counting sort. It holds 4 bytes per replica and per input row
+// plus a dense per-rank count — the coordinates stay in the input
+// tuples until Scatter writes them to their final lane positions. A Log
+// is written by one goroutine.
+type Log struct {
+	// ranks holds the rank of every replica in input order, in blocks so
+	// that growing never copies; one input row's replicas share a block.
+	ranks    [][]int32
+	block    int      // capacity of a fresh block
+	replicas int      // total length of the blocks
+	reps     []uint32 // replicas per input row (an object may cover any number of cells)
+	// rows is dense over the ranks: the split's row count per rank and,
+	// once Layout has run, its write cursor in that rank's group.
+	rows    []int32
+	bytes   []int64 // per slab: modelled keyed wire bytes
+	payload []int64 // per slab: payload bytes; nil when the plan carries none
+}
+
+// logBlock caps a rank block at 64 KB: neither the unused tail of a
+// split's last block nor the block bookkeeping shows at that size.
+const logBlock = 16 << 10
+
+// NewLog returns the empty log of a split of `rows` input rows, assigned
+// over numRanks ranks into `slabs` slabs. payload states whether the
+// plan carries tuple payloads into the slabs.
+func NewLog(numRanks, slabs, rows int, payload bool) Log {
+	l := Log{
+		block: min(max(rows, 64), logBlock),
+		reps:  make([]uint32, 0, rows),
+		rows:  make([]int32, numRanks),
+		bytes: make([]int64, slabs),
 	}
-	s.WorkerRows = s.WorkerRows[:workers]
-	s.WorkerBytes = s.WorkerBytes[:workers]
-	for i := range s.WorkerRows {
-		s.WorkerRows[i] = 0
-		s.WorkerBytes[i] = 0
+	if payload {
+		l.payload = make([]int64, slabs)
+	}
+	return l
+}
+
+// AddRow logs the next input row as assigned to cells. rank maps cell
+// id → rank (nil is the identity), part maps rank → slab; wireBytes is
+// the row's modelled keyed wire size and payloadBytes the size of the
+// payload it carries.
+func (l *Log) AddRow(cells []int, rank, part []int32, wireBytes, payloadBytes int) {
+	l.reps = append(l.reps, uint32(len(cells)))
+	l.replicas += len(cells)
+	last := len(l.ranks) - 1
+	if last < 0 || len(l.ranks[last])+len(cells) > cap(l.ranks[last]) {
+		l.ranks = append(l.ranks, make([]int32, 0, max(l.block, len(cells))))
+		last++
+	}
+	blk := l.ranks[last]
+	for _, c := range cells {
+		r := int32(c)
+		if rank != nil {
+			r = rank[c]
+		}
+		blk = append(blk, r)
+		l.rows[r]++
+		p := part[r]
+		l.bytes[p] += int64(wireBytes)
+		if l.payload != nil {
+			l.payload[p] += int64(payloadBytes)
+		}
+	}
+	l.ranks[last] = blk
+}
+
+// Replicas returns the number of replicas logged — one slab row each.
+func (l *Log) Replicas() int { return l.replicas }
+
+// Layout is the second step of the counting sort: one walk over the
+// ranks turns the splits' histograms into every slab's ascending group
+// directory (Ranks, Starts), sizes every lane exactly once, fills the
+// per-split attribution, and leaves in every log the split's write
+// cursor per rank. Inside a group the splits' ranges follow each other
+// in split order, so its rows end up in (split, input) order however
+// the scatter is scheduled. part maps rank → index into dst, which is
+// overwritten; the lanes hold garbage until every log has scattered.
+// A slab past 2³¹−1 rows (offsets are 32-bit) is an error, reported
+// before anything is allocated.
+func Layout(dst []Slab, logs []Log, part []int32) error {
+	groups := make([]int32, len(dst))
+	rows := make([]int64, len(dst))
+	for p := range dst {
+		dst[p] = Slab{WorkerRows: make([]int32, len(logs)), WorkerBytes: make([]int64, len(logs))}
+	}
+	for r, p := range part {
+		var n int64
+		wr := dst[p].WorkerRows
+		for w := range logs {
+			c := logs[w].rows[r]
+			wr[w] += c
+			n += int64(c)
+		}
+		if n > 0 {
+			groups[p]++
+			rows[p] += n
+		}
+	}
+	for p, n := range rows {
+		if n > math.MaxInt32 {
+			return fmt.Errorf("colpipe: partition %d holds %d rows, slab offsets are 32-bit", p, n)
+		}
+	}
+
+	for p := range dst {
+		s, n := &dst[p], int(rows[p])
+		s.Ranks = make([]int32, 0, groups[p])
+		s.Starts = make([]int32, 0, groups[p]+1)
+		s.Xs, s.Ys, s.IDs = lane[float64](n), lane[float64](n), lane[int64](n)
+		var payload int64
+		for w := range logs {
+			s.WorkerBytes[w] = logs[w].bytes[p]
+			s.Bytes += logs[w].bytes[p]
+			if logs[w].payload != nil {
+				payload += logs[w].payload[p]
+			}
+		}
+		if payload > 0 {
+			s.Payloads = make([][]byte, n)
+			s.WorkerPayload = make([]int64, len(logs))
+			for w := range logs {
+				s.WorkerPayload[w] = logs[w].payload[p]
+			}
+		}
+	}
+
+	// Prefix sums: groups[p] now runs as slab p's next free offset.
+	clear(groups)
+	for r, p := range part {
+		start := groups[p]
+		at := start
+		for w := range logs {
+			if c := logs[w].rows[r]; c != 0 {
+				logs[w].rows[r] = at
+				at += c
+			}
+		}
+		if at != start {
+			s := &dst[p]
+			s.Ranks = append(s.Ranks, int32(r))
+			s.Starts = append(s.Starts, start)
+			groups[p] = at
+		}
+	}
+	for p := range dst {
+		dst[p].Starts = append(dst[p].Starts, groups[p])
+	}
+	return nil
+}
+
+// lane allocates a lane of n rows without clearing it: the scatter
+// writes every row.
+func lane[T float64 | int64](n int) []T {
+	return slices.Grow([]T(nil), n)[:n]
+}
+
+// Scatter is the third step: the split replays its log over its input
+// rows (the ones it was built from) and writes every replica where its
+// cursor points. The logs of one Layout write disjoint ranges, so they
+// scatter concurrently without synchronisation.
+func (l *Log) Scatter(dst []Slab, part []int32, split []tuple.Tuple) {
+	i := 0
+	for _, blk := range l.ranks {
+		for k := 0; k < len(blk); i++ {
+			t := &split[i]
+			n := int(l.reps[i])
+			for _, r := range blk[k : k+n] {
+				s := &dst[part[r]]
+				pos := l.rows[r]
+				l.rows[r] = pos + 1
+				s.Xs[pos], s.Ys[pos], s.IDs[pos] = t.Pt.X, t.Pt.Y, t.ID
+				if s.Payloads != nil {
+					s.Payloads[pos] = t.Payload
+				}
+			}
+			k += n
+		}
 	}
 }
 
-// Builder holds the reusable scratch of the counting sort: a dense
-// per-rank counter array (zeroed between builds by walking only the
-// ranks that were touched) and the permutation-sort scratch. One
-// Builder serves any number of sequential BuildInto calls; it must not
-// be shared across goroutines.
-type Builder struct {
-	counts []int32 // dense, len NumRanks; all-zero between builds
-	perm   []int32
-	tmpF   []float64
-	tmpI   []int64
-	tmpP   [][]byte
+// Sorter holds the scratch of the group x-sort. One Sorter serves any
+// number of slabs in sequence; it must not be shared across goroutines.
+type Sorter struct {
+	perm []int32
+	tmpF []float64
+	tmpI []int64
+	tmpP [][]byte
 }
 
-// NewBuilder returns a Builder for slabs whose ranks lie in
-// [0, numRanks).
-func NewBuilder(numRanks int) *Builder {
-	return &Builder{counts: make([]int32, numRanks)}
-}
-
-// BuildInto counting-sorts the segments of one reduce partition into
-// dst: records are grouped by rank, groups ordered by ascending rank,
-// and each group sorted by x. dst's slices are reused across calls, so
-// a warm Builder/Slab pair builds with zero allocations in steady
-// state. Segment index w is taken to be the producing map split for
-// the per-worker byte accounting. The payload lane is built only when
-// some segment carries one.
-func (b *Builder) BuildInto(dst *Slab, segs []Seg) {
-	dst.reset(len(segs))
-
-	// Pass 1: count rows per rank, collecting each rank on first touch.
-	total := 0
-	for w := range segs {
-		seg := &segs[w]
-		for _, r := range seg.Ranks {
-			if b.counts[r] == 0 {
-				dst.Ranks = append(dst.Ranks, r)
-			}
-			b.counts[r]++
-		}
-		total += seg.Len()
-		dst.WorkerRows[w] = int32(seg.Len())
-		dst.WorkerBytes[w] = seg.Bytes
-		dst.Bytes += seg.Bytes
-		if len(seg.Payloads) > 0 {
-			if dst.WorkerPayload == nil {
-				dst.WorkerPayload = make([]int64, len(segs))
-			}
-			for _, p := range seg.Payloads {
-				dst.WorkerPayload[w] += int64(len(p))
-			}
-		}
-	}
-	slices.Sort(dst.Ranks)
-
-	// Prefix-sum the group offsets; the counter array doubles as the
-	// per-rank write cursor during the scatter.
-	dst.Starts = slices.Grow(dst.Starts, len(dst.Ranks)+1)
-	cum := int32(0)
-	for _, r := range dst.Ranks {
-		dst.Starts = append(dst.Starts, cum)
-		n := b.counts[r]
-		b.counts[r] = cum
-		cum += n
-	}
-	dst.Starts = append(dst.Starts, cum)
-
-	// Pass 2: scatter the segment rows into their groups.
-	dst.Xs = slices.Grow(dst.Xs, total)[:total]
-	dst.Ys = slices.Grow(dst.Ys, total)[:total]
-	dst.IDs = slices.Grow(dst.IDs, total)[:total]
-	if dst.WorkerPayload != nil {
-		dst.Payloads = make([][]byte, total)
-	}
-	for w := range segs {
-		seg := &segs[w]
-		for i, r := range seg.Ranks {
-			pos := b.counts[r]
-			b.counts[r]++
-			dst.Xs[pos] = seg.Xs[i]
-			dst.Ys[pos] = seg.Ys[i]
-			dst.IDs[pos] = seg.IDs[i]
-			if i < len(seg.Payloads) {
-				dst.Payloads[pos] = seg.Payloads[i]
-			}
-		}
-	}
-
-	// Restore the all-zero counter invariant by walking only the ranks
-	// this build touched.
-	for _, r := range dst.Ranks {
-		b.counts[r] = 0
-	}
-
-	// Sort each group by x, once — every later Execute sweeps the
-	// subranges as-is.
-	for k := 0; k < len(dst.Ranks); k++ {
-		lo, hi := int(dst.Starts[k]), int(dst.Starts[k+1])
-		b.sortRange(dst, lo, hi)
+// SortGroups sorts every group of the slab by ascending x, once — every
+// later Execute sweeps the subranges as-is. The sort is stable, so a
+// slab is a function of its rows' (split, input) order alone.
+func (st *Sorter) SortGroups(s *Slab) {
+	for k := range s.Ranks {
+		st.sortRange(s, int(s.Starts[k]), int(s.Starts[k+1]))
 	}
 }
 
 // sortRange sorts the slab rows [lo, hi) by ascending x.
-func (b *Builder) sortRange(dst *Slab, lo, hi int) {
+func (st *Sorter) sortRange(dst *Slab, lo, hi int) {
 	n := hi - lo
 	if n < 2 {
 		return
@@ -286,8 +323,9 @@ func (b *Builder) sortRange(dst *Slab, lo, hi int) {
 		return
 	}
 	// Permutation sort with a single gather per lane, like
-	// colsweep.Cols.SortByX but over a subrange.
-	perm := b.perm[:0]
+	// colsweep.Cols.SortByX but over a subrange. Equal x fall back to the
+	// row index, which makes the unstable sort stable.
+	perm := st.perm[:0]
 	perm = slices.Grow(perm, n)
 	for i := 0; i < n; i++ {
 		perm = append(perm, int32(i))
@@ -300,26 +338,108 @@ func (b *Builder) sortRange(dst *Slab, lo, hi int) {
 		if sub[a] > sub[c] {
 			return 1
 		}
-		return 0
+		return int(a - c)
 	})
-	b.perm = perm
-	b.tmpF = append(b.tmpF[:0], xs[lo:hi]...)
-	b.tmpI = append(b.tmpI[:0], ids[lo:hi]...)
+	st.perm = perm
+	st.tmpF = append(st.tmpF[:0], xs[lo:hi]...)
+	st.tmpI = append(st.tmpI[:0], ids[lo:hi]...)
 	for i, p := range perm {
-		xs[lo+i] = b.tmpF[p]
-		ids[lo+i] = b.tmpI[p]
+		xs[lo+i] = st.tmpF[p]
+		ids[lo+i] = st.tmpI[p]
 	}
-	b.tmpF = append(b.tmpF[:0], ys[lo:hi]...)
+	st.tmpF = append(st.tmpF[:0], ys[lo:hi]...)
 	for i, p := range perm {
-		ys[lo+i] = b.tmpF[p]
+		ys[lo+i] = st.tmpF[p]
 	}
 	if dst.Payloads != nil {
-		b.tmpP = append(b.tmpP[:0], dst.Payloads[lo:hi]...)
+		st.tmpP = append(st.tmpP[:0], dst.Payloads[lo:hi]...)
 		for i, p := range perm {
-			dst.Payloads[lo+i] = b.tmpP[p]
+			dst.Payloads[lo+i] = st.tmpP[p]
 		}
-		clear(b.tmpP)
+		clear(st.tmpP)
 	}
+}
+
+// Seg is an append-only columnar run of rows bound for one slab — a Log
+// with one rank per row that carries its rows (and their modelled wire
+// bytes) with it.
+type Seg struct {
+	Ranks  []int32
+	Xs, Ys []float64
+	IDs    []int64
+	Bytes  int64
+}
+
+// Append adds one record to the segment. wireBytes is the record's
+// modelled keyed wire size.
+func (s *Seg) Append(rank int32, x, y float64, id int64, wireBytes int) {
+	s.Ranks = append(s.Ranks, rank)
+	s.Xs = append(s.Xs, x)
+	s.Ys = append(s.Ys, y)
+	s.IDs = append(s.IDs, id)
+	s.Bytes += int64(wireBytes)
+}
+
+// Len returns the number of records in the segment.
+func (s *Seg) Len() int { return len(s.Ranks) }
+
+// Builder sorts segments into single slabs, reusing its dense per-rank
+// counters (all-zero between builds) and sort scratch across BuildInto
+// calls; it must not be shared across goroutines.
+type Builder struct {
+	Sorter
+	logs [1]Log  // the segments of one build, histogrammed as one split
+	part []int32 // all zero: every rank belongs to the one slab
+}
+
+// NewBuilder returns a Builder for slabs whose ranks lie in
+// [0, numRanks).
+func NewBuilder(numRanks int) *Builder {
+	b := &Builder{part: make([]int32, numRanks)}
+	b.logs[0] = Log{rows: make([]int32, numRanks), bytes: make([]int64, 1)}
+	return b
+}
+
+// BuildInto counting-sorts the segments of one reduce partition into
+// dst. Taken in order the segments are one log — one histogram, one
+// cursor per rank, rows of a group in (segment, append) order — so the
+// slab is laid out by Layout and sorted by Sorter like the engine's;
+// only the lane-to-lane copy is BuildInto's own. Segment index w is the
+// producing map split of the per-worker attribution.
+func (b *Builder) BuildInto(dst *Slab, segs []Seg) error {
+	lg := &b.logs[0]
+	lg.bytes[0] = 0
+	for w := range segs {
+		for _, r := range segs[w].Ranks {
+			lg.rows[r]++
+		}
+		lg.bytes[0] += segs[w].Bytes
+	}
+	one := [1]Slab{}
+	err := Layout(one[:], b.logs[:], b.part)
+	*dst = one[0]
+	if err == nil {
+		dst.WorkerRows = make([]int32, len(segs))
+		dst.WorkerBytes = make([]int64, len(segs))
+		for w := range segs {
+			seg := &segs[w]
+			dst.WorkerRows[w], dst.WorkerBytes[w] = int32(seg.Len()), seg.Bytes
+			for i, r := range seg.Ranks {
+				pos := lg.rows[r]
+				lg.rows[r] = pos + 1
+				dst.Xs[pos], dst.Ys[pos], dst.IDs[pos] = seg.Xs[i], seg.Ys[i], seg.IDs[i]
+			}
+		}
+		b.SortGroups(dst)
+	}
+	// Restore the all-zero counter invariant by walking only the ranks
+	// this build touched.
+	for w := range segs {
+		for _, r := range segs[w].Ranks {
+			lg.rows[r] = 0
+		}
+	}
+	return err
 }
 
 // JoinSlabs joins the matching rank groups of two slabs, adding every

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/colsweep"
+	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
 )
 
@@ -116,31 +118,11 @@ func TestBuildIntoGroupsAndSorts(t *testing.T) {
 
 		// The dense counter array must be all-zero again or the next
 		// build silently corrupts group sizes.
-		for r, c := range b.counts {
+		for r, c := range b.logs[0].rows {
 			if c != 0 {
 				t.Fatalf("trial %d: counter for rank %d left at %d", trial, r, c)
 			}
 		}
-	}
-}
-
-// TestBuildIntoZeroAllocSteadyState: a warm Builder/Slab pair must
-// rebuild without allocating — the shuffle's inner loop runs once per
-// partition per execute, and its churn was the point of the refactor.
-func TestBuildIntoZeroAllocSteadyState(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const numRanks = 128
-	segs := randSegs(rng, 4, 5000, numRanks, 0)
-	b := NewBuilder(numRanks)
-	var slab Slab
-	b.BuildInto(&slab, segs) // warm the slab lanes and sort scratch
-	if allocs := testing.AllocsPerRun(50, func() {
-		b.BuildInto(&slab, segs)
-	}); allocs > 0 {
-		t.Errorf("steady-state BuildInto allocates %.1f objects/op, want 0", allocs)
-	}
-	if slab.Payloads != nil || slab.WorkerPayload != nil {
-		t.Errorf("point slab grew a payload lane (%d payloads)", len(slab.Payloads))
 	}
 }
 
@@ -152,93 +134,165 @@ func rowKey(rank int32, x, y float64, id int64) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(id))
 }
 
-// TestBuildIntoPayloadStaysWithRow is the payload-lane property: every
-// payload encodes the (rank, x, y, id) it was appended with, some rows
-// carry none, and after the counting sort and both group sorts
-// (insertion-sized and permutation-sized groups) each slab row still
-// holds exactly its own payload. A slab reused for a point partition
-// afterwards drops the lane again.
-func TestBuildIntoPayloadStaysWithRow(t *testing.T) {
+// shuffleSplits runs the engine's counting sort over the given splits:
+// one Log per split, every row assigned to the ranks ranksOf appends,
+// Layout, a Scatter per split and the group sort. part maps rank → slab.
+func shuffleSplits(tb testing.TB, splits [][]tuple.Tuple, ranksOf func(tuple.Tuple, []int) []int, part []int32, slabs int, payload bool) []Slab {
+	tb.Helper()
+	logs := make([]Log, len(splits))
+	var ranks []int
+	for w, split := range splits {
+		logs[w] = NewLog(len(part), slabs, len(split), payload)
+		for _, tu := range split {
+			ranks = ranksOf(tu, ranks[:0])
+			logs[w].AddRow(ranks, nil, part, tu.KeyedSize(), len(tu.Payload))
+		}
+	}
+	out := make([]Slab, slabs)
+	if err := Layout(out, logs, part); err != nil {
+		tb.Fatal(err)
+	}
+	for w, split := range splits {
+		logs[w].Scatter(out, part, split)
+	}
+	var st Sorter
+	for p := range out {
+		st.SortGroups(&out[p])
+	}
+	return out
+}
+
+// TestScatterPayloadStaysWithRow is the payload-lane property: every
+// payload encodes the (x, y, id) of its row and the ranks the row was
+// assigned to, some rows carry none, and after layout, scatter and both
+// group sorts (insertion-sized and permutation-sized groups) each slab
+// row — replicas included — still holds exactly its own payload. A slab
+// none of whose rows has a payload gets no lane.
+func TestScatterPayloadStaysWithRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	b := NewBuilder(64)
-	var slab Slab
 	for trial := 0; trial < 20; trial++ {
 		workers := 1 + rng.Intn(4)
-		segs := make([]Seg, workers)
 		numRanks := 1 + rng.Intn(64) // few ranks → large groups, many → tiny ones
+		const slabs = 3
+		part := make([]int32, numRanks)
+		for r := range part {
+			part[r] = int32(rng.Intn(slabs - 1)) // slab 2 stays empty
+		}
+		bareSlab := int32(rng.Intn(slabs - 1)) // its rows carry no payload
+		assigned := map[int64][]int{}
+		splits := make([][]tuple.Tuple, workers)
 		bare := 0
 		var payloadBytes int64
 		for i, n := 0, rng.Intn(3000); i < n; i++ {
-			w := rng.Intn(workers)
-			rank, x, y, id := int32(rng.Intn(numRanks)), rng.Float64()*10, rng.Float64()*10, int64(i)
-			var payload []byte
-			if rng.Intn(8) > 0 {
-				payload = rowKey(rank, x, y, id)
-				payloadBytes += int64(len(payload))
+			tu := tuple.Tuple{ID: int64(i), Pt: geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}}
+			ranks := []int{rng.Intn(numRanks)}
+			for rng.Intn(3) == 0 { // replicas stay in the native slab
+				if r := rng.Intn(numRanks); part[r] == part[ranks[0]] {
+					ranks = append(ranks, r)
+				}
+			}
+			assigned[tu.ID] = ranks
+			if rng.Intn(8) > 0 && part[ranks[0]] != bareSlab {
+				tu.Payload = rowKey(int32(ranks[0]), tu.Pt.X, tu.Pt.Y, tu.ID)
+				payloadBytes += int64(len(tu.Payload) * len(ranks))
 			} else {
-				bare++
+				bare += len(ranks)
 			}
-			segs[w].AppendPayload(rank, x, y, id, 32+len(payload), payload)
+			w := rng.Intn(workers)
+			splits[w] = append(splits[w], tu)
 		}
-		b.BuildInto(&slab, segs)
+		out := shuffleSplits(t, splits, func(tu tuple.Tuple, dst []int) []int { return append(dst, assigned[tu.ID]...) }, part, slabs, true)
 
-		if payloadBytes == 0 {
-			if slab.Payloads != nil {
-				t.Fatalf("trial %d: no payload appended but the slab has a lane", trial)
-			}
-			continue
-		}
-		if len(slab.Payloads) != slab.Rows() {
-			t.Fatalf("trial %d: %d payloads for %d rows", trial, len(slab.Payloads), slab.Rows())
-		}
 		var gotBytes int64
-		for _, n := range slab.WorkerPayload {
-			gotBytes += n
+		for p := range out {
+			slab := &out[p]
+			var slabPayload int64
+			for _, n := range slab.WorkerPayload {
+				slabPayload += n
+			}
+			gotBytes += slabPayload
+			if slabPayload == 0 {
+				if slab.Payloads != nil || slab.WorkerPayload != nil {
+					t.Fatalf("trial %d slab %d: no payload bytes but the slab has a lane", trial, p)
+				}
+				bare -= slab.Rows()
+				continue
+			}
+			if len(slab.Payloads) != slab.Rows() {
+				t.Fatalf("trial %d slab %d: %d payloads for %d rows", trial, p, len(slab.Payloads), slab.Rows())
+			}
+			for k := 0; k < slab.NumGroups(); k++ {
+				lo, hi := slab.Group(k)
+				if !slices.IsSorted(slab.Xs[lo:hi]) {
+					t.Fatalf("trial %d slab %d group %d not x-sorted", trial, p, k)
+				}
+				for i := lo; i < hi; i++ {
+					if !slices.Contains(assigned[slab.IDs[i]], int(slab.Ranks[k])) {
+						t.Fatalf("trial %d slab %d: row %d in rank %d, assigned %v", trial, p, slab.IDs[i], slab.Ranks[k], assigned[slab.IDs[i]])
+					}
+					if slab.Payloads[i] == nil {
+						bare--
+						continue
+					}
+					want := rowKey(int32(assigned[slab.IDs[i]][0]), slab.Xs[i], slab.Ys[i], slab.IDs[i])
+					if !bytes.Equal(slab.Payloads[i], want) {
+						t.Fatalf("trial %d slab %d group %d row %d (id %d): payload belongs to another row", trial, p, k, i, slab.IDs[i])
+					}
+				}
+				// The tuple views a kernel is handed carry the same lane.
+				for j, tu := range slab.AppendTuples(nil, k) {
+					i := lo + j
+					if tu.ID != slab.IDs[i] || tu.Pt.X != slab.Xs[i] || tu.Pt.Y != slab.Ys[i] ||
+						!bytes.Equal(tu.Payload, slab.Payloads[i]) {
+						t.Fatalf("trial %d slab %d group %d: tuple view %d diverges from its row", trial, p, k, j)
+					}
+				}
+			}
+
+			// Wire round trip: lanes and payload column survive bit for bit.
+			var back Slab
+			rest, err := back.DecodeWire(slab.AppendWire(nil))
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("trial %d: wire round trip: %v (%d trailing bytes)", trial, err, len(rest))
+			}
+			if !slices.Equal(back.Ranks, slab.Ranks) || !slices.Equal(back.Starts, slab.Starts) ||
+				!slices.Equal(back.Xs, slab.Xs) || !slices.Equal(back.Ys, slab.Ys) || !slices.Equal(back.IDs, slab.IDs) ||
+				!slices.EqualFunc(back.Payloads, slab.Payloads, bytes.Equal) {
+				t.Fatalf("trial %d: slab changed across the wire", trial)
+			}
 		}
 		if gotBytes != payloadBytes {
 			t.Fatalf("trial %d: per-worker payload bytes sum to %d, want %d", trial, gotBytes, payloadBytes)
 		}
-		for k := 0; k < slab.NumGroups(); k++ {
-			lo, hi := slab.Group(k)
-			for i := lo; i < hi; i++ {
-				if slab.Payloads[i] == nil {
-					bare--
-					continue
-				}
-				want := rowKey(slab.Ranks[k], slab.Xs[i], slab.Ys[i], slab.IDs[i])
-				if !bytes.Equal(slab.Payloads[i], want) {
-					t.Fatalf("trial %d group %d row %d (id %d): payload belongs to another row", trial, k, i, slab.IDs[i])
-				}
-			}
-			// The tuple views a kernel is handed carry the same lane.
-			for j, tu := range slab.AppendTuples(nil, k) {
-				i := lo + j
-				if tu.ID != slab.IDs[i] || tu.Pt.X != slab.Xs[i] || tu.Pt.Y != slab.Ys[i] ||
-					!bytes.Equal(tu.Payload, slab.Payloads[i]) {
-					t.Fatalf("trial %d group %d: tuple view %d diverges from its row", trial, k, j)
-				}
-			}
-		}
 		if bare != 0 {
 			t.Fatalf("trial %d: payload-less row count off by %d", trial, bare)
 		}
-
-		// Wire round trip: lanes and payload column survive bit for bit.
-		var back Slab
-		rest, err := back.DecodeWire(slab.AppendWire(nil))
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("trial %d: wire round trip: %v (%d trailing bytes)", trial, err, len(rest))
-		}
-		if !slices.Equal(back.Ranks, slab.Ranks) || !slices.Equal(back.Starts, slab.Starts) ||
-			!slices.Equal(back.Xs, slab.Xs) || !slices.Equal(back.Ys, slab.Ys) || !slices.Equal(back.IDs, slab.IDs) ||
-			!slices.EqualFunc(back.Payloads, slab.Payloads, bytes.Equal) {
-			t.Fatalf("trial %d: slab changed across the wire", trial)
+		if out[slabs-1].Rows() != 0 || len(out[slabs-1].Starts) != 1 {
+			t.Fatalf("trial %d: the slab no rank maps to holds %d rows, starts %v", trial, out[slabs-1].Rows(), out[slabs-1].Starts)
 		}
 	}
+}
 
-	b.BuildInto(&slab, randSegs(rng, 2, 100, 64, 0))
-	if slab.Payloads != nil || slab.WorkerPayload != nil {
-		t.Fatal("slab reused for a point partition kept its payload lane")
+// TestLayoutRejectsOffsetOverflow: slab offsets are int32, so a slab
+// side past 2³¹−1 rows must be an error — found from the histograms
+// alone, before any lane is allocated — and a slab exactly at the limit
+// must not be. The logs here are synthetic counts; no row exists.
+func TestLayoutRejectsOffsetOverflow(t *testing.T) {
+	hist := func(counts ...int32) Log {
+		return Log{rows: counts, bytes: make([]int64, 2)}
+	}
+	part := []int32{0, 1, 0, 1}
+	// Slab 1 receives (1<<30)+(1<<30) rows in rank 1 and 5 in rank 3.
+	logs := []Log{hist(3, 1<<30, 0, 5), hist(0, 1<<30, 7, 0)}
+	err := Layout(make([]Slab, 2), logs, part)
+	if err == nil {
+		t.Fatal("a slab of 2³¹+5 rows was laid out with 32-bit offsets")
+	}
+	if want := "partition 1 holds 2147483653 rows"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the slab and its size (%q)", err, want)
+	}
+	if logs[0].rows[1] != 1<<30 || logs[1].rows[2] != 7 {
+		t.Fatal("a failed layout rewrote the histograms")
 	}
 }
 
@@ -354,25 +408,28 @@ func TestHilbertAdjacency(t *testing.T) {
 }
 
 // BenchmarkBuildJoinHilbert is the bench-smoke row for the
-// Hilbert-ordered slab path: map segments whose ranks follow
-// HilbertRanks, counting-sorted into slabs, then joined. One op is one
-// reduce partition's shuffle + join.
+// Hilbert-ordered slab path on the engine's entry points: four splits
+// per side logged by Hilbert rank, laid out, scattered and sorted into
+// one slab each, then joined. One op is one reduce partition's map log
+// + shuffle + join.
 func BenchmarkBuildJoinHilbert(b *testing.B) {
 	const nx, ny = 16, 16
 	ranks := HilbertRanks(nx, ny)
+	part := make([]int32, nx*ny)
 	rng := rand.New(rand.NewSource(3))
-	mkSegs := func(idBase int64) []Seg {
-		segs := make([]Seg, 4)
+	mkSplits := func(idBase int64) [][]tuple.Tuple {
+		splits := make([][]tuple.Tuple, 4)
 		for i := 0; i < 20000; i++ {
-			x, y := rng.Float64()*float64(nx), rng.Float64()*float64(ny)
-			cell := int(y)*nx + int(x)
-			segs[rng.Intn(len(segs))].Append(ranks[cell], x, y, idBase+int64(i), 24)
+			tu := tuple.Tuple{ID: idBase + int64(i), Pt: geom.Point{X: rng.Float64() * nx, Y: rng.Float64() * ny}}
+			w := rng.Intn(len(splits))
+			splits[w] = append(splits[w], tu)
 		}
-		return segs
+		return splits
 	}
-	rsegs, ssegs := mkSegs(0), mkSegs(1<<40)
-	bl := NewBuilder(nx * ny)
-	var rslab, sslab Slab
+	hilbert := func(tu tuple.Tuple, dst []int) []int {
+		return append(dst, int(ranks[int(tu.Pt.Y)*nx+int(tu.Pt.X)]))
+	}
+	rsplits, ssplits := mkSplits(0), mkSplits(1<<40)
 	var pairs int64
 	bufs := colsweep.Get()
 	defer colsweep.Put(bufs)
@@ -380,9 +437,9 @@ func BenchmarkBuildJoinHilbert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bl.BuildInto(&rslab, rsegs)
-		bl.BuildInto(&sslab, ssegs)
-		JoinSlabs(&rslab, &sslab, 0.1, bat)
+		rs := shuffleSplits(b, rsplits, hilbert, part, 1, false)
+		ss := shuffleSplits(b, ssplits, hilbert, part, 1, false)
+		JoinSlabs(&rs[0], &ss[0], 0.1, bat)
 		bat.Flush()
 	}
 	_ = pairs

@@ -10,19 +10,24 @@
 //
 //   - an input split per worker plays the role of an HDFS partition,
 //   - Assign is the flatMapToPair that keys each tuple by the 1D cell ids
-//     the replication algorithm chooses; every replica is appended as
-//     one row of the map worker's per-partition columnar segment,
+//     the replication algorithm chooses; a map worker runs it once over
+//     its split and logs only the rank of every replica and a per-rank
+//     row count — the coordinates stay in the input tuples,
 //   - a Partitioner routes cell ids to reduce partitions (hash-based, or
 //     an explicit LPT placement), and each reduce partition is owned by a
 //     worker round-robin,
 //   - shuffled bytes are computed from the tuple wire-size model, and the
 //     subset that crosses worker boundaries is reported as "shuffle remote
 //     reads",
-//   - the shuffle counting-sorts each reduce partition's segments into
-//     one slab per side — rows grouped by cell, each group x-sorted once
-//     — and the partition join merges the two slabs' group lists and
-//     sweeps each matched cell in place, applying the ε-distance
-//     refinement (or hands the cell's rows to the spec's Kernel).
+//   - the shuffle is one parallel counting sort into one slab per side
+//     per reduce partition: a walk over the ranks turns the workers'
+//     counts into every slab's group directory and every worker's write
+//     cursors, the workers replay their logs and write each replica from
+//     its input tuple straight to its final lane position, and each
+//     group is x-sorted once; the partition join merges the two slabs'
+//     group lists and sweeps each matched cell in place, applying the
+//     ε-distance refinement (or hands the cell's rows to the spec's
+//     Kernel).
 //
 // The reduce phase runs on a pluggable Engine: the default local engine
 // joins partitions on an in-process goroutine pool of simulated workers,
@@ -41,6 +46,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spatialjoin/internal/colpipe"
@@ -202,8 +208,9 @@ type Spec struct {
 	TraceParent obs.SpanID
 
 	// Cells declares that every cell id the Assigns produce lies in
-	// [0, Cells). Required: the map phase routes replicas through a
-	// Cells-sized partition table and the shuffle counting-sorts on it.
+	// [0, Cells). Required: the map phase counts replicas per cell rank
+	// and routes them through a Cells-sized partition table, and the
+	// shuffle counting-sorts on both.
 	Cells int
 	// CellRank optionally maps cell id → slab group rank (any bijection
 	// onto [0, Cells)); nil means identity. Orchestrators pass a
@@ -349,11 +356,14 @@ type Prepared struct {
 }
 
 // Prepare runs the map and shuffle phases of the pipeline and returns the
-// partitioned datasets without joining them: map workers append replicas
-// straight into columnar segments keyed by cell rank, and the shuffle
-// counting-sorts each partition's segments into a kernel-ready slab
-// (groups ascending by rank, each group x-sorted once). It returns an
-// error on invalid configuration; the phases themselves cannot fail.
+// partitioned datasets without joining them. The map phase runs the
+// assignment once per input row and keeps a log per worker (replica
+// ranks and a per-rank histogram, no coordinates); the shuffle lays
+// every slab out from the histograms, has the workers scatter their
+// replicas from the input tuples straight into the final lane
+// positions, and x-sorts each group once — the same slabs whatever
+// PoolSize is. It returns an error on invalid configuration or when a
+// partition side outgrows the slabs' 32-bit offsets.
 func Prepare(spec Spec) (*Prepared, error) {
 	if spec.Eps <= 0 {
 		return nil, fmt.Errorf("dpe: eps must be positive, got %v", spec.Eps)
@@ -387,51 +397,54 @@ func Prepare(spec Spec) (*Prepared, error) {
 	nparts := spec.Part.NumPartitions()
 
 	// With every cell id in [0, Cells), partition routing is one table
-	// lookup per replica instead of a hash per replica.
-	partTab := make([]int32, spec.Cells)
-	for c := range partTab {
-		partTab[c] = int32(spec.Part.PartitionOf(c))
+	// lookup per replica instead of a hash per replica. The table is
+	// keyed by rank, the id the log and the slabs carry.
+	part := make([]int32, spec.Cells)
+	for c := range part {
+		r := c
+		if spec.CellRank != nil {
+			r = int(spec.CellRank[c])
+		}
+		part[r] = int32(spec.Part.PartitionOf(c))
 	}
 
 	// ---- Map phase: flatMapToPair on both inputs, one split per worker.
 	replSp := spec.Tracer.Start(spec.TraceParent, obs.SpanReplicate)
 	start := time.Now()
-	outR, replR, busyR := mapPhase(&spec, tuple.R, partTab, nparts, workers)
-	outS, replS, busyS := mapPhase(&spec, tuple.S, partTab, nparts, workers)
-	res.ReplicatedR, res.ReplicatedS = replR, replS
+	logR, busyR := mapPhase(&spec, tuple.R, part, nparts, workers)
+	logS, busyS := mapPhase(&spec, tuple.S, part, nparts, workers)
 	res.MapTime = time.Since(start)
-	replSp.SetInt("replicated_r", replR).SetInt("replicated_s", replS)
-	replSp.End()
 	res.MapBusy = make([]time.Duration, workers)
+	recsR, recsS := int64(0), int64(0)
 	for w := 0; w < workers; w++ {
 		res.MapBusy[w] = busyR[w] + busyS[w]
+		recsR += int64(logR[w].Replicas())
+		recsS += int64(logS[w].Replicas())
 	}
+	replR, replS := recsR-int64(len(spec.R)), recsS-int64(len(spec.S))
+	res.ReplicatedR, res.ReplicatedS = replR, replS
+	replSp.SetInt("replicated_r", replR).SetInt("replicated_s", replS)
+	replSp.End()
 
-	// ---- Shuffle: counting-sort each partition's per-worker segments
-	// into one slab per side. A record is a remote read when the
-	// partition's owner differs from the worker that produced it; the
-	// slab's per-worker byte counters carry that split.
+	// ---- Shuffle: counting-sort both sides into one slab per partition.
+	// A record is a remote read when the partition's owner differs from
+	// the worker that produced it; the slab's per-worker byte counters
+	// carry that split.
 	shufSp := spec.Tracer.Start(spec.TraceParent, obs.SpanShuffle)
 	start = time.Now()
-	builder := colpipe.NewBuilder(spec.Cells)
-	pr.partR = make([]colpipe.Slab, nparts)
-	pr.partS = make([]colpipe.Slab, nparts)
-	scratch := make([]colpipe.Seg, workers)
-	var bytesR, bytesS, recsR, recsS int64
+	var err error
+	if pr.partR, err = shuffle(&spec, tuple.R, logR, part, nparts); err == nil {
+		pr.partS, err = shuffle(&spec, tuple.S, logS, part, nparts)
+	}
+	if err != nil {
+		shufSp.End()
+		return nil, err
+	}
+	var bytesR, bytesS int64
 	for p := 0; p < nparts; p++ {
 		owner := p % workers
-		for w := 0; w < workers; w++ {
-			scratch[w] = outR[w][p]
-		}
-		builder.BuildInto(&pr.partR[p], scratch)
-		for w := 0; w < workers; w++ {
-			scratch[w] = outS[w][p]
-		}
-		builder.BuildInto(&pr.partS[p], scratch)
 		bytesR += pr.partR[p].Bytes
 		bytesS += pr.partS[p].Bytes
-		recsR += int64(pr.partR[p].Rows())
-		recsS += int64(pr.partS[p].Rows())
 		for w := 0; w < workers; w++ {
 			if w != owner {
 				res.RemoteBytes += pr.partR[p].WorkerBytes[w] + pr.partS[p].WorkerBytes[w]
@@ -458,88 +471,91 @@ func Prepare(spec Spec) (*Prepared, error) {
 	return pr, nil
 }
 
-// tupleAssign lifts a point Assign to a TupleAssign unless the caller
-// already supplied a whole-tuple assignment, which wins.
-func tupleAssign(pt Assign, whole TupleAssign) TupleAssign {
-	if whole != nil {
-		return whole
+// side returns one input of the join and its assignment: the point
+// Assign lifted to a TupleAssign unless the caller supplied a
+// whole-tuple assignment, which wins.
+func (spec *Spec) side(set tuple.Set) ([]tuple.Tuple, TupleAssign) {
+	in, pt, whole := spec.R, spec.AssignR, spec.TupleAssignR
+	if set == tuple.S {
+		in, pt, whole = spec.S, spec.AssignS, spec.TupleAssignS
 	}
-	return func(t tuple.Tuple, set tuple.Set, dst []int) []int {
+	if whole != nil {
+		return in, whole
+	}
+	return in, func(t tuple.Tuple, set tuple.Set, dst []int) []int {
 		return pt(t.Pt, set, dst)
 	}
 }
 
-// mapPhase assigns one input over the worker pool: each worker appends
-// every replica of its split — rank, coordinates, id, modelled wire
-// bytes, and the payload when a Kernel will read it — into its own
-// per-partition segment. Halo replicas become ordinary slab rows after
-// the shuffle. It returns the per-worker, per-partition segments, the
-// replication count (assignments beyond the native cell) and the
-// per-worker busy time.
-func mapPhase(spec *Spec, set tuple.Set, partTab []int32, nparts, workers int) ([][]colpipe.Seg, int64, []time.Duration) {
-	in, assign := spec.R, tupleAssign(spec.AssignR, spec.TupleAssignR)
-	if set == tuple.S {
-		in, assign = spec.S, tupleAssign(spec.AssignS, spec.TupleAssignS)
-	}
-	rank, carry := spec.CellRank, spec.Kernel != nil
-
-	out := make([][]colpipe.Seg, workers)
-	repl := make([]int64, workers)
-	busy := make([]time.Duration, workers)
+// eachWorker runs fn(w) for every simulated worker w, with at most
+// maxParallel(workers, pool) of them in flight, and waits for all.
+func eachWorker(workers, pool int, fn func(w int)) {
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel(workers, spec.PoolSize))
-	chunk := (len(in) + workers - 1) / workers
+	sem := make(chan struct{}, maxParallel(workers, pool))
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo > len(in) {
-			lo = len(in)
-		}
-		if hi > len(in) {
-			hi = len(in)
-		}
-		out[w] = make([]colpipe.Seg, nparts)
 		wg.Add(1)
-		go func(w int, split []tuple.Tuple) {
+		go func(w int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			t0 := time.Now()
-			var cells []int
-			segs := out[w]
-			// Reserve the native-rows floor per partition up front;
-			// replicas overflow into at most one further doubling.
-			if est := len(split) / nparts; est > 0 {
-				for p := range segs {
-					segs[p].Grow(est)
-				}
-			}
-			for i := range split {
-				t := &split[i]
-				cells = assign(*t, set, cells[:0])
-				repl[w] += int64(len(cells) - 1)
-				sz := t.KeyedSize()
-				for _, c := range cells {
-					rk := int32(c)
-					if rank != nil {
-						rk = rank[c]
-					}
-					if carry {
-						segs[partTab[c]].AppendPayload(rk, t.Pt.X, t.Pt.Y, t.ID, sz, t.Payload)
-					} else {
-						segs[partTab[c]].Append(rk, t.Pt.X, t.Pt.Y, t.ID, sz)
-					}
-				}
-			}
-			busy[w] = time.Since(t0)
-		}(w, in[lo:hi])
+			fn(w)
+		}(w)
 	}
 	wg.Wait()
-	var total int64
-	for _, r := range repl {
-		total += r
+}
+
+// splitOf returns worker w's contiguous split of the input.
+func splitOf(in []tuple.Tuple, w, workers int) []tuple.Tuple {
+	chunk := (len(in) + workers - 1) / workers
+	return in[min(w*chunk, len(in)):min((w+1)*chunk, len(in))]
+}
+
+// mapPhase assigns one input over the worker pool: each worker runs the
+// assignment once over its split and logs what the shuffle needs to
+// place the replicas — ranks, per-rank counts, modelled (and, when a
+// Kernel will read them, payload) bytes per partition. Nothing is copied
+// yet. It returns the per-worker logs and busy times.
+func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]colpipe.Log, []time.Duration) {
+	in, assign := spec.side(set)
+	logs := make([]colpipe.Log, workers)
+	busy := make([]time.Duration, workers)
+	eachWorker(workers, spec.PoolSize, func(w int) {
+		t0 := time.Now()
+		split := splitOf(in, w, workers)
+		lg := colpipe.NewLog(spec.Cells, nparts, len(split), spec.Kernel != nil)
+		var cells []int
+		for i := range split {
+			t := &split[i]
+			cells = assign(*t, set, cells[:0])
+			lg.AddRow(cells, spec.CellRank, part, t.KeyedSize(), len(t.Payload))
+		}
+		logs[w] = lg
+		busy[w] = time.Since(t0)
+	})
+	return logs, busy
+}
+
+// shuffle turns one input's assignment logs into its slabs: layout, then
+// the workers scatter their splits in parallel (disjoint write ranges,
+// nothing is locked), then the partitions' groups are x-sorted in
+// parallel with one sort scratch per goroutine.
+func shuffle(spec *Spec, set tuple.Set, logs []colpipe.Log, part []int32, nparts int) ([]colpipe.Slab, error) {
+	in, _ := spec.side(set)
+	slabs := make([]colpipe.Slab, nparts)
+	if err := colpipe.Layout(slabs, logs, part); err != nil {
+		return nil, fmt.Errorf("dpe: shuffle of %v: %w", set, err)
 	}
-	return out, total, busy
+	eachWorker(len(logs), spec.PoolSize, func(w int) {
+		logs[w].Scatter(slabs, part, splitOf(in, w, len(logs)))
+	})
+	var next atomic.Int32
+	eachWorker(maxParallel(nparts, spec.PoolSize), spec.PoolSize, func(int) {
+		var st colpipe.Sorter
+		for p := int(next.Add(1)) - 1; p < nparts; p = int(next.Add(1)) - 1 {
+			st.SortGroups(&slabs[p])
+		}
+	})
+	return slabs, nil
 }
 
 // Eps returns the distance threshold the plan was prepared for — the
