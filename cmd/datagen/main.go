@@ -20,9 +20,9 @@
 //
 // With -stream-out the points are streamed straight into the durable
 // store's columnar format (a .col file loadable by sjoind's -data-dir
-// machinery and cmd/bench) without ever materializing the whole data
-// set in memory, so sets larger than RAM can be generated. The
-// streaming generators make exactly the same rng draws as the in-memory
+// machinery) without ever materializing the whole data set in memory,
+// so sets larger than RAM can be generated. The streaming generators
+// make exactly the same rng draws as the in-memory
 // ones: the same (kind, n, seed) yields identical points either way —
 // and with -geom, identical objects in identical draw order.
 package main

@@ -1,0 +1,191 @@
+package spatialjoin
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"spatialjoin/internal/obs"
+)
+
+// everyAlgorithm is allAlgorithms plus the planner's choice among them.
+func everyAlgorithm() []Algorithm { return append(allAlgorithms(), AutoPlanned) }
+
+func supportsSelfJoin(a Algorithm) bool {
+	return a != AdaptiveSimpleDedup && a != AutoPlanned
+}
+
+// checkTraceAndPool asserts what every entry point owes a caller that
+// passed Options.Trace and PoolSize 1: a plan span, task spans that name
+// their worker, and no two tasks running at once.
+func checkTraceAndPool(t *testing.T, tr *Tracer) {
+	t.Helper()
+	var tasks []obs.Span
+	plans := 0
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
+		case obs.SpanPlan, obs.SpanPartition:
+			plans++
+		case obs.SpanTask:
+			if sp.Worker == "" {
+				t.Errorf("task span %d has no worker id", sp.ID)
+			}
+			tasks = append(tasks, sp)
+		}
+	}
+	if plans == 0 {
+		t.Errorf("no plan/partition span among %d spans", tr.Len())
+	}
+	if len(tasks) == 0 {
+		t.Fatalf("no task span among %d spans", tr.Len())
+	}
+	if len(tr.Tree()) != 1 {
+		t.Errorf("trace has %d roots, want one tree", len(tr.Tree()))
+	}
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Start < tasks[j].Start })
+	for i := 1; i < len(tasks); i++ {
+		if tasks[i].Start < tasks[i-1].Done {
+			t.Fatalf("PoolSize 1: tasks %d and %d overlap in time", tasks[i-1].ID, tasks[i].ID)
+		}
+	}
+}
+
+// TestTraceAndPoolReachEveryEntryPoint: Options.Trace and Options.PoolSize
+// are common fields, so every algorithm honours them through every entry
+// point — Join, Prepare + Execute, SelfJoin and JoinObjects.
+func TestTraceAndPoolReachEveryEntryPoint(t *testing.T) {
+	rs := GenerateTigerLike(1500, 41)
+	ss := GenerateGaussian(1500, 42)
+	for _, a := range everyAlgorithm() {
+		opt := Options{Eps: 0.6, Algorithm: a, Workers: 4, Partitions: 8, PoolSize: 1, Seed: 3}
+		t.Run(a.String()+"/Join", func(t *testing.T) {
+			o := opt
+			o.Trace = NewTracer()
+			if _, err := Join(rs, ss, o); err != nil {
+				t.Fatal(err)
+			}
+			checkTraceAndPool(t, o.Trace)
+		})
+		t.Run(a.String()+"/PrepareExecute", func(t *testing.T) {
+			o := opt
+			o.Trace = NewTracer()
+			root := o.Trace.Start(0, obs.SpanJoin)
+			o.TraceParent = root.SpanID()
+			p, err := Prepare(rs, ss, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Execute(ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			checkTraceAndPool(t, o.Trace)
+		})
+		if !supportsSelfJoin(a) {
+			continue
+		}
+		t.Run(a.String()+"/SelfJoin", func(t *testing.T) {
+			o := opt
+			o.Trace = NewTracer()
+			if _, err := SelfJoin(rs, o); err != nil {
+				t.Fatal(err)
+			}
+			checkTraceAndPool(t, o.Trace)
+		})
+	}
+	t.Run("JoinObjects", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		ro := randomMixedObjects(rng, 300, 0)
+		so := randomMixedObjects(rng, 300, 1_000_000)
+		tr := NewTracer()
+		if _, err := JoinObjects(ro, so, Options{Eps: 0.8, Workers: 4, Partitions: 8, PoolSize: 1, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		checkTraceAndPool(t, tr)
+	})
+}
+
+// TestHostileEps: a non-finite ε, or one so small the grid would need
+// more cells than a plan may have, is an error from every algorithm and
+// entry point — never a panic, a silent empty result or a giant
+// allocation. An ε at or beyond the world's extent is a valid join of
+// everything with everything.
+func TestHostileEps(t *testing.T) {
+	rs := GenerateUniform(300, 51)
+	ss := GenerateUniform(300, 52)
+	world := World()
+	for _, a := range everyAlgorithm() {
+		for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e-12, 1e-3} {
+			name := fmt.Sprintf("%v/eps=%v", a, eps)
+			opt := Options{Eps: eps, Algorithm: a, Bounds: &world, Workers: 2}
+			if a == SedonaLike && eps > 0 && !math.IsInf(eps, 0) {
+				// No grid: quadtree leaves are bounded by the sample, so a
+				// tiny finite ε is simply a join with few results.
+				if _, err := Join(rs, ss, opt); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				continue
+			}
+			if _, err := Join(rs, ss, opt); err == nil {
+				t.Errorf("%s: Join accepted it", name)
+			}
+			if _, err := Prepare(rs, ss, opt); err == nil {
+				t.Errorf("%s: Prepare accepted it", name)
+			}
+			if supportsSelfJoin(a) {
+				if _, err := SelfJoin(rs, opt); err == nil {
+					t.Errorf("%s: SelfJoin accepted it", name)
+				}
+			}
+		}
+		for _, eps := range []float64{world.Width(), 4 * world.Width()} {
+			rep, err := Join(rs, ss, Options{Eps: eps * math.Sqrt2, Algorithm: a, Bounds: &world, Workers: 2})
+			if err != nil {
+				t.Errorf("%v/eps=%v: %v", a, eps, err)
+			} else if rep.Results != int64(len(rs)*len(ss)) {
+				t.Errorf("%v/eps=%v: %d pairs, want all %d", a, eps, rep.Results, len(rs)*len(ss))
+			}
+		}
+	}
+	if _, err := JoinObjects([]Object{NewPointObject(1, Point{X: 1, Y: 1})}, nil, Options{Eps: math.NaN()}); err == nil {
+		t.Error("JoinObjects accepted eps=NaN")
+	}
+}
+
+// TestAutoPlannedSamplesOnce: AutoPlanned costs the strategies on the
+// sample and graph its own plan is then built from, so the report is the
+// resolved algorithm's field for field and the trace shows one sample
+// phase. (internal/planner covers the universal outcomes, which
+// MinShuffle never reaches on natural data.)
+func TestAutoPlannedSamplesOnce(t *testing.T) {
+	rs, ss := GenerateTigerLike(6000, 1), GenerateGaussian(6000, 2)
+	opt := Options{Eps: 0.6, Algorithm: AutoPlanned, SampleFraction: 0.2, Seed: 3, Workers: 4, Partitions: 16}
+	tr := NewTracer()
+	opt.Trace = tr
+	auto, err := Join(rs, ss, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Algorithm == AutoPlanned {
+		t.Fatal("report must carry the resolved algorithm")
+	}
+	opt.Algorithm, opt.Trace = auto.Algorithm, nil
+	want, err := Join(rs, ss, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if countersOf(auto) != countersOf(want) {
+		t.Errorf("auto %+v\n%v %+v", countersOf(auto), want.Algorithm, countersOf(want))
+	}
+	samples := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name == obs.SpanSample {
+			samples++
+		}
+	}
+	if samples != 1 {
+		t.Errorf("%d sample spans, want 1", samples)
+	}
+}

@@ -259,8 +259,8 @@ func benchCells(cells, perSide int, extent, _ float64) (rss, sss [][]tuple.Tuple
 }
 
 // BenchmarkJoinCellColumnar is the headline sweep microbenchmark: the
-// columnar kernel over 64 cells of 256+256 points. pairs/sec is the
-// throughput number BENCH_sweep.json tracks.
+// columnar kernel over 64 cells of 256+256 points. The benchmark's layer
+// pass tracks the same throughput as colsweep.pairs_per_s.
 func BenchmarkJoinCellColumnar(b *testing.B) {
 	rss, sss := benchCells(64, 256, 8, 0)
 	const eps = 0.5

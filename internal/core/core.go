@@ -1,7 +1,9 @@
-// Package core implements the paper's contribution end to end: the
-// parallel ε-distance spatial join with adaptive replication (Algorithm 5).
+// Package core is the library's one point-join orchestrator (BuildPlan)
+// and implements the paper's contribution end to end as its default
+// scheme: the parallel ε-distance spatial join with adaptive replication
+// (Algorithm 5). The baselines are other schemes on the same orchestrator.
 //
-// The pipeline follows the paper's phases exactly:
+// The adaptive pipeline follows the paper's phases exactly:
 //
 //  1. Sampling: a Bernoulli sample of each input feeds per-cell statistics
 //     (paper default 3%).
@@ -22,6 +24,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -37,10 +40,10 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// Config parameterises one adaptive join execution. Zero values select
-// the paper's defaults where one exists.
+// Config parameterises one join execution. Zero values select the
+// paper's defaults where one exists.
 type Config struct {
-	Eps            float64           // join distance threshold (required, > 0)
+	Eps            float64           // join distance threshold (required, finite, > 0)
 	Res            float64           // grid resolution multiplier k (cell side k·ε); default 2
 	Policy         agreements.Policy // LPiB (default) or DIFF; UniR/UniS give PBSM-as-agreements
 	SampleFraction float64           // default 0.03 (the paper's 3%)
@@ -56,6 +59,12 @@ type Config struct {
 	Bounds         *geom.Rect        // data-space MBR; computed from the inputs when nil
 	NetBandwidth   float64           // simulated bytes/s per worker link (0: off)
 	PoolSize       int               // OS-level goroutine pool cap; default GOMAXPROCS
+
+	// Scheme is the algorithm: which cells a point is assigned to. Nil is
+	// the paper's adaptive replication, which Res, Policy, UseLPT, Order,
+	// Simple and SampleR/SampleS parameterise; the baselines (internal/pbsm,
+	// internal/sedonasim) and the cost-model planner supply their own.
+	Scheme Scheme
 
 	// Engine selects the execution backend for the partition-level joins:
 	// nil runs them on the in-process local engine; a cluster engine ships
@@ -77,26 +86,65 @@ type Config struct {
 	TraceParent obs.SpanID
 }
 
-// Result is the outcome of an adaptive join.
+// Scheme is the one thing the point algorithms differ in. BuildPlan
+// hands it the resolved Input, the join's dpe.Spec with everything
+// common already filled in, and the Plan to report on; the scheme fills
+// in what varies — Cells (and CellRank), AssignR/AssignS, Part, Kernel
+// with its KernelDesc, Dedup, Broadcast — and the Plan's Grid, Graph,
+// SampleTime, BuildTime and BroadcastBytes where it has them.
+//
+// A scheme must guarantee what dpe relies on: each Assign emits the
+// native cell first, every id lies in [0, Cells), and every pair within
+// ε′ of each other is co-located in exactly one cell for any ε′ ≤ Eps
+// (or, with Dedup, in at least one), so one plan serves every smaller
+// threshold.
+type Scheme func(in Input, spec *dpe.Spec, p *Plan) error
+
+// Input is what BuildPlan resolved before calling the scheme.
+type Input struct {
+	Config     // defaults applied (SampleFraction, Workers)
+	R, S       []tuple.Tuple
+	Bounds     geom.Rect // Config.Bounds, or the inputs' MBR
+	Partitions int       // reduce partitions, default applied
+	Span       *obs.Span // the plan span: parent of the scheme's own spans
+}
+
+// MaxCells bounds the cells a plan's grid may have.
+const MaxCells = 1 << 22
+
+// Grid returns the grid of cell side res·ε over the bounds, or an error
+// when it would exceed MaxCells. Every plan keeps dense Cells-sized
+// tables (sample statistics, agreements, the rank → partition table, one
+// histogram per map worker), so the cell count is checked — in floating
+// point, NX·NY overflows int at small ε — before any of them exists.
+func (in Input) Grid(res float64) (*grid.Grid, error) {
+	tile := res * in.Eps
+	nx, ny := math.Ceil(in.Bounds.Width()/tile), math.Ceil(in.Bounds.Height()/tile)
+	if cells := math.Max(nx, 1) * math.Max(ny, 1); !(cells <= MaxCells) {
+		return nil, fmt.Errorf("core: eps %v asks for a %.4g-cell grid (cell side %v over %v × %v) to join %d input rows; plan tables are dense, one entry per cell, and the limit is %d cells",
+			in.Eps, cells, tile, in.Bounds.Width(), in.Bounds.Height(), len(in.R)+len(in.S), MaxCells)
+	}
+	return grid.New(in.Bounds, in.Eps, res), nil
+}
+
+// Result is the outcome of a join.
 type Result struct {
 	dpe.Metrics
 	Pairs []tuple.Pair      // when Config.Collect
-	Grid  *grid.Grid        // the grid used
-	Graph *agreements.Graph // the resolved graph of agreements
+	Grid  *grid.Grid        // the grid used (nil for gridless schemes)
+	Graph *agreements.Graph // the resolved graph of agreements (adaptive scheme only)
 }
 
-// Plan is a reusable adaptive-join execution plan: the grid, sampled
-// statistics, resolved graph of agreements, cell placement, and the
-// already-replicated partition-bucketed tuples. Building one pays the
+// Plan is a reusable join execution plan: what the scheme built (grid,
+// resolved graph of agreements) and the already-replicated
+// partition-bucketed tuples. Building one pays the
 // whole construction pipeline once; Execute then runs only the
 // partition-level joins and may be called repeatedly and concurrently.
 type Plan struct {
 	Grid  *grid.Grid
-	Stats *grid.Stats
 	Graph *agreements.Graph
 
 	prep *dpe.Prepared
-	cfg  Config
 
 	// SampleTime and BuildTime are the construction-phase timings;
 	// BroadcastBytes is the graph's wire size per receiving node.
@@ -104,82 +152,37 @@ type Plan struct {
 	BroadcastBytes        int64
 }
 
-// BuildPlan runs phases 1-3 of the paper's pipeline — sampling, graph of
-// agreements, cell placement, mapping and shuffling — and returns the
-// reusable plan without joining the partitions.
+// BuildPlan is the library's one point-join orchestrator. It validates ε,
+// resolves parallelism and bounds, has the scheme fill in the assignment
+// (for the default adaptive scheme: phases 1-2 of the paper's pipeline,
+// sampling and the graph of agreements with its cell placement), then
+// maps and shuffles on the engine, and returns the reusable plan without
+// joining the partitions.
 func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
-	if cfg.Eps <= 0 {
-		return nil, fmt.Errorf("core: Eps must be positive, got %v", cfg.Eps)
-	}
-	if cfg.Res == 0 {
-		cfg.Res = 2
-	}
-	if cfg.Res < 2 {
-		return nil, fmt.Errorf("core: grid resolution %v violates the l >= 2ε requirement of agreements", cfg.Res)
+	if !(cfg.Eps > 0) || math.IsInf(cfg.Eps, 0) {
+		return nil, fmt.Errorf("core: Eps must be positive and finite, got %v", cfg.Eps)
 	}
 	if cfg.SampleFraction == 0 {
 		cfg.SampleFraction = sample.DefaultFraction
 	}
-	workers, partitions := Parallelism(cfg.Workers, cfg.Partitions)
-
-	bounds := DataBounds(cfg.Bounds, rs, ss)
-	g := grid.New(bounds, cfg.Eps, cfg.Res)
-
+	scheme := cfg.Scheme
+	if scheme == nil {
+		scheme = adaptive
+	}
+	var partitions int
+	cfg.Workers, partitions = Parallelism(cfg.Workers, cfg.Partitions)
 	planSp := cfg.Tracer.Start(cfg.TraceParent, obs.SpanPlan)
-	planSp.SetInt("cells", int64(g.NumCells()))
-
-	// Phase 1: sampling (skipped when the caller supplies cached samples).
-	sampleSp := cfg.Tracer.Start(planSp.SpanID(), obs.SpanSample)
-	start := time.Now()
-	st := grid.NewStats(g)
-	sr, sSample := cfg.SampleR, cfg.SampleS
-	if sr == nil {
-		sr = sample.Bernoulli(rs, cfg.SampleFraction, cfg.Seed)
-	}
-	if sSample == nil {
-		sSample = sample.Bernoulli(ss, cfg.SampleFraction, cfg.Seed+1)
-	}
-	st.AddAll(tuple.R, sr)
-	st.AddAll(tuple.S, sSample)
-	sampleTime := time.Since(start)
-	sampleSp.SetInt("sample_r", int64(len(sr))).SetInt("sample_s", int64(len(sSample)))
-	sampleSp.End()
-
-	// Phase 2: graph of agreements + duplicate-free resolution, and the
-	// cell placement.
-	partSp := cfg.Tracer.Start(planSp.SpanID(), obs.SpanPartition)
-	start = time.Now()
-	gr := agreements.BuildOrdered(st, cfg.Policy, cfg.Order)
-	var part dpe.Partitioner = dpe.HashPartitioner{N: partitions}
-	if cfg.UseLPT {
-		costs := gr.EstimatedCosts(st)
-		part = dpe.ExplicitPartitioner{Table: lpt.Assign(costs, partitions), N: partitions}
-	}
-	buildTime := time.Since(start)
-	if partSp != nil {
-		marked, locked := edgeCounts(gr)
-		partSp.SetInt("partitions", int64(partitions))
-		partSp.SetInt("marked_edges", marked).SetInt("locked_edges", locked)
-	}
-	partSp.End()
-
-	// Phase 3: mapping and shuffling on the engine.
-	assign := func(p geom.Point, set tuple.Set, dst []int) []int {
-		return replicate.Adaptive(gr, p, set, dst)
-	}
-	if cfg.Simple {
-		assign = func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.AdaptiveSimple(gr, p, set, dst)
-		}
+	in := Input{
+		Config: cfg, R: rs, S: ss,
+		Bounds:     DataBounds(cfg.Bounds, rs, ss),
+		Partitions: partitions,
+		Span:       planSp,
 	}
 	spec := dpe.Spec{
 		R: rs, S: ss, Eps: cfg.Eps,
-		AssignR: assign, AssignS: assign,
-		Part:       part,
-		Workers:    workers,
+		Workers:    cfg.Workers,
 		Kernel:     cfg.Kernel,
 		Collect:    cfg.Collect,
-		Dedup:      cfg.Simple,
 		SelfFilter: cfg.SelfFilter,
 
 		NetBandwidth: cfg.NetBandwidth,
@@ -188,54 +191,119 @@ func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
 
 		Tracer:      cfg.Tracer,
 		TraceParent: cfg.TraceParent,
-
-		// The adaptive assigns emit cell ids of the 2ε-grid; ranking
-		// them along the Hilbert curve keeps adjacent slab groups
-		// spatially adjacent.
-		Cells:    gr.Grid.NumCells(),
-		CellRank: colpipe.HilbertRanks(gr.Grid.NX, gr.Grid.NY),
 	}
-	if cfg.Engine != nil {
-		spec.Broadcast = broadcastBlob(gr, part)
-	}
+	p := &Plan{}
+	err := scheme(in, &spec, p)
+	planSp.SetInt("cells", int64(spec.Cells))
 	planSp.End()
-	prep, err := dpe.Prepare(spec)
 	if err != nil {
 		return nil, err
 	}
+	if p.prep, err = dpe.Prepare(spec); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// adaptive is the default scheme, the paper's contribution: sample both
+// inputs, then assign by the graph of agreements built on the sample.
+func adaptive(in Input, spec *dpe.Spec, p *Plan) error {
+	st, err := SampleStats(in, p)
+	if err != nil {
+		return err
+	}
+	Adaptive(in, spec, p, st, nil)
+	return nil
+}
+
+// SampleStats is phase 1: it builds the scheme's Res·ε grid and the
+// per-cell statistics of a Bernoulli sample of each input (drawn here
+// unless the caller supplied cached samples), and records them on p.
+func SampleStats(in Input, p *Plan) (*grid.Stats, error) {
+	res := in.Res
+	if res == 0 {
+		res = 2
+	}
+	if res < 2 {
+		return nil, fmt.Errorf("core: grid resolution %v violates the l >= 2ε requirement of agreements", res)
+	}
+	g, err := in.Grid(res)
+	if err != nil {
+		return nil, err
+	}
+	sampleSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanSample)
+	start := time.Now()
+	st := grid.NewStats(g)
+	sr, ss := in.SampleR, in.SampleS
+	if sr == nil {
+		sr = sample.Bernoulli(in.R, in.SampleFraction, in.Seed)
+	}
+	if ss == nil {
+		ss = sample.Bernoulli(in.S, in.SampleFraction, in.Seed+1)
+	}
+	st.AddAll(tuple.R, sr)
+	st.AddAll(tuple.S, ss)
+	p.Grid, p.SampleTime = g, time.Since(start)
+	sampleSp.SetInt("sample_r", int64(len(sr))).SetInt("sample_s", int64(len(ss)))
+	sampleSp.End()
+	return st, nil
+}
+
+// Adaptive is phases 2-3 on sampled statistics: the graph of agreements
+// with its duplicate-free resolution (built here with Config.Policy and
+// Order unless the caller already holds gr), the cell placement, and the
+// adaptive assignment written into spec.
+func Adaptive(in Input, spec *dpe.Spec, p *Plan, st *grid.Stats, gr *agreements.Graph) {
+	partSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanPartition)
+	start := time.Now()
+	if gr == nil {
+		gr = agreements.BuildOrdered(st, in.Policy, in.Order)
+	}
+	spec.Part = dpe.HashPartitioner{N: in.Partitions}
+	if in.UseLPT {
+		costs := gr.EstimatedCosts(st)
+		spec.Part = dpe.ExplicitPartitioner{Table: lpt.Assign(costs, in.Partitions), N: in.Partitions}
+	}
+	p.BuildTime += time.Since(start)
+	if partSp != nil {
+		marked, locked := edgeCounts(gr)
+		partSp.SetInt("partitions", int64(in.Partitions))
+		partSp.SetInt("marked_edges", marked).SetInt("locked_edges", locked)
+	}
+	partSp.End()
+
+	spec.AssignR = func(pt geom.Point, set tuple.Set, dst []int) []int {
+		return replicate.Adaptive(gr, pt, set, dst)
+	}
+	if in.Simple {
+		spec.AssignR = func(pt geom.Point, set tuple.Set, dst []int) []int {
+			return replicate.AdaptiveSimple(gr, pt, set, dst)
+		}
+	}
+	spec.AssignS = spec.AssignR
+	spec.Dedup = in.Simple
+	// The adaptive assigns emit cell ids of the 2ε-grid; ranking them
+	// along the Hilbert curve keeps adjacent slab groups spatially
+	// adjacent.
+	spec.Cells = gr.Grid.NumCells()
+	spec.CellRank = colpipe.HilbertRanks(gr.Grid.NX, gr.Grid.NY)
+	if in.Engine != nil {
+		spec.Broadcast = broadcastBlob(gr, spec.Part)
+	}
 	// The resolved graph is broadcast to every worker (Algorithm 5,
 	// line 6); account its wire size per receiving node.
-	nodes := workers
-	if nodes <= 0 {
-		nodes = defaultWorkers()
-	}
-	return &Plan{
-		Grid: g, Stats: st, Graph: gr,
-		prep: prep, cfg: cfg,
-		SampleTime: sampleTime, BuildTime: buildTime,
-		BroadcastBytes: int64(gr.EncodedSize()) * int64(nodes),
-	}, nil
+	p.Graph = gr
+	p.BroadcastBytes = int64(gr.EncodedSize()) * int64(in.Workers)
 }
 
-// Exec are the per-execution knobs of a Plan.
-type Exec struct {
-	// Eps optionally re-sweeps the plan with a smaller threshold; any
-	// value in (0, plan ε] is correct and duplicate-free. Zero means the
-	// plan's ε.
-	Eps float64
-	// Collect materialises the result pairs.
-	Collect bool
-	// Ctx cancels an in-flight execution; nil means context.Background().
-	Ctx context.Context
-	// Tracer records this execution's spans (tasks, supplementary join,
-	// dedup) under TraceParent; nil falls back to the plan's build-time
-	// tracer, so one-shot joins get a single tree.
-	Tracer      *obs.Tracer
-	TraceParent obs.SpanID
-}
+// Exec are the per-execution knobs of a Plan — the engine's own: Eps in
+// (0, plan ε] re-sweeps with a smaller threshold, Collect materialises the
+// pairs, Tracer/TraceParent record this execution's spans (nil falls back
+// to the plan's build-time tracer, so one-shot joins get a single tree).
+type Exec = dpe.ExecOptions
 
 // Eps returns the distance threshold the plan was built for.
-func (p *Plan) Eps() float64 { return p.cfg.Eps }
+func (p *Plan) Eps() float64 { return p.prep.Eps() }
 
 // FootprintBytes returns the wire size of the partitioned tuples the
 // plan retains — what a plan cache should account for.
@@ -247,14 +315,12 @@ func (p *Plan) Replicated() int64 { return p.prep.Replicated() }
 // Execute runs the partition-level joins of the plan. Safe for
 // concurrent use; construction metrics are carried into every result.
 func (p *Plan) Execute(e Exec) (*Result, error) {
-	ctx := e.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := p.prep.ExecuteContext(ctx, dpe.ExecOptions{
-		Eps: e.Eps, Collect: e.Collect,
-		Tracer: e.Tracer, TraceParent: e.TraceParent,
-	})
+	return p.ExecuteContext(context.Background(), e)
+}
+
+// ExecuteContext is Execute with cancellation of the in-flight joins.
+func (p *Plan) ExecuteContext(ctx context.Context, e Exec) (*Result, error) {
+	res, err := p.prep.ExecuteContext(ctx, e)
 	if err != nil {
 		return nil, err
 	}
@@ -285,8 +351,8 @@ func broadcastBlob(gr *agreements.Graph, part dpe.Partitioner) []byte {
 	return buf.Bytes()
 }
 
-// Join executes the ε-distance join R ⋈ε S with adaptive replication —
-// BuildPlan followed by a single Execute.
+// Join executes the ε-distance join R ⋈ε S — BuildPlan followed by a
+// single Execute.
 func Join(rs, ss []tuple.Tuple, cfg Config) (*Result, error) {
 	p, err := BuildPlan(rs, ss, cfg)
 	if err != nil {
@@ -296,21 +362,18 @@ func Join(rs, ss []tuple.Tuple, cfg Config) (*Result, error) {
 }
 
 // Parallelism resolves the worker and partition counts shared by every
-// join orchestrator in the library: workers defaults to 0 (letting the
-// engine pick GOMAXPROCS), partitions to 8 × workers — the paper's ratio
-// of 96 Spark partitions on 12 nodes.
+// join orchestrator in the library: workers defaults to GOMAXPROCS (the
+// engine's own default), partitions to 8 × workers — the paper's ratio of
+// 96 Spark partitions on 12 nodes.
 func Parallelism(workers, partitions int) (int, int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if partitions <= 0 {
-		w := workers
-		if w <= 0 {
-			w = defaultWorkers()
-		}
-		partitions = 8 * w
+		partitions = 8 * workers
 	}
 	return workers, partitions
 }
-
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // edgeCounts totals the marked and locked directed edges across the
 // graph's quartet subgraphs — the duplicate-free resolution state the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/agreements"
@@ -94,6 +96,23 @@ func TestJoinValidation(t *testing.T) {
 	}
 	if _, err := Join(nil, nil, Config{Eps: 1}); err != nil {
 		t.Errorf("empty join should succeed: %v", err)
+	}
+	// A non-finite ε, and one whose grid would not fit (NX·NY wraps int at
+	// 1e-12), fail before anything Cells-sized is allocated; the largest
+	// grid still allowed is fine.
+	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e-12, 1e-3} {
+		if _, err := Join(nil, nil, Config{Eps: eps, Bounds: &world}); err == nil {
+			t.Errorf("expected error for eps=%v", eps)
+		}
+	}
+	in := Input{Config: Config{Eps: 50.0 / 2048}, Bounds: world}
+	if g, err := in.Grid(2); err != nil || g.NumCells() != MaxCells {
+		t.Errorf("a %d-cell grid must be allowed: %v", MaxCells, err)
+	}
+	in.Eps = 50.0 / 2049
+	if _, err := in.Grid(2); err == nil || !strings.Contains(err.Error(), "cells") {
+		t.Errorf("a grid one row and column past MaxCells must be rejected: %v", err)
 	}
 }
 

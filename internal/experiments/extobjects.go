@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/extgeom"
 	"spatialjoin/internal/extjoin"
 	"spatialjoin/internal/geom"
@@ -43,10 +44,10 @@ func XObjects(sc Scale) []*Table {
 			Seed: sc.Seed, NetBandwidth: sc.netBandwidth(),
 		}
 		cfgA := cfg
-		cfgA.Strategy = extjoin.Adaptive
+		cfgA.Policy = agreements.LPiB
 		adaptive := mustExt(rs, ss, cfgA)
 		cfgU := cfg
-		cfgU.Strategy = extjoin.UniversalR
+		cfgU.Policy = agreements.UniR
 		uni := mustExt(rs, ss, cfgU)
 		if adaptive.Results != uni.Results || adaptive.Checksum != uni.Checksum {
 			panic(fmt.Sprintf("xobjects: strategies disagree at extent %v: %d vs %d",

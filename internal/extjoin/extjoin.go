@@ -26,48 +26,19 @@ import (
 	"fmt"
 	"time"
 
-	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/extgeom"
-	"spatialjoin/internal/geom"
-	"spatialjoin/internal/grid"
-	"spatialjoin/internal/replicate"
-	"spatialjoin/internal/sample"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
-// Strategy selects how centres are assigned to cells.
-type Strategy uint8
-
-const (
-	// Adaptive uses agreement-based replication (LPiB policy).
-	Adaptive Strategy = iota
-	// UniversalR replicates every R centre, PBSM-style.
-	UniversalR
-	// UniversalS replicates every S centre.
-	UniversalS
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	return [...]string{"adaptive", "UNI(R)", "UNI(S)"}[s]
-}
-
-// Config parameterises an extended-object join.
-type Config struct {
-	Eps            float64           // object distance threshold (required, > 0)
-	Strategy       Strategy          // Adaptive (default), UniversalR, UniversalS
-	Policy         agreements.Policy // agreement policy for Adaptive; default LPiB
-	SampleFraction float64           // default 0.03
-	Seed           int64
-	Workers        int
-	Partitions     int
-	Collect        bool
-	Bounds         *geom.Rect // centre-space MBR; computed when nil
-	NetBandwidth   float64
-}
+// Config parameterises an extended-object join: the core orchestrator's
+// configuration, with Eps the object distance threshold and Bounds the
+// centre-space MBR. Policy selects the assignment of centres — LPiB
+// (default) or DIFF for adaptive replication, UniR or UniS for
+// PBSM-style universal replication of one input.
+type Config = core.Config
 
 // Result is the outcome of an extended join.
 type Result struct {
@@ -77,11 +48,10 @@ type Result struct {
 	MaxHalfDiag  float64
 }
 
-// Join computes all pairs (r, s) of objects with d(r, s) <= ε.
+// Join computes all pairs (r, s) of objects with d(r, s) <= ε: it joins
+// the centres on the core orchestrator at εe (which validates it) with
+// the exact-distance refinement as the cell kernel.
 func Join(rs, ss []extgeom.Object, cfg Config) (*Result, error) {
-	if cfg.Eps <= 0 {
-		return nil, fmt.Errorf("extjoin: Eps must be positive, got %v", cfg.Eps)
-	}
 	for i := range rs {
 		if err := rs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("extjoin: R[%d]: %w", i, err)
@@ -92,80 +62,27 @@ func Join(rs, ss []extgeom.Object, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("extjoin: S[%d]: %w", i, err)
 		}
 	}
-	if cfg.SampleFraction == 0 {
-		cfg.SampleFraction = sample.DefaultFraction
-	}
-	workers, partitions := core.Parallelism(cfg.Workers, cfg.Partitions)
 
 	// Centre representation + exact-geometry lookup tables.
 	start := time.Now()
 	maxHD := 0.0
 	for i := range rs {
-		if hd := rs[i].HalfDiag(); hd > maxHD {
-			maxHD = hd
-		}
+		maxHD = max(maxHD, rs[i].HalfDiag())
 	}
 	for i := range ss {
-		if hd := ss[i].HalfDiag(); hd > maxHD {
-			maxHD = hd
-		}
+		maxHD = max(maxHD, ss[i].HalfDiag())
 	}
 	epsE := cfg.Eps + 2*maxHD
-	centersR := centers(rs)
-	centersS := centers(ss)
-	lookupR := lookup(rs)
-	lookupS := lookup(ss)
+	centersR, centersS := centers(rs), centers(ss)
+	cfg.Kernel = refineKernel(lookup(rs), lookup(ss), cfg.Eps)
+	cfg.Eps = epsE
 	prepTime := time.Since(start)
 
-	bounds := core.DataBounds(cfg.Bounds, centersR, centersS)
-	g := grid.New(bounds, epsE, 2)
-
-	// Sample centre statistics and build the assignment.
-	start = time.Now()
-	st := grid.NewStats(g)
-	st.AddAll(tuple.R, sample.Bernoulli(centersR, cfg.SampleFraction, cfg.Seed))
-	st.AddAll(tuple.S, sample.Bernoulli(centersS, cfg.SampleFraction, cfg.Seed+1))
-	sampleTime := time.Since(start)
-
-	start = time.Now()
-	var assignR, assignS dpe.Assign
-	switch cfg.Strategy {
-	case Adaptive:
-		gr := agreements.Build(st, cfg.Policy)
-		assign := func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Adaptive(gr, p, set, dst)
-		}
-		assignR, assignS = assign, assign
-	case UniversalR, UniversalS:
-		replR := cfg.Strategy == UniversalR
-		assignR = func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, replR, dst)
-		}
-		assignS = func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, !replR, dst)
-		}
-	default:
-		return nil, fmt.Errorf("extjoin: unknown strategy %d", cfg.Strategy)
-	}
-	buildTime := time.Since(start)
-
-	out, err := dpe.Run(dpe.Spec{
-		R: centersR, S: centersS,
-		Eps:     epsE,
-		AssignR: assignR, AssignS: assignS,
-		Cells:   g.NumCells(),
-		Part:    dpe.HashPartitioner{N: partitions},
-		Workers: workers,
-		Kernel:  refineKernel(lookupR, lookupS, cfg.Eps),
-		Collect: cfg.Collect,
-
-		NetBandwidth: cfg.NetBandwidth,
-	})
+	out, err := core.Join(centersR, centersS, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out.SampleTime = sampleTime
-	out.BuildTime = prepTime + buildTime
+	out.BuildTime += prepTime
 	return &Result{
 		Metrics:      out.Metrics,
 		Pairs:        out.Pairs,

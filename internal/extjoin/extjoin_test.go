@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/extgeom"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
@@ -77,9 +78,9 @@ func TestExtendedJoinMatchesOracle(t *testing.T) {
 		eps := 0.5 + rng.Float64()
 		want := oracleObjects(rs, ss, eps)
 
-		for _, strat := range []Strategy{Adaptive, UniversalR, UniversalS} {
+		for _, strat := range []agreements.Policy{agreements.LPiB, agreements.DIFF, agreements.UniR, agreements.UniS} {
 			res, err := Join(rs, ss, Config{
-				Eps: eps, Strategy: strat, Workers: 4, Collect: true, Seed: int64(trial),
+				Eps: eps, Policy: strat, Workers: 4, Collect: true, Seed: int64(trial),
 			})
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, strat, err)
@@ -149,13 +150,13 @@ func TestAdaptiveExtendedReplicatesLess(t *testing.T) {
 	}
 	cfgBase := Config{Eps: 0.5, Workers: 4, SampleFraction: 0.3}
 	cfgA := cfgBase
-	cfgA.Strategy = Adaptive
+	cfgA.Policy = agreements.LPiB
 	adaptive, err := Join(rs, ss, cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgR := cfgBase
-	cfgR.Strategy = UniversalR
+	cfgR.Policy = agreements.UniR
 	uniR, err := Join(rs, ss, cfgR)
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +203,5 @@ func TestObjectBytesAccounted(t *testing.T) {
 	}
 	if big.ShuffledBytes <= small.ShuffledBytes {
 		t.Fatalf("polyline shuffled %d <= point %d", big.ShuffledBytes, small.ShuffledBytes)
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if Adaptive.String() != "adaptive" || UniversalR.String() != "UNI(R)" || UniversalS.String() != "UNI(S)" {
-		t.Fatal("strategy names broken")
 	}
 }

@@ -15,7 +15,6 @@
 package pbsm
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -23,7 +22,6 @@ import (
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
-	"spatialjoin/internal/obs"
 	"spatialjoin/internal/replicate"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
@@ -64,150 +62,66 @@ func (v Variant) String() string {
 	}
 }
 
-// Config parameterises one PBSM execution.
-type Config struct {
-	Eps        float64    // join distance threshold (required, > 0)
-	Variant    Variant    // UniR (default), UniS, or EpsGrid
-	Workers    int        // simulated nodes; default GOMAXPROCS
-	Partitions int        // reduce partitions; default 8 × workers
-	Collect    bool       // materialise result pairs
-	Bounds     *geom.Rect // data-space MBR; computed from the inputs when nil
-	// NetBandwidth is the simulated per-link bandwidth in bytes/s (0: off).
-	NetBandwidth float64
-	// SelfFilter enables self-join mode: keep only pairs with r.ID < s.ID.
-	SelfFilter bool
-	// PoolSize caps the OS-level goroutine pool; default GOMAXPROCS.
-	PoolSize int
-	// Engine selects the execution backend (nil: in-process local engine).
-	Engine dpe.Engine
-	// Tracer records phase and task spans under TraceParent; nil
-	// disables tracing at zero cost.
-	Tracer      *obs.Tracer
-	TraceParent obs.SpanID
-}
-
-// Result is the outcome of a PBSM join.
-type Result struct {
-	dpe.Metrics
-	Pairs []tuple.Pair
-	Grid  *grid.Grid
-}
-
-// Plan is a reusable PBSM execution plan: the grid plus the replicated,
-// partition-bucketed tuples. Execute may be called repeatedly and
-// concurrently.
-type Plan struct {
-	Grid *grid.Grid
-
-	prep      *dpe.Prepared
-	buildTime time.Duration
-}
-
-// BuildPlan constructs the grid, maps and shuffles both inputs, and
-// returns the reusable plan without joining the partitions.
-func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
-	if cfg.Eps <= 0 {
-		return nil, fmt.Errorf("pbsm: Eps must be positive, got %v", cfg.Eps)
-	}
-	workers, partitions := core.Parallelism(cfg.Workers, cfg.Partitions)
-	bounds := core.DataBounds(cfg.Bounds, rs, ss)
-
-	start := time.Now()
-	res := cfg.Res()
-	g := grid.New(bounds, cfg.Eps, res)
-	replicateR := cfg.replicatesR(len(rs), len(ss))
-	buildTime := time.Since(start)
-
-	spec := dpe.Spec{
-		R: rs, S: ss, Eps: cfg.Eps,
-		AssignR: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, replicateR, dst)
-		},
-		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, !replicateR, dst)
-		},
-		Cells:   g.NumCells(),
-		Part:    dpe.HashPartitioner{N: partitions},
-		Workers: workers,
-		Collect: cfg.Collect,
-
-		NetBandwidth: cfg.NetBandwidth,
-		SelfFilter:   cfg.SelfFilter,
-		PoolSize:     cfg.PoolSize,
-		Engine:       cfg.Engine,
-
-		Tracer:      cfg.Tracer,
-		TraceParent: cfg.TraceParent,
-	}
-	if cfg.Variant == Clone {
-		both := func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, true, dst)
+// Scheme returns the variant as a scheme of the core orchestrator: the
+// grid (side 2ε, or ε for EpsGrid), universal replication of one input —
+// both for Clone, with the reference-point kernel — and hash placement.
+// Nothing is sampled and no graph is built.
+func Scheme(v Variant) core.Scheme {
+	return func(in core.Input, spec *dpe.Spec, p *core.Plan) error {
+		start := time.Now()
+		res := 2.0
+		if v == EpsGrid {
+			res = 1
 		}
-		spec.AssignR, spec.AssignS = both, both
-		spec.Kernel = refPointKernel(g)
-		// Remote workers rebuild the kernel from the grid geometry.
-		spec.KernelDesc = dpe.KernelDesc{Kind: dpe.KernelRefPoint, Bounds: bounds, GridEps: cfg.Eps, GridRes: res}
+		g, err := in.Grid(res)
+		if err != nil {
+			return err
+		}
+		// EpsGrid replicates the set with the fewest objects.
+		replR := v == UniR || v == Clone || (v == EpsGrid && len(in.R) <= len(in.S))
+		replS := !replR || v == Clone
+		p.Grid = g
+		p.BuildTime += time.Since(start)
+
+		spec.AssignR = func(pt geom.Point, _ tuple.Set, dst []int) []int {
+			return replicate.Universal(g, pt, replR, dst)
+		}
+		spec.AssignS = func(pt geom.Point, _ tuple.Set, dst []int) []int {
+			return replicate.Universal(g, pt, replS, dst)
+		}
+		spec.Cells = g.NumCells()
+		spec.Part = dpe.HashPartitioner{N: in.Partitions}
+		if v == Clone {
+			spec.Kernel = RefPointKernel(g)
+			// Remote workers rebuild the kernel from the grid geometry.
+			spec.KernelDesc = dpe.KernelDesc{Kind: dpe.KernelRefPoint, Bounds: in.Bounds, GridEps: in.Eps, GridRes: res}
+		}
+		return nil
 	}
-	prep, err := dpe.Prepare(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Grid: g, prep: prep, buildTime: buildTime}, nil
 }
 
-// Eps returns the distance threshold the plan was built for.
-func (p *Plan) Eps() float64 { return p.prep.Eps() }
-
-// FootprintBytes returns the wire size of the partitioned tuples.
-func (p *Plan) FootprintBytes() int64 { return p.prep.FootprintBytes() }
-
-// Replicated returns the replicated objects the plan serves per Execute.
-func (p *Plan) Replicated() int64 { return p.prep.Replicated() }
-
-// Execute runs the partition-level joins of the plan; e.Eps in
-// (0, plan ε] re-sweeps with a smaller threshold (0 means the plan's ε).
-func (p *Plan) Execute(e core.Exec) (*Result, error) {
-	ctx := e.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out, err := p.prep.ExecuteContext(ctx, dpe.ExecOptions{
-		Eps: e.Eps, Collect: e.Collect,
-		Tracer: e.Tracer, TraceParent: e.TraceParent,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.BuildTime = p.buildTime
-	return &Result{Metrics: out.Metrics, Pairs: out.Pairs, Grid: p.Grid}, nil
+// Config and Join are the package's former one-shot entry, kept as a
+// source-compatible shim for the benchmark's PBSM layer.
+type Config struct {
+	Eps                 float64
+	Variant             Variant
+	Workers, Partitions int
+	Collect             bool
+	Bounds              *geom.Rect
+	Engine              dpe.Engine
 }
 
-// Join executes the ε-distance join with universal replication —
-// BuildPlan followed by a single Execute.
-func Join(rs, ss []tuple.Tuple, cfg Config) (*Result, error) {
-	p, err := BuildPlan(rs, ss, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Execute(core.Exec{Collect: cfg.Collect})
+// Join executes the ε-distance join with universal replication.
+func Join(rs, ss []tuple.Tuple, c Config) (*core.Result, error) {
+	return core.Join(rs, ss, core.Config{Eps: c.Eps, Workers: c.Workers, Partitions: c.Partitions,
+		Collect: c.Collect, Bounds: c.Bounds, Engine: c.Engine, Scheme: Scheme(c.Variant)})
 }
 
-// Res returns the grid resolution multiplier of the variant.
-func (c Config) Res() float64 {
-	if c.Variant == EpsGrid {
-		return 1
-	}
-	return 2
-}
-
-// RefPointKernel exposes the reference-point kernel so execution
-// backends (internal/cluster's workers) can rebuild it from the plan's
-// wire kernel description.
-func RefPointKernel(g *grid.Grid) dpe.Kernel { return refPointKernel(g) }
-
-// refPointKernel wraps the plane sweep with the reference-point filter:
-// a pair is emitted only by the cell containing its midpoint.
-func refPointKernel(g *grid.Grid) dpe.Kernel {
+// RefPointKernel wraps the plane sweep with the reference-point filter:
+// a pair is emitted only by the cell containing its midpoint. Exported
+// so internal/cluster's workers can rebuild it from the plan's wire
+// kernel description.
+func RefPointKernel(g *grid.Grid) dpe.Kernel {
 	return func(cell int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
 		sweep.PlaneSweep(rs, ss, eps, func(r, s tuple.Tuple) {
 			mid := geom.Point{X: (r.Pt.X + s.Pt.X) / 2, Y: (r.Pt.Y + s.Pt.Y) / 2}
@@ -216,17 +130,5 @@ func refPointKernel(g *grid.Grid) dpe.Kernel {
 				emit(r, s)
 			}
 		})
-	}
-}
-
-// replicatesR reports whether the R input is the replicated one.
-func (c Config) replicatesR(nr, ns int) bool {
-	switch c.Variant {
-	case UniR:
-		return true
-	case UniS:
-		return false
-	default: // EpsGrid replicates the set with the fewest objects.
-		return nr <= ns
 	}
 }

@@ -82,15 +82,24 @@ func TestEpsGridReplicatesMore(t *testing.T) {
 }
 
 func TestEpsGridPicksSmallerSet(t *testing.T) {
-	c := Config{Variant: EpsGrid}
-	if !c.replicatesR(100, 200) {
-		t.Error("eps-grid must replicate R when it is smaller")
-	}
-	if c.replicatesR(200, 100) {
-		t.Error("eps-grid must replicate S when it is smaller")
-	}
-	if !c.replicatesR(100, 100) {
-		t.Error("tie should replicate R")
+	rng := rand.New(rand.NewSource(23))
+	small, large := uniform(rng, 400, 0), uniform(rng, 800, 1_000_000)
+	for _, tc := range []struct {
+		name      string
+		rs, ss    []tuple.Tuple
+		wantReplR bool
+	}{
+		{"R smaller", small, large, true},
+		{"S smaller", large, small, false},
+		{"tie replicates R", small, large[:len(small)], true},
+	} {
+		res, err := Join(tc.rs, tc.ss, Config{Eps: 1, Variant: EpsGrid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.ReplicatedR > 0) != tc.wantReplR || (res.ReplicatedS > 0) == tc.wantReplR {
+			t.Errorf("%s: replicated R=%d S=%d", tc.name, res.ReplicatedR, res.ReplicatedS)
+		}
 	}
 }
 

@@ -10,11 +10,15 @@ package planner
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"spatialjoin/internal/agreements"
+	"spatialjoin/internal/core"
 	"spatialjoin/internal/costmodel"
+	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
+	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/sample"
 	"spatialjoin/internal/tuple"
 )
@@ -60,28 +64,13 @@ type Choice struct {
 	Strategy    Strategy
 	Objective   Objective
 	Predictions map[Strategy]costmodel.Prediction
-	// Graph is the resolved graph of agreements, built as a side effect
-	// of costing the adaptive strategy; callers picking Adaptive can
-	// reuse it instead of rebuilding.
-	Graph *agreements.Graph
-	Stats *grid.Stats
 }
 
-// Plan samples both inputs at the given fraction, costs the three
-// strategies, and picks the cheapest under the objective. tupleBytes is
-// the wire size of one tuple (24 for payload-free points).
-func Plan(g *grid.Grid, rs, ss []tuple.Tuple, fraction float64, seed int64, tupleBytes int, obj Objective) (*Choice, error) {
-	if !g.SupportsAgreements() {
-		return nil, fmt.Errorf("planner: grid resolution %v·ε cannot host agreements", g.Res)
-	}
-	if fraction <= 0 {
-		fraction = sample.DefaultFraction
-	}
-	st := grid.NewStats(g)
-	st.AddAll(tuple.R, sample.Bernoulli(rs, fraction, seed))
-	st.AddAll(tuple.S, sample.Bernoulli(ss, fraction, seed+1))
-
-	gr := agreements.Build(st, agreements.LPiB)
+// Plan costs the three strategies on sampled statistics and the LPiB
+// graph of agreements built from them, and picks the cheapest under the
+// objective. fraction is the rate st was sampled at; tupleBytes is the
+// wire size of one tuple (24 for payload-free points).
+func Plan(gr *agreements.Graph, st *grid.Stats, fraction float64, tupleBytes int, obj Objective) *Choice {
 	preds := map[Strategy]costmodel.Prediction{
 		Adaptive:   costmodel.Adaptive(gr, st, fraction, tupleBytes),
 		UniversalR: costmodel.Universal(st, tuple.R, fraction, tupleBytes),
@@ -95,13 +84,37 @@ func Plan(g *grid.Grid, rs, ss []tuple.Tuple, fraction float64, seed int64, tupl
 			best, bestCost = s, c
 		}
 	}
-	return &Choice{
-		Strategy:    best,
-		Objective:   obj,
-		Predictions: preds,
-		Graph:       gr,
-		Stats:       st,
-	}, nil
+	return &Choice{Strategy: best, Objective: obj, Predictions: preds}
+}
+
+// Auto is the planner as a scheme of the core orchestrator: it samples
+// once, builds the LPiB graph, records its Choice under obj in *out, and
+// continues the build with the chosen strategy — adaptive replication on
+// the statistics and graph it just costed, or a universal PBSM scheme.
+func Auto(obj Objective, out *Choice) core.Scheme {
+	return func(in core.Input, spec *dpe.Spec, p *core.Plan) error {
+		st, err := core.SampleStats(in, p)
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		gr := agreements.Build(st, agreements.LPiB)
+		tupleBytes := 24
+		if len(in.R) > 0 {
+			tupleBytes = in.R[0].SerializedSize()
+		}
+		*out = *Plan(gr, st, in.SampleFraction, tupleBytes, obj)
+		p.BuildTime = time.Since(start)
+		in.Span.SetStr("planned", out.Strategy.String())
+		switch out.Strategy {
+		case UniversalR:
+			return pbsm.Scheme(pbsm.UniR)(in, spec, p)
+		case UniversalS:
+			return pbsm.Scheme(pbsm.UniS)(in, spec, p)
+		}
+		core.Adaptive(in, spec, p, st, gr)
+		return nil
+	}
 }
 
 // Weights convert the cost model's mixed units into one scalar cost:

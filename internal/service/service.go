@@ -474,28 +474,6 @@ func (s *Service) Join(ctx context.Context, req JoinRequest) (*JoinResponse, err
 	root.SetStr("algorithm", req.Algorithm.String()).
 		SetStr("r", rd.Name).SetStr("s", sd.Name)
 
-	// SedonaLike has no reusable plan: run it one-shot on the pool,
-	// bypassing the plan cache.
-	if req.Algorithm == spatialjoin.SedonaLike {
-		o := opt
-		o.Collect = req.Collect
-		o.Trace = tr
-		o.TraceParent = root.SpanID()
-		t0 := time.Now()
-		rep, err := spatialjoin.JoinContext(ctx, rd.Tuples, sd.Tuples, o)
-		if err != nil {
-			return nil, err
-		}
-		total := time.Since(t0)
-		root.End()
-		s.Metrics.Probe.Observe(total.Seconds())
-		s.Metrics.JoinResults.Add(rep.Results, req.Tenant)
-		resp := s.respond(req, rep, rd, sd, false, 0, total)
-		resp.JoinID = s.observeTrace(resp.Algorithm, req.Tenant, rd.Name, sd.Name, req.Eps, tr, total)
-		s.persistSkew(req, tr)
-		return resp, nil
-	}
-
 	key := PlanKey{
 		R: rd.Name, S: sd.Name, RRev: rd.Rev, SRev: sd.Rev,
 		RGen: rd.Gen, SGen: sd.Gen,

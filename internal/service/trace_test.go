@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -250,5 +251,77 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		if !strings.Contains(out, name+"_count") {
 			t.Fatalf("missing %s_count sample", name)
 		}
+	}
+}
+
+// TestSedonaJoinIsCachedAndTraced: a Sedona-like join is served like any
+// other algorithm — its plan is cached, its retained trace has task spans
+// that feed sjoind_task_seconds, and the repeat is a plan-cache hit.
+func TestSedonaJoinIsCachedAndTraced(t *testing.T) {
+	s := testService(t, Config{})
+	req := JoinRequest{R: "r", S: "s", Eps: 0.5, Algorithm: spatialjoin.SedonaLike}
+	first, err := s.Join(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.PlanCache != "miss" {
+		t.Fatalf("first sedona join plan_cache = %q, want miss", first.PlanCache)
+	}
+	tr, ok := s.Trace(first.JoinID)
+	if !ok {
+		t.Fatalf("trace for join %d not retained", first.JoinID)
+	}
+	if len(tr.Tree) != 1 || tr.Skew.Tasks == 0 {
+		t.Fatalf("sedona trace: %d roots, %d tasks", len(tr.Tree), tr.Skew.Tasks)
+	}
+	if got := s.Metrics.TaskDuration.Count(); got < int64(tr.Skew.Tasks) {
+		t.Fatalf("task histogram count = %d, want >= %d", got, tr.Skew.Tasks)
+	}
+	second, err := s.Join(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.PlanCache != "hit" || second.BuildMillis != 0 {
+		t.Fatalf("second sedona join: plan_cache %q, build %v ms", second.PlanCache, second.BuildMillis)
+	}
+	if second.Results != first.Results || second.Checksum != first.Checksum {
+		t.Fatalf("results diverged across the cache hit: (%d, %s) != (%d, %s)",
+			first.Results, first.Checksum, second.Results, second.Checksum)
+	}
+}
+
+// TestHTTPHostileEps: an ε that is not finite, or so small the plan's
+// grid would not fit in memory, is a 400 for every algorithm — and the
+// daemon keeps serving afterwards.
+func TestHTTPHostileEps(t *testing.T) {
+	s := testService(t, Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(body string) (int, string) {
+		t.Helper()
+		res, err := http.Post(srv.URL+"/v1/join", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		var sb strings.Builder
+		if _, err := io.Copy(&sb, res.Body); err != nil {
+			t.Fatal(err)
+		}
+		return res.StatusCode, sb.String()
+	}
+	for _, algo := range []string{"lpib", "uni-r", "eps-grid", "clone", "sedona", "auto"} {
+		for _, eps := range []string{"NaN", "1e999", "-1e999", "1e-12", "1e-3"} {
+			if algo == "sedona" && strings.HasPrefix(eps, "1e-") {
+				continue // gridless: a tiny finite ε is an ordinary, nearly empty join
+			}
+			code, body := post(fmt.Sprintf(`{"r": "r", "s": "s", "eps": %s, "algorithm": %q}`, eps, algo))
+			if code != http.StatusBadRequest {
+				t.Errorf("%s eps=%s: status %d (%s), want 400", algo, eps, code, body)
+			}
+		}
+	}
+	if code, body := post(`{"r": "r", "s": "s", "eps": 0.5}`); code != http.StatusOK {
+		t.Fatalf("daemon not serving after hostile requests: %d %s", code, body)
 	}
 }

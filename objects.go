@@ -43,29 +43,22 @@ type ObjectReport struct {
 // distances, which preserves both correctness and the duplicate-free
 // property (see internal/extjoin for the argument). Only the adaptive and
 // PBSM-universal strategies apply; other Options.Algorithm values are
-// mapped to their closest extended counterpart.
+// mapped to their closest extended counterpart. The refine step has no
+// wire description, so a remote Options.Engine rejects the join.
 func JoinObjects(rs, ss []Object, opt Options) (*ObjectReport, error) {
-	cfg := extjoin.Config{
-		Eps:            opt.Eps,
-		SampleFraction: opt.SampleFraction,
-		Seed:           opt.Seed,
-		Workers:        opt.Workers,
-		Partitions:     opt.Partitions,
-		Collect:        opt.Collect,
-		Bounds:         opt.Bounds,
-		NetBandwidth:   opt.NetBandwidth,
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
+	root := opt.traceRoot()
+	defer root.End()
+	cfg := opt.config()
 	switch opt.Algorithm {
-	case AdaptiveLPiB, AdaptiveSimpleDedup, SedonaLike:
-		cfg.Strategy = extjoin.Adaptive
-		cfg.Policy = agreements.LPiB
 	case AdaptiveDIFF:
-		cfg.Strategy = extjoin.Adaptive
 		cfg.Policy = agreements.DIFF
 	case PBSMUniR, PBSMEpsGrid:
-		cfg.Strategy = extjoin.UniversalR
+		cfg.Policy = agreements.UniR
 	case PBSMUniS:
-		cfg.Strategy = extjoin.UniversalS
+		cfg.Policy = agreements.UniS
 	}
 	res, err := extjoin.Join(rs, ss, cfg)
 	if err != nil {

@@ -2,20 +2,13 @@ package spatialjoin
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/core"
-	"spatialjoin/internal/grid"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/planner"
+	"spatialjoin/internal/sedonasim"
 )
-
-// ErrNotPreparable reports an algorithm whose execution cannot be split
-// into a reusable plan plus cheap probes (currently only SedonaLike,
-// whose quadtree partitions are rebuilt per run).
-var ErrNotPreparable = errors.New("spatialjoin: algorithm does not support prepared plans")
 
 // ExecOptions configures one execution of a PreparedJoin.
 type ExecOptions struct {
@@ -43,86 +36,73 @@ type ExecOptions struct {
 // service caches and serves probes from.
 type PreparedJoin struct {
 	algorithm Algorithm
-	collect   bool
-	adaptive  *core.Plan
-	universal *pbsm.Plan
+	plan      *core.Plan
 }
 
-// Prepare builds a reusable plan for the join R ⋈ε S. The AutoPlanned
-// algorithm is resolved to a concrete strategy at prepare time; the
-// SedonaLike baseline returns ErrNotPreparable.
+// Prepare builds a reusable plan for the join R ⋈ε S. Every algorithm is
+// preparable; AutoPlanned is resolved to a concrete strategy at prepare
+// time.
 func Prepare(rs, ss []Tuple, opt Options) (*PreparedJoin, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	switch opt.Algorithm {
-	case AutoPlanned:
-		resolved, err := resolveAuto(rs, ss, opt)
-		if err != nil {
-			return nil, err
-		}
-		opt.Algorithm = resolved
-		return Prepare(rs, ss, opt)
+	return prepare(rs, ss, opt, false)
+}
 
-	case AdaptiveLPiB, AdaptiveDIFF, AdaptiveSimpleDedup:
-		policy := agreements.LPiB
-		if opt.Algorithm == AdaptiveDIFF {
-			policy = agreements.DIFF
-		}
-		plan, err := core.BuildPlan(rs, ss, core.Config{
-			Eps:            opt.Eps,
-			Res:            opt.GridRes,
-			Policy:         policy,
-			SampleFraction: opt.SampleFraction,
-			Seed:           opt.Seed,
-			Workers:        opt.Workers,
-			Partitions:     opt.Partitions,
-			UseLPT:         opt.UseLPT,
-			Simple:         opt.Algorithm == AdaptiveSimpleDedup,
-			Collect:        opt.Collect,
-			Bounds:         opt.Bounds,
-			NetBandwidth:   opt.NetBandwidth,
-			PoolSize:       opt.PoolSize,
-			Engine:         opt.Engine,
-			SampleR:        opt.PresampledR,
-			SampleS:        opt.PresampledS,
-			Tracer:         opt.Trace,
-			TraceParent:    opt.TraceParent,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &PreparedJoin{algorithm: opt.Algorithm, collect: opt.Collect, adaptive: plan}, nil
-
-	case PBSMUniR, PBSMUniS, PBSMEpsGrid, PBSMClone:
-		variant := map[Algorithm]pbsm.Variant{
-			PBSMUniR: pbsm.UniR, PBSMUniS: pbsm.UniS,
-			PBSMEpsGrid: pbsm.EpsGrid, PBSMClone: pbsm.Clone,
-		}[opt.Algorithm]
-		plan, err := pbsm.BuildPlan(rs, ss, pbsm.Config{
-			Eps:          opt.Eps,
-			Variant:      variant,
-			Workers:      opt.Workers,
-			Partitions:   opt.Partitions,
-			Collect:      opt.Collect,
-			Bounds:       opt.Bounds,
-			NetBandwidth: opt.NetBandwidth,
-			PoolSize:     opt.PoolSize,
-			Engine:       opt.Engine,
-			Tracer:       opt.Trace,
-			TraceParent:  opt.TraceParent,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &PreparedJoin{algorithm: opt.Algorithm, collect: opt.Collect, universal: plan}, nil
-
-	case SedonaLike:
-		return nil, fmt.Errorf("%w: %v", ErrNotPreparable, opt.Algorithm)
-
-	default:
-		return nil, fmt.Errorf("spatialjoin: unknown algorithm %v", opt.Algorithm)
+// config translates the fields every join shares into the orchestrator's
+// configuration; the algorithm-specific ones are added by the caller.
+func (o Options) config() core.Config {
+	return core.Config{
+		Eps:            o.Eps,
+		SampleFraction: o.SampleFraction,
+		Seed:           o.Seed,
+		Workers:        o.Workers,
+		Partitions:     o.Partitions,
+		Collect:        o.Collect,
+		Bounds:         o.Bounds,
+		NetBandwidth:   o.NetBandwidth,
+		PoolSize:       o.PoolSize,
+		Engine:         o.Engine,
+		Tracer:         o.Trace,
+		TraceParent:    o.TraceParent,
 	}
+}
+
+// prepare builds the plan of validated options: the algorithm becomes a
+// scheme (or, for the adaptive family, a policy) of the one orchestrator.
+func prepare(rs, ss []Tuple, opt Options, selfJoin bool) (*PreparedJoin, error) {
+	cfg := opt.config()
+	cfg.Res, cfg.UseLPT = opt.GridRes, opt.UseLPT
+	cfg.SampleR, cfg.SampleS = opt.PresampledR, opt.PresampledS
+	cfg.SelfFilter = selfJoin
+	var auto planner.Choice
+	switch opt.Algorithm {
+	case AdaptiveDIFF:
+		cfg.Policy = agreements.DIFF
+	case AdaptiveSimpleDedup:
+		cfg.Simple = true
+	case PBSMUniR:
+		cfg.Scheme = pbsm.Scheme(pbsm.UniR)
+	case PBSMUniS:
+		cfg.Scheme = pbsm.Scheme(pbsm.UniS)
+	case PBSMEpsGrid:
+		cfg.Scheme = pbsm.Scheme(pbsm.EpsGrid)
+	case PBSMClone:
+		cfg.Scheme = pbsm.Scheme(pbsm.Clone)
+	case SedonaLike:
+		cfg.Scheme = sedonasim.Scheme
+	case AutoPlanned:
+		cfg.Scheme = planner.Auto(planner.MinShuffle, &auto)
+	}
+	plan, err := core.BuildPlan(rs, ss, cfg)
+	if err != nil {
+		return nil, err
+	}
+	algo := opt.Algorithm
+	if algo == AutoPlanned {
+		algo = [...]Algorithm{planner.Adaptive: AdaptiveLPiB, planner.UniversalR: PBSMUniR, planner.UniversalS: PBSMUniS}[auto.Strategy]
+	}
+	return &PreparedJoin{algorithm: algo, plan: plan}, nil
 }
 
 // Algorithm returns the concrete strategy of the plan (AutoPlanned is
@@ -131,29 +111,14 @@ func (p *PreparedJoin) Algorithm() Algorithm { return p.algorithm }
 
 // Eps returns the distance threshold the plan was prepared for — the
 // upper bound on ExecOptions.Eps.
-func (p *PreparedJoin) Eps() float64 {
-	if p.adaptive != nil {
-		return p.adaptive.Eps()
-	}
-	return p.universal.Eps()
-}
+func (p *PreparedJoin) Eps() float64 { return p.plan.Eps() }
 
 // FootprintBytes returns the wire size of the partition-bucketed tuples
 // the plan retains — what a plan cache should account for.
-func (p *PreparedJoin) FootprintBytes() int64 {
-	if p.adaptive != nil {
-		return p.adaptive.FootprintBytes()
-	}
-	return p.universal.FootprintBytes()
-}
+func (p *PreparedJoin) FootprintBytes() int64 { return p.plan.FootprintBytes() }
 
 // Replicated returns the replicated objects the plan serves per Execute.
-func (p *PreparedJoin) Replicated() int64 {
-	if p.adaptive != nil {
-		return p.adaptive.Replicated()
-	}
-	return p.universal.Replicated()
-}
+func (p *PreparedJoin) Replicated() int64 { return p.plan.Replicated() }
 
 // Execute runs the partition-level joins of the plan and reports the
 // outcome. Construction metrics (sampling, build, map, shuffle) are
@@ -166,49 +131,12 @@ func (p *PreparedJoin) Execute(e ExecOptions) (*Report, error) {
 // engine abandons unstarted partitions and returns ctx's error — the hook
 // a serving layer uses to make request deadlines cancel in-flight joins.
 func (p *PreparedJoin) ExecuteContext(ctx context.Context, e ExecOptions) (*Report, error) {
-	if p.adaptive != nil {
-		res, err := p.adaptive.Execute(core.Exec{
-			Eps: e.Eps, Collect: e.Collect, Ctx: ctx,
-			Tracer: e.Trace, TraceParent: e.TraceParent,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return report(p.algorithm, res.Metrics, res.Pairs), nil
-	}
-	res, err := p.universal.Execute(core.Exec{
-		Eps: e.Eps, Collect: e.Collect, Ctx: ctx,
+	res, err := p.plan.ExecuteContext(ctx, core.Exec{
+		Eps: e.Eps, Collect: e.Collect,
 		Tracer: e.Trace, TraceParent: e.TraceParent,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return report(p.algorithm, res.Metrics, res.Pairs), nil
-}
-
-// resolveAuto runs the cost-model planner on sampled statistics and
-// returns the concrete strategy AutoPlanned selects.
-func resolveAuto(rs, ss []Tuple, opt Options) (Algorithm, error) {
-	res := opt.GridRes
-	if res == 0 {
-		res = 2
-	}
-	bounds := core.DataBounds(opt.Bounds, rs, ss)
-	g := grid.New(bounds, opt.Eps, res)
-	tupleBytes := 24
-	if len(rs) > 0 {
-		tupleBytes = rs[0].SerializedSize()
-	}
-	choice, err := planner.Plan(g, rs, ss, opt.SampleFraction, opt.Seed, tupleBytes, planner.MinShuffle)
-	if err != nil {
-		return 0, err
-	}
-	switch choice.Strategy {
-	case planner.UniversalR:
-		return PBSMUniR, nil
-	case planner.UniversalS:
-		return PBSMUniS, nil
-	default:
-		return AdaptiveLPiB, nil
-	}
 }

@@ -1,19 +1,18 @@
 package spatialjoin
 
 import (
-	"errors"
 	"sync"
 	"testing"
 )
 
-// TestPreparedJoinMatchesJoin: for every preparable algorithm, Prepare +
+// TestPreparedJoinMatchesJoin: for every algorithm, Prepare +
 // repeated Execute must reproduce the one-shot Join bit for bit.
 func TestPreparedJoinMatchesJoin(t *testing.T) {
 	rs := GenerateTigerLike(4000, 11)
 	ss := GenerateGaussian(4000, 12)
 	algos := []Algorithm{
 		AdaptiveLPiB, AdaptiveDIFF, AdaptiveSimpleDedup,
-		PBSMUniR, PBSMUniS, PBSMEpsGrid, PBSMClone, AutoPlanned,
+		PBSMUniR, PBSMUniS, PBSMEpsGrid, PBSMClone, AutoPlanned, SedonaLike,
 	}
 	for _, a := range algos {
 		t.Run(a.String(), func(t *testing.T) {
@@ -51,27 +50,30 @@ func TestPreparedJoinMatchesJoin(t *testing.T) {
 
 // TestPreparedJoinEpsResweep: executing a plan with a smaller ε must
 // match a from-scratch join at that ε (same grid regime), and a larger ε
-// must be rejected.
+// must be rejected. A Sedona plan is one more: its circle replication at
+// the plan's ε reaches every leaf a smaller circle does.
 func TestPreparedJoinEpsResweep(t *testing.T) {
 	rs := GenerateUniform(3000, 21)
 	ss := GenerateUniform(3000, 22)
-	p, err := Prepare(rs, ss, Options{Eps: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Execute(ExecOptions{Eps: 0.5, Collect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := BruteForce(rs, ss, 0.5)
-	if int(got.Results) != len(want) {
-		t.Fatalf("re-sweep at 0.5 found %d pairs, oracle %d", got.Results, len(want))
-	}
-	if len(got.Pairs) != len(want) {
-		t.Fatalf("collected %d pairs, oracle %d", len(got.Pairs), len(want))
-	}
-	if _, err := p.Execute(ExecOptions{Eps: 0.9}); err == nil {
-		t.Fatal("eps above the plan's threshold must be rejected")
+	for _, a := range []Algorithm{AdaptiveLPiB, SedonaLike} {
+		p, err := Prepare(rs, ss, Options{Eps: 0.8, Algorithm: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Execute(ExecOptions{Eps: 0.5, Collect: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(got.Results) != len(want) {
+			t.Fatalf("%v: re-sweep at 0.5 found %d pairs, oracle %d", a, got.Results, len(want))
+		}
+		if len(got.Pairs) != len(want) {
+			t.Fatalf("%v: collected %d pairs, oracle %d", a, len(got.Pairs), len(want))
+		}
+		if _, err := p.Execute(ExecOptions{Eps: 0.9}); err == nil {
+			t.Fatalf("%v: eps above the plan's threshold must be rejected", a)
+		}
 	}
 }
 
@@ -104,17 +106,6 @@ func TestPreparedJoinConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestPrepareSedonaNotPreparable: the Sedona-style baseline has no
-// reusable plan and must say so with ErrNotPreparable.
-func TestPrepareSedonaNotPreparable(t *testing.T) {
-	rs := GenerateUniform(100, 1)
-	ss := GenerateUniform(100, 2)
-	_, err := Prepare(rs, ss, Options{Eps: 0.5, Algorithm: SedonaLike})
-	if !errors.Is(err, ErrNotPreparable) {
-		t.Fatalf("err = %v, want ErrNotPreparable", err)
-	}
 }
 
 // TestPrepareWithPresample: feeding the samples Prepare would draw back

@@ -1,90 +1,18 @@
 package spatialjoin
 
 import (
+	"context"
 	"fmt"
-
-	"spatialjoin/internal/agreements"
-	"spatialjoin/internal/core"
-	"spatialjoin/internal/pbsm"
-	"spatialjoin/internal/sedonasim"
 )
 
 // SelfJoin computes the ε-distance self-join of one point set: every
 // unordered pair {a, b}, a ≠ b, with d(a, b) ≤ Eps, reported once with
 // RID < SID. Self-joins are the workload of distance-based similarity
 // analysis (the MR-DSJ setting of the paper's related work); any
-// algorithm except the dedup ablation can execute one.
+// algorithm except the dedup ablation and AutoPlanned can execute one.
 func SelfJoin(ts []Tuple, opt Options) (*Report, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	switch opt.Algorithm {
-	case AdaptiveLPiB, AdaptiveDIFF:
-		policy := agreements.LPiB
-		if opt.Algorithm == AdaptiveDIFF {
-			policy = agreements.DIFF
-		}
-		res, err := core.Join(ts, ts, core.Config{
-			Eps:            opt.Eps,
-			Res:            opt.GridRes,
-			Policy:         policy,
-			SampleFraction: opt.SampleFraction,
-			Seed:           opt.Seed,
-			Workers:        opt.Workers,
-			Partitions:     opt.Partitions,
-			UseLPT:         opt.UseLPT,
-			Collect:        opt.Collect,
-			Bounds:         opt.Bounds,
-			NetBandwidth:   opt.NetBandwidth,
-			PoolSize:       opt.PoolSize,
-			Engine:         opt.Engine,
-			SelfFilter:     true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return report(opt.Algorithm, res.Metrics, res.Pairs), nil
-
-	case PBSMUniR, PBSMUniS, PBSMEpsGrid, PBSMClone:
-		variant := map[Algorithm]pbsm.Variant{
-			PBSMUniR: pbsm.UniR, PBSMUniS: pbsm.UniS,
-			PBSMEpsGrid: pbsm.EpsGrid, PBSMClone: pbsm.Clone,
-		}[opt.Algorithm]
-		res, err := pbsm.Join(ts, ts, pbsm.Config{
-			Eps:          opt.Eps,
-			Variant:      variant,
-			Workers:      opt.Workers,
-			Partitions:   opt.Partitions,
-			Collect:      opt.Collect,
-			Bounds:       opt.Bounds,
-			NetBandwidth: opt.NetBandwidth,
-			PoolSize:     opt.PoolSize,
-			Engine:       opt.Engine,
-			SelfFilter:   true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return report(opt.Algorithm, res.Metrics, res.Pairs), nil
-
-	case SedonaLike:
-		res, err := sedonasim.Join(ts, ts, sedonasim.Config{
-			Eps:            opt.Eps,
-			Workers:        opt.Workers,
-			Partitions:     opt.Partitions,
-			SampleFraction: opt.SampleFraction,
-			Seed:           opt.Seed,
-			Collect:        opt.Collect,
-			Bounds:         opt.Bounds,
-			NetBandwidth:   opt.NetBandwidth,
-			SelfFilter:     true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return report(opt.Algorithm, res.Metrics, res.Pairs), nil
-
-	default:
+	if opt.Algorithm == AdaptiveSimpleDedup || opt.Algorithm == AutoPlanned {
 		return nil, fmt.Errorf("spatialjoin: algorithm %v does not support self-joins", opt.Algorithm)
 	}
+	return join(context.Background(), ts, ts, opt, true)
 }

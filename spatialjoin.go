@@ -29,6 +29,7 @@ package spatialjoin
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"spatialjoin/internal/datagen"
@@ -37,7 +38,6 @@ import (
 	"spatialjoin/internal/knnjoin"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/sample"
-	"spatialjoin/internal/sedonasim"
 	"spatialjoin/internal/textio"
 	"spatialjoin/internal/tuple"
 )
@@ -198,8 +198,8 @@ type Options struct {
 // Validate checks the options for values that would cause downstream
 // panics or silent misbehaviour, returning a descriptive error.
 func (o Options) Validate() error {
-	if o.Eps <= 0 {
-		return fmt.Errorf("spatialjoin: Options.Eps must be positive, got %v", o.Eps)
+	if !(o.Eps > 0) || math.IsInf(o.Eps, 0) {
+		return fmt.Errorf("spatialjoin: Options.Eps must be positive and finite, got %v", o.Eps)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("spatialjoin: Options.Workers must not be negative, got %d (use 0 for the GOMAXPROCS default)", o.Workers)
@@ -312,8 +312,8 @@ func (r *Report) Selectivity(nr, ns int) float64 {
 }
 
 // Join computes the ε-distance join R ⋈ε S with the selected algorithm.
-// Every algorithm except SedonaLike runs as Prepare followed by a single
-// Execute; callers that repeat a join should Prepare once themselves.
+// Every algorithm runs as Prepare followed by a single Execute; callers
+// that repeat a join should Prepare once themselves.
 func Join(rs, ss []Tuple, opt Options) (*Report, error) {
 	return JoinContext(context.Background(), rs, ss, opt)
 }
@@ -324,46 +324,37 @@ func Join(rs, ss []Tuple, opt Options) (*Report, error) {
 // construction itself is not interruptible — only the partition-level
 // joins observe ctx.
 func JoinContext(ctx context.Context, rs, ss []Tuple, opt Options) (*Report, error) {
+	return join(ctx, rs, ss, opt, false)
+}
+
+// join is the one-shot path of Join and SelfJoin.
+func join(ctx context.Context, rs, ss []Tuple, opt Options, selfJoin bool) (*Report, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	switch opt.Algorithm {
-	case SedonaLike:
-		res, err := sedonasim.Join(rs, ss, sedonasim.Config{
-			Eps:            opt.Eps,
-			Workers:        opt.Workers,
-			Partitions:     opt.Partitions,
-			SampleFraction: opt.SampleFraction,
-			Seed:           opt.Seed,
-			Collect:        opt.Collect,
-			Bounds:         opt.Bounds,
-			NetBandwidth:   opt.NetBandwidth,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return report(opt.Algorithm, res.Metrics, res.Pairs), nil
-
-	default:
-		root := (*obs.Span)(nil)
-		if opt.Trace != nil && opt.TraceParent == 0 {
-			root = opt.Trace.Start(0, obs.SpanJoin)
-			root.SetStr("algorithm", opt.Algorithm.String())
-			opt.TraceParent = root.SpanID()
-		}
-		p, err := Prepare(rs, ss, opt)
-		if err != nil {
-			root.End()
-			return nil, err
-		}
-		rep, err := p.ExecuteContext(ctx, ExecOptions{
-			Collect:     opt.Collect,
-			Trace:       opt.Trace,
-			TraceParent: opt.TraceParent,
-		})
-		root.End()
-		return rep, err
+	root := opt.traceRoot()
+	defer root.End()
+	p, err := prepare(rs, ss, opt, selfJoin)
+	if err != nil {
+		return nil, err
 	}
+	return p.ExecuteContext(ctx, ExecOptions{
+		Collect:     opt.Collect,
+		Trace:       opt.Trace,
+		TraceParent: opt.TraceParent,
+	})
+}
+
+// traceRoot opens the join's root span when the caller traces without a
+// parent span of its own, and parents everything that follows under it.
+func (o *Options) traceRoot() *obs.Span {
+	if o.Trace == nil || o.TraceParent != 0 {
+		return nil
+	}
+	root := o.Trace.Start(0, obs.SpanJoin)
+	root.SetStr("algorithm", o.Algorithm.String())
+	o.TraceParent = root.SpanID()
+	return root
 }
 
 // BruteForce computes the join by comparing all pairs — O(|R|·|S|), the
