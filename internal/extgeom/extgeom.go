@@ -146,16 +146,25 @@ func (o *Object) HalfDiag() float64 {
 	return math.Sqrt(b.Width()*b.Width()+b.Height()*b.Height()) / 2
 }
 
-// segments visits the object's segments. A point yields none; a polygon
-// includes the closing edge.
-func (o *Object) segments(visit func(Segment)) {
+// numSegs returns the number of segments seg indexes. A point has none;
+// a polygon includes the closing edge.
+func (o *Object) numSegs() int {
 	n := len(o.Verts)
-	for i := 0; i+1 < n; i++ {
-		visit(Segment{A: o.Verts[i], B: o.Verts[i+1]})
-	}
 	if o.Kind == KindPolygon && n >= 3 {
-		visit(Segment{A: o.Verts[n-1], B: o.Verts[0]})
+		return n
 	}
+	return max(n-1, 0)
+}
+
+// seg returns the object's i-th segment, 0 <= i < numSegs(). Segment
+// loops index the vertices in place: refinement runs once per candidate
+// pair and must not allocate.
+func (o *Object) seg(i int) Segment {
+	j := i + 1
+	if j == len(o.Verts) {
+		j = 0
+	}
+	return Segment{A: o.Verts[i], B: o.Verts[j]}
 }
 
 // ContainsPoint reports whether p lies inside or on the boundary of a
@@ -165,14 +174,10 @@ func (o *Object) ContainsPoint(p geom.Point) bool {
 	if o.Kind != KindPolygon {
 		return false
 	}
-	onBoundary := false
-	o.segments(func(s Segment) {
-		if SqDistPointSegment(p, s) == 0 {
-			onBoundary = true
+	for i, ns := 0, o.numSegs(); i < ns; i++ {
+		if SqDistPointSegment(p, o.seg(i)) == 0 {
+			return true
 		}
-	})
-	if onBoundary {
-		return true
 	}
 	inside := false
 	n := len(o.Verts)
@@ -189,43 +194,85 @@ func (o *Object) ContainsPoint(p geom.Point) bool {
 // SqDist returns the squared distance between two objects: zero when they
 // intersect or one contains the other, otherwise the squared minimum
 // boundary distance.
-func SqDist(a, b *Object) float64 {
+func SqDist(a, b *Object) float64 { return sqDistUpTo(a, b, a.Bounds(), b.Bounds(), 0) }
+
+// Dist returns the distance between two objects.
+func Dist(a, b *Object) float64 { return math.Sqrt(SqDist(a, b)) }
+
+// WithinDist reports whether the two objects are within eps of each
+// other. It equals SqDist(a, b) <= eps*eps on every input, but stops at
+// the first segment pair that is close enough and never evaluates pairs
+// that cannot be.
+func WithinDist(a, b *Object, eps float64) bool {
+	return sqDistUpTo(a, b, a.Bounds(), b.Bounds(), eps) <= eps*eps
+}
+
+// sqDistUpTo computes the squared distance between a and b (whose MBRs
+// the caller passes in) only as far as the question "is it at most eps?"
+// needs: the result is at most eps² exactly when the full minimum over all
+// segment pairs is, and it is that minimum — the exact squared distance —
+// when eps is 0.
+//
+// Three shortcuts, none of which changes the answer:
+//
+//   - A polygon cannot contain a vertex that lies outside its MBR by more
+//     than the rounding slack, so the containment test is skipped there.
+//   - The running minimum only decreases, so once it is at most eps² the
+//     scan stops.
+//   - For eps > 0, a segment of a whose box is farther than eps + slack
+//     from b's MBR, and a segment pair whose boxes are that far apart,
+//     cannot produce a distance of eps or less and are skipped. If every
+//     pair is skipped the result is +Inf.
+func sqDistUpTo(a, b *Object, aBox, bBox geom.Rect, eps float64) float64 {
 	// Point-point fast path.
 	if a.Kind == KindPoint && b.Kind == KindPoint {
 		return a.Verts[0].SqDist(b.Verts[0])
 	}
-	// Containment: a polygon swallows any vertex inside it.
-	if a.Kind == KindPolygon && a.ContainsPoint(b.Verts[0]) {
+	slack := roundingSlack(aBox, bBox, eps)
+	// Containment: a polygon swallows any vertex inside it. (The guards
+	// read !(gap > slack) so that a NaN anywhere runs the test.)
+	if a.Kind == KindPolygon && !(aBox.SqMinDist(b.Verts[0]) > slack*slack) && a.ContainsPoint(b.Verts[0]) {
 		return 0
 	}
-	if b.Kind == KindPolygon && b.ContainsPoint(a.Verts[0]) {
+	if b.Kind == KindPolygon && !(bBox.SqMinDist(a.Verts[0]) > slack*slack) && b.ContainsPoint(a.Verts[0]) {
 		return 0
 	}
+	stop := eps * eps
 	best := math.Inf(1)
-	aSegs := collectSegments(a)
-	bSegs := collectSegments(b)
+	na, nb := a.numSegs(), b.numSegs()
 	switch {
-	case len(aSegs) == 0 && len(bSegs) == 0:
+	case na == 0 && nb == 0:
 		return a.Verts[0].SqDist(b.Verts[0])
-	case len(aSegs) == 0:
-		for _, s := range bSegs {
-			if d := SqDistPointSegment(a.Verts[0], s); d < best {
-				best = d
-			}
+	case na == 0 || nb == 0:
+		// One side has no segments: its first vertex against the other's.
+		pt, o := a.Verts[0], b
+		if nb == 0 {
+			pt, o = b.Verts[0], a
 		}
-	case len(bSegs) == 0:
-		for _, s := range aSegs {
-			if d := SqDistPointSegment(b.Verts[0], s); d < best {
-				best = d
+		for i, n := 0, o.numSegs(); i < n; i++ {
+			if d := SqDistPointSegment(pt, o.seg(i)); d < best {
+				if best = d; best <= stop {
+					return best
+				}
 			}
 		}
 	default:
-		for _, sa := range aSegs {
-			for _, sb := range bSegs {
+		prune := eps > 0
+		reach2 := (eps + slack) * (eps + slack)
+		for i := 0; i < na; i++ {
+			sa := a.seg(i)
+			saBox := geom.NewRect(sa.A.X, sa.A.Y, sa.B.X, sa.B.Y)
+			if prune && sqGap(saBox, bBox) > reach2 {
+				continue
+			}
+			for j := 0; j < nb; j++ {
+				sb := b.seg(j)
+				if prune && sqGap(saBox, geom.NewRect(sb.A.X, sb.A.Y, sb.B.X, sb.B.Y)) > reach2 {
+					continue
+				}
 				if d := SqDistSegments(sa, sb); d < best {
-					best = d
-					if best == 0 {
-						return 0
+					if best = d; best <= stop {
+						return best
 					}
 				}
 			}
@@ -234,16 +281,38 @@ func SqDist(a, b *Object) float64 {
 	return best
 }
 
-// Dist returns the distance between two objects.
-func Dist(a, b *Object) float64 { return math.Sqrt(SqDist(a, b)) }
+// sqGap returns the squared distance between two boxes: zero when they
+// overlap, otherwise the squared length of the shortest connection. No
+// point of p is closer than that to any point of q.
+func sqGap(p, q geom.Rect) float64 {
+	dx := max(p.MinX-q.MaxX, q.MinX-p.MaxX, 0)
+	dy := max(p.MinY-q.MaxY, q.MinY-p.MaxY, 0)
+	return dx*dx + dy*dy
+}
 
-// WithinDist reports whether the two objects are within eps of each other.
-func WithinDist(a, b *Object, eps float64) bool { return SqDist(a, b) <= eps*eps }
-
-func collectSegments(o *Object) []Segment {
-	var out []Segment
-	o.segments(func(s Segment) { out = append(out, s) })
-	return out
+// roundingSlack is the margin the shortcuts of sqDistUpTo leave between
+// what a bounding box proves and what they skip, for two objects with
+// the given MBRs: 2⁻⁴⁰ · (|eps| + the largest absolute coordinate).
+//
+// The shortcuts have to be safe against the distances this package
+// computes, not against the real ones. A box gap G is a lower bound on
+// the real distance of whatever the boxes hold, and comes out of exact
+// comparisons and one subtraction per axis (relative error 2⁻⁵³).
+// SqDistPointSegment, however, measures to a projected point it computes
+// as A + t·(B−A); that point is off the real segment by up to about
+// 8·2⁻⁵³·M for coordinates bounded by M — an absolute error, which for a
+// small eps next to large coordinates dwarfs any relative margin on eps.
+// So a computed squared distance can be at most eps² only if
+// G ≤ eps·(1+3·2⁻⁵³) + 8·2⁻⁵³·M, and (eps = 0) a vertex can test as
+// inside or on a polygon only if it is that close to the polygon's MBR;
+// ray casting, whose crossing abscissae carry the same error, cannot
+// call a vertex farther out "inside" either. The slack is several
+// thousand times those bounds, and still far below anything that would
+// weaken the pruning.
+func roundingSlack(aBox, bBox geom.Rect, eps float64) float64 {
+	u := aBox.Union(bBox)
+	m := max(-u.MinX, u.MaxX, -u.MinY, u.MaxY) // Min ≤ Max, so this is the largest |coordinate|
+	return (math.Abs(eps) + m) * 0x1p-40
 }
 
 // NewPoint builds a point object.

@@ -69,10 +69,8 @@ func Eval(p Predicate, a, b *Object, eps float64) bool {
 // point: their boundaries cross or touch, or one lies inside the other's
 // interior.
 func IntersectsObjects(a, b *Object) bool {
-	if !a.Bounds().Intersects(b.Bounds()) {
-		return false
-	}
-	return SqDist(a, b) == 0
+	aBox, bBox := a.Bounds(), b.Bounds()
+	return aBox.Intersects(bBox) && sqDistUpTo(a, b, aBox, bBox, 0) == 0
 }
 
 // ContainsObject reports whether a fully contains b, boundary contact
@@ -99,38 +97,34 @@ func ContainsObject(a, b *Object) bool {
 	if b.Kind == KindPoint {
 		return true
 	}
-	contained := true
-	b.segments(func(sb Segment) {
-		if !contained {
-			return
-		}
+	na, nb := a.numSegs(), b.numSegs()
+	for j := 0; j < nb; j++ {
+		sb := b.seg(j)
 		grazes := false
-		a.segments(func(sa Segment) {
-			if !contained || !SegmentsIntersect(sa, sb) {
-				return
+		for i := 0; i < na; i++ {
+			sa := a.seg(i)
+			if !SegmentsIntersect(sa, sb) {
+				continue
 			}
 			if properCross(sa, sb) {
-				contained = false
-				return
+				return false
 			}
 			grazes = true
-		})
-		if !contained || !grazes {
-			return
+		}
+		if !grazes {
+			continue
 		}
 		// The segment touches a's boundary without a proper crossing
 		// (endpoint contact, collinear overlap, or a pass through one of
 		// a's vertices). Probe interior points of the segment: any sample
 		// outside a proves an excursion.
 		for _, t := range [...]float64{0.25, 0.5, 0.75} {
-			p := interp(sb, t)
-			if !a.ContainsPoint(p) {
-				contained = false
-				return
+			if !a.ContainsPoint(interp(sb, t)) {
+				return false
 			}
 		}
-	})
-	return contained
+	}
+	return true
 }
 
 // properCross reports whether the two segments cross at a single interior

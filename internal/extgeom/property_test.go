@@ -111,11 +111,11 @@ func TestSegmentsIntersectBoundaryCases(t *testing.T) {
 func samplePoints(o *Object, perSegment int) []geom.Point {
 	out := []geom.Point{}
 	out = append(out, o.Verts...)
-	o.segments(func(s Segment) {
+	for k := 0; k < o.numSegs(); k++ {
 		for i := 1; i < perSegment; i++ {
-			out = append(out, interp(s, float64(i)/float64(perSegment)))
+			out = append(out, interp(o.seg(k), float64(i)/float64(perSegment)))
 		}
-	})
+	}
 	return out
 }
 
@@ -246,11 +246,11 @@ func TestContainsObjectVsSampling(t *testing.T) {
 			grazing := false
 			for _, p := range samplePoints(&b, 50) {
 				d := math.Inf(1)
-				a.segments(func(s Segment) {
-					if v := SqDistPointSegment(p, s); v < d {
+				for k := 0; k < a.numSegs(); k++ {
+					if v := SqDistPointSegment(p, a.seg(k)); v < d {
 						d = v
 					}
-				})
+				}
 				if d < 1e-12 {
 					grazing = true
 					break

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"spatialjoin/internal/geom"
 )
@@ -45,16 +46,37 @@ func AppendObject(dst []byte, o *Object) []byte {
 // DecodeObject decodes a geometry payload into an object with the given
 // id.
 func DecodeObject(id int64, b []byte) (Object, error) {
+	o, _, _, err := DecodeObjectInto(nil, id, b)
+	return o, err
+}
+
+// DecodeObjectInto is DecodeObject for a caller that decodes many
+// objects and keeps their vertices in one arena: the vertices are
+// appended to arena, the returned object's Verts alias exactly that range
+// (capacity capped, so appending to them cannot reach a neighbour), and
+// the MBR falls out of the same pass. It returns the extended arena; on
+// error the arena comes back as it was passed in.
+func DecodeObjectInto(arena []geom.Point, id int64, b []byte) (Object, geom.Rect, []geom.Point, error) {
 	kind, n, err := decodeHeader(b)
 	if err != nil {
-		return Object{}, err
+		return Object{}, geom.Rect{}, arena, err
 	}
-	o := Object{ID: id, Kind: kind, Verts: make([]geom.Point, n)}
+	start := len(arena)
+	verts := slices.Grow(arena, n)[:start+n]
+	mbr := geom.EmptyRect()
 	for i := 0; i < n; i++ {
-		o.Verts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(b[wireHeader+16*i:]))
-		o.Verts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(b[wireHeader+16*i+8:]))
+		p := geom.Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(b[wireHeader+16*i:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[wireHeader+16*i+8:])),
+		}
+		verts[start+i] = p
+		mbr = mbr.ExtendPoint(p)
 	}
-	return o, o.Validate()
+	o := Object{ID: id, Kind: kind, Verts: verts[start : start+n : start+n]}
+	if err := o.Validate(); err != nil {
+		return Object{}, geom.Rect{}, arena, err
+	}
+	return o, mbr, verts, nil
 }
 
 // DecodeObjectBounds computes the MBR of an encoded geometry without

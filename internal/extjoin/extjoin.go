@@ -94,12 +94,9 @@ func Join(rs, ss []extgeom.Object, cfg Config) (*Result, error) {
 // refineKernel filters centre pairs with a plane sweep at εe and refines
 // each candidate with the exact object distance at ε.
 func refineKernel(lookupR, lookupS map[int64]*extgeom.Object, eps float64) dpe.Kernel {
-	eps2 := eps * eps
 	return func(_ int, rs, ss []tuple.Tuple, epsE float64, emit sweep.Emit) {
 		sweep.PlaneSweep(rs, ss, epsE, func(r, s tuple.Tuple) {
-			or := lookupR[r.ID]
-			os := lookupS[s.ID]
-			if extgeom.SqDist(or, os) <= eps2 {
+			if extgeom.WithinDist(lookupR[r.ID], lookupS[s.ID], eps) {
 				emit(r, s)
 			}
 		})

@@ -39,10 +39,10 @@ type Rect struct {
 // NewRect returns the rectangle spanning the two corner points in any order.
 func NewRect(x1, y1, x2, y2 float64) Rect {
 	return Rect{
-		MinX: math.Min(x1, x2),
-		MinY: math.Min(y1, y2),
-		MaxX: math.Max(x1, x2),
-		MaxY: math.Max(y1, y2),
+		MinX: min(x1, x2),
+		MinY: min(y1, y2),
+		MaxX: max(x1, x2),
+		MaxY: max(y1, y2),
 	}
 }
 
@@ -85,20 +85,20 @@ func (r Rect) Expand(d float64) Rect {
 // Union returns the smallest rectangle covering both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
 // ExtendPoint returns the smallest rectangle covering r and p.
 func (r Rect) ExtendPoint(p Point) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, p.X),
-		MinY: math.Min(r.MinY, p.Y),
-		MaxX: math.Max(r.MaxX, p.X),
-		MaxY: math.Max(r.MaxY, p.Y),
+		MinX: min(r.MinX, p.X),
+		MinY: min(r.MinY, p.Y),
+		MaxX: max(r.MaxX, p.X),
+		MaxY: max(r.MaxY, p.Y),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/extgeom"
@@ -95,31 +96,56 @@ func (k *Kernel) Desc(refineEps float64) dpe.KernelDesc {
 }
 
 // entry is one replica materialised inside a tile: the (widened) MBR
-// drives the filter, the object is decoded lazily on first refinement.
+// drives the filter, the decoded object is what refinement evaluates. Its
+// vertices live in the tile's vertex arena.
 type entry struct {
 	mbr geom.Rect
 	t   tuple.Tuple
-	obj *extgeom.Object
+	obj extgeom.Object
 }
 
 // tileScratch is the reusable per-tile working set: the class buckets
-// of both sides plus the R-tree fallback's flattened S side. Tiles run
-// concurrently across partition tasks, so the scratch cycles through a
-// sync.Pool — after warm-up a tile join allocates nothing but the
-// occasional bucket regrowth.
+// of both sides, the arena every replica's vertices are decoded into,
+// the R-tree fallback's flattened S side, and the tile's share of the
+// kernel counters. Tiles run concurrently across partition tasks, so the
+// scratch cycles through a sync.Pool — after warm-up a tile join
+// allocates nothing but the occasional regrowth.
 type tileScratch struct {
 	byClassR, byClassS [numClasses][]entry
+	verts              []geom.Point
 	boxes              []rtree.BoxEntry
 	flatS              []*entry
 	classS             []Class
+
+	candidates, emitted, decodeErrors int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
 
-// release drops the scratch's entry references (decoded geometries
-// would otherwise pin arbitrarily large payloads inside the pool) and
-// returns it, capacity intact.
+// maxPooledScratchBytes bounds what one pooled scratch may keep alive.
+// A scratch that grew past it — one huge tile — is left to the garbage
+// collector instead of pinning its buckets and arena in the pool for the
+// life of the process.
+const maxPooledScratchBytes = 4 << 20
+
+// retainedBytes is the capacity the scratch would carry into the pool.
+func (sc *tileScratch) retainedBytes() int {
+	n := cap(sc.verts)*int(unsafe.Sizeof(geom.Point{})) +
+		cap(sc.boxes)*int(unsafe.Sizeof(rtree.BoxEntry{})) +
+		cap(sc.flatS)*int(unsafe.Sizeof((*entry)(nil))) +
+		cap(sc.classS)*int(unsafe.Sizeof(Class(0)))
+	for c := range sc.byClassR {
+		n += (cap(sc.byClassR[c]) + cap(sc.byClassS[c])) * int(unsafe.Sizeof(entry{}))
+	}
+	return n
+}
+
+// release returns the scratch to the pool, emptied: the entries hold
+// payload slices that would otherwise pin the tile's input in the pool.
 func (sc *tileScratch) release() {
+	if sc.retainedBytes() > maxPooledScratchBytes {
+		return
+	}
 	for c := range sc.byClassR {
 		clear(sc.byClassR[c])
 		clear(sc.byClassS[c])
@@ -127,20 +153,36 @@ func (sc *tileScratch) release() {
 		sc.byClassS[c] = sc.byClassS[c][:0]
 	}
 	clear(sc.flatS)
-	sc.boxes, sc.flatS, sc.classS = sc.boxes[:0], sc.flatS[:0], sc.classS[:0]
+	sc.verts, sc.boxes, sc.flatS, sc.classS = sc.verts[:0], sc.boxes[:0], sc.flatS[:0], sc.classS[:0]
+	sc.candidates, sc.emitted, sc.decodeErrors = 0, 0, 0
 	scratchPool.Put(sc)
 }
 
-func (k *Kernel) object(e *entry) *extgeom.Object {
-	if e.obj == nil {
-		o, err := extgeom.DecodeObject(e.t.ID, e.t.Payload)
+// load decodes one side's replicas — MBR and vertices in a single pass
+// over each payload — classifies them tile-locally and buckets them by
+// class. widen is the ε the side's MBRs are expanded by.
+func (k *Kernel) load(sc *tileScratch, byClass *[numClasses][]entry, ts []tuple.Tuple, widen float64, col, row int) {
+	for _, t := range ts {
+		obj, mbr, verts, err := extgeom.DecodeObjectInto(sc.verts, t.ID, t.Payload)
 		if err != nil {
-			k.Stats.DecodeErrors.Add(1)
-			return nil
+			sc.decodeErrors++
+			continue
 		}
-		e.obj = &o
+		if widen > 0 {
+			mbr = mbr.Expand(widen)
+		}
+		if !k.Grid.Covers(mbr, col, row) {
+			// A re-sweep at ε' < plan ε: the ε-widened assignment put a
+			// replica here, but the ε'-widened MBR no longer reaches
+			// this tile. Its reference tile is covered by both sides'
+			// narrower replicas, so dropping the stale copy is safe —
+			// and classifying it would double-emit.
+			continue
+		}
+		sc.verts = verts
+		c := k.Grid.Classify(mbr, col, row)
+		byClass[c] = append(byClass[c], entry{mbr: mbr, t: t, obj: obj})
 	}
-	return e.obj
 }
 
 // widenR is the R-side MBR widening: WithinDistance assigns and
@@ -161,57 +203,31 @@ func (k *Kernel) Join(cell int, rs, ss []tuple.Tuple, eps float64, emit sweep.Em
 	widen := k.widenR(eps)
 
 	// Materialise replicas, classify tile-locally, and bucket by class
-	// in pooled scratch.
+	// in pooled scratch. Only the R side is widened.
 	sc := scratchPool.Get().(*tileScratch)
 	defer sc.release()
-	byClassR, byClassS := &sc.byClassR, &sc.byClassS
-	for _, t := range rs {
-		mbr, err := extgeom.DecodeObjectBounds(t.Payload)
-		if err != nil {
-			k.Stats.DecodeErrors.Add(1)
-			continue
-		}
-		if widen > 0 {
-			mbr = mbr.Expand(widen)
-		}
-		if !k.Grid.Covers(mbr, col, row) {
-			// A re-sweep at ε' < plan ε: the ε-widened assignment put a
-			// replica here, but the ε'-widened MBR no longer reaches
-			// this tile. Its reference tile is covered by both sides'
-			// narrower replicas, so dropping the stale copy is safe —
-			// and classifying it would double-emit.
-			continue
-		}
-		c := k.Grid.Classify(mbr, col, row)
-		byClassR[c] = append(byClassR[c], entry{mbr: mbr, t: t})
-	}
-	for _, t := range ss {
-		mbr, err := extgeom.DecodeObjectBounds(t.Payload)
-		if err != nil {
-			k.Stats.DecodeErrors.Add(1)
-			continue
-		}
-		if !k.Grid.Covers(mbr, col, row) {
-			continue
-		}
-		c := k.Grid.Classify(mbr, col, row)
-		byClassS[c] = append(byClassS[c], entry{mbr: mbr, t: t})
-	}
-	k.Stats.Tiles.Add(1)
+	k.load(sc, &sc.byClassR, rs, widen, col, row)
+	k.load(sc, &sc.byClassS, ss, 0, col, row)
 
 	if k.ForceFallback || k.degenerate(sc) {
 		k.Stats.FallbackTiles.Add(1)
 		k.joinRtree(sc, eps, emit)
-		return
+	} else {
+		for cr := ClassA; cr < numClasses; cr++ {
+			for cs := ClassA; cs < numClasses; cs++ {
+				if comboAllowed(cr, cs) {
+					k.sweepCombo(sc, sc.byClassR[cr], sc.byClassS[cs], eps, emit)
+				}
+			}
+		}
 	}
 
-	for cr := ClassA; cr < numClasses; cr++ {
-		for cs := ClassA; cs < numClasses; cs++ {
-			if !comboAllowed(cr, cs) {
-				continue
-			}
-			k.sweepCombo(byClassR[cr], byClassS[cs], eps, emit)
-		}
+	// The tile counted locally; the shared atomics see one add each.
+	k.Stats.Tiles.Add(1)
+	k.Stats.Candidates.Add(sc.candidates)
+	k.Stats.Emitted.Add(sc.emitted)
+	if sc.decodeErrors > 0 {
+		k.Stats.DecodeErrors.Add(sc.decodeErrors)
 	}
 }
 
@@ -250,7 +266,7 @@ func (k *Kernel) degenerate(sc *tileScratch) bool {
 // sorted by MBR x-start, the earlier-starting entry scanned forward in
 // the other list while x-intervals overlap, then a y-overlap check,
 // then exact refinement.
-func (k *Kernel) sweepCombo(res, ses []entry, eps float64, emit sweep.Emit) {
+func (k *Kernel) sweepCombo(sc *tileScratch, res, ses []entry, eps float64, emit sweep.Emit) {
 	if len(res) == 0 || len(ses) == 0 {
 		return
 	}
@@ -261,13 +277,13 @@ func (k *Kernel) sweepCombo(res, ses []entry, eps float64, emit sweep.Emit) {
 		if res[i].mbr.MinX <= ses[j].mbr.MinX {
 			r := &res[i]
 			for jj := j; jj < len(ses) && ses[jj].mbr.MinX <= r.mbr.MaxX; jj++ {
-				k.tryPair(r, &ses[jj], eps, emit)
+				k.tryPair(sc, r, &ses[jj], eps, emit)
 			}
 			i++
 		} else {
 			s := &ses[j]
 			for ii := i; ii < len(res) && res[ii].mbr.MinX <= s.mbr.MaxX; ii++ {
-				k.tryPair(&res[ii], s, eps, emit)
+				k.tryPair(sc, &res[ii], s, eps, emit)
 			}
 			j++
 		}
@@ -276,17 +292,13 @@ func (k *Kernel) sweepCombo(res, ses []entry, eps float64, emit sweep.Emit) {
 
 // tryPair finishes the filter (y overlap; x overlap is the sweep's
 // invariant) and refines with the exact predicate.
-func (k *Kernel) tryPair(r, s *entry, eps float64, emit sweep.Emit) {
+func (k *Kernel) tryPair(sc *tileScratch, r, s *entry, eps float64, emit sweep.Emit) {
 	if r.mbr.MinY > s.mbr.MaxY || s.mbr.MinY > r.mbr.MaxY {
 		return
 	}
-	k.Stats.Candidates.Add(1)
-	ro, so := k.object(r), k.object(s)
-	if ro == nil || so == nil {
-		return
-	}
-	if extgeom.Eval(k.Pred, ro, so, eps) {
-		k.Stats.Emitted.Add(1)
+	sc.candidates++
+	if extgeom.Eval(k.Pred, &r.obj, &s.obj, eps) {
+		sc.emitted++
 		emit(r.t, s.t)
 	}
 }
@@ -315,7 +327,7 @@ func (k *Kernel) joinRtree(sc *tileScratch, eps float64, emit sweep.Emit) {
 				if !comboAllowed(cr, sc.classS[be.Ref]) {
 					return
 				}
-				k.tryPair(r, sc.flatS[be.Ref], eps, emit)
+				k.tryPair(sc, r, sc.flatS[be.Ref], eps, emit)
 			})
 		}
 	}

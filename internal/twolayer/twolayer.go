@@ -94,19 +94,31 @@ func (p *Plan) Eps() float64 {
 // FootprintBytes returns the wire size of the tile-bucketed replicas.
 func (p *Plan) FootprintBytes() int64 { return p.prep.FootprintBytes() }
 
-// Encode turns objects into join tuples: the object id, the MBR center
+// Encode turns objects into join tuples — the object id, the MBR center
 // as the point (cluster shuffle framing needs one), and the geometry
-// wire encoding as the payload.
-func Encode(objs []extgeom.Object) ([]tuple.Tuple, error) {
-	out := make([]tuple.Tuple, len(objs))
+// wire encoding as the payload — and returns each object's MBR beside
+// them. The payloads are slices of one exactly-sized arena, each capped
+// to its own bytes.
+func Encode(objs []extgeom.Object) ([]tuple.Tuple, []geom.Rect, error) {
+	size := 0
 	for i := range objs {
 		o := &objs[i]
 		if err := o.Validate(); err != nil {
-			return nil, fmt.Errorf("twolayer: object %d: %w", o.ID, err)
+			return nil, nil, fmt.Errorf("twolayer: object %d: %w", o.ID, err)
 		}
-		out[i] = tuple.Tuple{ID: o.ID, Pt: o.Bounds().Center(), Payload: extgeom.AppendObject(nil, o)}
+		size += extgeom.ObjectWireSize(o)
 	}
-	return out, nil
+	out := make([]tuple.Tuple, len(objs))
+	mbrs := make([]geom.Rect, len(objs))
+	arena := make([]byte, 0, size)
+	for i := range objs {
+		o := &objs[i]
+		start := len(arena)
+		arena = extgeom.AppendObject(arena, o)
+		mbrs[i] = o.Bounds()
+		out[i] = tuple.Tuple{ID: o.ID, Pt: mbrs[i].Center(), Payload: arena[start:len(arena):len(arena)]}
+	}
+	return out, mbrs, nil
 }
 
 // Prepare samples, picks the grid, encodes both inputs, and runs the
@@ -123,25 +135,25 @@ func Prepare(cfg Config) (*Plan, error) {
 		widen = cfg.Eps
 	}
 
-	rs, err := Encode(cfg.R)
+	rs, mbrsR, err := Encode(cfg.R)
 	if err != nil {
 		return nil, err
 	}
-	ss, err := Encode(cfg.S)
+	ss, mbrsS, err := Encode(cfg.S)
 	if err != nil {
 		return nil, err
 	}
 
 	// ---- Partitioning decision: bounds, sampled MBRs, resolution.
 	partSp := cfg.Tracer.Start(cfg.TraceParent, obs.SpanPartition)
-	bounds := dataBounds(cfg.Bounds, cfg.R, cfg.S)
+	bounds := dataBounds(cfg.Bounds, mbrsR, mbrsS)
 	workers, partitions := core.Parallelism(cfg.Workers, cfg.Partitions)
 	var pred costmodel.TwoLayerPrediction
 	if cfg.Tiles > 0 {
 		pred = costmodel.TwoLayerPrediction{NX: cfg.Tiles, NY: cfg.Tiles}
 	} else {
-		sampleR := sampleMBRs(cfg.R, widen)
-		sampleS := sampleMBRs(cfg.S, 0)
+		sampleR := sampleMBRs(mbrsR, widen)
+		sampleS := sampleMBRs(mbrsS, 0)
 		pred = costmodel.TwoLayerResolution(bounds, sampleR, sampleS, len(cfg.R), len(cfg.S), workers)
 	}
 	grid := NewTileGrid(bounds, pred.NX, pred.NY)
@@ -196,7 +208,9 @@ func Prepare(cfg Config) (*Plan, error) {
 
 // assign builds the tuple-assignment closure for one side: decode the
 // MBR from the payload, widen, cover tiles (reference tile first), and
-// account replica bytes per class.
+// account replica bytes per class — summed per object first, so the
+// shared counters see one add per class an object has, not one per
+// replica.
 func (p *Plan) assign(widen float64) dpe.TupleAssign {
 	g := p.Grid
 	return func(t tuple.Tuple, _ tuple.Set, dst []int) []int {
@@ -210,10 +224,16 @@ func (p *Plan) assign(widen float64) dpe.TupleAssign {
 			mbr = mbr.Expand(widen)
 		}
 		dst = g.Cover(mbr, dst)
-		sz := int64(len(t.Payload))
+		var replicas [numClasses]int64
 		for _, cell := range dst {
 			col, row := g.TileCoords(cell)
-			p.classBytes[g.Classify(mbr, col, row)].Add(sz)
+			replicas[g.Classify(mbr, col, row)]++
+		}
+		sz := int64(len(t.Payload))
+		for c, n := range replicas {
+			if n > 0 {
+				p.classBytes[c].Add(n * sz)
+			}
 		}
 		return dst
 	}
@@ -277,17 +297,17 @@ func Join(cfg Config) (*dpe.Result, error) {
 	return p.Execute(context.Background(), ExecOptions{Collect: cfg.Collect})
 }
 
-// dataBounds resolves the tile grid frame.
-func dataBounds(explicit *geom.Rect, rs, ss []extgeom.Object) geom.Rect {
+// dataBounds resolves the tile grid frame from both sides' MBRs.
+func dataBounds(explicit *geom.Rect, rs, ss []geom.Rect) geom.Rect {
 	if explicit != nil {
 		return *explicit
 	}
 	b := geom.EmptyRect()
-	for i := range rs {
-		b = b.Union(rs[i].Bounds())
+	for _, m := range rs {
+		b = b.Union(m)
 	}
-	for i := range ss {
-		b = b.Union(ss[i].Bounds())
+	for _, m := range ss {
+		b = b.Union(m)
 	}
 	if b.IsEmpty() {
 		b = geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
@@ -297,14 +317,14 @@ func dataBounds(explicit *geom.Rect, rs, ss []extgeom.Object) geom.Rect {
 
 // sampleMBRs takes an evenly-strided sample of up to maxSample MBRs,
 // widened for the ε predicate — deterministic, so plans are stable.
-func sampleMBRs(objs []extgeom.Object, widen float64) []geom.Rect {
-	if len(objs) == 0 {
+func sampleMBRs(mbrs []geom.Rect, widen float64) []geom.Rect {
+	if len(mbrs) == 0 {
 		return nil
 	}
-	stride := (len(objs) + maxSample - 1) / maxSample
-	out := make([]geom.Rect, 0, (len(objs)+stride-1)/stride)
-	for i := 0; i < len(objs); i += stride {
-		m := objs[i].Bounds()
+	stride := (len(mbrs) + maxSample - 1) / maxSample
+	out := make([]geom.Rect, 0, (len(mbrs)+stride-1)/stride)
+	for i := 0; i < len(mbrs); i += stride {
+		m := mbrs[i]
 		if widen > 0 {
 			m = m.Expand(widen)
 		}

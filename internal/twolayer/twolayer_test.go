@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/extgeom"
 	"spatialjoin/internal/extjoin"
@@ -389,8 +391,23 @@ func TestTwoLayerSkewReport(t *testing.T) {
 	if rep.ReplicationBytesByClass["B"]+rep.ReplicationBytesByClass["C"]+rep.ReplicationBytesByClass["D"] == 0 {
 		t.Fatalf("no extent replication recorded: %+v", rep.ReplicationBytesByClass)
 	}
-	// The plan's own view agrees with the trace.
+	// The plan's own view agrees with the trace, and both with the
+	// replica bytes the grid itself implies: the map phase sums them per
+	// object before touching the shared counters.
 	cb := p.ClassBytes()
+	want := map[string]int64{"a": 0, "b": 0, "c": 0, "d": 0}
+	for _, objs := range [][]extgeom.Object{rs, ss} {
+		for i := range objs {
+			mbr := objs[i].Bounds()
+			for _, cell := range p.Grid.Cover(mbr, nil) {
+				col, row := p.Grid.TileCoords(cell)
+				want[p.Grid.Classify(mbr, col, row).String()] += int64(extgeom.ObjectWireSize(&objs[i]))
+			}
+		}
+	}
+	if !maps.Equal(cb, want) {
+		t.Fatalf("ClassBytes %v, the grid implies %v", cb, want)
+	}
 	for class, bytes := range rep.ReplicationBytesByClass {
 		if cb[map[string]string{"A": "a", "B": "b", "C": "c", "D": "d"}[class]] != bytes {
 			t.Fatalf("ClassBytes %v disagree with skew report %v", cb, rep.ReplicationBytesByClass)
@@ -434,41 +451,183 @@ func TestTwoLayerResolutionSelection(t *testing.T) {
 	}
 }
 
+// squareTuple encodes an axis-aligned square as a join tuple.
+func squareTuple(id int64, x, y, side float64) tuple.Tuple {
+	o := extgeom.NewPolygon(id, []geom.Point{
+		{X: x, Y: y}, {X: x + side, Y: y}, {X: x + side, Y: y + side}, {X: x, Y: y + side},
+	})
+	return tuple.Tuple{ID: o.ID, Pt: o.Bounds().Center(), Payload: extgeom.AppendObject(nil, &o)}
+}
+
 // TestTwoLayerKernelJoinAllocs pins the per-tile allocation behaviour
-// of the kernel: with the pooled tile scratch warm, a tile join whose
-// candidates die in the MBR filter (no lazy geometry decodes) must not
-// allocate at all — the class buckets, the sorts and the sweep all run
-// in reused memory. This is the regression gate for the per-execute
-// churn that used to rebuild every bucket slice per tile.
+// of the kernel: with the pooled tile scratch warm, a tile join must not
+// allocate at all — not when every candidate dies in the MBR filter, and
+// not when candidates are decoded, refined and emitted. The class
+// buckets, the vertex arena, the sorts, the sweep and the exact
+// predicates all run in reused memory.
 func TestTwoLayerKernelJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race pass")
 	}
 	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
-	k := &Kernel{
-		Grid: NewTileGrid(world, 1, 1),
-		Pred: extgeom.WithinDistance,
-		// Keep the heuristic from routing this tile to the R-tree path,
-		// whose bulk load allocates by design.
-		FallbackMinEntries: 1 << 30,
+	for _, tc := range []struct {
+		name string
+		sy   float64 // y of the S row; the R row spans y ∈ [10, 11]
+		// the predicates whose candidates reach refinement, and those
+		// that then emit
+		refines, hits []extgeom.Predicate
+	}{
+		{"filtered", 500, nil, nil},
+		{"overlapping", 10.5, allPredicates, []extgeom.Predicate{extgeom.Intersects, extgeom.WithinDistance}},
+		// 0.3 above the R row: only the ε-widened filter passes these,
+		// and the hit comes out of the segment scan.
+		{"near", 11.3, []extgeom.Predicate{extgeom.WithinDistance}, []extgeom.Predicate{extgeom.WithinDistance}},
+	} {
+		var rs, ss []tuple.Tuple
+		for i := 0; i < 40; i++ {
+			rs = append(rs, squareTuple(int64(i), float64(i)*25, 10, 1))
+			ss = append(ss, squareTuple(int64(1000+i), float64(i)*25+0.5, tc.sy, 1))
+		}
+		for _, pred := range allPredicates {
+			k := &Kernel{
+				Grid: NewTileGrid(world, 1, 1),
+				Pred: pred,
+				// Keep the heuristic from routing this tile to the R-tree
+				// path, whose bulk load allocates by design.
+				FallbackMinEntries: 1 << 30,
+			}
+			hits := 0
+			emit := func(r, s tuple.Tuple) { hits++ }
+			k.Join(0, rs, ss, 0.5, emit) // warm the scratch pool
+			if allocs := testing.AllocsPerRun(100, func() {
+				k.Join(0, rs, ss, 0.5, emit)
+			}); allocs > 0 {
+				t.Errorf("%s/%v: steady-state tile join allocates %.1f objects/op, want 0", tc.name, pred, allocs)
+			}
+			if got, want := k.Stats.Candidates.Load() > 0, slices.Contains(tc.refines, pred); got != want {
+				t.Errorf("%s/%v: %d candidates reached refinement, want any: %v", tc.name, pred, k.Stats.Candidates.Load(), want)
+			}
+			if got, want := hits > 0, slices.Contains(tc.hits, pred); got != want {
+				t.Errorf("%s/%v: %d pairs emitted, want any: %v", tc.name, pred, hits, want)
+			}
+		}
 	}
-	var rs, ss []tuple.Tuple
-	for i := 0; i < 40; i++ {
-		x := float64(i) * 25
-		ro := extgeom.NewPolygon(int64(i), []geom.Point{
-			{X: x, Y: 10}, {X: x + 1, Y: 10}, {X: x + 1, Y: 11}, {X: x, Y: 11},
-		})
-		so := extgeom.NewPolygon(int64(1000+i), []geom.Point{
-			{X: x, Y: 500}, {X: x + 1, Y: 500}, {X: x + 1, Y: 501}, {X: x, Y: 501},
-		})
-		rs = append(rs, tuple.Tuple{ID: ro.ID, Pt: ro.Bounds().Center(), Payload: extgeom.AppendObject(nil, &ro)})
-		ss = append(ss, tuple.Tuple{ID: so.ID, Pt: so.Bounds().Center(), Payload: extgeom.AppendObject(nil, &so)})
+}
+
+// TestTwoLayerKernelCountsPerTile: the kernel counts a tile locally and
+// flushes once, so after any number of tiles the shared counters hold
+// exactly the sums.
+func TestTwoLayerKernelCountsPerTile(t *testing.T) {
+	k := &Kernel{Grid: NewTileGrid(geom.Rect{MaxX: 100, MaxY: 100}, 1, 1), Pred: extgeom.WithinDistance}
+	rs := []tuple.Tuple{squareTuple(1, 10, 10, 1), squareTuple(2, 50, 50, 1)}
+	ss := []tuple.Tuple{squareTuple(11, 10.2, 11.2, 1), squareTuple(12, 51.2, 51.2, 1), squareTuple(13, 90, 90, 1)}
+	emitted := 0
+	for i := 0; i < 3; i++ {
+		k.Join(0, rs, ss, 0.25, func(r, s tuple.Tuple) { emitted++ })
 	}
-	emit := func(r, s tuple.Tuple) {}
-	k.Join(0, rs, ss, 0.5, emit) // warm the scratch pool
-	if allocs := testing.AllocsPerRun(100, func() {
-		k.Join(0, rs, ss, 0.5, emit)
-	}); allocs > 0 {
-		t.Errorf("steady-state tile join allocates %.1f objects/op, want 0", allocs)
+	// Per tile: both near pairs are candidates (the MBRs are 0.2 apart
+	// on each axis they differ in, inside the 0.25 widening), the one
+	// offset on both axes is 0.28 away and fails refinement, and the far
+	// S square meets nothing.
+	if got := [3]int64{k.Stats.Tiles.Load(), k.Stats.Candidates.Load(), k.Stats.Emitted.Load()}; got != [3]int64{3, 6, 3} || emitted != 3 {
+		t.Fatalf("tiles/candidates/emitted = %v with %d emit calls, want [3 6 3] and 3", got, emitted)
+	}
+}
+
+// TestTwoLayerScratchDropsOversized: a scratch that one huge tile blew
+// up is left to the garbage collector, not parked in the pool.
+func TestTwoLayerScratchDropsOversized(t *testing.T) {
+	small := &tileScratch{verts: make([]geom.Point, 0, 1024)}
+	if small.retainedBytes() > maxPooledScratchBytes {
+		t.Fatalf("a 1024-vertex scratch counts %d bytes", small.retainedBytes())
+	}
+	big := &tileScratch{}
+	big.byClassR[ClassA] = make([]entry, 0, maxPooledScratchBytes/64)
+	big.verts = make([]geom.Point, 0, maxPooledScratchBytes/32)
+	if big.retainedBytes() <= maxPooledScratchBytes {
+		t.Fatalf("the oversized scratch counts only %d bytes", big.retainedBytes())
+	}
+	big.release()
+	for i := 0; i < 8; i++ {
+		if scratchPool.Get().(*tileScratch) == big {
+			t.Fatal("an oversized scratch went back into the pool")
+		}
+	}
+}
+
+// FuzzTwoLayerKernelPayload feeds the kernel a fuzzed payload on both
+// sides of a tile, next to sound replicas. It must never panic, and it
+// must count in DecodeErrors exactly the replicas DecodeObject rejects.
+func FuzzTwoLayerKernelPayload(f *testing.F) {
+	sound := squareTuple(1, 10, 10, 2)
+	f.Add(sound.Payload)
+	f.Add(sound.Payload[:len(sound.Payload)-3]) // truncated vertex
+	f.Add(sound.Payload[:3])                    // truncated header
+	f.Add(append([]byte{7}, sound.Payload[1:]...))
+	f.Add([]byte{byte(extgeom.KindPolygon), 0xff, 0xff, 0xff, 0x7f})
+	f.Add(extgeom.AppendObject(nil, &extgeom.Object{Kind: extgeom.KindPoint, Verts: make([]geom.Point, 3)}))
+	f.Add([]byte{})
+	nan := extgeom.NewPolyline(0, []geom.Point{{X: math.NaN(), Y: 1}, {X: 12, Y: math.Inf(1)}})
+	f.Add(extgeom.AppendObject(nil, &nan)) // decodes; must not panic downstream
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		_, err := extgeom.DecodeObject(0, payload)
+		wantErrs := int64(0)
+		if err != nil {
+			wantErrs = 2 // once as an R replica, once as an S replica
+		}
+		fuzzed := tuple.Tuple{ID: 99, Payload: payload}
+		rs := []tuple.Tuple{sound, fuzzed}
+		ss := []tuple.Tuple{squareTuple(2, 11, 11, 2), fuzzed}
+		for _, pred := range allPredicates {
+			for _, fallback := range []bool{false, true} {
+				k := &Kernel{Grid: NewTileGrid(geom.Rect{MaxX: 100, MaxY: 100}, 1, 1), Pred: pred, ForceFallback: fallback}
+				soundPair := false
+				k.Join(0, rs, ss, 0.5, func(r, s tuple.Tuple) { soundPair = soundPair || (r.ID == 1 && s.ID == 2) })
+				if got := k.Stats.DecodeErrors.Load(); got != wantErrs {
+					t.Fatalf("%v: DecodeErrors = %d, want %d (decode error: %v)", pred, got, wantErrs, err)
+				}
+				// (A payload that decodes may carry NaN coordinates, which
+				// the interval sweep does not order; only a rejected one
+				// is known to leave the rest of the tile alone.)
+				if err != nil && pred != extgeom.Contains && !soundPair {
+					t.Fatalf("%v: the sound overlapping pair was lost beside the rejected payload", pred)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkGeoPolyJoin is the geo-poly workload of the system benchmark
+// as a go test benchmark: 20K hexagons × 20K 4-vertex polylines, one
+// Prepare + Execute per iteration and predicate.
+func BenchmarkGeoPolyJoin(b *testing.B) {
+	const n = 20000
+	gen := func(kind string, verts int, seed, idBase int64) []extgeom.Object {
+		objs, err := datagen.GeomObjects(
+			datagen.GeomSpec{Kind: kind, MinExtent: 0.2, MaxExtent: 1, Verts: verts, ShapeSeed: seed + 1},
+			func(emit func(tuple.Tuple)) { datagen.UniformEach(datagen.World(), n, seed, idBase, emit) })
+		if err != nil {
+			b.Fatal(err)
+		}
+		return objs
+	}
+	rs, ss := gen("polygon", 6, 4, 0), gen("polyline", 4, 6, 1<<40)
+	for _, cfg := range []Config{
+		{Pred: extgeom.Intersects},
+		{Pred: extgeom.WithinDistance, Eps: 0.5},
+	} {
+		cfg.R, cfg.S, cfg.Workers, cfg.Partitions = rs, ss, 4, 32
+		b.Run(cfg.Pred.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var results int64
+			for i := 0; i < b.N; i++ {
+				res, err := Join(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				results = res.Results
+			}
+			b.ReportMetric(float64(results), "pairs")
+		})
 	}
 }
