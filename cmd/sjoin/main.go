@@ -72,18 +72,6 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-var algorithms = map[string]spatialjoin.Algorithm{
-	"lpib":       spatialjoin.AdaptiveLPiB,
-	"diff":       spatialjoin.AdaptiveDIFF,
-	"uni-r":      spatialjoin.PBSMUniR,
-	"uni-s":      spatialjoin.PBSMUniS,
-	"eps-grid":   spatialjoin.PBSMEpsGrid,
-	"sedona":     spatialjoin.SedonaLike,
-	"lpib-dedup": spatialjoin.AdaptiveSimpleDedup,
-	"clone":      spatialjoin.PBSMClone,
-	"auto":       spatialjoin.AutoPlanned,
-}
-
 func main() {
 	var (
 		rPath     = flag.String("r", "", "path of the R point file (required)")
@@ -124,9 +112,9 @@ func main() {
 		return
 	}
 
-	algo, ok := algorithms[strings.ToLower(*algoName)]
-	if !ok {
-		fail("unknown algorithm %q", *algoName)
+	algo, err := spatialjoin.ParseAlgorithm(*algoName)
+	if err != nil {
+		fail("%v", err)
 	}
 	if *rPath == "" || (*sPath == "" && !*selfJoin) {
 		fail("both -r and -s are required (or -r with -self)")

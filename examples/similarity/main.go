@@ -1,11 +1,9 @@
-// Similarity analysis on one data set: the self-join and kNN operators.
+// Similarity analysis on one data set: the self-join operator.
 //
 // A sensor network logs readings with GPS positions; duplicated
-// installations appear as points within a few metres of each other, and
-// coverage quality is judged by each sensor's distance to its nearest
-// neighbours. Both are single-set problems: a duplicate scan is an
-// ε-distance self-join (the MR-DSJ workload of the paper's related
-// work), and coverage is a kNN join of the set with itself.
+// installations appear as points within a few metres of each other. That
+// is a single-set problem: a duplicate scan is an ε-distance self-join
+// (the MR-DSJ workload of the paper's related work).
 //
 //	go run ./examples/similarity
 package main
@@ -14,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sort"
 
 	"spatialjoin"
 )
@@ -37,29 +34,6 @@ func main() {
 	}
 	fmt.Printf("suspected duplicate installations (within %.0f m): %d pairs\n",
 		dupRadius*1000, rep.Results)
-
-	// --- Coverage: distance to the 3rd nearest other sensor.
-	knn, err := spatialjoin.KNNJoin(sensors, sensors, 4, spatialjoin.Options{
-		Workers: 4,
-		Bounds:  &region,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Neighbour 0 of each group is the sensor itself (distance 0); the
-	// 4th entry is the 3rd genuine neighbour.
-	gaps := make([]float64, 0, len(sensors))
-	for i := range sensors {
-		group := knn.Neighbors[i*4 : (i+1)*4]
-		gaps = append(gaps, group[3].Dist)
-	}
-	sort.Float64s(gaps)
-	fmt.Printf("\ncoverage (distance to 3rd nearest sensor):\n")
-	fmt.Printf("  median: %.0f m\n", gaps[len(gaps)/2]*1000)
-	fmt.Printf("  p95:    %.0f m\n", gaps[len(gaps)*95/100]*1000)
-	fmt.Printf("  worst:  %.0f m\n", gaps[len(gaps)-1]*1000)
-	fmt.Printf("(kNN search took %d rounds, %d candidate distances)\n",
-		knn.Rounds, knn.CandidatesScanned)
 }
 
 // generateSensors places sensors densely downtown and sparsely in the

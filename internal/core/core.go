@@ -109,20 +109,14 @@ type Input struct {
 	Span       *obs.Span // the plan span: parent of the scheme's own spans
 }
 
-// MaxCells bounds the cells a plan's grid may have.
-const MaxCells = 1 << 22
-
-// Grid returns the grid of cell side res·ε over the bounds, or an error
-// when it would exceed MaxCells. Every plan keeps dense Cells-sized
-// tables (sample statistics, agreements, the rank → partition table, one
-// histogram per map worker), so the cell count is checked — in floating
-// point, NX·NY overflows int at small ε — before any of them exists.
+// Grid returns the grid of cell side res·ε over the bounds, or grid.Check's
+// error when it would exceed grid.MaxCells. Every plan keeps dense
+// Cells-sized tables (sample statistics, agreements, the rank → partition
+// table, one histogram per map worker), so the check runs before any of
+// them exists.
 func (in Input) Grid(res float64) (*grid.Grid, error) {
-	tile := res * in.Eps
-	nx, ny := math.Ceil(in.Bounds.Width()/tile), math.Ceil(in.Bounds.Height()/tile)
-	if cells := math.Max(nx, 1) * math.Max(ny, 1); !(cells <= MaxCells) {
-		return nil, fmt.Errorf("core: eps %v asks for a %.4g-cell grid (cell side %v over %v × %v) to join %d input rows; plan tables are dense, one entry per cell, and the limit is %d cells",
-			in.Eps, cells, tile, in.Bounds.Width(), in.Bounds.Height(), len(in.R)+len(in.S), MaxCells)
+	if err := grid.Check(in.Bounds, in.Eps, res); err != nil {
+		return nil, fmt.Errorf("core: eps %v to join %d input rows: %w", in.Eps, len(in.R)+len(in.S), err)
 	}
 	return grid.New(in.Bounds, in.Eps, res), nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/grid"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
@@ -107,12 +108,12 @@ func TestJoinValidation(t *testing.T) {
 		}
 	}
 	in := Input{Config: Config{Eps: 50.0 / 2048}, Bounds: world}
-	if g, err := in.Grid(2); err != nil || g.NumCells() != MaxCells {
-		t.Errorf("a %d-cell grid must be allowed: %v", MaxCells, err)
+	if g, err := in.Grid(2); err != nil || g.NumCells() != grid.MaxCells {
+		t.Errorf("a %d-cell grid must be allowed: %v", grid.MaxCells, err)
 	}
 	in.Eps = 50.0 / 2049
 	if _, err := in.Grid(2); err == nil || !strings.Contains(err.Error(), "cells") {
-		t.Errorf("a grid one row and column past MaxCells must be rejected: %v", err)
+		t.Errorf("a grid one row and column past grid.MaxCells must be rejected: %v", err)
 	}
 }
 

@@ -31,6 +31,9 @@ func WritePartitioned(path string, ts []tuple.Tuple, eps, res float64, bounds ge
 	if bounds.IsEmpty() {
 		return fmt.Errorf("dstore: cannot partition an empty dataset without bounds")
 	}
+	if err := grid.Check(bounds, eps, res); err != nil {
+		return fmt.Errorf("dstore: partitioning at eps %v: %w", eps, err)
+	}
 	g := grid.New(bounds, eps, res)
 	native := make([][]int32, g.NumCells())
 	halo := make([][]int32, g.NumCells())

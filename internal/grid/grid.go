@@ -135,12 +135,40 @@ type Grid struct {
 	NX, NY int       // number of cells per axis
 }
 
+// MaxCells bounds every grid a join sizes dense tables by: a plan's cell
+// statistics, agreements and rank tables, the disk engine's per-cell
+// chunk lists, the stream engine's cells and the two-layer engine's
+// tiles each hold one entry per cell.
+const MaxCells = 1 << 22
+
+// CheckCells is the one check run before any dense grid or tile grid is
+// sized: it returns an error when a grid of the given cell count, taken
+// in floating point so that a tiny cell side cannot overflow int first,
+// exceeds MaxCells. A NaN count fails too.
+func CheckCells(cells float64) error {
+	if !(cells <= MaxCells) {
+		return fmt.Errorf("grid: a %.4g-cell grid exceeds the limit of %d cells (tables are dense, one entry per cell)", cells, MaxCells)
+	}
+	return nil
+}
+
+// Check is CheckCells for the grid New(bounds, eps, res) would build.
+func Check(bounds geom.Rect, eps, res float64) error {
+	tile := res * eps
+	nx, ny := math.Ceil(bounds.Width()/tile), math.Ceil(bounds.Height()/tile)
+	if err := CheckCells(math.Max(nx, 1) * math.Max(ny, 1)); err != nil {
+		return fmt.Errorf("%w: cell side %v over %v × %v", err, tile, bounds.Width(), bounds.Height())
+	}
+	return nil
+}
+
 // New constructs a grid over bounds for distance threshold eps with cell
 // side res·eps. The paper requires res >= 2 for agreement-based
 // replication; res < 2 grids (e.g. the ε-grid baseline, res = 1) are valid
 // for PBSM-style universal replication only. New panics on non-positive
 // eps or res, or an empty bounds rectangle, since every caller constructs
-// grids from validated configuration.
+// grids from validated configuration; callers that size tables by the
+// grid run Check first.
 func New(bounds geom.Rect, eps, res float64) *Grid {
 	if eps <= 0 {
 		panic(fmt.Sprintf("grid: eps must be positive, got %v", eps))

@@ -2,11 +2,10 @@
 // files via dstore.JoinFiles instead of in-memory prepared plans —
 // requested with algorithm "disk". Memory use is O(largest partition)
 // rather than O(dataset), so it is the engine of choice for datasets
-// that dwarf the plan cache, at the cost of no reusable in-memory
-// plan. Partitioned files are built on first use per (dataset revision,
-// ε ceiling, grid) and reused across requests through a small reader
-// LRU; a threshold re-sweep at any eps at or below the file's ceiling
-// hits the same file.
+// that dwarf the plan cache. A disk plan is both datasets partitioned
+// at the power-of-two ceiling of ε and mapped; it lives in the one plan
+// cache like any plan, so a threshold re-sweep at any eps at or below
+// the ceiling hits the same files.
 
 package service
 
@@ -16,254 +15,133 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
-	"spatialjoin"
 	"spatialjoin/internal/dstore"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
-// diskReaderCacheSize bounds the open partitioned-file readers.
-const diskReaderCacheSize = 8
-
-// diskCache is an LRU of open ColReaders over partitioned files the
-// disk engine built. Evicted entries close their mmap and delete the
-// backing file (it is a derived artifact, rebuilt on demand).
-type diskCache struct {
-	mu    sync.Mutex
-	cap   int
-	elems map[string]*dstore.ColReader
-	order []string // LRU order, oldest first
+// DiskJoin executes one join from partitioned columnar files through
+// the shared pipeline.
+func (s *Service) DiskJoin(ctx context.Context, req JoinRequest) (*JoinResponse, error) {
+	return run(ctx, s, req.query("disk"), s.diskEngine(req))
 }
 
-func (c *diskCache) get(path string) *dstore.ColReader {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.elems[path]
-	if !ok {
-		return nil
-	}
-	c.touch(path)
-	return r
+// diskPlan is the disk engine's cached plan: both sides of a join
+// written as grid-partitioned column files and mapped. Each build writes
+// fresh files, so a rebuild never truncates a file another join still
+// maps, and unlinks them as soon as they are mapped: their disk space
+// lives exactly as long as the mapping, which free releases once the
+// plan is neither cached nor swept by any join — and nothing is left
+// behind by a process that never frees it.
+type diskPlan struct {
+	r, s  *dstore.ColReader
+	bytes int64
 }
 
-func (c *diskCache) touch(path string) {
-	for i, p := range c.order {
-		if p == path {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), path)
-			return
-		}
-	}
-	c.order = append(c.order, path)
-}
+func (p *diskPlan) FootprintBytes() int64 { return p.bytes }
 
-func (c *diskCache) put(path string, r *dstore.ColReader) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.elems == nil {
-		c.elems = map[string]*dstore.ColReader{}
-	}
-	if old, ok := c.elems[path]; ok {
-		old.Close()
-	}
-	c.elems[path] = r
-	c.touch(path)
-	for len(c.order) > c.cap {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		if v, ok := c.elems[victim]; ok {
-			v.Close()
-			delete(c.elems, victim)
-			os.Remove(victim)
-		}
-	}
+func (p *diskPlan) free() {
+	p.r.Close()
+	p.s.Close()
 }
 
 // epsCeil rounds eps up to a power of two, so nearby thresholds share
-// one partitioned file (JoinFiles stays correct for any eps at or
-// below the file's partitioning threshold).
+// one plan (JoinFiles stays correct for any eps at or below the files'
+// partitioning threshold).
 func epsCeil(eps float64) float64 {
 	return math.Pow(2, math.Ceil(math.Log2(eps)))
 }
 
-// diskDir is where the engine materialises partitioned files: under
-// the data dir when the daemon is durable, the system temp dir when
-// not.
-func (s *Service) diskDir() string {
+// buildDiskPlan partitions both datasets over their union bounds at
+// epsC and resolution res. The files go under the data dir when the
+// service is durable, the system temp dir when not.
+func (s *Service) buildDiskPlan(rd, sd *dataset, epsC, res float64) (*diskPlan, error) {
+	dir := os.TempDir()
 	if s.cfg.DataDir != "" {
-		return filepath.Join(s.cfg.DataDir, "diskjoin")
-	}
-	return filepath.Join(os.TempDir(), "sjoin-diskjoin")
-}
-
-// diskPath names one dataset's partitioned file for a join grid. The
-// grid is shared by both sides of a join: eps ceiling, resolution, and
-// the union bounds (bounds are part of the grid geometry, so the key
-// hashes them too). Revision and generation version the content.
-func (s *Service) diskPath(d *dataset, epsC, res float64, bounds spatialjoin.Rect) string {
-	name := fmt.Sprintf("%s-r%d-g%d-e%x-s%x-%x-%x-%x-%x.col",
-		sanitize(d.Name), d.Rev, d.Gen,
-		math.Float64bits(epsC), math.Float64bits(res),
-		math.Float64bits(bounds.MinX), math.Float64bits(bounds.MinY),
-		math.Float64bits(bounds.MaxX), math.Float64bits(bounds.MaxY))
-	return filepath.Join(s.diskDir(), name)
-}
-
-// sanitize keeps dataset names filesystem-safe.
-func sanitize(name string) string {
-	out := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			out = append(out, c)
-		default:
-			out = append(out, fmt.Sprintf("%%%02x", c)...)
+		dir = filepath.Join(s.cfg.DataDir, "diskjoin")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
 		}
 	}
-	return string(out)
-}
-
-// openPartitioned returns a reader over d's partitioned file for the
-// join grid, building the file on first use. The second return reports
-// whether the reader came from the cache (the disk engine's notion of
-// a plan-cache hit).
-func (s *Service) openPartitioned(d *dataset, epsC, res float64, bounds spatialjoin.Rect) (*dstore.ColReader, bool, time.Duration, error) {
-	path := s.diskPath(d, epsC, res, bounds)
-	if r := s.diskReaders.get(path); r != nil {
-		return r, true, 0, nil
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, false, 0, err
-	}
-	t0 := time.Now()
-	if err := dstore.WritePartitioned(path, d.Tuples, epsC, res, bounds); err != nil {
-		return nil, false, 0, err
-	}
-	r, err := dstore.OpenColFile(path)
-	if err != nil {
-		return nil, false, 0, err
-	}
-	build := time.Since(t0)
-	s.diskReaders.put(path, r)
-	return r, false, build, nil
-}
-
-// DiskJoin executes one join from partitioned columnar files. It obeys
-// the same admission control (global pool and per-tenant buckets) as
-// in-memory joins.
-func (s *Service) DiskJoin(ctx context.Context, req JoinRequest) (*JoinResponse, error) {
-	if req.Eps <= 0 {
-		return nil, fmt.Errorf("service: disk join requires eps > 0")
-	}
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	rd, err := s.Registry.Get(req.R)
-	if err != nil {
-		return nil, err
-	}
-	sd, err := s.Registry.Get(req.S)
-	if err != nil {
-		return nil, err
-	}
-
-	release, err := s.acquire(ctx, req.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	tr := spatialjoin.NewTracer()
-	root := tr.Start(0, obs.SpanJoin)
-	root.SetStr("algorithm", "disk").SetStr("r", rd.Name).SetStr("s", sd.Name)
-
-	epsC := epsCeil(req.Eps)
-	res := req.GridRes
+	p := &diskPlan{}
 	bounds := rd.Bounds.Union(sd.Bounds)
-
-	pspan := tr.Start(root.SpanID(), obs.SpanPartition)
-	rr, rHit, rBuild, err := s.openPartitioned(rd, epsC, res, bounds)
-	if err != nil {
-		pspan.End()
-		return nil, fmt.Errorf("service: partitioning %q: %w", rd.Name, err)
+	open := func(d *dataset) (*dstore.ColReader, error) {
+		f, err := os.CreateTemp(dir, "sjoin-diskjoin-*.col")
+		if err != nil {
+			return nil, err
+		}
+		f.Close()
+		defer os.Remove(f.Name())
+		if err := dstore.WritePartitioned(f.Name(), d.Tuples, epsC, res, bounds); err != nil {
+			return nil, fmt.Errorf("service: partitioning %q: %w", d.Name, err)
+		}
+		if fi, err := os.Stat(f.Name()); err == nil {
+			p.bytes += fi.Size()
+		}
+		return dstore.OpenColFile(f.Name())
 	}
-	sr, sHit, sBuild, err := s.openPartitioned(sd, epsC, res, bounds)
-	pspan.SetInt("r_points", int64(len(rd.Tuples))).SetInt("s_points", int64(len(sd.Tuples)))
-	pspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("service: partitioning %q: %w", sd.Name, err)
+	var err error
+	if p.r, err = open(rd); err == nil {
+		if p.s, err = open(sd); err != nil {
+			p.r.Close()
+		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
+	return p, nil
+}
 
-	limit := req.Limit
-	if limit <= 0 || limit > s.cfg.MaxCollect {
-		limit = s.cfg.MaxCollect
-	}
-	var (
-		counter   sweep.Counter
-		pairs     [][2]int64
-		truncated bool
-	)
-	emit := func(ps []tuple.Pair) {
-		for _, p := range ps {
-			counter.EmitPair(p)
-		}
-		if req.Collect {
-			for _, p := range ps {
-				if len(pairs) >= limit {
-					truncated = true
-					break
-				}
-				pairs = append(pairs, [2]int64{p.RID, p.SID})
+// diskEngine sweeps a cached disk plan with dstore.JoinFiles.
+func (s *Service) diskEngine(req JoinRequest) engine[JoinResponse] {
+	var rd, sd *dataset
+	var plan *diskPlan
+	return engine[JoinResponse]{
+		validate: func() (err error) {
+			if !(req.Eps > 0) || math.IsInf(req.Eps, 0) {
+				return fmt.Errorf("service: disk join requires a positive, finite eps, got %v", req.Eps)
 			}
-		}
+			if rd, err = s.Registry.Get(req.R); err != nil {
+				return err
+			}
+			sd, err = s.Registry.Get(req.S)
+			return err
+		},
+		prepare: func(j *joinRun) (bool, func(), error) {
+			sp := j.tr.Start(j.root.SpanID(), obs.SpanPartition)
+			sp.SetInt("r_points", int64(len(rd.Tuples))).SetInt("s_points", int64(len(sd.Tuples)))
+			defer sp.End()
+			key := PlanKey{
+				R: rd.Name, S: sd.Name, RRev: rd.Rev, SRev: sd.Rev, RGen: rd.Gen, SGen: sd.Gen,
+				Eps: epsCeil(req.Eps), GridRes: req.GridRes, disk: true,
+			}
+			p, hit, release, err := s.cache.GetOrBuild(key, func() (cachedPlan, error) {
+				return s.buildDiskPlan(rd, sd, key.Eps, key.GridRes)
+			})
+			plan, _ = p.(*diskPlan)
+			return hit, release, err
+		},
+		execute: func(_ context.Context, j *joinRun) error {
+			var sum sweep.Counter
+			emit := func(ps []tuple.Pair) {
+				for _, p := range ps {
+					sum.EmitPair(p)
+				}
+				// One pair past the limit shows the pipeline the truncation;
+				// the rest is never held.
+				if req.Collect && len(j.found) <= j.limit {
+					j.found = append(j.found, ps...)
+				}
+			}
+			sp := j.tr.Start(j.root.SpanID(), obs.SpanExecute)
+			results, err := dstore.JoinFiles(plan.r, plan.s, req.Eps, emit)
+			sp.SetInt("results", results)
+			sp.End()
+			j.label, j.results, j.checksum = "disk", results, sum.Checksum
+			return err
+		},
+		respond: func(j *joinRun) *JoinResponse { return joinResponse(j, rd, sd) },
 	}
-	espan := tr.Start(root.SpanID(), obs.SpanExecute)
-	t0 := time.Now()
-	results, err := dstore.JoinFiles(rr, sr, req.Eps, emit)
-	probe := time.Since(t0)
-	espan.SetInt("results", results)
-	espan.End()
-	if err != nil {
-		return nil, err
-	}
-	root.End()
-
-	s.Metrics.Probe.Observe(probe.Seconds())
-	s.Metrics.JoinResults.Add(results, req.Tenant)
-	build := rBuild + sBuild
-	if !rHit || !sHit {
-		s.Metrics.PlanCacheMisses.Inc()
-		s.Metrics.PlanBuild.Observe(build.Seconds())
-	} else {
-		s.Metrics.PlanCacheHits.Inc()
-	}
-
-	resp := &JoinResponse{
-		Algorithm:   "disk",
-		Results:     results,
-		Checksum:    fmt.Sprintf("%016x", counter.Checksum),
-		Selectivity: float64(results) / (float64(len(rd.Tuples)) * float64(len(sd.Tuples))),
-		PlanCache:   "miss",
-		BuildMillis: float64(build) / float64(time.Millisecond),
-		ProbeMillis: float64(probe) / float64(time.Millisecond),
-		Pairs:       pairs,
-		Truncated:   truncated,
-	}
-	if rHit && sHit {
-		resp.PlanCache = "hit"
-	}
-	resp.JoinID = s.observeTrace("disk", req.Tenant, req.R, req.S, req.Eps, tr, build+probe)
-	s.persistSkew(req, tr)
-	return resp, nil
 }

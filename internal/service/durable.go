@@ -11,10 +11,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
-	"spatialjoin"
 	"spatialjoin/internal/dstore"
 	"spatialjoin/internal/stream"
 	"spatialjoin/internal/tuple"
@@ -47,6 +48,9 @@ func Open(cfg Config) (*Service, error) {
 	if cfg.DataDir == "" {
 		return s, nil
 	}
+	// A disk plan's files are unlinked once mapped; only a crash during a
+	// build leaves one behind, and no plan owns it after a restart.
+	os.RemoveAll(filepath.Join(cfg.DataDir, "diskjoin"))
 	m := s.Metrics
 	store, rec, err := dstore.Open(cfg.DataDir, dstore.Options{
 		Fsync: cfg.Fsync,
@@ -159,19 +163,10 @@ func (s *Service) Durable() bool { return s.store != nil }
 // batch record at or below it is already in the engine state.
 func (s *Service) adoptStream(rs dstore.RecoveredStream, lastSeq uint64) error {
 	spec := rs.Spec
-	policy, policyName, err := parsePolicy(spec.Policy)
+	clock := &replayClock{}
+	engCfg, policy, err := engineConfig(spec, clock)
 	if err != nil {
 		return err
-	}
-	clock := &replayClock{}
-	engCfg := stream.Config{
-		Eps:            spec.Eps,
-		Bounds:         spatialjoin.Rect{MinX: spec.MinX, MinY: spec.MinY, MaxX: spec.MaxX, MaxY: spec.MaxY},
-		GridRes:        spec.GridRes,
-		Policy:         policy,
-		TTL:            time.Duration(spec.TTLMillis) * time.Millisecond,
-		RebalanceEvery: spec.RebalanceEvery,
-		Now:            clock.Now,
 	}
 	var eng *stream.Engine
 	if rs.Snapshot != nil {
@@ -192,7 +187,7 @@ func (s *Service) adoptStream(rs dstore.RecoveredStream, lastSeq uint64) error {
 		eng.ExpireBefore(time.Now().Add(-ttl))
 	}
 	st := &streamState{
-		name: spec.Name, policy: policyName, eng: eng,
+		name: spec.Name, policy: policy, eng: eng,
 		rset:  [2]string{tuple.R: spec.RDataset, tuple.S: spec.SDataset},
 		done:  make(chan struct{}),
 		spec:  spec,
@@ -201,8 +196,8 @@ func (s *Service) adoptStream(rs dstore.RecoveredStream, lastSeq uint64) error {
 	st.covered = lastSeq
 	s.streamMu.Lock()
 	s.streams[spec.Name] = st
-	s.updateStreamGaugesLocked()
 	s.streamMu.Unlock()
+	s.updateStreamGauges()
 	if spec.TTLMillis > 0 {
 		go s.ttlLoop(st, time.Duration(spec.TTLMillis)*time.Millisecond)
 	}
@@ -315,12 +310,13 @@ func (s *Service) SkewHistory() ([]dstore.SkewSample, error) {
 	return s.store.SkewHistory(), nil
 }
 
-// Close stops the telemetry and checkpoint loops, flushes a final
-// telemetry snapshot, writes a final checkpoint so the next start
-// replays nothing, and closes the store. On an in-memory service it
-// only stops the telemetry sampler.
+// Close stops the telemetry and checkpoint loops, frees the cached plans
+// (a disk plan is unmapped once the last join on it returns), flushes a final telemetry snapshot, writes a final checkpoint so the
+// next start replays nothing, and closes the store. On an in-memory
+// service it only stops the telemetry sampler and frees the plans.
 func (s *Service) Close() error {
 	s.Telem.Stop()
+	s.cache.invalidate(func(PlanKey) bool { return true })
 	if s.store == nil {
 		return nil
 	}

@@ -3,29 +3,28 @@ package service
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"slices"
 	"sync"
 	"time"
 
-	"spatialjoin"
+	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/extgeom"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/obs"
 	"spatialjoin/internal/textio"
 	"spatialjoin/internal/twolayer"
 )
 
 // The geo layer serves non-point joins: geometry datasets (rectangles,
 // polylines, simple polygons) uploaded in the WKT-flavoured text format
-// and joined with the two-layer engine under the service's existing
-// admission pool, tracing and metrics. Geo datasets live in memory
-// only — they are not mirrored into the durable store — and geo joins
-// run one-shot (Prepare + Execute per request): the two-layer map phase
-// is cheap relative to the refinement work, so a plan cache buys little
-// until ε re-sweep workloads appear.
+// and joined with the two-layer engine through the service's one join
+// pipeline. Geo datasets live in memory only — they are not mirrored
+// into the durable store. A geo join prepares a fresh two-layer plan per
+// request and counts as a plan-cache miss: the response reports the
+// kernel's filter and refine counters (candidates, emitted, fallback
+// tiles), and those accumulate per plan, so a shared cached plan would
+// report every earlier request's work as this one's.
 
 // geoDataset is one registered geometry set.
 type geoDataset struct {
@@ -152,102 +151,73 @@ type GeoJoinResponse struct {
 	JoinID int64 `json:"join_id"`
 }
 
-// GeoJoin executes one non-point join end to end: admission, two-layer
-// prepare + execute on the configured engine, metric accounting, trace
-// retention.
+// GeoJoin executes one non-point join through the shared pipeline.
 func (s *Service) GeoJoin(ctx context.Context, req GeoJoinRequest) (*GeoJoinResponse, error) {
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
+	q := query{
+		r: req.R, s: req.S, tenant: req.Tenant, eps: req.Eps, algorithm: "twolayer",
+		collect: req.Collect, limit: req.Limit, timeout: req.Timeout,
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
+	return run(ctx, s, q, s.geoEngine(req))
+}
 
-	pred, err := extgeom.ParsePredicate(req.Predicate)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+// geoEngine prepares and executes a two-layer plan per request.
+func (s *Service) geoEngine(req GeoJoinRequest) engine[GeoJoinResponse] {
+	var pred extgeom.Predicate
+	var rd, sd *geoDataset
+	var plan *twolayer.Plan
+	var res *dpe.Result
+	return engine[GeoJoinResponse]{
+		validate: func() (err error) {
+			if pred, err = extgeom.ParsePredicate(req.Predicate); err != nil {
+				return fmt.Errorf("service: %w", err)
+			}
+			if rd, err = s.geo.get(req.R); err != nil {
+				return err
+			}
+			sd, err = s.geo.get(req.S)
+			return err
+		},
+		prepare: func(j *joinRun) (_ bool, _ func(), err error) {
+			j.root.SetStr("predicate", pred.String())
+			plan, err = twolayer.Prepare(twolayer.Config{
+				R: rd.Objects, S: sd.Objects,
+				Pred: pred, Eps: req.Eps,
+				Tiles: req.Tiles, Workers: req.Workers, Partitions: req.Partitions,
+				Collect:     req.Collect,
+				Engine:      s.cfg.Engine,
+				Tracer:      j.tr,
+				TraceParent: j.root.SpanID(),
+			})
+			return false, func() {}, err
+		},
+		execute: func(ctx context.Context, j *joinRun) (err error) {
+			if res, err = plan.Execute(ctx, twolayer.ExecOptions{Collect: req.Collect}); err != nil {
+				return err
+			}
+			j.label, j.results, j.found, j.cluster = "twolayer-"+pred.String(), res.Results, res.Pairs, res.Cluster
+			return nil
+		},
+		respond: func(j *joinRun) *GeoJoinResponse {
+			st := &plan.Kernel().Stats
+			return &GeoJoinResponse{
+				Predicate:               pred.String(),
+				Results:                 j.results,
+				TilesX:                  plan.Grid.NX,
+				TilesY:                  plan.Grid.NY,
+				Candidates:              st.Candidates.Load(),
+				Emitted:                 st.Emitted.Load(),
+				FallbackTiles:           st.FallbackTiles.Load(),
+				ReplicatedR:             res.ReplicatedR,
+				ReplicatedS:             res.ReplicatedS,
+				ReplicationBytesByClass: plan.ClassBytes(),
+				BuildMillis:             j.build.Seconds() * 1e3,
+				ProbeMillis:             j.probe.Seconds() * 1e3,
+				Pairs:                   j.pairs,
+				Truncated:               j.truncated,
+				JoinID:                  j.id,
+			}
+		},
 	}
-	rd, err := s.geo.get(req.R)
-	if err != nil {
-		return nil, err
-	}
-	sd, err := s.geo.get(req.S)
-	if err != nil {
-		return nil, err
-	}
-
-	release, err := s.acquire(ctx, req.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	tr := spatialjoin.NewTracer()
-	root := tr.Start(0, obs.SpanJoin)
-	root.SetStr("algorithm", "twolayer").SetStr("predicate", pred.String()).
-		SetStr("r", rd.Name).SetStr("s", sd.Name)
-
-	cfg := twolayer.Config{
-		R: rd.Objects, S: sd.Objects,
-		Pred: pred, Eps: req.Eps,
-		Tiles: req.Tiles, Workers: req.Workers, Partitions: req.Partitions,
-		Collect:     req.Collect,
-		Engine:      s.cfg.Engine,
-		Tracer:      tr,
-		TraceParent: root.SpanID(),
-	}
-	t0 := time.Now()
-	plan, err := twolayer.Prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	build := time.Since(t0)
-	s.Metrics.PlanBuild.Observe(build.Seconds())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	res, err := plan.Execute(ctx, twolayer.ExecOptions{Collect: req.Collect})
-	if err != nil {
-		return nil, err
-	}
-	probe := time.Since(t0)
-	root.End()
-	s.Metrics.Probe.Observe(probe.Seconds())
-	s.Metrics.JoinResults.Add(res.Results, req.Tenant)
-
-	limit := req.Limit
-	if limit <= 0 || limit > s.cfg.MaxCollect {
-		limit = s.cfg.MaxCollect
-	}
-	st := &plan.Kernel().Stats
-	resp := &GeoJoinResponse{
-		Predicate:               pred.String(),
-		Results:                 res.Results,
-		TilesX:                  plan.Grid.NX,
-		TilesY:                  plan.Grid.NY,
-		Candidates:              st.Candidates.Load(),
-		Emitted:                 st.Emitted.Load(),
-		FallbackTiles:           st.FallbackTiles.Load(),
-		ReplicatedR:             res.ReplicatedR,
-		ReplicatedS:             res.ReplicatedS,
-		ReplicationBytesByClass: plan.ClassBytes(),
-		BuildMillis:             float64(build) / float64(time.Millisecond),
-		ProbeMillis:             float64(probe) / float64(time.Millisecond),
-	}
-	if req.Collect {
-		n := len(res.Pairs)
-		if n > limit {
-			n = limit
-			resp.Truncated = true
-		}
-		resp.Pairs = make([][2]int64, n)
-		for i := 0; i < n; i++ {
-			resp.Pairs[i] = [2]int64{res.Pairs[i].RID, res.Pairs[i].SID}
-		}
-	}
-	resp.JoinID = s.observeTrace("twolayer-"+pred.String(), req.Tenant, rd.Name, sd.Name, req.Eps, tr, build+probe)
-	return resp, nil
 }
 
 // geoJoinRequestWire is the JSON body of POST /v1/geojoin.
@@ -297,27 +267,16 @@ func (s *Service) handleDeleteGeoDataset(w http.ResponseWriter, r *http.Request)
 	return writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
-func (s *Service) handleGeoJoin(w http.ResponseWriter, r *http.Request, allowCollect bool) (int, error) {
-	var wire geoJoinRequestWire
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("service: bad geojoin request: %w", err)
-	}
-	req := GeoJoinRequest{
+// geoJoinWire runs a decoded POST /v1/geojoin body.
+func (s *Service) geoJoinWire(ctx context.Context, tenant string, wire *geoJoinRequestWire, collect bool) (*GeoJoinResponse, error) {
+	return s.GeoJoin(ctx, GeoJoinRequest{
 		R: wire.R, S: wire.S,
-		Tenant:    r.Header.Get("X-Tenant"),
+		Tenant:    tenant,
 		Predicate: wire.Predicate, Eps: wire.Eps,
 		Tiles: wire.Tiles, Workers: wire.Workers, Partitions: wire.Partitions,
-		Collect: wire.Collect && allowCollect, Limit: wire.Limit,
+		Collect: wire.Collect && collect, Limit: wire.Limit,
 		Timeout: time.Duration(wire.TimeoutMillis) * time.Millisecond,
-	}
-	resp, err := s.GeoJoin(r.Context(), req)
-	if err != nil {
-		s.Telem.ObserveJoinError(req.Tenant, time.Now())
-		return joinErrorCode(err), err
-	}
-	return writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // registerGeoRoutes adds the geo layer's endpoints to the service mux.
@@ -325,10 +284,6 @@ func (s *Service) registerGeoRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/geodatasets", s.instrument("geodatasets_put", s.handlePutGeoDataset))
 	mux.HandleFunc("GET /v1/geodatasets", s.instrument("geodatasets_list", s.handleListGeoDatasets))
 	mux.HandleFunc("DELETE /v1/geodatasets/{name}", s.instrument("geodatasets_delete", s.handleDeleteGeoDataset))
-	mux.HandleFunc("POST /v1/geojoin", s.instrument("geojoin", func(w http.ResponseWriter, r *http.Request) (int, error) {
-		return s.handleGeoJoin(w, r, true)
-	}))
-	mux.HandleFunc("POST /v1/geojoin/count", s.instrument("geojoin_count", func(w http.ResponseWriter, r *http.Request) (int, error) {
-		return s.handleGeoJoin(w, r, false)
-	}))
+	mux.HandleFunc("POST /v1/geojoin", s.instrument("geojoin", joinHandler(true, s.geoJoinWire)))
+	mux.HandleFunc("POST /v1/geojoin/count", s.instrument("geojoin_count", joinHandler(false, s.geoJoinWire)))
 }

@@ -17,21 +17,6 @@ import (
 	"spatialjoin/internal/textio"
 )
 
-// algorithmNames maps the wire names accepted by the API (the same ones
-// cmd/sjoin takes) to algorithms.
-var algorithmNames = map[string]spatialjoin.Algorithm{
-	"":           spatialjoin.AdaptiveLPiB,
-	"lpib":       spatialjoin.AdaptiveLPiB,
-	"diff":       spatialjoin.AdaptiveDIFF,
-	"uni-r":      spatialjoin.PBSMUniR,
-	"uni-s":      spatialjoin.PBSMUniS,
-	"eps-grid":   spatialjoin.PBSMEpsGrid,
-	"sedona":     spatialjoin.SedonaLike,
-	"lpib-dedup": spatialjoin.AdaptiveSimpleDedup,
-	"clone":      spatialjoin.PBSMClone,
-	"auto":       spatialjoin.AutoPlanned,
-}
-
 // joinRequestWire is the JSON body of POST /v1/join.
 type joinRequestWire struct {
 	R              string  `json:"r"`
@@ -93,12 +78,8 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/datasets", s.instrument("datasets_put", s.handlePutDataset))
 	mux.HandleFunc("GET /v1/datasets", s.instrument("datasets_list", s.handleListDatasets))
 	mux.HandleFunc("DELETE /v1/datasets/{name}", s.instrument("datasets_delete", s.handleDeleteDataset))
-	mux.HandleFunc("POST /v1/join", s.instrument("join", func(w http.ResponseWriter, r *http.Request) (int, error) {
-		return s.handleJoin(w, r, true)
-	}))
-	mux.HandleFunc("POST /v1/join/count", s.instrument("join_count", func(w http.ResponseWriter, r *http.Request) (int, error) {
-		return s.handleJoin(w, r, false)
-	}))
+	mux.HandleFunc("POST /v1/join", s.instrument("join", joinHandler(true, s.joinWire)))
+	mux.HandleFunc("POST /v1/join/count", s.instrument("join_count", joinHandler(false, s.joinWire)))
 	mux.HandleFunc("GET /v1/joins/{id}/trace", s.instrument("join_trace", s.handleJoinTrace))
 	mux.HandleFunc("GET /v1/admin/handoff/{name}", s.instrument("handoff_export", s.handleHandoffExport))
 	mux.HandleFunc("POST /v1/admin/handoff", s.instrument("handoff_import", s.handleHandoffImport))
@@ -209,45 +190,27 @@ func (s *Service) handleDeleteDataset(w http.ResponseWriter, r *http.Request) (i
 	return writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
-func (s *Service) handleJoin(w http.ResponseWriter, r *http.Request, allowCollect bool) (int, error) {
-	var wire joinRequestWire
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("service: bad join request: %w", err)
-	}
+// joinWire runs a decoded POST /v1/join body. "disk" is not a planner
+// algorithm: it selects the disk engine, which streams the join from
+// grid-partitioned columnar files instead of in-memory plans.
+func (s *Service) joinWire(ctx context.Context, tenant string, wire *joinRequestWire, collect bool) (*JoinResponse, error) {
 	req := JoinRequest{
 		R: wire.R, S: wire.S, Eps: wire.Eps,
-		Tenant:  r.Header.Get("X-Tenant"),
+		Tenant:  tenant,
 		Workers: wire.Workers, Partitions: wire.Partitions,
 		SampleFraction: wire.SampleFraction, Seed: wire.Seed,
 		UseLPT: wire.UseLPT, GridRes: wire.GridRes,
-		Collect: wire.Collect && allowCollect, Limit: wire.Limit,
+		Collect: wire.Collect && collect, Limit: wire.Limit,
 		Timeout: time.Duration(wire.TimeoutMillis) * time.Millisecond,
 	}
-	// "disk" is not a planner algorithm: it streams the join from the
-	// grid-partitioned columnar files instead of in-memory plans.
 	if strings.EqualFold(wire.Algorithm, "disk") {
-		resp, err := s.DiskJoin(r.Context(), req)
-		if err != nil {
-			s.Telem.ObserveJoinError(req.Tenant, time.Now())
-			return joinErrorCode(err), err
-		}
-		return writeJSON(w, http.StatusOK, resp)
+		return s.DiskJoin(ctx, req)
 	}
-	algo, ok := algorithmNames[strings.ToLower(wire.Algorithm)]
-	if !ok {
-		return http.StatusBadRequest, fmt.Errorf("service: unknown algorithm %q", wire.Algorithm)
+	var err error
+	if req.Algorithm, err = spatialjoin.ParseAlgorithm(wire.Algorithm); err != nil {
+		return nil, err
 	}
-	req.Algorithm = algo
-	resp, err := s.Join(r.Context(), req)
-	if err != nil {
-		// The error (a 429 included) counts against the tenant's SLO
-		// budget; successes are recorded by observeTrace inside Join.
-		s.Telem.ObserveJoinError(req.Tenant, time.Now())
-		return joinErrorCode(err), err
-	}
-	return writeJSON(w, http.StatusOK, resp)
+	return s.Join(ctx, req)
 }
 
 func (s *Service) handleJoinTrace(w http.ResponseWriter, r *http.Request) (int, error) {

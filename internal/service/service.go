@@ -160,10 +160,6 @@ type Service struct {
 	draining atomic.Bool
 	quotas   *fleet.Quotas // nil when per-tenant admission is off
 
-	// diskReaders caches open readers over the disk-join engine's
-	// partitioned files.
-	diskReaders diskCache
-
 	streamMu   sync.Mutex
 	streams    map[string]*streamState
 	streamsSeq uint64 // log position of the last stream create/delete
@@ -214,7 +210,6 @@ func New(cfg Config) *Service {
 		traces:   map[int64]*joinTrace{},
 	}
 	s.geo.m = map[string]*geoDataset{}
-	s.diskReaders.cap = diskReaderCacheSize
 	if !cfg.TenantQuota.IsZero() || len(cfg.TenantOverrides) > 0 {
 		s.quotas = fleet.NewQuotas(cfg.TenantQuota, cfg.TenantOverrides)
 	}
@@ -417,25 +412,23 @@ func (s *Service) observeTrace(algorithm, tenant, rname, sname string, eps float
 	return id
 }
 
-// Join executes one join request end to end: admission, plan cache
-// lookup (single-flight build on miss), probe, metric accounting.
+// Join executes one in-memory point join through the shared pipeline.
 func (s *Service) Join(ctx context.Context, req JoinRequest) (*JoinResponse, error) {
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
+	return run(ctx, s, req.query(req.Algorithm.String()), s.pointEngine(req))
+}
 
-	rd, err := s.Registry.Get(req.R)
-	if err != nil {
-		return nil, err
+// query is the request as the pipeline reads it.
+func (req JoinRequest) query(algorithm string) query {
+	return query{
+		r: req.R, s: req.S, tenant: req.Tenant, eps: req.Eps, algorithm: algorithm,
+		collect: req.Collect, limit: req.Limit, timeout: req.Timeout,
 	}
-	sd, err := s.Registry.Get(req.S)
-	if err != nil {
-		return nil, err
-	}
+}
 
+// pointEngine is the in-memory point engine: a plan-cache lookup (a
+// single-flight build over spatialjoin.Prepare on a miss, reusing the
+// datasets' cached samples), then a probe of the plan.
+func (s *Service) pointEngine(req JoinRequest) engine[JoinResponse] {
 	opt := spatialjoin.Options{
 		Eps:            req.Eps,
 		Algorithm:      req.Algorithm,
@@ -451,159 +444,81 @@ func (s *Service) Join(ctx context.Context, req JoinRequest) (*JoinResponse, err
 	if req.Algorithm != spatialjoin.SedonaLike {
 		opt.Engine = s.cfg.Engine
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-
-	release, err := s.acquire(ctx, req.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	released := false
-	defer func() {
-		if !released {
-			release()
-		}
-	}()
-
-	// Every join is traced; the tracer is bounded (span cap) and cheap
-	// relative to the join itself, and it feeds the task/shuffle
-	// histograms and the /v1/joins/{id}/trace endpoint.
-	tr := spatialjoin.NewTracer()
-	root := tr.Start(0, obs.SpanJoin)
-	root.SetStr("algorithm", req.Algorithm.String()).
-		SetStr("r", rd.Name).SetStr("s", sd.Name)
-
-	key := PlanKey{
-		R: rd.Name, S: sd.Name, RRev: rd.Rev, SRev: sd.Rev,
-		RGen: rd.Gen, SGen: sd.Gen,
-		Eps: req.Eps, Algorithm: req.Algorithm,
-		Workers: req.Workers, Partitions: req.Partitions,
-		SampleFraction: req.SampleFraction, Seed: req.Seed,
-		UseLPT: req.UseLPT, GridRes: req.GridRes,
-	}
-
-	var buildDur time.Duration
-	plan, hit, err := s.cache.GetOrBuild(key, func() (*spatialjoin.PreparedJoin, error) {
-		o := opt
-		// The building request's tracer captures the construction phases
-		// (plan, replicate, shuffle); cache hits skip them by design.
-		o.Trace = tr
-		o.TraceParent = root.SpanID()
-		// Reuse the datasets' cached Bernoulli samples across plans (e.g.
-		// ε re-sweeps): the facade draws R with Seed and S with Seed+1.
-		if isAdaptive(req.Algorithm) {
-			o.PresampledR = rd.sample(o.SampleFraction, o.Seed)
-			o.PresampledS = sd.sample(o.SampleFraction, o.Seed+1)
-		}
-		t0 := time.Now()
-		p, err := spatialjoin.Prepare(rd.Tuples, sd.Tuples, o)
-		if err != nil {
-			return nil, err
-		}
-		buildDur = time.Since(t0)
-		s.Metrics.PlanBuild.Observe(buildDur.Seconds())
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Probe on a goroutine so the request context can time out even
-	// mid-join; an abandoned probe finishes in the background and only
-	// then releases its slot (the pool stays honest about CPU use).
-	type probeResult struct {
-		rep   *spatialjoin.Report
-		probe time.Duration
-		err   error
-	}
-	ch := make(chan probeResult, 1)
-	released = true
-	go func() {
-		defer release()
-		t0 := time.Now()
-		// The request context rides into the engine, so a deadline that
-		// fires mid-join cancels the in-flight partition work instead of
-		// letting it run to completion unobserved.
-		rep, err := plan.ExecuteContext(ctx, spatialjoin.ExecOptions{
-			Collect:     req.Collect,
-			Trace:       tr,
-			TraceParent: root.SpanID(),
-		})
-		probe := time.Since(t0)
-		if err == nil {
-			s.Metrics.Probe.Observe(probe.Seconds())
-			s.Metrics.JoinResults.Add(rep.Results, req.Tenant)
-			s.Metrics.ReplicatedServed.Add(plan.Replicated())
-			s.Metrics.ObserveCluster(rep.Cluster)
-		}
-		ch <- probeResult{rep: rep, probe: probe, err: err}
-	}()
+	var rd, sd *dataset
+	var plan *spatialjoin.PreparedJoin
 	var rep *spatialjoin.Report
-	var probe time.Duration
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return nil, r.err
-		}
-		rep, probe = r.rep, r.probe
-	case <-ctx.Done():
-		s.Metrics.Rejected.Inc("timeout", req.Tenant)
-		return nil, ctx.Err()
+	return engine[JoinResponse]{
+		validate: func() (err error) {
+			if rd, err = s.Registry.Get(req.R); err != nil {
+				return err
+			}
+			if sd, err = s.Registry.Get(req.S); err != nil {
+				return err
+			}
+			return opt.Validate()
+		},
+		prepare: func(j *joinRun) (bool, func(), error) {
+			key := PlanKey{
+				R: rd.Name, S: sd.Name, RRev: rd.Rev, SRev: sd.Rev, RGen: rd.Gen, SGen: sd.Gen,
+				Eps: req.Eps, Algorithm: req.Algorithm,
+				Workers: req.Workers, Partitions: req.Partitions,
+				SampleFraction: req.SampleFraction, Seed: req.Seed,
+				UseLPT: req.UseLPT, GridRes: req.GridRes,
+			}
+			p, hit, release, err := s.cache.GetOrBuild(key, func() (cachedPlan, error) {
+				o := opt
+				// The building request's tracer captures the construction
+				// phases (plan, replicate, shuffle); cache hits skip them.
+				o.Trace, o.TraceParent = j.tr, j.root.SpanID()
+				// Reuse the datasets' cached Bernoulli samples across plans
+				// (e.g. ε re-sweeps): the facade draws R with Seed and S with
+				// Seed+1.
+				if isAdaptive(req.Algorithm) {
+					o.PresampledR = rd.sample(o.SampleFraction, o.Seed)
+					o.PresampledS = sd.sample(o.SampleFraction, o.Seed+1)
+				}
+				return spatialjoin.Prepare(rd.Tuples, sd.Tuples, o)
+			})
+			plan, _ = p.(*spatialjoin.PreparedJoin)
+			return hit, release, err
+		},
+		execute: func(ctx context.Context, j *joinRun) (err error) {
+			// The request context rides into the engine, so a deadline that
+			// fires mid-join cancels the in-flight partition work.
+			rep, err = plan.ExecuteContext(ctx, spatialjoin.ExecOptions{
+				Collect: req.Collect, Trace: j.tr, TraceParent: j.root.SpanID(),
+			})
+			if err != nil {
+				return err
+			}
+			j.label, j.results, j.checksum, j.found = rep.Algorithm.String(), rep.Results, rep.Checksum, rep.Pairs
+			j.replicated, j.cluster = plan.Replicated(), rep.Cluster
+			return nil
+		},
+		respond: func(j *joinRun) *JoinResponse {
+			resp := joinResponse(j, rd, sd)
+			resp.ReplicatedR, resp.ReplicatedS = rep.ReplicatedR, rep.ReplicatedS
+			return resp
+		},
 	}
-
-	root.End()
-	resp := s.respond(req, rep, rd, sd, hit, buildDur, probe)
-	resp.JoinID = s.observeTrace(resp.Algorithm, req.Tenant, rd.Name, sd.Name, req.Eps, tr, buildDur+probe)
-	s.persistSkew(req, tr)
-	return resp, nil
 }
 
-// persistSkew records the finished join's skew report in the durable
-// store as planner history for the (R, S, eps) key. Best-effort: a
-// failed append never fails the join that produced the report.
-func (s *Service) persistSkew(req JoinRequest, tr *spatialjoin.Tracer) {
-	if s.store == nil {
-		return
-	}
-	if err := s.store.AppendSkew(req.R, req.S, req.Eps, tr.Skew()); err != nil && s.cfg.Logf != nil {
-		s.cfg.Logf("service: persisting skew report: %v", err)
-	}
-}
-
-// respond converts a Report into the wire response.
-func (s *Service) respond(req JoinRequest, rep *spatialjoin.Report, rd, sd *dataset, hit bool, build, probe time.Duration) *JoinResponse {
-	limit := req.Limit
-	if limit <= 0 || limit > s.cfg.MaxCollect {
-		limit = s.cfg.MaxCollect
-	}
+// joinResponse is the response the point and disk engines share.
+func joinResponse(run *joinRun, rd, sd *dataset) *JoinResponse {
 	resp := &JoinResponse{
-		Algorithm:   rep.Algorithm.String(),
-		Results:     rep.Results,
-		Checksum:    fmt.Sprintf("%016x", rep.Checksum),
-		Selectivity: rep.Selectivity(len(rd.Tuples), len(sd.Tuples)),
-		ReplicatedR: rep.ReplicatedR,
-		ReplicatedS: rep.ReplicatedS,
+		Algorithm:   run.label,
+		Results:     run.results,
+		Checksum:    fmt.Sprintf("%016x", run.checksum),
+		Selectivity: float64(run.results) / (float64(len(rd.Tuples)) * float64(len(sd.Tuples))),
 		PlanCache:   "miss",
-		BuildMillis: float64(build) / float64(time.Millisecond),
-		ProbeMillis: float64(probe) / float64(time.Millisecond),
+		BuildMillis: run.build.Seconds() * 1e3,
+		ProbeMillis: run.probe.Seconds() * 1e3,
+		Pairs:       run.pairs,
+		Truncated:   run.truncated,
+		JoinID:      run.id,
 	}
-	if hit {
+	if run.hit {
 		resp.PlanCache = "hit"
-	}
-	if req.Collect {
-		n := len(rep.Pairs)
-		if n > limit {
-			n = limit
-			resp.Truncated = true
-		}
-		resp.Pairs = make([][2]int64, n)
-		for i := 0; i < n; i++ {
-			resp.Pairs[i] = [2]int64{rep.Pairs[i].RID, rep.Pairs[i].SID}
-		}
 	}
 	return resp
 }

@@ -83,21 +83,23 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	ss := spatialjoin.GenerateUniform(500, 2)
 	key := PlanKey{R: "r", S: "s", Eps: 0.5}
 	var builds atomic.Int64
-	build := func() (*spatialjoin.PreparedJoin, error) {
+	build := func() (cachedPlan, error) {
 		builds.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the race window
 		return spatialjoin.Prepare(rs, ss, spatialjoin.Options{Eps: 0.5})
 	}
 	var wg sync.WaitGroup
-	plans := make([]*spatialjoin.PreparedJoin, 16)
+	plans := make([]cachedPlan, 16)
 	for i := range plans {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, _, err := c.GetOrBuild(key, build)
+			p, _, release, err := c.GetOrBuild(key, build)
 			if err != nil {
 				t.Error(err)
+				return
 			}
+			release()
 			plans[i] = p
 		}(i)
 	}
@@ -111,7 +113,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		}
 	}
 	// A later call is a plain cache hit.
-	if _, hit, _ := c.GetOrBuild(key, build); !hit {
+	if _, hit, _, _ := c.GetOrBuild(key, build); !hit {
 		t.Fatal("second lookup missed")
 	}
 	if builds.Load() != 1 {
@@ -125,13 +127,13 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	rs := spatialjoin.GenerateUniform(200, 1)
 	ss := spatialjoin.GenerateUniform(200, 2)
 	mk := func(eps float64) PlanKey { return PlanKey{R: "r", S: "s", Eps: eps} }
-	build := func(eps float64) func() (*spatialjoin.PreparedJoin, error) {
-		return func() (*spatialjoin.PreparedJoin, error) {
+	build := func(eps float64) func() (cachedPlan, error) {
+		return func() (cachedPlan, error) {
 			return spatialjoin.Prepare(rs, ss, spatialjoin.Options{Eps: eps})
 		}
 	}
 	for _, eps := range []float64{0.1, 0.2, 0.3} {
-		if _, _, err := c.GetOrBuild(mk(eps), build(eps)); err != nil {
+		if _, _, _, err := c.GetOrBuild(mk(eps), build(eps)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,10 +144,10 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", m.PlanCacheEvictions.Value())
 	}
 	// 0.1 was evicted (LRU); 0.2 and 0.3 must still hit.
-	if _, hit, _ := c.GetOrBuild(mk(0.2), build(0.2)); !hit {
+	if _, hit, _, _ := c.GetOrBuild(mk(0.2), build(0.2)); !hit {
 		t.Fatal("0.2 evicted unexpectedly")
 	}
-	if _, hit, _ := c.GetOrBuild(mk(0.1), build(0.1)); hit {
+	if _, hit, _, _ := c.GetOrBuild(mk(0.1), build(0.1)); hit {
 		t.Fatal("0.1 survived eviction")
 	}
 }
@@ -153,15 +155,15 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 func TestPlanCacheErrorNotCached(t *testing.T) {
 	c := newPlanCache(2, NewMetrics())
 	var calls atomic.Int64
-	bad := func() (*spatialjoin.PreparedJoin, error) {
+	bad := func() (cachedPlan, error) {
 		calls.Add(1)
 		return nil, context.DeadlineExceeded
 	}
 	key := PlanKey{R: "r", S: "s", Eps: 0.5}
-	if _, _, err := c.GetOrBuild(key, bad); err == nil {
+	if _, _, _, err := c.GetOrBuild(key, bad); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if _, _, err := c.GetOrBuild(key, bad); err == nil {
+	if _, _, _, err := c.GetOrBuild(key, bad); err == nil {
 		t.Fatal("error cached as success")
 	}
 	if calls.Load() != 2 || c.Len() != 0 {

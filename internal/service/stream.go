@@ -20,24 +20,19 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// StreamConfig creates one named stream.
-type StreamConfig struct {
-	Name string
-
-	Eps                    float64
-	MinX, MinY, MaxX, MaxY float64 // data-space MBR (required)
-	GridRes                float64 // 0 = engine default
-	Policy                 string  // "lpib" (default) or "diff"
-	TTLMillis              int64   // >0 enables sliding-window expiry
-	RebalanceEvery         int     // 0 = engine default, <0 disables
-
-	// RDataset / SDataset, when set, link the stream's input sets to
-	// registry datasets: the engine is seeded from their current points
-	// and every ingested mutation is mirrored back via Registry.Apply,
-	// bumping the dataset generation. Batch joins against the linked
-	// names then always reflect the live stream state.
-	RDataset, SDataset string
-}
+// StreamConfig creates one named stream. It is also the stream's
+// durable record and the JSON body of POST /v1/stream. Eps and the
+// data-space MBR (MinX, MinY, MaxX, MaxY) are required; GridRes 0 and
+// RebalanceEvery 0 are the engine defaults (RebalanceEvery < 0 disables
+// rebalancing); Policy is "lpib" (default) or "diff"; TTLMillis > 0
+// enables sliding-window expiry.
+//
+// RDataset / SDataset, when set, link the stream's input sets to
+// registry datasets: the engine is seeded from their current points and
+// every ingested mutation is mirrored back via Registry.Apply, bumping
+// the dataset generation. Batch joins against the linked names then
+// always reflect the live stream state.
+type StreamConfig = dstore.StreamSpec
 
 // StreamInfo describes a live stream to clients.
 type StreamInfo struct {
@@ -75,17 +70,29 @@ type streamState struct {
 	clock   *replayClock
 }
 
-// parsePolicy maps a wire policy name to the agreements policy and its
-// canonical name ("" defaults to lpib).
-func parsePolicy(name string) (agreements.Policy, string, error) {
-	switch name {
-	case "", "lpib":
-		return agreements.LPiB, "lpib", nil
-	case "diff":
-		return agreements.DIFF, "diff", nil
-	default:
-		return 0, "", fmt.Errorf("service: unknown stream policy %q (lpib, diff)", name)
+// engineConfig is the engine configuration spec describes, and the
+// canonical name of its policy ("" defaults to lpib). A non-nil clock
+// pins the engine's "now".
+func engineConfig(spec StreamConfig, clock *replayClock) (stream.Config, string, error) {
+	cfg := stream.Config{
+		Eps:            spec.Eps,
+		Bounds:         spatialjoin.Rect{MinX: spec.MinX, MinY: spec.MinY, MaxX: spec.MaxX, MaxY: spec.MaxY},
+		GridRes:        spec.GridRes,
+		TTL:            time.Duration(spec.TTLMillis) * time.Millisecond,
+		RebalanceEvery: spec.RebalanceEvery,
 	}
+	if clock != nil {
+		cfg.Now = clock.Now
+	}
+	switch spec.Policy {
+	case "", "lpib":
+		cfg.Policy, spec.Policy = agreements.LPiB, "lpib"
+	case "diff":
+		cfg.Policy = agreements.DIFF
+	default:
+		return cfg, "", fmt.Errorf("service: unknown stream policy %q (lpib, diff)", spec.Policy)
+	}
+	return cfg, spec.Policy, nil
 }
 
 func (st *streamState) info() StreamInfo {
@@ -107,41 +114,26 @@ func (s *Service) CreateStream(cfg StreamConfig) (StreamInfo, error) {
 	if cfg.Name == "" {
 		return StreamInfo{}, fmt.Errorf("service: stream name must not be empty")
 	}
-	policy, policyName, err := parsePolicy(cfg.Policy)
-	if err != nil {
-		return StreamInfo{}, err
-	}
-	cfg.Policy = policyName
-	engCfg := stream.Config{
-		Eps:            cfg.Eps,
-		Bounds:         spatialjoin.Rect{MinX: cfg.MinX, MinY: cfg.MinY, MaxX: cfg.MaxX, MaxY: cfg.MaxY},
-		GridRes:        cfg.GridRes,
-		Policy:         policy,
-		TTL:            time.Duration(cfg.TTLMillis) * time.Millisecond,
-		RebalanceEvery: cfg.RebalanceEvery,
-	}
 	var clock *replayClock
 	if s.store != nil {
 		clock = &replayClock{}
 		clock.Set(time.Now())
-		engCfg.Now = clock.Now
 	}
+	engCfg, policy, err := engineConfig(cfg, clock)
+	if err != nil {
+		return StreamInfo{}, err
+	}
+	cfg.Policy = policy
 	eng, err := stream.New(engCfg)
 	if err != nil {
 		return StreamInfo{}, err
 	}
 	st := &streamState{
-		name: cfg.Name, policy: cfg.Policy, eng: eng,
+		name: cfg.Name, policy: policy, eng: eng,
 		rset:  [2]string{tuple.R: cfg.RDataset, tuple.S: cfg.SDataset},
 		done:  make(chan struct{}),
 		clock: clock,
-		spec: dstore.StreamSpec{
-			Name: cfg.Name, Eps: cfg.Eps,
-			MinX: cfg.MinX, MinY: cfg.MinY, MaxX: cfg.MaxX, MaxY: cfg.MaxY,
-			GridRes: cfg.GridRes, Policy: cfg.Policy,
-			TTLMillis: cfg.TTLMillis, RebalanceEvery: cfg.RebalanceEvery,
-			RDataset: cfg.RDataset, SDataset: cfg.SDataset,
-		},
+		spec:  cfg,
 	}
 	// Reserve the name before seeding so a lost name race cannot leak
 	// seed mutations into the metrics. The creation record is logged
@@ -188,9 +180,7 @@ func (s *Service) CreateStream(cfg StreamConfig) (StreamInfo, error) {
 		}
 		s.observeStream(br)
 	}
-	s.streamMu.Lock()
-	s.updateStreamGaugesLocked()
-	s.streamMu.Unlock()
+	s.updateStreamGauges()
 
 	if cfg.TTLMillis > 0 {
 		go s.ttlLoop(st, time.Duration(cfg.TTLMillis)*time.Millisecond)
@@ -213,9 +203,7 @@ func (s *Service) ttlLoop(st *streamState, ttl time.Duration) {
 			return
 		case now := <-tick.C:
 			s.observeStream(st.eng.ExpireBefore(now.Add(-ttl)))
-			s.streamMu.Lock()
-			s.updateStreamGaugesLocked()
-			s.streamMu.Unlock()
+			s.updateStreamGauges()
 		}
 	}
 }
@@ -262,14 +250,12 @@ func (s *Service) DeleteStream(name string) bool {
 		}
 		s.streamsSeq = seq
 	}
-	if ok {
-		delete(s.streams, name)
-		s.updateStreamGaugesLocked()
-	}
+	delete(s.streams, name)
 	s.streamMu.Unlock()
 	if !ok {
 		return false
 	}
+	s.updateStreamGauges()
 	close(st.done)
 	st.eng.Close()
 	return true
@@ -289,9 +275,7 @@ func (s *Service) StreamIngest(name string, batch []stream.Mutation) (stream.Bat
 		return stream.BatchResult{}, err
 	}
 	s.observeStream(br)
-	s.streamMu.Lock()
-	s.updateStreamGaugesLocked()
-	s.streamMu.Unlock()
+	s.updateStreamGauges()
 
 	var mirrorErr error
 	for set := tuple.R; set <= tuple.S; set++ {
@@ -339,9 +323,10 @@ func (s *Service) observeStream(br stream.BatchResult) {
 	s.Metrics.StreamExpired.Add(br.Expired)
 }
 
-// updateStreamGaugesLocked recomputes the cross-stream gauges. Callers
-// hold s.streamMu.
-func (s *Service) updateStreamGaugesLocked() {
+// updateStreamGauges recomputes the cross-stream gauges.
+func (s *Service) updateStreamGauges() {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
 	var points, replicas, subs int64
 	for _, st := range s.streams {
 		c := st.eng.Counters()

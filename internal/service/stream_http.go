@@ -29,22 +29,6 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// streamCreateWire is the JSON body of POST /v1/stream.
-type streamCreateWire struct {
-	Name           string  `json:"name"`
-	Eps            float64 `json:"eps"`
-	MinX           float64 `json:"min_x"`
-	MinY           float64 `json:"min_y"`
-	MaxX           float64 `json:"max_x"`
-	MaxY           float64 `json:"max_y"`
-	GridRes        float64 `json:"grid_res,omitempty"`
-	Policy         string  `json:"policy,omitempty"`
-	TTLMillis      int64   `json:"ttl_ms,omitempty"`
-	RebalanceEvery int     `json:"rebalance_every,omitempty"`
-	RDataset       string  `json:"r_dataset,omitempty"`
-	SDataset       string  `json:"s_dataset,omitempty"`
-}
-
 // streamMutationWire is one NDJSON line of POST /v1/stream/ingest.
 type streamMutationWire struct {
 	Op  string  `json:"op,omitempty"` // "upsert" (default) or "delete"
@@ -82,19 +66,13 @@ func (s *Service) registerStreamRoutes(mux *http.ServeMux) {
 }
 
 func (s *Service) handleCreateStream(w http.ResponseWriter, r *http.Request) (int, error) {
-	var wire streamCreateWire
+	var cfg StreamConfig
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
+	if err := dec.Decode(&cfg); err != nil {
 		return http.StatusBadRequest, fmt.Errorf("service: bad stream config: %w", err)
 	}
-	info, err := s.CreateStream(StreamConfig{
-		Name: wire.Name, Eps: wire.Eps,
-		MinX: wire.MinX, MinY: wire.MinY, MaxX: wire.MaxX, MaxY: wire.MaxY,
-		GridRes: wire.GridRes, Policy: wire.Policy,
-		TTLMillis: wire.TTLMillis, RebalanceEvery: wire.RebalanceEvery,
-		RDataset: wire.RDataset, SDataset: wire.SDataset,
-	})
+	info, err := s.CreateStream(cfg)
 	if err != nil {
 		code := http.StatusBadRequest
 		if strings.Contains(err.Error(), "already exists") {
@@ -218,14 +196,8 @@ func (s *Service) handleStreamSubscribe(w http.ResponseWriter, r *http.Request) 
 		sub = st.eng.Subscribe()
 	}
 	defer sub.Close()
-	s.streamMu.Lock()
-	s.updateStreamGaugesLocked()
-	s.streamMu.Unlock()
-	defer func() {
-		s.streamMu.Lock()
-		s.updateStreamGaugesLocked()
-		s.streamMu.Unlock()
-	}()
+	s.updateStreamGauges()
+	defer s.updateStreamGauges()
 	s.Metrics.Requests.Inc("stream_subscribe", "200")
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

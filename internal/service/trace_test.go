@@ -291,15 +291,22 @@ func TestSedonaJoinIsCachedAndTraced(t *testing.T) {
 }
 
 // TestHTTPHostileEps: an ε that is not finite, or so small the plan's
-// grid would not fit in memory, is a 400 for every algorithm — and the
-// daemon keeps serving afterwards.
+// grid would not fit in memory, is a 400 for every algorithm and for the
+// disk engine; so are a stream over such a grid and a geo join forcing
+// too many tiles — and the daemon keeps serving afterwards.
 func TestHTTPHostileEps(t *testing.T) {
 	s := testService(t, Config{})
+	defer s.Close()
+	for name, seed := range map[string]int64{"r": 1, "s": 2} {
+		if _, err := s.geo.put(name, geoTestObjects(seed, 50, seed*100_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	post := func(body string) (int, string) {
+	postTo := func(path, body string) (int, string) {
 		t.Helper()
-		res, err := http.Post(srv.URL+"/v1/join", "application/json", strings.NewReader(body))
+		res, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +317,8 @@ func TestHTTPHostileEps(t *testing.T) {
 		}
 		return res.StatusCode, sb.String()
 	}
-	for _, algo := range []string{"lpib", "uni-r", "eps-grid", "clone", "sedona", "auto"} {
+	post := func(body string) (int, string) { t.Helper(); return postTo("/v1/join", body) }
+	for _, algo := range []string{"lpib", "uni-r", "eps-grid", "clone", "sedona", "auto", "disk"} {
 		for _, eps := range []string{"NaN", "1e999", "-1e999", "1e-12", "1e-3"} {
 			if algo == "sedona" && strings.HasPrefix(eps, "1e-") {
 				continue // gridless: a tiny finite ε is an ordinary, nearly empty join
@@ -319,6 +327,15 @@ func TestHTTPHostileEps(t *testing.T) {
 			if code != http.StatusBadRequest {
 				t.Errorf("%s eps=%s: status %d (%s), want 400", algo, eps, code, body)
 			}
+		}
+	}
+	for path, body := range map[string]string{
+		"/v1/stream":        `{"name": "hostile", "eps": 1e-4, "min_x": 0, "min_y": 0, "max_x": 100, "max_y": 100}`,
+		"/v1/geojoin":       `{"r": "r", "s": "s", "predicate": "intersects", "tiles": 100000}`,
+		"/v1/geojoin/count": `{"r": "r", "s": "s", "predicate": "intersects", "tiles": 100000}`,
+	} {
+		if code, resp := postTo(path, body); code != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d (%s), want 400", path, body, code, resp)
 		}
 	}
 	if code, body := post(`{"r": "r", "s": "s", "eps": 0.5}`); code != http.StatusOK {

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"fmt"
+
 	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
@@ -44,7 +46,10 @@ type deltaGrid struct {
 	graph  *agreements.Graph
 }
 
-func newDeltaGrid(bounds geom.Rect, eps, res float64, policy agreements.Policy) *deltaGrid {
+func newDeltaGrid(bounds geom.Rect, eps, res float64, policy agreements.Policy) (*deltaGrid, error) {
+	if err := grid.Check(bounds, eps, res); err != nil {
+		return nil, fmt.Errorf("stream: eps %v: %w", eps, err)
+	}
 	g := grid.New(bounds, eps, res)
 	d := &deltaGrid{
 		g:      g,
@@ -54,7 +59,7 @@ func newDeltaGrid(bounds geom.Rect, eps, res float64, policy agreements.Policy) 
 	}
 	d.resetTypes()
 	d.graph = agreements.BuildFromTypeFunc(g, d.typeBetween)
-	return d
+	return d, nil
 }
 
 // resetTypes recomputes every canonical pair type from the current

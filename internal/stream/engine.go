@@ -161,7 +161,10 @@ func New(cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("stream: unsupported policy %v (LPiB or DIFF)", cfg.Policy)
 	}
-	dg := newDeltaGrid(cfg.Bounds, cfg.Eps, cfg.GridRes, cfg.Policy)
+	dg, err := newDeltaGrid(cfg.Bounds, cfg.Eps, cfg.GridRes, cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
 	return &Engine{
 		cfg:   cfg,
 		dg:    dg,

@@ -10,6 +10,7 @@ import (
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/extgeom"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/grid"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/tuple"
 )
@@ -156,14 +157,19 @@ func Prepare(cfg Config) (*Plan, error) {
 		sampleS := sampleMBRs(mbrsS, 0)
 		pred = costmodel.TwoLayerResolution(bounds, sampleR, sampleS, len(cfg.R), len(cfg.S), workers)
 	}
-	grid := NewTileGrid(bounds, pred.NX, pred.NY)
-	partSp.SetInt("tiles_x", int64(grid.NX)).SetInt("tiles_y", int64(grid.NY))
+	// Forced or picked, the tile count sizes dpe's dense per-tile tables.
+	if err := grid.CheckCells(float64(pred.NX) * float64(pred.NY)); err != nil {
+		partSp.End()
+		return nil, fmt.Errorf("twolayer: %d × %d tiles: %w", pred.NX, pred.NY, err)
+	}
+	tiles := NewTileGrid(bounds, pred.NX, pred.NY)
+	partSp.SetInt("tiles_x", int64(tiles.NX)).SetInt("tiles_y", int64(tiles.NY))
 	partSp.SetInt("predicted_candidates", int64(pred.CandidatePairs))
 	partSp.SetInt("predicted_replicas", int64(pred.Replicated))
 	partSp.End()
 
-	p := &Plan{Grid: grid, Prediction: pred, cfg: cfg}
-	p.kernel = &Kernel{Grid: grid, Pred: cfg.Pred, ForceFallback: cfg.ForceFallback}
+	p := &Plan{Grid: tiles, Prediction: pred, cfg: cfg}
+	p.kernel = &Kernel{Grid: tiles, Pred: cfg.Pred, ForceFallback: cfg.ForceFallback}
 
 	// dpe needs a positive plan ε even for the ε-less predicates; the
 	// kernel never interprets it as a distance for those.
@@ -178,7 +184,7 @@ func Prepare(cfg Config) (*Plan, error) {
 		Eps:          planEps,
 		TupleAssignR: p.assign(widen),
 		TupleAssignS: p.assign(0),
-		Cells:        grid.NumTiles(),
+		Cells:        tiles.NumTiles(),
 		Part:         dpe.HashPartitioner{N: partitions},
 		Workers:      cfg.Workers,
 		PoolSize:     cfg.PoolSize,

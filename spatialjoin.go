@@ -30,12 +30,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/knnjoin"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/sample"
 	"spatialjoin/internal/textio"
@@ -141,6 +141,34 @@ func (a Algorithm) String() string {
 	default:
 		return fmt.Sprintf("Algorithm(%d)", uint8(a))
 	}
+}
+
+// algorithmNames are the names the command line and sjoind accept, by
+// algorithm.
+var algorithmNames = [...]string{
+	AdaptiveLPiB:        "lpib",
+	AdaptiveDIFF:        "diff",
+	PBSMUniR:            "uni-r",
+	PBSMUniS:            "uni-s",
+	PBSMEpsGrid:         "eps-grid",
+	SedonaLike:          "sedona",
+	AdaptiveSimpleDedup: "lpib-dedup",
+	PBSMClone:           "clone",
+	AutoPlanned:         "auto",
+}
+
+// ParseAlgorithm returns the algorithm a name selects, ignoring case; ""
+// selects AdaptiveLPiB. An unknown name's error lists the valid ones.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	if name == "" {
+		return AdaptiveLPiB, nil
+	}
+	for a, n := range algorithmNames {
+		if strings.EqualFold(name, n) {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("spatialjoin: unknown algorithm %q (one of %s)", name, strings.Join(algorithmNames[:], ", "))
 }
 
 // Options configures a join. Only Eps is required.
@@ -468,39 +496,4 @@ func Sample(ts []Tuple, fraction float64, seed int64) []Tuple {
 		fraction = sample.DefaultFraction
 	}
 	return sample.Bernoulli(ts, fraction, seed)
-}
-
-// Neighbor is one kNN join result: SID is among the K nearest S points
-// of RID, at distance Dist.
-type Neighbor = knnjoin.Neighbor
-
-// KNNReport is the outcome of a kNN join.
-type KNNReport struct {
-	// Neighbors holds, per R point in input order, its (up to) k nearest
-	// S points sorted by ascending distance.
-	Neighbors []Neighbor
-	// Rounds is the number of radius-doubling rounds the slowest query
-	// point needed; CandidatesScanned is the total distance evaluations.
-	Rounds            int
-	CandidatesScanned int64
-}
-
-// KNNJoin finds, for every point of rs, its k nearest neighbours in ss —
-// the kNN join operator of the related distributed spatial analytics
-// systems (Sedona, LocationSpark, Simba). Only Options.Workers and
-// Options.Bounds apply.
-func KNNJoin(rs, ss []Tuple, k int, opt Options) (*KNNReport, error) {
-	res, err := knnjoin.Join(rs, ss, knnjoin.Config{
-		K:       k,
-		Workers: opt.Workers,
-		Bounds:  opt.Bounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &KNNReport{
-		Neighbors:         res.Neighbors,
-		Rounds:            res.Rounds,
-		CandidatesScanned: res.CandidatesScanned,
-	}, nil
 }

@@ -2,6 +2,7 @@ package spatialjoin
 
 import (
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -140,6 +141,21 @@ func TestAlgorithmNames(t *testing.T) {
 	if Algorithm(99).String() == "" {
 		t.Error("unknown algorithm must still print")
 	}
+	// The wire names parse case-insensitively, "" is the default, and an
+	// unknown name's error lists every valid one.
+	for name, want := range map[string]Algorithm{
+		"": AdaptiveLPiB, "LPiB": AdaptiveLPiB, "diff": AdaptiveDIFF, "uni-r": PBSMUniR,
+		"UNI-S": PBSMUniS, "eps-grid": PBSMEpsGrid, "sedona": SedonaLike,
+		"lpib-dedup": AdaptiveSimpleDedup, "clone": PBSMClone, "Auto": AutoPlanned,
+	} {
+		if got, err := ParseAlgorithm(name); err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := ParseAlgorithm("disk")
+	if err == nil || !strings.Contains(err.Error(), "lpib, diff, uni-r, uni-s, eps-grid, sedona, lpib-dedup, clone, auto") {
+		t.Errorf("unknown name: %v", err)
+	}
 }
 
 func TestJoinValidation(t *testing.T) {
@@ -245,35 +261,5 @@ func TestAutoPlannedJoin(t *testing.T) {
 	}
 	if _, err := Join(nil, nil, Options{Eps: 1, Algorithm: AutoPlanned, GridRes: 1}); err == nil {
 		t.Fatal("auto join must reject sub-2eps grids")
-	}
-}
-
-func TestKNNJoinFacade(t *testing.T) {
-	r := GenerateUniform(200, 31)
-	s := GenerateUniform(3000, 32)
-	rep, err := KNNJoin(r, s, 4, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Neighbors) != 200*4 {
-		t.Fatalf("neighbours = %d, want 800", len(rep.Neighbors))
-	}
-	if rep.Rounds < 1 || rep.CandidatesScanned <= 0 {
-		t.Fatalf("profile not recorded: %d rounds, %d scanned", rep.Rounds, rep.CandidatesScanned)
-	}
-	// Spot-check the first point against brute force.
-	first := rep.Neighbors[:4]
-	bestDist := first[3].Dist
-	closer := 0
-	for _, sp := range s {
-		if r[0].Pt.Dist(sp.Pt) < bestDist {
-			closer++
-		}
-	}
-	if closer > 4 {
-		t.Fatalf("%d points closer than the reported 4th neighbour", closer)
-	}
-	if _, err := KNNJoin(r, s, 0, Options{}); err == nil {
-		t.Fatal("k=0 must fail")
 	}
 }
