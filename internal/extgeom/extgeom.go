@@ -108,7 +108,8 @@ type Object struct {
 	Verts []geom.Point
 }
 
-// Validate reports whether the object is structurally sound.
+// Validate reports whether the object is structurally sound: the
+// vertex count suits its kind and every coordinate is finite.
 func (o *Object) Validate() error {
 	switch o.Kind {
 	case KindPoint:
@@ -125,6 +126,13 @@ func (o *Object) Validate() error {
 		}
 	default:
 		return fmt.Errorf("extgeom: unknown kind %d", o.Kind)
+	}
+	// A NaN or infinite vertex poisons the MBR, so the object's tile
+	// assignment would silently drop other objects' pairs.
+	for i, v := range o.Verts {
+		if math.IsNaN(v.X) || math.IsNaN(v.Y) || math.IsInf(v.X, 0) || math.IsInf(v.Y, 0) {
+			return fmt.Errorf("extgeom: vertex %d is not finite: (%v, %v)", i, v.X, v.Y)
+		}
 	}
 	return nil
 }

@@ -49,8 +49,8 @@ func (rt *Router) copyDataset(ctx context.Context, key string, dst *shard, reaso
 		json.Unmarshal(out, &ew)
 		return fmt.Errorf("fleet: shard %s rejected handoff of %q: %s", dst.id, name, ew.Error)
 	}
-	rt.Metrics.Inc("sjoin_router_migrations_total", reason)
-	rt.Metrics.Add("sjoin_router_handoff_bytes_total", int64(len(blob)), reason)
+	rt.Metrics.Migrations.Inc(reason)
+	rt.Metrics.HandoffBytes.Add(int64(len(blob)), reason)
 	rt.shipSkew(ctx, src, dst, sname)
 
 	rt.catMu.Lock()
@@ -302,7 +302,7 @@ func (rt *Router) warm(ctx context.Context, movedKeys []string) {
 				continue
 			}
 			if code, _, err := rt.shardPost(ctx, tR, "/v1/join/count", "application/json", body); err == nil && code == http.StatusOK {
-				rt.Metrics.Inc("sjoin_router_warm_joins_total")
+				rt.Metrics.WarmJoins.Inc()
 			}
 		}
 	}

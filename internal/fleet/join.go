@@ -75,7 +75,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request, allowCollec
 		return http.StatusBadRequest, fmt.Errorf("fleet: invalid tenant id")
 	}
 	if ok, retryAfter := rt.quotas.Allow(tenant); !ok {
-		rt.Metrics.Inc("sjoin_router_tenant_rejected_total", tenant)
+		rt.Metrics.TenantRejected.Inc(tenant)
 		secs := int(math.Ceil(retryAfter.Seconds()))
 		if secs < 1 {
 			secs = 1
@@ -136,12 +136,12 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request, allowCollec
 		if attempt >= rt.cfg.MaxRetries {
 			return http.StatusBadGateway, fmt.Errorf("fleet: join failed after %d attempts: %w", attempt+1, lastErr)
 		}
-		rt.Metrics.Inc("sjoin_router_retries_total", te.sh.id)
+		rt.Metrics.Retries.Inc(te.sh.id)
 		rt.log.Warn("fleet: retrying join after shard failure", "shard", te.sh.id, "attempt", attempt+1)
 	}
 	root.SetStr("mode", mode)
 	root.End()
-	rt.Metrics.Inc("sjoin_router_joins_total", mode)
+	rt.Metrics.Joins.Inc(mode)
 	resp.JoinID = rt.recordTrace(mode, tr, legs)
 	return writeJSON(w, http.StatusOK, resp), nil
 }
@@ -245,7 +245,7 @@ func (rt *Router) proxyJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span,
 	if err != nil {
 		return nil, joinLeg{}, err
 	}
-	rt.Metrics.Inc("sjoin_router_proxied_total", sh.id)
+	rt.Metrics.Proxied.Inc(sh.id)
 	if code != http.StatusOK {
 		var ew errorWire
 		json.Unmarshal(out, &ew)
@@ -333,8 +333,8 @@ func (rt *Router) ensureMirror(ctx context.Context, tr *obs.Tracer, root *obs.Sp
 		return "", fmt.Errorf("fleet: shard %s rejected mirror: %s", dst.id, ew.Error)
 	}
 	span.SetInt("bytes", int64(len(blob)))
-	rt.Metrics.Inc("sjoin_router_migrations_total", "mirror")
-	rt.Metrics.Add("sjoin_router_handoff_bytes_total", int64(len(blob)), "mirror")
+	rt.Metrics.Migrations.Inc("mirror")
+	rt.Metrics.HandoffBytes.Add(int64(len(blob)), "mirror")
 	rt.catMu.Lock()
 	rt.mirrors[mk] = mirror
 	rt.catMu.Unlock()

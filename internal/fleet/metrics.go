@@ -1,151 +1,38 @@
 package fleet
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-
-	"spatialjoin/internal/telem"
-)
+import "spatialjoin/internal/telem"
 
 // Metrics is the router's metric set, rendered in the Prometheus text
 // exposition format on the router's /metrics. Shard-level join metrics
 // stay on the shards; the router reports what only it can see — routing
 // decisions, fan-outs, retries, tenant admission, and handoff traffic.
 type Metrics struct {
-	mu   sync.Mutex
-	vecs map[string]*labeledCounter
-}
+	*telem.Registry
 
-// labeledCounter is a counter partitioned by label values. Label values
-// are stored alongside each series (never re-derived by splitting a
-// joined key), so arbitrary bytes in a value — a hostile tenant header,
-// say — cannot collide two series or corrupt the exposition.
-type labeledCounter struct {
-	name, help string
-	labels     []string
-	series     map[string]*series
-}
-
-type series struct {
-	values []string
-	v      atomic.Int64
-}
-
-// seriesKey length-prefixes each value rather than joining with a
-// separator byte: a tenant header may contain any byte, and a plain
-// join would alias ("a\xffb", "c") with ("a", "b\xffc").
-func seriesKey(labelValues []string) string {
-	var b strings.Builder
-	for _, v := range labelValues {
-		fmt.Fprintf(&b, "%d:%s", len(v), v)
-	}
-	return b.String()
+	Requests       *telem.CounterVec // by endpoint, code
+	Proxied        *telem.CounterVec // by shard
+	Joins          *telem.CounterVec // by mode (local, streamed, fanout)
+	Retries        *telem.CounterVec // by shard
+	TenantRejected *telem.CounterVec // by tenant
+	ShardDeaths    *telem.CounterVec // by shard
+	Migrations     *telem.CounterVec // by reason (rebalance, repair, mirror)
+	HandoffBytes   *telem.CounterVec // by reason
+	WarmJoins      *telem.Counter
 }
 
 // NewMetrics builds the router metric set.
 func NewMetrics() *Metrics {
-	m := &Metrics{vecs: map[string]*labeledCounter{}}
-	for _, def := range []struct {
-		name, help string
-		labels     []string
-	}{
-		{"sjoin_router_requests_total", "Requests handled by the router, by endpoint and status code.", []string{"endpoint", "code"}},
-		{"sjoin_router_proxied_total", "Requests proxied to a shard, by shard.", []string{"shard"}},
-		{"sjoin_router_joins_total", "Joins routed, by mode (local, streamed, fanout).", []string{"mode"}},
-		{"sjoin_router_retries_total", "Shard requests retried after a transport failure, by shard.", []string{"shard"}},
-		{"sjoin_router_tenant_rejected_total", "Joins rejected by per-tenant admission, by tenant.", []string{"tenant"}},
-		{"sjoin_router_shard_deaths_total", "Shards declared dead by the heartbeat monitor, by shard.", []string{"shard"}},
-		{"sjoin_router_migrations_total", "Dataset copies moved by ring changes or repair, by reason (rebalance, repair, mirror).", []string{"reason"}},
-		{"sjoin_router_handoff_bytes_total", "Colfile bytes shipped between shards by handoff, by reason.", []string{"reason"}},
-		{"sjoin_router_warm_joins_total", "Plan-cache warming joins replayed after a migration.", nil},
-	} {
-		m.vecs[def.name] = &labeledCounter{name: def.name, help: def.help, labels: def.labels, series: map[string]*series{}}
+	r := telem.NewRegistry()
+	return &Metrics{
+		Registry:       r,
+		Requests:       r.NewCounterVec("sjoin_router_requests_total", "Requests handled by the router, by endpoint and status code.", "endpoint", "code"),
+		Proxied:        r.NewCounterVec("sjoin_router_proxied_total", "Requests proxied to a shard, by shard.", "shard"),
+		Joins:          r.NewCounterVec("sjoin_router_joins_total", "Joins routed, by mode (local, streamed, fanout).", "mode"),
+		Retries:        r.NewCounterVec("sjoin_router_retries_total", "Shard requests retried after a transport failure, by shard.", "shard"),
+		TenantRejected: r.NewCounterVec("sjoin_router_tenant_rejected_total", "Joins rejected by per-tenant admission, by tenant.", "tenant"),
+		ShardDeaths:    r.NewCounterVec("sjoin_router_shard_deaths_total", "Shards declared dead by the heartbeat monitor, by shard.", "shard"),
+		Migrations:     r.NewCounterVec("sjoin_router_migrations_total", "Dataset copies moved by ring changes or repair, by reason (rebalance, repair, mirror).", "reason"),
+		HandoffBytes:   r.NewCounterVec("sjoin_router_handoff_bytes_total", "Colfile bytes shipped between shards by handoff, by reason.", "reason"),
+		WarmJoins:      r.NewCounter("sjoin_router_warm_joins_total", "Plan-cache warming joins replayed after a migration."),
 	}
-	return m
-}
-
-// Add increments one series of the named counter.
-func (m *Metrics) Add(name string, n int64, labelValues ...string) {
-	m.mu.Lock()
-	c, ok := m.vecs[name]
-	if !ok {
-		m.mu.Unlock()
-		panic("fleet: unknown metric " + name)
-	}
-	if len(labelValues) != len(c.labels) {
-		m.mu.Unlock()
-		panic(fmt.Sprintf("fleet: metric %s: %d label values for %d labels", name, len(labelValues), len(c.labels)))
-	}
-	key := seriesKey(labelValues)
-	s, ok := c.series[key]
-	if !ok {
-		s = &series{values: append([]string(nil), labelValues...)}
-		c.series[key] = s
-	}
-	m.mu.Unlock()
-	s.v.Add(n)
-}
-
-// Inc adds one.
-func (m *Metrics) Inc(name string, labelValues ...string) { m.Add(name, 1, labelValues...) }
-
-// Value returns one series' count (0 when never touched).
-func (m *Metrics) Value(name string, labelValues ...string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.vecs[name]
-	if !ok {
-		return 0
-	}
-	if s, ok := c.series[seriesKey(labelValues)]; ok {
-		return s.v.Load()
-	}
-	return 0
-}
-
-var routerLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-// Render writes the metric set in the Prometheus text format.
-func (m *Metrics) Render(w io.Writer) {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.vecs))
-	for name := range m.vecs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out []string
-	for _, name := range names {
-		c := m.vecs[name]
-		out = append(out, fmt.Sprintf("# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name))
-		keys := make([]string, 0, len(c.series))
-		for k := range c.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		if len(c.labels) == 0 {
-			var v int64
-			if s, ok := c.series[""]; ok {
-				v = s.v.Load()
-			}
-			out = append(out, fmt.Sprintf("%s %d\n", c.name, v))
-			continue
-		}
-		for _, k := range keys {
-			s := c.series[k]
-			parts := make([]string, len(c.labels))
-			for i, ln := range c.labels {
-				parts[i] = ln + `="` + routerLabelEscaper.Replace(s.values[i]) + `"`
-			}
-			out = append(out, fmt.Sprintf("%s{%s} %d\n", c.name, strings.Join(parts, ","), s.v.Load()))
-		}
-	}
-	m.mu.Unlock()
-	for _, l := range out {
-		io.WriteString(w, l)
-	}
-	telem.RenderRuntime(w)
 }

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"spatialjoin/internal/obs"
 )
 
 // Config tunes the router. Zero values select sensible defaults.
@@ -50,7 +52,7 @@ type Config struct {
 	// MaxUploadBytes bounds dataset upload bodies; default 64 MiB.
 	MaxUploadBytes int64
 	// TraceRing bounds how many routed-join traces the router retains
-	// for GET /v1/joins/{id}/trace; default 64.
+	// for GET /v1/joins/{id}/trace; default obs.DefaultRingSize (64).
 	TraceRing int
 	// Client is the HTTP client for shard calls; a 30s-timeout default
 	// is used when nil.
@@ -80,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxUploadBytes <= 0 {
 		c.MaxUploadBytes = 64 << 20
-	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = routerTraceRing
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
@@ -145,10 +144,7 @@ type Router struct {
 	mirrors map[string]string    // shardID+"\xff"+datasetKey -> mirror name on that shard
 	recent  map[string][]warmJoin
 
-	traceMu    sync.Mutex
-	traces     map[int64]*routerTrace
-	traceOrder []int64
-	nextJoinID int64
+	traces *obs.Ring[routerTrace]
 
 	hbStop chan struct{}
 	hbDone chan struct{}
@@ -168,7 +164,7 @@ func NewRouter(cfg Config, shardURLs map[string]string) *Router {
 		catalog: map[string]*catEntry{},
 		mirrors: map[string]string{},
 		recent:  map[string][]warmJoin{},
-		traces:  map[int64]*routerTrace{},
+		traces:  obs.NewRing[routerTrace](cfg.TraceRing),
 		hbStop:  make(chan struct{}),
 		hbDone:  make(chan struct{}),
 	}
@@ -263,7 +259,7 @@ func (rt *Router) markDead(sh *shard, cause error) {
 		return
 	}
 	rt.log.Warn("fleet: shard declared dead", "shard", sh.id, "cause", cause)
-	rt.Metrics.Inc("sjoin_router_shard_deaths_total", sh.id)
+	rt.Metrics.ShardDeaths.Inc(sh.id)
 	go rt.repair()
 }
 
@@ -566,10 +562,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/fleet/shards", rt.instrument("shard_join", rt.handleAddShard))
 	mux.HandleFunc("DELETE /v1/fleet/shards/{id}", rt.instrument("shard_leave", rt.handleRemoveShard))
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		rt.Metrics.Render(w)
-	})
+	mux.Handle("GET /metrics", rt.Metrics)
 	return mux
 }
 
@@ -579,7 +572,7 @@ func (rt *Router) instrument(endpoint string, h func(http.ResponseWriter, *http.
 		if err != nil {
 			code = writeError(w, code, err)
 		}
-		rt.Metrics.Inc("sjoin_router_requests_total", endpoint, strconv.Itoa(code))
+		rt.Metrics.Requests.Inc(endpoint, strconv.Itoa(code))
 	}
 }
 
@@ -658,7 +651,7 @@ func (rt *Router) handlePutDataset(w http.ResponseWriter, r *http.Request) (int,
 				return http.StatusBadGateway, fmt.Errorf("fleet: bad shard response: %w", err)
 			}
 		}
-		rt.Metrics.Inc("sjoin_router_proxied_total", sh.id)
+		rt.Metrics.Proxied.Inc(sh.id)
 	}
 	points, _ := primary["points"].(float64)
 	primary["name"] = name

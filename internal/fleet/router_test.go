@@ -194,21 +194,21 @@ func TestRouterLocalAndStreamedJoins(t *testing.T) {
 	// Same-shard pair: plain proxy.
 	r, s := pickPair(tf, names, true)
 	checkAgainstOracle(t, tf, r, s)
-	if tf.rt.Metrics.Value("sjoin_router_joins_total", "local") == 0 {
+	if tf.rt.Metrics.Joins.Value("local") == 0 {
 		t.Error("same-shard join did not count as mode=local")
 	}
 
 	// Cross-shard pair: the smaller side streams to the larger's shard.
 	r, s = pickPair(tf, names, false)
 	checkAgainstOracle(t, tf, r, s)
-	if tf.rt.Metrics.Value("sjoin_router_joins_total", "streamed") == 0 {
+	if tf.rt.Metrics.Joins.Value("streamed") == 0 {
 		t.Error("cross-shard join did not count as mode=streamed")
 	}
 
 	// Repeating the streamed join reuses the mirror (one migration).
-	mirrors := tf.rt.Metrics.Value("sjoin_router_migrations_total", "mirror")
+	mirrors := tf.rt.Metrics.Migrations.Value("mirror")
 	checkAgainstOracle(t, tf, r, s)
-	if again := tf.rt.Metrics.Value("sjoin_router_migrations_total", "mirror"); again != mirrors {
+	if again := tf.rt.Metrics.Migrations.Value("mirror"); again != mirrors {
 		t.Errorf("repeat streamed join re-shipped the mirror: %d -> %d", mirrors, again)
 	}
 
@@ -226,7 +226,7 @@ func TestRouterFanoutJoin(t *testing.T) {
 
 	// Count and checksum merge bit-for-bit across the strips.
 	checkAgainstOracle(t, tf, r, s)
-	if tf.rt.Metrics.Value("sjoin_router_joins_total", "fanout") == 0 {
+	if tf.rt.Metrics.Joins.Value("fanout") == 0 {
 		t.Fatal("cross-shard join did not fan out")
 	}
 
@@ -280,7 +280,7 @@ func TestRouterTenantIsolation(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 lacks Retry-After")
 	}
-	if tf.rt.Metrics.Value("sjoin_router_tenant_rejected_total", "noisy") == 0 {
+	if tf.rt.Metrics.TenantRejected.Value("noisy") == 0 {
 		t.Error("tenant rejection not counted")
 	}
 
@@ -310,10 +310,10 @@ func TestRouterShardDeathRetry(t *testing.T) {
 	if after["checksum"] != before["checksum"] {
 		t.Fatalf("post-death checksum %v differs from pre-death %v", after["checksum"], before["checksum"])
 	}
-	if tf.rt.Metrics.Value("sjoin_router_retries_total", primary) == 0 {
+	if tf.rt.Metrics.Retries.Value(primary) == 0 {
 		t.Error("shard death did not register a retry")
 	}
-	if tf.rt.Metrics.Value("sjoin_router_shard_deaths_total", primary) == 0 {
+	if tf.rt.Metrics.ShardDeaths.Value(primary) == 0 {
 		t.Error("shard death not counted")
 	}
 
@@ -398,7 +398,7 @@ func TestRouterShardJoinLeaveMigration(t *testing.T) {
 	default:
 	}
 
-	if tf.rt.Metrics.Value("sjoin_router_migrations_total", "rebalance") == 0 {
+	if tf.rt.Metrics.Migrations.Value("rebalance") == 0 {
 		t.Error("membership change moved no datasets")
 	}
 

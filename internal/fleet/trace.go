@@ -9,15 +9,10 @@ import (
 	"spatialjoin/internal/obs"
 )
 
-// routerTraceRing is the default Config.TraceRing: how many routed-join
-// traces the router retains for GET /v1/joins/{id}/trace.
-const routerTraceRing = 64
-
 // routerTrace is one retained routed join: the router's own fleet spans
 // plus pointers to the shard-local executions, fetched and grafted in
 // lazily when the trace is requested.
 type routerTrace struct {
-	id     int64
 	mode   string
 	tracer *obs.Tracer
 	legs   []joinLeg
@@ -26,17 +21,7 @@ type routerTrace struct {
 // recordTrace retains a finished routed join's trace and returns its
 // router-scoped join id.
 func (rt *Router) recordTrace(mode string, tr *obs.Tracer, legs []joinLeg) int64 {
-	rt.traceMu.Lock()
-	defer rt.traceMu.Unlock()
-	rt.nextJoinID++
-	id := rt.nextJoinID
-	rt.traces[id] = &routerTrace{id: id, mode: mode, tracer: tr, legs: legs}
-	rt.traceOrder = append(rt.traceOrder, id)
-	if len(rt.traceOrder) > rt.cfg.TraceRing {
-		delete(rt.traces, rt.traceOrder[0])
-		rt.traceOrder = rt.traceOrder[1:]
-	}
-	return id
+	return rt.traces.Put(routerTrace{mode: mode, tracer: tr, legs: legs})
 }
 
 // TraceResponse is the payload of the router's GET /v1/joins/{id}/trace:
@@ -61,14 +46,12 @@ func (rt *Router) handleJoinTrace(w http.ResponseWriter, r *http.Request) (int, 
 	if err != nil {
 		return http.StatusBadRequest, fmt.Errorf("fleet: bad join id %q", r.PathValue("id"))
 	}
-	rt.traceMu.Lock()
-	jt, ok := rt.traces[id]
-	rt.traceMu.Unlock()
+	jt, ok := rt.traces.Get(id)
 	if !ok {
 		return http.StatusNotFound, fmt.Errorf("fleet: no retained trace for join %d", id)
 	}
 	tree := jt.tracer.Tree()
-	resp := &TraceResponse{JoinID: jt.id, Mode: jt.mode, Tree: tree}
+	resp := &TraceResponse{JoinID: id, Mode: jt.mode, Tree: tree}
 	for i, leg := range jt.legs {
 		resp.Shards = append(resp.Shards, leg.shardID)
 		sh := rt.shardByID(leg.shardID)

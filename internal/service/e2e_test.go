@@ -159,8 +159,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete status = %d", resp.StatusCode)
 	}
-	if s.PlanCacheLen() != 0 {
-		t.Fatalf("plan cache holds %d plans after delete", s.PlanCacheLen())
+	if n := s.Metrics.PlanCacheEntries.Value(); n != 0 {
+		t.Fatalf("plan cache holds %d plans after delete", n)
 	}
 	if resp, _ := postJoin("/v1/join", body); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("join after delete: status %d", resp.StatusCode)

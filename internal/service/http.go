@@ -90,7 +90,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/telemetry/slo", s.instrument("telemetry_slo", s.handleTelemetrySLO))
 	mux.HandleFunc("GET /v1/telemetry/events", s.instrument("telemetry_events", s.handleTelemetryEvents))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", s.Metrics)
 	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	return mux
 }
@@ -294,11 +294,6 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.Metrics.Render(w)
 }
 
 func (s *Service) handleVars(w http.ResponseWriter, r *http.Request) {

@@ -1,145 +1,13 @@
-// Metrics: a dependency-free micro-registry of counters, gauges and
-// histograms rendered in the Prometheus text exposition format on
-// /metrics, with a JSON mirror on /debug/vars.
+// Metrics: the service's metric set, registered once on a telem
+// registry that renders it as Prometheus text on /metrics and as JSON
+// on /debug/vars.
 
 package service
 
 import (
-	"fmt"
-	"io"
-	"math"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-
 	"spatialjoin"
 	"spatialjoin/internal/telem"
 )
-
-// counter is a monotonically increasing metric.
-type counter struct {
-	name, help string
-	v          atomic.Int64
-}
-
-func (c *counter) Add(n int64) { c.v.Add(n) }
-func (c *counter) Inc()        { c.v.Add(1) }
-func (c *counter) Value() int64 {
-	return c.v.Load()
-}
-
-// gauge is a metric that can go up and down.
-type gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-func (g *gauge) Add(n int64) { g.v.Add(n) }
-func (g *gauge) Set(n int64) { g.v.Store(n) }
-func (g *gauge) Value() int64 {
-	return g.v.Load()
-}
-
-// counterVec is a counter partitioned by label values.
-type counterVec struct {
-	name, help string
-	labels     []string // label names, in render order
-
-	mu   sync.Mutex
-	vals map[string]*vecSeries // key: vecKey of the label values
-}
-
-// vecKey builds the series map key. Values are length-prefixed rather
-// than joined with a separator byte: label values arrive from request
-// headers, so no byte can be assumed absent, and a plain join would
-// alias ("a\xffb", "c") with ("a", "b\xffc").
-func vecKey(labelValues []string) string {
-	var b strings.Builder
-	for _, v := range labelValues {
-		fmt.Fprintf(&b, "%d:%s", len(v), v)
-	}
-	return b.String()
-}
-
-// vecSeries is one label combination's series. The label values are
-// stored verbatim and never re-derived by splitting the map key: a
-// value containing the join byte (possible since tenant ids ride in
-// from a request header) can therefore neither collide two series nor
-// corrupt the rendered exposition.
-type vecSeries struct {
-	values []string
-	v      atomic.Int64
-}
-
-func (c *counterVec) Inc(labelValues ...string) { c.Add(1, labelValues...) }
-
-func (c *counterVec) Add(n int64, labelValues ...string) {
-	if len(labelValues) != len(c.labels) {
-		panic(fmt.Sprintf("metric %s: %d label values for %d labels", c.name, len(labelValues), len(c.labels)))
-	}
-	key := vecKey(labelValues)
-	c.mu.Lock()
-	v, ok := c.vals[key]
-	if !ok {
-		if c.vals == nil {
-			c.vals = map[string]*vecSeries{}
-		}
-		v = &vecSeries{values: append([]string(nil), labelValues...)}
-		c.vals[key] = v
-	}
-	c.mu.Unlock()
-	v.v.Add(n)
-}
-
-// Value returns the count for one label combination (0 if never seen).
-func (c *counterVec) Value(labelValues ...string) int64 {
-	key := vecKey(labelValues)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.vals[key]; ok {
-		return v.v.Load()
-	}
-	return 0
-}
-
-// histogram is a fixed-bucket cumulative histogram (seconds for latency
-// metrics, bytes for size metrics).
-type histogram struct {
-	name, help string
-	bounds     []float64 // upper bounds, ascending; +Inf implicit
-
-	mu     sync.Mutex
-	counts []int64
-	sum    float64
-	n      int64
-}
-
-func newHistogram(name, help string, bounds ...float64) *histogram {
-	return &histogram{name: name, help: help, bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-func (h *histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.n++
-}
-
-// Count returns the number of observations.
-func (h *histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// defBuckets are latency buckets from 100µs to ~100s.
-var defBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100,
-}
 
 // byteBuckets are size buckets from 256 B to 1 GiB in powers of four.
 var byteBuckets = []float64{
@@ -149,132 +17,133 @@ var byteBuckets = []float64{
 
 // Metrics is the service's metric set.
 type Metrics struct {
-	Requests *counterVec // by endpoint, code
-	Rejected *counterVec // by reason (queue_full, draining, timeout, tenant_quota) and tenant
+	*telem.Registry
 
-	InFlight   *gauge
-	QueueDepth *gauge
-	QueueWait  *histogram
+	Requests *telem.CounterVec // by endpoint, code
+	Rejected *telem.CounterVec // by reason (queue_full, draining, timeout, tenant_quota) and tenant
 
-	PlanCacheHits      *counter
-	PlanCacheMisses    *counter
-	PlanCacheEvictions *counter
-	PlanCacheEntries   *gauge
-	PlanCacheBytes     *gauge
+	InFlight   *telem.Gauge
+	QueueDepth *telem.Gauge
+	QueueWait  *telem.Histogram
 
-	PlanBuild *histogram // prepared-plan construction latency
-	Probe     *histogram // plan execution (probe) latency
+	PlanCacheHits      *telem.Counter
+	PlanCacheMisses    *telem.Counter
+	PlanCacheEvictions *telem.Counter
+	PlanCacheEntries   *telem.Gauge
+	PlanCacheBytes     *telem.Gauge
 
-	JoinLatency  *histogram // end-to-end join latency (build + probe)
-	TaskDuration *histogram // partition task durations, from trace task spans
-	ShuffleBytes *histogram // shuffled bytes per join
+	PlanBuild *telem.Histogram // prepared-plan construction latency
+	Probe     *telem.Histogram // plan execution (probe) latency
 
-	JoinResults      *counterVec // result pairs served, by tenant
-	ReplicatedServed *counter    // replicated objects served by executed plans
-	Datasets         *gauge
-	DatasetPoints    *gauge
+	JoinLatency  *telem.Histogram // end-to-end join latency (build + probe)
+	TaskDuration *telem.Histogram // partition task durations, from trace task spans
+	ShuffleBytes *telem.Histogram // shuffled bytes per join
+
+	JoinResults      *telem.CounterVec // result pairs served, by tenant
+	ReplicatedServed *telem.Counter    // replicated objects served by executed plans
+	Datasets         *telem.Gauge
+	DatasetPoints    *telem.Gauge
 
 	// Streaming-join engine counters, folded in per ingest batch from
 	// each stream engine's counter diffs. All stay zero until a stream
 	// is created.
-	StreamIngested       *counter    // upserts + deletes accepted across streams
-	StreamDeltaPairs     *counterVec // result-set deltas emitted, by op (add, remove)
-	StreamCellRebuilds   *counter    // per-cell slab compactions
-	StreamAgreementFlips *counter    // LPiB/DIFF agreement decisions flipped by drift
-	StreamMigrations     *counter    // replica copies moved by rebalances
-	StreamExpired        *counter    // points dropped by sliding-window TTL expiry
-	Streams              *gauge      // live streams
-	StreamPoints         *gauge      // live points across streams
-	StreamReplicas       *gauge      // dedicated replica copies across streams
-	StreamSubscribers    *gauge      // attached delta subscribers
+	StreamIngested       *telem.Counter    // upserts + deletes accepted across streams
+	StreamDeltaPairs     *telem.CounterVec // result-set deltas emitted, by op (add, remove)
+	StreamCellRebuilds   *telem.Counter    // per-cell slab compactions
+	StreamAgreementFlips *telem.Counter    // LPiB/DIFF agreement decisions flipped by drift
+	StreamMigrations     *telem.Counter    // replica copies moved by rebalances
+	StreamExpired        *telem.Counter    // points dropped by sliding-window TTL expiry
+	Streams              *telem.Gauge      // live streams
+	StreamPoints         *telem.Gauge      // live points across streams
+	StreamReplicas       *telem.Gauge      // dedicated replica copies across streams
+	StreamSubscribers    *telem.Gauge      // attached delta subscribers
 
 	// Durable-store (dstore) accounting. All stay zero while the daemon
 	// runs in-memory (no -data-dir).
-	DstoreLogRecords        *counter // records appended to the ingest log
-	DstoreLogBytes          *counter // payload bytes appended to the ingest log
-	DstoreFsyncs            *counter // log fsyncs issued
-	DstoreCheckpoints       *counter // checkpoints written
-	DstoreLogSegments       *gauge   // live log segment files
-	DstoreCheckpointSeq     *gauge   // log position of the newest checkpoint
-	DstoreRecoveredDatasets *gauge   // datasets reconstructed at startup
-	DstoreRecoveredStreams  *gauge   // streams reconstructed at startup
-	DstoreReplayedRecords   *gauge   // log records replayed at startup
+	DstoreLogRecords        *telem.Counter // records appended to the ingest log
+	DstoreLogBytes          *telem.Counter // payload bytes appended to the ingest log
+	DstoreFsyncs            *telem.Counter // log fsyncs issued
+	DstoreCheckpoints       *telem.Counter // checkpoints written
+	DstoreLogSegments       *telem.Gauge   // live log segment files
+	DstoreCheckpointSeq     *telem.Gauge   // log position of the newest checkpoint
+	DstoreRecoveredDatasets *telem.Gauge   // datasets reconstructed at startup
+	DstoreRecoveredStreams  *telem.Gauge   // streams reconstructed at startup
+	DstoreReplayedRecords   *telem.Gauge   // log records replayed at startup
 
 	// Measured wire counters of distributed (cluster-engine) runs,
 	// accumulated from each probe's ClusterMetrics. All stay zero while
 	// the daemon runs on the in-process engine.
-	ClusterWorkers         *gauge   // workers that served the most recent run
-	ClusterTaskBytesLocal  *counter // streamed task bytes read worker-locally
-	ClusterTaskBytesRemote *counter // streamed task bytes crossing workers
-	ClusterBroadcastBytes  *counter // plan broadcast bytes shipped
-	ClusterResultBytes     *counter // result frame bytes received
-	ClusterTasks           *counter // partition tasks completed
-	ClusterRetries         *counter // task re-executions after failures
-	ClusterSpecLaunched    *counter // speculative attempts launched
-	ClusterSpecWins        *counter // speculative attempts that won
+	ClusterWorkers         *telem.Gauge   // workers that served the most recent run
+	ClusterTaskBytesLocal  *telem.Counter // streamed task bytes read worker-locally
+	ClusterTaskBytesRemote *telem.Counter // streamed task bytes crossing workers
+	ClusterBroadcastBytes  *telem.Counter // plan broadcast bytes shipped
+	ClusterResultBytes     *telem.Counter // result frame bytes received
+	ClusterTasks           *telem.Counter // partition tasks completed
+	ClusterRetries         *telem.Counter // task re-executions after failures
+	ClusterSpecLaunched    *telem.Counter // speculative attempts launched
+	ClusterSpecWins        *telem.Counter // speculative attempts that won
 }
 
 // NewMetrics builds the service metric set.
 func NewMetrics() *Metrics {
+	r := telem.NewRegistry()
 	return &Metrics{
-		Requests: &counterVec{name: "sjoind_requests_total", help: "HTTP requests by endpoint and status code.",
-			labels: []string{"endpoint", "code"}},
-		Rejected: &counterVec{name: "sjoind_rejected_total", help: "Requests rejected by admission control, by reason and tenant.",
-			labels: []string{"reason", "tenant"}},
-		InFlight:   &gauge{name: "sjoind_requests_in_flight", help: "Join requests currently executing."},
-		QueueDepth: &gauge{name: "sjoind_queue_depth", help: "Join requests waiting for an execution slot."},
-		QueueWait:  newHistogram("sjoind_queue_wait_seconds", "Time spent waiting for an execution slot.", defBuckets...),
+		Registry: r,
 
-		PlanCacheHits:      &counter{name: "sjoind_plan_cache_hits_total", help: "Join requests served from a cached prepared plan."},
-		PlanCacheMisses:    &counter{name: "sjoind_plan_cache_misses_total", help: "Join requests that had to build a prepared plan."},
-		PlanCacheEvictions: &counter{name: "sjoind_plan_cache_evictions_total", help: "Prepared plans evicted by the LRU policy."},
-		PlanCacheEntries:   &gauge{name: "sjoind_plan_cache_entries", help: "Prepared plans currently cached."},
-		PlanCacheBytes:     &gauge{name: "sjoind_plan_cache_bytes", help: "Approximate wire size of the cached partitioned tuples."},
+		Requests:   r.NewCounterVec("sjoind_requests_total", "HTTP requests by endpoint and status code.", "endpoint", "code"),
+		Rejected:   r.NewCounterVec("sjoind_rejected_total", "Requests rejected by admission control, by reason and tenant.", "reason", "tenant"),
+		InFlight:   r.NewGauge("sjoind_requests_in_flight", "Join requests currently executing."),
+		QueueDepth: r.NewGauge("sjoind_queue_depth", "Join requests waiting for an execution slot."),
+		QueueWait:  r.NewHistogram("sjoind_queue_wait_seconds", "Time spent waiting for an execution slot.", telem.LatencyBounds),
 
-		PlanBuild: newHistogram("sjoind_plan_build_seconds", "Prepared-plan construction latency (sample, grid, agreements, map, shuffle).", defBuckets...),
-		Probe:     newHistogram("sjoind_probe_seconds", "Plan execution latency (partition-level joins).", defBuckets...),
+		PlanCacheHits:      r.NewCounter("sjoind_plan_cache_hits_total", "Join requests served from a cached prepared plan."),
+		PlanCacheMisses:    r.NewCounter("sjoind_plan_cache_misses_total", "Join requests that had to build a prepared plan."),
+		PlanCacheEvictions: r.NewCounter("sjoind_plan_cache_evictions_total", "Prepared plans evicted by the LRU policy."),
+		PlanCacheEntries:   r.NewGauge("sjoind_plan_cache_entries", "Prepared plans currently cached."),
+		PlanCacheBytes:     r.NewGauge("sjoind_plan_cache_bytes", "Approximate wire size of the cached partitioned tuples."),
 
-		JoinLatency:  newHistogram("sjoind_join_seconds", "End-to-end join latency (plan build on cache misses, plus probe).", defBuckets...),
-		TaskDuration: newHistogram("sjoind_task_seconds", "Partition task durations, extracted from each join's trace task spans.", defBuckets...),
-		ShuffleBytes: newHistogram("sjoind_shuffle_bytes", "Shuffled bytes per join (replication-driven network traffic).", byteBuckets...),
+		PlanBuild: r.NewHistogram("sjoind_plan_build_seconds", "Prepared-plan construction latency (sample, grid, agreements, map, shuffle).", telem.LatencyBounds),
+		Probe:     r.NewHistogram("sjoind_probe_seconds", "Plan execution latency (partition-level joins).", telem.LatencyBounds),
 
-		JoinResults: &counterVec{name: "sjoind_join_results_total", help: "Result pairs counted across all joins, by tenant.",
-			labels: []string{"tenant"}},
-		ReplicatedServed: &counter{name: "sjoind_replicated_objects_served_total", help: "Replicated objects served by executed plans."},
-		Datasets:         &gauge{name: "sjoind_datasets", help: "Datasets currently registered."},
-		DatasetPoints:    &gauge{name: "sjoind_dataset_points", help: "Total points across registered datasets."},
+		JoinLatency:  r.NewHistogram("sjoind_join_seconds", "End-to-end join latency (plan build on cache misses, plus probe).", telem.LatencyBounds),
+		TaskDuration: r.NewHistogram("sjoind_task_seconds", "Partition task durations, extracted from each join's trace task spans.", telem.LatencyBounds),
+		ShuffleBytes: r.NewHistogram("sjoind_shuffle_bytes", "Shuffled bytes per join (replication-driven network traffic).", byteBuckets),
 
-		StreamIngested: &counter{name: "sjoind_stream_ingested_total", help: "Stream mutations (upserts and deletes) accepted."},
-		StreamDeltaPairs: &counterVec{name: "sjoind_stream_delta_pairs_total", help: "Result-set deltas emitted to stream subscribers, by op.",
-			labels: []string{"op"}},
-		StreamCellRebuilds:   &counter{name: "sjoind_stream_cell_rebuilds_total", help: "Per-cell sorted-slab compactions past the dirty threshold."},
-		StreamAgreementFlips: &counter{name: "sjoind_stream_agreement_flips_total", help: "Agreement decisions flipped by cardinality drift rebalances."},
-		StreamMigrations:     &counter{name: "sjoind_stream_rebalance_migrations_total", help: "Replica copies moved between cells by rebalances."},
-		StreamExpired:        &counter{name: "sjoind_stream_expired_total", help: "Points dropped by sliding-window TTL expiry."},
-		Streams:              &gauge{name: "sjoind_streams", help: "Streams currently live."},
-		StreamPoints:         &gauge{name: "sjoind_stream_points", help: "Live points across all streams."},
-		StreamReplicas:       &gauge{name: "sjoind_stream_replicas", help: "Dedicated replica copies across all streams."},
-		StreamSubscribers:    &gauge{name: "sjoind_stream_subscribers", help: "Delta subscribers currently attached."},
+		JoinResults:      r.NewCounterVec("sjoind_join_results_total", "Result pairs counted across all joins, by tenant.", "tenant"),
+		ReplicatedServed: r.NewCounter("sjoind_replicated_objects_served_total", "Replicated objects served by executed plans."),
+		Datasets:         r.NewGauge("sjoind_datasets", "Datasets currently registered."),
+		DatasetPoints:    r.NewGauge("sjoind_dataset_points", "Total points across registered datasets."),
 
-		DstoreLogRecords:        &counter{name: "sjoind_dstore_log_records_total", help: "Records appended to the durable ingest log."},
-		DstoreLogBytes:          &counter{name: "sjoind_dstore_log_bytes_total", help: "Framed record bytes appended to the durable ingest log."},
-		DstoreFsyncs:            &counter{name: "sjoind_dstore_fsyncs_total", help: "fsync calls issued by the durable ingest log."},
-		DstoreCheckpoints:       &counter{name: "sjoind_dstore_checkpoints_total", help: "Checkpoints written by the durable store."},
-		DstoreLogSegments:       &gauge{name: "sjoind_dstore_log_segments", help: "Live segment files in the durable ingest log."},
-		DstoreCheckpointSeq:     &gauge{name: "sjoind_dstore_checkpoint_seq", help: "Log sequence number the newest checkpoint covers through."},
-		DstoreRecoveredDatasets: &gauge{name: "sjoind_dstore_recovered_datasets", help: "Datasets reconstructed from the durable store at startup."},
-		DstoreRecoveredStreams:  &gauge{name: "sjoind_dstore_recovered_streams", help: "Streams reconstructed from the durable store at startup."},
-		DstoreReplayedRecords:   &gauge{name: "sjoind_dstore_replayed_records", help: "Log records replayed past the checkpoint at startup."},
+		StreamIngested:       r.NewCounter("sjoind_stream_ingested_total", "Stream mutations (upserts and deletes) accepted."),
+		StreamDeltaPairs:     r.NewCounterVec("sjoind_stream_delta_pairs_total", "Result-set deltas emitted to stream subscribers, by op.", "op"),
+		StreamCellRebuilds:   r.NewCounter("sjoind_stream_cell_rebuilds_total", "Per-cell sorted-slab compactions past the dirty threshold."),
+		StreamAgreementFlips: r.NewCounter("sjoind_stream_agreement_flips_total", "Agreement decisions flipped by cardinality drift rebalances."),
+		StreamMigrations:     r.NewCounter("sjoind_stream_rebalance_migrations_total", "Replica copies moved between cells by rebalances."),
+		StreamExpired:        r.NewCounter("sjoind_stream_expired_total", "Points dropped by sliding-window TTL expiry."),
+		Streams:              r.NewGauge("sjoind_streams", "Streams currently live."),
+		StreamPoints:         r.NewGauge("sjoind_stream_points", "Live points across all streams."),
+		StreamReplicas:       r.NewGauge("sjoind_stream_replicas", "Dedicated replica copies across all streams."),
+		StreamSubscribers:    r.NewGauge("sjoind_stream_subscribers", "Delta subscribers currently attached."),
 
-		ClusterWorkers:         &gauge{name: "sjoind_cluster_workers", help: "Worker processes that served the most recent distributed join."},
-		ClusterTaskBytesLocal:  &counter{name: "sjoind_cluster_task_bytes_local_total", help: "Measured task bytes streamed to the worker co-located with the producing map split."},
-		ClusterTaskBytesRemote: &counter{name: "sjoind_cluster_task_bytes_remote_total", help: "Measured task bytes streamed across worker boundaries (real shuffle remote reads)."},
-		ClusterBroadcastBytes:  &counter{name: "sjoind_cluster_broadcast_bytes_total", help: "Measured plan broadcast bytes (grid, agreements, placement) shipped to workers."},
-		ClusterResultBytes:     &counter{name: "sjoind_cluster_result_bytes_total", help: "Measured result frame bytes received from workers."},
-		ClusterTasks:           &counter{name: "sjoind_cluster_tasks_total", help: "Partition tasks completed by cluster workers."},
-		ClusterRetries:         &counter{name: "sjoind_cluster_task_retries_total", help: "Task re-executions after a worker died or failed."},
-		ClusterSpecLaunched:    &counter{name: "sjoind_cluster_speculative_launched_total", help: "Duplicate attempts launched for straggling tasks."},
-		ClusterSpecWins:        &counter{name: "sjoind_cluster_speculative_wins_total", help: "Speculative attempts that finished before the original."},
+		DstoreLogRecords:        r.NewCounter("sjoind_dstore_log_records_total", "Records appended to the durable ingest log."),
+		DstoreLogBytes:          r.NewCounter("sjoind_dstore_log_bytes_total", "Framed record bytes appended to the durable ingest log."),
+		DstoreFsyncs:            r.NewCounter("sjoind_dstore_fsyncs_total", "fsync calls issued by the durable ingest log."),
+		DstoreCheckpoints:       r.NewCounter("sjoind_dstore_checkpoints_total", "Checkpoints written by the durable store."),
+		DstoreLogSegments:       r.NewGauge("sjoind_dstore_log_segments", "Live segment files in the durable ingest log."),
+		DstoreCheckpointSeq:     r.NewGauge("sjoind_dstore_checkpoint_seq", "Log sequence number the newest checkpoint covers through."),
+		DstoreRecoveredDatasets: r.NewGauge("sjoind_dstore_recovered_datasets", "Datasets reconstructed from the durable store at startup."),
+		DstoreRecoveredStreams:  r.NewGauge("sjoind_dstore_recovered_streams", "Streams reconstructed from the durable store at startup."),
+		DstoreReplayedRecords:   r.NewGauge("sjoind_dstore_replayed_records", "Log records replayed past the checkpoint at startup."),
+
+		ClusterWorkers:         r.NewGauge("sjoind_cluster_workers", "Worker processes that served the most recent distributed join."),
+		ClusterTaskBytesLocal:  r.NewCounter("sjoind_cluster_task_bytes_local_total", "Measured task bytes streamed to the worker co-located with the producing map split."),
+		ClusterTaskBytesRemote: r.NewCounter("sjoind_cluster_task_bytes_remote_total", "Measured task bytes streamed across worker boundaries (real shuffle remote reads)."),
+		ClusterBroadcastBytes:  r.NewCounter("sjoind_cluster_broadcast_bytes_total", "Measured plan broadcast bytes (grid, agreements, placement) shipped to workers."),
+		ClusterResultBytes:     r.NewCounter("sjoind_cluster_result_bytes_total", "Measured result frame bytes received from workers."),
+		ClusterTasks:           r.NewCounter("sjoind_cluster_tasks_total", "Partition tasks completed by cluster workers."),
+		ClusterRetries:         r.NewCounter("sjoind_cluster_task_retries_total", "Task re-executions after a worker died or failed."),
+		ClusterSpecLaunched:    r.NewCounter("sjoind_cluster_speculative_launched_total", "Duplicate attempts launched for straggling tasks."),
+		ClusterSpecWins:        r.NewCounter("sjoind_cluster_speculative_wins_total", "Speculative attempts that finished before the original."),
 	}
 }
 
@@ -293,163 +162,4 @@ func (m *Metrics) ObserveCluster(cm spatialjoin.ClusterMetrics) {
 	m.ClusterRetries.Add(cm.Retries)
 	m.ClusterSpecLaunched.Add(cm.SpeculativeLaunched)
 	m.ClusterSpecWins.Add(cm.SpeculativeWins)
-}
-
-// Render writes the metric set in the Prometheus text exposition format.
-func (m *Metrics) Render(w io.Writer) {
-	for _, c := range []*counter{
-		m.PlanCacheHits, m.PlanCacheMisses, m.PlanCacheEvictions,
-		m.ReplicatedServed,
-		m.StreamIngested, m.StreamCellRebuilds, m.StreamAgreementFlips,
-		m.StreamMigrations, m.StreamExpired,
-		m.DstoreLogRecords, m.DstoreLogBytes,
-		m.DstoreFsyncs, m.DstoreCheckpoints,
-		m.ClusterTaskBytesLocal, m.ClusterTaskBytesRemote,
-		m.ClusterBroadcastBytes, m.ClusterResultBytes,
-		m.ClusterTasks, m.ClusterRetries,
-		m.ClusterSpecLaunched, m.ClusterSpecWins,
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, escapeHelp(c.help), c.name, c.name, c.Value())
-	}
-	for _, g := range []*gauge{
-		m.InFlight, m.QueueDepth, m.PlanCacheEntries, m.PlanCacheBytes,
-		m.Datasets, m.DatasetPoints,
-		m.Streams, m.StreamPoints, m.StreamReplicas, m.StreamSubscribers,
-		m.DstoreLogSegments, m.DstoreCheckpointSeq,
-		m.DstoreRecoveredDatasets, m.DstoreRecoveredStreams,
-		m.DstoreReplayedRecords,
-		m.ClusterWorkers,
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, escapeHelp(g.help), g.name, g.name, g.Value())
-	}
-	for _, v := range []*counterVec{m.Requests, m.Rejected, m.JoinResults, m.StreamDeltaPairs} {
-		renderVec(w, v)
-	}
-	for _, h := range []*histogram{
-		m.QueueWait, m.PlanBuild, m.Probe,
-		m.JoinLatency, m.TaskDuration, m.ShuffleBytes,
-	} {
-		renderHistogram(w, h)
-	}
-	telem.RenderRuntime(w)
-}
-
-func renderVec(w io.Writer, v *counterVec) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", v.name, escapeHelp(v.help), v.name)
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type row struct {
-		labels string
-		n      int64
-	}
-	rows := make([]row, 0, len(keys))
-	for _, k := range keys {
-		s := v.vals[k]
-		parts := make([]string, len(v.labels))
-		for i, name := range v.labels {
-			parts[i] = name + `="` + escapeLabel(s.values[i]) + `"`
-		}
-		rows = append(rows, row{labels: strings.Join(parts, ","), n: s.v.Load()})
-	}
-	v.mu.Unlock()
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s{%s} %d\n", v.name, r.labels, r.n)
-	}
-}
-
-func renderHistogram(w io.Writer, h *histogram) {
-	h.mu.Lock()
-	counts := append([]int64(nil), h.counts...)
-	sum, n := h.sum, h.n
-	h.mu.Unlock()
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.name, escapeHelp(h.help), h.name)
-	var cum int64
-	for i, ub := range h.bounds {
-		cum += counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", h.name, formatBound(ub), cum)
-	}
-	cum += counts[len(counts)-1]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", h.name, sum)
-	fmt.Fprintf(w, "%s_count %d\n", h.name, n)
-}
-
-func formatBound(b float64) string {
-	if math.IsInf(b, 1) {
-		return "+Inf"
-	}
-	return fmt.Sprintf("%g", b)
-}
-
-// escapeLabel escapes a label value per the Prometheus text exposition
-// format: backslash, double quote, and line feed.
-func escapeLabel(v string) string {
-	return labelEscaper.Replace(v)
-}
-
-// escapeHelp escapes HELP text: backslash and line feed (quotes are
-// legal there).
-func escapeHelp(v string) string {
-	return helpEscaper.Replace(v)
-}
-
-var (
-	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-)
-
-// Snapshot returns the metric set as a flat JSON-friendly map — the
-// /debug/vars mirror of the Prometheus exposition.
-func (m *Metrics) Snapshot() map[string]any {
-	out := map[string]any{}
-	for _, c := range []*counter{
-		m.PlanCacheHits, m.PlanCacheMisses, m.PlanCacheEvictions,
-		m.ReplicatedServed,
-		m.StreamIngested, m.StreamCellRebuilds, m.StreamAgreementFlips,
-		m.StreamMigrations, m.StreamExpired,
-		m.DstoreLogRecords, m.DstoreLogBytes,
-		m.DstoreFsyncs, m.DstoreCheckpoints,
-		m.ClusterTaskBytesLocal, m.ClusterTaskBytesRemote,
-		m.ClusterBroadcastBytes, m.ClusterResultBytes,
-		m.ClusterTasks, m.ClusterRetries,
-		m.ClusterSpecLaunched, m.ClusterSpecWins,
-	} {
-		out[c.name] = c.Value()
-	}
-	for _, g := range []*gauge{
-		m.InFlight, m.QueueDepth, m.PlanCacheEntries, m.PlanCacheBytes,
-		m.Datasets, m.DatasetPoints,
-		m.Streams, m.StreamPoints, m.StreamReplicas, m.StreamSubscribers,
-		m.DstoreLogSegments, m.DstoreCheckpointSeq,
-		m.DstoreRecoveredDatasets, m.DstoreRecoveredStreams,
-		m.DstoreReplayedRecords,
-		m.ClusterWorkers,
-	} {
-		out[g.name] = g.Value()
-	}
-	for _, v := range []*counterVec{m.Requests, m.Rejected, m.JoinResults, m.StreamDeltaPairs} {
-		sub := map[string]int64{}
-		v.mu.Lock()
-		for _, n := range v.vals {
-			sub[strings.Join(n.values, ",")] = n.v.Load()
-		}
-		v.mu.Unlock()
-		out[v.name] = sub
-	}
-	for _, h := range []*histogram{
-		m.QueueWait, m.PlanBuild, m.Probe,
-		m.JoinLatency, m.TaskDuration, m.ShuffleBytes,
-	} {
-		h.mu.Lock()
-		out[h.name] = map[string]any{"count": h.n, "sum": h.sum}
-		h.mu.Unlock()
-	}
-	for k, v := range telem.RuntimeVars() {
-		out[k] = v
-	}
-	return out
 }

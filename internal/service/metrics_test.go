@@ -1,126 +1,72 @@
 package service
 
 import (
+	"os"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// TestMetricsLabelEscaping drives the labeled counters with hostile
-// label values — the exact gap the tenant label surfaced: tenants are
-// client-chosen strings, so quotes, backslashes, newlines, and the
-// vec's internal key separator must all render as valid exposition
-// lines and round-trip their counts.
-func TestMetricsLabelEscaping(t *testing.T) {
+// TestMetricsFamilies renders a fresh metric set and checks what a
+// scraper relies on — every family's HELP and TYPE, its label names,
+// each histogram's le values, and the /debug/vars key set — against
+// testdata/metric_families.txt, which was captured before the metric
+// set moved onto the telem registry.
+func TestMetricsFamilies(t *testing.T) {
 	m := NewMetrics()
-	hostile := []string{
-		`quote"tenant`,
-		`back\slash`,
-		"new\nline",
-		"sep\xfftenant", // the counterVec's internal map-key separator
-		`both\"and` + "\n",
-	}
-	for i, tenant := range hostile {
-		m.Rejected.Add(int64(i+1), "tenant_quota", tenant)
-		m.JoinResults.Add(int64(10*(i+1)), tenant)
-	}
-	// A separator inside a value must not alias another series: the
-	// pair ("a\xffb", "c") is distinct from ("a", "b\xffc").
-	m.Requests.Add(1, "a\xffb", "c")
-	m.Requests.Add(5, "a", "b\xffc")
-	if got := m.Requests.Value("a\xffb", "c"); got != 1 {
-		t.Errorf(`Value(a\xffb, c) = %d, want 1`, got)
-	}
-	if got := m.Requests.Value("a", "b\xffc"); got != 5 {
-		t.Errorf(`Value(a, b\xffc) = %d, want 5`, got)
-	}
-
+	m.Requests.Inc("join", "200")
+	m.Rejected.Inc("queue_full", "t")
+	m.JoinResults.Inc("t")
+	m.StreamDeltaPairs.Inc("add")
 	var sb strings.Builder
 	m.Render(&sb)
-	out := sb.String()
-
-	// Every line of the exposition must be a comment or a
-	// `name{label="value",...} N` / `name N` sample — label values with
-	// raw newlines or unescaped quotes break this shape.
-	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndex(line, " ")
-		if sp < 0 {
-			t.Fatalf("unparseable exposition line: %q", line)
-		}
-		series := line[:sp]
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			if !strings.HasSuffix(series, "}") {
-				t.Fatalf("unbalanced label braces: %q", line)
-			}
-			body := series[i+1 : len(series)-1]
-			if !validLabelBody(body) {
-				t.Fatalf("invalid label body: %q", line)
-			}
-		}
+	got := familyLines(sb.String())
+	for k := range m.Snapshot() {
+		got = append(got, "vars "+k)
 	}
-
-	// The escaped forms appear; the raw ones never do.
-	if !strings.Contains(out, `quote\"tenant`) {
-		t.Error("quote not escaped in label value")
+	sort.Strings(got)
+	b, err := os.ReadFile("testdata/metric_families.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, `back\\slash`) {
-		t.Error("backslash not escaped in label value")
-	}
-	if !strings.Contains(out, `new\nline`) {
-		t.Error("newline not escaped in label value")
-	}
-	if strings.Contains(out, "new\nline") {
-		t.Error("raw newline leaked into the exposition")
-	}
-
-	// Counts survive the hostile values.
-	for i, tenant := range hostile {
-		if got := m.Rejected.Value("tenant_quota", tenant); got != int64(i+1) {
-			t.Errorf("Rejected.Value(tenant_quota, %q) = %d, want %d", tenant, got, i+1)
-		}
-		if got := m.JoinResults.Value(tenant); got != int64(10*(i+1)) {
-			t.Errorf("JoinResults.Value(%q) = %d, want %d", tenant, got, 10*(i+1))
-		}
-	}
-
-	// Snapshot (the /debug/vars mirror) includes the labeled series.
-	snap := m.Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("empty snapshot")
+	if got, want := strings.Join(got, "\n")+"\n", string(b); got != want {
+		t.Errorf("sjoind metric families changed:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-// validLabelBody checks `k="v",k="v"` with escaped quotes in v.
-func validLabelBody(body string) bool {
-	i := 0
-	for i < len(body) {
-		eq := strings.IndexByte(body[i:], '=')
-		if eq < 0 || eq+1 >= len(body[i:]) || body[i+eq+1] != '"' {
-			return false
+// familyLines reduces an exposition to what a scraper relies on: the
+// HELP and TYPE lines, each family's label names, and each histogram's
+// le values, sorted.
+func familyLines(exposition string) []string {
+	var out []string
+	seen := map[string]bool{}
+	les := map[string][]string{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if strings.HasPrefix(line, "# ") {
+			out = append(out, line)
+			continue
 		}
-		j := i + eq + 2
-		for j < len(body) {
-			if body[j] == '\\' {
-				j += 2
-				continue
-			}
-			if body[j] == '"' {
-				break
-			}
-			j++
+		series, _, _ := strings.Cut(line, " ")
+		name, body, ok := strings.Cut(series, "{")
+		if !ok {
+			continue
 		}
-		if j >= len(body) {
-			return false
-		}
-		i = j + 1
-		if i < len(body) {
-			if body[i] != ',' {
-				return false
+		var labels []string
+		for _, kv := range strings.Split(strings.TrimSuffix(body, "}"), ",") {
+			k, v, _ := strings.Cut(kv, "=")
+			labels = append(labels, k)
+			if k == "le" {
+				les[name] = append(les[name], strings.Trim(v, `"`))
 			}
-			i++
+		}
+		if l := "labels " + name + "{" + strings.Join(labels, ",") + "}"; !seen[l] {
+			seen[l] = true
+			out = append(out, l)
 		}
 	}
-	return true
+	for name, bounds := range les {
+		out = append(out, "le "+name+" "+strings.Join(bounds, ","))
+	}
+	sort.Strings(out)
+	return out
 }

@@ -204,13 +204,6 @@ func (c *planCache) invalidate(match func(PlanKey) bool) {
 	freeAll(freed)
 }
 
-// Len returns the number of cached plans.
-func (c *planCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // freeAll frees the plans that hold more than memory.
 func freeAll(es []*planEntry) {
 	for _, e := range es {

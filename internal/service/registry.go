@@ -113,10 +113,8 @@ func (r *Registry) Put(name string, ts []spatialjoin.Tuple) (int64, error) {
 		delta = -len(old.Tuples)
 	}
 	r.m[name] = &dataset{Name: name, Rev: rev, Tuples: ts, Bounds: b}
-	if r.metrics != nil {
-		r.metrics.Datasets.Set(int64(len(r.m)))
-		r.metrics.DatasetPoints.Add(int64(len(ts) + delta))
-	}
+	r.metrics.Datasets.Set(int64(len(r.m)))
+	r.metrics.DatasetPoints.Add(int64(len(ts) + delta))
 	return rev, nil
 }
 
@@ -160,9 +158,7 @@ func (r *Registry) Apply(name string, upserts []spatialjoin.Tuple, deletes []int
 	}
 	nd := &dataset{Name: d.Name, Rev: d.Rev, Gen: d.Gen + 1, Tuples: ts, Bounds: boundsOf(ts)}
 	r.m[name] = nd
-	if r.metrics != nil {
-		r.metrics.DatasetPoints.Add(int64(len(ts) - len(d.Tuples)))
-	}
+	r.metrics.DatasetPoints.Add(int64(len(ts) - len(d.Tuples)))
 	return nd.Gen, nil
 }
 
@@ -195,10 +191,8 @@ func (r *Registry) Delete(name string) bool {
 		r.seq = seq
 	}
 	delete(r.m, name)
-	if r.metrics != nil {
-		r.metrics.Datasets.Set(int64(len(r.m)))
-		r.metrics.DatasetPoints.Add(-int64(len(d.Tuples)))
-	}
+	r.metrics.Datasets.Set(int64(len(r.m)))
+	r.metrics.DatasetPoints.Add(-int64(len(d.Tuples)))
 	return ok
 }
 
@@ -211,10 +205,8 @@ func (r *Registry) restore(name string, rev, gen int64, ts []spatialjoin.Tuple) 
 	if rev > r.nextRev {
 		r.nextRev = rev
 	}
-	if r.metrics != nil {
-		r.metrics.Datasets.Set(int64(len(r.m)))
-		r.metrics.DatasetPoints.Add(int64(len(ts)))
-	}
+	r.metrics.Datasets.Set(int64(len(r.m)))
+	r.metrics.DatasetPoints.Add(int64(len(ts)))
 }
 
 // snapshot captures a consistent registry state for checkpointing: the

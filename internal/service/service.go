@@ -62,7 +62,8 @@ type Config struct {
 	Engine spatialjoin.Engine
 
 	// TraceRing bounds how many completed join traces are retained for
-	// GET /v1/joins/{id}/trace; older ones are evicted FIFO. Default 64.
+	// GET /v1/joins/{id}/trace; older ones are evicted FIFO. Default
+	// obs.DefaultRingSize (64).
 	TraceRing int
 	// TelemSampleEvery starts a background loop sampling service gauges
 	// (queue depth, in-flight, plan cache, runtime) into the telemetry
@@ -118,9 +119,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxCollect <= 0 {
 		c.MaxCollect = 10000
 	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = traceRingSize
-	}
 	if c.TelemFlushEvery <= 0 {
 		c.TelemFlushEvery = 2 * time.Second
 	}
@@ -156,7 +154,6 @@ type Service struct {
 
 	cache    *planCache
 	slots    chan struct{}
-	queued   atomic.Int64
 	draining atomic.Bool
 	quotas   *fleet.Quotas // nil when per-tenant admission is off
 
@@ -164,10 +161,7 @@ type Service struct {
 	streams    map[string]*streamState
 	streamsSeq uint64 // log position of the last stream create/delete
 
-	traceMu    sync.Mutex
-	traces     map[int64]*joinTrace
-	traceOrder []int64
-	nextJoinID int64
+	traces *obs.Ring[joinTrace]
 
 	// store is the durable backing store (nil without Config.DataDir).
 	store    *dstore.Store
@@ -184,14 +178,8 @@ type Service struct {
 	lastTelemFlush []byte
 }
 
-// traceRingSize is the default Config.TraceRing: how many completed
-// join traces the service retains for GET /v1/joins/{id}/trace before
-// FIFO eviction.
-const traceRingSize = 64
-
 // joinTrace is one retained join trace.
 type joinTrace struct {
-	id        int64
 	algorithm string
 	tracer    *spatialjoin.Tracer
 }
@@ -207,7 +195,7 @@ func New(cfg Config) *Service {
 		cache:    newPlanCache(cfg.PlanCacheSize, m),
 		slots:    make(chan struct{}, cfg.MaxConcurrent),
 		streams:  map[string]*streamState{},
-		traces:   map[int64]*joinTrace{},
+		traces:   obs.NewRing[joinTrace](cfg.TraceRing),
 	}
 	s.geo.m = map[string]*geoDataset{}
 	if !cfg.TenantQuota.IsZero() || len(cfg.TenantOverrides) > 0 {
@@ -223,12 +211,13 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// collectTelem is the periodic gauge sampler feeding the rollup store.
+// collectTelem is the periodic gauge sampler feeding the rollup store
+// from the metric registry's gauges.
 func (s *Service) collectTelem(sample func(name, key string, v float64)) {
-	sample("queue_depth", "", float64(s.queued.Load()))
+	sample("queue_depth", "", float64(s.Metrics.QueueDepth.Value()))
 	sample("in_flight", "", float64(s.Metrics.InFlight.Value()))
-	sample("plan_cache_entries", "", float64(s.cache.Len()))
-	sample("datasets", "", float64(len(s.Registry.List())))
+	sample("plan_cache_entries", "", float64(s.Metrics.PlanCacheEntries.Value()))
+	sample("datasets", "", float64(s.Metrics.Datasets.Value()))
 	rs := telem.ReadRuntime()
 	sample("goroutines", "", float64(rs.Goroutines))
 	sample("heap_alloc_bytes", "", float64(rs.HeapAllocBytes))
@@ -240,9 +229,6 @@ func (s *Service) StartDrain() { s.draining.Store(true) }
 
 // Draining reports whether StartDrain was called.
 func (s *Service) Draining() bool { return s.draining.Load() }
-
-// PlanCacheLen returns the number of cached prepared plans.
-func (s *Service) PlanCacheLen() int { return s.cache.Len() }
 
 // InFlight returns the number of joins currently executing.
 func (s *Service) InFlight() int64 { return s.Metrics.InFlight.Value() }
@@ -261,16 +247,14 @@ func (s *Service) acquire(ctx context.Context, tenant string) (func(), error) {
 		s.Metrics.Rejected.Inc("tenant_quota", tenant)
 		return nil, &TenantQuotaError{Tenant: tenant, RetryAfter: retry}
 	}
-	if q := s.queued.Add(1); q > int64(s.cfg.MaxQueue) {
-		s.queued.Add(-1)
+	if q := s.Metrics.QueueDepth.Add(1); q > int64(s.cfg.MaxQueue) {
+		s.Metrics.QueueDepth.Add(-1)
 		s.Metrics.Rejected.Inc("queue_full", tenant)
 		return nil, ErrOverloaded
 	}
-	s.Metrics.QueueDepth.Set(s.queued.Load())
 	t0 := time.Now()
 	defer func() {
-		s.queued.Add(-1)
-		s.Metrics.QueueDepth.Set(s.queued.Load())
+		s.Metrics.QueueDepth.Add(-1)
 		s.Metrics.QueueWait.Observe(time.Since(t0).Seconds())
 	}()
 	select {
@@ -343,14 +327,12 @@ type JoinTraceResponse struct {
 // Trace returns the retained trace of a completed join, or false when
 // the id is unknown or was evicted from the ring.
 func (s *Service) Trace(id int64) (*JoinTraceResponse, bool) {
-	s.traceMu.Lock()
-	jt, ok := s.traces[id]
-	s.traceMu.Unlock()
+	jt, ok := s.traces.Get(id)
 	if !ok {
 		return nil, false
 	}
 	return &JoinTraceResponse{
-		JoinID:    jt.id,
+		JoinID:    id,
 		Algorithm: jt.algorithm,
 		TraceID:   fmt.Sprintf("%016x", uint64(jt.tracer.TraceID())),
 		Spans:     jt.tracer.Len(),
@@ -363,9 +345,7 @@ func (s *Service) Trace(id int64) (*JoinTraceResponse, bool) {
 // TraceChrome writes a retained trace in Chrome trace-event format; it
 // reports false when the id is unknown or evicted.
 func (s *Service) TraceChrome(id int64, w io.Writer) (bool, error) {
-	s.traceMu.Lock()
-	jt, ok := s.traces[id]
-	s.traceMu.Unlock()
+	jt, ok := s.traces.Get(id)
 	if !ok {
 		return false, nil
 	}
@@ -399,17 +379,7 @@ func (s *Service) observeTrace(algorithm, tenant, rname, sname string, eps float
 	}
 	s.Telem.ObserveSkew(tenant, telem.JoinKey(rname, sname, eps), now, sk.StragglerRatio, replBytes, sk.ShuffleBytes)
 
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	s.nextJoinID++
-	id := s.nextJoinID
-	s.traces[id] = &joinTrace{id: id, algorithm: algorithm, tracer: tr}
-	s.traceOrder = append(s.traceOrder, id)
-	if len(s.traceOrder) > s.cfg.TraceRing {
-		delete(s.traces, s.traceOrder[0])
-		s.traceOrder = s.traceOrder[1:]
-	}
-	return id
+	return s.traces.Put(joinTrace{algorithm: algorithm, tracer: tr})
 }
 
 // Join executes one in-memory point join through the shared pipeline.

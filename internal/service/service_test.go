@@ -137,8 +137,8 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d plans, want 2", c.Len())
+	if n := m.PlanCacheEntries.Value(); n != 2 {
+		t.Fatalf("cache holds %d plans, want 2", n)
 	}
 	if m.PlanCacheEvictions.Value() != 1 {
 		t.Fatalf("evictions = %d, want 1", m.PlanCacheEvictions.Value())
@@ -166,8 +166,8 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 	if _, _, _, err := c.GetOrBuild(key, bad); err == nil {
 		t.Fatal("error cached as success")
 	}
-	if calls.Load() != 2 || c.Len() != 0 {
-		t.Fatalf("calls = %d, len = %d; errors must not be cached", calls.Load(), c.Len())
+	if n := c.metrics.PlanCacheEntries.Value(); calls.Load() != 2 || n != 0 {
+		t.Fatalf("calls = %d, len = %d; errors must not be cached", calls.Load(), n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -211,23 +212,24 @@ func TestTelemetryTraceRingConfigurable(t *testing.T) {
 	}
 }
 
-// TestTelemetrySamplerGauges checks the periodic collector records
-// service gauges into the rollup store.
+// TestTelemetrySamplerGauges calls the periodic collector once and
+// checks it samples the service gauges from the metric registry.
 func TestTelemetrySamplerGauges(t *testing.T) {
-	s := testService(t, Config{TelemSampleEvery: 5 * time.Millisecond})
+	s := testService(t, Config{})
 	defer s.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if d := s.Telem.Store.Dump("goroutines", "", "1s", 0); len(d) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sampler never recorded goroutines gauge")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if _, err := s.Join(context.Background(), JoinRequest{R: "r", S: "s", Eps: 0.5}); err != nil {
+		t.Fatal(err)
 	}
-	if d := s.Telem.Store.Dump("datasets", "", "1s", 0); len(d) == 0 || d[0].Buckets[len(d[0].Buckets)-1].Max != 2 {
-		t.Fatalf("datasets gauge = %+v, want max 2", d)
+	got := map[string]float64{}
+	s.collectTelem(func(name, key string, v float64) { got[name] = v })
+	want := map[string]float64{"queue_depth": 0, "in_flight": 0, "plan_cache_entries": 1, "datasets": 2}
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != v {
+			t.Errorf("%s = %v (sampled %v), want %v", name, g, ok, v)
+		}
+	}
+	if got["goroutines"] < 1 || got["heap_alloc_bytes"] <= 0 {
+		t.Errorf("runtime gauges = %v", got)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"spatialjoin"
+	"spatialjoin/internal/obs"
 )
 
 // TestServiceJoinTrace checks every join retains a trace reachable by
@@ -53,11 +54,11 @@ func TestServiceJoinTrace(t *testing.T) {
 }
 
 // TestServiceTraceRingEviction checks the trace ring keeps only the
-// most recent traceRingSize joins.
+// most recent obs.DefaultRingSize joins.
 func TestServiceTraceRingEviction(t *testing.T) {
 	s := New(Config{})
 	var first, last int64
-	for i := 0; i < traceRingSize+5; i++ {
+	for i := 0; i < obs.DefaultRingSize+5; i++ {
 		tr := spatialjoin.NewTracer()
 		sp := tr.Start(0, "join")
 		sp.End()
@@ -72,11 +73,13 @@ func TestServiceTraceRingEviction(t *testing.T) {
 	if _, ok := s.Trace(last); !ok {
 		t.Fatal("newest trace missing")
 	}
-	s.traceMu.Lock()
-	n := len(s.traces)
-	s.traceMu.Unlock()
-	if n != traceRingSize {
-		t.Fatalf("ring holds %d traces, want %d", n, traceRingSize)
+	for id := last - obs.DefaultRingSize + 1; id <= last; id++ {
+		if _, ok := s.Trace(id); !ok {
+			t.Fatalf("trace %d missing from a full ring of %d", id, obs.DefaultRingSize)
+		}
+	}
+	if _, ok := s.Trace(last - obs.DefaultRingSize); ok {
+		t.Fatalf("ring holds more than %d traces", obs.DefaultRingSize)
 	}
 }
 

@@ -27,21 +27,16 @@ type Event struct {
 // EventLog is a bounded append-only ring of events.
 type EventLog struct {
 	mu     sync.Mutex
-	cap    int
 	events []Event
 	total  int64
 }
 
-// DefaultEventCap bounds the event log.
-const DefaultEventCap = 256
+// eventCap bounds the event log.
+const eventCap = 256
 
-// NewEventLog builds a log retaining at most cap events (<=0 selects
-// DefaultEventCap).
-func NewEventLog(cap int) *EventLog {
-	if cap <= 0 {
-		cap = DefaultEventCap
-	}
-	return &EventLog{cap: cap}
+// NewEventLog builds a log retaining at most eventCap events.
+func NewEventLog() *EventLog {
+	return &EventLog{}
 }
 
 // Append records an event, evicting the oldest when full.
@@ -50,7 +45,7 @@ func (l *EventLog) Append(e Event) {
 	defer l.mu.Unlock()
 	l.events = append(l.events, e)
 	l.total++
-	if over := len(l.events) - l.cap; over > 0 {
+	if over := len(l.events) - eventCap; over > 0 {
 		l.events = append(l.events[:0], l.events[over:]...)
 	}
 }
@@ -81,7 +76,7 @@ func (l *EventLog) snapshot() []Event {
 func (l *EventLog) restore(evs []Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if over := len(evs) - l.cap; over > 0 {
+	if over := len(evs) - eventCap; over > 0 {
 		evs = evs[over:]
 	}
 	l.events = append(l.events[:0], evs...)
@@ -95,34 +90,21 @@ type DetectorConfig struct {
 	// StragglerRatio fires EventStragglerSpike when a join's
 	// max/median task-time ratio reaches it. Default 4.
 	StragglerRatio float64
-	// ReplicationFactor fires EventReplicationJump when a join's
-	// replication bytes exceed this multiple of the trailing mean for
-	// the same (R, S, eps) key. Default 3.
-	ReplicationFactor float64
-	// MinHistory is how many joins of a key must be seen before the
-	// replication-jump rule arms. Default 3.
-	MinHistory int
-	// BurnRate fires EventBudgetBurn when a tenant's burn rate reaches
-	// it; the rule is edge-triggered and re-arms when the burn falls
-	// below half the threshold. Default 2.
-	BurnRate float64
 }
 
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.StragglerRatio <= 0 {
-		c.StragglerRatio = 4
-	}
-	if c.ReplicationFactor <= 0 {
-		c.ReplicationFactor = 3
-	}
-	if c.MinHistory <= 0 {
-		c.MinHistory = 3
-	}
-	if c.BurnRate <= 0 {
-		c.BurnRate = 2
-	}
-	return c
-}
+const (
+	// replicationFactor fires EventReplicationJump when a join's
+	// replication bytes exceed this multiple of the trailing mean for
+	// the same (R, S, eps) key.
+	replicationFactor = 3.0
+	// minHistory is how many joins of a key must be seen before the
+	// replication-jump rule arms.
+	minHistory = 3
+	// burnThreshold fires EventBudgetBurn when a tenant's burn rate
+	// reaches it; the rule is edge-triggered and re-arms when the burn
+	// falls below half the threshold.
+	burnThreshold = 2.0
+)
 
 // trail is an exponentially-weighted trailing mean with a warmup count.
 type trail struct {
@@ -152,8 +134,11 @@ type Detector struct {
 
 // NewDetector builds a detector writing into log.
 func NewDetector(cfg DetectorConfig, log *EventLog) *Detector {
+	if cfg.StragglerRatio <= 0 {
+		cfg.StragglerRatio = 4
+	}
 	return &Detector{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		log:     log,
 		repl:    map[string]*trail{},
 		burning: map[string]bool{},
@@ -178,11 +163,11 @@ func (d *Detector) ObserveSkew(tenant, key string, at time.Time, stragglerRatio 
 			tr = &trail{}
 			d.repl[key] = tr
 		}
-		if tr.n >= d.cfg.MinHistory && tr.mean > 0 &&
-			float64(replicationBytes) > d.cfg.ReplicationFactor*tr.mean {
+		if tr.n >= minHistory && tr.mean > 0 &&
+			float64(replicationBytes) > replicationFactor*tr.mean {
 			d.log.Append(Event{
 				UnixMS: at.UnixMilli(), Kind: EventReplicationJump, Tenant: tenant, Series: key,
-				Value: float64(replicationBytes), Threshold: d.cfg.ReplicationFactor * tr.mean,
+				Value: float64(replicationBytes), Threshold: replicationFactor * tr.mean,
 				Message: fmt.Sprintf("join %s replicated %d bytes, %.1fx the trailing mean %.0f",
 					key, replicationBytes, float64(replicationBytes)/tr.mean, tr.mean),
 			})
@@ -197,14 +182,14 @@ func (d *Detector) ObserveBurn(tenant string, at time.Time, burnRate float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch {
-	case burnRate >= d.cfg.BurnRate && !d.burning[tenant]:
+	case burnRate >= burnThreshold && !d.burning[tenant]:
 		d.burning[tenant] = true
 		d.log.Append(Event{
 			UnixMS: at.UnixMilli(), Kind: EventBudgetBurn, Tenant: tenant,
-			Value: burnRate, Threshold: d.cfg.BurnRate,
-			Message: fmt.Sprintf("tenant %q burning error budget at %.2fx (threshold %.2fx)", tenant, burnRate, d.cfg.BurnRate),
+			Value: burnRate, Threshold: burnThreshold,
+			Message: fmt.Sprintf("tenant %q burning error budget at %.2fx (threshold %.2fx)", tenant, burnRate, burnThreshold),
 		})
-	case burnRate < d.cfg.BurnRate/2:
+	case burnRate < burnThreshold/2:
 		delete(d.burning, tenant)
 	}
 }

@@ -18,13 +18,6 @@ const (
 
 // Config parameterizes a Hub.
 type Config struct {
-	// Resolutions for the rollup store; nil selects DefaultResolutions.
-	Resolutions []Resolution
-	// MaxSeries caps distinct series; <=0 selects DefaultMaxSeries.
-	MaxSeries int
-	// EventCap bounds the anomaly event log; <=0 selects
-	// DefaultEventCap.
-	EventCap int
 	// SLO parameterizes the per-tenant tracker.
 	SLO SLOConfig
 	// Detector parameterizes the anomaly rules.
@@ -52,9 +45,9 @@ type Hub struct {
 // NewHub builds a hub with defaults applied. No goroutines are started;
 // call Start to add a periodic gauge sampler.
 func NewHub(cfg Config) *Hub {
-	events := NewEventLog(cfg.EventCap)
+	events := NewEventLog()
 	return &Hub{
-		Store:    NewStore(cfg.Resolutions, cfg.MaxSeries),
+		Store:    NewStore(),
 		SLO:      NewSLOTracker(cfg.SLO),
 		Events:   events,
 		detector: NewDetector(cfg.Detector, events),
@@ -91,11 +84,6 @@ func (h *Hub) ObserveSkew(tenant, key string, at time.Time, stragglerRatio float
 		h.Store.Observe(SeriesShuffleBytes, key, at, float64(shuffleBytes))
 	}
 	h.detector.ObserveSkew(tenant, key, at, stragglerRatio, replicationBytes)
-}
-
-// Sample records one gauge observation directly.
-func (h *Hub) Sample(at time.Time, name, key string, v float64) {
-	h.Store.Observe(name, key, at, v)
 }
 
 // Start launches a sampling loop invoking collect every interval.

@@ -1,10 +1,6 @@
 package telem
 
-import (
-	"fmt"
-	"io"
-	"runtime"
-)
+import "runtime"
 
 // RuntimeStats is a point-in-time sample of the Go runtime.
 type RuntimeStats struct {
@@ -29,36 +25,28 @@ func ReadRuntime() RuntimeStats {
 	}
 }
 
-// RenderRuntime writes the runtime sample in Prometheus exposition
-// format; both sjoind and the router append it to their /metrics.
-func RenderRuntime(w io.Writer) {
-	rs := ReadRuntime()
-	fmt.Fprintf(w, "# HELP go_goroutines Number of goroutines that currently exist.\n")
-	fmt.Fprintf(w, "# TYPE go_goroutines gauge\n")
-	fmt.Fprintf(w, "go_goroutines %d\n", rs.Goroutines)
-	fmt.Fprintf(w, "# HELP go_memstats_heap_alloc_bytes Bytes of allocated heap objects.\n")
-	fmt.Fprintf(w, "# TYPE go_memstats_heap_alloc_bytes gauge\n")
-	fmt.Fprintf(w, "go_memstats_heap_alloc_bytes %d\n", rs.HeapAllocBytes)
-	fmt.Fprintf(w, "# HELP go_gc_pause_seconds_total Cumulative stop-the-world GC pause time.\n")
-	fmt.Fprintf(w, "# TYPE go_gc_pause_seconds_total counter\n")
-	fmt.Fprintf(w, "go_gc_pause_seconds_total %g\n", rs.GCPauseSeconds)
-	fmt.Fprintf(w, "# HELP go_gc_cycles_total Completed GC cycles.\n")
-	fmt.Fprintf(w, "# TYPE go_gc_cycles_total counter\n")
-	fmt.Fprintf(w, "go_gc_cycles_total %d\n", rs.GCCycles)
-	fmt.Fprintf(w, "# HELP go_gomaxprocs The GOMAXPROCS setting.\n")
-	fmt.Fprintf(w, "# TYPE go_gomaxprocs gauge\n")
-	fmt.Fprintf(w, "go_gomaxprocs %d\n", rs.GOMAXPROCS)
+// runtimeMetric is a Go runtime family, read from the scrape's one
+// runtime sample.
+type runtimeMetric struct {
+	desc
+	read func(RuntimeStats) any
 }
 
-// RuntimeVars returns the sample as a JSON-friendly map for /vars-style
-// snapshots.
-func RuntimeVars() map[string]any {
-	rs := ReadRuntime()
-	return map[string]any{
-		"go_goroutines":                rs.Goroutines,
-		"go_memstats_heap_alloc_bytes": rs.HeapAllocBytes,
-		"go_gc_pause_seconds_total":    rs.GCPauseSeconds,
-		"go_gc_cycles_total":           rs.GCCycles,
-		"go_gomaxprocs":                rs.GOMAXPROCS,
+func (m *runtimeMetric) value(rs *RuntimeStats) any { return m.read(*rs) }
+
+func registerRuntime(r *Registry) {
+	for _, m := range []*runtimeMetric{
+		{desc{"go_goroutines", "Number of goroutines that currently exist.", "gauge"},
+			func(rs RuntimeStats) any { return rs.Goroutines }},
+		{desc{"go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge"},
+			func(rs RuntimeStats) any { return rs.HeapAllocBytes }},
+		{desc{"go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter"},
+			func(rs RuntimeStats) any { return rs.GCPauseSeconds }},
+		{desc{"go_gc_cycles_total", "Completed GC cycles.", "counter"},
+			func(rs RuntimeStats) any { return rs.GCCycles }},
+		{desc{"go_gomaxprocs", "The GOMAXPROCS setting.", "gauge"},
+			func(rs RuntimeStats) any { return rs.GOMAXPROCS }},
+	} {
+		r.register(m)
 	}
 }

@@ -1,47 +1,23 @@
 package telem
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
-
-// DefaultLatencyBounds mirror the service latency histogram (seconds)
-// so percentiles interpolated here agree with the /metrics exposition.
-var DefaultLatencyBounds = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100,
-}
 
 // DefaultObjective is the availability objective used when none is
 // configured: 99.5% of requests succeed.
 const DefaultObjective = 0.995
 
-// DefaultSLOWindow is the burn-rate window.
-const DefaultSLOWindow = time.Minute
+// sloWindow is the burn-rate window.
+const sloWindow = time.Minute
 
 // SLOConfig parameterizes a tracker.
 type SLOConfig struct {
 	// Objective is the availability objective in (0, 1); errors above
 	// 1-Objective of traffic burn the budget. Default 0.995.
 	Objective float64
-	// Window is the burn-rate lookback. Default one minute.
-	Window time.Duration
-	// LatencyBounds are histogram upper bounds in seconds, ascending.
-	// Default DefaultLatencyBounds.
-	LatencyBounds []float64
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = DefaultObjective
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultSLOWindow
-	}
-	if len(c.LatencyBounds) == 0 {
-		c.LatencyBounds = DefaultLatencyBounds
-	}
-	return c
 }
 
 // sloCell is one second of the burn-rate window.
@@ -50,15 +26,14 @@ type sloCell struct {
 	total, errors int64
 }
 
-// tenantSLO accumulates one tenant's lifetime histogram plus a ring of
-// per-second cells for the windowed burn rate.
+// tenantSLO accumulates one tenant's lifetime latency histogram (over
+// LatencyBounds) plus a ring of per-second cells for the windowed burn
+// rate.
 type tenantSLO struct {
-	latCounts []int64 // len(bounds)+1; last is the overflow bucket
-	latSum    float64
-	latCount  int64
-	total     int64
-	errors    int64
-	cells     []sloCell
+	lat    *Histogram
+	total  int64
+	errors int64
+	cells  []sloCell
 }
 
 // SLOTracker tracks per-tenant latency and error budgets.
@@ -71,13 +46,16 @@ type SLOTracker struct {
 
 // NewSLOTracker builds a tracker with defaults applied.
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	return &SLOTracker{cfg: cfg.withDefaults(), tenants: map[string]*tenantSLO{}}
+	if cfg.Objective <= 0 || cfg.Objective >= 1 {
+		cfg.Objective = DefaultObjective
+	}
+	return &SLOTracker{cfg: cfg, tenants: map[string]*tenantSLO{}}
 }
 
 func (t *SLOTracker) tenant(name string) *tenantSLO {
 	ts, ok := t.tenants[name]
 	if !ok {
-		ts = &tenantSLO{latCounts: make([]int64, len(t.cfg.LatencyBounds)+1)}
+		ts = &tenantSLO{lat: newHistogram(LatencyBounds)}
 		t.tenants[name] = ts
 		t.order = append(t.order, name)
 	}
@@ -90,13 +68,7 @@ func (t *SLOTracker) ObserveLatency(tenant string, at time.Time, seconds float64
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ts := t.tenant(tenant)
-	i := 0
-	for i < len(t.cfg.LatencyBounds) && seconds > t.cfg.LatencyBounds[i] {
-		i++
-	}
-	ts.latCounts[i]++
-	ts.latSum += seconds
-	ts.latCount++
+	ts.lat.Observe(seconds)
 	t.result(ts, at, false)
 }
 
@@ -118,7 +90,7 @@ func (t *SLOTracker) result(ts *tenantSLO, at time.Time, isErr bool) {
 	if n == 0 || ts.cells[n-1].sec != sec {
 		ts.cells = append(ts.cells, sloCell{sec: sec})
 		n++
-		keep := int(t.cfg.Window/time.Second) + 1
+		keep := int(sloWindow/time.Second) + 1
 		if over := n - keep; over > 0 {
 			ts.cells = append(ts.cells[:0], ts.cells[over:]...)
 			n = len(ts.cells)
@@ -158,7 +130,7 @@ func burn(objective float64, total, errors int64) float64 {
 
 // window sums cells inside the lookback.
 func (t *SLOTracker) window(ts *tenantSLO, now time.Time) (secs int64, total, errors int64) {
-	lo := now.Add(-t.cfg.Window).Unix()
+	lo := now.Add(-sloWindow).Unix()
 	for _, c := range ts.cells {
 		if c.sec <= lo {
 			continue
@@ -166,7 +138,7 @@ func (t *SLOTracker) window(ts *tenantSLO, now time.Time) (secs int64, total, er
 		total += c.total
 		errors += c.errors
 	}
-	return int64(t.cfg.Window / time.Second), total, errors
+	return int64(sloWindow / time.Second), total, errors
 }
 
 // SLOStatus is one tenant's SLO state on the wire. It carries the raw
@@ -198,21 +170,22 @@ func (t *SLOTracker) Status(now time.Time) []SLOStatus {
 	for _, name := range t.order {
 		ts := t.tenants[name]
 		wSecs, wTotal, wErrors := t.window(ts, now)
+		counts, sum, n := ts.lat.read()
 		st := SLOStatus{
 			Tenant:        name,
 			Objective:     t.cfg.Objective,
 			Total:         ts.total,
 			Errors:        ts.errors,
-			P50Millis:     PercentileFromBuckets(t.cfg.LatencyBounds, ts.latCounts, 0.50) * 1000,
-			P99Millis:     PercentileFromBuckets(t.cfg.LatencyBounds, ts.latCounts, 0.99) * 1000,
+			P50Millis:     PercentileFromBuckets(LatencyBounds, counts, 0.50) * 1000,
+			P99Millis:     PercentileFromBuckets(LatencyBounds, counts, 0.99) * 1000,
 			BurnRate:      burn(t.cfg.Objective, wTotal, wErrors),
 			WindowSeconds: wSecs,
 			WindowTotal:   wTotal,
 			WindowErrors:  wErrors,
-			LatencyBounds: t.cfg.LatencyBounds,
-			LatencyCounts: append([]int64(nil), ts.latCounts...),
-			LatencySum:    ts.latSum,
-			LatencyCount:  ts.latCount,
+			LatencyBounds: LatencyBounds,
+			LatencyCounts: counts,
+			LatencySum:    sum,
+			LatencyCount:  n,
 		}
 		if ts.total > 0 {
 			st.ErrorRate = float64(ts.errors) / float64(ts.total)
@@ -283,7 +256,7 @@ func MergeSLO(groups ...[]SLOStatus) []SLOStatus {
 			m.WindowErrors += st.WindowErrors
 			m.LatencySum += st.LatencySum
 			m.LatencyCount += st.LatencyCount
-			if len(st.LatencyCounts) == len(m.LatencyCounts) && sameBounds(st.LatencyBounds, m.LatencyBounds) {
+			if len(st.LatencyCounts) == len(m.LatencyCounts) && slices.Equal(st.LatencyBounds, m.LatencyBounds) {
 				for i, c := range st.LatencyCounts {
 					m.LatencyCounts[i] += c
 				}
@@ -303,16 +276,4 @@ func MergeSLO(groups ...[]SLOStatus) []SLOStatus {
 		out = append(out, *m)
 	}
 	return out
-}
-
-func sameBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
-// Package telem is the continuous-telemetry layer: a zero-dependency
-// in-process time-series store with multi-resolution rollups, a
-// per-tenant SLO tracker (latency percentiles from histogram
+// Package telem is the continuous-telemetry layer: the one metric
+// registry sjoind and the router expose on /metrics (registry.go), a
+// zero-dependency in-process time-series store with multi-resolution
+// rollups, a per-tenant SLO tracker (latency percentiles from histogram
 // interpolation, error-budget burn rate), and an anomaly detector
 // emitting structured events into a bounded log.
 //
@@ -15,6 +16,7 @@ package telem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -44,10 +46,10 @@ type Resolution struct {
 	Keep int    `json:"keep"` // buckets retained (ring capacity)
 }
 
-// DefaultResolutions keep 2 minutes at 1s, 30 minutes at 10s, and 4
-// hours at 1m — enough for live dashboards at the fine end and for the
+// resolutions keep 2 minutes at 1s, 30 minutes at 10s, and 4 hours at
+// 1m — enough for live dashboards at the fine end and for the
 // planner's drift detection at the coarse end.
-var DefaultResolutions = []Resolution{
+var resolutions = []Resolution{
 	{Name: "1s", Step: 1, Keep: 120},
 	{Name: "10s", Step: 10, Keep: 180},
 	{Name: "1m", Step: 60, Keep: 240},
@@ -61,35 +63,20 @@ type series struct {
 
 // Store is the rollup store. All methods are safe for concurrent use.
 type Store struct {
-	mu        sync.Mutex
-	res       []Resolution
-	series    map[string]*series
-	order     []string // insertion order of series map keys
-	maxSeries int
-	dropped   int64 // observations refused because the series cap was hit
+	mu      sync.Mutex
+	series  map[string]*series
+	order   []string // insertion order of series map keys
+	dropped int64    // observations refused because the series cap was hit
 }
 
-// DefaultMaxSeries bounds distinct (name, key) series; label values can
-// ride in from request headers, so the cap keeps a hostile tenant from
+// maxSeries bounds distinct (name, key) series; label values can ride
+// in from request headers, so the cap keeps a hostile tenant from
 // growing the store without bound.
-const DefaultMaxSeries = 1024
+const maxSeries = 1024
 
-// NewStore builds a store. nil resolutions selects DefaultResolutions;
-// maxSeries <= 0 selects DefaultMaxSeries.
-func NewStore(res []Resolution, maxSeries int) *Store {
-	if len(res) == 0 {
-		res = DefaultResolutions
-	}
-	if maxSeries <= 0 {
-		maxSeries = DefaultMaxSeries
-	}
-	return &Store{res: res, series: map[string]*series{}, maxSeries: maxSeries}
-}
-
-// mapKey length-prefixes name and key so hostile values cannot alias
-// two series (same construction as the metric registries).
-func mapKey(name, key string) string {
-	return fmt.Sprintf("%d:%s%d:%s", len(name), name, len(key), key)
+// NewStore builds an empty store.
+func NewStore() *Store {
+	return &Store{series: map[string]*series{}}
 }
 
 // Observe folds one observation into every resolution of (name, key).
@@ -97,18 +84,18 @@ func (st *Store) Observe(name, key string, at time.Time, v float64) {
 	sec := at.Unix()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	mk := mapKey(name, key)
+	mk := labelKey(name, key)
 	s, ok := st.series[mk]
 	if !ok {
-		if len(st.series) >= st.maxSeries {
+		if len(st.series) >= maxSeries {
 			st.dropped++
 			return
 		}
-		s = &series{name: name, key: key, rings: make([][]Bucket, len(st.res))}
+		s = &series{name: name, key: key, rings: make([][]Bucket, len(resolutions))}
 		st.series[mk] = s
 		st.order = append(st.order, mk)
 	}
-	for i, r := range st.res {
+	for i, r := range resolutions {
 		start := sec - sec%r.Step
 		ring := s.rings[i]
 		n := len(ring)
@@ -139,14 +126,19 @@ func (st *Store) Observe(name, key string, at time.Time, v float64) {
 }
 
 func fold(b *Bucket, v float64) {
-	if v < b.Min {
-		b.Min = v
+	b.merge(Bucket{Min: v, Max: v, Sum: v, Count: 1})
+}
+
+// merge folds o's observations into b.
+func (b *Bucket) merge(o Bucket) {
+	if o.Min < b.Min {
+		b.Min = o.Min
 	}
-	if v > b.Max {
-		b.Max = v
+	if o.Max > b.Max {
+		b.Max = o.Max
 	}
-	b.Sum += v
-	b.Count++
+	b.Sum += o.Sum
+	b.Count += o.Count
 }
 
 // Dropped reports observations refused because the series cap was hit.
@@ -187,7 +179,7 @@ func (st *Store) Dump(name, key, res string, since int64) []SeriesDump {
 		if key != "" && s.key != key {
 			continue
 		}
-		for i, r := range st.res {
+		for i, r := range resolutions {
 			if res != "" && r.Name != res {
 				continue
 			}
@@ -224,7 +216,7 @@ type seriesSnap struct {
 func (st *Store) snapshot() storeSnap {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	snap := storeSnap{Resolutions: st.res, Dropped: st.dropped}
+	snap := storeSnap{Resolutions: resolutions, Dropped: st.dropped}
 	for _, mk := range st.order {
 		s := st.series[mk]
 		rings := make([][]Bucket, len(s.rings))
@@ -236,32 +228,24 @@ func (st *Store) snapshot() storeSnap {
 	return snap
 }
 
-// restore replaces the store contents with a snapshot. Snapshots taken
-// under a different resolution set are re-folded bucket by bucket so a
-// config change cannot corrupt the rings.
+// restore replaces the store contents with a snapshot. A persisted
+// snapshot is outside input: one whose resolution set differs is
+// re-folded bucket by bucket so it cannot corrupt the rings.
 func (st *Store) restore(snap storeSnap) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.series = map[string]*series{}
 	st.order = nil
 	st.dropped = snap.Dropped
-	same := len(snap.Resolutions) == len(st.res)
-	if same {
-		for i := range st.res {
-			if snap.Resolutions[i] != st.res[i] {
-				same = false
-				break
-			}
-		}
-	}
+	same := slices.Equal(snap.Resolutions, resolutions)
 	for _, ss := range snap.Series {
-		if len(st.series) >= st.maxSeries {
+		if len(st.series) >= maxSeries {
 			break
 		}
-		s := &series{name: ss.Name, key: ss.Key, rings: make([][]Bucket, len(st.res))}
-		if same && len(ss.Rings) == len(st.res) {
+		s := &series{name: ss.Name, key: ss.Key, rings: make([][]Bucket, len(resolutions))}
+		if same && len(ss.Rings) == len(resolutions) {
 			for i, r := range ss.Rings {
-				if over := len(r) - st.res[i].Keep; over > 0 {
+				if over := len(r) - resolutions[i].Keep; over > 0 {
 					r = r[over:]
 				}
 				s.rings[i] = append([]Bucket(nil), r...)
@@ -269,19 +253,11 @@ func (st *Store) restore(snap storeSnap) {
 		} else if len(ss.Rings) > 0 {
 			// Resolution drift: refold the finest ring we were given.
 			for _, b := range ss.Rings[0] {
-				for i, r := range st.res {
+				for i, r := range resolutions {
 					start := b.Start - b.Start%r.Step
 					ring := s.rings[i]
 					if n := len(ring); n > 0 && ring[n-1].Start == start {
-						c := &ring[n-1]
-						if b.Min < c.Min {
-							c.Min = b.Min
-						}
-						if b.Max > c.Max {
-							c.Max = b.Max
-						}
-						c.Sum += b.Sum
-						c.Count += b.Count
+						ring[n-1].merge(b)
 					} else {
 						ring = append(ring, b)
 						ring[len(ring)-1].Start = start
@@ -293,7 +269,7 @@ func (st *Store) restore(snap storeSnap) {
 				}
 			}
 		}
-		mk := mapKey(ss.Name, ss.Key)
+		mk := labelKey(ss.Name, ss.Key)
 		st.series[mk] = s
 		st.order = append(st.order, mk)
 	}
@@ -312,7 +288,7 @@ func MergeSeries(groups ...[]SeriesDump) []SeriesDump {
 	merged := map[string]*agg{}
 	for _, dumps := range groups {
 		for _, d := range dumps {
-			mk := mapKey(d.Name, d.Key) + "\xff" + d.Res
+			mk := labelKey(d.Name, d.Key, d.Res)
 			a, ok := merged[mk]
 			if !ok {
 				a = &agg{
@@ -324,15 +300,7 @@ func MergeSeries(groups ...[]SeriesDump) []SeriesDump {
 			}
 			for _, b := range d.Buckets {
 				if i, ok := a.byStart[b.Start]; ok {
-					c := &a.dump.Buckets[i]
-					if b.Min < c.Min {
-						c.Min = b.Min
-					}
-					if b.Max > c.Max {
-						c.Max = b.Max
-					}
-					c.Sum += b.Sum
-					c.Count += b.Count
+					a.dump.Buckets[i].merge(b)
 				} else {
 					a.byStart[b.Start] = len(a.dump.Buckets)
 					a.dump.Buckets = append(a.dump.Buckets, b)

@@ -2,6 +2,7 @@ package telem
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -13,7 +14,7 @@ import (
 func at(sec int64) time.Time { return time.Unix(sec, 0) }
 
 func TestTelemRollupResolutions(t *testing.T) {
-	st := NewStore(nil, 0)
+	st := NewStore()
 	base := int64(1_000_000) // multiple of 10; 1m bucket differs
 	for i := int64(0); i < 25; i++ {
 		st.Observe("lat", "a", at(base+i), float64(i))
@@ -56,23 +57,23 @@ func TestTelemRollupResolutions(t *testing.T) {
 }
 
 func TestTelemRingEviction(t *testing.T) {
-	res := []Resolution{{Name: "1s", Step: 1, Keep: 5}}
-	st := NewStore(res, 0)
-	for i := int64(0); i < 12; i++ {
-		st.Observe("g", "", at(100+i), 1)
+	st := NewStore()
+	keep := resolutions[0].Keep
+	for i := 0; i < keep+7; i++ {
+		st.Observe("g", "", at(100+int64(i)), 1)
 	}
 	d := st.Dump("g", "", "1s", 0)
-	if len(d) != 1 || len(d[0].Buckets) != 5 {
+	if len(d) != 1 || len(d[0].Buckets) != keep {
 		t.Fatalf("dump = %+v", d)
 	}
-	if d[0].Buckets[0].Start != 107 || d[0].Buckets[4].Start != 111 {
-		t.Fatalf("retained window = [%d, %d], want [107, 111]",
-			d[0].Buckets[0].Start, d[0].Buckets[4].Start)
+	first, last := d[0].Buckets[0].Start, d[0].Buckets[keep-1].Start
+	if first != 107 || last != int64(100+keep+6) {
+		t.Fatalf("retained window = [%d, %d], want [107, %d]", first, last, 100+keep+6)
 	}
 }
 
 func TestTelemOutOfOrderObservation(t *testing.T) {
-	st := NewStore([]Resolution{{Name: "1s", Step: 1, Keep: 10}}, 0)
+	st := NewStore()
 	st.Observe("g", "", at(100), 1)
 	st.Observe("g", "", at(103), 1)
 	st.Observe("g", "", at(101), 7) // late, bucket never materialized: dropped
@@ -88,7 +89,7 @@ func TestTelemOutOfOrderObservation(t *testing.T) {
 }
 
 func TestTelemWindowFilter(t *testing.T) {
-	st := NewStore([]Resolution{{Name: "1s", Step: 1, Keep: 100}}, 0)
+	st := NewStore()
 	for i := int64(0); i < 10; i++ {
 		st.Observe("g", "", at(200+i), 1)
 	}
@@ -102,12 +103,12 @@ func TestTelemWindowFilter(t *testing.T) {
 }
 
 func TestTelemSeriesCap(t *testing.T) {
-	st := NewStore(nil, 3)
-	for i := 0; i < 5; i++ {
+	st := NewStore()
+	for i := 0; i < maxSeries+2; i++ {
 		st.Observe("g", fmt.Sprintf("k%d", i), at(100), 1)
 	}
-	if st.Len() != 3 {
-		t.Fatalf("series = %d, want 3", st.Len())
+	if st.Len() != maxSeries {
+		t.Fatalf("series = %d, want %d", st.Len(), maxSeries)
 	}
 	if st.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", st.Dropped())
@@ -115,7 +116,7 @@ func TestTelemSeriesCap(t *testing.T) {
 }
 
 func TestTelemKeyAliasing(t *testing.T) {
-	st := NewStore(nil, 0)
+	st := NewStore()
 	// Without length prefixing these two (name, key) pairs collide.
 	st.Observe("ab", "c", at(100), 1)
 	st.Observe("a", "bc", at(100), 1)
@@ -154,16 +155,22 @@ func TestTelemSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTelemSnapshotResolutionDrift restores a persisted snapshot taken
+// under another resolution set (2s buckets): it must refold into the
+// store's own rings.
 func TestTelemSnapshotResolutionDrift(t *testing.T) {
-	h := NewHub(Config{Resolutions: []Resolution{{Name: "1s", Step: 1, Keep: 50}}})
-	for i := int64(0); i < 20; i++ {
-		h.Sample(at(1000+i), "g", "", float64(i))
+	var ring []Bucket
+	for i := int64(0); i < 10; i++ {
+		ring = append(ring, Bucket{Start: 1000 + 2*i, Min: 1, Max: 2, Sum: 3, Count: 2})
 	}
-	blob, err := h.MarshalSnapshot()
+	blob, err := json.Marshal(hubSnap{Store: storeSnap{
+		Resolutions: []Resolution{{Name: "2s", Step: 2, Keep: 50}},
+		Series:      []seriesSnap{{Name: "g", Rings: [][]Bucket{ring}}},
+	}})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	h2 := NewHub(Config{Resolutions: []Resolution{{Name: "10s", Step: 10, Keep: 10}}})
+	h2 := NewHub(Config{})
 	if err := h2.RestoreSnapshot(blob); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -233,7 +240,7 @@ func TestTelemPercentileInterpolation(t *testing.T) {
 }
 
 func TestTelemSLOTracking(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{Objective: 0.9, Window: 10 * time.Second})
+	tr := NewSLOTracker(SLOConfig{Objective: 0.9})
 	now := time.Unix(5000, 0)
 	for i := 0; i < 90; i++ {
 		tr.ObserveLatency("acme", now, 0.02)
@@ -260,7 +267,7 @@ func TestTelemSLOTracking(t *testing.T) {
 		t.Fatalf("p50 = %g ms, want in (10, 25]", st.P50Millis)
 	}
 	// Outside the window the burn decays to 0 but totals persist.
-	later := now.Add(30 * time.Second)
+	later := now.Add(2 * sloWindow)
 	st = tr.Status(later)[0]
 	if st.BurnRate != 0 || st.WindowTotal != 0 {
 		t.Fatalf("post-window status = %+v", st)
@@ -309,27 +316,28 @@ func TestTelemMergeSLO(t *testing.T) {
 }
 
 func TestTelemEventLogBounded(t *testing.T) {
-	l := NewEventLog(4)
-	for i := 0; i < 10; i++ {
+	l := NewEventLog()
+	n := eventCap + 6
+	for i := 0; i < n; i++ {
 		l.Append(Event{UnixMS: int64(i), Kind: "k"})
 	}
 	evs := l.Recent(0)
-	if len(evs) != 4 {
-		t.Fatalf("retained = %d, want 4", len(evs))
+	if len(evs) != eventCap {
+		t.Fatalf("retained = %d, want %d", len(evs), eventCap)
 	}
-	if evs[0].UnixMS != 6 || evs[3].UnixMS != 9 {
-		t.Fatalf("retained window = %+v", evs)
+	if evs[0].UnixMS != 6 || evs[eventCap-1].UnixMS != int64(n-1) {
+		t.Fatalf("retained window = [%d, %d]", evs[0].UnixMS, evs[eventCap-1].UnixMS)
 	}
-	if l.Total() != 10 {
-		t.Fatalf("total = %d, want 10", l.Total())
+	if l.Total() != int64(n) {
+		t.Fatalf("total = %d, want %d", l.Total(), n)
 	}
-	if got := l.Recent(2); len(got) != 2 || got[1].UnixMS != 9 {
+	if got := l.Recent(2); len(got) != 2 || got[1].UnixMS != int64(n-1) {
 		t.Fatalf("recent(2) = %+v", got)
 	}
 }
 
 func TestTelemDetectorStragglerSpike(t *testing.T) {
-	log := NewEventLog(0)
+	log := NewEventLog()
 	d := NewDetector(DetectorConfig{StragglerRatio: 3}, log)
 	now := time.Unix(1000, 0)
 	d.ObserveSkew("t", "r:s:0.01", now, 1.5, 100)
@@ -347,8 +355,8 @@ func TestTelemDetectorStragglerSpike(t *testing.T) {
 }
 
 func TestTelemDetectorReplicationJump(t *testing.T) {
-	log := NewEventLog(0)
-	d := NewDetector(DetectorConfig{ReplicationFactor: 3, MinHistory: 3}, log)
+	log := NewEventLog()
+	d := NewDetector(DetectorConfig{}, log)
 	now := time.Unix(1000, 0)
 	key := "r:s:0.5"
 	for i := 0; i < 3; i++ {
@@ -371,8 +379,8 @@ func TestTelemDetectorReplicationJump(t *testing.T) {
 }
 
 func TestTelemDetectorBurnEdgeTriggered(t *testing.T) {
-	log := NewEventLog(0)
-	d := NewDetector(DetectorConfig{BurnRate: 2}, log)
+	log := NewEventLog()
+	d := NewDetector(DetectorConfig{}, log)
 	now := time.Unix(1000, 0)
 	d.ObserveBurn("t", now, 3)
 	d.ObserveBurn("t", now, 4) // still burning: no second event
@@ -393,8 +401,8 @@ func TestTelemDetectorBurnEdgeTriggered(t *testing.T) {
 
 func TestTelemHubObserveFlow(t *testing.T) {
 	h := NewHub(Config{
-		SLO:      SLOConfig{Objective: 0.9, Window: time.Minute},
-		Detector: DetectorConfig{StragglerRatio: 2, BurnRate: 1.5},
+		SLO:      SLOConfig{Objective: 0.9},
+		Detector: DetectorConfig{StragglerRatio: 2},
 	})
 	now := time.Now()
 	for i := 0; i < 8; i++ {
@@ -427,7 +435,7 @@ func TestTelemHubObserveFlow(t *testing.T) {
 			noisy = &s
 		}
 	}
-	if noisy == nil || noisy.BurnRate < 1.5 {
+	if noisy == nil || noisy.BurnRate < burnThreshold {
 		t.Fatalf("noisy SLO = %+v", noisy)
 	}
 }
@@ -459,9 +467,12 @@ func TestTelemHubSamplerLoop(t *testing.T) {
 	}
 }
 
+// TestTelemRuntimeRender checks a new registry exposes the Go runtime
+// families on both Render and Snapshot.
 func TestTelemRuntimeRender(t *testing.T) {
+	r := NewRegistry()
 	var buf bytes.Buffer
-	RenderRuntime(&buf)
+	r.Render(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE go_goroutines gauge",
@@ -474,7 +485,7 @@ func TestTelemRuntimeRender(t *testing.T) {
 			t.Fatalf("runtime exposition missing %q:\n%s", want, out)
 		}
 	}
-	vars := RuntimeVars()
+	vars := r.Snapshot()
 	if vars["go_goroutines"].(int) < 1 {
 		t.Fatalf("vars = %+v", vars)
 	}

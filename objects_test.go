@@ -1,8 +1,12 @@
 package spatialjoin
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"spatialjoin/internal/extgeom"
+	"spatialjoin/internal/twolayer"
 )
 
 func randomMixedObjects(rng *rand.Rand, n int, base int64) []Object {
@@ -85,6 +89,28 @@ func TestJoinObjectsValidation(t *testing.T) {
 	bad := []Object{{Kind: 1, Verts: []Point{{X: 0, Y: 0}}}} // polyline with 1 vertex
 	if _, err := JoinObjects(bad, nil, Options{Eps: 1}); err == nil {
 		t.Error("invalid object must fail")
+	}
+}
+
+// TestNonFiniteObjectFailsClosed checks that one object with a NaN or
+// +Inf vertex fails the whole join with an error: its MBR would poison
+// tile assignment and silently drop other objects' pairs.
+func TestNonFiniteObjectFailsClosed(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	rs := randomMixedObjects(rng, 300, 0)
+	ss := randomMixedObjects(rng, 300, 1_000_000)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		poisoned := append(append([]Object(nil), rs...),
+			NewPolygon(-1, []Point{{X: 1, Y: 1}, {X: bad, Y: 2}, {X: 2, Y: 2}}))
+		if _, err := JoinObjects(poisoned, ss, Options{Eps: 0.5}); err == nil {
+			t.Errorf("JoinObjects with a %v vertex: no error", bad)
+		}
+		for _, pred := range []extgeom.Predicate{extgeom.Intersects, extgeom.WithinDistance} {
+			cfg := twolayer.Config{R: poisoned, S: ss, Pred: pred, Eps: 0.5, Tiles: 8}
+			if _, err := twolayer.Join(cfg); err == nil {
+				t.Errorf("twolayer.Join %v with a %v vertex: no error", pred, bad)
+			}
+		}
 	}
 }
 
