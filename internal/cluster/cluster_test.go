@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -519,4 +520,54 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 			t.Fatalf("result round trip: got %+v, want %+v", out, in)
 		}
 	})
+}
+
+// discardWorker is a worker's plan state with no connection and a
+// discard logger: enough to install plans.
+func discardWorker() *workerState {
+	return &workerState{
+		opt:       WorkerOptions{}.withDefaults(),
+		plans:     map[uint64]*workerPlan{},
+		cancelled: map[taskKey]bool{},
+	}
+}
+
+// TestDecodePlanRejectsLyingKernel feeds plans whose kernel geometry
+// grid.New would panic on, or whose grid would size dense tables past
+// grid.MaxCells: decodePlan must refuse each, and handlePlan must return
+// the error instead of taking the worker process down.
+func TestDecodePlanRejectsLyingKernel(t *testing.T) {
+	world := geom.NewRect(0, 0, 4, 4)
+	ref := func(b geom.Rect, eps, res float64) dpe.KernelDesc {
+		return dpe.KernelDesc{Kind: dpe.KernelRefPoint, Bounds: b, GridEps: eps, GridRes: res}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, k := range map[string]dpe.KernelDesc{
+		"zero eps":          ref(world, 0, 2),
+		"negative eps":      ref(world, -0.5, 2),
+		"NaN eps":           ref(world, nan, 2),
+		"infinite eps":      ref(world, inf, 2),
+		"zero resolution":   ref(world, 0.5, 0),
+		"NaN resolution":    ref(world, 0.5, nan),
+		"empty bounds":      ref(geom.EmptyRect(), 0.5, 2),
+		"inverted bounds":   ref(geom.Rect{MinX: 4, MinY: 0, MaxX: 0, MaxY: 4}, 0.5, 2),
+		"NaN bounds":        ref(geom.Rect{MinX: nan, MinY: 0, MaxX: 4, MaxY: 4}, 0.5, 2),
+		"too many cells":    ref(geom.NewRect(0, 0, 1e6, 1e6), 1e-3, 2),
+		"underflowing tile": ref(world, 1e-300, 1e-300),
+		"too many tiles": {Kind: dpe.KernelTwoLayer, Bounds: world,
+			TileNX: 1 << 16, TileNY: 1 << 16, Predicate: 1},
+	} {
+		payload := planMsg{id: 3, eps: 0.5, kernel: k}.encode()
+		if _, err := decodePlan(payload); err == nil {
+			t.Errorf("%s: decodePlan accepted %+v", name, k)
+		}
+		w := discardWorker()
+		if err := w.handlePlan(payload); err == nil || len(w.plans) != 0 {
+			t.Errorf("%s: handlePlan installed the plan (err %v)", name, err)
+		}
+	}
+	w := discardWorker()
+	if err := w.handlePlan(planMsg{id: 4, eps: 0.5, kernel: ref(world, 0.5, 2)}.encode()); err != nil || w.plans[4] == nil {
+		t.Fatalf("valid ref-point plan refused: %v", err)
+	}
 }

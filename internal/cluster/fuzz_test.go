@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/colpipe"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
@@ -32,18 +33,25 @@ func FuzzFrame(f *testing.F) {
 
 	// Well-formed frames of every type, built with the real encoders.
 	hello := append([]byte(helloMagic), protoVersion)
-	f.Add(appendFrame(msgHello, appendStr16(hello, "worker-1")))
+	f.Add(appendFrame(msgHello, codec.AppendStr16(hello, "worker-1")))
 	badHello := append([]byte("NOPE"), protoVersion)
-	f.Add(appendFrame(msgHello, appendStr16(badHello, "worker-1")))
+	f.Add(appendFrame(msgHello, codec.AppendStr16(badHello, "worker-1")))
 	f.Add(appendFrame(msgHeartbeat, nil))
-	f.Add(appendFrame(msgPlan, planMsg{
+	refPlan := planMsg{
 		id: 7, eps: 0.5, selfFilter: true, collect: true,
 		kernel: dpe.KernelDesc{
-			Kind:   dpe.KernelRefPoint,
-			Bounds: geom.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4},
+			Kind:    dpe.KernelRefPoint,
+			Bounds:  geom.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4},
+			GridEps: 0.5, GridRes: 2,
 		},
 		broadcast: []byte("opaque plan bytes"),
-	}.encode()))
+	}
+	f.Add(appendFrame(msgPlan, refPlan.encode()))
+	refPlan.kernel.GridEps = 0 // grid.New panics on it
+	f.Add(appendFrame(msgPlan, refPlan.encode()))
+	f.Add(appendFrame(msgPlan, planMsg{id: 8, eps: 0.5, kernel: dpe.KernelDesc{
+		Kind: dpe.KernelTwoLayer, Bounds: geom.Rect{MaxX: 4, MaxY: 4}, TileNX: 4, TileNY: 4, Predicate: 1,
+	}}.encode()))
 	f.Add(appendFrame(msgResult, resultMsg{
 		taskHeader: taskHeader{plan: 7, part: 3, attempt: 1},
 		results:    1, checksum: 42, cost: 9,
@@ -132,6 +140,7 @@ func FuzzFrame(f *testing.F) {
 				decodeHello(payload)
 			case msgPlan:
 				decodePlan(payload)
+				discardWorker().handlePlan(payload)
 			case msgTaskCols:
 				decodeTaskCols(payload)
 			case msgResult:

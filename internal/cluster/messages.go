@@ -6,13 +6,25 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/colpipe"
 	"spatialjoin/internal/dpe"
+	"spatialjoin/internal/geom"
+	"spatialjoin/internal/grid"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/tuple"
 )
+
+// short is the error of a frame whose reader ran out of bytes.
+func short(r *codec.Reader, msg string) error {
+	if r.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("cluster: short %s frame", msg)
+}
 
 // helloMsg is the worker → coordinator handshake.
 type helloMsg struct {
@@ -22,19 +34,19 @@ type helloMsg struct {
 func (m helloMsg) encode() []byte {
 	b := append([]byte(nil), helloMagic...)
 	b = append(b, protoVersion)
-	return appendStr16(b, m.name)
+	return codec.AppendStr16(b, m.name)
 }
 
 func decodeHello(b []byte) (helloMsg, error) {
-	r := newReader(b)
-	if magic := r.take(4); string(magic) != helloMagic {
+	r := codec.NewReader(b)
+	if magic := r.Bytes(4); string(magic) != helloMagic {
 		return helloMsg{}, fmt.Errorf("cluster: bad hello magic %q", magic)
 	}
-	if v := r.u8(); v != protoVersion {
+	if v := r.U8(); v != protoVersion {
 		return helloMsg{}, fmt.Errorf("cluster: worker speaks protocol v%d, coordinator v%d", v, protoVersion)
 	}
-	m := helloMsg{name: r.str16()}
-	return m, r.err("hello")
+	m := helloMsg{name: r.Str16()}
+	return m, short(&r, "hello")
 }
 
 // planMsg is the coordinator → worker broadcast of one execution's plan:
@@ -56,7 +68,7 @@ const (
 
 func (m planMsg) encode() []byte {
 	b := binary.LittleEndian.AppendUint64(nil, m.id)
-	b = appendF64(b, m.eps)
+	b = codec.AppendF64(b, m.eps)
 	var flags byte
 	if m.selfFilter {
 		flags |= planFlagSelfFilter
@@ -71,7 +83,7 @@ func (m planMsg) encode() []byte {
 			m.kernel.Bounds.MaxX, m.kernel.Bounds.MaxY,
 			m.kernel.GridEps, m.kernel.GridRes,
 		} {
-			b = appendF64(b, f)
+			b = codec.AppendF64(b, f)
 		}
 	}
 	if m.kernel.Kind == dpe.KernelTwoLayer {
@@ -80,7 +92,7 @@ func (m planMsg) encode() []byte {
 			m.kernel.Bounds.MaxX, m.kernel.Bounds.MaxY,
 			m.kernel.RefineEps,
 		} {
-			b = appendF64(b, f)
+			b = codec.AppendF64(b, f)
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.kernel.TileNX))
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.kernel.TileNY))
@@ -91,35 +103,57 @@ func (m planMsg) encode() []byte {
 }
 
 func decodePlan(b []byte) (planMsg, error) {
-	r := newReader(b)
+	r := codec.NewReader(b)
 	var m planMsg
-	m.id = r.u64()
-	m.eps = r.f64()
-	flags := r.u8()
+	m.id = r.U64()
+	m.eps = r.F64()
+	flags := r.U8()
 	m.selfFilter = flags&planFlagSelfFilter != 0
 	m.collect = flags&planFlagCollect != 0
-	m.kernel.Kind = dpe.KernelKind(r.u8())
-	if m.kernel.Kind == dpe.KernelRefPoint {
-		m.kernel.Bounds.MinX = r.f64()
-		m.kernel.Bounds.MinY = r.f64()
-		m.kernel.Bounds.MaxX = r.f64()
-		m.kernel.Bounds.MaxY = r.f64()
-		m.kernel.GridEps = r.f64()
-		m.kernel.GridRes = r.f64()
+	k := &m.kernel
+	k.Kind = dpe.KernelKind(r.U8())
+	switch k.Kind {
+	case dpe.KernelRefPoint:
+		k.Bounds = geom.Rect{MinX: r.F64(), MinY: r.F64(), MaxX: r.F64(), MaxY: r.F64()}
+		k.GridEps, k.GridRes = r.F64(), r.F64()
+	case dpe.KernelTwoLayer:
+		k.Bounds = geom.Rect{MinX: r.F64(), MinY: r.F64(), MaxX: r.F64(), MaxY: r.F64()}
+		k.RefineEps = r.F64()
+		k.TileNX, k.TileNY = int(r.U32()), int(r.U32())
+		k.Predicate = r.U8()
 	}
-	if m.kernel.Kind == dpe.KernelTwoLayer {
-		m.kernel.Bounds.MinX = r.f64()
-		m.kernel.Bounds.MinY = r.f64()
-		m.kernel.Bounds.MaxX = r.f64()
-		m.kernel.Bounds.MaxY = r.f64()
-		m.kernel.RefineEps = r.f64()
-		m.kernel.TileNX = int(r.u32())
-		m.kernel.TileNY = int(r.u32())
-		m.kernel.Predicate = r.u8()
+	m.broadcast = append([]byte(nil), r.Bytes(int(r.U32()))...)
+	if err := short(&r, "plan"); err != nil {
+		return m, err
 	}
-	n := int(r.u32())
-	m.broadcast = append([]byte(nil), r.take(n)...)
-	return m, r.err("plan")
+	if err := checkKernel(m.kernel); err != nil {
+		return m, fmt.Errorf("cluster: plan %d: %w", m.id, err)
+	}
+	return m, nil
+}
+
+// checkKernel refuses a kernel description the worker cannot build:
+// grid.New panics on a non-positive eps or resolution and on empty
+// bounds, and a grid or tile grid past grid.MaxCells would size the
+// worker's dense tables from a frame's say-so.
+func checkKernel(k dpe.KernelDesc) error {
+	switch k.Kind {
+	case dpe.KernelRefPoint:
+		b := k.Bounds
+		for _, f := range []float64{b.MinX, b.MinY, b.MaxX, b.MaxY, k.GridEps, k.GridRes} {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("ref-point kernel carries a non-finite grid parameter %v", f)
+			}
+		}
+		if k.GridEps <= 0 || k.GridRes <= 0 || b.IsEmpty() {
+			return fmt.Errorf("ref-point kernel grid eps %v, resolution %v, bounds %+v: need positive eps and resolution and non-empty bounds",
+				k.GridEps, k.GridRes, b)
+		}
+		return grid.Check(b, k.GridEps, k.GridRes)
+	case dpe.KernelTwoLayer:
+		return grid.CheckCells(float64(k.TileNX) * float64(k.TileNY))
+	}
+	return nil
 }
 
 // taskHeader identifies one task attempt: (plan, partition, attempt).
@@ -135,8 +169,8 @@ func appendTaskHeader(b []byte, h taskHeader) []byte {
 	return binary.LittleEndian.AppendUint32(b, h.attempt)
 }
 
-func readTaskHeader(r *reader) taskHeader {
-	return taskHeader{plan: r.u64(), part: r.u32(), attempt: r.u32()}
+func readTaskHeader(r *codec.Reader) taskHeader {
+	return taskHeader{plan: r.U64(), part: r.U32(), attempt: r.U32()}
 }
 
 // encodeTaskCols frames one reduce partition in the pipeline's native
@@ -165,13 +199,13 @@ func encodeTaskCols(h taskHeader, rs, ss *colpipe.Slab, isLocal func(src int) bo
 }
 
 func decodeTaskCols(b []byte) (h taskHeader, rs, ss *colpipe.Slab, err error) {
-	r := newReader(b)
-	h = readTaskHeader(r)
-	if err := r.err("task"); err != nil {
+	r := codec.NewReader(b)
+	h = readTaskHeader(&r)
+	if err := short(&r, "task"); err != nil {
 		return h, nil, nil, err
 	}
 	rs, ss = &colpipe.Slab{}, &colpipe.Slab{}
-	rest, err := rs.DecodeWire(r.b)
+	rest, err := rs.DecodeWire(r.Rest())
 	if err == nil {
 		rest, err = ss.DecodeWire(rest)
 	}
@@ -211,28 +245,22 @@ func (m resultMsg) encode() []byte {
 }
 
 func decodeResult(b []byte) (resultMsg, error) {
-	r := newReader(b)
+	r := codec.NewReader(b)
 	var m resultMsg
-	m.taskHeader = readTaskHeader(r)
-	m.dur = time.Duration(r.u64())
-	m.results = int64(r.u64())
-	m.checksum = r.u64()
-	m.cost = int64(r.u64())
-	n := int(r.u32())
-	if !r.ok || n < 0 || n*tuple.PairWireSize > len(r.b) {
-		return m, fmt.Errorf("cluster: result frame declares %d pairs beyond its size", n)
-	}
-	if n > 0 {
+	m.taskHeader = readTaskHeader(&r)
+	m.dur = time.Duration(r.I64())
+	m.results = r.I64()
+	m.checksum = r.U64()
+	m.cost = r.I64()
+	if n := r.Count(tuple.PairWireSize); n > 0 {
+		pb := r.Bytes(n * tuple.PairWireSize)
 		m.pairs = make([]tuple.Pair, n)
-		for i := 0; i < n; i++ {
-			p, err := tuple.DecodePair(r.take(tuple.PairWireSize))
-			if err != nil {
-				return m, err
-			}
-			m.pairs[i] = p
+		for i := range m.pairs {
+			// Cannot fail: Count checked pb holds n pairs.
+			m.pairs[i], _ = tuple.DecodePair(pb[i*tuple.PairWireSize:])
 		}
 	}
-	return m, r.err("result")
+	return m, short(&r, "result")
 }
 
 // taskErrMsg reports a failed task attempt.
@@ -242,14 +270,14 @@ type taskErrMsg struct {
 }
 
 func (m taskErrMsg) encode() []byte {
-	return appendStr16(appendTaskHeader(nil, m.taskHeader), m.msg)
+	return codec.AppendStr16(appendTaskHeader(nil, m.taskHeader), m.msg)
 }
 
 func decodeTaskErr(b []byte) (taskErrMsg, error) {
-	r := newReader(b)
-	m := taskErrMsg{taskHeader: readTaskHeader(r)}
-	m.msg = r.str16()
-	return m, r.err("task error")
+	r := codec.NewReader(b)
+	m := taskErrMsg{taskHeader: readTaskHeader(&r)}
+	m.msg = r.Str16()
+	return m, short(&r, "task error")
 }
 
 // cancelMsg tells a worker to drop one task (a speculation race it
@@ -265,9 +293,9 @@ func (m cancelMsg) encode() []byte {
 }
 
 func decodeCancel(b []byte) (cancelMsg, error) {
-	r := newReader(b)
-	m := cancelMsg{plan: r.u64(), part: r.u32()}
-	return m, r.err("cancel")
+	r := codec.NewReader(b)
+	m := cancelMsg{plan: r.U64(), part: r.U32()}
+	return m, short(&r, "cancel")
 }
 
 // traceMsg hands a worker the trace context for one plan: the trace id,
@@ -292,16 +320,16 @@ func (m traceMsg) encode() []byte {
 }
 
 func decodeTrace(b []byte) (traceMsg, error) {
-	r := newReader(b)
-	m := traceMsg{version: r.u8()}
-	if r.ok && m.version != protoVersion {
+	r := codec.NewReader(b)
+	m := traceMsg{version: r.U8()}
+	if r.Err() == nil && m.version != protoVersion {
 		return m, fmt.Errorf("cluster: trace frame speaks protocol v%d, want v%d", m.version, protoVersion)
 	}
-	m.plan = r.u64()
-	m.traceID = r.u64()
-	m.parent = r.u64()
-	m.idBase = r.u64()
-	return m, r.err("trace")
+	m.plan = r.U64()
+	m.traceID = r.U64()
+	m.parent = r.U64()
+	m.idBase = r.U64()
+	return m, short(&r, "trace")
 }
 
 // spansMsg ships a batch of finished worker-side spans back to the
@@ -321,14 +349,14 @@ func (m spansMsg) encode() []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.Parent))
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.Start))
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.Done))
-		b = appendStr16(b, s.Name)
-		b = appendStr16(b, s.Worker)
+		b = codec.AppendStr16(b, s.Name)
+		b = codec.AppendStr16(b, s.Worker)
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(s.Attrs)))
 		for _, a := range s.Attrs {
-			b = appendStr16(b, a.Key)
+			b = codec.AppendStr16(b, a.Key)
 			if a.IsStr {
 				b = append(b, 1)
-				b = appendStr16(b, a.Str)
+				b = codec.AppendStr16(b, a.Str)
 			} else {
 				b = append(b, 0)
 				b = binary.LittleEndian.AppendUint64(b, uint64(a.Int))
@@ -339,41 +367,37 @@ func (m spansMsg) encode() []byte {
 }
 
 func decodeSpans(b []byte) (spansMsg, error) {
-	r := newReader(b)
-	m := spansMsg{plan: r.u64()}
-	n := int(r.u32())
+	r := codec.NewReader(b)
+	m := spansMsg{plan: r.U64()}
 	// Each span is at least 8+8+8+8 id/parent/start/done + 2+2 empty
 	// names + 2 attr count bytes on the wire.
-	if !r.ok || n < 0 || n*38 > len(r.b) {
-		return m, fmt.Errorf("cluster: spans frame declares %d spans beyond its size", n)
-	}
+	n := r.Count(38)
 	m.spans = make([]obs.Span, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		s := obs.Span{
-			ID:     obs.SpanID(r.u64()),
-			Parent: obs.SpanID(r.u64()),
-			Start:  int64(r.u64()),
-			Done:   int64(r.u64()),
-			Name:   r.str16(),
-			Worker: r.str16(),
+			ID:     obs.SpanID(r.I64()),
+			Parent: obs.SpanID(r.I64()),
+			Start:  r.I64(),
+			Done:   r.I64(),
+			Name:   r.Str16(),
+			Worker: r.Str16(),
 		}
-		na := int(r.u16())
-		if !r.ok || na*11 > len(r.b) {
-			return m, fmt.Errorf("cluster: spans frame declares %d attrs beyond its size", na)
-		}
-		for j := 0; j < na; j++ {
-			a := obs.Attr{Key: r.str16()}
-			if r.u8() == 1 {
+		// Attrs grow by append, each consuming bytes, so a lying u16
+		// count runs the reader dry instead of allocating.
+		na := int(r.U16())
+		for j := 0; j < na && r.Err() == nil; j++ {
+			a := obs.Attr{Key: r.Str16()}
+			if r.U8() == 1 {
 				a.IsStr = true
-				a.Str = r.str16()
+				a.Str = r.Str16()
 			} else {
-				a.Int = int64(r.u64())
+				a.Int = r.I64()
 			}
 			s.Attrs = append(s.Attrs, a)
 		}
 		m.spans = append(m.spans, s)
 	}
-	return m, r.err("spans")
+	return m, short(&r, "spans")
 }
 
 func encodePlanDone(plan uint64) []byte {
@@ -381,7 +405,7 @@ func encodePlanDone(plan uint64) []byte {
 }
 
 func decodePlanDone(b []byte) (uint64, error) {
-	r := newReader(b)
-	id := r.u64()
-	return id, r.err("plan done")
+	r := codec.NewReader(b)
+	id := r.U64()
+	return id, short(&r, "plan done")
 }

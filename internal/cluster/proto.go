@@ -30,7 +30,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // protoVersion is bumped on any incompatible frame change.
@@ -93,85 +92,4 @@ func readFrame(r *bufio.Reader, max int) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	return body[0], body[1:], nil
-}
-
-// reader is a cursor over a frame payload with typed little-endian reads.
-// The ok flag latches false on the first underrun so call sites can
-// decode unconditionally and check once.
-type reader struct {
-	b  []byte
-	ok bool
-}
-
-func newReader(b []byte) *reader { return &reader{b: b, ok: true} }
-
-func (r *reader) take(n int) []byte {
-	if !r.ok || len(r.b) < n {
-		r.ok = false
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *reader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) str16() string {
-	n := r.take(2)
-	if n == nil {
-		return ""
-	}
-	return string(r.take(int(binary.LittleEndian.Uint16(n))))
-}
-
-func (r *reader) err(context string) error {
-	if r.ok {
-		return nil
-	}
-	return fmt.Errorf("cluster: short %s frame", context)
-}
-
-func appendStr16(dst []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func appendF64(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"math"
 	"slices"
+
+	"spatialjoin/internal/codec"
 )
 
 // RowWire is the wire footprint of one row's fixed lanes: f64 x, f64 y,
@@ -81,61 +83,54 @@ func (s *Slab) AppendWire(b []byte) []byte {
 // error, never a panic or an oversized allocation. The fixed lanes are
 // copied out of b; payloads alias it.
 func (s *Slab) DecodeWire(b []byte) (rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, errors.New("colpipe: short slab: no group count")
-	}
-	ng := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if 8*ng+4 > len(b) {
+	r := codec.NewReader(b)
+	ng := r.Count(8) // a rank and a start per group
+	ranks, starts := r.Bytes(4*ng), r.Bytes(4*ng+4)
+	if r.Err() != nil {
 		return nil, errors.New("colpipe: slab declares more groups than it carries")
 	}
-	s.Ranks, b = decodeI32s(b, ng)
-	s.Starts, b = decodeI32s(b, ng+1)
+	s.Ranks, s.Starts = decodeI32s(ranks), decodeI32s(starts)
 	if s.Starts[0] != 0 || !slices.IsSorted(s.Starts) {
 		return nil, errors.New("colpipe: slab group offsets are not monotonic from 0")
 	}
 	rows := int(s.Starts[ng])
-	if RowWire*rows+1 > len(b) {
+	lanes, flag := r.Bytes(RowWire*rows), r.U8()
+	if r.Err() != nil {
 		return nil, errors.New("colpipe: slab declares more rows than it carries")
 	}
 	s.Xs, s.Ys, s.IDs = make([]float64, rows), make([]float64, rows), make([]int64, rows)
 	for i := 0; i < rows; i++ {
-		s.Xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		s.Ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*(rows+i):]))
-		s.IDs[i] = int64(binary.LittleEndian.Uint64(b[8*(2*rows+i):]))
+		s.Xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(lanes[8*i:]))
+		s.Ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(lanes[8*(rows+i):]))
+		s.IDs[i] = int64(binary.LittleEndian.Uint64(lanes[8*(2*rows+i):]))
 	}
-	flag, b := b[RowWire*rows], b[RowWire*rows+1:]
 	s.Payloads = nil
-	if flag == 0 {
-		return b, nil
+	switch flag {
+	case 0:
+		return r.Rest(), nil
+	case 1:
+	default:
+		return nil, errors.New("colpipe: slab payload column has a bad flag")
 	}
-	if flag != 1 || payloadLenWire*rows > len(b) {
-		return nil, errors.New("colpipe: slab payload column has a bad flag or is shorter than its rows")
-	}
+	// rows is bounded by the lanes just read, so the column's slice
+	// headers cost no more than those lanes did.
 	s.Payloads = make([][]byte, rows)
-	for i := range s.Payloads {
-		if len(b) < payloadLenWire {
-			return nil, errors.New("colpipe: slab payload column is truncated")
+	for i := 0; i < rows && r.Err() == nil; i++ {
+		if p := r.Bytes(int(r.U32())); len(p) > 0 {
+			s.Payloads[i] = p
 		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[payloadLenWire:]
-		if n > len(b) {
-			return nil, errors.New("colpipe: slab payload length runs past the frame")
-		}
-		if n > 0 {
-			s.Payloads[i] = b[:n:n]
-		}
-		b = b[n:]
 	}
-	return b, nil
+	if r.Err() != nil {
+		return nil, errors.New("colpipe: slab payload column is shorter than its lengths")
+	}
+	return r.Rest(), nil
 }
 
-// decodeI32s reads n little-endian u32s (the caller has checked b holds
-// them) and returns the remainder.
-func decodeI32s(b []byte, n int) ([]int32, []byte) {
-	out := make([]int32, n)
+// decodeI32s reads the little-endian u32s filling b.
+func decodeI32s(b []byte) []int32 {
+	out := make([]int32, len(b)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	return out, b[4*n:]
+	return out
 }

@@ -4,12 +4,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"spatialjoin/internal/codec"
 )
 
 // Checkpoint file: a JSON manifest of registry, stream, and skew state
@@ -90,7 +91,7 @@ func writeCheckpointFile(dir string, m ckptManifest, blobs [][]byte) (string, er
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
 		b = append(b, blob...)
 	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	b = codec.Seal(b)
 
 	path := filepath.Join(dir, ckptName(m.LastSeq))
 	tmp := path + ".tmp"
@@ -129,34 +130,31 @@ func readCheckpointFile(path string) (ckptManifest, [][]byte, error) {
 	if err != nil {
 		return m, nil, err
 	}
-	if len(data) < 16 {
-		return m, nil, fmt.Errorf("dstore: checkpoint too short")
+	body, err := codec.Unseal(data)
+	if err != nil {
+		return m, nil, fmt.Errorf("dstore: checkpoint: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if binary.LittleEndian.Uint32(tail) != crc32.ChecksumIEEE(body) {
-		return m, nil, fmt.Errorf("dstore: checkpoint checksum mismatch")
-	}
-	c := cursor{b: body}
-	if c.u32() != ckptMagic {
+	c := codec.NewReader(body)
+	if c.U32() != ckptMagic {
 		return m, nil, fmt.Errorf("dstore: not a checkpoint file")
 	}
-	if v := c.u16(); v != ckptVersion {
+	if v := c.U16(); v != ckptVersion {
 		return m, nil, fmt.Errorf("dstore: checkpoint version %d unsupported", v)
 	}
-	c.u16() // pad
-	mj := c.bytes(int(c.u32()))
-	if c.err != nil {
-		return m, nil, c.err
+	c.U16() // pad
+	mj := c.Bytes(int(c.U32()))
+	if err := c.Err(); err != nil {
+		return m, nil, fmt.Errorf("dstore: checkpoint: %w", err)
 	}
 	if err := json.Unmarshal(mj, &m); err != nil {
 		return m, nil, fmt.Errorf("dstore: checkpoint manifest: %w", err)
 	}
 	blobs := make([][]byte, 0, len(m.Streams))
 	for range m.Streams {
-		blobs = append(blobs, c.bytes(int(c.u32())))
+		blobs = append(blobs, c.Bytes(int(c.U32())))
 	}
-	if err := c.done(); err != nil {
-		return m, nil, err
+	if err := c.Done(); err != nil {
+		return m, nil, fmt.Errorf("dstore: checkpoint: %w", err)
 	}
 	return m, blobs, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
@@ -128,10 +129,10 @@ func (w *ColWriter) AppendChunk(cell int64, kind byte, cols *colsweep.Cols, payl
 	b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	b = binary.LittleEndian.AppendUint32(b, 0)
 	for _, x := range cols.Xs {
-		b = appendF64(b, x)
+		b = codec.AppendF64(b, x)
 	}
 	for _, y := range cols.Ys {
-		b = appendF64(b, y)
+		b = codec.AppendF64(b, y)
 	}
 	for _, id := range cols.IDs {
 		b = binary.LittleEndian.AppendUint64(b, uint64(id))
@@ -177,8 +178,7 @@ func (w *ColWriter) Close() error {
 		db = binary.LittleEndian.AppendUint64(db, d.count)
 		db = binary.LittleEndian.AppendUint64(db, d.offset)
 	}
-	db = binary.LittleEndian.AppendUint32(db, crc32.ChecksumIEEE(db))
-	if _, err := w.f.Write(db); err != nil {
+	if _, err := w.f.Write(codec.Seal(db)); err != nil {
 		w.f.Close()
 		return err
 	}
@@ -325,6 +325,7 @@ type ColReader struct {
 	flags    uint16
 	bounds   geom.Rect
 	eps, res float64
+	dirOff   uint64
 	chunks   []ColChunkInfo
 	offs     []uint64
 }
@@ -350,46 +351,44 @@ func newColReader(data []byte) (*ColReader, error) {
 	if len(data) < colHeaderLen {
 		return nil, fmt.Errorf("dstore: colfile too short (%d bytes)", len(data))
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != colMagic {
+	h := codec.NewReader(data[:colHeaderLen])
+	if h.U32() != colMagic {
 		return nil, fmt.Errorf("dstore: not a colfile (bad magic)")
 	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != colVersion {
+	if v := h.U16(); v != colVersion {
 		return nil, fmt.Errorf("dstore: colfile version %d unsupported (want %d)", v, colVersion)
 	}
 	if crc := binary.LittleEndian.Uint32(data[80:]); crc != crc32.ChecksumIEEE(data[:80]) {
 		return nil, fmt.Errorf("dstore: colfile header checksum mismatch")
 	}
 	r := &ColReader{
-		data:  data,
-		flags: binary.LittleEndian.Uint16(data[6:]),
-		count: binary.LittleEndian.Uint64(data[8:]),
-		bounds: geom.Rect{
-			MinX: math.Float64frombits(binary.LittleEndian.Uint64(data[16:])),
-			MinY: math.Float64frombits(binary.LittleEndian.Uint64(data[24:])),
-			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(data[32:])),
-			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(data[40:])),
-		},
-		eps: math.Float64frombits(binary.LittleEndian.Uint64(data[48:])),
-		res: math.Float64frombits(binary.LittleEndian.Uint64(data[56:])),
+		data:   data,
+		flags:  h.U16(),
+		count:  h.U64(),
+		bounds: geom.Rect{MinX: h.F64(), MinY: h.F64(), MaxX: h.F64(), MaxY: h.F64()},
+		eps:    h.F64(),
+		res:    h.F64(),
 	}
-	nChunks := binary.LittleEndian.Uint32(data[64:])
-	dirOff := binary.LittleEndian.Uint64(data[72:])
+	nChunks := h.U32()
+	h.U32() // pad
+	r.dirOff = h.U64()
 	dirLen := uint64(colDirEntry)*uint64(nChunks) + 4
-	if nChunks > maxColChunk || dirOff < colHeaderLen || dirOff+dirLen > uint64(len(data)) {
+	if nChunks > maxColChunk || r.dirOff < colHeaderLen || r.dirOff > uint64(len(data)) || dirLen > uint64(len(data))-r.dirOff {
 		return nil, fmt.Errorf("dstore: colfile directory out of range")
 	}
-	dir := data[dirOff : dirOff+dirLen]
-	if crc := binary.LittleEndian.Uint32(dir[len(dir)-4:]); crc != crc32.ChecksumIEEE(dir[:len(dir)-4]) {
-		return nil, fmt.Errorf("dstore: colfile directory checksum mismatch")
+	dir, err := codec.Unseal(data[r.dirOff : r.dirOff+dirLen])
+	if err != nil {
+		return nil, fmt.Errorf("dstore: colfile directory: %w", err)
 	}
+	d := codec.NewReader(dir)
 	r.chunks = make([]ColChunkInfo, nChunks)
 	r.offs = make([]uint64, nChunks)
+	// Chunks lie in file order without overlap, as ColWriter appends
+	// them, so the native counts cannot add up to more points than the
+	// file holds.
+	end, natives := uint64(colHeaderLen), uint64(0)
 	for i := range r.chunks {
-		e := dir[i*colDirEntry:]
-		cell := int64(binary.LittleEndian.Uint64(e[0:]))
-		kind := binary.LittleEndian.Uint64(e[8:])
-		count := binary.LittleEndian.Uint64(e[16:])
-		off := binary.LittleEndian.Uint64(e[24:])
+		cell, kind, count, off := d.I64(), d.U64(), d.U64(), d.U64()
 		if kind > ChunkKindHalo || count > maxColChunk {
 			return nil, fmt.Errorf("dstore: colfile chunk %d corrupt (kind %d, count %d)", i, kind, count)
 		}
@@ -397,17 +396,35 @@ func newColReader(data []byte) (*ColReader, error) {
 		if err != nil {
 			return nil, err
 		}
-		if off < colHeaderLen || off%8 != 0 || off+need > dirOff {
+		if off < end || off%8 != 0 || off > r.dirOff || need > r.dirOff-off {
 			return nil, fmt.Errorf("dstore: colfile chunk %d out of range", i)
 		}
+		end = off + need
 		hdrCount := binary.LittleEndian.Uint32(data[off+8:])
 		if uint64(hdrCount) != count {
 			return nil, fmt.Errorf("dstore: colfile chunk %d count mismatch (%d vs %d)", i, hdrCount, count)
 		}
+		if kind == ChunkKindNative {
+			natives += count
+		}
 		r.chunks[i] = ColChunkInfo{Cell: cell, Kind: byte(kind), Count: int(count)}
 		r.offs[i] = off
 	}
+	if natives != r.count {
+		return nil, fmt.Errorf("dstore: colfile header counts %d points, its native chunks %d", r.count, natives)
+	}
 	return r, nil
+}
+
+// DecodeTuples decodes a tuple colfile held in memory, such as a
+// dataset shipped between shards. The tuples are copies: blob may be
+// reused once it returns.
+func DecodeTuples(blob []byte) ([]tuple.Tuple, error) {
+	r, err := newColReader(blob)
+	if err != nil {
+		return nil, err
+	}
+	return r.Tuples()
 }
 
 // chunkSize returns the minimum byte length of a chunk of n points
@@ -475,11 +492,9 @@ func (r *ColReader) Payloads(i int) ([][]byte, error) {
 	lens := r.data[lensOff : lensOff+uint64(4*n)]
 	blobOff := lensOff + uint64(4*n+pad8(4*n))
 	out := make([][]byte, n)
-	limit := uint64(len(r.data))
+	limit := r.dirOff
 	if i+1 < len(r.offs) {
 		limit = r.offs[i+1]
-	} else {
-		limit = binary.LittleEndian.Uint64(r.data[72:]) // dirOff
 	}
 	for j := 0; j < n; j++ {
 		l := uint64(binary.LittleEndian.Uint32(lens[4*j:]))

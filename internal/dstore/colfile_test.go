@@ -1,7 +1,9 @@
 package dstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -138,6 +140,52 @@ func TestColFileRejectsCorruption(t *testing.T) {
 				t.Fatalf("corrupt file %s accepted", tc.name)
 			}
 		})
+	}
+}
+
+// withHeaderCount returns a copy of a colfile image whose header claims
+// count points, with the header checksum recomputed as anyone who writes
+// the blob can do: the header CRC guards against rot, not lies.
+func withHeaderCount(b []byte, count uint64) []byte {
+	c := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint64(c[8:], count)
+	binary.LittleEndian.PutUint32(c[80:], crc32.ChecksumIEEE(c[:80]))
+	return c
+}
+
+// TestColFileLyingCount opens a 2-point file whose header claims 2^60
+// (and 3) points. Tuples sizes its output by the header count, so a
+// reader that trusts it panics on makeslice; the count must be refused
+// when the file is opened, on the recovery path and the handoff path.
+func TestColFileLyingCount(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "two.col")
+	if err := WriteTuplesFile(path, []tuple.Tuple{{ID: 1}, {ID: 2, Pt: geom.Point{X: 1, Y: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, count := range []uint64{1 << 60, 3, 1} {
+		lying := withHeaderCount(good, count)
+		if err := os.WriteFile(path, lying, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := OpenColFile(path); err == nil {
+			ts, err := r.Tuples()
+			r.Close()
+			t.Fatalf("count %d: opened; Tuples returned %d tuples, err %v", count, len(ts), err)
+		}
+		if _, err := loadTuplesFile(path); err == nil {
+			t.Fatalf("count %d: recovery loaded the file", count)
+		}
+		if _, err := DecodeTuples(lying); err == nil {
+			t.Fatalf("count %d: DecodeTuples accepted the blob", count)
+		}
+	}
+	if ts, err := DecodeTuples(good); err != nil || len(ts) != 2 {
+		t.Fatalf("DecodeTuples(good) = %d tuples, %v", len(ts), err)
 	}
 }
 

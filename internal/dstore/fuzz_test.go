@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"spatialjoin/internal/geom"
 )
 
 // buildSegment assembles a segment image: header with firstSeq, then one
@@ -121,4 +124,78 @@ func FuzzLogRecord(f *testing.F) {
 			t.Fatalf("second replay saw %d records, want %d", count, len(seqs)+1)
 		}
 	})
+}
+
+// FuzzColReader feeds arbitrary bytes to the colfile reader as an
+// in-memory file, the way a handoff blob arrives. Opening may fail, but
+// a file that opens must serve every chunk's lanes and payloads and
+// materialise exactly the native point count its header declares,
+// without panicking or allocating past what the bytes can hold.
+func FuzzColReader(f *testing.F) {
+	// Small seeds keep mutation and minimisation fast.
+	dir := f.TempDir()
+	rng := rand.New(rand.NewSource(5))
+	tuples := filepath.Join(dir, "tuples.col")
+	if err := WriteTuplesFile(tuples, randTuples(rng, 6, true)); err != nil {
+		f.Fatal(err)
+	}
+	part := filepath.Join(dir, "part.col")
+	if err := WritePartitioned(part, randTuples(rng, 12, false), 25, 2, geom.Rect{MaxX: 100, MaxY: 100}); err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range []string{tuples, part} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)-5])                         // directory cut short
+		f.Add(withHeaderCount(b, 1<<60))            // lying point count
+		f.Add(withHeaderCount(b[:colHeaderLen], 0)) // header only
+	}
+
+	// Both checksums guard against rot, not lies: whoever writes a blob
+	// can recompute them. Each input is also tried resealed, so the
+	// mutations reach the count and offset checks behind the CRCs.
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkColBlob(t, data)
+		checkColBlob(t, resealColBlob(data))
+	})
+}
+
+// resealColBlob returns a copy of a colfile image with its header CRC,
+// and its directory CRC when the header locates one, recomputed.
+func resealColBlob(data []byte) []byte {
+	if len(data) < colHeaderLen {
+		return data
+	}
+	c := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(c[80:], crc32.ChecksumIEEE(c[:80]))
+	n := uint64(binary.LittleEndian.Uint32(c[64:]))
+	off := binary.LittleEndian.Uint64(c[72:])
+	if end := off + colDirEntry*n; off <= end && end <= uint64(len(c))-4 {
+		binary.LittleEndian.PutUint32(c[end:], crc32.ChecksumIEEE(c[off:end]))
+	}
+	return c
+}
+
+// checkColBlob opens data as a colfile; if it opens, every chunk must
+// serve lanes and payloads of its directory count, and Tuples exactly
+// the native count the header declares.
+func checkColBlob(t *testing.T, data []byte) {
+	r, err := newColReader(data)
+	if err != nil {
+		return
+	}
+	for i := 0; i < r.NumChunks(); i++ {
+		if cols := r.Chunk(i); cols.Len() != r.Info(i).Count || len(cols.Ys) != cols.Len() || len(cols.IDs) != cols.Len() {
+			t.Fatalf("chunk %d: lanes %d/%d/%d, directory says %d", i, cols.Len(), len(cols.Ys), len(cols.IDs), r.Info(i).Count)
+		}
+		if pays, err := r.Payloads(i); err == nil && r.HasPayloads() && len(pays) != r.Info(i).Count {
+			t.Fatalf("chunk %d: %d payloads for %d points", i, len(pays), r.Info(i).Count)
+		}
+	}
+	if ts, err := r.Tuples(); err == nil && uint64(len(ts)) != r.Count() {
+		t.Fatalf("Tuples returned %d, header declares %d", len(ts), r.Count())
+	}
 }

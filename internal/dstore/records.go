@@ -3,10 +3,9 @@ package dstore
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
 )
@@ -24,116 +23,6 @@ const (
 	recTelem         byte = 8 // latest-wins telemetry rollup snapshot (opaque)
 )
 
-var errShortRecord = errors.New("dstore: truncated record payload")
-
-// cursor is a sticky-error reader over a record payload. Every get
-// method returns the zero value after the first failure, so decoders
-// can run straight-line and check err once at the end.
-type cursor struct {
-	b   []byte
-	err error
-}
-
-func (c *cursor) fail() {
-	if c.err == nil {
-		c.err = errShortRecord
-	}
-}
-
-func (c *cursor) u8() byte {
-	if c.err != nil || len(c.b) < 1 {
-		c.fail()
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *cursor) u16() uint16 {
-	if c.err != nil || len(c.b) < 2 {
-		c.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.b)
-	c.b = c.b[2:]
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil || len(c.b) < 4 {
-		c.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b)
-	c.b = c.b[4:]
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil || len(c.b) < 8 {
-		c.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
-}
-
-func (c *cursor) i64() int64   { return int64(c.u64()) }
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-// bytes returns the next n payload bytes without copying. The caller
-// must copy before the underlying buffer is reused.
-func (c *cursor) bytes(n int) []byte {
-	if c.err != nil || n < 0 || len(c.b) < n {
-		c.fail()
-		return nil
-	}
-	v := c.b[:n]
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *cursor) str16() string { return string(c.bytes(int(c.u16()))) }
-
-// count reads a u32 element count and validates it against the bytes
-// remaining, assuming each element needs at least minElem bytes. This
-// keeps a corrupt count from triggering a huge allocation.
-func (c *cursor) count(minElem int) int {
-	n := int(c.u32())
-	if c.err != nil {
-		return 0
-	}
-	if minElem > 0 && n > len(c.b)/minElem {
-		c.fail()
-		return 0
-	}
-	return n
-}
-
-func (c *cursor) done() error {
-	if c.err != nil {
-		return c.err
-	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("dstore: %d trailing bytes after record", len(c.b))
-	}
-	return nil
-}
-
-func appendStr16(b []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
 // --- recDatasetPut ---
 
 // datasetPutRec records a wholesale dataset registration: the tuples
@@ -147,16 +36,16 @@ type datasetPutRec struct {
 }
 
 func (r datasetPutRec) encode(b []byte) []byte {
-	b = appendStr16(b, r.Name)
+	b = codec.AppendStr16(b, r.Name)
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Rev))
-	b = appendStr16(b, r.File)
+	b = codec.AppendStr16(b, r.File)
 	return binary.LittleEndian.AppendUint64(b, r.Points)
 }
 
 func decodeDatasetPut(p []byte) (datasetPutRec, error) {
-	c := cursor{b: p}
-	r := datasetPutRec{Name: c.str16(), Rev: c.i64(), File: c.str16(), Points: c.u64()}
-	return r, c.done()
+	c := codec.NewReader(p)
+	r := datasetPutRec{Name: c.Str16(), Rev: c.I64(), File: c.Str16(), Points: c.U64()}
+	return r, c.Done()
 }
 
 // --- recDatasetApply ---
@@ -172,13 +61,13 @@ type datasetApplyRec struct {
 }
 
 func (r datasetApplyRec) encode(b []byte) []byte {
-	b = appendStr16(b, r.Name)
+	b = codec.AppendStr16(b, r.Name)
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Gen))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Upserts)))
 	for _, t := range r.Upserts {
 		b = binary.LittleEndian.AppendUint64(b, uint64(t.ID))
-		b = appendF64(b, t.Pt.X)
-		b = appendF64(b, t.Pt.Y)
+		b = codec.AppendF64(b, t.Pt.X)
+		b = codec.AppendF64(b, t.Pt.Y)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Payload)))
 		b = append(b, t.Payload...)
 	}
@@ -190,37 +79,37 @@ func (r datasetApplyRec) encode(b []byte) []byte {
 }
 
 func decodeDatasetApply(p []byte) (datasetApplyRec, error) {
-	c := cursor{b: p}
-	r := datasetApplyRec{Name: c.str16(), Gen: c.i64()}
-	nup := c.count(28) // id + x + y + payLen
+	c := codec.NewReader(p)
+	r := datasetApplyRec{Name: c.Str16(), Gen: c.I64()}
+	nup := c.Count(28) // id + x + y + payLen
 	if nup > 0 {
 		r.Upserts = make([]tuple.Tuple, 0, nup)
 	}
-	for i := 0; i < nup && c.err == nil; i++ {
-		t := tuple.Tuple{ID: c.i64(), Pt: geom.Point{X: c.f64(), Y: c.f64()}}
-		if n := int(c.u32()); n > 0 {
-			t.Payload = append([]byte(nil), c.bytes(n)...)
+	for i := 0; i < nup && c.Err() == nil; i++ {
+		t := tuple.Tuple{ID: c.I64(), Pt: geom.Point{X: c.F64(), Y: c.F64()}}
+		if n := int(c.U32()); n > 0 {
+			t.Payload = append([]byte(nil), c.Bytes(n)...)
 		}
 		r.Upserts = append(r.Upserts, t)
 	}
-	ndel := c.count(8)
+	ndel := c.Count(8)
 	if ndel > 0 {
 		r.Deletes = make([]int64, 0, ndel)
 	}
-	for i := 0; i < ndel && c.err == nil; i++ {
-		r.Deletes = append(r.Deletes, c.i64())
+	for i := 0; i < ndel && c.Err() == nil; i++ {
+		r.Deletes = append(r.Deletes, c.I64())
 	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 // --- recDatasetDelete / recStreamDelete ---
 
-func encodeName(b []byte, name string) []byte { return appendStr16(b, name) }
+func encodeName(b []byte, name string) []byte { return codec.AppendStr16(b, name) }
 
 func decodeName(p []byte) (string, error) {
-	c := cursor{b: p}
-	name := c.str16()
-	return name, c.done()
+	c := codec.NewReader(p)
+	name := c.Str16()
+	return name, c.Done()
 }
 
 // --- recStreamCreate ---
@@ -253,15 +142,15 @@ func encodeStreamCreate(b []byte, spec StreamSpec) ([]byte, error) {
 }
 
 func decodeStreamCreate(p []byte) (StreamSpec, error) {
-	c := cursor{b: p}
-	j := c.bytes(int(c.u32()))
+	c := codec.NewReader(p)
+	j := c.Bytes(int(c.U32()))
 	var spec StreamSpec
-	if c.err == nil {
+	if c.Err() == nil {
 		if err := json.Unmarshal(j, &spec); err != nil {
 			return spec, fmt.Errorf("dstore: stream spec: %w", err)
 		}
 	}
-	return spec, c.done()
+	return spec, c.Done()
 }
 
 // --- recStreamBatch ---
@@ -287,7 +176,7 @@ type streamBatchRec struct {
 }
 
 func (r streamBatchRec) encode(b []byte) []byte {
-	b = appendStr16(b, r.Name)
+	b = codec.AppendStr16(b, r.Name)
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.AppliedAt))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Muts)))
 	for _, m := range r.Muts {
@@ -300,8 +189,8 @@ func (r streamBatchRec) encode(b []byte) []byte {
 		}
 		b = append(b, flags)
 		b = binary.LittleEndian.AppendUint64(b, uint64(m.Tuple.ID))
-		b = appendF64(b, m.Tuple.Pt.X)
-		b = appendF64(b, m.Tuple.Pt.Y)
+		b = codec.AppendF64(b, m.Tuple.Pt.X)
+		b = codec.AppendF64(b, m.Tuple.Pt.Y)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Tuple.Payload)))
 		b = append(b, m.Tuple.Payload...)
 	}
@@ -309,27 +198,27 @@ func (r streamBatchRec) encode(b []byte) []byte {
 }
 
 func decodeStreamBatch(p []byte) (streamBatchRec, error) {
-	c := cursor{b: p}
-	r := streamBatchRec{Name: c.str16(), AppliedAt: c.i64()}
-	n := c.count(29) // flags + id + x + y + payLen
+	c := codec.NewReader(p)
+	r := streamBatchRec{Name: c.Str16(), AppliedAt: c.I64()}
+	n := c.Count(29) // flags + id + x + y + payLen
 	if n > 0 {
 		r.Muts = make([]StreamMutation, 0, n)
 	}
-	for i := 0; i < n && c.err == nil; i++ {
-		flags := c.u8()
+	for i := 0; i < n && c.Err() == nil; i++ {
+		flags := c.U8()
 		m := StreamMutation{
 			Delete: flags&mutDelete != 0,
-			Tuple:  tuple.Tuple{ID: c.i64(), Pt: geom.Point{X: c.f64(), Y: c.f64()}},
+			Tuple:  tuple.Tuple{ID: c.I64(), Pt: geom.Point{X: c.F64(), Y: c.F64()}},
 		}
 		if flags&mutSetS != 0 {
 			m.Set = 1
 		}
-		if pn := int(c.u32()); pn > 0 {
-			m.Tuple.Payload = append([]byte(nil), c.bytes(pn)...)
+		if pn := int(c.U32()); pn > 0 {
+			m.Tuple.Payload = append([]byte(nil), c.Bytes(pn)...)
 		}
 		r.Muts = append(r.Muts, m)
 	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 // --- recSkew ---
@@ -356,15 +245,15 @@ func encodeSkew(b []byte, s SkewSample) ([]byte, error) {
 }
 
 func decodeSkew(p []byte) (SkewSample, error) {
-	c := cursor{b: p}
-	j := c.bytes(int(c.u32()))
+	c := codec.NewReader(p)
+	j := c.Bytes(int(c.U32()))
 	var s SkewSample
-	if c.err == nil {
+	if c.Err() == nil {
 		if err := json.Unmarshal(j, &s); err != nil {
 			return s, fmt.Errorf("dstore: skew sample: %w", err)
 		}
 	}
-	return s, c.done()
+	return s, c.Done()
 }
 
 // --- recTelem ---
@@ -379,7 +268,7 @@ func encodeTelem(b []byte, blob []byte) []byte {
 }
 
 func decodeTelem(p []byte) ([]byte, error) {
-	c := cursor{b: p}
-	blob := append([]byte(nil), c.bytes(int(c.u32()))...)
-	return blob, c.done()
+	c := codec.NewReader(p)
+	blob := append([]byte(nil), c.Bytes(int(c.U32()))...)
+	return blob, c.Done()
 }

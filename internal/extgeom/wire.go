@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
 )
 
@@ -22,11 +23,6 @@ import (
 
 // wireHeader is the fixed prefix size of an encoded object.
 const wireHeader = 1 + 4
-
-// maxWireVerts caps the vertex count a decoder will accept — far above
-// any real geometry, low enough that a hostile header cannot force a
-// huge allocation.
-const maxWireVerts = 1 << 24
 
 // ObjectWireSize returns the number of bytes AppendObject writes for o.
 func ObjectWireSize(o *Object) int { return wireHeader + 16*len(o.Verts) }
@@ -96,20 +92,18 @@ func DecodeObjectBounds(b []byte) (geom.Rect, error) {
 	return r, nil
 }
 
+// decodeHeader reads the kind and vertex count of an encoded object; the
+// count is checked against the bytes present, so the vertex loops that
+// follow stay in range and a lying header cannot force an allocation.
 func decodeHeader(b []byte) (Kind, int, error) {
-	if len(b) < wireHeader {
-		return 0, 0, fmt.Errorf("extgeom: decode: %d bytes, need at least %d", len(b), wireHeader)
+	r := codec.NewReader(b)
+	kind := Kind(r.U8())
+	n := r.Count(16) // x, y per vertex
+	if err := r.Err(); err != nil {
+		return 0, 0, fmt.Errorf("extgeom: decode: %w", err)
 	}
-	kind := Kind(b[0])
 	if kind > KindPolygon {
-		return 0, 0, fmt.Errorf("extgeom: decode: unknown kind %d", b[0])
-	}
-	n := int(binary.LittleEndian.Uint32(b[1:]))
-	if n > maxWireVerts {
-		return 0, 0, fmt.Errorf("extgeom: decode: %d vertices exceeds cap %d", n, maxWireVerts)
-	}
-	if len(b) < wireHeader+16*n {
-		return 0, 0, fmt.Errorf("extgeom: decode: %d vertices need %d bytes, have %d", n, wireHeader+16*n, len(b))
+		return 0, 0, fmt.Errorf("extgeom: decode: unknown kind %d", kind)
 	}
 	return kind, n, nil
 }

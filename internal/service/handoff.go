@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 
 	"spatialjoin"
@@ -85,7 +84,7 @@ func (s *Service) handleHandoffImport(w http.ResponseWriter, r *http.Request) (i
 	if err != nil {
 		return http.StatusBadRequest, fmt.Errorf("service: reading handoff blob: %w", err)
 	}
-	ts, err := blobToTuples(blob)
+	ts, err := dstore.DecodeTuples(blob)
 	if err != nil {
 		return http.StatusBadRequest, fmt.Errorf("service: decoding handoff blob: %w", err)
 	}
@@ -140,23 +139,4 @@ func tuplesToBlob(ts []spatialjoin.Tuple) ([]byte, error) {
 		return nil, err
 	}
 	return os.ReadFile(path)
-}
-
-// blobToTuples decodes a columnar tuple blob.
-func blobToTuples(blob []byte) ([]spatialjoin.Tuple, error) {
-	dir, err := os.MkdirTemp("", "sjoin-handoff")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "in.col")
-	if err := os.WriteFile(path, blob, 0o600); err != nil {
-		return nil, err
-	}
-	cr, err := dstore.OpenColFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer cr.Close()
-	return cr.Tuples()
 }

@@ -4,13 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 	"time"
 
 	"spatialjoin/internal/agreements"
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
 )
@@ -35,8 +34,6 @@ const (
 	ckVersion = 1
 )
 
-var errCkShort = errors.New("stream: truncated checkpoint")
-
 // WriteCheckpoint serialises the engine's state. The snapshot is taken
 // atomically with respect to Apply, so pairing it with the log position
 // of the last applied batch gives exact at-most-once replay.
@@ -46,12 +43,12 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	b = binary.LittleEndian.AppendUint32(b, ckMagic)
 	b = binary.LittleEndian.AppendUint16(b, ckVersion)
 	b = binary.LittleEndian.AppendUint16(b, 0)
-	b = appendF64(b, e.cfg.Eps)
-	b = appendF64(b, e.cfg.Bounds.MinX)
-	b = appendF64(b, e.cfg.Bounds.MinY)
-	b = appendF64(b, e.cfg.Bounds.MaxX)
-	b = appendF64(b, e.cfg.Bounds.MaxY)
-	b = appendF64(b, e.cfg.GridRes)
+	b = codec.AppendF64(b, e.cfg.Eps)
+	b = codec.AppendF64(b, e.cfg.Bounds.MinX)
+	b = codec.AppendF64(b, e.cfg.Bounds.MinY)
+	b = codec.AppendF64(b, e.cfg.Bounds.MaxX)
+	b = codec.AppendF64(b, e.cfg.Bounds.MaxY)
+	b = codec.AppendF64(b, e.cfg.GridRes)
 	b = append(b, byte(e.cfg.Policy), 0, 0, 0, 0, 0, 0, 0)
 	b = binary.LittleEndian.AppendUint64(b, uint64(e.cfg.TTL))
 	b = binary.LittleEndian.AppendUint64(b, uint64(e.cfg.RebalanceEvery))
@@ -80,86 +77,16 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
 		for _, en := range entries {
 			b = binary.LittleEndian.AppendUint64(b, uint64(en.t.ID))
-			b = appendF64(b, en.t.Pt.X)
-			b = appendF64(b, en.t.Pt.Y)
+			b = codec.AppendF64(b, en.t.Pt.X)
+			b = codec.AppendF64(b, en.t.Pt.Y)
 			b = binary.LittleEndian.AppendUint64(b, uint64(en.ts.UnixNano()))
 			b = binary.LittleEndian.AppendUint32(b, uint32(len(en.t.Payload)))
 			b = append(b, en.t.Payload...)
 		}
 	}
 	e.mu.Unlock()
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	_, err := w.Write(b)
+	_, err := w.Write(codec.Seal(b))
 	return err
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// ckReader is a sticky-error cursor over a checkpoint blob.
-type ckReader struct {
-	b   []byte
-	err error
-}
-
-func (c *ckReader) fail() {
-	if c.err == nil {
-		c.err = errCkShort
-	}
-}
-
-func (c *ckReader) u8() byte {
-	if c.err != nil || len(c.b) < 1 {
-		c.fail()
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *ckReader) u16() uint16 {
-	if c.err != nil || len(c.b) < 2 {
-		c.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.b)
-	c.b = c.b[2:]
-	return v
-}
-
-func (c *ckReader) u32() uint32 {
-	if c.err != nil || len(c.b) < 4 {
-		c.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b)
-	c.b = c.b[4:]
-	return v
-}
-
-func (c *ckReader) u64() uint64 {
-	if c.err != nil || len(c.b) < 8 {
-		c.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
-}
-
-func (c *ckReader) i64() int64   { return int64(c.u64()) }
-func (c *ckReader) f64() float64 { return math.Float64frombits(c.u64()) }
-
-func (c *ckReader) bytes(n int) []byte {
-	if c.err != nil || n < 0 || len(c.b) < n {
-		c.fail()
-		return nil
-	}
-	v := c.b[:n]
-	c.b = c.b[n:]
-	return v
 }
 
 // Restore rebuilds an engine from a checkpoint blob written by
@@ -169,35 +96,32 @@ func (c *ckReader) bytes(n int) []byte {
 // engine reproduces the original's live points, agreement store,
 // cumulative counters, and TTL ordering exactly.
 func Restore(cfg Config, blob []byte) (*Engine, error) {
-	if len(blob) < 8 {
-		return nil, errCkShort
+	body, err := codec.Unseal(blob)
+	if err != nil {
+		return nil, fmt.Errorf("stream: checkpoint: %w", err)
 	}
-	body, tail := blob[:len(blob)-4], blob[len(blob)-4:]
-	if binary.LittleEndian.Uint32(tail) != crc32.ChecksumIEEE(body) {
-		return nil, errors.New("stream: checkpoint checksum mismatch")
-	}
-	c := &ckReader{b: body}
-	if c.u32() != ckMagic {
+	c := codec.NewReader(body)
+	if c.U32() != ckMagic {
 		return nil, errors.New("stream: not an engine checkpoint")
 	}
-	if v := c.u16(); v != ckVersion {
+	if v := c.U16(); v != ckVersion {
 		return nil, fmt.Errorf("stream: checkpoint version %d unsupported (want %d)", v, ckVersion)
 	}
-	c.u16() // pad
+	c.U16() // pad
 
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	eps := c.f64()
-	bounds := geom.Rect{MinX: c.f64(), MinY: c.f64(), MaxX: c.f64(), MaxY: c.f64()}
-	gridRes := c.f64()
-	policy := agreements.Policy(c.u8())
-	c.bytes(7) // pad
-	ttl := time.Duration(c.i64())
-	rebEvery := c.i64()
-	if c.err != nil {
-		return nil, c.err
+	eps := c.F64()
+	bounds := geom.Rect{MinX: c.F64(), MinY: c.F64(), MaxX: c.F64(), MaxY: c.F64()}
+	gridRes := c.F64()
+	policy := agreements.Policy(c.U8())
+	c.Bytes(7) // pad
+	ttl := time.Duration(c.I64())
+	rebEvery := c.I64()
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("stream: checkpoint: %w", err)
 	}
 	if eps != e.cfg.Eps || bounds != e.cfg.Bounds || gridRes != e.cfg.GridRes ||
 		policy != e.cfg.Policy || ttl != e.cfg.TTL || rebEvery != int64(e.cfg.RebalanceEvery) {
@@ -206,20 +130,16 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 
 	var counters [10]int64
 	for i := range counters {
-		counters[i] = c.i64()
+		counters[i] = c.I64()
 	}
-	nTypes := int(c.u32())
-	if c.err != nil {
-		return nil, c.err
+	nTypes := int(c.U32())
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("stream: checkpoint: %w", err)
 	}
 	if nTypes != len(e.dg.types) {
 		return nil, fmt.Errorf("stream: checkpoint has %d agreement slots, grid needs %d", nTypes, len(e.dg.types))
 	}
-	typeBytes := c.bytes(nTypes)
-	if c.err != nil {
-		return nil, c.err
-	}
-	for i, tb := range typeBytes {
+	for i, tb := range c.Bytes(nTypes) {
 		if tb > byte(tuple.S) {
 			return nil, fmt.Errorf("stream: invalid agreement type %d at slot %d", tb, i)
 		}
@@ -231,21 +151,15 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 	e.dg.graph = agreements.BuildFromTypeFunc(e.dg.g, e.dg.typeBetween)
 
 	for set := tuple.R; set <= tuple.S; set++ {
-		n := int(c.u32())
-		if c.err != nil {
-			return nil, c.err
-		}
-		if n > len(c.b)/28 { // id + x + y + ts + payLen lower bound
-			return nil, errCkShort
-		}
+		n := c.Count(28) // id + x + y + ts + payLen
 		var prev time.Time
 		for i := 0; i < n; i++ {
-			id := c.i64()
-			pt := geom.Point{X: c.f64(), Y: c.f64()}
-			ts := time.Unix(0, c.i64())
-			pay := c.bytes(int(c.u32()))
-			if c.err != nil {
-				return nil, c.err
+			id := c.I64()
+			pt := geom.Point{X: c.F64(), Y: c.F64()}
+			ts := time.Unix(0, c.I64())
+			pay := c.Bytes(int(c.U32()))
+			if err := c.Err(); err != nil {
+				return nil, fmt.Errorf("stream: checkpoint: %w", err)
 			}
 			if i > 0 && ts.Before(prev) {
 				return nil, errors.New("stream: checkpoint entries out of TTL order")
@@ -261,8 +175,8 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 			e.upsertLocked(set, t, ts)
 		}
 	}
-	if len(c.b) != 0 {
-		return nil, fmt.Errorf("stream: %d trailing bytes after checkpoint", len(c.b))
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("stream: checkpoint: %w", err)
 	}
 
 	// Re-inserting emitted cross-set deltas and bumped counters; there
