@@ -319,7 +319,10 @@ func (w *workerState) runTask(t workerTask) {
 	sp.SetWorker(w.opt.Name).
 		SetInt("partition", int64(t.h.part)).
 		SetInt("attempt", int64(t.h.attempt))
-	out := dpe.JoinSlabsTraced(t.rs, t.ss, plan.eps, plan.kernel, plan.collect, plan.selfFilter, sp)
+	// A task is abandoned through w.cancelled before it starts, not
+	// mid-join, so it runs under a context that never ends and the error
+	// is always nil.
+	out, _ := dpe.JoinSlabsTraced(context.Background(), t.rs, t.ss, plan.eps, plan.kernel, plan.collect, plan.selfFilter, sp)
 	if plan.tr != nil {
 		// Ship the finished spans before the result on the same ordered
 		// connection, so the coordinator stitches them while the run is

@@ -37,6 +37,7 @@
 package colpipe
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -49,10 +50,6 @@ import (
 // insertionSortMax is the group size below which the three-lane
 // insertion sort beats the permutation sort.
 const insertionSortMax = 24
-
-// nestedLoopCost mirrors dpe's partition join: below this |R|·|S| the
-// quadratic scan over the group lanes beats the sweep's window logic.
-const nestedLoopCost = 64
 
 // Slab is one reduce partition's kernel-ready columnar input: records
 // grouped by ascending rank, each group sorted by x. Group k occupies
@@ -445,11 +442,17 @@ func (b *Builder) BuildInto(dst *Slab, segs []Seg) error {
 // JoinSlabs joins the matching rank groups of two slabs, adding every
 // pair within eps to out and returning the partition cost
 // Σ |R_group|·|S_group| over the matched groups. Both slabs' rank
-// lists are ascending, so matching is a linear merge; tiny groups take
-// the quadratic lane scan, larger ones the x-sorted ε-window sweep
-// with its true-hit/candidate split. Zero allocations.
-func JoinSlabs(r, s *Slab, eps float64, out *colsweep.Batch) (cost int64) {
-	eps2 := eps * eps
+// lists are ascending, so matching is a linear merge, and every matched
+// group is swept in place by colsweep.SweepSorted. Zero allocations.
+func JoinSlabs(r, s *Slab, eps float64, out *colsweep.Sink) (cost int64) {
+	cost, _ = JoinSlabsContext(context.Background(), r, s, eps, out)
+	return cost
+}
+
+// JoinSlabsContext is JoinSlabs that checks ctx once per matched group:
+// when ctx.Err() is non-nil it returns that error, with out and cost
+// holding the groups joined before.
+func JoinSlabsContext(ctx context.Context, r, s *Slab, eps float64, out *colsweep.Sink) (cost int64, err error) {
 	ri, si := 0, 0
 	for ri < len(r.Ranks) && si < len(s.Ranks) {
 		switch {
@@ -458,31 +461,20 @@ func JoinSlabs(r, s *Slab, eps float64, out *colsweep.Batch) (cost int64) {
 		case r.Ranks[ri] > s.Ranks[si]:
 			si++
 		default:
+			if err := ctx.Err(); err != nil {
+				return cost, err
+			}
 			rlo, rhi := int(r.Starts[ri]), int(r.Starts[ri+1])
 			slo, shi := int(s.Starts[si]), int(s.Starts[si+1])
-			nr, ns := rhi-rlo, shi-slo
-			cost += int64(nr) * int64(ns)
-			if nr*ns <= nestedLoopCost {
-				for i := rlo; i < rhi; i++ {
-					x, y, id := r.Xs[i], r.Ys[i], r.IDs[i]
-					for j := slo; j < shi; j++ {
-						dx := x - s.Xs[j]
-						dy := y - s.Ys[j]
-						if dx*dx+dy*dy <= eps2 {
-							out.Add(id, s.IDs[j])
-						}
-					}
-				}
-			} else {
-				rc := colsweep.Cols{Xs: r.Xs[rlo:rhi], Ys: r.Ys[rlo:rhi], IDs: r.IDs[rlo:rhi]}
-				sc := colsweep.Cols{Xs: s.Xs[slo:shi], Ys: s.Ys[slo:shi], IDs: s.IDs[slo:shi]}
-				colsweep.SweepSorted(&rc, &sc, eps, out)
-			}
+			cost += int64(rhi-rlo) * int64(shi-slo)
+			rc := colsweep.Cols{Xs: r.Xs[rlo:rhi], Ys: r.Ys[rlo:rhi], IDs: r.IDs[rlo:rhi]}
+			sc := colsweep.Cols{Xs: s.Xs[slo:shi], Ys: s.Ys[slo:shi], IDs: s.IDs[slo:shi]}
+			colsweep.SweepSorted(&rc, &sc, eps, out)
 			ri++
 			si++
 		}
 	}
-	return cost
+	return cost, nil
 }
 
 // MortonRanks returns the dense rank of every cell of an nx×ny grid

@@ -1,30 +1,34 @@
 // Package colsweep is the columnar (structure-of-arrays) plane-sweep
-// kernel: the hot partition-level ε-join rewritten for cache locality and
-// zero steady-state allocation.
+// kernel: the one partition-level ε-join every point engine runs — the
+// local engine and cluster workers over colpipe slabs, the disk engine
+// over mapped colfile chunks, and the stream engine over its per-cell
+// slabs and per-mutation probes.
 //
-// The scalar kernel in internal/sweep operates on []tuple.Tuple — an
-// array-of-structs whose 40-byte elements (id, two coordinates, a payload
-// slice header) drag payload pointers through the cache on every
-// comparison — sorts them with reflection-based sort.Slice, and calls a
-// dynamic Emit closure once per result pair. This package instead
+// Inputs are parallel Xs/Ys/IDs lanes (Cols) sorted by x, so the sort
+// and the sweep touch contiguous 8-byte lanes only; JoinCell packs
+// tuples into them, sorts by an int32 index permutation and picks the
+// sweep axis from the spread computed while packing.
 //
-//   - packs each cell's tuples into parallel Xs/Ys/IDs slabs, so the sort
-//     and the sweep's ε-window scans touch contiguous 8-byte lanes only;
-//   - sorts by an int32 index permutation with slices.SortFunc (pdqsort,
-//     no reflection), then gathers the columns once;
-//   - picks the sweep axis by the spread computed during packing — a free
-//     by-product of the packing pass — and flips axes by swapping slice
-//     headers rather than rewriting points;
-//   - emits results in batches: pairs accumulate in a reused []tuple.Pair
-//     buffer flushed through one EmitBatch call per BatchSize results,
-//     replacing one dynamic call per pair with one per batch;
-//   - recycles every working buffer through a sync.Pool, so the
-//     steady-state per-cell join performs zero heap allocations.
+// The kernel (SweepSorted) walks the x-sorted R rows with two monotone
+// cursors bounding the S rows whose x lies within ε. Each R row filters
+// its window without a branch into a selection vector: every index is
+// written, and the write position advances by the outcome of the exact
+// closed test dx²+dy² ≤ ε² — the predicate sweep.NestedLoop uses — so
+// the half of the candidates that fail it cost no mispredicted branch.
+// The selected S ids then reach the Sink in one step per R row: count
+// mode adds them to N and sums tuple.PairHash into Checksum in a tight
+// loop, collect mode also appends the pairs, batch mode also hands them
+// to an EmitBatch callback BatchSize pairs at a time, and self-filter
+// mode first keeps only rid < sid. Probe runs the same selection step
+// for one point.
 //
-// The scalar kernel remains the differential-test oracle: for any input,
-// JoinCell must produce exactly the pair multiset of sweep.PlaneSweep
-// (asserted via identical sweep.Counter{N, Checksum} in the package's
-// property and fuzz tests).
+// The selection vector is a fixed array inside the pooled Buffers; a
+// window wider than it is filtered in chunks, so scratch never grows and
+// a join performs zero heap allocations in count mode.
+//
+// sweep.NestedLoop and sweep.PlaneSweep remain the differential-test
+// oracles: every sink mode must produce their pair multiset (identical
+// N and Checksum, and the identical sorted pair list when collecting).
 package colsweep
 
 import (
@@ -34,13 +38,14 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// BatchSize is the result-buffer capacity of a Batch: the number of pairs
-// accumulated between EmitBatch flushes.
+// BatchSize is the pair-buffer capacity of a batch-mode Sink: the number
+// of pairs accumulated between EmitBatch calls.
 const BatchSize = 1024
 
-// nestedLoopThreshold mirrors internal/sweep: below this per-side size the
-// quadratic loop beats packing and sorting.
-const nestedLoopThreshold = 8
+// selCap is the length of the selection vector. It bounds the scratch a
+// Buffers holds (4 KB, beside the lanes it indexes in L1); a wider
+// ε-window is filtered in chunks of selCap rows.
+const selCap = 1024
 
 // EmitBatch receives one batch of verified result pairs. The slice is
 // reused by the emitter after the call returns: implementations must copy
@@ -48,34 +53,82 @@ const nestedLoopThreshold = 8
 // retain the slice.
 type EmitBatch func([]tuple.Pair)
 
-// Batch accumulates result pairs and hands them to an EmitBatch sink in
-// BatchSize chunks. Obtain one from Buffers.Batch so the pair buffer is
-// pooled; call Flush after the last Add to deliver the partial tail batch.
-type Batch struct {
+// Sink is where the kernel delivers its matches. Every mode counts the
+// pairs in N and sums their tuple.PairHash in Checksum; collect mode
+// also appends them to Pairs, batch mode also passes them to an
+// EmitBatch. Obtain one from Buffers.Sink or Buffers.Batch, which reset
+// it; N and Checksum then accumulate over any number of kernel calls.
+type Sink struct {
+	N        int64
+	Checksum uint64
+	Pairs    []tuple.Pair // collect mode: every pair, in kernel order
+
+	mode       sinkMode
+	selfFilter bool
 	emit       EmitBatch
 	buf        []tuple.Pair
-	selfFilter bool
+	sel        [selCap]int32
 }
 
-// Add records one result pair, flushing if the buffer filled up. In
-// self-join mode pairs are kept only when rid < sid (dropping identity
-// pairs and one orientation of every match, like the scalar path).
-func (b *Batch) Add(rid, sid int64) {
-	if b.selfFilter && rid >= sid {
-		return
+type sinkMode uint8
+
+const (
+	modeCount sinkMode = iota
+	modeCollect
+	modeBatch
+)
+
+// take delivers R row rid's selected S rows: sel indexes sids. It is
+// the only place a match is recorded.
+func (o *Sink) take(rid int64, sids []int64, sel []int32) {
+	if o.selfFilter {
+		// Keep rid < sid: drops identity pairs and one orientation of
+		// every match, like the scalar self-join path.
+		k := 0
+		for _, j := range sel {
+			sel[k] = j
+			k += b2i(rid < sids[j])
+		}
+		sel = sel[:k]
 	}
-	b.buf = append(b.buf, tuple.Pair{RID: rid, SID: sid})
-	if len(b.buf) == cap(b.buf) {
-		b.Flush()
+	var h uint64
+	for _, j := range sel {
+		h += tuple.PairHash(rid, sids[j])
+	}
+	o.N += int64(len(sel))
+	o.Checksum += h
+	switch o.mode {
+	case modeCollect:
+		for _, j := range sel {
+			o.Pairs = append(o.Pairs, tuple.Pair{RID: rid, SID: sids[j]})
+		}
+	case modeBatch:
+		for _, j := range sel {
+			o.buf = append(o.buf, tuple.Pair{RID: rid, SID: sids[j]})
+			if len(o.buf) == cap(o.buf) {
+				o.Flush()
+			}
+		}
 	}
 }
 
-// Flush delivers the buffered pairs, if any, to the sink.
-func (b *Batch) Flush() {
-	if len(b.buf) > 0 {
-		b.emit(b.buf)
-		b.buf = b.buf[:0]
+// Flush delivers a batch-mode sink's buffered pairs, if any; other modes
+// have nothing buffered.
+func (o *Sink) Flush() {
+	if len(o.buf) > 0 {
+		o.emit(o.buf)
+		o.buf = o.buf[:0]
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // Cols is a columnar slab of points: parallel coordinate and id lanes.
@@ -178,14 +231,15 @@ func (c *Cols) SortByX(b *Buffers) {
 
 // Buffers is the pooled working set of the columnar kernel: the packed
 // and sorted slabs of both inputs, the permutation and gather scratch,
-// and the result batch buffer. Obtain one with Get, return it with Put;
-// a Buffers must not be shared across goroutines.
+// and the sink with its selection vector and pair buffer. Obtain one
+// with Get, return it with Put; a Buffers must not be shared across
+// goroutines.
 type Buffers struct {
 	r, s Cols
 	perm []int32
 	tmpF []float64
 	tmpI []int64
-	bat  Batch
+	sink Sink
 }
 
 var pool = sync.Pool{New: func() any { return new(Buffers) }}
@@ -194,42 +248,48 @@ var pool = sync.Pool{New: func() any { return new(Buffers) }}
 func Get() *Buffers { return pool.Get().(*Buffers) }
 
 // Put returns a Buffers to the pool. The caller must not use it (or any
-// Batch obtained from it) afterwards.
+// Sink obtained from it) afterwards; a collected Pairs slice stays the
+// caller's.
 func Put(b *Buffers) {
-	b.bat.emit = nil
+	b.sink.emit = nil
+	b.sink.Pairs = nil
 	pool.Put(b)
 }
 
-// Batch binds b's pooled pair buffer to an emission sink and returns the
-// ready-to-use Batch. One Batch may span many JoinCell calls (batching
-// across cells); the caller flushes once at the end.
-func (b *Buffers) Batch(emit EmitBatch, selfFilter bool) *Batch {
-	if b.bat.buf == nil {
-		b.bat.buf = make([]tuple.Pair, 0, BatchSize)
+// Sink resets b's sink to count mode, or to collect mode when collect
+// is set, and returns it. selfFilter keeps only pairs with rid < sid.
+func (b *Buffers) Sink(collect, selfFilter bool) *Sink {
+	mode := modeCount
+	if collect {
+		mode = modeCollect
 	}
-	b.bat.emit = emit
-	b.bat.selfFilter = selfFilter
-	return &b.bat
+	b.sink.bind(mode, nil, selfFilter)
+	return &b.sink
 }
 
-// JoinCell computes the ε-distance join of one cell's R and S tuples with
-// the columnar kernel, adding every pair (r, s) with d(r, s) <= eps to
-// out exactly once. Tiny cells take the quadratic loop directly; larger
-// cells are packed into columnar slabs, sorted along the wider axis, and
-// swept. The caller owns flushing out.
-func JoinCell(b *Buffers, rs, ss []tuple.Tuple, eps float64, out *Batch) {
-	if len(rs) == 0 || len(ss) == 0 {
-		return
+// Batch resets b's sink to batch mode, delivering pairs to emit in
+// BatchSize chunks, and returns it. One batch may span many kernel
+// calls; the caller flushes once at the end.
+func (b *Buffers) Batch(emit EmitBatch, selfFilter bool) *Sink {
+	if b.sink.buf == nil {
+		b.sink.buf = make([]tuple.Pair, 0, BatchSize)
 	}
-	if len(rs)*len(ss) <= nestedLoopThreshold*nestedLoopThreshold {
-		eps2 := eps * eps
-		for i := range rs {
-			for j := range ss {
-				if rs[i].Pt.SqDist(ss[j].Pt) <= eps2 {
-					out.Add(rs[i].ID, ss[j].ID)
-				}
-			}
-		}
+	b.sink.bind(modeBatch, emit, selfFilter)
+	return &b.sink
+}
+
+func (o *Sink) bind(mode sinkMode, emit EmitBatch, selfFilter bool) {
+	o.N, o.Checksum, o.Pairs = 0, 0, nil
+	o.mode, o.emit, o.selfFilter = mode, emit, selfFilter
+	o.buf = o.buf[:0]
+}
+
+// JoinCell computes the ε-distance join of one cell's R and S tuples,
+// adding every pair (r, s) with d(r, s) <= eps to out exactly once. The
+// tuples are packed into columnar slabs, sorted along the wider axis
+// and swept. The caller owns flushing out.
+func JoinCell(b *Buffers, rs, ss []tuple.Tuple, eps float64, out *Sink) {
+	if len(rs) == 0 || len(ss) == 0 {
 		return
 	}
 	rsx, rsy := b.r.Pack(rs)
@@ -244,69 +304,80 @@ func JoinCell(b *Buffers, rs, ss []tuple.Tuple, eps float64, out *Batch) {
 	SweepSorted(&b.r, &b.s, eps, out)
 }
 
-// SweepSorted joins two x-sorted columnar slabs, adding every pair within
-// eps to out. It is the inner kernel of JoinCell and the batch entry
-// point for callers that maintain sorted slabs themselves (the streaming
-// engine's per-cell slabs and the columnar pipeline's partition slabs).
-//
-// The ε-window scan separates true hits from candidates: a pair whose
-// coordinate deltas satisfy |dx|+|dy| <= ε is within ε in L2 as well
-// (the L1 ball is inscribed in the L2 ball), so it is emitted without
-// the squared-distance refinement; only the candidates in the annulus
-// between the two balls pay the multiplications.
-func SweepSorted(r, s *Cols, eps float64, out *Batch) {
+// SweepSorted joins two x-sorted columnar slabs, adding every pair
+// within eps (closed: distance exactly eps matches) to out. It is the
+// one point ε-join kernel: JoinCell, colpipe's partition join, the disk
+// engine and the stream engine all run it.
+func SweepSorted(r, s *Cols, eps float64, out *Sink) {
 	rx, ry, rid := r.Xs, r.Ys, r.IDs
 	sx, sy, sid := s.Xs, s.Ys, s.IDs
-	if len(rx) == 0 || len(sx) == 0 {
-		return
-	}
 	eps2 := eps * eps
-	start := 0
-	for i := range rx {
-		x := rx[i]
-		lo := x - eps
-		for start < len(sx) && sx[start] < lo {
+	start, end := 0, 0 // S window [start, end) of the current R row
+	for i, x := range rx {
+		xlo, xhi := x-eps, x+eps
+		for start < len(sx) && sx[start] < xlo {
 			start++
 		}
 		if start == len(sx) {
 			return
 		}
+		for end < len(sx) && sx[end] <= xhi {
+			end++
+		}
 		y := ry[i]
-		hi := x + eps
-		for j := start; j < len(sx) && sx[j] <= hi; j++ {
-			dy := y - sy[j]
-			if dy < 0 {
-				dy = -dy
-			}
-			if dy > eps {
-				continue
-			}
-			dx := x - sx[j]
-			if dx < 0 {
-				dx = -dx
-			}
-			// True hit: inside the inscribed L1 ball, no refinement needed.
-			if dx+dy <= eps {
-				out.Add(rid[i], sid[j])
-				continue
-			}
-			// Candidate: refine with the exact squared distance.
-			if dx*dx+dy*dy <= eps2 {
-				out.Add(rid[i], sid[j])
+		for lo := start; lo < end; lo += selCap {
+			hi := min(lo+selCap, end)
+			if k := selectWithin(out.sel[:], sx[lo:hi], sy[lo:hi], x, y, eps2); k > 0 {
+				out.take(rid[i], sid[lo:hi], out.sel[:k])
 			}
 		}
 	}
 }
 
-// Probe reports the index of every point of the x-sorted slab c within
-// eps of (px, py) — used by the streaming engine to probe one arriving
-// point against a maintained slab in O(log n + ε-window). Matches at distance exactly eps are
-// reported (closed predicate).
-func Probe(c *Cols, px, py, eps float64, emit func(i int)) {
-	n := len(c.Xs)
-	if n == 0 {
-		return
+// selectWithin writes to sel, in ascending order, the index of every
+// point of the lanes xs/ys within squared distance eps2 of (x, y) and
+// returns how many it wrote. It has no data-dependent branch: every
+// index is stored and the count advances by the test's outcome. The
+// loop is unrolled four wide, which keeps the four tests independent
+// of the count they feed. len(sel) must be at least len(xs).
+func selectWithin(sel []int32, xs, ys []float64, x, y, eps2 float64) int {
+	ys = ys[:len(xs)]
+	sel = sel[:len(xs)]
+	k, j := 0, 0
+	for ; j+4 <= len(xs); j += 4 {
+		dx0, dy0 := x-xs[j], y-ys[j]
+		dx1, dy1 := x-xs[j+1], y-ys[j+1]
+		dx2, dy2 := x-xs[j+2], y-ys[j+2]
+		dx3, dy3 := x-xs[j+3], y-ys[j+3]
+		in0 := b2i(dx0*dx0+dy0*dy0 <= eps2)
+		in1 := b2i(dx1*dx1+dy1*dy1 <= eps2)
+		in2 := b2i(dx2*dx2+dy2*dy2 <= eps2)
+		in3 := b2i(dx3*dx3+dy3*dy3 <= eps2)
+		sel[k] = int32(j)
+		k += in0
+		sel[k] = int32(j + 1)
+		k += in1
+		sel[k] = int32(j + 2)
+		k += in2
+		sel[k] = int32(j + 3)
+		k += in3
 	}
+	for ; j < len(xs); j++ {
+		dx, dy := x-xs[j], y-ys[j]
+		sel[k] = int32(j)
+		k += b2i(dx*dx+dy*dy <= eps2)
+	}
+	return k
+}
+
+// Probe returns the index of every point of the x-sorted slab c within
+// eps of (px, py) (closed predicate), ascending, in O(log n + ε-window)
+// — the streaming engine's probe of one arriving point against a
+// maintained slab. The indices are written over sel's backing array,
+// which is grown when the window is wider; pass the previous result
+// back in to reuse it.
+func Probe(c *Cols, px, py, eps float64, sel []int32) []int32 {
+	n := len(c.Xs)
 	// Binary search for the first x >= px-eps.
 	lo, hi := 0, n
 	bound := px - eps
@@ -318,23 +389,15 @@ func Probe(c *Cols, px, py, eps float64, emit func(i int)) {
 			hi = mid
 		}
 	}
-	eps2 := eps * eps
-	end := px + eps
-	for i := lo; i < n && c.Xs[i] <= end; i++ {
-		dy := py - c.Ys[i]
-		if dy < 0 {
-			dy = -dy
-		}
-		if dy > eps {
-			continue
-		}
-		dx := px - c.Xs[i]
-		if dx < 0 {
-			dx = -dx
-		}
-		// Same true-hit/candidate split as SweepSorted.
-		if dx+dy <= eps || dx*dx+dy*dy <= eps2 {
-			emit(i)
-		}
+	end := lo
+	for end < n && c.Xs[end] <= px+eps {
+		end++
 	}
+	sel = slices.Grow(sel[:0], end-lo)[:end-lo]
+	k := selectWithin(sel, c.Xs[lo:end], c.Ys[lo:end], px, py, eps*eps)
+	sel = sel[:k]
+	for i := range sel {
+		sel[i] += int32(lo)
+	}
+	return sel
 }

@@ -1,33 +1,26 @@
-package colsweep
+package colsweep_test
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
-// counterSink adapts a sweep.Counter to an EmitBatch sink.
-func counterSink(c *sweep.Counter) EmitBatch {
-	return func(ps []tuple.Pair) {
-		for _, p := range ps {
-			c.EmitPair(p)
-		}
-	}
-}
-
-// joinColumnar runs one cell through the columnar kernel and returns the
-// counter.
+// joinColumnar runs one cell through JoinCell in count mode and returns
+// its count and checksum as a counter.
 func joinColumnar(rs, ss []tuple.Tuple, eps float64, selfFilter bool) sweep.Counter {
-	var c sweep.Counter
-	b := Get()
-	defer Put(b)
-	bat := b.Batch(counterSink(&c), selfFilter)
-	JoinCell(b, rs, ss, eps, bat)
-	bat.Flush()
-	return c
+	b := colsweep.Get()
+	defer colsweep.Put(b)
+	out := b.Sink(false, selfFilter)
+	colsweep.JoinCell(b, rs, ss, eps, out)
+	return sweep.Counter{N: out.N, Checksum: out.Checksum}
 }
 
 func randomTuples(rng *rand.Rand, n int, extent float64, base int64) []tuple.Tuple {
@@ -165,46 +158,45 @@ func TestColumnarZeroAllocsSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	rs := randomTuples(rng, 2000, 50, 0)
 	ss := randomTuples(rng, 2000, 50, 1_000_000)
-	var c sweep.Counter
-	b := Get()
-	defer Put(b)
-	bat := b.Batch(counterSink(&c), false)
+	var n int
+	b := colsweep.Get()
+	defer colsweep.Put(b)
+	bat := b.Batch(func(ps []tuple.Pair) { n += len(ps) }, false)
 	// Warm the pooled buffers to steady-state capacity once.
-	JoinCell(b, rs, ss, 0.5, bat)
+	colsweep.JoinCell(b, rs, ss, 0.5, bat)
 	bat.Flush()
 	allocs := testing.AllocsPerRun(10, func() {
-		JoinCell(b, rs, ss, 0.5, bat)
+		colsweep.JoinCell(b, rs, ss, 0.5, bat)
 		bat.Flush()
 	})
 	if allocs != 0 {
 		t.Fatalf("columnar JoinCell allocated %v times per join, want 0", allocs)
 	}
-	if c.N == 0 {
+	if n == 0 {
 		t.Fatal("workload produced no pairs; the alloc assertion is vacuous")
 	}
 }
 
 func TestProbeMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
+	var sel []int32
 	for trial := 0; trial < 30; trial++ {
 		ts := randomTuples(rng, 1+rng.Intn(400), 10, 0)
 		sweep.SortByX(ts)
-		var cols Cols
+		var cols colsweep.Cols
 		cols.Pack(ts)
 		eps := 0.1 + rng.Float64()
 		for probe := 0; probe < 20; probe++ {
 			p := geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-			var want, got sweep.Counter
-			for _, m := range ts {
+			var want []int32
+			for i, m := range ts {
 				if p.SqDist(m.Pt) <= eps*eps {
-					want.EmitPair(tuple.Pair{RID: m.ID, SID: m.ID})
+					want = append(want, int32(i))
 				}
 			}
-			Probe(&cols, p.X, p.Y, eps, func(i int) {
-				got.EmitPair(tuple.Pair{RID: cols.IDs[i], SID: cols.IDs[i]})
-			})
-			if want != got {
-				t.Fatalf("trial %d: probe %d/%x, linear scan %d/%x", trial, got.N, got.Checksum, want.N, want.Checksum)
+			sel = colsweep.Probe(&cols, p.X, p.Y, eps, sel)
+			if !slices.Equal(sel, want) {
+				t.Fatalf("trial %d: probe %v, linear scan %v", trial, sel, want)
 			}
 		}
 	}
@@ -240,11 +232,169 @@ func FuzzColumnarDifferential(f *testing.F) {
 		sweep.NestedLoop(rs, ss, eps, oracle.Emit)
 		sweep.PlaneSweep(rs, ss, eps, scalar.Emit)
 		col := joinColumnar(rs, ss, eps, false)
-		if oracle != scalar || oracle != col {
-			t.Fatalf("kernel divergence: oracle %d/%x, scalar %d/%x, columnar %d/%x",
-				oracle.N, oracle.Checksum, scalar.N, scalar.Checksum, col.N, col.Checksum)
+		slab := joinOneGroupSlabs(rs, ss, eps)
+		probe := probeEach(rs, ss, eps)
+		if oracle != scalar || oracle != col || oracle != slab || oracle != probe {
+			t.Fatalf("kernel divergence: oracle %d/%x, scalar %d/%x, columnar %d/%x, colpipe %d/%x, probe %d/%x",
+				oracle.N, oracle.Checksum, scalar.N, scalar.Checksum, col.N, col.Checksum,
+				slab.N, slab.Checksum, probe.N, probe.Checksum)
 		}
 	})
+}
+
+// sortedCols packs ts into lanes sorted by x, keeping the x axis (no
+// sweep-axis choice, so an input with every x equal stays one).
+func sortedCols(ts []tuple.Tuple) colsweep.Cols {
+	var c colsweep.Cols
+	c.Pack(ts)
+	b := colsweep.Get()
+	defer colsweep.Put(b)
+	c.SortByX(b)
+	return c
+}
+
+// joinOneGroupSlabs joins rs and ss laid out as one-group colpipe slabs.
+func joinOneGroupSlabs(rs, ss []tuple.Tuple, eps float64) sweep.Counter {
+	slab := func(ts []tuple.Tuple) *colpipe.Slab {
+		c := sortedCols(ts)
+		s := &colpipe.Slab{Xs: c.Xs, Ys: c.Ys, IDs: c.IDs}
+		if len(ts) > 0 {
+			s.Ranks, s.Starts = []int32{0}, []int32{0, int32(len(ts))}
+		}
+		return s
+	}
+	b := colsweep.Get()
+	defer colsweep.Put(b)
+	out := b.Sink(false, false)
+	colpipe.JoinSlabs(slab(rs), slab(ss), eps, out)
+	return sweep.Counter{N: out.N, Checksum: out.Checksum}
+}
+
+// probeEach probes every R point against the x-sorted S lanes.
+func probeEach(rs, ss []tuple.Tuple, eps float64) sweep.Counter {
+	c := sortedCols(ss)
+	var got sweep.Counter
+	var sel []int32
+	for _, r := range rs {
+		sel = colsweep.Probe(&c, r.Pt.X, r.Pt.Y, eps, sel)
+		for _, i := range sel {
+			got.Emit(r, tuple.Tuple{ID: c.IDs[i]})
+		}
+	}
+	return got
+}
+
+func sortPairs(ps []tuple.Pair) []tuple.Pair {
+	slices.SortFunc(ps, func(a, b tuple.Pair) int {
+		if a.RID != b.RID {
+			return cmp.Compare(a.RID, b.RID)
+		}
+		return cmp.Compare(a.SID, b.SID)
+	})
+	return ps
+}
+
+// TestSweepModesMatchNestedLoop checks every sink mode of the kernel —
+// count, collect, batch, self-filter — and Probe against the nested
+// loop: the same N and checksum, and the same sorted pair list where
+// pairs are delivered.
+func TestSweepModesMatchNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	const eps = 0.5
+	// lattice puts points on an ε-spaced lattice: many pairs at distance
+	// exactly ε, the closed predicate's border.
+	lattice := func(n int, base int64) []tuple.Tuple {
+		out := make([]tuple.Tuple, n)
+		for i := range out {
+			out[i] = tuple.Tuple{ID: base + int64(i), Pt: geom.Point{X: float64(rng.Intn(8)) * eps, Y: float64(rng.Intn(8)) * eps}}
+		}
+		return out
+	}
+	same := func(n int, base int64, pt func() geom.Point) []tuple.Tuple {
+		out := make([]tuple.Tuple, n)
+		for i := range out {
+			out[i] = tuple.Tuple{ID: base + int64(i), Pt: pt()}
+		}
+		return out
+	}
+	coincident := func() geom.Point { return geom.Point{X: 3, Y: 3} }
+	equalX := func() geom.Point { return geom.Point{X: 1, Y: rng.Float64() * 20} }
+	narrow := func() geom.Point { return geom.Point{X: rng.Float64() * 0.2, Y: rng.Float64() * 4} }
+	cases := []struct {
+		name   string
+		rs, ss []tuple.Tuple
+	}{
+		{"random", randomTuples(rng, 400, 10, 0), randomTuples(rng, 400, 10, 1_000_000)},
+		{"lattice at exactly eps", lattice(300, 0), lattice(300, 1_000_000)},
+		{"coincident points", same(100, 0, coincident), same(100, 1_000_000, coincident)},
+		{"every x equal", same(200, 0, equalX), same(200, 1_000_000, equalX)},
+		{"R empty", nil, randomTuples(rng, 50, 2, 1_000_000)},
+		{"S empty", randomTuples(rng, 50, 2, 0), nil},
+		{"window wider than the group", randomTuples(rng, 60, 0.3, 0), randomTuples(rng, 60, 0.3, 1_000_000)},
+		{"window wider than the selection vector", same(20, 0, narrow), same(3000, 1_000_000, narrow)},
+	}
+	for _, tc := range cases {
+		var want sweep.Counter
+		var wantPairs sweep.Collector
+		sweep.NestedLoop(tc.rs, tc.ss, eps, func(r, s tuple.Tuple) {
+			want.Emit(r, s)
+			wantPairs.Emit(r, s)
+		})
+		if want.N == 0 && len(tc.rs) > 0 && len(tc.ss) > 0 {
+			t.Fatalf("%s: no pair within eps; the case checks nothing", tc.name)
+		}
+		sortPairs(wantPairs.Pairs)
+		check := func(mode string, n int64, sum uint64, pairs []tuple.Pair) {
+			t.Helper()
+			if n != want.N || sum != want.Checksum {
+				t.Fatalf("%s, %s: %d/%x, nested loop %d/%x", tc.name, mode, n, sum, want.N, want.Checksum)
+			}
+			if pairs != nil && !slices.Equal(sortPairs(pairs), wantPairs.Pairs) {
+				t.Fatalf("%s, %s: pair list differs from the nested loop's", tc.name, mode)
+			}
+		}
+		r, s := sortedCols(tc.rs), sortedCols(tc.ss)
+		b := colsweep.Get()
+		out := b.Sink(false, false)
+		colsweep.SweepSorted(&r, &s, eps, out)
+		check("count", out.N, out.Checksum, nil)
+
+		out = b.Sink(true, false)
+		colsweep.SweepSorted(&r, &s, eps, out)
+		if want.N > 0 && len(out.Pairs) == 0 {
+			t.Fatalf("%s, collect: no pairs collected", tc.name)
+		}
+		check("collect", out.N, out.Checksum, out.Pairs)
+
+		var batched []tuple.Pair
+		bat := b.Batch(func(ps []tuple.Pair) { batched = append(batched, ps...) }, false)
+		colsweep.SweepSorted(&r, &s, eps, bat)
+		bat.Flush()
+		if want.N > 0 && len(batched) == 0 {
+			t.Fatalf("%s, batch: no pairs emitted", tc.name)
+		}
+		check("batch", bat.N, bat.Checksum, batched)
+
+		p := probeEach(tc.rs, tc.ss, eps)
+		check("probe", p.N, p.Checksum, nil)
+
+		// Self-filter: the self-join of both sides keeps rid < sid only.
+		all := append(append([]tuple.Tuple(nil), tc.rs...), tc.ss...)
+		var self sweep.Counter
+		sweep.NestedLoop(all, all, eps, func(r, s tuple.Tuple) {
+			if r.ID < s.ID {
+				self.Emit(r, s)
+			}
+		})
+		a := sortedCols(all)
+		out = b.Sink(true, true)
+		colsweep.SweepSorted(&a, &a, eps, out)
+		if out.N != self.N || out.Checksum != self.Checksum || int64(len(out.Pairs)) != self.N {
+			t.Fatalf("%s, self-filter: %d/%x (%d pairs), nested loop %d/%x",
+				tc.name, out.N, out.Checksum, len(out.Pairs), self.N, self.Checksum)
+		}
+		colsweep.Put(b)
+	}
 }
 
 // benchCells builds a partition-shaped workload: many mid-size cells,
@@ -264,20 +414,18 @@ func benchCells(cells, perSide int, extent, _ float64) (rss, sss [][]tuple.Tuple
 func BenchmarkJoinCellColumnar(b *testing.B) {
 	rss, sss := benchCells(64, 256, 8, 0)
 	const eps = 0.5
-	bufs := Get()
-	defer Put(bufs)
-	var c sweep.Counter
-	bat := bufs.Batch(counterSink(&c), false)
+	bufs := colsweep.Get()
+	defer colsweep.Put(bufs)
+	out := bufs.Sink(false, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range rss {
-			JoinCell(bufs, rss[j], sss[j], eps, bat)
+			colsweep.JoinCell(bufs, rss[j], sss[j], eps, out)
 		}
-		bat.Flush()
 	}
 	b.StopTimer()
-	if c.N > 0 {
-		b.ReportMetric(float64(c.N)/b.Elapsed().Seconds(), "pairs/sec")
+	if out.N > 0 {
+		b.ReportMetric(float64(out.N)/b.Elapsed().Seconds(), "pairs/sec")
 	}
 }
 

@@ -722,29 +722,18 @@ func ScalarKernel(_ int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
 // grouping, no sorting, no tuple materialisation, zero allocations per
 // partition in steady state (result collection, when requested, is the
 // only growth). A non-nil kernel is called once per matched group with
-// tuple views of its rows and the group's rank as the cell id.
-func JoinSlabs(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) PartitionResult {
+// tuple views of its rows and the group's rank as the cell id. ctx is
+// checked once per matched group; when it reports an error, JoinSlabs
+// returns it with the groups joined so far.
+func JoinSlabs(ctx context.Context, rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) (PartitionResult, error) {
 	if kernel != nil {
-		return joinSlabsKernel(rs, ss, eps, kernel, collect, selfFilter)
+		return joinSlabsKernel(ctx, rs, ss, eps, kernel, collect, selfFilter)
 	}
-	var out PartitionResult
-	var counter sweep.Counter
 	bufs := colsweep.Get()
 	defer colsweep.Put(bufs)
-	sink := func(ps []tuple.Pair) {
-		for _, p := range ps {
-			counter.EmitPair(p)
-		}
-		if collect {
-			out.Pairs = append(out.Pairs, ps...)
-		}
-	}
-	bat := bufs.Batch(sink, selfFilter)
-	out.Cost = colpipe.JoinSlabs(rs, ss, eps, bat)
-	bat.Flush()
-	out.Results = counter.N
-	out.Checksum = counter.Checksum
-	return out
+	sink := bufs.Sink(collect, selfFilter)
+	cost, err := colpipe.JoinSlabsContext(ctx, rs, ss, eps, sink)
+	return PartitionResult{Results: sink.N, Checksum: sink.Checksum, Pairs: sink.Pairs, Cost: cost}, err
 }
 
 // tupleViews is the pooled scratch a Kernel's per-group tuple views are
@@ -756,7 +745,7 @@ var viewPool = sync.Pool{New: func() any { return new(tupleViews) }}
 // joinSlabsKernel is JoinSlabs for an explicit kernel: the same linear
 // merge of the two ascending rank lists, with each matched group's rows
 // materialised as tuples for the callback.
-func joinSlabsKernel(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) PartitionResult {
+func joinSlabsKernel(ctx context.Context, rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) (PartitionResult, error) {
 	var out PartitionResult
 	var counter sweep.Counter
 	var coll sweep.Collector
@@ -776,14 +765,18 @@ func joinSlabsKernel(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, 
 		}
 	}
 	v := viewPool.Get().(*tupleViews)
+	var err error
 	ri, si := 0, 0
-	for ri < rs.NumGroups() && si < ss.NumGroups() {
+	for err == nil && ri < rs.NumGroups() && si < ss.NumGroups() {
 		switch {
 		case rs.Ranks[ri] < ss.Ranks[si]:
 			ri++
 		case rs.Ranks[ri] > ss.Ranks[si]:
 			si++
 		default:
+			if err = ctx.Err(); err != nil {
+				break
+			}
 			v.r = rs.AppendTuples(v.r[:0], ri)
 			v.s = ss.AppendTuples(v.s[:0], si)
 			out.Cost += int64(len(v.r)) * int64(len(v.s))
@@ -799,7 +792,7 @@ func joinSlabsKernel(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, 
 	out.Results = counter.N
 	out.Checksum = counter.Checksum
 	out.Pairs = coll.Pairs
-	return out
+	return out, err
 }
 
 // JoinSlabsTraced is JoinSlabs plus span instrumentation: the
@@ -807,12 +800,12 @@ func joinSlabsKernel(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, 
 // is then ended. A nil sp (tracing disabled) adds zero work and zero
 // allocations — the guarantee the engines rely on to keep the traced
 // path on by default.
-func JoinSlabsTraced(rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool, sp *obs.Span) PartitionResult {
-	out := JoinSlabs(rs, ss, eps, kernel, collect, selfFilter)
+func JoinSlabsTraced(ctx context.Context, rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool, sp *obs.Span) (PartitionResult, error) {
+	out, err := JoinSlabs(ctx, rs, ss, eps, kernel, collect, selfFilter)
 	sp.SetInt("tuples_r", int64(rs.Rows()))
 	sp.SetInt("tuples_s", int64(ss.Rows()))
 	sp.SetInt("pairs", out.Results)
 	sp.SetInt("cost", out.Cost)
 	sp.End()
-	return out
+	return out, err
 }

@@ -17,8 +17,8 @@ type LocalEngine struct{}
 
 // ExecutePrepared implements Engine. Partitions are owned by workers
 // round-robin; workers run concurrently, their partitions serially. When
-// ctx is cancelled, workers stop before their next partition and the
-// context error is returned.
+// ctx is cancelled, every worker stops before its next rank group and
+// the context error is returned.
 func (LocalEngine) ExecutePrepared(ctx context.Context, pr *Prepared, opt ExecOptions) (*Result, error) {
 	spec := pr.spec
 	workers := pr.workers
@@ -52,13 +52,11 @@ func (LocalEngine) ExecutePrepared(ctx context.Context, pr *Prepared, opt ExecOp
 				wname = "local-" + strconv.Itoa(w)
 			}
 			t0 := time.Now()
-			for p := w; p < nparts; p += workers {
-				if ctx.Err() != nil {
-					return
-				}
+			var err error
+			for p := w; p < nparts && err == nil; p += workers {
 				ts := tr.Start(execSp.SpanID(), obs.SpanTask)
 				ts.SetWorker(wname).SetInt("partition", int64(p))
-				outs[p] = JoinSlabsTraced(&pr.partR[p], &pr.partS[p], opt.Eps, spec.Kernel, opt.Collect, spec.SelfFilter, ts)
+				outs[p], err = JoinSlabsTraced(ctx, &pr.partR[p], &pr.partS[p], opt.Eps, spec.Kernel, opt.Collect, spec.SelfFilter, ts)
 			}
 			busy[w] = time.Since(t0)
 		}(w)

@@ -1,6 +1,7 @@
 package dpe
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,10 +38,10 @@ func TestObsNilTracerJoinSlabs(t *testing.T) {
 	rs, ss := tracePartition(256)
 
 	base := testing.AllocsPerRun(50, func() {
-		JoinSlabs(rs, ss, 0.5, nil, false, false)
+		JoinSlabs(context.Background(), rs, ss, 0.5, nil, false, false)
 	})
 	traced := testing.AllocsPerRun(50, func() {
-		JoinSlabsTraced(rs, ss, 0.5, nil, false, false, nil)
+		JoinSlabsTraced(context.Background(), rs, ss, 0.5, nil, false, false, nil)
 	})
 	if extra := traced - base; extra != 0 {
 		t.Fatalf("traced JoinSlabs with nil span: %.1f extra allocs/run, want 0 (base %.1f, traced %.1f)", extra, base, traced)

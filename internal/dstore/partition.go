@@ -100,37 +100,43 @@ func indexChunks(r *ColReader) cellChunks {
 }
 
 // JoinFiles computes the ε-join of two partitioned colfiles built over
-// the same grid, streaming one partition pair at a time: every R-native
-// cell is swept with the columnar kernel against that cell's S native
-// chunk and, separately, its S halo chunk. Every qualifying (r, s) pair
-// is emitted exactly once — r is native in exactly one cell, and every
-// s within eps of it lies in exactly one of that cell's native or halo
-// chunk by the MINDIST rule. Nothing is copied: chunk lanes are mmap
-// views swept in place.
-//
-// eps must be positive and at most the threshold the files were
-// partitioned for. It returns the number of pairs emitted.
+// the same grid with JoinFilesInto, passing the pairs to emit in
+// batches when emit is non-nil. It returns the number of pairs.
 func JoinFiles(r, s *ColReader, eps float64, emit colsweep.EmitBatch) (int64, error) {
-	if !r.Partitioned() || !s.Partitioned() {
-		return 0, fmt.Errorf("dstore: JoinFiles needs partitioned colfiles")
-	}
-	if eps <= 0 || eps > r.Eps() || eps > s.Eps() {
-		return 0, fmt.Errorf("dstore: join eps %v outside (0, %v]", eps, min(r.Eps(), s.Eps()))
-	}
-	if r.Eps() != s.Eps() || r.Res() != s.Res() || r.Bounds() != s.Bounds() {
-		return 0, fmt.Errorf("dstore: colfiles partitioned over different grids")
-	}
-	sIdx := indexChunks(s)
-	var pairs int64
-	count := func(ps []tuple.Pair) {
-		pairs += int64(len(ps))
-		if emit != nil {
-			emit(ps)
-		}
-	}
 	b := colsweep.Get()
 	defer colsweep.Put(b)
-	out := b.Batch(count, false)
+	out := b.Sink(false, false)
+	if emit != nil {
+		out = b.Batch(emit, false)
+	}
+	err := JoinFilesInto(r, s, eps, out)
+	out.Flush()
+	return out.N, err
+}
+
+// JoinFilesInto computes the ε-join of two partitioned colfiles built
+// over the same grid into out, streaming one partition pair at a time:
+// every R-native cell is swept with the columnar kernel against that
+// cell's S native chunk and, separately, its S halo chunk. Every
+// qualifying (r, s) pair is delivered exactly once — r is native in
+// exactly one cell, and every s within eps of it lies in exactly one of
+// that cell's native or halo chunk by the MINDIST rule. Nothing is
+// copied: chunk lanes are mmap views swept in place. The caller owns
+// flushing out.
+//
+// eps must be positive and at most the threshold the files were
+// partitioned for.
+func JoinFilesInto(r, s *ColReader, eps float64, out *colsweep.Sink) error {
+	if !r.Partitioned() || !s.Partitioned() {
+		return fmt.Errorf("dstore: JoinFiles needs partitioned colfiles")
+	}
+	if eps <= 0 || eps > r.Eps() || eps > s.Eps() {
+		return fmt.Errorf("dstore: join eps %v outside (0, %v]", eps, min(r.Eps(), s.Eps()))
+	}
+	if r.Eps() != s.Eps() || r.Res() != s.Res() || r.Bounds() != s.Bounds() {
+		return fmt.Errorf("dstore: colfiles partitioned over different grids")
+	}
+	sIdx := indexChunks(s)
 	for i := 0; i < r.NumChunks(); i++ {
 		info := r.Info(i)
 		if info.Kind != ChunkKindNative {
@@ -146,6 +152,5 @@ func JoinFiles(r, s *ColReader, eps float64, emit colsweep.EmitBatch) (int64, er
 			colsweep.SweepSorted(&rCols, &sCols, eps, out)
 		}
 	}
-	out.Flush()
-	return pairs, nil
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialjoin/internal/geom"
@@ -285,6 +286,39 @@ func TestEvalAllocs(t *testing.T) {
 
 // ---- Arena decoder ----------------------------------------------------
 
+// TestDecodeObjectIntoRejectsNonFinite pins that decoding fails closed
+// on a NaN or ±Inf coordinate in either axis of any vertex, for every
+// kind, and leaves the arena as it was passed in.
+func TestDecodeObjectIntoRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, o := range []Object{
+			NewPoint(1, geom.Point{X: 1, Y: 2}),
+			NewPolyline(2, []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 2, Y: 0}}),
+			NewPolygon(3, []geom.Point{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 2, Y: 3}}),
+		} {
+			for v := range o.Verts {
+				for axis := 0; axis < 2; axis++ {
+					verts := slices.Clone(o.Verts)
+					if axis == 0 {
+						verts[v].X = bad
+					} else {
+						verts[v].Y = bad
+					}
+					enc := AppendObject(nil, &Object{ID: o.ID, Kind: o.Kind, Verts: verts})
+					arena := []geom.Point{{X: 7, Y: 8}}
+					got, _, grown, err := DecodeObjectInto(arena, o.ID, enc)
+					if err == nil {
+						t.Fatalf("%v vertex %d axis %d = %v: decoded %+v, want an error", o.Kind, v, axis, bad, got)
+					}
+					if len(grown) != len(arena) || grown[0] != arena[0] {
+						t.Fatalf("%v vertex %d axis %d = %v: rejected payload changed the arena to %v", o.Kind, v, axis, bad, grown)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzDecodeObjectInto requires the arena decoder to accept and reject
 // exactly what DecodeObject does, with the same error, to leave the
 // arena it was given untouched, and to hand back the same vertices and
@@ -307,6 +341,11 @@ func FuzzDecodeObjectInto(f *testing.F) {
 	f.Add(AppendObject(nil, &Object{Kind: KindPoint, Verts: make([]geom.Point, 2)}))    // decodes, fails Validate
 	f.Add(AppendObject(nil, &Object{Kind: KindPolygon, Verts: make([]geom.Point, 2)}))  // likewise
 	f.Add(AppendObject(nil, &Object{Kind: KindPolyline, Verts: make([]geom.Point, 0)})) // likewise
+	// A non-finite vertex: rejected by Validate.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(AppendObject(nil, &Object{Kind: KindPolyline, Verts: []geom.Point{{X: 0, Y: 0}, {X: bad, Y: 1}}}))
+		f.Add(AppendObject(nil, &Object{Kind: KindPoint, Verts: []geom.Point{{X: 1, Y: bad}}}))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		prefix := []geom.Point{{X: 7, Y: 8}, {X: 9, Y: 10}}
 		arena := append(make([]geom.Point, 0, 4), prefix...)

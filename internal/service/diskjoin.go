@@ -16,9 +16,9 @@ import (
 	"os"
 	"path/filepath"
 
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/dstore"
 	"spatialjoin/internal/obs"
-	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
@@ -124,22 +124,24 @@ func (s *Service) diskEngine(req JoinRequest) engine[JoinResponse] {
 			return hit, release, err
 		},
 		execute: func(_ context.Context, j *joinRun) error {
-			var sum sweep.Counter
-			emit := func(ps []tuple.Pair) {
-				for _, p := range ps {
-					sum.EmitPair(p)
-				}
-				// One pair past the limit shows the pipeline the truncation;
-				// the rest is never held.
-				if req.Collect && len(j.found) <= j.limit {
-					j.found = append(j.found, ps...)
-				}
+			bufs := colsweep.Get()
+			defer colsweep.Put(bufs)
+			out := bufs.Sink(false, false)
+			if req.Collect {
+				out = bufs.Batch(func(ps []tuple.Pair) {
+					// One pair past the limit shows the pipeline the
+					// truncation; the rest is never held.
+					if len(j.found) <= j.limit {
+						j.found = append(j.found, ps...)
+					}
+				}, false)
 			}
 			sp := j.tr.Start(j.root.SpanID(), obs.SpanExecute)
-			results, err := dstore.JoinFiles(plan.r, plan.s, req.Eps, emit)
-			sp.SetInt("results", results)
+			err := dstore.JoinFilesInto(plan.r, plan.s, req.Eps, out)
+			out.Flush()
+			sp.SetInt("results", out.N)
 			sp.End()
-			j.label, j.results, j.checksum = "disk", results, sum.Checksum
+			j.label, j.results, j.checksum = "disk", out.N, out.Checksum
 			return err
 		},
 		respond: func(j *joinRun) *JoinResponse { return joinResponse(j, rd, sd) },

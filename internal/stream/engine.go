@@ -142,6 +142,7 @@ type Engine struct {
 	c        Counters
 	pending  []Delta // deltas of the in-progress operation, flushed on unlock
 	scratch  []int
+	sel      []int32 // slab probe selection scratch
 }
 
 // New builds an engine over an empty stream.
@@ -333,12 +334,9 @@ func (e *Engine) CurrentPairs() []tuple.Pair {
 }
 
 func (e *Engine) currentPairsLocked() []tuple.Pair {
-	var out []tuple.Pair
 	bufs := colsweep.Get()
 	defer colsweep.Put(bufs)
-	bat := bufs.Batch(func(ps []tuple.Pair) {
-		out = append(out, ps...)
-	}, false)
+	out := bufs.Sink(true, false)
 	for i := range e.cells {
 		cs := &e.cells[i]
 		rs := cs.slabs[tuple.R].sorted()
@@ -346,10 +344,9 @@ func (e *Engine) currentPairsLocked() []tuple.Pair {
 		if rs.Len() == 0 || ss.Len() == 0 {
 			continue
 		}
-		colsweep.SweepSorted(rs, ss, e.cfg.Eps, bat)
+		colsweep.SweepSorted(rs, ss, e.cfg.Eps, out)
 	}
-	bat.Flush()
-	return out
+	return out.Pairs
 }
 
 // --- locked internals -------------------------------------------------
@@ -381,7 +378,7 @@ func (e *Engine) upsertLocked(set tuple.Set, t tuple.Tuple, now time.Time) {
 	other := set.Other()
 	for _, c := range cells {
 		cs := &e.cells[c]
-		cs.slabs[other].probe(t.Pt, e.cfg.Eps, func(m tuple.Tuple) {
+		e.sel = cs.slabs[other].probe(t.Pt, e.cfg.Eps, e.sel, func(m tuple.Tuple) {
 			e.emitLocked(Add, set, t.ID, m.ID)
 		})
 		cs.slabs[set].insert(t)
@@ -421,7 +418,7 @@ func (e *Engine) removeEntryLocked(set tuple.Set, en *entry) {
 	for _, c32 := range en.cells {
 		cs := &e.cells[c32]
 		cs.slabs[set].remove(id)
-		cs.slabs[other].probe(en.t.Pt, e.cfg.Eps, func(m tuple.Tuple) {
+		e.sel = cs.slabs[other].probe(en.t.Pt, e.cfg.Eps, e.sel, func(m tuple.Tuple) {
 			e.emitLocked(Remove, set, id, m.ID)
 		})
 		if cs.slabs[set].needsCompaction() {

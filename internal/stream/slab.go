@@ -64,18 +64,15 @@ func (s *slab) at(i int) tuple.Tuple {
 	}
 }
 
-// probe reports every live tuple of the slab within eps of p.
-func (s *slab) probe(p geom.Point, eps float64, emit func(tuple.Tuple)) {
-	if len(s.tombs) == 0 {
-		colsweep.Probe(&s.base, p.X, p.Y, eps, func(i int) {
-			emit(s.at(i))
-		})
-	} else {
-		colsweep.Probe(&s.base, p.X, p.Y, eps, func(i int) {
-			if _, dead := s.tombs[s.base.IDs[i]]; !dead {
-				emit(s.at(i))
-			}
-		})
+// probe reports every live tuple of the slab within eps of p. sel is
+// the probe's selection scratch; the grown scratch is returned for the
+// next probe.
+func (s *slab) probe(p geom.Point, eps float64, sel []int32, emit func(tuple.Tuple)) []int32 {
+	sel = colsweep.Probe(&s.base, p.X, p.Y, eps, sel)
+	for _, i := range sel {
+		if _, dead := s.tombs[s.base.IDs[i]]; !dead {
+			emit(s.at(int(i)))
+		}
 	}
 	eps2 := eps * eps
 	for _, t := range s.tail {
@@ -83,6 +80,7 @@ func (s *slab) probe(p geom.Point, eps float64, emit func(tuple.Tuple)) {
 			emit(t)
 		}
 	}
+	return sel
 }
 
 // dirty returns the size of the unsorted/tombstoned part.

@@ -14,6 +14,7 @@ import (
 func TestStreamSlabMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var s slab
+	var sel []int32
 	model := map[int64]tuple.Tuple{}
 	const eps = 0.5
 	for op := 0; op < 4000; op++ {
@@ -35,7 +36,7 @@ func TestStreamSlabMaintenance(t *testing.T) {
 		if op%97 == 0 {
 			p := geom.Point{X: rng.Float64() * 4, Y: rng.Float64() * 4}
 			got := map[int64]bool{}
-			s.probe(p, eps, func(m tuple.Tuple) {
+			sel = s.probe(p, eps, sel, func(m tuple.Tuple) {
 				if got[m.ID] {
 					t.Fatalf("probe reported id %d twice", m.ID)
 				}
@@ -80,7 +81,7 @@ func TestStreamSlabTombstoneReinsert(t *testing.T) {
 	}
 	s.insert(tuple.Tuple{ID: 7, Pt: geom.Point{X: 99, Y: 0}})
 	found := 0
-	s.probe(geom.Point{X: 99, Y: 0}, 0.1, func(m tuple.Tuple) {
+	s.probe(geom.Point{X: 99, Y: 0}, 0.1, nil, func(m tuple.Tuple) {
 		if m.ID == 7 {
 			found++
 		}

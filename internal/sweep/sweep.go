@@ -180,27 +180,7 @@ type Counter struct {
 // Emit records one result pair.
 func (c *Counter) Emit(r, s tuple.Tuple) {
 	c.N++
-	c.Checksum += pairHash(r.ID, s.ID)
-}
-
-// EmitPair records one result pair given only its ids — the allocation-
-// free sink of the columnar kernel's batched emission.
-func (c *Counter) EmitPair(p tuple.Pair) {
-	c.N++
-	c.Checksum += pairHash(p.RID, p.SID)
-}
-
-// pairHash mixes a pair of ids into a 64-bit value. Summing hashes is
-// order-independent, and the avalanche mixing makes colliding multisets of
-// pairs overwhelmingly unlikely.
-func pairHash(a, b int64) uint64 {
-	x := uint64(a)*0x9e3779b97f4a7c15 ^ uint64(b)*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	c.Checksum += tuple.PairHash(r.ID, s.ID)
 }
 
 // Collector is an Emit sink that materialises result pairs.

@@ -110,3 +110,17 @@ func Points(ts []Tuple) []geom.Point {
 type Pair struct {
 	RID, SID int64
 }
+
+// PairHash mixes a pair of ids into a 64-bit value: the term of the
+// order-independent result checksum every join reports. Summing hashes
+// is order-independent, and the avalanche mixing makes colliding
+// multisets of pairs overwhelmingly unlikely.
+func PairHash(rid, sid int64) uint64 {
+	x := uint64(rid)*0x9e3779b97f4a7c15 ^ uint64(sid)*0xbf58476d1ce4e5b9
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}

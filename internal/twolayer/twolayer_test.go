@@ -567,8 +567,12 @@ func FuzzTwoLayerKernelPayload(f *testing.F) {
 	f.Add([]byte{byte(extgeom.KindPolygon), 0xff, 0xff, 0xff, 0x7f})
 	f.Add(extgeom.AppendObject(nil, &extgeom.Object{Kind: extgeom.KindPoint, Verts: make([]geom.Point, 3)}))
 	f.Add([]byte{})
-	nan := extgeom.NewPolyline(0, []geom.Point{{X: math.NaN(), Y: 1}, {X: 12, Y: math.Inf(1)}})
-	f.Add(extgeom.AppendObject(nil, &nan)) // decodes; must not panic downstream
+	// Non-finite vertices: DecodeObject rejects them, so they count as
+	// decode errors and leave the rest of the tile alone.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(extgeom.AppendObject(nil, &extgeom.Object{Kind: extgeom.KindPolyline, Verts: []geom.Point{{X: bad, Y: 1}, {X: 12, Y: 12}}}))
+		f.Add(extgeom.AppendObject(nil, &extgeom.Object{Kind: extgeom.KindPolygon, Verts: []geom.Point{{X: 10, Y: 10}, {X: 12, Y: bad}, {X: 11, Y: 13}}}))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		_, err := extgeom.DecodeObject(0, payload)
 		wantErrs := int64(0)
@@ -586,9 +590,8 @@ func FuzzTwoLayerKernelPayload(f *testing.F) {
 				if got := k.Stats.DecodeErrors.Load(); got != wantErrs {
 					t.Fatalf("%v: DecodeErrors = %d, want %d (decode error: %v)", pred, got, wantErrs, err)
 				}
-				// (A payload that decodes may carry NaN coordinates, which
-				// the interval sweep does not order; only a rejected one
-				// is known to leave the rest of the tile alone.)
+				// (Only a rejected payload is known to leave the rest of
+				// the tile alone; one that decodes joins the tile.)
 				if err != nil && pred != extgeom.Contains && !soundPair {
 					t.Fatalf("%v: the sound overlapping pair was lost beside the rejected payload", pred)
 				}
