@@ -31,7 +31,7 @@ func main() {
 		all     = flag.Bool("all", false, "run every experiment")
 		quick   = flag.Bool("quick", false, "quick scale (25k points) instead of full (200k)")
 		n       = flag.Int("n", 0, "override base cardinality per data set")
-		workers = flag.Int("workers", 0, "override simulated cluster size")
+		workers = flag.Int("workers", 0, "override worker count")
 		parts   = flag.Int("partitions", 0, "override reduce partition count")
 		seed    = flag.Int64("seed", 0, "sampling seed")
 		chart   = flag.Bool("chart", false, "render each table as an ASCII line chart too")

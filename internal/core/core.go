@@ -57,7 +57,6 @@ type Config struct {
 	SelfFilter     bool              // self-join mode: keep only pairs with r.ID < s.ID
 	Collect        bool              // materialise result pairs
 	Bounds         *geom.Rect        // data-space MBR; computed from the inputs when nil
-	NetBandwidth   float64           // simulated bytes/s per worker link (0: off)
 	PoolSize       int               // OS-level goroutine pool cap; default GOMAXPROCS
 
 	// Scheme is the algorithm: which cells a point is assigned to. Nil is
@@ -179,9 +178,8 @@ func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
 		Collect:    cfg.Collect,
 		SelfFilter: cfg.SelfFilter,
 
-		NetBandwidth: cfg.NetBandwidth,
-		PoolSize:     cfg.PoolSize,
-		Engine:       cfg.Engine,
+		PoolSize: cfg.PoolSize,
+		Engine:   cfg.Engine,
 
 		Tracer:      cfg.Tracer,
 		TraceParent: cfg.TraceParent,

@@ -177,15 +177,10 @@ type Spec struct {
 	// where both inputs are the same set: it drops identity pairs and
 	// one of the two orientations of every match.
 	SelfFilter bool
-	// NetBandwidth, in bytes per second per worker link, charges the
-	// simulated cluster for its shuffle remote reads: SimulatedTime gains
-	// RemoteBytes / workers / NetBandwidth. Zero disables network
-	// simulation (in-process shuffles move no real bytes).
-	NetBandwidth float64
 	// PoolSize caps the OS-level goroutine pool that runs the simulated
 	// workers in the map and local reduce phases. Zero means GOMAXPROCS.
 	// It bounds real parallelism only; Workers sets the simulated cluster
-	// size that shuffle accounting and busy clocks model.
+	// size that shuffle accounting and busy clocks are kept per.
 	PoolSize int
 	// Engine is the execution backend for the reduce phase; nil selects
 	// the in-process local engine. A cluster engine instead ships
@@ -263,7 +258,6 @@ type Metrics struct {
 	BuildTime   time.Duration // orchestrator-filled: grid / agreements / index build
 	MapTime     time.Duration // flatMapToPair: assignment of both inputs
 	ShuffleTime time.Duration // grouping keyed records into partitions
-	NetTime     time.Duration // simulated network cost of remote reads
 	JoinTime    time.Duration // per-partition grouping + plane sweeps
 	DedupTime   time.Duration // distinct() pass, when enabled
 
@@ -303,17 +297,6 @@ func (m *Metrics) TotalTime() time.Duration {
 	return m.ConstructionTime() + m.JoinTime + m.DedupTime
 }
 
-// SimulatedTime returns the critical-path execution time of the simulated
-// cluster: sequential driver phases plus the busiest worker of each
-// parallel phase. On a host with fewer cores than simulated workers,
-// wall-clock times serialise the workers' CPU work and hide scaling;
-// SimulatedTime restores the cluster's makespan, which is what the
-// paper's charts plot.
-func (m *Metrics) SimulatedTime() time.Duration {
-	return m.SampleTime + m.BuildTime + maxDur(m.MapBusy) + m.ShuffleTime +
-		m.NetTime + maxDur(m.WorkerBusy) + m.DedupTime
-}
-
 // maxParallel caps in-flight simulated workers at the pool size (the
 // host's cores when pool is 0).
 func maxParallel(workers, pool int) int {
@@ -324,16 +307,6 @@ func maxParallel(workers, pool int) int {
 		return pool
 	}
 	return workers
-}
-
-func maxDur(ds []time.Duration) time.Duration {
-	var max time.Duration
-	for _, d := range ds {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Result is the outcome of one engine run.
@@ -464,9 +437,6 @@ func Prepare(spec Spec) (*Prepared, error) {
 	}
 	if recsS > 0 {
 		replSp.SetInt("repl_bytes_s", replS*(bytesS/recsS))
-	}
-	if spec.NetBandwidth > 0 {
-		res.NetTime = time.Duration(float64(res.RemoteBytes) / float64(workers) / spec.NetBandwidth * float64(time.Second))
 	}
 	return pr, nil
 }
@@ -671,9 +641,6 @@ func (pr *Prepared) ExecuteContext(ctx context.Context, opt ExecOptions) (*Resul
 		res.DedupInput = dm.Input
 		res.ShuffledBytes += dm.ShuffledBytes
 		res.RemoteBytes += dm.RemoteBytes
-		if pr.spec.NetBandwidth > 0 {
-			res.NetTime += time.Duration(float64(dm.RemoteBytes) / float64(pr.workers) / pr.spec.NetBandwidth * float64(time.Second))
-		}
 		// Recompute the checksum over the deduplicated set.
 		dedupSp := tr.Start(parent, obs.SpanDedup)
 		var c sweep.Counter

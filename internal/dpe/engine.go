@@ -38,8 +38,7 @@ func (LocalEngine) ExecutePrepared(ctx context.Context, pr *Prepared, opt ExecOp
 	var wg sync.WaitGroup
 	// In-flight workers are capped at the pool size: running more
 	// simulated workers than cores would only time-slice them against
-	// each other, polluting the per-worker busy clocks the makespan model
-	// relies on.
+	// each other, polluting the per-worker busy clocks (Metrics.WorkerBusy).
 	sem := make(chan struct{}, maxParallel(workers, spec.PoolSize))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

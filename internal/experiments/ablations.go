@@ -23,27 +23,33 @@ func Table6(sc Scale) []*Table {
 	rs := Combos()[0].R(sc.N)
 	ss := Combos()[0].S(sc.N)
 	for _, pol := range []agreements.Policy{agreements.LPiB, agreements.DIFF} {
-		cfg := core.Config{
-			Eps:     DefaultEps,
-			Policy:  pol,
-			Workers: sc.Workers, Partitions: sc.Partitions,
-			Seed: sc.Seed,
-		}
-		dupFree := mustCore(rs, ss, cfg)
-		cfg.Simple = true
-		withDedup := mustCore(rs, ss, cfg)
+		dupFree, withDedup := table6Runs(sc, rs, ss, pol)
 		if dupFree.Results != withDedup.Results || dupFree.Checksum != withDedup.Checksum {
 			panic(fmt.Sprintf("table6: variants disagree: %d vs %d results", dupFree.Results, withDedup.Results))
 		}
 		t.Rows = append(t.Rows, []string{
 			pol.String(),
-			fmtDur(dupFree.SimulatedTime()),
-			fmtDur(withDedup.SimulatedTime()),
-			fmt.Sprintf("%.1fx", float64(withDedup.SimulatedTime())/float64(dupFree.SimulatedTime())),
+			fmtDur(dupFree.TotalTime()),
+			fmtDur(withDedup.TotalTime()),
+			fmt.Sprintf("%.1fx", float64(withDedup.TotalTime())/float64(dupFree.TotalTime())),
 			fmtCount(withDedup.DedupInput - withDedup.Results),
 		})
 	}
 	return []*Table{t}
+}
+
+// table6Runs joins rs and ss under pol twice: duplicate-free, and with
+// the simplified assignment followed by the distinct() pass.
+func table6Runs(sc Scale, rs, ss []tuple.Tuple, pol agreements.Policy) (dupFree, withDedup *core.Result) {
+	cfg := core.Config{
+		Eps:     DefaultEps,
+		Policy:  pol,
+		Workers: sc.Workers, Partitions: sc.Partitions,
+		Seed: sc.Seed,
+	}
+	dupFree = mustCore(rs, ss, cfg)
+	cfg.Simple = true
+	return dupFree, mustCore(rs, ss, cfg)
 }
 
 func mustCore(rs, ss []tuple.Tuple, cfg core.Config) *core.Result {
@@ -79,7 +85,7 @@ func Table7(sc Scale) []*Table {
 			hash := sc.run(w.rs, w.ss, opt)
 			opt.UseLPT = true
 			lptRep := sc.run(w.rs, w.ss, opt)
-			gain := 1 - float64(lptRep.SimulatedTime)/float64(hash.SimulatedTime)
+			gain := 1 - float64(lptRep.TotalTime())/float64(hash.TotalTime())
 			// The wall-time gain is noise-prone at laptop scale; the
 			// deterministic load-balance gain (largest per-partition
 			// Σ|R_c|·|S_c|) shows LPT's effect directly.
@@ -87,8 +93,8 @@ func Table7(sc Scale) []*Table {
 			t.Rows = append(t.Rows, []string{
 				w.name,
 				algo.String(),
-				fmtDur(hash.SimulatedTime),
-				fmtDur(lptRep.SimulatedTime),
+				fmtDur(hash.TotalTime()),
+				fmtDur(lptRep.TotalTime()),
 				fmt.Sprintf("%+.1f%%", gain*100),
 				fmtCount(hash.MaxPartitionCost),
 				fmtCount(lptRep.MaxPartitionCost),

@@ -5,9 +5,11 @@
 // the paper's artefact ids ("fig10", "table6", ...) to those functions.
 //
 // Absolute numbers differ from the paper's 15-VM Spark cluster — the
-// substrate here is the in-process engine — but the comparisons the paper
-// draws (who replicates less, who shuffles less, who finishes first, how
-// gaps evolve across sweeps) are reproduced and recorded in EXPERIMENTS.md.
+// substrate here is the in-process engine, and every time column is the
+// measured wall clock of that engine on the host's cores — but the
+// comparisons the paper draws (who replicates less, who shuffles less,
+// how gaps evolve across sweeps) are reproduced and recorded in
+// EXPERIMENTS.md.
 package experiments
 
 import (
@@ -26,18 +28,13 @@ import (
 // smoke test or as the full laptop-scale reproduction.
 type Scale struct {
 	N          int   // base cardinality per data set
-	Workers    int   // default simulated cluster size
+	Workers    int   // default worker count
 	Partitions int   // reduce partitions (0: the library default)
 	Seed       int64 // sampling seed
 	// Reps is the number of repetitions per configuration; time metrics
-	// report the run with the median simulated time (the paper averages
+	// report the run with the median wall-clock time (the paper averages
 	// 10 executions). 0 means 3.
 	Reps int
-	// NetBandwidth is the simulated interconnect bandwidth in bytes per
-	// second per worker link; 0 means 125 MB/s (~1 Gbps, the class of
-	// links the paper's VMs shared). Use a negative value to disable
-	// network simulation.
-	NetBandwidth float64
 }
 
 // reps resolves the repetition default.
@@ -46,18 +43,6 @@ func (sc Scale) reps() int {
 		return 3
 	}
 	return sc.Reps
-}
-
-// netBandwidth resolves the bandwidth default.
-func (sc Scale) netBandwidth() float64 {
-	switch {
-	case sc.NetBandwidth < 0:
-		return 0
-	case sc.NetBandwidth == 0:
-		return 125e6
-	default:
-		return sc.NetBandwidth
-	}
 }
 
 // DefaultScale is the full laptop-scale configuration: 200k points per
@@ -193,7 +178,7 @@ func ChartAlgorithms() []spatialjoin.Algorithm {
 }
 
 // run executes one configured join sc.reps() times and returns the run
-// with the median simulated time, failing loudly: experiment
+// with the median wall-clock time, failing loudly: experiment
 // configurations are all valid by construction. Counts and bytes are
 // deterministic across repetitions; only timings vary.
 func (sc Scale) run(rs, ss []tuple.Tuple, opt spatialjoin.Options) *spatialjoin.Report {
@@ -205,19 +190,18 @@ func (sc Scale) run(rs, ss []tuple.Tuple, opt spatialjoin.Options) *spatialjoin.
 		}
 		reps[i] = rep
 	}
-	slices.SortFunc(reps, func(a, b *spatialjoin.Report) int { return cmp.Compare(a.SimulatedTime, b.SimulatedTime) })
+	slices.SortFunc(reps, func(a, b *spatialjoin.Report) int { return cmp.Compare(a.TotalTime(), b.TotalTime()) })
 	return reps[len(reps)/2]
 }
 
 // baseOptions applies the scale to an Options value.
 func (sc Scale) baseOptions(eps float64, algo spatialjoin.Algorithm) spatialjoin.Options {
 	return spatialjoin.Options{
-		Eps:          eps,
-		Algorithm:    algo,
-		Workers:      sc.Workers,
-		Partitions:   sc.Partitions,
-		Seed:         sc.Seed,
-		NetBandwidth: sc.netBandwidth(),
+		Eps:        eps,
+		Algorithm:  algo,
+		Workers:    sc.Workers,
+		Partitions: sc.Partitions,
+		Seed:       sc.Seed,
 	}
 }
 

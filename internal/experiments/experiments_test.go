@@ -1,9 +1,12 @@
 package experiments
 
 import (
-	"strconv"
+	"math"
 	"strings"
 	"testing"
+
+	"spatialjoin"
+	"spatialjoin/internal/agreements"
 )
 
 // tinyScale keeps the full-suite test fast.
@@ -101,18 +104,163 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 }
 
-// The central claim at experiment scale: Fig 1b's best-UNI/LPiB ratio must
-// exceed 1 for every combination (adaptive replicates less).
-func TestFig1bAdaptiveWins(t *testing.T) {
-	tables := Fig1b(tinyScale())
-	for _, row := range tables[0].Rows {
-		ratio := row[len(row)-1]
-		v, err := strconv.ParseFloat(strings.TrimSuffix(ratio, "x"), 64)
-		if err != nil {
-			t.Fatalf("bad ratio %q", ratio)
+// paperScale is the reduced, seeded scale of TestPaperShapes: 20,000
+// points per set, 4 workers, one repetition. Every quantity it checks is
+// a count, so the thresholds below repeat exactly on any host.
+func paperScale() Scale { return Scale{N: 20_000, Workers: 4, Reps: 1} }
+
+// TestPaperShapes gates the paper's count claims at paperScale. Each
+// threshold was set from a measurement at that scale (quoted next to
+// it) with a margin; EXPERIMENTS.md ("Gated shapes") records the claims
+// that do not hold at this scale and are therefore not gated.
+func TestPaperShapes(t *testing.T) {
+	sc := paperScale()
+	claims := []struct {
+		name  string
+		check func(t *testing.T, sc Scale)
+	}{
+		{"fig1b/best-uni-over-lpib", checkFig1b},
+		{"fig10/eps-grid-most-adaptive-least", checkFig10},
+		{"fig11/remote-read-order", checkFig11},
+		{"fig15/candidates-rise-with-resolution", checkFig15},
+		{"table6/dedup-removes-duplicates", checkTable6},
+		{"table7/lpt-lowers-max-partition-cost", checkTable7},
+	}
+	for _, c := range claims {
+		t.Run(c.name, func(t *testing.T) { c.check(t, sc) })
+	}
+}
+
+// Fig 1b: universal replication (the better of UNI(R) and UNI(S))
+// replicates several times more objects than LPiB on every combination.
+// Measured at paperScale: S1xS2 7.6x, R1xS1 18.3x, R2xR1 4.0x.
+func checkFig1b(t *testing.T, sc Scale) {
+	want := map[string]float64{"S1xS2": 6, "R1xS1": 14, "R2xR1": 3.2}
+	for _, combo := range Combos() {
+		rs, ss := combo.R(sc.N), combo.S(sc.N)
+		lpib := sc.run(rs, ss, sc.baseOptions(DefaultEps, spatialjoin.AdaptiveLPiB)).Replicated()
+		uniR := sc.run(rs, ss, sc.baseOptions(DefaultEps, spatialjoin.PBSMUniR)).Replicated()
+		uniS := sc.run(rs, ss, sc.baseOptions(DefaultEps, spatialjoin.PBSMUniS)).Replicated()
+		factor := float64(min(uniR, uniS)) / float64(lpib)
+		t.Logf("%s: LPiB %d, UNI(R) %d, UNI(S) %d, best-UNI/LPiB %.2fx", combo.Name, lpib, uniR, uniS, factor)
+		if factor < want[combo.Name] {
+			t.Errorf("%s: best-UNI/LPiB = %.2fx, want >= %gx", combo.Name, factor, want[combo.Name])
 		}
-		if v <= 1 {
-			t.Errorf("combo %s: best-UNI/LPiB = %v, expected > 1", row[0], v)
+	}
+}
+
+// Fig 10: at every ε of the sweep, ε-grid replicates the most and LPiB
+// and DIFF the least of the six chart algorithms. Measured at
+// paperScale: ε-grid is >= 2.5x the next algorithm, and the runner-up
+// to LPiB/DIFF (Sedona at S1xS2 ε=0.375) is 1.36x above the larger of
+// the two.
+func checkFig10(t *testing.T, sc Scale) {
+	eachEps(t, sc, func(t *testing.T, combo string, eps float64, m map[spatialjoin.Algorithm]int64) {
+		adaptive := max(m[spatialjoin.AdaptiveLPiB], m[spatialjoin.AdaptiveDIFF])
+		var rest int64 = math.MaxInt64 // least among the non-adaptive four
+		var nextGrid int64             // most among all but ε-grid
+		for algo, v := range m {
+			if algo != spatialjoin.AdaptiveLPiB && algo != spatialjoin.AdaptiveDIFF {
+				rest = min(rest, v)
+			}
+			if algo != spatialjoin.PBSMEpsGrid {
+				nextGrid = max(nextGrid, v)
+			}
+		}
+		if f := float64(m[spatialjoin.PBSMEpsGrid]) / float64(nextGrid); f < 2 {
+			t.Errorf("%s ε=%g: ε-grid replicates %.2fx the next algorithm, want >= 2x (%v)", combo, eps, f, m)
+		}
+		if f := float64(rest) / float64(adaptive); f < 1.2 {
+			t.Errorf("%s ε=%g: least non-adaptive replication is %.2fx LPiB/DIFF's, want >= 1.2x (%v)", combo, eps, f, m)
+		}
+	}, func(r *spatialjoin.Report) int64 { return r.Replicated() })
+}
+
+// Fig 11: shuffle remote reads order LPiB/DIFF < UNI(R)/UNI(S) < ε-grid
+// at every ε. Measured at paperScale: UNI reads >= 1.84x LPiB/DIFF's,
+// ε-grid >= 1.88x UNI's.
+func checkFig11(t *testing.T, sc Scale) {
+	eachEps(t, sc, func(t *testing.T, combo string, eps float64, m map[spatialjoin.Algorithm]int64) {
+		adaptive := max(m[spatialjoin.AdaptiveLPiB], m[spatialjoin.AdaptiveDIFF])
+		uniLo := min(m[spatialjoin.PBSMUniR], m[spatialjoin.PBSMUniS])
+		uniHi := max(m[spatialjoin.PBSMUniR], m[spatialjoin.PBSMUniS])
+		if f := float64(uniLo) / float64(adaptive); f < 1.5 {
+			t.Errorf("%s ε=%g: UNI remote reads are %.2fx LPiB/DIFF's, want >= 1.5x (%v)", combo, eps, f, m)
+		}
+		if f := float64(m[spatialjoin.PBSMEpsGrid]) / float64(uniHi); f < 1.5 {
+			t.Errorf("%s ε=%g: ε-grid remote reads are %.2fx UNI's, want >= 1.5x (%v)", combo, eps, f, m)
+		}
+	}, func(r *spatialjoin.Report) int64 { return r.ShuffleRemoteBytes })
+}
+
+// eachEps hands check one metric of every chart algorithm at each ε of
+// Fig 10/11's sweep, for both sweep combinations.
+func eachEps(t *testing.T, sc Scale, check func(t *testing.T, combo string, eps float64, m map[spatialjoin.Algorithm]int64), metric func(*spatialjoin.Report) int64) {
+	for _, combo := range sweepCombos() {
+		byEps := map[float64]map[spatialjoin.Algorithm]int64{}
+		for _, c := range epsSweep(sc, combo) {
+			if byEps[c.eps] == nil {
+				byEps[c.eps] = map[spatialjoin.Algorithm]int64{}
+			}
+			byEps[c.eps][c.algo] = metric(c.rep)
+		}
+		for _, eps := range EpsSweep {
+			check(t, combo.Name, eps, byEps[eps])
+		}
+	}
+}
+
+// Fig 15: candidate pairs Σ|R_c|·|S_c| rise strictly from a 2ε to a 5ε
+// grid for LPiB and DIFF on S1xS2. Measured at paperScale: the smallest
+// step is DIFF 3ε → 4ε at 1.075x.
+func checkFig15(t *testing.T, sc Scale) {
+	rs, ss := Combos()[0].R(sc.N), Combos()[0].S(sc.N)
+	for _, algo := range []spatialjoin.Algorithm{spatialjoin.AdaptiveLPiB, spatialjoin.AdaptiveDIFF} {
+		var prev int64
+		for _, res := range ResSweep {
+			opt := sc.baseOptions(DefaultEps, algo)
+			opt.GridRes = res
+			cand := sc.run(rs, ss, opt).CandidatePairs
+			t.Logf("%s %gε: %d candidate pairs", algo, res, cand)
+			if prev > 0 && float64(cand) < 1.03*float64(prev) {
+				t.Errorf("%s %gε: %d candidate pairs, want >= 1.03x the previous %d", algo, res, cand, prev)
+			}
+			prev = cand
+		}
+	}
+}
+
+// Table 6: the non-duplicate-free variant feeds duplicates into its
+// distinct() pass and, after it, reports LPiB's exact answer. Measured
+// at paperScale: 293 duplicates on 28,481 results (1.03%).
+func checkTable6(t *testing.T, sc Scale) {
+	rs, ss := Combos()[0].R(sc.N), Combos()[0].S(sc.N)
+	dupFree, withDedup := table6Runs(sc, rs, ss, agreements.LPiB)
+	dups := withDedup.DedupInput - withDedup.Results
+	t.Logf("LPiB: %d results, dedup input %d (%d duplicates)", dupFree.Results, withDedup.DedupInput, dups)
+	if float64(dups) < 0.005*float64(withDedup.Results) {
+		t.Errorf("dedup variant removed %d duplicates of %d results, want >= 0.5%%", dups, withDedup.Results)
+	}
+	if withDedup.Results != dupFree.Results || withDedup.Checksum != dupFree.Checksum {
+		t.Errorf("dedup variant answers %d/%x, duplicate-free LPiB %d/%x",
+			withDedup.Results, withDedup.Checksum, dupFree.Results, dupFree.Checksum)
+	}
+}
+
+// Table 7: LPT placement lowers the largest per-partition Σ|R_c|·|S_c|
+// against hash placement on R2xR1. Measured at paperScale: 3.8% for
+// both LPiB and DIFF (3,883 → 3,735).
+func checkTable7(t *testing.T, sc Scale) {
+	rs, ss := Combos()[2].R(sc.N), Combos()[2].S(sc.N)
+	for _, algo := range []spatialjoin.Algorithm{spatialjoin.AdaptiveLPiB, spatialjoin.AdaptiveDIFF} {
+		opt := sc.baseOptions(DefaultEps, algo)
+		hash := sc.run(rs, ss, opt).MaxPartitionCost
+		opt.UseLPT = true
+		lpt := sc.run(rs, ss, opt).MaxPartitionCost
+		gain := 1 - float64(lpt)/float64(hash)
+		t.Logf("%s: max partition cost hash %d, LPT %d (%+.1f%%)", algo, hash, lpt, 100*gain)
+		if gain < 0.02 {
+			t.Errorf("%s: LPT lowers the max partition cost by %.1f%%, want >= 2%%", algo, 100*gain)
 		}
 	}
 }

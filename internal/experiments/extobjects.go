@@ -41,7 +41,7 @@ func XObjects(sc Scale) []*Table {
 
 		cfg := extjoin.Config{
 			Eps: DefaultEps, Workers: sc.Workers, Partitions: sc.Partitions,
-			Seed: sc.Seed, NetBandwidth: sc.netBandwidth(),
+			Seed: sc.Seed,
 		}
 		cfgA := cfg
 		cfgA.Policy = agreements.LPiB
@@ -60,8 +60,8 @@ func XObjects(sc Scale) []*Table {
 			fmtCount(adaptive.Replicated()),
 			fmtCount(uni.Replicated()),
 			fmtRatio(uni.Replicated(), adaptive.Replicated()),
-			fmtDur(adaptive.SimulatedTime()),
-			fmtDur(uni.SimulatedTime()),
+			fmtDur(adaptive.TotalTime()),
+			fmtDur(uni.TotalTime()),
 		})
 	}
 	return []*Table{t}

@@ -57,7 +57,7 @@ func Fig13(sc Scale) []*Table {
 			rows[algo].repl = append(rows[algo].repl, fmtCount(rep.Replicated()))
 			rows[algo].shuf = append(rows[algo].shuf, fmtBytes(rep.ShuffleRemoteBytes))
 			rows[algo].times = append(rows[algo].times,
-				fmtDur(rep.SimulatedConstructionTime()), fmtDur(rep.SimulatedJoinTime()))
+				fmtDur(rep.ConstructionTime()), fmtDur(rep.JoinTime))
 		}
 	}
 	for _, algo := range ChartAlgorithms() {
@@ -91,7 +91,7 @@ func Fig14(sc Scale) []*Table {
 				opt.Partitions = 96 // the paper's fixed partition count
 			}
 			rep := sc.run(rs, ss, opt)
-			timeRow = append(timeRow, fmtDur(rep.SimulatedTime))
+			timeRow = append(timeRow, fmtDur(rep.TotalTime()))
 			shufRow = append(shufRow, fmtBytes(rep.ShuffleRemoteBytes))
 		}
 		timeT.Rows = append(timeT.Rows, timeRow)
@@ -117,7 +117,7 @@ func Fig15(sc Scale) []*Table {
 			opt := sc.baseOptions(DefaultEps, algo)
 			opt.GridRes = res
 			rep := sc.run(rs, ss, opt)
-			timeRow = append(timeRow, fmtDur(rep.SimulatedTime))
+			timeRow = append(timeRow, fmtDur(rep.TotalTime()))
 			workRow = append(workRow, fmtCount(rep.CandidatePairs))
 		}
 		t.Rows = append(t.Rows, timeRow, workRow)

@@ -92,7 +92,7 @@ func Fig12(sc Scale) []*Table {
 	for i, combo := range sweepCombos() {
 		out = append(out, epsSweepTable(sc, combo, fmt.Sprintf("fig12%c", 'a'+i),
 			"execution time vs eps",
-			func(r *spatialjoin.Report) string { return fmtDur(r.SimulatedTime) }))
+			func(r *spatialjoin.Report) string { return fmtDur(r.TotalTime()) }))
 	}
 	return out
 }

@@ -32,7 +32,7 @@ func tupleSizeSweep(sc Scale, combo Combo, figID string) []*Table {
 		for _, algo := range ChartAlgorithms() {
 			rep := sc.run(rs, ss, sc.baseOptions(DefaultEps, algo))
 			rows[algo].shuf = append(rows[algo].shuf, fmtBytes(rep.ShuffleRemoteBytes))
-			rows[algo].times = append(rows[algo].times, fmtDur(rep.SimulatedTime))
+			rows[algo].times = append(rows[algo].times, fmtDur(rep.TotalTime()))
 		}
 	}
 	for _, algo := range ChartAlgorithms() {
@@ -70,14 +70,14 @@ func Table5(sc Scale) []*Table {
 
 	for _, algo := range []spatialjoin.Algorithm{spatialjoin.AdaptiveLPiB, spatialjoin.AdaptiveDIFF} {
 		// Variant 1: attributes travel with the tuples through the join.
-		onJoin := sc.run(rsFat, ssFat, sc.baseOptions(DefaultEps, algo)).SimulatedTime
+		onJoin := sc.run(rsFat, ssFat, sc.baseOptions(DefaultEps, algo)).TotalTime()
 
 		// Variant 2: join slim tuples, then two id-joins fetch the
 		// attributes of both sides into the result set.
 		opt := sc.baseOptions(DefaultEps, algo)
 		opt.Collect = true
 		slim := sc.run(rsSlim, ssSlim, opt)
-		postTime := slim.SimulatedTime + enrichPairs(slim.Pairs, rsFat, ssFat, maxInt(sc.Workers, 1))
+		postTime := slim.TotalTime() + enrichPairs(slim.Pairs, rsFat, ssFat, maxInt(sc.Workers, 1))
 
 		t.Rows = append(t.Rows, []string{
 			algo.String(),

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"cmp"
+	"slices"
+
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/rtree"
@@ -49,14 +52,13 @@ func XKernel(sc Scale) []*Table {
 			res := mustCoreRepeated(sc, rs, ss, core.Config{
 				Eps: DefaultEps, Kernel: k.k,
 				Workers: sc.Workers, Partitions: sc.Partitions, Seed: sc.Seed,
-				NetBandwidth: sc.netBandwidth(),
 			})
 			if baseline == nil {
 				baseline = res
 			} else if res.Results != baseline.Results || res.Checksum != baseline.Checksum {
 				panic("xkernel: kernels disagree on " + combo.Name)
 			}
-			row = append(row, fmtDur(res.SimulatedTime()))
+			row = append(row, fmtDur(res.TotalTime()))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -64,17 +66,12 @@ func XKernel(sc Scale) []*Table {
 }
 
 // mustCoreRepeated runs core.Join sc.reps() times, returning the run with
-// the median simulated time.
+// the median wall-clock time.
 func mustCoreRepeated(sc Scale, rs, ss []tuple.Tuple, cfg core.Config) *core.Result {
-	best := make([]*core.Result, 0, sc.reps())
-	for i := 0; i < sc.reps(); i++ {
-		best = append(best, mustCore(rs, ss, cfg))
+	reps := make([]*core.Result, sc.reps())
+	for i := range reps {
+		reps[i] = mustCore(rs, ss, cfg)
 	}
-	med := best[0]
-	for _, r := range best {
-		if r.SimulatedTime() < med.SimulatedTime() {
-			med = r
-		}
-	}
-	return med
+	slices.SortFunc(reps, func(a, b *core.Result) int { return cmp.Compare(a.TotalTime(), b.TotalTime()) })
+	return reps[len(reps)/2]
 }

@@ -38,12 +38,12 @@ func XRefPoint(sc Scale) []*Table {
 		} else if rep.Results != base.Results || rep.Checksum != base.Checksum {
 			panic("xrefpoint: strategies disagree")
 		}
-		slowdown := float64(rep.SimulatedTime) / float64(base.SimulatedTime)
+		slowdown := float64(rep.TotalTime()) / float64(base.TotalTime())
 		t.Rows = append(t.Rows, []string{
 			algo.String(),
 			fmtCount(rep.Replicated()),
 			fmtBytes(rep.ShuffleRemoteBytes),
-			fmtDur(rep.SimulatedTime),
+			fmtDur(rep.TotalTime()),
 			fmtRatioF(slowdown),
 		})
 	}

@@ -39,7 +39,7 @@ func XResolution(sc Scale) []*Table {
 			fmt.Sprintf("%geps%s", res, marker),
 			fmt.Sprintf("%.3g", choice.Costs[res]),
 			fmtCount(rep.CandidatePairs),
-			fmtDur(rep.SimulatedTime),
+			fmtDur(rep.TotalTime()),
 		})
 	}
 	return []*Table{t}

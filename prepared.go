@@ -60,7 +60,6 @@ func (o Options) config() core.Config {
 		Partitions:     o.Partitions,
 		Collect:        o.Collect,
 		Bounds:         o.Bounds,
-		NetBandwidth:   o.NetBandwidth,
 		PoolSize:       o.PoolSize,
 		Engine:         o.Engine,
 		Tracer:         o.Trace,

@@ -197,10 +197,6 @@ type Options struct {
 	Collect bool
 	// Bounds fixes the data-space MBR; computed from the inputs when nil.
 	Bounds *Rect
-	// NetBandwidth simulates the cluster interconnect: remote shuffle
-	// reads are charged at this many bytes per second per worker link in
-	// SimulatedTime. Zero disables network simulation.
-	NetBandwidth float64
 	// PresampledR and PresampledS optionally supply pre-drawn Bernoulli
 	// samples of the inputs — as produced by Sample with (SampleFraction,
 	// Seed) and (SampleFraction, Seed+1) respectively — letting a serving
@@ -279,42 +275,21 @@ type Report struct {
 	// BroadcastBytes is the wire size of driver-built structures (grid +
 	// graph of agreements) shipped to every worker before the join.
 	BroadcastBytes int64
-	// Phase timings. Construction covers sampling, structure building,
-	// mapping and shuffling; Join covers the partition-level joins.
+	// Measured wall-clock phase timings. Construction covers sampling,
+	// structure building, mapping and shuffling; Join covers the
+	// partition-level joins.
 	SampleTime, BuildTime, MapTime, ShuffleTime time.Duration
-	NetTime                                     time.Duration
 	JoinTime, DedupTime                         time.Duration
 	// MaxPartitionCost is the largest per-partition Σ|R_c|·|S_c|, a load
 	// balance indicator; CandidatePairs is the total Σ|R_c|·|S_c| across
 	// cells, the deterministic join-work metric.
 	MaxPartitionCost int64
 	CandidatePairs   int64
-	// MapBusyMax and JoinBusyMax are the busiest worker's CPU time in the
-	// map and join phases — the parallel-phase makespans of the simulated
-	// cluster.
-	MapBusyMax, JoinBusyMax time.Duration
-	// SimulatedTime is the critical-path time of the simulated cluster:
-	// sequential driver phases plus the busiest worker of each parallel
-	// phase. Unlike TotalTime (wall clock), it reflects multi-node
-	// scaling even when the host has fewer cores than simulated workers.
-	SimulatedTime time.Duration
 	// Cluster holds the measured wire counters when the join ran on a
 	// distributed Engine (zero otherwise): real shuffle bytes split into
 	// worker-local and remote reads, broadcast and result bytes, task
 	// retries and speculative executions.
 	Cluster ClusterMetrics
-}
-
-// SimulatedConstructionTime returns the pre-join part of SimulatedTime:
-// sampling, structure building, the busiest map worker, and shuffling.
-func (r *Report) SimulatedConstructionTime() time.Duration {
-	return r.SampleTime + r.BuildTime + r.MapBusyMax + r.ShuffleTime + r.NetTime
-}
-
-// SimulatedJoinTime returns the join part of SimulatedTime: the busiest
-// join worker plus the distinct() pass when one ran.
-func (r *Report) SimulatedJoinTime() time.Duration {
-	return r.JoinBusyMax + r.DedupTime
 }
 
 // Replicated returns the total replicated objects across both inputs.
@@ -466,25 +441,10 @@ func report(a Algorithm, m dpe.Metrics, pairs []Pair) *Report {
 		ShuffleTime:        m.ShuffleTime,
 		JoinTime:           m.JoinTime,
 		DedupTime:          m.DedupTime,
-		NetTime:            m.NetTime,
 		MaxPartitionCost:   m.MaxPartitionCost,
 		CandidatePairs:     m.TotalPartitionCost,
-		MapBusyMax:         maxDuration(m.MapBusy),
-		JoinBusyMax:        maxDuration(m.WorkerBusy),
-		SimulatedTime:      m.SimulatedTime(),
 		Cluster:            m.Cluster,
 	}
-}
-
-// maxDuration returns the largest element of ds (0 when empty).
-func maxDuration(ds []time.Duration) time.Duration {
-	var max time.Duration
-	for _, d := range ds {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Sample draws the Bernoulli sample the adaptive algorithms use for
