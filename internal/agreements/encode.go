@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/tuple"
@@ -90,42 +91,42 @@ func (gr *Graph) Encode(w io.Writer) error {
 
 // Decode reconstructs a graph from the wire format. The returned graph
 // assigns points identically to the encoded one; weights and locks are
-// not part of the format (they are build-time-only state).
-func Decode(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, headerBytes)
-	if _, err := io.ReadFull(br, head); err != nil {
+// not part of the format (they are build-time-only state). Decode fails
+// closed: a truncated or over-long input, a non-positive or non-finite ε
+// or resolution, non-finite bounds, a grid past grid.MaxCells or a
+// quartet count that does not match the grid is an error, never a graph.
+func Decode(b []byte) (*Graph, error) {
+	r := codec.NewReader(b)
+	magic := r.Bytes(4)
+	version := r.U8()
+	policy := Policy(r.U8())
+	bounds := geom.Rect{MinX: r.F64(), MinY: r.F64(), MaxX: r.F64(), MaxY: r.F64()}
+	eps, res := r.F64(), r.F64()
+	count := r.Count(bytesPerQuartet)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("agreements: decode: %w", err)
 	}
-	if string(head[:4]) != encodeMagic {
-		return nil, fmt.Errorf("agreements: decode: bad magic %q", head[:4])
+	if string(magic) != encodeMagic {
+		return nil, fmt.Errorf("agreements: decode: bad magic %q", magic)
 	}
-	if head[4] != encodeVersion {
-		return nil, fmt.Errorf("agreements: decode: unsupported version %d", head[4])
+	if version != encodeVersion {
+		return nil, fmt.Errorf("agreements: decode: unsupported version %d", version)
 	}
-	policy := Policy(head[5])
-	fs := make([]float64, 6)
-	for i := range fs {
-		fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(head[6+8*i:]))
+	if bounds.IsEmpty() || !(eps > 0) || !(res > 0) || math.IsInf(eps*res, 0) {
+		return nil, fmt.Errorf("agreements: decode: invalid grid parameters (eps %v, res %v, bounds %+v)", eps, res, bounds)
 	}
-	count := binary.LittleEndian.Uint32(head[6+48:])
-
-	bounds := geom.Rect{MinX: fs[0], MinY: fs[1], MaxX: fs[2], MaxY: fs[3]}
-	if bounds.IsEmpty() || fs[4] <= 0 || fs[5] <= 0 {
-		return nil, fmt.Errorf("agreements: decode: invalid grid parameters")
+	if err := grid.Check(bounds, eps, res); err != nil {
+		return nil, fmt.Errorf("agreements: decode: %w", err)
 	}
-	g := grid.New(bounds, fs[4], fs[5])
-	if int(count) != g.NumQuartets() {
+	g := grid.New(bounds, eps, res)
+	if count != g.NumQuartets() {
 		return nil, fmt.Errorf("agreements: decode: %d quartets, grid needs %d", count, g.NumQuartets())
 	}
 
 	gr := &Graph{Grid: g, Policy: policy, Subs: make([]Subgraph, count), flags: make([]byte, count)}
-	body := make([]byte, bytesPerQuartet)
 	for gy := 0; gy <= g.NY; gy++ {
 		for gx := 0; gx <= g.NX; gx++ {
-			if _, err := io.ReadFull(br, body); err != nil {
-				return nil, fmt.Errorf("agreements: decode: %w", err)
-			}
+			body := r.Bytes(bytesPerQuartet) // Count checked the bytes are there
 			s := gr.Sub(gx, gy)
 			s.Ref = g.RefPoint(gx, gy)
 			s.Cells = g.QuartetCells(gx, gy)
@@ -153,6 +154,9 @@ func Decode(r io.Reader) (*Graph, error) {
 			s.uniform = types == 0 || types == 0b111111
 			gr.refreshFlag(gx, gy)
 		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("agreements: decode: %w", err)
 	}
 	return gr, nil
 }

@@ -2,9 +2,13 @@ package agreements
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/tuple"
@@ -32,7 +36,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if buf.Len() != gr.EncodedSize() {
 		t.Fatalf("encoded %d bytes, EncodedSize promised %d", buf.Len(), gr.EncodedSize())
 	}
-	back, err := Decode(&buf)
+	back, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +83,51 @@ func TestDecodeErrors(t *testing.T) {
 		"truncated":   full[:len(full)-5],
 	}
 	for name, data := range cases {
-		if _, err := Decode(bytes.NewReader(data)); err == nil {
+		if _, err := Decode(data); err == nil {
 			t.Errorf("%s: expected decode error", name)
+		}
+	}
+}
+
+// header encodes a graph header with the given grid parameters followed
+// by count zeroed quartets.
+func header(bounds geom.Rect, eps, res float64, count uint32) []byte {
+	b := append([]byte(encodeMagic), encodeVersion, byte(LPiB))
+	for _, f := range []float64{bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, eps, res} {
+		b = codec.AppendF64(b, f)
+	}
+	b = binary.LittleEndian.AppendUint32(b, count)
+	return append(b, make([]byte, bytesPerQuartet*int(count))...)
+}
+
+// Decode fails closed on grid parameters no encoder writes: each case
+// below would otherwise build a graph over a NaN, infinite, degenerate
+// or oversized grid.
+func TestDecodeRejectsHostileGrid(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	box := geom.Rect{MaxX: 10, MaxY: 10}
+	cases := []struct {
+		name string
+		data []byte
+		want string // substring of the error
+	}{
+		{"nan eps", header(box, nan, 2, 4), "invalid grid parameters"},
+		{"inf eps", header(box, inf, 2, 4), "invalid grid parameters"},
+		{"nan bounds", header(geom.Rect{MinX: nan, MaxX: 10, MaxY: 10}, 1, 2, 4), "exceeds the limit"},
+		{"inf bounds", header(geom.Rect{MaxX: inf, MaxY: 10}, 1, 2, 4), "exceeds the limit"},
+		{"zero res", header(box, 1, 0, 4), "invalid grid parameters"},
+		{"negative res", header(box, 1, -2, 4), "invalid grid parameters"},
+		{"past MaxCells", header(geom.Rect{MaxX: 1e6, MaxY: 1e6}, 0.01, 2, 4), "exceeds the limit"},
+		{"lying count", header(box, 1, 2, 4)[:headerBytes+5], "truncated"},
+		{"trailing bytes", append(header(box, 1, 2, 36), 0), "trailing"},
+	}
+	if _, err := Decode(header(box, 1, 2, 36)); err != nil {
+		t.Fatalf("well-formed 5×5-cell header: %v", err)
+	}
+	for _, c := range cases {
+		gr, err := Decode(c.data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Decode = (%v, %v), want an error containing %q", c.name, gr != nil, err, c.want)
 		}
 	}
 }

@@ -127,12 +127,19 @@ func (o *Object) Validate() error {
 	default:
 		return fmt.Errorf("extgeom: unknown kind %d", o.Kind)
 	}
-	// A NaN or infinite vertex poisons the MBR, so the object's tile
-	// assignment would silently drop other objects' pairs.
 	for i, v := range o.Verts {
-		if math.IsNaN(v.X) || math.IsNaN(v.Y) || math.IsInf(v.X, 0) || math.IsInf(v.Y, 0) {
-			return fmt.Errorf("extgeom: vertex %d is not finite: (%v, %v)", i, v.X, v.Y)
+		if err := checkFinite(i, v); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// checkFinite rejects a NaN or infinite vertex: it poisons the MBR, so
+// the object's tile assignment would silently drop other objects' pairs.
+func checkFinite(i int, v geom.Point) error {
+	if math.IsNaN(v.X) || math.IsNaN(v.Y) || math.IsInf(v.X, 0) || math.IsInf(v.Y, 0) {
+		return fmt.Errorf("extgeom: vertex %d is not finite: (%v, %v)", i, v.X, v.Y)
 	}
 	return nil
 }

@@ -76,7 +76,8 @@ func DecodeObjectInto(arena []geom.Point, id int64, b []byte) (Object, geom.Rect
 }
 
 // DecodeObjectBounds computes the MBR of an encoded geometry without
-// building the vertex slice.
+// building the vertex slice. A NaN or infinite vertex is an error, as in
+// DecodeObjectInto.
 func DecodeObjectBounds(b []byte) (geom.Rect, error) {
 	_, n, err := decodeHeader(b)
 	if err != nil {
@@ -84,10 +85,14 @@ func DecodeObjectBounds(b []byte) (geom.Rect, error) {
 	}
 	r := geom.EmptyRect()
 	for i := 0; i < n; i++ {
-		r = r.ExtendPoint(geom.Point{
+		p := geom.Point{
 			X: math.Float64frombits(binary.LittleEndian.Uint64(b[wireHeader+16*i:])),
 			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[wireHeader+16*i+8:])),
-		})
+		}
+		if err := checkFinite(i, p); err != nil {
+			return geom.Rect{}, err
+		}
+		r = r.ExtendPoint(p)
 	}
 	return r, nil
 }

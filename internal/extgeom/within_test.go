@@ -288,7 +288,8 @@ func TestEvalAllocs(t *testing.T) {
 
 // TestDecodeObjectIntoRejectsNonFinite pins that decoding fails closed
 // on a NaN or ±Inf coordinate in either axis of any vertex, for every
-// kind, and leaves the arena as it was passed in.
+// kind: DecodeObjectInto leaves the arena as it was passed in, and
+// DecodeObjectBounds returns no MBR.
 func TestDecodeObjectIntoRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, o := range []Object{
@@ -312,6 +313,9 @@ func TestDecodeObjectIntoRejectsNonFinite(t *testing.T) {
 					}
 					if len(grown) != len(arena) || grown[0] != arena[0] {
 						t.Fatalf("%v vertex %d axis %d = %v: rejected payload changed the arena to %v", o.Kind, v, axis, bad, grown)
+					}
+					if mbr, err := DecodeObjectBounds(enc); err == nil {
+						t.Fatalf("%v vertex %d axis %d = %v: DecodeObjectBounds = %v, want an error", o.Kind, v, axis, bad, mbr)
 					}
 				}
 			}

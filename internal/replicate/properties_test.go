@@ -118,7 +118,7 @@ func TestDecodedGraphAssignsIdentically(t *testing.T) {
 	if err := gr.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := agreements.Decode(&buf)
+	back, err := agreements.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
