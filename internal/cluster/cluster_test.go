@@ -526,9 +526,9 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 // discard logger: enough to install plans.
 func discardWorker() *workerState {
 	return &workerState{
-		opt:       WorkerOptions{}.withDefaults(),
-		plans:     map[uint64]*workerPlan{},
-		cancelled: map[taskKey]bool{},
+		opt:   WorkerOptions{}.withDefaults(),
+		ctx:   context.Background(),
+		plans: map[uint64]*workerPlan{},
 	}
 }
 

@@ -70,6 +70,30 @@ type workerPlan struct {
 	// cost nothing.
 	tr     *obs.Tracer
 	parent obs.SpanID
+
+	// ctx ends with msgPlanDone (or the worker); each partition's tasks
+	// run under a child of it that msgCancel ends, so a finished or lost
+	// attempt stops within one slab group. parts is guarded by
+	// workerState.mu.
+	ctx    context.Context
+	cancel context.CancelFunc
+	parts  map[uint32]taskCtx
+}
+
+type taskCtx struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// part returns the context of the plan's tasks for partition part,
+// creating it on first use. Call with workerState.mu held.
+func (p *workerPlan) part(part uint32) taskCtx {
+	c, ok := p.parts[part]
+	if !ok {
+		c.ctx, c.cancel = context.WithCancel(p.ctx)
+		p.parts[part] = c
+	}
+	return c
 }
 
 // workerTask is one queued task attempt: the decoded slabs of a reduce
@@ -83,16 +107,11 @@ type workerTask struct {
 type workerState struct {
 	opt  WorkerOptions
 	conn net.Conn
-	wmu  sync.Mutex // serialises frame writes (results vs heartbeats)
+	wmu  sync.Mutex      // serialises frame writes (results vs heartbeats)
+	ctx  context.Context // parent of every plan's context
 
-	mu        sync.Mutex
-	plans     map[uint64]*workerPlan
-	cancelled map[taskKey]bool
-}
-
-type taskKey struct {
-	plan uint64
-	part uint32
+	mu    sync.Mutex
+	plans map[uint64]*workerPlan
 }
 
 func (w *workerState) send(frame []byte) error {
@@ -108,6 +127,8 @@ func (w *workerState) send(frame []byte) error {
 // read error). One process typically hosts exactly one RunWorker call.
 func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 	opt = opt.withDefaults()
+	ctx, stop := context.WithCancel(ctx)
+	defer stop() // running tasks end with the worker
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -119,10 +140,10 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 	}
 
 	w := &workerState{
-		opt:       opt,
-		conn:      conn,
-		plans:     map[uint64]*workerPlan{},
-		cancelled: map[taskKey]bool{},
+		opt:   opt,
+		conn:  conn,
+		ctx:   ctx,
+		plans: map[uint64]*workerPlan{},
 	}
 	if err := w.send(appendFrame(msgHello, helloMsg{name: opt.Name}.encode())); err != nil {
 		return fmt.Errorf("cluster: hello: %w", err)
@@ -211,22 +232,13 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 			if err != nil {
 				return err
 			}
-			w.mu.Lock()
-			w.cancelled[taskKey{m.plan, m.part}] = true
-			w.mu.Unlock()
+			w.cancelTask(m.plan, m.part)
 		case msgPlanDone:
 			id, err := decodePlanDone(payload)
 			if err != nil {
 				return err
 			}
-			w.mu.Lock()
-			delete(w.plans, id)
-			for k := range w.cancelled {
-				if k.plan == id {
-					delete(w.cancelled, k)
-				}
-			}
-			w.mu.Unlock()
+			w.planDone(id)
 		default:
 			return fmt.Errorf("cluster: unexpected frame type %d from coordinator", typ)
 		}
@@ -240,7 +252,7 @@ func (w *workerState) handlePlan(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	p := &workerPlan{eps: m.eps, selfFilter: m.selfFilter, collect: m.collect}
+	p := &workerPlan{eps: m.eps, selfFilter: m.selfFilter, collect: m.collect, parts: map[uint32]taskCtx{}}
 	switch m.kernel.Kind {
 	case dpe.KernelSweep:
 		// nil kernel: JoinSlabs runs the columnar zero-allocation sweep
@@ -258,12 +270,34 @@ func (w *workerState) handlePlan(payload []byte) error {
 	default:
 		return fmt.Errorf("cluster: plan %d carries unknown kernel kind %d", m.id, m.kernel.Kind)
 	}
+	p.ctx, p.cancel = context.WithCancel(w.ctx)
 	w.mu.Lock()
 	w.plans[m.id] = p
 	w.mu.Unlock()
 	w.opt.Log.Info("plan installed",
 		"worker", w.opt.Name, "plan", m.id, "eps", m.eps, "broadcast_bytes", len(m.broadcast))
 	return nil
+}
+
+// cancelTask ends every attempt of one partition of a plan, queued or
+// running: the coordinator took another attempt's result.
+func (w *workerState) cancelTask(plan uint64, part uint32) {
+	w.mu.Lock()
+	if p := w.plans[plan]; p != nil {
+		p.part(part).cancel()
+	}
+	w.mu.Unlock()
+}
+
+// planDone frees a plan and ends its tasks, queued or running: the
+// coordinator's join finished, failed or was cancelled.
+func (w *workerState) planDone(id uint64) {
+	w.mu.Lock()
+	if p := w.plans[id]; p != nil {
+		p.cancel()
+		delete(w.plans, id)
+	}
+	w.mu.Unlock()
 }
 
 // handleTrace attaches trace context to an installed plan. The worker
@@ -297,19 +331,20 @@ func (w *workerState) runTask(t workerTask) {
 
 	w.mu.Lock()
 	plan := w.plans[t.h.plan]
-	dropped := w.cancelled[taskKey{t.h.plan, t.h.part}]
+	var ctx context.Context
+	if plan != nil {
+		ctx = plan.part(t.h.part).ctx
+	}
 	w.mu.Unlock()
-	if plan == nil || dropped {
+	if plan == nil || ctx.Err() != nil {
 		return // plan finished, or a speculation race this attempt lost
 	}
 	if w.opt.TaskDelay > 0 {
-		time.Sleep(w.opt.TaskDelay)
-		// A cancel may have raced the injected stall (a lost speculation):
-		// skip the join rather than burn the executor.
-		w.mu.Lock()
-		dropped = w.cancelled[taskKey{t.h.plan, t.h.part}]
-		w.mu.Unlock()
-		if dropped {
+		// A cancel may race the injected stall (a lost speculation): skip
+		// the join rather than burn the executor.
+		select {
+		case <-time.After(w.opt.TaskDelay):
+		case <-ctx.Done():
 			return
 		}
 	}
@@ -319,10 +354,10 @@ func (w *workerState) runTask(t workerTask) {
 	sp.SetWorker(w.opt.Name).
 		SetInt("partition", int64(t.h.part)).
 		SetInt("attempt", int64(t.h.attempt))
-	// A task is abandoned through w.cancelled before it starts, not
-	// mid-join, so it runs under a context that never ends and the error
-	// is always nil.
-	out, _ := dpe.JoinSlabsTraced(context.Background(), t.rs, t.ss, plan.eps, plan.kernel, plan.collect, plan.selfFilter, sp)
+	out, err := dpe.JoinSlabsTraced(ctx, t.rs, t.ss, plan.eps, plan.kernel, plan.collect, plan.selfFilter, sp)
+	if err != nil {
+		return // cancelled mid-join: nobody waits for this result
+	}
 	if plan.tr != nil {
 		// Ship the finished spans before the result on the same ordered
 		// connection, so the coordinator stitches them while the run is
