@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -80,7 +81,8 @@ func main() {
 }
 
 func runOne(e experiments.Experiment, sc experiments.Scale, chart, logY bool) {
-	fmt.Printf("### %s — %s (N=%d, workers=%d)\n", e.ID, e.Description, sc.N, sc.Workers)
+	fmt.Printf("### %s — %s (N=%d, workers=%d, host cores=%d; times are measured wall clock)\n",
+		e.ID, e.Description, sc.N, sc.Workers, runtime.GOMAXPROCS(0))
 	start := time.Now()
 	for _, t := range e.Run(sc) {
 		fmt.Println(t)

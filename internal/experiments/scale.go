@@ -69,9 +69,11 @@ func Fig13(sc Scale) []*Table {
 }
 
 // Fig14 reproduces Figure 14: execution time and shuffle remote reads as
-// the number of nodes grows, S1⋈S2.
+// the number of nodes grows, S1⋈S2. The workers share the host's cores,
+// so fig14a cannot show node scaling past them; fig14b's remote reads,
+// a count, carry the figure's shape.
 func Fig14(sc Scale) []*Table {
-	timeT := &Table{ID: "fig14a", Title: "execution time vs nodes (S1xS2)"}
+	timeT := &Table{ID: "fig14a", Title: "execution time vs nodes (S1xS2; workers share the host's cores, so this cannot show node scaling: fig14b carries the shape)"}
 	shufT := &Table{ID: "fig14b", Title: "shuffle remote reads vs nodes (S1xS2)"}
 	for _, t := range []*Table{timeT, shufT} {
 		t.Columns = []string{"algorithm"}
