@@ -30,7 +30,7 @@ func TestWorkerStopsCancelledTask(t *testing.T) {
 			coord, conn := net.Pipe()
 			w := discardWorker()
 			w.conn = conn
-			sent := make(chan byte, 16)
+			sent := make(chan byte, 16) // room for every frame one task can send
 			go func() {
 				defer close(sent)
 				br := bufio.NewReader(coord)
