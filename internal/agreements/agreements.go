@@ -198,7 +198,7 @@ func (gr *Graph) refreshFlag(gx, gy int) {
 }
 
 // Order selects the edge traversal order of Algorithm 1. The paper
-// argues for OrderPaper (Section 5.2); the alternatives exist for the
+// argues for OrderPaper (Section 5.2); the other orders exist for the
 // xorder ablation.
 type Order uint8
 
@@ -288,41 +288,48 @@ func BuildFromTypeFunc(g *grid.Grid, typeOf func(ci, cj int) tuple.Set) *Graph {
 // callers: the type the policy would assign, from the statistics st, to
 // the unordered pair of adjacent cells ci and cj, where dir is the
 // direction from ci to cj. Either cell may be grid.NoCell. The streaming
-// engine's rebalancer evaluates it against exact live histograms to detect
-// when skew drift has flipped a pair's agreement.
+// engine's rebalancer evaluates it against exact live histograms, compares
+// it with PairType, and commits a changed decision with SetPairType.
 func TypeForPair(st *grid.Stats, ci, cj int, dir grid.Dir, policy Policy) tuple.Set {
 	return pairType(st, ci, cj, dir, policy)
 }
 
-// RebuildSub re-derives one quartet's subgraph in place: agreement types
-// are re-read from typeOf (which must be symmetric in its arguments and
-// may receive grid.NoCell), edge weights are recomputed from st (zero
-// when st is nil), and the duplicate-free assignment is re-derived by
-// re-running Algorithm 1's edge marking and locking. This is the
-// incremental entry point of the streaming engine's rebalancer, which —
-// when a pair's agreement flips — rebuilds exactly the subgraphs
-// containing that pair instead of the whole graph. Callers must rebuild
-// every subgraph containing a flipped pair in the same update, or the
-// graph violates Def. 4.2's type consistency.
-func (gr *Graph) RebuildSub(st *grid.Stats, gx, gy int, typeOf func(ci, cj int) tuple.Set) {
-	s := gr.Sub(gx, gy)
-	for i := grid.Pos(0); i < grid.NumPos; i++ {
-		for j := i + 1; j < grid.NumPos; j++ {
-			t := typeOf(s.Cells[i], s.Cells[j])
-			s.typ[i][j], s.typ[j][i] = t, t
+// SetPairType sets the agreement type of the unordered pair of cell
+// (cx, cy) and its neighbour in direction d to t in every subgraph
+// containing the pair — two for a side pair, one for a diagonal pair —
+// so the subgraphs agree on it (Def. 4.2). Each of those subgraphs then
+// has its edge weights recomputed from st (zero when st is nil) and
+// Algorithm 1's marking and locking re-run. It returns the corners of
+// the rebuilt quartets: the streaming engine's rebalancer re-derives the
+// assignment of their cells only, never the whole graph.
+func (gr *Graph) SetPairType(st *grid.Stats, cx, cy int, d grid.Dir, t tuple.Set) [][2]int {
+	dx, dy := d.Delta()
+	var corners [][2]int
+	for gy := max(cy, cy+dy); gy <= min(cy, cy+dy)+1; gy++ {
+		for gx := max(cx, cx+dx); gx <= min(cx, cx+dx)+1; gx++ {
+			s := gr.Sub(gx, gy)
+			pi, pj := quartetPos(gx, gy, cx, cy), quartetPos(gx, gy, cx+dx, cy+dy)
+			s.typ[pi][pj], s.typ[pj][pi] = t, t
 			if st != nil {
-				s.wgt[i][j] = edgeWeight(st, s.Cells[i], s.Cells[j], dirBetween(i, j), t)
-				s.wgt[j][i] = edgeWeight(st, s.Cells[j], s.Cells[i], dirBetween(j, i), t)
+				instantiateWeights(s, st)
 			} else {
-				s.wgt[i][j], s.wgt[j][i] = 0, 0
+				s.wgt = [grid.NumPos][grid.NumPos]int64{}
 			}
+			s.mark = [grid.NumPos][grid.NumPos]bool{}
+			s.lock = [grid.NumPos][grid.NumPos]bool{}
+			s.anyMark = false
+			resolve(s)
+			gr.refreshFlag(gx, gy)
+			corners = append(corners, [2]int{gx, gy})
 		}
 	}
-	s.mark = [grid.NumPos][grid.NumPos]bool{}
-	s.lock = [grid.NumPos][grid.NumPos]bool{}
-	s.anyMark = false
-	resolve(s)
-	gr.refreshFlag(gx, gy)
+	return corners
+}
+
+// quartetPos returns the position of cell (cx, cy) in the quartet at
+// corner (gx, gy), which spans cells gx-1..gx by gy-1..gy.
+func quartetPos(gx, gy, cx, cy int) grid.Pos {
+	return grid.Pos(cx - gx + 1 + 2*(cy-gy+1))
 }
 
 // instantiateTypes decides only the agreement types of s; weights stay
@@ -632,41 +639,10 @@ func (gr *Graph) EstimatedCosts(st *grid.Stats) []int64 {
 }
 
 // PairType returns the agreement type between cell (cx, cy) and its
-// neighbour in direction d, looked up from a subgraph containing the
-// pair. The neighbour must exist (be a real cell).
+// neighbour in direction d, read from a subgraph containing the pair
+// (SetPairType keeps every such subgraph agreeing).
 func (gr *Graph) PairType(cx, cy int, d grid.Dir) tuple.Set {
-	g := gr.Grid
-	id := g.CellID(cx, cy)
 	dx, dy := d.Delta()
-	nb := g.CellID(cx+dx, cy+dy)
-	// The quartet at the corner between the two cells contains both; pick
-	// the corner whose quartet holds the pair.
-	var gx, gy int
-	switch d {
-	case grid.DirE, grid.DirNE, grid.DirN:
-		gx, gy = cx+1, cy+1
-	case grid.DirW, grid.DirSW, grid.DirS:
-		gx, gy = cx, cy
-	case grid.DirNW:
-		gx, gy = cx, cy+1
-	default: // DirSE
-		gx, gy = cx+1, cy
-	}
-	s := gr.Sub(gx, gy)
-	var pi, pj grid.Pos
-	found := 0
-	for p := grid.Pos(0); p < grid.NumPos; p++ {
-		if s.Cells[p] == id {
-			pi = p
-			found++
-		}
-		if s.Cells[p] == nb {
-			pj = p
-			found++
-		}
-	}
-	if found != 2 {
-		panic("agreements: PairType picked a quartet that does not contain the pair")
-	}
-	return s.typ[pi][pj]
+	gx, gy := max(cx, cx+dx), max(cy, cy+dy)
+	return gr.Sub(gx, gy).typ[quartetPos(gx, gy, cx, cy)][quartetPos(gx, gy, cx+dx, cy+dy)]
 }

@@ -8,6 +8,7 @@ package service
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -208,13 +209,18 @@ func (s *Service) ttlLoop(st *streamState, ttl time.Duration) {
 	}
 }
 
-// GetStream returns one live stream.
+// ErrUnknownStream is returned (wrapped) when no live stream has the
+// requested name.
+var ErrUnknownStream = errors.New("service: unknown stream")
+
+// GetStream returns one live stream, or an error wrapping
+// ErrUnknownStream.
 func (s *Service) GetStream(name string) (*streamState, error) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
 	st, ok := s.streams[name]
 	if !ok {
-		return nil, fmt.Errorf("service: unknown stream %q", name)
+		return nil, fmt.Errorf("%w %q", ErrUnknownStream, name)
 	}
 	return st, nil
 }

@@ -92,7 +92,7 @@ func (s *Service) handleListStreams(w http.ResponseWriter, r *http.Request) (int
 func (s *Service) handleDeleteStream(w http.ResponseWriter, r *http.Request) (int, error) {
 	name := r.PathValue("name")
 	if !s.DeleteStream(name) {
-		return http.StatusNotFound, fmt.Errorf("service: unknown stream %q", name)
+		return http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownStream, name)
 	}
 	return writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
@@ -107,7 +107,7 @@ func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) (in
 		return http.StatusBadRequest, err
 	}
 	br, err := s.StreamIngest(name, batch)
-	if err != nil && strings.Contains(err.Error(), "unknown stream") {
+	if errors.Is(err, ErrUnknownStream) {
 		return http.StatusNotFound, err
 	}
 	if errors.Is(err, ErrPersist) {

@@ -306,6 +306,46 @@ func TestStreamHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestStreamIngestMirrorErrorIsNotNotFound pins the ingest status of an
+// applied batch whose mirror fails: 200 with mirror_error, even when the
+// mirror error names a dataset called "unknown stream" — only a missing
+// stream answers 404.
+func TestStreamIngestMirrorErrorIsNotNotFound(t *testing.T) {
+	s := New(Config{})
+	if _, err := s.Registry.Put("unknown stream", []spatialjoin.Tuple{
+		{ID: 1, Pt: spatialjoin.Point{X: 1, Y: 1}},
+		{ID: 2, Pt: spatialjoin.Point{X: 3, Y: 3}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateStream(StreamConfig{Name: "live", Eps: 0.5, MaxX: 4, MaxY: 4, RDataset: "unknown stream"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	body := `{"op":"delete","set":"r","id":1}` + "\n" + `{"op":"delete","set":"r","id":2}`
+	resp, err := http.Post(srv.URL+"/v1/stream/ingest?name=live", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got streamIngestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || got.Accepted != 2 || !strings.Contains(got.MirrorError, "would empty") {
+		t.Fatalf("applied batch with a failed mirror: status %d, response %+v", resp.StatusCode, got)
+	}
+	st, err := s.GetStream("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := st.eng.Counters(); c.LiveR != 0 {
+		t.Fatalf("LiveR = %d after deleting both R points, want 0", c.LiveR)
+	}
+}
+
 func sortedKeys(m map[[2]int64]bool) [][2]int64 {
 	out := make([][2]int64, 0, len(m))
 	for k := range m {

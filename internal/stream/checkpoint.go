@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,9 +9,9 @@ import (
 	"sort"
 	"time"
 
-	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/grid"
 	"spatialjoin/internal/tuple"
 )
 
@@ -20,38 +21,46 @@ import (
 //	eps f64 | bounds 4×f64 | gridRes f64 | policy u8 | pad 7×u8
 //	ttl i64 (ns) | rebalanceEvery i64
 //	10 cumulative counters i64
-//	u32 nTypes | agreement type per canonical pair, 1 byte each
+//	u32 nTypes | agreement type per canonical pair, 1 byte each:
+//	    4 slots per cell, one per canonDirs entry (R where the cell has
+//	    no neighbour in that direction)
 //	per set (R then S): u32 count, then entries sorted by (ts, id):
 //	    id i64 | x f64 | y f64 | ts i64 (UnixNano) | u32 payLen | payload
 //	crc u32 over everything before
 //
-// The snapshot stores live points and the agreement store — the
-// authoritative driver-side state. Slabs, histograms, and the graph are
-// deterministic functions of those and are rebuilt on Restore by
-// re-inserting the points under the restored agreements.
+// The snapshot stores live points and the graph's agreement types — the
+// authoritative partitioning state. Slabs, histograms, and the graph's
+// marks are deterministic functions of those and are rebuilt on Restore
+// by re-inserting the points under the restored agreements.
 const (
 	ckMagic   = 0x45534A53 // "SJSE" little-endian
 	ckVersion = 1
 )
+
+// appendHeader appends the checkpoint header up to and including the
+// configuration fields; Restore compares a blob's header with its own
+// config's byte for byte.
+func (c Config) appendHeader(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, ckMagic)
+	b = binary.LittleEndian.AppendUint16(b, ckVersion)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = codec.AppendF64(b, c.Eps)
+	b = codec.AppendF64(b, c.Bounds.MinX)
+	b = codec.AppendF64(b, c.Bounds.MinY)
+	b = codec.AppendF64(b, c.Bounds.MaxX)
+	b = codec.AppendF64(b, c.Bounds.MaxY)
+	b = codec.AppendF64(b, c.GridRes)
+	b = append(b, byte(c.Policy), 0, 0, 0, 0, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint64(b, uint64(c.TTL))
+	return binary.LittleEndian.AppendUint64(b, uint64(c.RebalanceEvery))
+}
 
 // WriteCheckpoint serialises the engine's state. The snapshot is taken
 // atomically with respect to Apply, so pairing it with the log position
 // of the last applied batch gives exact at-most-once replay.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	e.mu.Lock()
-	b := make([]byte, 0, 1024)
-	b = binary.LittleEndian.AppendUint32(b, ckMagic)
-	b = binary.LittleEndian.AppendUint16(b, ckVersion)
-	b = binary.LittleEndian.AppendUint16(b, 0)
-	b = codec.AppendF64(b, e.cfg.Eps)
-	b = codec.AppendF64(b, e.cfg.Bounds.MinX)
-	b = codec.AppendF64(b, e.cfg.Bounds.MinY)
-	b = codec.AppendF64(b, e.cfg.Bounds.MaxX)
-	b = codec.AppendF64(b, e.cfg.Bounds.MaxY)
-	b = codec.AppendF64(b, e.cfg.GridRes)
-	b = append(b, byte(e.cfg.Policy), 0, 0, 0, 0, 0, 0, 0)
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.cfg.TTL))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.cfg.RebalanceEvery))
+	b := e.cfg.appendHeader(make([]byte, 0, 1024))
 	for _, v := range []int64{
 		e.c.Upserts, e.c.Deletes, e.c.Expired, e.c.Rejected,
 		e.c.DeltasAdded, e.c.DeltasRemoved, e.c.SlabRebuilds,
@@ -59,9 +68,16 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.dg.types)))
-	for _, t := range e.dg.types {
-		b = append(b, byte(t))
+	b = binary.LittleEndian.AppendUint32(b, uint32(4*e.g.NumCells()))
+	for id := 0; id < e.g.NumCells(); id++ {
+		cx, cy := e.g.CellCoords(id)
+		for _, dir := range canonDirs {
+			t := tuple.R
+			if e.g.Neighbor(cx, cy, dir) != grid.NoCell {
+				t = e.graph.PairType(cx, cy, dir)
+			}
+			b = append(b, byte(t))
+		}
 	}
 	for set := tuple.R; set <= tuple.S; set++ {
 		entries := make([]*entry, 0, len(e.live[set]))
@@ -93,8 +109,9 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 // WriteCheckpoint. cfg must describe the same stream the snapshot was
 // taken from (both sides derive it from the stream's durable spec); a
 // mismatch is an error, not a silent re-partitioning. The restored
-// engine reproduces the original's live points, agreement store,
-// cumulative counters, and TTL ordering exactly.
+// engine reproduces the original's live points, agreement types,
+// cumulative counters, and TTL ordering exactly, and re-encodes to the
+// same bytes: a blob the writer could not have produced is refused.
 func Restore(cfg Config, blob []byte) (*Engine, error) {
 	body, err := codec.Unseal(blob)
 	if err != nil {
@@ -107,26 +124,16 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 	if v := c.U16(); v != ckVersion {
 		return nil, fmt.Errorf("stream: checkpoint version %d unsupported (want %d)", v, ckVersion)
 	}
-	c.U16() // pad
 
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	eps := c.F64()
-	bounds := geom.Rect{MinX: c.F64(), MinY: c.F64(), MaxX: c.F64(), MaxY: c.F64()}
-	gridRes := c.F64()
-	policy := agreements.Policy(c.U8())
-	c.Bytes(7) // pad
-	ttl := time.Duration(c.I64())
-	rebEvery := c.I64()
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if eps != e.cfg.Eps || bounds != e.cfg.Bounds || gridRes != e.cfg.GridRes ||
-		policy != e.cfg.Policy || ttl != e.cfg.TTL || rebEvery != int64(e.cfg.RebalanceEvery) {
+	head := e.cfg.appendHeader(nil)
+	if !bytes.HasPrefix(body, head) {
 		return nil, fmt.Errorf("stream: checkpoint was taken for a different stream configuration")
 	}
+	c = codec.NewReader(body[len(head):])
 
 	var counters [10]int64
 	for i := range counters {
@@ -136,23 +143,33 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("stream: checkpoint: %w", err)
 	}
-	if nTypes != len(e.dg.types) {
-		return nil, fmt.Errorf("stream: checkpoint has %d agreement slots, grid needs %d", nTypes, len(e.dg.types))
+	if nTypes != 4*e.g.NumCells() {
+		return nil, fmt.Errorf("stream: checkpoint has %d agreement slots, grid needs %d", nTypes, 4*e.g.NumCells())
 	}
+	// Restore the graph's types before any insert, so every point is
+	// assigned exactly as the original engine would assign it under those
+	// agreements. Nil statistics rebuild the changed subgraphs with zero
+	// weights, as a from-scratch build over the stored types would.
 	for i, tb := range c.Bytes(nTypes) {
-		if tb > byte(tuple.S) {
+		t := tuple.Set(tb)
+		cx, cy := e.g.CellCoords(i / 4)
+		dir := canonDirs[i%4]
+		switch {
+		case tb > byte(tuple.S):
 			return nil, fmt.Errorf("stream: invalid agreement type %d at slot %d", tb, i)
+		case e.g.Neighbor(cx, cy, dir) == grid.NoCell:
+			if t != tuple.R {
+				return nil, fmt.Errorf("stream: agreement type %v at slot %d names a pair outside the grid", t, i)
+			}
+		case t != e.graph.PairType(cx, cy, dir):
+			e.graph.SetPairType(nil, cx, cy, dir, t)
 		}
-		e.dg.types[i] = tuple.Set(tb)
 	}
-	// Rebuild the graph from the restored agreement store before any
-	// insert, so every point is assigned exactly as the original engine
-	// would assign it under those agreements.
-	e.dg.graph = agreements.BuildFromTypeFunc(e.dg.g, e.dg.typeBetween)
 
 	for set := tuple.R; set <= tuple.S; set++ {
 		n := c.Count(28) // id + x + y + ts + payLen
 		var prev time.Time
+		var prevID int64
 		for i := 0; i < n; i++ {
 			id := c.I64()
 			pt := geom.Point{X: c.F64(), Y: c.F64()}
@@ -161,10 +178,13 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 			if err := c.Err(); err != nil {
 				return nil, fmt.Errorf("stream: checkpoint: %w", err)
 			}
-			if i > 0 && ts.Before(prev) {
-				return nil, errors.New("stream: checkpoint entries out of TTL order")
+			if i > 0 && (ts.Before(prev) || ts.Equal(prev) && id <= prevID) {
+				return nil, errors.New("stream: checkpoint entries out of (ts, id) order")
 			}
-			prev = ts
+			prev, prevID = ts, id
+			if _, dup := e.live[set][id]; dup {
+				return nil, fmt.Errorf("stream: checkpoint holds point %d twice", id)
+			}
 			if badPoint(pt) {
 				return nil, fmt.Errorf("stream: checkpoint point %d is not finite", id)
 			}

@@ -3,10 +3,12 @@ package stream_test
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"spatialjoin/internal/agreements"
+	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/stream"
 	"spatialjoin/internal/tuple"
@@ -140,6 +142,17 @@ func TestStreamCheckpointRejects(t *testing.T) {
 	truncated := good[:len(good)-5]
 	if _, err := stream.Restore(ckptConfig(now), truncated); err == nil {
 		t.Fatal("Restore accepted a truncated blob")
+	}
+	// Blobs the writer cannot produce are refused even behind a valid
+	// checksum: a non-zero header pad byte, and an S type in the slot of
+	// cell 0's north-west pair, which lies outside the grid (slots start
+	// after the 80-byte header, ten counters and the slot count).
+	for name, off := range map[string]int{"pad": 6, "off-grid slot": 80 + 80 + 4 + 3} {
+		forged := slices.Clone(good[:len(good)-4])
+		forged[off] = 1
+		if _, err := stream.Restore(ckptConfig(now), codec.Seal(forged)); err == nil {
+			t.Fatalf("Restore accepted a resealed blob with a forged %s byte", name)
+		}
 	}
 	drifted := ckptConfig(now)
 	drifted.Eps = 0.75

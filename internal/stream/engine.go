@@ -11,6 +11,7 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/obs"
+	"spatialjoin/internal/replicate"
 	"spatialjoin/internal/tuple"
 )
 
@@ -109,13 +110,6 @@ type entry struct {
 	ts    time.Time
 }
 
-// cellState is one grid cell's live contents: a sweep slab and the set
-// of native point ids per input set (replicas live in the slabs only).
-type cellState struct {
-	slabs   [2]slab
-	natives [2]map[int64]struct{}
-}
-
 // ttlRec is one TTL queue record; a refresh enqueues a newer record and
 // the stale one is skipped at expiry (lazy deletion).
 type ttlRec struct {
@@ -128,12 +122,22 @@ type ttlRec struct {
 // and emits +pair/-pair deltas to subscribers. All methods are safe for
 // concurrent use; mutations are serialised so subscribers observe one
 // total delta order.
+//
+// The partitioning structures are the batch path's own: the grid, exact
+// per-cell histograms over the live points (grid.Stats fed by Add/Remove
+// rather than a one-shot sample), and the graph of agreements, which is
+// the one store of every pair's agreement type. Statistics drift with
+// every mutation, but a pair's type only changes when the rebalancer
+// commits a flip through Graph.SetPairType, which keeps the graph
+// consistent (Def. 4.2) between flips by construction.
 type Engine struct {
 	cfg Config
+	g   *grid.Grid
 
-	mu       sync.Mutex // guards every field below
-	dg       *deltaGrid
-	cells    []cellState
+	mu       sync.Mutex  // guards every field below
+	stats    *grid.Stats // exact live histograms, mutated per point
+	graph    *agreements.Graph
+	cells    [][2]slab // per cell, one slab per set: its native points and replicas alike
 	live     [2]map[int64]*entry
 	ttlq     [2][]ttlRec
 	dirty    map[int]struct{} // cells whose histograms changed since the last drift scan
@@ -162,14 +166,19 @@ func New(cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("stream: unsupported policy %v (LPiB or DIFF)", cfg.Policy)
 	}
-	dg, err := newDeltaGrid(cfg.Bounds, cfg.Eps, cfg.GridRes, cfg.Policy)
-	if err != nil {
-		return nil, err
+	if err := grid.Check(cfg.Bounds, cfg.Eps, cfg.GridRes); err != nil {
+		return nil, fmt.Errorf("stream: eps %v: %w", cfg.Eps, err)
 	}
+	g := grid.New(cfg.Bounds, cfg.Eps, cfg.GridRes)
+	// Empty statistics tie every pair to R, the policy's deterministic
+	// default.
+	stats := grid.NewStats(g)
 	return &Engine{
 		cfg:   cfg,
-		dg:    dg,
-		cells: make([]cellState, dg.g.NumCells()),
+		g:     g,
+		stats: stats,
+		graph: agreements.Build(stats, cfg.Policy),
+		cells: make([][2]slab, g.NumCells()),
 		live:  [2]map[int64]*entry{{}, {}},
 		dirty: map[int]struct{}{},
 		subs:  map[*Subscription]struct{}{},
@@ -180,7 +189,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Eps() float64 { return e.cfg.Eps }
 
 // Grid returns the engine's grid (shape diagnostics; do not mutate).
-func (e *Engine) Grid() *grid.Grid { return e.dg.g }
+func (e *Engine) Grid() *grid.Grid { return e.g }
 
 // Counters returns a snapshot of the engine's statistics.
 func (e *Engine) Counters() Counters {
@@ -339,8 +348,8 @@ func (e *Engine) currentPairsLocked() []tuple.Pair {
 	out := bufs.Sink(true, false)
 	for i := range e.cells {
 		cs := &e.cells[i]
-		rs := cs.slabs[tuple.R].sorted()
-		ss := cs.slabs[tuple.S].sorted()
+		rs := cs[tuple.R].sorted()
+		ss := cs[tuple.S].sorted()
 		if rs.Len() == 0 || ss.Len() == 0 {
 			continue
 		}
@@ -369,7 +378,7 @@ func (e *Engine) upsertLocked(set tuple.Set, t tuple.Tuple, now time.Time) {
 		}
 		e.removeEntryLocked(set, old)
 	}
-	cells := e.dg.assign(t.Pt, set, e.scratch[:0])
+	cells := replicate.Adaptive(e.graph, t.Pt, set, e.scratch[:0])
 	e.scratch = cells
 	en := &entry{t: t, cells: make([]int32, len(cells)), ts: now}
 	for i, c := range cells {
@@ -378,21 +387,14 @@ func (e *Engine) upsertLocked(set tuple.Set, t tuple.Tuple, now time.Time) {
 	other := set.Other()
 	for _, c := range cells {
 		cs := &e.cells[c]
-		e.sel = cs.slabs[other].probe(t.Pt, e.cfg.Eps, e.sel, func(m tuple.Tuple) {
-			e.emitLocked(Add, set, t.ID, m.ID)
+		e.sel = cs[other].probe(t.Pt, e.cfg.Eps, e.sel, func(id int64) {
+			e.emitLocked(Add, set, t.ID, id)
 		})
-		cs.slabs[set].insert(t)
-		if cs.slabs[set].needsCompaction() {
-			e.compactSlab(&cs.slabs[set], set, c)
-		}
+		cs[set].insert(t.ID, t.Pt)
+		e.compactSlab(&cs[set], set, c)
 	}
-	native := cells[0]
-	if e.cells[native].natives[set] == nil {
-		e.cells[native].natives[set] = map[int64]struct{}{}
-	}
-	e.cells[native].natives[set][t.ID] = struct{}{}
-	e.dg.stats.Add(set, t.Pt)
-	e.dirty[native] = struct{}{}
+	e.stats.Add(set, t.Pt)
+	e.dirty[cells[0]] = struct{}{}
 	e.live[set][t.ID] = en
 	e.c.Replicas += int64(len(cells) - 1)
 	if e.cfg.TTL > 0 {
@@ -417,18 +419,14 @@ func (e *Engine) removeEntryLocked(set tuple.Set, en *entry) {
 	id := en.t.ID
 	for _, c32 := range en.cells {
 		cs := &e.cells[c32]
-		cs.slabs[set].remove(id)
-		e.sel = cs.slabs[other].probe(en.t.Pt, e.cfg.Eps, e.sel, func(m tuple.Tuple) {
-			e.emitLocked(Remove, set, id, m.ID)
+		cs[set].remove(id)
+		e.sel = cs[other].probe(en.t.Pt, e.cfg.Eps, e.sel, func(pid int64) {
+			e.emitLocked(Remove, set, id, pid)
 		})
-		if cs.slabs[set].needsCompaction() {
-			e.compactSlab(&cs.slabs[set], set, int(c32))
-		}
+		e.compactSlab(&cs[set], set, int(c32))
 	}
-	native := int(en.cells[0])
-	delete(e.cells[native].natives[set], id)
-	e.dg.stats.Remove(set, en.t.Pt)
-	e.dirty[native] = struct{}{}
+	e.stats.Remove(set, en.t.Pt)
+	e.dirty[int(en.cells[0])] = struct{}{}
 	delete(e.live[set], id)
 	e.c.Replicas -= int64(len(en.cells) - 1)
 }

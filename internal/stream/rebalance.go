@@ -3,17 +3,29 @@ package stream
 import (
 	"slices"
 
+	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/obs"
+	"spatialjoin/internal/replicate"
 	"spatialjoin/internal/tuple"
 )
+
+// Canonical pair directions: every unordered pair of adjacent cells is
+// owned by exactly one cell, the one from which the neighbour lies east,
+// north, north-east, or north-west. The rebalancer visits pairs in
+// (owner, slot) order and the checkpoint stores one type per slot.
+var canonDirs = [4]grid.Dir{grid.DirE, grid.DirN, grid.DirNE, grid.DirNW}
+
+func canonSlot(d grid.Dir) int {
+	return slices.Index(canonDirs[:], d)
+}
 
 // rebalanceLocked is the agreement drift scan. It visits every cell whose
 // histogram changed since the last scan, re-evaluates the policy for each
 // of its adjacent cell pairs against the exact live statistics, and for
 // every pair whose decision flipped commits the new type: the subgraphs
-// containing the pair are rebuilt (types from the store, Algorithm 1's
-// marking/locking re-run with live weights) and only the replicas of the
+// containing the pair are rebuilt (Graph.SetPairType re-runs Algorithm 1's
+// marking/locking with live weights) and only the replicas of the
 // rebuilt quartets' member cells are migrated. The grid, slabs of
 // unaffected cells, and all other subgraphs are untouched.
 //
@@ -36,24 +48,25 @@ func (e *Engine) rebalanceLocked() {
 	var flips []flipRec
 	checked := map[int]struct{}{}
 	for ci := range e.dirty {
-		cx, cy := e.dg.g.CellCoords(ci)
+		cx, cy := e.g.CellCoords(ci)
 		for dir := grid.Dir(0); dir < grid.NumDirs; dir++ {
-			cj := e.dg.g.Neighbor(cx, cy, dir)
+			cj := e.g.Neighbor(cx, cy, dir)
 			if cj == grid.NoCell {
 				continue
 			}
 			// Canonicalise (ci, dir) so each unordered pair is
 			// examined once even when both endpoints are dirty.
-			cc, cd := ci, dir
+			cc, cd, nb := ci, dir, cj
 			if canonSlot(cd) < 0 {
-				cc, cd = cj, dir.Opposite()
+				cc, cd, nb = cj, dir.Opposite(), ci
 			}
 			key := cc*4 + canonSlot(cd)
 			if _, done := checked[key]; done {
 				continue
 			}
 			checked[key] = struct{}{}
-			if want := e.dg.desiredType(cc, cd); want != e.dg.currentType(cc, cd) {
+			ccx, ccy := e.g.CellCoords(cc)
+			if want := agreements.TypeForPair(e.stats, cc, nb, cd, e.cfg.Policy); want != e.graph.PairType(ccx, ccy, cd) {
 				flips = append(flips, flipRec{ci: cc, dir: cd, want: want})
 			}
 		}
@@ -75,26 +88,37 @@ func (e *Engine) rebalanceLocked() {
 // pair, then re-derive the assignment of every point native to a rebuilt
 // quartet's member cell — the only points whose replication consults the
 // rebuilt subgraphs — and move the changed replica copies between slabs.
+// A cell's native points are those of its slabs whose first assigned
+// cell it is; they are collected before any slab changes.
 //
 // Migration is silent (no deltas): both the old and the new graph are
 // consistent, so the qualifying pair set is unchanged (Corollary 4.6);
 // only the cell in which each pair is co-located may move.
 func (e *Engine) flipLocked(ci int, dir grid.Dir, want tuple.Set) {
-	qs := e.dg.flip(ci, dir, want)
+	cx, cy := e.g.CellCoords(ci)
+	qs := e.graph.SetPairType(e.stats, cx, cy, dir, want)
 	e.c.AgreementFlips++
 	affected := map[int]struct{}{}
 	for _, q := range qs {
-		for _, c := range e.dg.g.QuartetCells(q[0], q[1]) {
+		for _, c := range e.g.QuartetCells(q[0], q[1]) {
 			if c != grid.NoCell {
 				affected[c] = struct{}{}
 			}
 		}
 	}
+	var own [2][]*entry
 	for c := range affected {
 		for set := tuple.R; set <= tuple.S; set++ {
-			for id := range e.cells[c].natives[set] {
-				e.migrateLocked(set, e.live[set][id])
-			}
+			e.cells[c][set].each(func(id int64) {
+				if en := e.live[set][id]; int(en.cells[0]) == c {
+					own[set] = append(own[set], en)
+				}
+			})
+		}
+	}
+	for set, ens := range own {
+		for _, en := range ens {
+			e.migrateLocked(tuple.Set(set), en)
 		}
 	}
 }
@@ -104,25 +128,21 @@ func (e *Engine) flipLocked(ci int, dir grid.Dir, want tuple.Set) {
 // The native cell (Locate of the point) never changes; only dedicated
 // replica targets can.
 func (e *Engine) migrateLocked(set tuple.Set, en *entry) {
-	newCells := e.dg.assign(en.t.Pt, set, e.scratch[:0])
+	newCells := replicate.Adaptive(e.graph, en.t.Pt, set, e.scratch[:0])
 	e.scratch = newCells
 	moved := 0
 	for _, oc := range en.cells {
-		if !containsInt(newCells, int(oc)) {
+		if !slices.Contains(newCells, int(oc)) {
 			cs := &e.cells[oc]
-			cs.slabs[set].remove(en.t.ID)
-			if cs.slabs[set].needsCompaction() {
-				e.compactSlab(&cs.slabs[set], set, int(oc))
-			}
+			cs[set].remove(en.t.ID)
+			e.compactSlab(&cs[set], set, int(oc))
 			moved++
 		}
 	}
 	for _, nc := range newCells {
-		if !containsInt32(en.cells, nc) {
-			e.cells[nc].slabs[set].insert(en.t)
-			if e.cells[nc].slabs[set].needsCompaction() {
-				e.compactSlab(&e.cells[nc].slabs[set], set, nc)
-			}
+		if !slices.Contains(en.cells, int32(nc)) {
+			e.cells[nc][set].insert(en.t.ID, en.t.Pt)
+			e.compactSlab(&e.cells[nc][set], set, nc)
 			moved++
 		}
 	}
@@ -131,40 +151,22 @@ func (e *Engine) migrateLocked(set tuple.Set, en *entry) {
 	}
 	e.c.Migrations += int64(moved)
 	e.c.Replicas += int64(len(newCells) - len(en.cells))
-	if cap(en.cells) >= len(newCells) {
-		en.cells = en.cells[:len(newCells)]
-	} else {
-		en.cells = make([]int32, len(newCells))
-	}
-	for i, c := range newCells {
-		en.cells[i] = int32(c)
+	en.cells = en.cells[:0]
+	for _, c := range newCells {
+		en.cells = append(en.cells, int32(c))
 	}
 }
 
-// compactSlab recompacts one cell's slab under a compaction span, so
-// streams can attribute pause time to slab maintenance.
+// compactSlab recompacts one cell's slab once its dirty part crossed
+// the threshold, under a compaction span, so streams can attribute pause
+// time to slab maintenance.
 func (e *Engine) compactSlab(s *slab, set tuple.Set, cell int) {
+	if !s.needsCompaction() {
+		return
+	}
 	sp := e.cfg.Tracer.Start(0, obs.SpanCompact)
 	sp.SetInt("cell", int64(cell)).SetInt("set", int64(set))
 	s.compact()
 	e.c.SlabRebuilds++
 	sp.End()
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt32(xs []int32, x int) bool {
-	for _, v := range xs {
-		if int(v) == x {
-			return true
-		}
-	}
-	return false
 }

@@ -3,8 +3,6 @@ package stream
 import (
 	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/sweep"
-	"spatialjoin/internal/tuple"
 )
 
 // Slab compaction policy: a slab is rebuilt (tail merged, tombstones
@@ -16,36 +14,39 @@ const (
 	minDirty      = 32
 )
 
-// slab is one cell's maintained sweep structure for one input set: a
-// sorted-by-x columnar base (the lazily rebuilt part, held as parallel
-// x/y/id lanes so probes scan contiguous coordinates), a payload column
-// aligned with the base, an unsorted tail of recent inserts, and
-// tombstones for deletions that still sit in the base. Probes run against
-// the base in O(log n + ε-window) via the columnar kernel's incremental
-// entry point, plus a linear scan of the small tail.
+// slab is one cell's maintained sweep structure for one input set, in
+// three parts: an x-sorted columnar base (the lazily rebuilt part, whose
+// parallel x/y/id lanes probes scan contiguously), an unsorted columnar
+// tail of recent inserts, and tombstones for deletions that still sit in
+// the base. A slab holds coordinates and ids only; payloads live once, in
+// the engine's entries. Probes run against the base in O(log n +
+// ε-window) via the columnar kernel's incremental entry point, plus a
+// linear scan of the small tail.
 type slab struct {
 	base  colsweep.Cols      // sorted by ascending x
-	pay   [][]byte           // payload column, parallel to base
-	tail  []tuple.Tuple      // unsorted recent inserts
+	tail  colsweep.Cols      // unsorted recent inserts
 	tombs map[int64]struct{} // ids deleted but still present in base
 }
 
-// insert adds t to the slab. A tombstoned re-insert of the same id first
-// resolves the tombstone by compacting, keeping ids unique per slab.
-func (s *slab) insert(t tuple.Tuple) {
-	if _, dead := s.tombs[t.ID]; dead {
+// insert adds point p with the given id. A tombstoned re-insert of the
+// same id first resolves the tombstone by compacting, keeping ids unique
+// per slab.
+func (s *slab) insert(id int64, p geom.Point) {
+	if _, dead := s.tombs[id]; dead {
 		s.compact()
 	}
-	s.tail = append(s.tail, t)
+	s.tail.Append(p.X, p.Y, id)
 }
 
-// remove deletes the tuple with the given id, preferring an in-place
+// remove deletes the point with the given id, preferring an in-place
 // tail removal and falling back to a tombstone against the base.
 func (s *slab) remove(id int64) {
-	for i := range s.tail {
-		if s.tail[i].ID == id {
-			s.tail[i] = s.tail[len(s.tail)-1]
-			s.tail = s.tail[:len(s.tail)-1]
+	t := &s.tail
+	for i, tid := range t.IDs {
+		if tid == id {
+			last := t.Len() - 1
+			t.Xs[i], t.Ys[i], t.IDs[i] = t.Xs[last], t.Ys[last], t.IDs[last]
+			t.Xs, t.Ys, t.IDs = t.Xs[:last], t.Ys[:last], t.IDs[:last]
 			return
 		}
 	}
@@ -55,39 +56,48 @@ func (s *slab) remove(id int64) {
 	s.tombs[id] = struct{}{}
 }
 
-// at materialises the base point at index i as a tuple.
-func (s *slab) at(i int) tuple.Tuple {
-	return tuple.Tuple{
-		ID:      s.base.IDs[i],
-		Pt:      geom.Point{X: s.base.Xs[i], Y: s.base.Ys[i]},
-		Payload: s.pay[i],
-	}
-}
-
-// probe reports every live tuple of the slab within eps of p. sel is
-// the probe's selection scratch; the grown scratch is returned for the
-// next probe.
-func (s *slab) probe(p geom.Point, eps float64, sel []int32, emit func(tuple.Tuple)) []int32 {
+// probe reports the id of every live point of the slab within eps of p.
+// sel is the probe's selection scratch; the grown scratch is returned for
+// the next probe.
+func (s *slab) probe(p geom.Point, eps float64, sel []int32, emit func(id int64)) []int32 {
 	sel = colsweep.Probe(&s.base, p.X, p.Y, eps, sel)
 	for _, i := range sel {
-		if _, dead := s.tombs[s.base.IDs[i]]; !dead {
-			emit(s.at(int(i)))
+		if id := s.base.IDs[i]; !s.dead(id) {
+			emit(id)
 		}
 	}
 	eps2 := eps * eps
-	for _, t := range s.tail {
-		if p.SqDist(t.Pt) <= eps2 {
-			emit(t)
+	for i, id := range s.tail.IDs {
+		if p.SqDist(geom.Point{X: s.tail.Xs[i], Y: s.tail.Ys[i]}) <= eps2 {
+			emit(id)
 		}
 	}
 	return sel
 }
 
-// dirty returns the size of the unsorted/tombstoned part.
-func (s *slab) dirty() int { return len(s.tail) + len(s.tombs) }
+// each calls f with the id of every live point of the slab.
+func (s *slab) each(f func(id int64)) {
+	for _, id := range s.base.IDs {
+		if !s.dead(id) {
+			f(id)
+		}
+	}
+	for _, id := range s.tail.IDs {
+		f(id)
+	}
+}
 
-// len returns the number of live tuples.
-func (s *slab) len() int { return s.base.Len() - len(s.tombs) + len(s.tail) }
+// dead reports whether id is tombstoned in the base.
+func (s *slab) dead(id int64) bool {
+	_, dead := s.tombs[id]
+	return dead
+}
+
+// dirty returns the size of the unsorted/tombstoned part.
+func (s *slab) dirty() int { return s.tail.Len() + len(s.tombs) }
+
+// len returns the number of live points.
+func (s *slab) len() int { return s.base.Len() - len(s.tombs) + s.tail.Len() }
 
 // needsCompaction reports whether the dirty part crossed the threshold.
 func (s *slab) needsCompaction() bool {
@@ -98,24 +108,26 @@ func (s *slab) needsCompaction() bool {
 	return float64(d) > dirtyFraction*float64(s.base.Len())
 }
 
-// compact merges the tail into the base, drops tombstoned entries, and
-// re-sorts — the lazy rebuild of the cell's columnar sweep structure.
+// compact drops tombstoned points from the base lanes, appends the tail
+// lanes and re-sorts — the lazy rebuild of the cell's columnar sweep
+// structure.
 func (s *slab) compact() {
-	merged := make([]tuple.Tuple, 0, s.len())
-	for i := 0; i < s.base.Len(); i++ {
-		if _, dead := s.tombs[s.base.IDs[i]]; !dead {
-			merged = append(merged, s.at(i))
+	b := &s.base
+	n := 0
+	for i, id := range b.IDs {
+		if !s.dead(id) {
+			b.Xs[n], b.Ys[n], b.IDs[n] = b.Xs[i], b.Ys[i], id
+			n++
 		}
 	}
-	merged = append(merged, s.tail...)
-	sweep.SortByX(merged)
-	s.base.Reset()
-	s.pay = s.pay[:0]
-	for _, t := range merged {
-		s.base.Append(t.Pt.X, t.Pt.Y, t.ID)
-		s.pay = append(s.pay, t.Payload)
-	}
-	s.tail = nil
+	b.Xs, b.Ys, b.IDs = b.Xs[:n], b.Ys[:n], b.IDs[:n]
+	b.Xs = append(b.Xs, s.tail.Xs...)
+	b.Ys = append(b.Ys, s.tail.Ys...)
+	b.IDs = append(b.IDs, s.tail.IDs...)
+	bufs := colsweep.Get()
+	b.SortByX(bufs)
+	colsweep.Put(bufs)
+	s.tail.Reset()
 	s.tombs = nil
 }
 
@@ -128,15 +140,4 @@ func (s *slab) sorted() *colsweep.Cols {
 		s.compact()
 	}
 	return &s.base
-}
-
-// contents returns the live tuples of the slab sorted by x (materialised;
-// prefer sorted for the columnar view).
-func (s *slab) contents() []tuple.Tuple {
-	s.sorted()
-	out := make([]tuple.Tuple, 0, s.base.Len())
-	for i := 0; i < s.base.Len(); i++ {
-		out = append(out, s.at(i))
-	}
-	return out
 }

@@ -2,7 +2,7 @@ package stream
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"spatialjoin/internal/geom"
@@ -24,7 +24,7 @@ func TestStreamSlabMaintenance(t *testing.T) {
 				s.remove(id) // slab ids are unique: replace = remove + insert
 			}
 			tp := tuple.Tuple{ID: id, Pt: geom.Point{X: rng.Float64() * 4, Y: rng.Float64() * 4}}
-			s.insert(tp)
+			s.insert(tp.ID, tp.Pt)
 			model[id] = tp
 		} else {
 			for id := range model {
@@ -36,11 +36,11 @@ func TestStreamSlabMaintenance(t *testing.T) {
 		if op%97 == 0 {
 			p := geom.Point{X: rng.Float64() * 4, Y: rng.Float64() * 4}
 			got := map[int64]bool{}
-			sel = s.probe(p, eps, sel, func(m tuple.Tuple) {
-				if got[m.ID] {
-					t.Fatalf("probe reported id %d twice", m.ID)
+			sel = s.probe(p, eps, sel, func(id int64) {
+				if got[id] {
+					t.Fatalf("probe reported id %d twice", id)
 				}
-				got[m.ID] = true
+				got[id] = true
 			})
 			for id, m := range model {
 				if want := p.SqDist(m.Pt) <= eps*eps; want != got[id] {
@@ -55,15 +55,25 @@ func TestStreamSlabMaintenance(t *testing.T) {
 	if s.len() != len(model) {
 		t.Fatalf("slab len %d, model %d", s.len(), len(model))
 	}
-	contents := s.contents()
-	if !sort.SliceIsSorted(contents, func(i, j int) bool { return contents[i].Pt.X < contents[j].Pt.X }) {
-		t.Fatal("contents not sorted by x")
+	live := map[int64]bool{}
+	s.each(func(id int64) { live[id] = true })
+	if len(live) != len(model) {
+		t.Fatalf("each reported %d ids, model %d", len(live), len(model))
 	}
-	if len(contents) != len(model) {
-		t.Fatalf("contents %d tuples, model %d", len(contents), len(model))
+	base := s.sorted()
+	if !slices.IsSorted(base.Xs) {
+		t.Fatal("sorted() lanes not sorted by x")
+	}
+	if base.Len() != len(model) {
+		t.Fatalf("sorted() holds %d points, model %d", base.Len(), len(model))
+	}
+	for i, id := range base.IDs {
+		if m, ok := model[id]; !ok || m.Pt != (geom.Point{X: base.Xs[i], Y: base.Ys[i]}) {
+			t.Fatalf("sorted() row %d = id %d at (%v, %v), model %+v (live %v)", i, id, base.Xs[i], base.Ys[i], m, ok)
+		}
 	}
 	if s.dirty() != 0 {
-		t.Fatalf("dirty after contents(): %d", s.dirty())
+		t.Fatalf("dirty after sorted(): %d", s.dirty())
 	}
 }
 
@@ -72,17 +82,17 @@ func TestStreamSlabMaintenance(t *testing.T) {
 func TestStreamSlabTombstoneReinsert(t *testing.T) {
 	var s slab
 	for i := int64(0); i < 64; i++ {
-		s.insert(tuple.Tuple{ID: i, Pt: geom.Point{X: float64(i), Y: 0}})
+		s.insert(i, geom.Point{X: float64(i), Y: 0})
 	}
 	s.compact()
 	s.remove(7) // in base → tombstone
 	if len(s.tombs) != 1 {
 		t.Fatalf("expected 1 tombstone, got %d", len(s.tombs))
 	}
-	s.insert(tuple.Tuple{ID: 7, Pt: geom.Point{X: 99, Y: 0}})
+	s.insert(7, geom.Point{X: 99, Y: 0})
 	found := 0
-	s.probe(geom.Point{X: 99, Y: 0}, 0.1, nil, func(m tuple.Tuple) {
-		if m.ID == 7 {
+	s.probe(geom.Point{X: 99, Y: 0}, 0.1, nil, func(id int64) {
+		if id == 7 {
 			found++
 		}
 	})
