@@ -252,24 +252,11 @@ func (w *workerState) handlePlan(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	p := &workerPlan{eps: m.eps, selfFilter: m.selfFilter, collect: m.collect, parts: map[uint32]taskCtx{}}
-	switch m.kernel.Kind {
-	case dpe.KernelSweep:
-		// nil kernel: JoinSlabs runs the columnar zero-allocation sweep
-		// in place, so remote workers execute the same fast path as the
-		// local engine.
-	case dpe.KernelRefPoint:
-		g := grid.New(m.kernel.Bounds, m.kernel.GridEps, m.kernel.GridRes)
-		p.kernel = pbsm.RefPointKernel(g)
-	case dpe.KernelTwoLayer:
-		k, err := twolayer.KernelFromDesc(m.kernel)
-		if err != nil {
-			return fmt.Errorf("cluster: plan %d: %w", m.id, err)
-		}
-		p.kernel = k.Join
-	default:
-		return fmt.Errorf("cluster: plan %d carries unknown kernel kind %d", m.id, m.kernel.Kind)
+	kernel, err := buildKernel(m.kernel)
+	if err != nil {
+		return fmt.Errorf("cluster: plan %d: %w", m.id, err)
 	}
+	p := &workerPlan{eps: m.eps, selfFilter: m.selfFilter, collect: m.collect, kernel: kernel, parts: map[uint32]taskCtx{}}
 	p.ctx, p.cancel = context.WithCancel(w.ctx)
 	w.mu.Lock()
 	w.plans[m.id] = p
@@ -277,6 +264,28 @@ func (w *workerState) handlePlan(payload []byte) error {
 	w.opt.Log.Info("plan installed",
 		"worker", w.opt.Name, "plan", m.id, "eps", m.eps, "broadcast_bytes", len(m.broadcast))
 	return nil
+}
+
+// buildKernel rebuilds a plan's join kernel from its wire description.
+// It is a variable so the package's tests can hand workers a kernel that
+// fails on purpose.
+var buildKernel = func(desc dpe.KernelDesc) (dpe.Kernel, error) {
+	switch desc.Kind {
+	case dpe.KernelSweep:
+		// nil kernel: JoinSlabs runs the columnar zero-allocation sweep
+		// in place, so remote workers execute the same fast path as the
+		// local engine.
+		return nil, nil
+	case dpe.KernelRefPoint:
+		return pbsm.RefPointKernel(grid.New(desc.Bounds, desc.GridEps, desc.GridRes)), nil
+	case dpe.KernelTwoLayer:
+		k, err := twolayer.KernelFromDesc(desc)
+		if err != nil {
+			return nil, err
+		}
+		return k.Join, nil
+	}
+	return nil, fmt.Errorf("unknown kernel kind %d", desc.Kind)
 }
 
 // cancelTask ends every attempt of one partition of a plan, queued or

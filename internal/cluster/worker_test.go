@@ -6,9 +6,8 @@ import (
 	"testing"
 
 	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/dpe"
-	"spatialjoin/internal/sweep"
-	"spatialjoin/internal/tuple"
 )
 
 // TestWorkerStopsCancelledTask runs a task whose kernel blocks in its
@@ -48,7 +47,7 @@ func TestWorkerStopsCancelledTask(t *testing.T) {
 			}
 			entered, release := make(chan struct{}), make(chan struct{})
 			groups := 0 // the kernel runs on the task's goroutine only
-			w.plans[1].kernel = func(_ int, _, _ []tuple.Tuple, _ float64, _ sweep.Emit) {
+			w.plans[1].kernel = func(_ int, _, _ *colpipe.Group, _ float64, _ *colsweep.Sink) {
 				groups++
 				if groups == 1 {
 					close(entered)

@@ -17,11 +17,15 @@
 // assigned to — a replica is an index range member like any native
 // point, not a copied tuple.
 //
-// Payloads. Joins whose kernel reads more than the point (object
-// geometry, size-model padding) carry an optional payload lane: one
+// Payloads. Joins whose assignment reads more than the point (the
+// two-layer join's object geometry) carry an optional payload lane: one
 // []byte header per row, aliasing the input tuple's payload, permuted
-// with its row by the counting sort. Point joins never touch it — the
-// lane stays nil and costs nothing.
+// with its row by the counting sort. Every other join leaves it nil at
+// no cost.
+//
+// Kernels. A partition join either sweeps each matched group with
+// colsweep.SweepSorted or hands it to a kernel as two Groups — zero-copy
+// views of the lanes — with one colsweep.Sink receiving every pair.
 //
 // Ranks. Groups are keyed by cell rank rather than raw cell id so the
 // caller can pick a locality-preserving traversal order: MortonRanks
@@ -43,7 +47,6 @@ import (
 	"slices"
 
 	"spatialjoin/internal/colsweep"
-	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
 )
 
@@ -84,18 +87,22 @@ func (s *Slab) Group(k int) (lo, hi int) {
 	return int(s.Starts[k]), int(s.Starts[k+1])
 }
 
-// AppendTuples appends the rows of group k to dst as tuples — the view
-// a tuple-level kernel is handed. Payloads alias the slab's lane.
-func (s *Slab) AppendTuples(dst []tuple.Tuple, k int) []tuple.Tuple {
-	lo, hi := s.Group(k)
-	for i := lo; i < hi; i++ {
-		t := tuple.Tuple{ID: s.IDs[i], Pt: geom.Point{X: s.Xs[i], Y: s.Ys[i]}}
-		if s.Payloads != nil {
-			t.Payload = s.Payloads[i]
-		}
-		dst = append(dst, t)
+// Group is the kernel's view of one rank group of a slab: its x-sorted
+// lanes and, when the plan carries a payload lane, its payloads — all
+// sub-slices of the slab, nothing copied. A kernel must not retain or
+// modify them.
+type Group struct {
+	colsweep.Cols
+	Payloads [][]byte // nil without a payload lane
+}
+
+// view points g at the rows [lo, hi) of s.
+func (g *Group) view(s *Slab, lo, hi int) {
+	g.Cols = colsweep.Cols{Xs: s.Xs[lo:hi], Ys: s.Ys[lo:hi], IDs: s.IDs[lo:hi]}
+	g.Payloads = nil
+	if s.Payloads != nil {
+		g.Payloads = s.Payloads[lo:hi]
 	}
-	return dst
 }
 
 // Log is one map split's record of an assignment pass, the first step
@@ -445,14 +452,25 @@ func (b *Builder) BuildInto(dst *Slab, segs []Seg) error {
 // lists are ascending, so matching is a linear merge, and every matched
 // group is swept in place by colsweep.SweepSorted. Zero allocations.
 func JoinSlabs(r, s *Slab, eps float64, out *colsweep.Sink) (cost int64) {
-	cost, _ = JoinSlabsContext(context.Background(), r, s, eps, out)
+	cost, _ = JoinSlabsContext(context.Background(), r, s, eps, nil, out)
 	return cost
 }
 
-// JoinSlabsContext is JoinSlabs that checks ctx once per matched group:
-// when ctx.Err() is non-nil it returns that error, with out and cost
-// holding the groups joined before.
-func JoinSlabsContext(ctx context.Context, r, s *Slab, eps float64, out *colsweep.Sink) (cost int64, err error) {
+// JoinSlabsContext is JoinSlabs with a kernel and cancellation. A nil
+// kernel sweeps every matched group with colsweep.SweepSorted; a
+// non-nil one is called instead, once per matched group, with the
+// group's rank as the cell and zero-copy views of both groups' rows.
+// ctx is checked once per matched group: when ctx.Err() is non-nil it
+// returns that error, with out and cost holding the groups joined
+// before.
+func JoinSlabsContext(ctx context.Context, r, s *Slab, eps float64,
+	kernel func(cell int, r, s *Group, eps float64, out *colsweep.Sink), out *colsweep.Sink) (cost int64, err error) {
+	// The views escape into the kernel; allocating them only for a
+	// kernel keeps the sweep path allocation-free.
+	var rg, sg *Group
+	if kernel != nil {
+		rg, sg = new(Group), new(Group)
+	}
 	ri, si := 0, 0
 	for ri < len(r.Ranks) && si < len(s.Ranks) {
 		switch {
@@ -467,9 +485,15 @@ func JoinSlabsContext(ctx context.Context, r, s *Slab, eps float64, out *colswee
 			rlo, rhi := int(r.Starts[ri]), int(r.Starts[ri+1])
 			slo, shi := int(s.Starts[si]), int(s.Starts[si+1])
 			cost += int64(rhi-rlo) * int64(shi-slo)
-			rc := colsweep.Cols{Xs: r.Xs[rlo:rhi], Ys: r.Ys[rlo:rhi], IDs: r.IDs[rlo:rhi]}
-			sc := colsweep.Cols{Xs: s.Xs[slo:shi], Ys: s.Ys[slo:shi], IDs: s.IDs[slo:shi]}
-			colsweep.SweepSorted(&rc, &sc, eps, out)
+			if kernel != nil {
+				rg.view(r, rlo, rhi)
+				sg.view(s, slo, shi)
+				kernel(int(r.Ranks[ri]), rg, sg, eps, out)
+			} else {
+				rc := colsweep.Cols{Xs: r.Xs[rlo:rhi], Ys: r.Ys[rlo:rhi], IDs: r.IDs[rlo:rhi]}
+				sc := colsweep.Cols{Xs: s.Xs[slo:shi], Ys: s.Ys[slo:shi], IDs: s.IDs[slo:shi]}
+				colsweep.SweepSorted(&rc, &sc, eps, out)
+			}
 			ri++
 			si++
 		}

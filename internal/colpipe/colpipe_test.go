@@ -2,6 +2,7 @@ package colpipe
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -239,14 +240,20 @@ func TestScatterPayloadStaysWithRow(t *testing.T) {
 						t.Fatalf("trial %d slab %d group %d row %d (id %d): payload belongs to another row", trial, p, k, i, slab.IDs[i])
 					}
 				}
-				// The tuple views a kernel is handed carry the same lane.
-				for j, tu := range slab.AppendTuples(nil, k) {
-					i := lo + j
-					if tu.ID != slab.IDs[i] || tu.Pt.X != slab.Xs[i] || tu.Pt.Y != slab.Ys[i] ||
-						!bytes.Equal(tu.Payload, slab.Payloads[i]) {
-						t.Fatalf("trial %d slab %d group %d: tuple view %d diverges from its row", trial, p, k, j)
-					}
+			}
+			// The group views a kernel is handed carry the same rows and lane.
+			views := 0
+			JoinSlabsContext(context.Background(), slab, slab, 1, func(cell int, r, s *Group, _ float64, _ *colsweep.Sink) {
+				k, _ := slices.BinarySearch(slab.Ranks, int32(cell))
+				lo, hi := slab.Group(k)
+				if !slices.Equal(r.IDs, slab.IDs[lo:hi]) || !slices.Equal(r.Xs, slab.Xs[lo:hi]) || !slices.Equal(s.Ys, slab.Ys[lo:hi]) ||
+					!slices.EqualFunc(r.Payloads, slab.Payloads[lo:hi], bytes.Equal) || len(s.Payloads) != hi-lo {
+					t.Fatalf("trial %d slab %d group %d: the kernel's view diverges from its rows", trial, p, k)
 				}
+				views++
+			}, nil)
+			if views != slab.NumGroups() {
+				t.Fatalf("trial %d slab %d: kernel saw %d of %d groups", trial, p, views, slab.NumGroups())
 			}
 
 			// Wire round trip: lanes and payload column survive bit for bit.

@@ -26,9 +26,14 @@
 // window wider than it is filtered in chunks, so scratch never grows and
 // a join performs zero heap allocations in count mode.
 //
-// sweep.NestedLoop and sweep.PlaneSweep remain the differential-test
-// oracles: every sink mode must produce their pair multiset (identical
-// N and Checksum, and the identical sorted pair list when collecting).
+// A kernel that tests its own candidates — the reference-point filter,
+// the Sedona-style index probe, exact object refinement — hands each
+// surviving pair to Sink.Add, which records it through the same step, so
+// every kernel shares the self-filter and the three modes.
+//
+// sweep.NestedLoop remains the differential-test oracle: every sink mode
+// must produce its pair multiset (identical N and Checksum, and the
+// identical sorted pair list when collecting).
 package colsweep
 
 import (
@@ -110,6 +115,14 @@ func (o *Sink) take(rid int64, sids []int64, sel []int32) {
 			}
 		}
 	}
+}
+
+// Add records the one pair (rid, sid) — the entry of a kernel that
+// tests its candidates itself. It goes through the same step as the
+// sweep's matches, so the self-filter and every mode apply unchanged.
+func (o *Sink) Add(rid, sid int64) {
+	sids, sel := [1]int64{sid}, [1]int32{}
+	o.take(rid, sids[:], sel[:])
 }
 
 // Flush delivers a batch-mode sink's buffered pairs, if any; other modes

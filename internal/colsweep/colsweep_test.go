@@ -35,8 +35,8 @@ func randomTuples(rng *rand.Rand, n int, extent float64, base int64) []tuple.Tup
 }
 
 // latticeTuples places points on an exact (eps/2)-lattice so many pairs
-// sit at distance exactly eps — the closed-predicate border the scalar
-// and columnar kernels must agree on bit-for-bit.
+// sit at distance exactly eps — the closed-predicate border the nested
+// loop and the columnar kernel must agree on bit-for-bit.
 func latticeTuples(rng *rand.Rand, n int, eps float64, base int64) []tuple.Tuple {
 	out := make([]tuple.Tuple, n)
 	step := eps / 2
@@ -63,16 +63,12 @@ func borderTuples(rng *rand.Rand, n int, eps float64, base int64) []tuple.Tuple 
 	return out
 }
 
-// checkDifferential asserts columnar == scalar == nested loop on one input.
+// checkDifferential asserts columnar == nested loop on one input.
 func checkDifferential(t *testing.T, rs, ss []tuple.Tuple, eps float64, label string) {
 	t.Helper()
-	var oracle, scalar sweep.Counter
+	var oracle sweep.Counter
 	sweep.NestedLoop(rs, ss, eps, oracle.Emit)
-	sweep.PlaneSweep(rs, ss, eps, scalar.Emit)
 	col := joinColumnar(rs, ss, eps, false)
-	if oracle != scalar {
-		t.Fatalf("%s: scalar %d/%x, oracle %d/%x", label, scalar.N, scalar.Checksum, oracle.N, oracle.Checksum)
-	}
 	if oracle != col {
 		t.Fatalf("%s: columnar %d/%x, oracle %d/%x", label, col.N, col.Checksum, oracle.N, oracle.Checksum)
 	}
@@ -113,16 +109,16 @@ func TestColumnarSelfFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ts := randomTuples(rng, 250, 8, 0)
 	eps := 0.5
-	// Scalar self-filter path: r.ID < s.ID.
+	// The oracle's self-filter: r.ID < s.ID.
 	var want sweep.Counter
-	sweep.PlaneSweep(ts, ts, eps, func(r, s tuple.Tuple) {
+	sweep.NestedLoop(ts, ts, eps, func(r, s tuple.Tuple) {
 		if r.ID < s.ID {
 			want.Emit(r, s)
 		}
 	})
 	got := joinColumnar(ts, ts, eps, true)
 	if want != got {
-		t.Fatalf("self-filter columnar %d/%x, scalar %d/%x", got.N, got.Checksum, want.N, want.Checksum)
+		t.Fatalf("self-filter columnar %d/%x, nested loop %d/%x", got.N, got.Checksum, want.N, want.Checksum)
 	}
 	if got.N == 0 {
 		t.Fatal("self-join produced no pairs; widen the workload")
@@ -182,7 +178,7 @@ func TestProbeMatchesLinearScan(t *testing.T) {
 	var sel []int32
 	for trial := 0; trial < 30; trial++ {
 		ts := randomTuples(rng, 1+rng.Intn(400), 10, 0)
-		sweep.SortByX(ts)
+		slices.SortFunc(ts, func(a, b tuple.Tuple) int { return cmp.Compare(a.Pt.X, b.Pt.X) })
 		var cols colsweep.Cols
 		cols.Pack(ts)
 		eps := 0.1 + rng.Float64()
@@ -203,7 +199,8 @@ func TestProbeMatchesLinearScan(t *testing.T) {
 }
 
 // FuzzColumnarDifferential decodes arbitrary bytes into two point sets
-// and asserts the columnar, scalar, and nested-loop kernels agree.
+// and asserts the columnar kernel, the slab join and Probe agree with the
+// nested loop.
 func FuzzColumnarDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(10), uint8(10))
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 255}, uint8(1), uint8(1))
@@ -228,15 +225,14 @@ func FuzzColumnarDifferential(f *testing.F) {
 		}
 		rs := decode(int(nr%64), 0, 0)
 		ss := decode(int(ns%64), 1_000_000, 1)
-		var oracle, scalar sweep.Counter
+		var oracle sweep.Counter
 		sweep.NestedLoop(rs, ss, eps, oracle.Emit)
-		sweep.PlaneSweep(rs, ss, eps, scalar.Emit)
 		col := joinColumnar(rs, ss, eps, false)
 		slab := joinOneGroupSlabs(rs, ss, eps)
 		probe := probeEach(rs, ss, eps)
-		if oracle != scalar || oracle != col || oracle != slab || oracle != probe {
-			t.Fatalf("kernel divergence: oracle %d/%x, scalar %d/%x, columnar %d/%x, colpipe %d/%x, probe %d/%x",
-				oracle.N, oracle.Checksum, scalar.N, scalar.Checksum, col.N, col.Checksum,
+		if oracle != col || oracle != slab || oracle != probe {
+			t.Fatalf("kernel divergence: oracle %d/%x, columnar %d/%x, colpipe %d/%x, probe %d/%x",
+				oracle.N, oracle.Checksum, col.N, col.Checksum,
 				slab.N, slab.Checksum, probe.N, probe.Checksum)
 		}
 	})
@@ -375,6 +371,13 @@ func TestSweepModesMatchNestedLoop(t *testing.T) {
 		}
 		check("batch", bat.N, bat.Checksum, batched)
 
+		// Sink.Add records a kernel's own matches through the same step.
+		var added []tuple.Pair
+		bat = b.Batch(func(ps []tuple.Pair) { added = append(added, ps...) }, false)
+		sweep.NestedLoop(tc.rs, tc.ss, eps, func(r, s tuple.Tuple) { bat.Add(r.ID, s.ID) })
+		bat.Flush()
+		check("add", bat.N, bat.Checksum, added)
+
 		p := probeEach(tc.rs, tc.ss, eps)
 		check("probe", p.N, p.Checksum, nil)
 
@@ -426,24 +429,5 @@ func BenchmarkJoinCellColumnar(b *testing.B) {
 	b.StopTimer()
 	if out.N > 0 {
 		b.ReportMetric(float64(out.N)/b.Elapsed().Seconds(), "pairs/sec")
-	}
-}
-
-// BenchmarkJoinCellScalar is the same workload through the scalar kernel
-// (copy + slices.SortFunc + per-pair emit) — the post-satellite scalar
-// baseline.
-func BenchmarkJoinCellScalar(b *testing.B) {
-	rss, sss := benchCells(64, 256, 8, 0)
-	const eps = 0.5
-	var c sweep.Counter
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range rss {
-			sweep.PlaneSweep(rss[j], sss[j], eps, c.Emit)
-		}
-	}
-	b.StopTimer()
-	if c.N > 0 {
-		b.ReportMetric(float64(c.N)/b.Elapsed().Seconds(), "pairs/sec")
 	}
 }

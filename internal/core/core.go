@@ -52,7 +52,7 @@ type Config struct {
 	Partitions     int               // reduce partitions; default 8 × workers
 	UseLPT         bool              // LPT cell placement instead of hash partitioning
 	Order          agreements.Order  // Algorithm 1 edge order; OrderPaper by default
-	Kernel         dpe.Kernel        // local join kernel; the columnar plane sweep when nil (dpe.ScalarKernel forces the scalar oracle)
+	Kernel         dpe.Kernel        // per-cell join over the slab lanes; colsweep.SweepSorted when nil
 	Simple         bool              // non-duplicate-free assignment + distinct() (Table 6)
 	SelfFilter     bool              // self-join mode: keep only pairs with r.ID < s.ID
 	Collect        bool              // materialise result pairs

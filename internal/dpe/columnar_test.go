@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/sweep"
@@ -68,7 +69,7 @@ func columnarSpec(rs, ss []tuple.Tuple, eps float64, workers, nparts int, hilber
 
 // TestColumnarMatchesBruteForce runs every workload through the slab
 // pipeline — on the in-place columnar sweep and through the Kernel
-// callback (dpe.ScalarKernel) — and requires outcomes byte-identical to
+// callback (NestedLoopKernel) — and requires outcomes byte-identical to
 // a nested loop over the raw inputs: result count, checksum, and the
 // full collected pair set.
 func TestColumnarMatchesBruteForce(t *testing.T) {
@@ -83,7 +84,7 @@ func TestColumnarMatchesBruteForce(t *testing.T) {
 		sortPairs(want.Pairs)
 
 		for _, hilbert := range []bool{false, true} {
-			for _, kernel := range []Kernel{nil, ScalarKernel} {
+			for _, kernel := range []Kernel{nil, NestedLoopKernel} {
 				spec, _ := columnarSpec(w[0], w[1], eps, 3, 8, hilbert)
 				spec.Collect = true
 				spec.Kernel = kernel
@@ -217,7 +218,9 @@ func TestColumnarPartitionContents(t *testing.T) {
 // TestKernelViewsCarryPayloads checks the Kernel contract on the slab:
 // the callback sees each matched cell once, with every row's payload
 // still attached to its (id, point) and the cell id intact — even when
-// the spec asks for a Hilbert ranking, which kernel plans ignore.
+// the spec asks for a Hilbert ranking, which kernel plans ignore. The
+// spec assigns whole tuples, the rule under which payloads ride the
+// shuffle.
 func TestKernelViewsCarryPayloads(t *testing.T) {
 	const eps = 0.5
 	rng := rand.New(rand.NewSource(43))
@@ -230,32 +233,37 @@ func TestKernelViewsCarryPayloads(t *testing.T) {
 	rs := stamp(randomTuples(rng, 1500, 20, 0))
 	ss := stamp(randomTuples(rng, 1500, 20, 1_000_000))
 	spec, g := columnarSpec(rs, ss, eps, 3, 8, true)
+	spec = TupleAssigned(spec)
 
 	var mu sync.Mutex
 	seen := map[int]bool{}
-	spec.Kernel = func(cell int, r, s []tuple.Tuple, eps float64, emit sweep.Emit) {
+	spec.Kernel = func(cell int, r, s *colpipe.Group, eps float64, out *colsweep.Sink) {
 		mu.Lock()
 		if seen[cell] {
 			t.Errorf("cell %d joined twice", cell)
 		}
 		seen[cell] = true
 		mu.Unlock()
-		for _, side := range [2][]tuple.Tuple{r, s} {
-			for _, tu := range side {
-				if len(tu.Payload) != 8 || int64(binary.LittleEndian.Uint64(tu.Payload)) != tu.ID {
-					t.Errorf("cell %d: tuple %d lost its payload (%x)", cell, tu.ID, tu.Payload)
+		for _, side := range [2]*colpipe.Group{r, s} {
+			if len(side.Payloads) != side.Len() {
+				t.Errorf("cell %d: %d payloads for %d rows", cell, len(side.Payloads), side.Len())
+				continue
+			}
+			for i, id := range side.IDs {
+				if p := side.Payloads[i]; len(p) != 8 || int64(binary.LittleEndian.Uint64(p)) != id {
+					t.Errorf("cell %d: row %d lost its payload (%x)", cell, id, p)
 				}
 				// The id handed to the kernel must be the grid cell, not
 				// its Hilbert rank: every row is native to it or a halo
 				// replica from one of its eight neighbours.
 				cx, cy := g.CellCoords(cell)
-				hx, hy := g.Locate(tu.Pt)
+				hx, hy := g.Locate(geom.Point{X: side.Xs[i], Y: side.Ys[i]})
 				if hx < cx-1 || hx > cx+1 || hy < cy-1 || hy > cy+1 {
-					t.Errorf("cell %d (%d,%d) handed a tuple native to (%d,%d)", cell, cx, cy, hx, hy)
+					t.Errorf("cell %d (%d,%d) handed a row native to (%d,%d)", cell, cx, cy, hx, hy)
 				}
 			}
 		}
-		sweep.PlaneSweep(r, s, eps, emit)
+		colsweep.SweepSorted(&r.Cols, &s.Cols, eps, out)
 	}
 	got, err := Run(spec)
 	if err != nil {

@@ -54,7 +54,6 @@ import (
 	"spatialjoin/internal/dedup"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/obs"
-	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
@@ -110,17 +109,17 @@ func (e ExplicitPartitioner) PartitionOf(cell int) int {
 // NumPartitions implements Partitioner.
 func (e ExplicitPartitioner) NumPartitions() int { return e.N }
 
-// Kernel joins the R and S tuples of one cell, emitting every pair within
-// eps exactly once. The default (nil) is the columnar zero-allocation
-// plane sweep of internal/colsweep, run in place over the slab lanes. A
-// non-nil Kernel is a per-matched-cell callback: it is handed tuple
-// views of the cell's slab rows (x-sorted, payloads attached,
-// materialised into pooled scratch that is recycled when it returns, so
-// it must not retain the slices). ScalarKernel is the scalar sweep as an
-// explicit override, the Sedona-style baseline substitutes an R-tree
-// build-and-probe kernel, and the clone-join baseline a reference-point
-// filter (which is why the kernel receives the cell id it is joining).
-type Kernel func(cell int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit)
+// Kernel joins the R and S rows of one cell, adding every pair it
+// matches to out exactly once (through out.Add, or a colsweep sweep
+// into out). The default (nil) is colsweep.SweepSorted, run in place
+// over the slab lanes. A non-nil Kernel is called once per matched cell
+// with zero-copy views of the cell's x-sorted lanes (and its payloads,
+// when the plan carries a payload lane); it must not retain or modify
+// them. The clone-join baseline substitutes a reference-point filter
+// (which is why the kernel receives the cell id it is joining), the
+// Sedona-style baseline an R-tree build-and-probe, the extended-object
+// join an exact refinement and the two-layer join its class mini-join.
+type Kernel func(cell int, r, s *colpipe.Group, eps float64, out *colsweep.Sink)
 
 // KernelKind enumerates the join kernels a remote worker can rebuild
 // from a wire description.
@@ -167,9 +166,10 @@ type Spec struct {
 	Part         Partitioner
 	Workers      int // simulated cluster nodes; defaults to GOMAXPROCS
 	// Kernel is the per-cell join callback; nil is the in-place columnar
-	// plane sweep. A Kernel plan carries tuple payloads through the
-	// shuffle (the kernel may read them); a nil-Kernel plan ships points
-	// only and accounts payload bytes in the model alone.
+	// plane sweep. Tuple payloads ride the shuffle into the slabs (where
+	// a Kernel may read them) only when TupleAssignR or TupleAssignS is
+	// set; otherwise the plan ships points and accounts payload bytes in
+	// the model alone.
 	Kernel  Kernel
 	Collect bool // materialise result pairs (else count + checksum only)
 	Dedup   bool // run a distinct() pass after the join (Table 6 variant)
@@ -482,9 +482,9 @@ func splitOf(in []tuple.Tuple, w, workers int) []tuple.Tuple {
 
 // mapPhase assigns one input over the worker pool: each worker runs the
 // assignment once over its split and logs what the shuffle needs to
-// place the replicas — ranks, per-rank counts, modelled (and, when a
-// Kernel will read them, payload) bytes per partition. Nothing is copied
-// yet. It returns the per-worker logs and busy times.
+// place the replicas — ranks, per-rank counts, modelled (and, when the
+// plan carries a payload lane, payload) bytes per partition. Nothing is
+// copied yet. It returns the per-worker logs and busy times.
 func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]colpipe.Log, []time.Duration) {
 	in, assign := spec.side(set)
 	logs := make([]colpipe.Log, workers)
@@ -492,7 +492,7 @@ func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]c
 	eachWorker(workers, spec.PoolSize, func(w int) {
 		t0 := time.Now()
 		split := splitOf(in, w, workers)
-		lg := colpipe.NewLog(spec.Cells, nparts, len(split), spec.Kernel != nil)
+		lg := colpipe.NewLog(spec.Cells, nparts, len(split), spec.TupleAssignR != nil || spec.TupleAssignS != nil)
 		var cells []int
 		for i := range split {
 			t := &split[i]
@@ -643,11 +643,11 @@ func (pr *Prepared) ExecuteContext(ctx context.Context, opt ExecOptions) (*Resul
 		res.RemoteBytes += dm.RemoteBytes
 		// Recompute the checksum over the deduplicated set.
 		dedupSp := tr.Start(parent, obs.SpanDedup)
-		var c sweep.Counter
+		var sum uint64
 		for _, p := range uniq {
-			c.Emit(tuple.Tuple{ID: p.RID}, tuple.Tuple{ID: p.SID})
+			sum += tuple.PairHash(p.RID, p.SID)
 		}
-		res.Checksum = c.Checksum
+		res.Checksum = sum
 		dedupSp.SetInt("pairs", int64(len(uniq)))
 		dedupSp.End()
 		if !collectOut {
@@ -675,91 +675,21 @@ type PartitionResult struct {
 	Cost     int64 // Σ over the partition's cells of |R_c|·|S_c|
 }
 
-// ScalarKernel is the scalar array-of-structs plane-sweep kernel — the
-// engine's pre-columnar default, kept as an explicit Spec.Kernel /
-// core.Config.Kernel override for the kernel ablation and as a second
-// opinion in the differential tests.
-func ScalarKernel(_ int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
-	sweep.PlaneSweep(rs, ss, eps, emit)
-}
-
 // JoinSlabs joins the matching rank groups of a partition's two slabs —
-// the reduce task both the local engine and remote cluster workers run.
-// With a nil kernel the sweep reads the slab lanes in place: no hash
-// grouping, no sorting, no tuple materialisation, zero allocations per
-// partition in steady state (result collection, when requested, is the
-// only growth). A non-nil kernel is called once per matched group with
-// tuple views of its rows and the group's rank as the cell id. ctx is
+// the reduce task both the local engine and remote cluster workers run —
+// through colpipe.JoinSlabsContext, with kernel as the per-group join
+// (nil: the in-place sweep). The pairs reach one pooled colsweep.Sink,
+// so the self-filter and collect mode behave alike for every kernel;
+// with a nil kernel a partition allocates nothing in steady state
+// (result collection, when requested, is the only growth). ctx is
 // checked once per matched group; when it reports an error, JoinSlabs
 // returns it with the groups joined so far.
 func JoinSlabs(ctx context.Context, rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) (PartitionResult, error) {
-	if kernel != nil {
-		return joinSlabsKernel(ctx, rs, ss, eps, kernel, collect, selfFilter)
-	}
 	bufs := colsweep.Get()
 	defer colsweep.Put(bufs)
 	sink := bufs.Sink(collect, selfFilter)
-	cost, err := colpipe.JoinSlabsContext(ctx, rs, ss, eps, sink)
+	cost, err := colpipe.JoinSlabsContext(ctx, rs, ss, eps, kernel, sink)
 	return PartitionResult{Results: sink.N, Checksum: sink.Checksum, Pairs: sink.Pairs, Cost: cost}, err
-}
-
-// tupleViews is the pooled scratch a Kernel's per-group tuple views are
-// materialised into.
-type tupleViews struct{ r, s []tuple.Tuple }
-
-var viewPool = sync.Pool{New: func() any { return new(tupleViews) }}
-
-// joinSlabsKernel is JoinSlabs for an explicit kernel: the same linear
-// merge of the two ascending rank lists, with each matched group's rows
-// materialised as tuples for the callback.
-func joinSlabsKernel(ctx context.Context, rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) (PartitionResult, error) {
-	var out PartitionResult
-	var counter sweep.Counter
-	var coll sweep.Collector
-	emit := counter.Emit
-	if collect {
-		emit = func(r, s tuple.Tuple) {
-			counter.Emit(r, s)
-			coll.Emit(r, s)
-		}
-	}
-	if selfFilter {
-		inner := emit
-		emit = func(r, s tuple.Tuple) {
-			if r.ID < s.ID {
-				inner(r, s)
-			}
-		}
-	}
-	v := viewPool.Get().(*tupleViews)
-	var err error
-	ri, si := 0, 0
-	for err == nil && ri < rs.NumGroups() && si < ss.NumGroups() {
-		switch {
-		case rs.Ranks[ri] < ss.Ranks[si]:
-			ri++
-		case rs.Ranks[ri] > ss.Ranks[si]:
-			si++
-		default:
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			v.r = rs.AppendTuples(v.r[:0], ri)
-			v.s = ss.AppendTuples(v.s[:0], si)
-			out.Cost += int64(len(v.r)) * int64(len(v.s))
-			kernel(int(rs.Ranks[ri]), v.r, v.s, eps, emit)
-			ri++
-			si++
-		}
-	}
-	// Drop the payload references before pooling the scratch.
-	clear(v.r[:cap(v.r)])
-	clear(v.s[:cap(v.s)])
-	viewPool.Put(v)
-	out.Results = counter.N
-	out.Checksum = counter.Checksum
-	out.Pairs = coll.Pairs
-	return out, err
 }
 
 // JoinSlabsTraced is JoinSlabs plus span instrumentation: the

@@ -90,7 +90,7 @@ func (c *countdownCtx) Err() error {
 
 // TestJoinSlabsStopsWithinOneGroup cancels a partition join part-way:
 // JoinSlabs must return the context's error having joined no group past
-// the check that reported it, on the slab kernel and on a tuple kernel.
+// the check that reported it, on the in-place sweep and on a lane kernel.
 func TestJoinSlabsStopsWithinOneGroup(t *testing.T) {
 	const groups, after = 50, 7
 	// Group k holds one R and one S point at the same spot: one pair each.
@@ -111,7 +111,7 @@ func TestJoinSlabsStopsWithinOneGroup(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		kernel Kernel
-	}{{"slab", nil}, {"tuple kernel", ScalarKernel}} {
+	}{{"slab", nil}, {"lane kernel", NestedLoopKernel}} {
 		full, err := JoinSlabs(context.Background(), rs, ss, 0.5, tc.kernel, false, false)
 		if err != nil || full.Results != groups {
 			t.Fatalf("%s: uncancelled join %d pairs, err %v; want %d", tc.name, full.Results, err, groups)

@@ -25,7 +25,7 @@ import (
 // each bucket is stable-sorted by x.
 func referenceSlabs(spec Spec, set tuple.Set, workers int) []colpipe.Slab {
 	in, assign := spec.side(set)
-	carry := spec.Kernel != nil
+	carry := spec.TupleAssignR != nil || spec.TupleAssignS != nil
 	nparts := spec.Part.NumPartitions()
 	out := make([]colpipe.Slab, nparts)
 	buckets := make([]map[int32][]tuple.Tuple, nparts)
@@ -43,7 +43,7 @@ func referenceSlabs(spec Spec, set tuple.Set, workers int) []colpipe.Slab {
 		cells = assign(tu, set, cells[:0])
 		for _, c := range cells {
 			rk := int32(c)
-			if spec.CellRank != nil && !carry {
+			if spec.CellRank != nil && spec.Kernel == nil {
 				rk = spec.CellRank[c]
 			}
 			p := spec.Part.PartitionOf(c)
@@ -115,8 +115,9 @@ func diffSlab(got, want *colpipe.Slab) string {
 // → layout → scatter → sort: every field of every slab must equal the
 // reference built above, for the border-heavy workloads, an empty side,
 // more workers than rows, a single worker, identity and Hilbert ranks,
-// and a Kernel plan whose payloads ride in the lane — at PoolSize 1 and
-// 4. Equality with one reference at both pool sizes is what makes the
+// a whole-tuple-assigned Kernel plan whose payloads ride in the lane, and
+// a point-assigned Kernel plan whose payloads stay behind — at PoolSize
+// 1 and 4. Equality with one reference at both pool sizes is what makes the
 // parallel scatter deterministic, not merely race-free.
 func TestShuffleMatchesReference(t *testing.T) {
 	const eps = 0.5
@@ -148,14 +149,17 @@ func TestShuffleMatchesReference(t *testing.T) {
 		return out
 	}
 	for _, in := range inputs {
-		for _, variant := range []string{"identity", "hilbert", "kernel+payload", "kernel-bare"} {
+		for _, variant := range []string{"identity", "hilbert", "tuple-assign+payload", "kernel+payload-stays"} {
 			rs, ss := in.rs, in.ss
-			if variant == "kernel+payload" {
+			if variant != "identity" && variant != "hilbert" {
 				rs, ss = stamp(rs), stamp(ss)
 			}
 			spec, _ := columnarSpec(rs, ss, eps, in.workers, 8, variant == "hilbert")
-			if variant == "kernel+payload" || variant == "kernel-bare" {
-				spec.Kernel = ScalarKernel
+			if variant == "tuple-assign+payload" {
+				spec = TupleAssigned(spec)
+			}
+			if variant != "identity" && variant != "hilbert" {
+				spec.Kernel = NestedLoopKernel
 			}
 			want := [2][]colpipe.Slab{
 				referenceSlabs(spec, tuple.R, in.workers),

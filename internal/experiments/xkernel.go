@@ -4,10 +4,11 @@ import (
 	"cmp"
 	"slices"
 
+	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/dpe"
-	"spatialjoin/internal/rtree"
-	"spatialjoin/internal/sweep"
+	"spatialjoin/internal/sedonasim"
 	"spatialjoin/internal/tuple"
 )
 
@@ -16,7 +17,9 @@ import (
 // Tsitsigkos et al. SIGSPATIAL '19): with partitioning and replication
 // fixed (LPiB), only the per-cell join algorithm varies — plane sweep
 // along x, per-cell best-axis sweep, an STR R-tree build-and-probe, and
-// the quadratic nested loop as the floor.
+// the quadratic nested loop as the floor. Every kernel reads the same
+// slab lanes and writes the same sink, so the columns differ in the
+// per-cell algorithm alone.
 func XKernel(sc Scale) []*Table {
 	t := &Table{
 		ID:    "xkernel",
@@ -30,18 +33,9 @@ func XKernel(sc Scale) []*Table {
 		k    dpe.Kernel
 	}{
 		{"sweep-x", nil}, // engine default
-		{"best-axis", func(_ int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
-			sweep.PlaneSweepBestAxis(rs, ss, eps, emit)
-		}},
-		{"rtree-probe", func(_ int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
-			tree := rtree.Build(rs, 0)
-			for _, s := range ss {
-				tree.Within(s.Pt, eps, func(r tuple.Tuple) { emit(r, s) })
-			}
-		}},
-		{"nested-loop", func(_ int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
-			sweep.NestedLoop(rs, ss, eps, emit)
-		}},
+		{"best-axis", bestAxisKernel},
+		{"rtree-probe", sedonasim.IndexProbeKernel(false)},
+		{"nested-loop", nestedLoopKernel},
 	}
 	for _, combo := range Combos() {
 		rs := combo.R(sc.N)
@@ -63,6 +57,46 @@ func XKernel(sc Scale) []*Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return []*Table{t}
+}
+
+// bestAxisKernel sweeps along whichever axis spreads the cell's points
+// more — the per-partition sweep-axis tuning of Tsitsigkos et al.
+// (SIGSPATIAL '19): a wider sweep axis puts fewer points in each
+// ε-window. The lanes arrive x-sorted, so the x sweep runs in place;
+// the y sweep works on swapped, re-sorted copies.
+func bestAxisKernel(_ int, r, s *colpipe.Group, eps float64, out *colsweep.Sink) {
+	if r.Len() == 0 || s.Len() == 0 {
+		return
+	}
+	spreadX := max(r.Xs[r.Len()-1], s.Xs[s.Len()-1]) - min(r.Xs[0], s.Xs[0])
+	spreadY := max(slices.Max(r.Ys), slices.Max(s.Ys)) - min(slices.Min(r.Ys), slices.Min(s.Ys))
+	if spreadX >= spreadY {
+		colsweep.SweepSorted(&r.Cols, &s.Cols, eps, out)
+		return
+	}
+	b := colsweep.Get()
+	defer colsweep.Put(b)
+	flip := func(g *colpipe.Group) colsweep.Cols {
+		c := colsweep.Cols{Xs: slices.Clone(g.Xs), Ys: slices.Clone(g.Ys), IDs: slices.Clone(g.IDs)}
+		c.SwapAxes()
+		c.SortByX(b)
+		return c
+	}
+	rc, sc := flip(r), flip(s)
+	colsweep.SweepSorted(&rc, &sc, eps, out)
+}
+
+// nestedLoopKernel compares every pair of the cell: the quadratic floor.
+func nestedLoopKernel(_ int, r, s *colpipe.Group, eps float64, out *colsweep.Sink) {
+	eps2 := eps * eps
+	for i, rid := range r.IDs {
+		for j, sid := range s.IDs {
+			dx, dy := r.Xs[i]-s.Xs[j], r.Ys[i]-s.Ys[j]
+			if dx*dx+dy*dy <= eps2 {
+				out.Add(rid, sid)
+			}
+		}
+	}
 }
 
 // mustCoreRepeated runs core.Join sc.reps() times, returning the run with

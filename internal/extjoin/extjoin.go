@@ -26,10 +26,11 @@ import (
 	"fmt"
 	"time"
 
+	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/extgeom"
-	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
@@ -74,7 +75,7 @@ func Join(rs, ss []extgeom.Object, cfg Config) (*Result, error) {
 	}
 	epsE := cfg.Eps + 2*maxHD
 	centersR, centersS := centers(rs), centers(ss)
-	cfg.Kernel = refineKernel(lookup(rs), lookup(ss), cfg.Eps)
+	cfg.Kernel = RefineKernel(lookup(rs), lookup(ss), cfg.Eps)
 	cfg.Eps = epsE
 	prepTime := time.Since(start)
 
@@ -91,15 +92,20 @@ func Join(rs, ss []extgeom.Object, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// refineKernel filters centre pairs with a plane sweep at εe and refines
-// each candidate with the exact object distance at ε.
-func refineKernel(lookupR, lookupS map[int64]*extgeom.Object, eps float64) dpe.Kernel {
-	return func(_ int, rs, ss []tuple.Tuple, epsE float64, emit sweep.Emit) {
-		sweep.PlaneSweep(rs, ss, epsE, func(r, s tuple.Tuple) {
-			if extgeom.WithinDist(lookupR[r.ID], lookupS[s.ID], eps) {
-				emit(r, s)
+// RefineKernel filters centre pairs within εe — every R centre probes
+// the x-sorted S centres — and refines each candidate with the exact
+// object distance at ε.
+func RefineKernel(lookupR, lookupS map[int64]*extgeom.Object, eps float64) dpe.Kernel {
+	return func(_ int, r, s *colpipe.Group, epsE float64, out *colsweep.Sink) {
+		var sel []int32
+		for i, id := range r.IDs {
+			sel = colsweep.Probe(&s.Cols, r.Xs[i], r.Ys[i], epsE, sel)
+			for _, j := range sel {
+				if extgeom.WithinDist(lookupR[id], lookupS[s.IDs[j]], eps) {
+					out.Add(id, s.IDs[j])
+				}
 			}
-		})
+		}
 	}
 }
 

@@ -18,12 +18,13 @@ import (
 	"fmt"
 	"time"
 
+	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/replicate"
-	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
@@ -117,18 +118,22 @@ func Join(rs, ss []tuple.Tuple, c Config) (*core.Result, error) {
 		Collect: c.Collect, Bounds: c.Bounds, Engine: c.Engine, Scheme: Scheme(c.Variant)})
 }
 
-// RefPointKernel wraps the plane sweep with the reference-point filter:
-// a pair is emitted only by the cell containing its midpoint. Exported
-// so internal/cluster's workers can rebuild it from the plan's wire
-// kernel description.
+// RefPointKernel is the clone join's kernel: every R row probes the
+// x-sorted S lanes for its ε-candidates, and a pair is added only by the
+// cell containing its midpoint. Exported so internal/cluster's workers
+// can rebuild it from the plan's wire kernel description.
 func RefPointKernel(g *grid.Grid) dpe.Kernel {
-	return func(cell int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
-		sweep.PlaneSweep(rs, ss, eps, func(r, s tuple.Tuple) {
-			mid := geom.Point{X: (r.Pt.X + s.Pt.X) / 2, Y: (r.Pt.Y + s.Pt.Y) / 2}
-			mx, my := g.Locate(mid)
-			if g.CellID(mx, my) == cell {
-				emit(r, s)
+	return func(cell int, r, s *colpipe.Group, eps float64, out *colsweep.Sink) {
+		var sel []int32
+		for i, id := range r.IDs {
+			x, y := r.Xs[i], r.Ys[i]
+			sel = colsweep.Probe(&s.Cols, x, y, eps, sel)
+			for _, j := range sel {
+				mx, my := g.Locate(geom.Point{X: (x + s.Xs[j]) / 2, Y: (y + s.Ys[j]) / 2})
+				if g.CellID(mx, my) == cell {
+					out.Add(id, s.IDs[j])
+				}
 			}
-		})
+		}
 	}
 }

@@ -1,3 +1,8 @@
+// Package rtree implements an STR (Sort-Tile-Recursive) bulk-loaded
+// R-tree over rectangles. It is the per-cell local index of the
+// Sedona-style baseline — the indexed side's points packed as degenerate
+// boxes and probed with ε-squares — and the degenerate-tile fallback of
+// the two-layer non-point kernel.
 package rtree
 
 import (
@@ -8,6 +13,9 @@ import (
 	"spatialjoin/internal/geom"
 )
 
+// DefaultFanout is the default maximum number of entries per node.
+const DefaultFanout = 16
+
 // BoxEntry is one indexed rectangle. Ref is an opaque caller index (the
 // two-layer kernel stores the position of the object in its per-tile
 // slice there).
@@ -17,8 +25,9 @@ type BoxEntry struct {
 }
 
 // BoxTree is an immutable STR bulk-loaded R-tree over rectangles. The
-// two-layer join kernel builds one per degenerate tile — potentially
-// thousands of tiny trees per join — so construction cost matters as much
+// Sedona-style kernel builds one per cell and the two-layer kernel one
+// per degenerate tile — potentially thousands of tiny trees per join —
+// so construction cost matters as much
 // as probe cost: BuildBoxes packs bottom-up in O(n log n) with exactly
 // one entry copy and no per-insert re-splits.
 type BoxTree struct {
@@ -124,8 +133,9 @@ func (t *BoxTree) SearchIntersects(q geom.Rect, visit func(BoxEntry)) {
 	walk(t.root)
 }
 
-// packBoxLeaves tiles entries into leaves exactly like packLeaves, using
-// rectangle centers as the STR sort keys.
+// packBoxLeaves tiles entries into leaves: STR-sort them by centre x,
+// cut the order into ⌈√leaves⌉ vertical slices, sort each slice by
+// centre y and cut it into leaves of fanout entries.
 func packBoxLeaves(entries []BoxEntry, fanout int) []*boxNode {
 	slices.SortFunc(entries, func(a, b BoxEntry) int { return cmp.Compare(a.Rect.Center().X, b.Rect.Center().X) })
 	nLeaves := (len(entries) + fanout - 1) / fanout

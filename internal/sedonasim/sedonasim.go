@@ -20,6 +20,8 @@ package sedonasim
 import (
 	"time"
 
+	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
@@ -27,13 +29,12 @@ import (
 	"spatialjoin/internal/quadtree"
 	"spatialjoin/internal/rtree"
 	"spatialjoin/internal/sample"
-	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
 // Scheme is the Sedona-style join as a scheme of the core orchestrator:
 // quadtree leaves are the cells, the smaller input is replicated to every
-// leaf within ε, and each cell is joined by indexProbeKernel. Circle
+// leaf within ε, and each cell is joined by IndexProbeKernel. Circle
 // replication at the plan's ε covers every smaller ε′, so the plan is
 // reusable like any other; the kernel has no wire description, so it
 // runs on the local engine only.
@@ -76,7 +77,7 @@ func Scheme(in core.Input, spec *dpe.Spec, p *core.Plan) error {
 	}
 	spec.Cells = qt.NumLeaves()
 	spec.Part = dpe.HashPartitioner{N: in.Partitions}
-	spec.Kernel = indexProbeKernel(smallIsR)
+	spec.Kernel = IndexProbeKernel(smallIsR)
 	return nil
 }
 
@@ -90,21 +91,37 @@ func buildPartitioner(smp []tuple.Tuple, bounds geom.Rect, partitions int) *quad
 	return quadtree.Build(smp, bounds, capacity, 0)
 }
 
-// indexProbeKernel returns the local join kernel: an R-tree is built on
-// the indexed (larger) side and probed with the replicated side's points.
-func indexProbeKernel(smallIsR bool) dpe.Kernel {
-	return func(_ int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
-		if smallIsR {
-			// S is indexed, R probes.
-			tree := rtree.Build(ss, rtree.DefaultFanout)
-			for _, r := range rs {
-				tree.Within(r.Pt, eps, func(s tuple.Tuple) { emit(r, s) })
-			}
-			return
+// IndexProbeKernel returns the local join kernel: the indexed side's
+// rows are STR-packed as point boxes into an R-tree, each row of the
+// other side probes it with its ε-square, and a candidate is a pair when
+// it passes the closed test dx²+dy² ≤ ε². indexS indexes S (R probes);
+// otherwise R is indexed and S probes.
+func IndexProbeKernel(indexS bool) dpe.Kernel {
+	return func(_ int, r, s *colpipe.Group, eps float64, out *colsweep.Sink) {
+		idx, probe := r, s
+		if indexS {
+			idx, probe = s, r
 		}
-		tree := rtree.Build(rs, rtree.DefaultFanout)
-		for _, s := range ss {
-			tree.Within(s.Pt, eps, func(r tuple.Tuple) { emit(r, s) })
+		boxes := make([]rtree.BoxEntry, idx.Len())
+		for i := range boxes {
+			x, y := idx.Xs[i], idx.Ys[i]
+			boxes[i] = rtree.BoxEntry{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}, Ref: int32(i)}
+		}
+		tree := rtree.BuildBoxes(boxes, rtree.DefaultFanout)
+		eps2 := eps * eps
+		for i, id := range probe.IDs {
+			x, y := probe.Xs[i], probe.Ys[i]
+			tree.SearchIntersects(geom.Rect{MinX: x - eps, MinY: y - eps, MaxX: x + eps, MaxY: y + eps}, func(e rtree.BoxEntry) {
+				dx, dy := x-idx.Xs[e.Ref], y-idx.Ys[e.Ref]
+				if dx*dx+dy*dy > eps2 {
+					return
+				}
+				if indexS {
+					out.Add(id, idx.IDs[e.Ref])
+				} else {
+					out.Add(idx.IDs[e.Ref], id)
+				}
+			})
 		}
 	}
 }

@@ -75,7 +75,7 @@ func (r *geoRegistry) get(name string) (*geoDataset, error) {
 	defer r.mu.RUnlock()
 	d, ok := r.m[name]
 	if !ok {
-		return nil, fmt.Errorf("service: unknown dataset %q", name)
+		return nil, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
 	return d, nil
 }
@@ -262,7 +262,7 @@ func (s *Service) handleListGeoDatasets(w http.ResponseWriter, r *http.Request) 
 func (s *Service) handleDeleteGeoDataset(w http.ResponseWriter, r *http.Request) (int, error) {
 	name := r.PathValue("name")
 	if !s.geo.delete(name) {
-		return http.StatusNotFound, fmt.Errorf("service: unknown dataset %q", name)
+		return http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
 	return writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }

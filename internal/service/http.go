@@ -184,7 +184,7 @@ func (s *Service) handleListDatasets(w http.ResponseWriter, r *http.Request) (in
 func (s *Service) handleDeleteDataset(w http.ResponseWriter, r *http.Request) (int, error) {
 	name := r.PathValue("name")
 	if !s.Registry.Delete(name) {
-		return http.StatusNotFound, fmt.Errorf("service: unknown dataset %q", name)
+		return http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
 	s.cache.Invalidate(name)
 	return writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
@@ -280,7 +280,7 @@ func joinErrorCode(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
-	case strings.Contains(err.Error(), "unknown dataset"):
+	case errors.Is(err, ErrUnknownDataset):
 		return http.StatusNotFound
 	default:
 		return http.StatusBadRequest

@@ -2,12 +2,17 @@ package service
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"spatialjoin"
 )
+
+// ErrUnknownDataset is returned (wrapped) when no point or geometry
+// dataset has the requested name.
+var ErrUnknownDataset = errors.New("service: unknown dataset")
 
 // sampleKey identifies one cached Bernoulli sample of a dataset.
 type sampleKey struct {
@@ -130,7 +135,7 @@ func (r *Registry) Apply(name string, upserts []spatialjoin.Tuple, deletes []int
 	defer r.mu.Unlock()
 	d, ok := r.m[name]
 	if !ok {
-		return 0, fmt.Errorf("service: unknown dataset %q", name)
+		return 0, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
 	drop := make(map[int64]struct{}, len(deletes)+len(upserts))
 	for _, id := range deletes {
@@ -168,7 +173,7 @@ func (r *Registry) Get(name string) (*dataset, error) {
 	defer r.mu.RUnlock()
 	d, ok := r.m[name]
 	if !ok {
-		return nil, fmt.Errorf("service: unknown dataset %q", name)
+		return nil, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
 	return d, nil
 }

@@ -143,7 +143,7 @@ func (s *Service) CreateStream(cfg StreamConfig) (StreamInfo, error) {
 	s.streamMu.Lock()
 	if _, exists := s.streams[cfg.Name]; exists {
 		s.streamMu.Unlock()
-		return StreamInfo{}, fmt.Errorf("service: stream %q already exists", cfg.Name)
+		return StreamInfo{}, fmt.Errorf("%w: %q", ErrStreamExists, cfg.Name)
 	}
 	if s.store != nil {
 		seq, err := s.store.LogStreamCreate(st.spec)
@@ -212,6 +212,10 @@ func (s *Service) ttlLoop(st *streamState, ttl time.Duration) {
 // ErrUnknownStream is returned (wrapped) when no live stream has the
 // requested name.
 var ErrUnknownStream = errors.New("service: unknown stream")
+
+// ErrStreamExists is returned (wrapped) when CreateStream is asked for a
+// name a live stream already holds.
+var ErrStreamExists = errors.New("service: stream already exists")
 
 // GetStream returns one live stream, or an error wrapping
 // ErrUnknownStream.

@@ -75,9 +75,9 @@ func (s *Service) handleCreateStream(w http.ResponseWriter, r *http.Request) (in
 	info, err := s.CreateStream(cfg)
 	if err != nil {
 		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already exists") {
+		if errors.Is(err, ErrStreamExists) {
 			code = http.StatusConflict
-		} else if strings.Contains(err.Error(), "unknown dataset") {
+		} else if errors.Is(err, ErrUnknownDataset) {
 			code = http.StatusNotFound
 		}
 		return code, err

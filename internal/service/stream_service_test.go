@@ -346,6 +346,41 @@ func TestStreamIngestMirrorErrorIsNotNotFound(t *testing.T) {
 	}
 }
 
+// TestStatusIgnoresErrorText pins the HTTP statuses to the error kinds,
+// not to words in the message: a missing dataset named "already exists"
+// is a 404, a duplicate stream named "unknown dataset" is a 409, and a
+// join error that merely quotes the words "unknown dataset" is a 400.
+func TestStatusIgnoresErrorText(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/stream", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"name":"x","eps":0.1,"max_x":1,"max_y":1,"r_dataset":"already exists"}`); code != http.StatusNotFound {
+		t.Fatalf("missing dataset named %q: status %d, want 404", "already exists", code)
+	}
+	dup := `{"name":"unknown dataset","eps":0.1,"max_x":1,"max_y":1}`
+	if code := post(dup); code != http.StatusCreated {
+		t.Fatalf("create status = %d", code)
+	}
+	if code := post(dup); code != http.StatusConflict {
+		t.Fatalf("duplicate stream named %q: status %d, want 409", "unknown dataset", code)
+	}
+	if code := joinErrorCode(fmt.Errorf("service: field %q is not allowed", "unknown dataset")); code != http.StatusBadRequest {
+		t.Fatalf("join error quoting %q: status %d, want 400", "unknown dataset", code)
+	}
+	if code := joinErrorCode(fmt.Errorf("join: %w", fmt.Errorf("%w %q", ErrUnknownDataset, "r"))); code != http.StatusNotFound {
+		t.Fatalf("wrapped ErrUnknownDataset: status %d, want 404", code)
+	}
+}
+
 func sortedKeys(m map[[2]int64]bool) [][2]int64 {
 	out := make([][2]int64, 0, len(m))
 	for k := range m {

@@ -8,12 +8,12 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/extgeom"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/rtree"
-	"spatialjoin/internal/sweep"
-	"spatialjoin/internal/tuple"
 )
 
 // Defaults for the degenerate-tile fallback heuristic.
@@ -42,8 +42,8 @@ type KernelStats struct {
 }
 
 // Kernel is the per-tile class-pair mini-join. It implements the
-// dpe.Kernel contract: tuples arrive grouped by tile with the geometry
-// in the payload, classes are recomputed tile-locally from the MBR (no
+// dpe.Kernel contract: rows arrive grouped by tile with the geometry in
+// the payload lane, classes are recomputed tile-locally from the MBR (no
 // class tags travel on the wire), and the allowed class combinations
 // are joined with a forward-scan interval sweep — or a bulk-loaded
 // R-tree when the tile is degenerate.
@@ -100,7 +100,7 @@ func (k *Kernel) Desc(refineEps float64) dpe.KernelDesc {
 // vertices live in the tile's vertex arena.
 type entry struct {
 	mbr geom.Rect
-	t   tuple.Tuple
+	id  int64
 	obj extgeom.Object
 }
 
@@ -140,8 +140,9 @@ func (sc *tileScratch) retainedBytes() int {
 	return n
 }
 
-// release returns the scratch to the pool, emptied: the entries hold
-// payload slices that would otherwise pin the tile's input in the pool.
+// release returns the scratch to the pool, emptied: an entry's vertices
+// may lie in an arena the scratch has since outgrown, which it would
+// otherwise pin in the pool.
 func (sc *tileScratch) release() {
 	if sc.retainedBytes() > maxPooledScratchBytes {
 		return
@@ -161,9 +162,13 @@ func (sc *tileScratch) release() {
 // load decodes one side's replicas — MBR and vertices in a single pass
 // over each payload — classifies them tile-locally and buckets them by
 // class. widen is the ε the side's MBRs are expanded by.
-func (k *Kernel) load(sc *tileScratch, byClass *[numClasses][]entry, ts []tuple.Tuple, widen float64, col, row int) {
-	for _, t := range ts {
-		obj, mbr, verts, err := extgeom.DecodeObjectInto(sc.verts, t.ID, t.Payload)
+func (k *Kernel) load(sc *tileScratch, byClass *[numClasses][]entry, g *colpipe.Group, widen float64, col, row int) {
+	for i, id := range g.IDs {
+		var payload []byte // a slab whose rows all carry none has no lane
+		if g.Payloads != nil {
+			payload = g.Payloads[i]
+		}
+		obj, mbr, verts, err := extgeom.DecodeObjectInto(sc.verts, id, payload)
 		if err != nil {
 			sc.decodeErrors++
 			continue
@@ -181,7 +186,7 @@ func (k *Kernel) load(sc *tileScratch, byClass *[numClasses][]entry, ts []tuple.
 		}
 		sc.verts = verts
 		c := k.Grid.Classify(mbr, col, row)
-		byClass[c] = append(byClass[c], entry{mbr: mbr, t: t, obj: obj})
+		byClass[c] = append(byClass[c], entry{mbr: mbr, id: id, obj: obj})
 	}
 }
 
@@ -198,7 +203,7 @@ func (k *Kernel) widenR(eps float64) float64 {
 // Join joins one tile. eps is the execution threshold: a re-sweep with
 // ε' ≤ plan ε re-classifies with the narrower widening, which both
 // replica sets still cover, so exactly-once emission is preserved.
-func (k *Kernel) Join(cell int, rs, ss []tuple.Tuple, eps float64, emit sweep.Emit) {
+func (k *Kernel) Join(cell int, r, s *colpipe.Group, eps float64, out *colsweep.Sink) {
 	col, row := k.Grid.TileCoords(cell)
 	widen := k.widenR(eps)
 
@@ -206,17 +211,17 @@ func (k *Kernel) Join(cell int, rs, ss []tuple.Tuple, eps float64, emit sweep.Em
 	// in pooled scratch. Only the R side is widened.
 	sc := scratchPool.Get().(*tileScratch)
 	defer sc.release()
-	k.load(sc, &sc.byClassR, rs, widen, col, row)
-	k.load(sc, &sc.byClassS, ss, 0, col, row)
+	k.load(sc, &sc.byClassR, r, widen, col, row)
+	k.load(sc, &sc.byClassS, s, 0, col, row)
 
 	if k.ForceFallback || k.degenerate(sc) {
 		k.Stats.FallbackTiles.Add(1)
-		k.joinRtree(sc, eps, emit)
+		k.joinRtree(sc, eps, out)
 	} else {
 		for cr := ClassA; cr < numClasses; cr++ {
 			for cs := ClassA; cs < numClasses; cs++ {
 				if comboAllowed(cr, cs) {
-					k.sweepCombo(sc, sc.byClassR[cr], sc.byClassS[cs], eps, emit)
+					k.sweepCombo(sc, sc.byClassR[cr], sc.byClassS[cs], eps, out)
 				}
 			}
 		}
@@ -266,7 +271,7 @@ func (k *Kernel) degenerate(sc *tileScratch) bool {
 // sorted by MBR x-start, the earlier-starting entry scanned forward in
 // the other list while x-intervals overlap, then a y-overlap check,
 // then exact refinement.
-func (k *Kernel) sweepCombo(sc *tileScratch, res, ses []entry, eps float64, emit sweep.Emit) {
+func (k *Kernel) sweepCombo(sc *tileScratch, res, ses []entry, eps float64, out *colsweep.Sink) {
 	if len(res) == 0 || len(ses) == 0 {
 		return
 	}
@@ -277,13 +282,13 @@ func (k *Kernel) sweepCombo(sc *tileScratch, res, ses []entry, eps float64, emit
 		if res[i].mbr.MinX <= ses[j].mbr.MinX {
 			r := &res[i]
 			for jj := j; jj < len(ses) && ses[jj].mbr.MinX <= r.mbr.MaxX; jj++ {
-				k.tryPair(sc, r, &ses[jj], eps, emit)
+				k.tryPair(sc, r, &ses[jj], eps, out)
 			}
 			i++
 		} else {
 			s := &ses[j]
 			for ii := i; ii < len(res) && res[ii].mbr.MinX <= s.mbr.MaxX; ii++ {
-				k.tryPair(sc, &res[ii], s, eps, emit)
+				k.tryPair(sc, &res[ii], s, eps, out)
 			}
 			j++
 		}
@@ -292,14 +297,14 @@ func (k *Kernel) sweepCombo(sc *tileScratch, res, ses []entry, eps float64, emit
 
 // tryPair finishes the filter (y overlap; x overlap is the sweep's
 // invariant) and refines with the exact predicate.
-func (k *Kernel) tryPair(sc *tileScratch, r, s *entry, eps float64, emit sweep.Emit) {
+func (k *Kernel) tryPair(sc *tileScratch, r, s *entry, eps float64, out *colsweep.Sink) {
 	if r.mbr.MinY > s.mbr.MaxY || s.mbr.MinY > r.mbr.MaxY {
 		return
 	}
 	sc.candidates++
 	if extgeom.Eval(k.Pred, &r.obj, &s.obj, eps) {
 		sc.emitted++
-		emit(r.t, s.t)
+		out.Add(r.id, s.id)
 	}
 }
 
@@ -307,7 +312,7 @@ func (k *Kernel) tryPair(sc *tileScratch, r, s *entry, eps float64, emit sweep.E
 // into a BoxTree, probe with each R MBR, and gate emissions on the same
 // class table. The candidate set (MBR x AND y overlap) is identical to
 // the sweeps', so both paths emit identical result sets.
-func (k *Kernel) joinRtree(sc *tileScratch, eps float64, emit sweep.Emit) {
+func (k *Kernel) joinRtree(sc *tileScratch, eps float64, out *colsweep.Sink) {
 	for c := ClassA; c < numClasses; c++ {
 		for i := range sc.byClassS[c] {
 			e := &sc.byClassS[c][i]
@@ -327,7 +332,7 @@ func (k *Kernel) joinRtree(sc *tileScratch, eps float64, emit sweep.Emit) {
 				if !comboAllowed(cr, sc.classS[be.Ref]) {
 					return
 				}
-				k.tryPair(sc, r, sc.flatS[be.Ref], eps, emit)
+				k.tryPair(sc, r, sc.flatS[be.Ref], eps, out)
 			})
 		}
 	}

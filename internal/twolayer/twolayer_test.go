@@ -10,6 +10,8 @@ import (
 	"slices"
 	"testing"
 
+	"spatialjoin/internal/colpipe"
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/extgeom"
@@ -459,6 +461,16 @@ func squareTuple(id int64, x, y, side float64) tuple.Tuple {
 	return tuple.Tuple{ID: o.ID, Pt: o.Bounds().Center(), Payload: extgeom.AppendObject(nil, &o)}
 }
 
+// groupOf lays tuples out as the slab group view a kernel is handed.
+func groupOf(ts []tuple.Tuple) *colpipe.Group {
+	g := &colpipe.Group{Payloads: [][]byte{}}
+	for _, t := range ts {
+		g.Append(t.Pt.X, t.Pt.Y, t.ID)
+		g.Payloads = append(g.Payloads, t.Payload)
+	}
+	return g
+}
+
 // TestTwoLayerKernelJoinAllocs pins the per-tile allocation behaviour
 // of the kernel: with the pooled tile scratch warm, a tile join must not
 // allocate at all — not when every candidate dies in the MBR filter, and
@@ -483,11 +495,14 @@ func TestTwoLayerKernelJoinAllocs(t *testing.T) {
 		// and the hit comes out of the segment scan.
 		{"near", 11.3, []extgeom.Predicate{extgeom.WithinDistance}, []extgeom.Predicate{extgeom.WithinDistance}},
 	} {
-		var rs, ss []tuple.Tuple
+		var rts, sts []tuple.Tuple
 		for i := 0; i < 40; i++ {
-			rs = append(rs, squareTuple(int64(i), float64(i)*25, 10, 1))
-			ss = append(ss, squareTuple(int64(1000+i), float64(i)*25+0.5, tc.sy, 1))
+			rts = append(rts, squareTuple(int64(i), float64(i)*25, 10, 1))
+			sts = append(sts, squareTuple(int64(1000+i), float64(i)*25+0.5, tc.sy, 1))
 		}
+		rs, ss := groupOf(rts), groupOf(sts)
+		bufs := colsweep.Get()
+		defer colsweep.Put(bufs)
 		for _, pred := range allPredicates {
 			k := &Kernel{
 				Grid: NewTileGrid(world, 1, 1),
@@ -496,19 +511,18 @@ func TestTwoLayerKernelJoinAllocs(t *testing.T) {
 				// path, whose bulk load allocates by design.
 				FallbackMinEntries: 1 << 30,
 			}
-			hits := 0
-			emit := func(r, s tuple.Tuple) { hits++ }
-			k.Join(0, rs, ss, 0.5, emit) // warm the scratch pool
+			out := bufs.Sink(false, false)
+			k.Join(0, rs, ss, 0.5, out) // warm the scratch pool
 			if allocs := testing.AllocsPerRun(100, func() {
-				k.Join(0, rs, ss, 0.5, emit)
+				k.Join(0, rs, ss, 0.5, out)
 			}); allocs > 0 {
 				t.Errorf("%s/%v: steady-state tile join allocates %.1f objects/op, want 0", tc.name, pred, allocs)
 			}
 			if got, want := k.Stats.Candidates.Load() > 0, slices.Contains(tc.refines, pred); got != want {
 				t.Errorf("%s/%v: %d candidates reached refinement, want any: %v", tc.name, pred, k.Stats.Candidates.Load(), want)
 			}
-			if got, want := hits > 0, slices.Contains(tc.hits, pred); got != want {
-				t.Errorf("%s/%v: %d pairs emitted, want any: %v", tc.name, pred, hits, want)
+			if got, want := out.N > 0, slices.Contains(tc.hits, pred); got != want {
+				t.Errorf("%s/%v: %d pairs emitted, want any: %v", tc.name, pred, out.N, want)
 			}
 		}
 	}
@@ -519,12 +533,15 @@ func TestTwoLayerKernelJoinAllocs(t *testing.T) {
 // exactly the sums.
 func TestTwoLayerKernelCountsPerTile(t *testing.T) {
 	k := &Kernel{Grid: NewTileGrid(geom.Rect{MaxX: 100, MaxY: 100}, 1, 1), Pred: extgeom.WithinDistance}
-	rs := []tuple.Tuple{squareTuple(1, 10, 10, 1), squareTuple(2, 50, 50, 1)}
-	ss := []tuple.Tuple{squareTuple(11, 10.2, 11.2, 1), squareTuple(12, 51.2, 51.2, 1), squareTuple(13, 90, 90, 1)}
-	emitted := 0
+	rs := groupOf([]tuple.Tuple{squareTuple(1, 10, 10, 1), squareTuple(2, 50, 50, 1)})
+	ss := groupOf([]tuple.Tuple{squareTuple(11, 10.2, 11.2, 1), squareTuple(12, 51.2, 51.2, 1), squareTuple(13, 90, 90, 1)})
+	bufs := colsweep.Get()
+	defer colsweep.Put(bufs)
+	out := bufs.Sink(false, false)
 	for i := 0; i < 3; i++ {
-		k.Join(0, rs, ss, 0.25, func(r, s tuple.Tuple) { emitted++ })
+		k.Join(0, rs, ss, 0.25, out)
 	}
+	emitted := out.N
 	// Per tile: both near pairs are candidates (the MBRs are 0.2 apart
 	// on each axis they differ in, inside the 0.25 widening), the one
 	// offset on both axes is 0.28 away and fails refinement, and the far
@@ -580,13 +597,16 @@ func FuzzTwoLayerKernelPayload(f *testing.F) {
 			wantErrs = 2 // once as an R replica, once as an S replica
 		}
 		fuzzed := tuple.Tuple{ID: 99, Payload: payload}
-		rs := []tuple.Tuple{sound, fuzzed}
-		ss := []tuple.Tuple{squareTuple(2, 11, 11, 2), fuzzed}
+		rs := groupOf([]tuple.Tuple{sound, fuzzed})
+		ss := groupOf([]tuple.Tuple{squareTuple(2, 11, 11, 2), fuzzed})
+		bufs := colsweep.Get()
+		defer colsweep.Put(bufs)
 		for _, pred := range allPredicates {
 			for _, fallback := range []bool{false, true} {
 				k := &Kernel{Grid: NewTileGrid(geom.Rect{MaxX: 100, MaxY: 100}, 1, 1), Pred: pred, ForceFallback: fallback}
-				soundPair := false
-				k.Join(0, rs, ss, 0.5, func(r, s tuple.Tuple) { soundPair = soundPair || (r.ID == 1 && s.ID == 2) })
+				out := bufs.Sink(true, false)
+				k.Join(0, rs, ss, 0.5, out)
+				soundPair := slices.Contains(out.Pairs, tuple.Pair{RID: 1, SID: 2})
 				if got := k.Stats.DecodeErrors.Load(); got != wantErrs {
 					t.Fatalf("%v: DecodeErrors = %d, want %d (decode error: %v)", pred, got, wantErrs, err)
 				}
