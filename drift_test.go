@@ -1,6 +1,7 @@
 package spatialjoin
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"spatialjoin/internal/obs"
+	"spatialjoin/internal/tuple"
 )
 
 // everyAlgorithm is allAlgorithms plus the planner's choice among them.
@@ -15,6 +17,53 @@ func everyAlgorithm() []Algorithm { return append(allAlgorithms(), AutoPlanned) 
 
 func supportsSelfJoin(a Algorithm) bool {
 	return a != AdaptiveSimpleDedup && a != AutoPlanned
+}
+
+// TestNonFinitePoint: a NaN or ±Inf coordinate in either input is an
+// error naming the set and the row, never a panic and never a silent
+// join — for every algorithm, with Bounds given (the map phase finds it)
+// and derived (the MBR pass finds it). A finite point outside Bounds is
+// not an error: it joins as before.
+func TestNonFinitePoint(t *testing.T) {
+	world := World()
+	const badRow = 200 // in the second of two map splits
+	for _, a := range everyAlgorithm() {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, set := range []tuple.Set{tuple.R, tuple.S} {
+				for _, bounds := range []*Rect{&world, nil} {
+					name := fmt.Sprintf("%v/%v/%v/bounds=%v", a, v, set, bounds != nil)
+					rs, ss := GenerateUniform(300, 61), GenerateUniform(300, 62)
+					bad := &rs[badRow]
+					if set == tuple.S {
+						bad = &ss[badRow]
+					}
+					if v > 0 {
+						bad.Pt.Y = v
+					} else {
+						bad.Pt.X = v
+					}
+					_, err := Join(rs, ss, Options{Eps: 1, Algorithm: a, Bounds: bounds, Workers: 2})
+					var nf *tuple.NonFiniteError
+					if !errors.As(err, &nf) {
+						t.Errorf("%s: err %v, want a non-finite point error", name, err)
+						continue
+					}
+					if nf.Set != set || nf.Row != badRow || nf.ID != bad.ID {
+						t.Errorf("%s: error names %v row %d (id %d), want %v row %d (id %d)", name, nf.Set, nf.Row, nf.ID, set, badRow, bad.ID)
+					}
+				}
+			}
+		}
+		rs, ss := GenerateUniform(300, 61), GenerateUniform(300, 62)
+		rs[badRow].Pt = Point{X: world.MaxX + 0.5, Y: 50}
+		ss[badRow].Pt = Point{X: world.MaxX + 0.2, Y: 50.3}
+		rep, err := Join(rs, ss, Options{Eps: 1, Algorithm: a, Bounds: &world, Workers: 2})
+		if err != nil {
+			t.Errorf("%v: a finite point outside Bounds: %v", a, err)
+		} else if want := int64(len(BruteForce(rs, ss, 1))); rep.Results != want {
+			t.Errorf("%v: a finite point outside Bounds: %d pairs, want %d", a, rep.Results, want)
+		}
+	}
 }
 
 // checkTraceAndPool asserts what every entry point owes a caller that

@@ -5,10 +5,11 @@
 // into every slab's group directory and every worker's write cursors
 // (Layout), the workers replay their logs and write each replica from
 // its input tuple straight to its final lane position (Log.Scatter), and
-// every group is x-sorted once (Sorter) — and the partition join runs
-// the colsweep kernel directly over group subranges of the slab lanes:
-// no []tuple.Tuple materialisation, no per-execute hash grouping, no
-// re-sorting.
+// every group is x-sorted once (Sorter: insertion sort for small groups,
+// a stable LSD radix sort on a quantised x key for the rest) — and the
+// partition join runs the colsweep kernel directly over group subranges
+// of the slab lanes: no []tuple.Tuple materialisation, no per-execute
+// hash grouping, no re-sorting.
 //
 // Layout. A Slab is the shuffle's product: the distinct ranks of the
 // partition in ascending order, a Starts offset array (group k occupies
@@ -19,9 +20,9 @@
 //
 // Payloads. Joins whose assignment reads more than the point (the
 // two-layer join's object geometry) carry an optional payload lane: one
-// []byte header per row, aliasing the input tuple's payload, permuted
-// with its row by the counting sort. Every other join leaves it nil at
-// no cost.
+// []byte header per row, aliasing the input tuple's payload, moved with
+// its row by the scatter and the group sort. Every other join leaves it
+// nil at no cost.
 //
 // Kernels. A partition join either sweeps each matched group with
 // colsweep.SweepSorted or hands it to a kernel as two Groups — zero-copy
@@ -41,6 +42,7 @@
 package colpipe
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -50,8 +52,8 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// insertionSortMax is the group size below which the three-lane
-// insertion sort beats the permutation sort.
+// insertionSortMax is the largest group the insertion sort takes; the
+// radix sort's two 256-bucket passes do not pay off below it.
 const insertionSortMax = 24
 
 // Slab is one reduce partition's kernel-ready columnar input: records
@@ -287,81 +289,187 @@ func (l *Log) Scatter(dst []Slab, part []int32, split []tuple.Tuple) {
 	}
 }
 
-// Sorter holds the scratch of the group x-sort. One Sorter serves any
-// number of slabs in sequence; it must not be shared across goroutines.
+// Sorter holds the scratch of the group x-sort: two key buffers of the
+// slab's largest group, sized once per slab, and a payload buffer for
+// slabs that carry a lane. One Sorter serves any number of slabs in
+// sequence; it must not be shared across goroutines.
 type Sorter struct {
-	perm []int32
-	tmpF []float64
-	tmpI []int64
-	tmpP [][]byte
+	keys, tmp []uint64
+	tmpP      [][]byte
 }
 
 // SortGroups sorts every group of the slab by ascending x, once — every
 // later Execute sweeps the subranges as-is. The sort is stable, so a
-// slab is a function of its rows' (split, input) order alone.
+// slab is a function of its rows' (split, input) order alone. Groups of
+// up to insertionSortMax rows are insertion-sorted; larger ones take a
+// stable LSD radix sort on a 16-bit quantised x (sortRadix).
 func (st *Sorter) SortGroups(s *Slab) {
+	big := 0
 	for k := range s.Ranks {
-		st.sortRange(s, int(s.Starts[k]), int(s.Starts[k+1]))
+		big = max(big, int(s.Starts[k+1]-s.Starts[k]))
+	}
+	if big > insertionSortMax {
+		if cap(st.keys) < big {
+			st.keys, st.tmp = make([]uint64, big), make([]uint64, big)
+		}
+		if s.Payloads != nil && cap(st.tmpP) < big {
+			st.tmpP = make([][]byte, big)
+		}
+	}
+	for k := range s.Ranks {
+		lo, hi := int(s.Starts[k]), int(s.Starts[k+1])
+		if hi-lo <= insertionSortMax {
+			insertionSort(s, lo, hi)
+		} else {
+			st.sortRadix(s, lo, hi)
+		}
+	}
+	clear(st.tmpP) // hold no payload past the slab
+}
+
+// insertionSort sorts the slab rows [lo, hi) by ascending x, moving the
+// payload lane with its rows when there is one.
+func insertionSort(s *Slab, lo, hi int) {
+	xs, ys, ids := s.Xs[lo:hi], s.Ys[lo:hi], s.IDs[lo:hi]
+	for i := 1; i < len(xs); i++ {
+		x := xs[i]
+		if xs[i-1] <= x {
+			continue // already in place
+		}
+		y, id := ys[i], ids[i]
+		j := i
+		for j > 0 && xs[j-1] > x {
+			xs[j], ys[j], ids[j] = xs[j-1], ys[j-1], ids[j-1]
+			j--
+		}
+		xs[j], ys[j], ids[j] = x, y, id
+		if s.Payloads != nil {
+			ps := s.Payloads[lo:hi]
+			p := ps[i]
+			copy(ps[j+1:i+1], ps[j:i])
+			ps[j] = p
+		}
 	}
 }
 
-// sortRange sorts the slab rows [lo, hi) by ascending x.
-func (st *Sorter) sortRange(dst *Slab, lo, hi int) {
+// keyBits is the width of the quantised x key: two 8-bit counting
+// passes.
+const keyBits = 16
+
+// sortRadix sorts the slab rows [lo, hi) by ascending x, ties in row
+// order. Each row's key is its x quantised over the group's own
+// [min, max] to keyBits bits, packed above its row index into one
+// uint64; two stable counting passes order the keys, each run of equal
+// keys is then ordered by exact x with a stable comparison sort, and
+// every lane is gathered once through the resulting permutation.
+// Subtraction, multiplication by a positive scale and truncation are
+// monotone, so only rows that share a key can be out of x order. The
+// caller has sized st's scratch to at least hi-lo rows; x must be
+// finite.
+func (st *Sorter) sortRadix(s *Slab, lo, hi int) {
 	n := hi - lo
-	if n < 2 {
-		return
-	}
-	xs, ys, ids := dst.Xs, dst.Ys, dst.IDs
-	// Payload slabs always take the permutation sort, whose gather
-	// handles the extra lane; the insertion sort stays three-lane.
-	if n <= insertionSortMax && dst.Payloads == nil {
-		for i := lo + 1; i < hi; i++ {
-			x, y, id := xs[i], ys[i], ids[i]
-			j := i
-			for j > lo && xs[j-1] > x {
-				xs[j], ys[j], ids[j] = xs[j-1], ys[j-1], ids[j-1]
-				j--
-			}
-			xs[j], ys[j], ids[j] = x, y, id
+	sub := s.Xs[lo:hi]
+	xmin, xmax := sub[0], sub[0]
+	for _, x := range sub[1:] {
+		if x < xmin {
+			xmin = x
+		} else if x > xmax {
+			xmax = x
 		}
-		return
 	}
-	// Permutation sort with a single gather per lane, like
-	// colsweep.Cols.SortByX but over a subrange. Equal x fall back to the
-	// row index, which makes the unstable sort stable.
-	perm := st.perm[:0]
-	perm = slices.Grow(perm, n)
-	for i := 0; i < n; i++ {
-		perm = append(perm, int32(i))
+	if xmin == xmax {
+		return // all x equal: row order is the order
 	}
-	sub := xs[lo:hi]
-	slices.SortFunc(perm, func(a, c int32) int {
-		if sub[a] < sub[c] {
-			return -1
+	const top = 1<<keyBits - 1
+	scale := top / (xmax - xmin) // 0 when the range overflows
+	if math.IsInf(scale, 0) {
+		scale = 0 // a subnormal range: one run, sorted exactly below
+	}
+
+	keys, tmp := st.keys[:n], st.tmp[:n]
+	var count [2][256]int32
+	for i, x := range sub {
+		q := (x - xmin) * scale
+		if !(q <= top) {
+			q = top
 		}
-		if sub[a] > sub[c] {
-			return 1
+		k := uint32(q)
+		count[0][k&0xff]++
+		count[1][k>>8]++
+		keys[i] = uint64(k)<<32 | uint64(i)
+	}
+	for d := range count {
+		shift := 32 + 8*d
+		c := &count[d]
+		if c[keys[0]>>shift&0xff] == int32(n) {
+			continue // one digit holds every row
 		}
-		return int(a - c)
-	})
-	st.perm = perm
-	st.tmpF = append(st.tmpF[:0], xs[lo:hi]...)
-	st.tmpI = append(st.tmpI[:0], ids[lo:hi]...)
-	for i, p := range perm {
-		xs[lo+i] = st.tmpF[p]
-		ids[lo+i] = st.tmpI[p]
-	}
-	st.tmpF = append(st.tmpF[:0], ys[lo:hi]...)
-	for i, p := range perm {
-		ys[lo+i] = st.tmpF[p]
-	}
-	if dst.Payloads != nil {
-		st.tmpP = append(st.tmpP[:0], dst.Payloads[lo:hi]...)
-		for i, p := range perm {
-			dst.Payloads[lo+i] = st.tmpP[p]
+		var at int32
+		for b, m := range c {
+			c[b] = at
+			at += m
 		}
-		clear(st.tmpP)
+		for _, k := range keys {
+			b := k >> shift & 0xff
+			tmp[c[b]] = k
+			c[b]++
+		}
+		keys, tmp = tmp, keys
 	}
+
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j]>>32 == keys[i]>>32 {
+			j++
+		}
+		if run := keys[i:j]; len(run) > 1 && !runSorted(run, sub) {
+			slices.SortStableFunc(run, func(a, b uint64) int {
+				return cmp.Compare(sub[uint32(a)], sub[uint32(b)])
+			})
+		}
+		i = j
+	}
+
+	// tmp is free: it holds each lane's old rows while the lane is
+	// gathered through the permutation in the keys' low halves.
+	for i, x := range sub {
+		tmp[i] = math.Float64bits(x)
+	}
+	for i, k := range keys {
+		sub[i] = math.Float64frombits(tmp[uint32(k)])
+	}
+	ys := s.Ys[lo:hi]
+	for i, y := range ys {
+		tmp[i] = math.Float64bits(y)
+	}
+	for i, k := range keys {
+		ys[i] = math.Float64frombits(tmp[uint32(k)])
+	}
+	ids := s.IDs[lo:hi]
+	for i, id := range ids {
+		tmp[i] = uint64(id)
+	}
+	for i, k := range keys {
+		ids[i] = int64(tmp[uint32(k)])
+	}
+	if s.Payloads != nil {
+		ps, old := s.Payloads[lo:hi], st.tmpP[:n]
+		copy(old, ps)
+		for i, k := range keys {
+			ps[i] = old[uint32(k)]
+		}
+	}
+}
+
+// runSorted reports whether a run of keys is already in ascending order
+// of the x its rows index.
+func runSorted(run []uint64, xs []float64) bool {
+	for i := 1; i < len(run); i++ {
+		if xs[uint32(run[i])] < xs[uint32(run[i-1])] {
+			return false
+		}
+	}
+	return true
 }
 
 // Seg is an append-only columnar run of rows bound for one slab — a Log

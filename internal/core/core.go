@@ -162,12 +162,16 @@ func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
 	if scheme == nil {
 		scheme = adaptive
 	}
+	bounds, err := DataBounds(cfg.Bounds, rs, ss)
+	if err != nil {
+		return nil, err
+	}
 	var partitions int
 	cfg.Workers, partitions = Parallelism(cfg.Workers, cfg.Partitions)
 	planSp := cfg.Tracer.Start(cfg.TraceParent, obs.SpanPlan)
 	in := Input{
 		Config: cfg, R: rs, S: ss,
-		Bounds:     DataBounds(cfg.Bounds, rs, ss),
+		Bounds:     bounds,
 		Partitions: partitions,
 		Span:       planSp,
 	}
@@ -185,7 +189,7 @@ func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
 		TraceParent: cfg.TraceParent,
 	}
 	p := &Plan{}
-	err := scheme(in, &spec, p)
+	err = scheme(in, &spec, p)
 	planSp.SetInt("cells", int64(spec.Cells))
 	planSp.End()
 	if err != nil {
@@ -392,19 +396,24 @@ func edgeCounts(gr *agreements.Graph) (marked, locked int64) {
 
 // DataBounds returns explicit bounds if given, else the MBR of both
 // inputs, else the unit square so empty joins still build a valid grid.
-func DataBounds(explicit *geom.Rect, rs, ss []tuple.Tuple) geom.Rect {
+// Deriving the MBR returns a *tuple.NonFiniteError for the first row
+// whose point is not finite; explicit bounds leave that check to the
+// map phase (dpe.Prepare).
+func DataBounds(explicit *geom.Rect, rs, ss []tuple.Tuple) (geom.Rect, error) {
 	if explicit != nil {
-		return *explicit
+		return *explicit, nil
 	}
 	b := geom.EmptyRect()
-	for _, t := range rs {
-		b = b.ExtendPoint(t.Pt)
-	}
-	for _, t := range ss {
-		b = b.ExtendPoint(t.Pt)
+	for set, in := range [2][]tuple.Tuple{rs, ss} {
+		for i, t := range in {
+			if !t.Pt.Finite() {
+				return geom.Rect{}, &tuple.NonFiniteError{Set: tuple.Set(set), Row: i, ID: t.ID, Pt: t.Pt}
+			}
+			b = b.ExtendPoint(t.Pt)
+		}
 	}
 	if b.IsEmpty() {
-		return geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+		return geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, nil
 	}
 	// A degenerate (zero-extent) axis still needs a positive span for
 	// grid construction.
@@ -414,5 +423,5 @@ func DataBounds(explicit *geom.Rect, rs, ss []tuple.Tuple) geom.Rect {
 	if b.Height() == 0 {
 		b.MaxY++
 	}
-	return b
+	return b, nil
 }

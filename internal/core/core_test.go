@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,26 +149,41 @@ func TestJoinExposesGridAndGraph(t *testing.T) {
 }
 
 func TestDataBounds(t *testing.T) {
+	bounds := func(explicit *geom.Rect, rs, ss []tuple.Tuple) geom.Rect {
+		t.Helper()
+		b, err := DataBounds(explicit, rs, ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 	explicit := geom.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}
-	if got := DataBounds(&explicit, nil, nil); got != explicit {
+	if got := bounds(&explicit, nil, nil); got != explicit {
 		t.Fatalf("explicit bounds ignored: %+v", got)
 	}
 	rs := []tuple.Tuple{{Pt: geom.Point{X: 1, Y: 2}}}
 	ss := []tuple.Tuple{{Pt: geom.Point{X: 7, Y: -3}}}
-	got := DataBounds(nil, rs, ss)
+	got := bounds(nil, rs, ss)
 	if (got != geom.Rect{MinX: 1, MinY: -3, MaxX: 7, MaxY: 2}) {
 		t.Fatalf("computed bounds = %+v", got)
 	}
 	// Degenerate extents get padded.
 	one := []tuple.Tuple{{Pt: geom.Point{X: 3, Y: 4}}}
-	got = DataBounds(nil, one, nil)
+	got = bounds(nil, one, nil)
 	if got.Width() <= 0 || got.Height() <= 0 {
 		t.Fatalf("degenerate bounds not padded: %+v", got)
 	}
 	// Empty inputs get the unit square.
-	got = DataBounds(nil, nil, nil)
+	got = bounds(nil, nil, nil)
 	if got.Width() <= 0 || got.Height() <= 0 {
 		t.Fatalf("empty bounds invalid: %+v", got)
+	}
+	// A non-finite point has no MBR: the error names its set and row.
+	bad := append(slices.Clone(ss), tuple.Tuple{ID: 9, Pt: geom.Point{X: 1, Y: math.Inf(-1)}})
+	_, err := DataBounds(nil, rs, bad)
+	var nf *tuple.NonFiniteError
+	if !errors.As(err, &nf) || nf.Set != tuple.S || nf.Row != 1 || nf.ID != 9 {
+		t.Fatalf("non-finite S row 1: err %v", err)
 	}
 }
 

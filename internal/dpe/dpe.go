@@ -335,8 +335,9 @@ type Prepared struct {
 // every slab out from the histograms, has the workers scatter their
 // replicas from the input tuples straight into the final lane
 // positions, and x-sorts each group once — the same slabs whatever
-// PoolSize is. It returns an error on invalid configuration or when a
-// partition side outgrows the slabs' 32-bit offsets.
+// PoolSize is. It returns an error on invalid configuration, for an
+// input point with a NaN or infinite coordinate (*tuple.NonFiniteError)
+// or when a partition side outgrows the slabs' 32-bit offsets.
 func Prepare(spec Spec) (*Prepared, error) {
 	if spec.Eps <= 0 {
 		return nil, fmt.Errorf("dpe: eps must be positive, got %v", spec.Eps)
@@ -384,8 +385,16 @@ func Prepare(spec Spec) (*Prepared, error) {
 	// ---- Map phase: flatMapToPair on both inputs, one split per worker.
 	replSp := spec.Tracer.Start(spec.TraceParent, obs.SpanReplicate)
 	start := time.Now()
-	logR, busyR := mapPhase(&spec, tuple.R, part, nparts, workers)
-	logS, busyS := mapPhase(&spec, tuple.S, part, nparts, workers)
+	logR, busyR, err := mapPhase(&spec, tuple.R, part, nparts, workers)
+	if err != nil {
+		replSp.End()
+		return nil, err
+	}
+	logS, busyS, err := mapPhase(&spec, tuple.S, part, nparts, workers)
+	if err != nil {
+		replSp.End()
+		return nil, err
+	}
 	res.MapTime = time.Since(start)
 	res.MapBusy = make([]time.Duration, workers)
 	recsR, recsS := int64(0), int64(0)
@@ -405,7 +414,6 @@ func Prepare(spec Spec) (*Prepared, error) {
 	// carry that split.
 	shufSp := spec.Tracer.Start(spec.TraceParent, obs.SpanShuffle)
 	start = time.Now()
-	var err error
 	if pr.partR, err = shuffle(&spec, tuple.R, logR, part, nparts); err == nil {
 		pr.partS, err = shuffle(&spec, tuple.S, logS, part, nparts)
 	}
@@ -484,11 +492,15 @@ func splitOf(in []tuple.Tuple, w, workers int) []tuple.Tuple {
 // assignment once over its split and logs what the shuffle needs to
 // place the replicas — ranks, per-rank counts, modelled (and, when the
 // plan carries a payload lane, payload) bytes per partition. Nothing is
-// copied yet. It returns the per-worker logs and busy times.
-func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]colpipe.Log, []time.Duration) {
+// copied yet. It returns the per-worker logs and busy times, or a
+// *tuple.NonFiniteError for the first row whose point is not finite:
+// no assignment is defined for it, so none is run.
+func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]colpipe.Log, []time.Duration, error) {
 	in, assign := spec.side(set)
 	logs := make([]colpipe.Log, workers)
 	busy := make([]time.Duration, workers)
+	errs := make([]error, workers)
+	chunk := (len(in) + workers - 1) / workers
 	eachWorker(workers, spec.PoolSize, func(w int) {
 		t0 := time.Now()
 		split := splitOf(in, w, workers)
@@ -496,13 +508,24 @@ func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]c
 		var cells []int
 		for i := range split {
 			t := &split[i]
+			if !t.Pt.Finite() {
+				errs[w] = &tuple.NonFiniteError{Set: set, Row: w*chunk + i, ID: t.ID, Pt: t.Pt}
+				return
+			}
 			cells = assign(*t, set, cells[:0])
 			lg.AddRow(cells, spec.CellRank, part, t.KeyedSize(), len(t.Payload))
 		}
 		logs[w] = lg
 		busy[w] = time.Since(t0)
 	})
-	return logs, busy
+	// Splits are contiguous, so the lowest worker's error names the
+	// input's first bad row.
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return logs, busy, nil
 }
 
 // shuffle turns one input's assignment logs into its slabs: layout, then

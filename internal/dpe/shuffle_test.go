@@ -114,7 +114,9 @@ func diffSlab(got, want *colpipe.Slab) string {
 // TestShuffleMatchesReference is the differential test of the fused map
 // → layout → scatter → sort: every field of every slab must equal the
 // reference built above, for the border-heavy workloads, an empty side,
-// more workers than rows, a single worker, identity and Hilbert ranks,
+// more workers than rows, a single worker, one cell crowded enough for
+// the radix group sort (spread x, lattice ties, a near-equal cluster
+// plus an outlier), identity and Hilbert ranks,
 // a whole-tuple-assigned Kernel plan whose payloads ride in the lane, and
 // a point-assigned Kernel plan whose payloads stay behind — at PoolSize
 // 1 and 4. Equality with one reference at both pool sizes is what makes the
@@ -137,6 +139,31 @@ func TestShuffleMatchesReference(t *testing.T) {
 		input{"empty-side", many, nil, 3},
 		input{"workers>rows", few, many, 16},
 		input{"one-worker", many, few, 1},
+	)
+	// Groups past insertionSortMax take the radix sort: one 1×1 cell
+	// (side 2ε) holding 2,000 rows a side, once with x spread over the
+	// cell, once snapped to 8 lattice values (ties the sort must keep in
+	// row order), once as 999 rows within 1e-9 of each other plus an
+	// outlier (one key run holding almost every row).
+	inCell := func(n int, base int64, x func(i int) float64) []tuple.Tuple {
+		out := make([]tuple.Tuple, n)
+		for i := range out {
+			out[i] = tuple.Tuple{ID: base + int64(i), Pt: geom.Point{X: x(i), Y: 5.1 + 0.8*rng.Float64()}}
+		}
+		return out
+	}
+	spread := func(int) float64 { return 5.1 + 0.8*rng.Float64() }
+	lattice := func(int) float64 { return 5.1 + 0.1*float64(rng.Intn(8)) }
+	cluster := func(i int) float64 {
+		if i == 500 {
+			return 5.8
+		}
+		return 5.3 + 1e-9*rng.Float64()
+	}
+	inputs = append(inputs,
+		input{"one-cell-2000", inCell(2000, 0, spread), inCell(2000, 1_000_000, spread), 3},
+		input{"one-cell-lattice-ties", inCell(2000, 0, lattice), inCell(2000, 1_000_000, lattice), 3},
+		input{"one-cell-cluster+outlier", inCell(1000, 0, cluster), inCell(1000, 1_000_000, cluster), 3},
 	)
 
 	stamp := func(ts []tuple.Tuple) []tuple.Tuple {
@@ -241,7 +268,9 @@ func TestWideObjectKeepsEveryReplica(t *testing.T) {
 // 4-byte-per-row assignment logs and group directories, and the
 // Cells-sized routing and cursor tables — not a second copy of the rows
 // on the way. Rows staged in per-worker segments and re-permuted into
-// the slabs cost more than four times the lanes.
+// the slabs cost more than four times the lanes. Both a uniform input
+// and a skewed one, whose groups of thousands of rows take the radix
+// group sort and size its scratch, must stay under 2× the lanes.
 func TestPrepareAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race build allocates a temporary per lane (append-of-make is not fused under instrumentation)")
@@ -250,36 +279,61 @@ func TestPrepareAllocationBudget(t *testing.T) {
 	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	g := grid.New(bounds, eps, 2)
 	rng := rand.New(rand.NewSource(19))
-	spec := Spec{
-		R: randomTuples(rng, n, 100, 0), S: randomTuples(rng, n, 100, 1_000_000), Eps: eps,
-		AssignR: func(p geom.Point, _ tuple.Set, dst []int) []int { return replicate.Universal(g, p, true, dst) },
-		AssignS: func(p geom.Point, _ tuple.Set, dst []int) []int { return replicate.Universal(g, p, false, dst) },
-		Cells:   g.NumCells(), CellRank: colpipe.HilbertRanks(g.NX, g.NY),
-		Part:    HashPartitioner{N: 32},
-		Workers: 4,
+	// skewed packs most rows into a few Gaussian clusters, so the largest
+	// groups run to thousands of rows and take the radix group sort,
+	// whose scratch is sized by the largest group of each slab.
+	skewed := func(base int64) []tuple.Tuple {
+		out := randomTuples(rng, n, 100, base)
+		for i := range out[:n*3/4] {
+			c := float64(i % 5)
+			out[i].Pt = geom.Point{X: 10 + 18*c + 0.4*rng.NormFloat64(), Y: 50 + 0.4*rng.NormFloat64()}
+		}
+		return out
 	}
-	if _, err := Prepare(spec); err != nil { // warm
-		t.Fatal(err)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	pr, err := Prepare(spec)
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows int64
-	for p := 0; p < pr.NumPartitions(); p++ {
-		rs, ss := pr.Slabs(p)
-		rows += int64(rs.Rows() + ss.Rows())
-	}
-	lanes := 24 * rows
-	// Per cell: the rank → partition table (4 B) and one 4-byte cursor
-	// per worker per side.
-	tables := int64(4+4*2*spec.Workers) * int64(spec.Cells)
-	got := int64(m1.TotalAlloc - m0.TotalAlloc)
-	t.Logf("%d rows: allocated %d B = %.2f × the %d B of lanes (+ %d B of tables)", rows, got, float64(got-tables)/float64(lanes), lanes, tables)
-	if got > 2*lanes+tables {
-		t.Fatalf("Prepare allocated %d B for %d B of slab lanes and %d B of per-cell tables: over the 2× budget", got, lanes, tables)
+	for _, in := range []struct {
+		name   string
+		rs, ss []tuple.Tuple
+	}{
+		{"uniform", randomTuples(rng, n, 100, 0), randomTuples(rng, n, 100, 1_000_000)},
+		{"skewed", skewed(0), skewed(1_000_000)},
+	} {
+		spec := Spec{
+			R: in.rs, S: in.ss, Eps: eps,
+			AssignR: func(p geom.Point, _ tuple.Set, dst []int) []int { return replicate.Universal(g, p, true, dst) },
+			AssignS: func(p geom.Point, _ tuple.Set, dst []int) []int { return replicate.Universal(g, p, false, dst) },
+			Cells:   g.NumCells(), CellRank: colpipe.HilbertRanks(g.NX, g.NY),
+			Part:    HashPartitioner{N: 32},
+			Workers: 4,
+		}
+		if _, err := Prepare(spec); err != nil { // warm
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		pr, err := Prepare(spec)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows int64
+		biggest := 0
+		for p := 0; p < pr.NumPartitions(); p++ {
+			rs, ss := pr.Slabs(p)
+			rows += int64(rs.Rows() + ss.Rows())
+			for k := 0; k < rs.NumGroups(); k++ {
+				lo, hi := rs.Group(k)
+				biggest = max(biggest, hi-lo)
+			}
+		}
+		lanes := 24 * rows
+		// Per cell: the rank → partition table (4 B) and one 4-byte cursor
+		// per worker per side.
+		tables := int64(4+4*2*spec.Workers) * int64(spec.Cells)
+		got := int64(m1.TotalAlloc - m0.TotalAlloc)
+		t.Logf("%s, %d rows, largest R group %d: allocated %d B = %.2f × the %d B of lanes (+ %d B of tables)",
+			in.name, rows, biggest, got, float64(got-tables)/float64(lanes), lanes, tables)
+		if got > 2*lanes+tables {
+			t.Fatalf("%s: Prepare allocated %d B for %d B of slab lanes and %d B of per-cell tables: over the 2× budget", in.name, got, lanes, tables)
+		}
 	}
 }

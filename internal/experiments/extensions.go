@@ -116,7 +116,10 @@ func XCostModel(sc Scale) []*Table {
 	}
 	rs := Combos()[0].R(sc.N)
 	ss := Combos()[0].S(sc.N)
-	bounds := core.DataBounds(nil, rs, ss)
+	bounds, err := core.DataBounds(nil, rs, ss)
+	if err != nil {
+		panic(fmt.Sprintf("xcostmodel: %v", err))
+	}
 	g := grid.New(bounds, DefaultEps, 2)
 	const fraction = sample.DefaultFraction
 	st := grid.NewStats(g)

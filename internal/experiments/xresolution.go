@@ -22,7 +22,10 @@ func XResolution(sc Scale) []*Table {
 	}
 	rs := Combos()[0].R(sc.N)
 	ss := Combos()[0].S(sc.N)
-	bounds := core.DataBounds(nil, rs, ss)
+	bounds, err := core.DataBounds(nil, rs, ss)
+	if err != nil {
+		panic(fmt.Sprintf("xresolution: %v", err))
+	}
 	choice, err := planner.PlanResolution(bounds, rs, ss, DefaultEps, 0, sc.Seed, 24, planner.Weights{}, ResSweep)
 	if err != nil {
 		panic(fmt.Sprintf("xresolution: %v", err))

@@ -25,6 +25,12 @@ func (p Point) SqDist(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
+// Finite reports whether both coordinates are finite: neither NaN nor
+// ±Inf. It costs two compares.
+func (p Point) Finite() bool {
+	return math.Abs(p.X) <= math.MaxFloat64 && math.Abs(p.Y) <= math.MaxFloat64
+}
+
 // WithinDist reports whether d(p, q) <= eps. It compares squared distances
 // and therefore never computes a square root.
 func (p Point) WithinDist(q Point, eps float64) bool {

@@ -76,7 +76,11 @@ func TestPartitionerExposedAndAdaptive(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	rs := gaussian(rng, 5000, 0)
 	smp := sample.Reservoir(rs, targetSampleSize(len(rs), 0.2), 0)
-	qt := buildPartitioner(smp, core.DataBounds(nil, rs, nil), 32)
+	bounds, err := core.DataBounds(nil, rs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qt := buildPartitioner(smp, bounds, 32)
 	if qt.NumLeaves() < 4 {
 		t.Fatalf("partitioner has %d leaves, expected a real split", qt.NumLeaves())
 	}

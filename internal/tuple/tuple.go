@@ -9,7 +9,11 @@
 // via Factors.
 package tuple
 
-import "spatialjoin/internal/geom"
+import (
+	"fmt"
+
+	"spatialjoin/internal/geom"
+)
 
 // Set identifies which join input a tuple belongs to.
 type Set uint8
@@ -43,6 +47,21 @@ type Tuple struct {
 	ID      int64
 	Pt      geom.Point
 	Payload []byte
+}
+
+// NonFiniteError is the error a join returns for an input row whose
+// point has a NaN or infinite coordinate: no grid cell, quadtree leaf or
+// sort key is defined for it.
+type NonFiniteError struct {
+	Set Set
+	Row int // index of the row in its input
+	ID  int64
+	Pt  geom.Point
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("join input %v row %d (id %d) has a non-finite coordinate (%v, %v): points must be finite",
+		e.Set, e.Row, e.ID, e.Pt.X, e.Pt.Y)
 }
 
 // SerializedSize returns the number of bytes this tuple occupies in the
