@@ -298,11 +298,11 @@ func TypeForPair(st *grid.Stats, ci, cj int, dir grid.Dir, policy Policy) tuple.
 // (cx, cy) and its neighbour in direction d to t in every subgraph
 // containing the pair — two for a side pair, one for a diagonal pair —
 // so the subgraphs agree on it (Def. 4.2). Each of those subgraphs then
-// has its edge weights recomputed from st (zero when st is nil) and
-// Algorithm 1's marking and locking re-run. It returns the corners of
-// the rebuilt quartets: the streaming engine's rebalancer re-derives the
-// assignment of their cells only, never the whole graph.
-func (gr *Graph) SetPairType(st *grid.Stats, cx, cy int, d grid.Dir, t tuple.Set) [][2]int {
+// has Algorithm 1 re-run with zero edge weights, as in BuildFromTypeFunc,
+// so the graph stays a function of its pair types. It returns the corners
+// of the rebuilt quartets: the streaming engine's rebalancer re-derives
+// the assignment of their cells only, never the whole graph.
+func (gr *Graph) SetPairType(cx, cy int, d grid.Dir, t tuple.Set) [][2]int {
 	dx, dy := d.Delta()
 	var corners [][2]int
 	for gy := max(cy, cy+dy); gy <= min(cy, cy+dy)+1; gy++ {
@@ -310,11 +310,7 @@ func (gr *Graph) SetPairType(st *grid.Stats, cx, cy int, d grid.Dir, t tuple.Set
 			s := gr.Sub(gx, gy)
 			pi, pj := quartetPos(gx, gy, cx, cy), quartetPos(gx, gy, cx+dx, cy+dy)
 			s.typ[pi][pj], s.typ[pj][pi] = t, t
-			if st != nil {
-				instantiateWeights(s, st)
-			} else {
-				s.wgt = [grid.NumPos][grid.NumPos]int64{}
-			}
+			s.wgt = [grid.NumPos][grid.NumPos]int64{}
 			s.mark = [grid.NumPos][grid.NumPos]bool{}
 			s.lock = [grid.NumPos][grid.NumPos]bool{}
 			s.anyMark = false

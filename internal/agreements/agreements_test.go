@@ -432,23 +432,20 @@ func TestLPiBStrictIgnoresTotals(t *testing.T) {
 	}
 }
 
-// TestSetPairTypeKeepsSubgraphsAgreeing flips random pairs — side and
-// diagonal, in canonical and opposite directions — on grids at l = 2ε and
-// l = 2.5ε. After every flip each subgraph containing a pair reports the
-// same type, the model's (Def. 4.2), SetPairType returned exactly the
-// corners of the subgraphs holding the flipped pair, and the graph
-// rebuilt with nil statistics encodes to the same bytes as
+// TestSetPairTypeKeepsSubgraphsAgreeing checks that a graph changed
+// only through SetPairType is a function of its pair types. It starts
+// from a graph built from types alone and flips random pairs — side and
+// diagonal, in canonical and opposite directions — on grids at l = 2ε
+// and l = 2.5ε. After every flip each subgraph containing a pair reports
+// the same type, the model's (Def. 4.2), SetPairType returned exactly the
+// corners of the subgraphs holding the flipped pair, and every quartet's
+// types, marks, locks and fast-path flags equal those of
 // BuildFromTypeFunc over the model's types.
 func TestSetPairTypeKeepsSubgraphsAgreeing(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for _, res := range []float64{2, 2.5} {
 		w, h := 4+rng.Float64()*16, 4+rng.Float64()*16
 		g := grid.New(geom.Rect{MaxX: w, MaxY: h}, 1, res)
-		st := grid.NewStats(g)
-		for i := 0; i < 400; i++ {
-			st.Add(tuple.Set(rng.Intn(2)), geom.Point{X: rng.Float64() * w, Y: rng.Float64() * h})
-		}
-		withStats := Build(st, LPiB)
 		model := map[[2]int]tuple.Set{}
 		key := func(ci, cj int) [2]int { return [2]int{min(ci, cj), max(ci, cj)} }
 		typeOf := func(ci, cj int) tuple.Set { return model[key(ci, cj)] } // R when unset
@@ -456,12 +453,12 @@ func TestSetPairTypeKeepsSubgraphsAgreeing(t *testing.T) {
 			for cx := 0; cx < g.NX; cx++ {
 				for d := grid.Dir(0); d < grid.NumDirs; d++ {
 					if nb := g.Neighbor(cx, cy, d); nb != grid.NoCell {
-						model[key(g.CellID(cx, cy), nb)] = withStats.PairType(cx, cy, d)
+						model[key(g.CellID(cx, cy), nb)] = tuple.Set(rng.Intn(2))
 					}
 				}
 			}
 		}
-		noStats := BuildFromTypeFunc(g, typeOf)
+		gr := BuildFromTypeFunc(g, typeOf)
 		flips := 0
 		for flips < 250 {
 			cx, cy, d := rng.Intn(g.NX), rng.Intn(g.NY), grid.Dir(rng.Intn(int(grid.NumDirs)))
@@ -472,49 +469,43 @@ func TestSetPairTypeKeepsSubgraphsAgreeing(t *testing.T) {
 			flips++
 			want := tuple.Set(rng.Intn(2))
 			model[key(ci, nb)] = want
-			corners := withStats.SetPairType(st, cx, cy, d, want)
-			if got := noStats.SetPairType(nil, cx, cy, d, want); !slices.Equal(got, corners) {
-				t.Fatalf("res %v: corners %v with stats, %v without", res, corners, got)
-			}
-			for _, gr := range []*Graph{withStats, noStats} {
-				var holding [][2]int
-				for gy := 0; gy <= g.NY; gy++ {
-					for gx := 0; gx <= g.NX; gx++ {
-						s := gr.Sub(gx, gy)
-						for i := grid.Pos(0); i < grid.NumPos; i++ {
-							for j := i + 1; j < grid.NumPos; j++ {
-								a, b := s.Cells[i], s.Cells[j]
-								if a == grid.NoCell || b == grid.NoCell {
-									continue
-								}
-								if got := s.Type(i, j); got != model[key(a, b)] || s.Type(j, i) != got {
-									t.Fatalf("res %v flip %d: quartet (%d,%d) types cells %d-%d %v, model %v", res, flips, gx, gy, a, b, got, model[key(a, b)])
-								}
-								if key(a, b) == key(ci, nb) {
-									holding = append(holding, [2]int{gx, gy})
-								}
+			corners := gr.SetPairType(cx, cy, d, want)
+			var holding [][2]int
+			for gy := 0; gy <= g.NY; gy++ {
+				for gx := 0; gx <= g.NX; gx++ {
+					s := gr.Sub(gx, gy)
+					for i := grid.Pos(0); i < grid.NumPos; i++ {
+						for j := i + 1; j < grid.NumPos; j++ {
+							a, b := s.Cells[i], s.Cells[j]
+							if a == grid.NoCell || b == grid.NoCell {
+								continue
+							}
+							if got := s.Type(i, j); got != model[key(a, b)] || s.Type(j, i) != got {
+								t.Fatalf("res %v flip %d: quartet (%d,%d) types cells %d-%d %v, model %v", res, flips, gx, gy, a, b, got, model[key(a, b)])
+							}
+							if key(a, b) == key(ci, nb) {
+								holding = append(holding, [2]int{gx, gy})
 							}
 						}
 					}
 				}
-				wantN := 2
-				if dx, dy := d.Delta(); dx != 0 && dy != 0 {
-					wantN = 1
+			}
+			wantN := 2
+			if dx, dy := d.Delta(); dx != 0 && dy != 0 {
+				wantN = 1
+			}
+			slices.SortFunc(holding, func(a, b [2]int) int { return cmp.Compare(a[1]*(g.NX+1)+a[0], b[1]*(g.NX+1)+b[0]) })
+			if len(holding) != wantN || !slices.Equal(holding, corners) {
+				t.Fatalf("res %v flip %d: pair %d-%d held by quartets %v, SetPairType rebuilt %v", res, flips, ci, nb, holding, corners)
+			}
+			fresh := BuildFromTypeFunc(g, typeOf)
+			for qi := range gr.Subs {
+				if got, exp := &gr.Subs[qi], &fresh.Subs[qi]; got.typ != exp.typ || got.mark != exp.mark || got.lock != exp.lock {
+					t.Fatalf("res %v flip %d: quartet %d differs from BuildFromTypeFunc over the same types:\n got %+v\nwant %+v", res, flips, qi, *got, *exp)
 				}
-				slices.SortFunc(holding, func(a, b [2]int) int { return cmp.Compare(a[1]*(g.NX+1)+a[0], b[1]*(g.NX+1)+b[0]) })
-				if len(holding) != wantN || !slices.Equal(holding, corners) {
-					t.Fatalf("res %v flip %d: pair %d-%d held by quartets %v, SetPairType rebuilt %v", res, flips, ci, nb, holding, corners)
-				}
 			}
-			var got, exp bytes.Buffer
-			if err := noStats.Encode(&got); err != nil {
-				t.Fatal(err)
-			}
-			if err := BuildFromTypeFunc(g, typeOf).Encode(&exp); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), exp.Bytes()) {
-				t.Fatalf("res %v flip %d: nil-stats graph differs from BuildFromTypeFunc over the same types", res, flips)
+			if !bytes.Equal(gr.flags, fresh.flags) {
+				t.Fatalf("res %v flip %d: fast-path flags differ from BuildFromTypeFunc over the same types", res, flips)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package dstore
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -10,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
 )
@@ -276,6 +279,19 @@ func TestJoinFilesMatchesBruteForce(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("eps=%g: oracle found no pairs; test is vacuous", eps)
 		}
+	}
+
+	// A cancelled join stops before it sweeps a cell.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	bufs := colsweep.Get()
+	defer colsweep.Put(bufs)
+	out := bufs.Sink(false, false)
+	if err := JoinFilesInto(ctx, rr, sr, fileEps, out); !errors.Is(err, context.Canceled) {
+		t.Fatalf("JoinFilesInto with a cancelled context: err %v, want context.Canceled", err)
+	}
+	if out.N != 0 {
+		t.Fatalf("JoinFilesInto with a cancelled context swept %d pairs", out.N)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"context"
 	"fmt"
 
 	"spatialjoin/internal/colsweep"
@@ -109,7 +110,7 @@ func JoinFiles(r, s *ColReader, eps float64, emit colsweep.EmitBatch) (int64, er
 	if emit != nil {
 		out = b.Batch(emit, false)
 	}
-	err := JoinFilesInto(r, s, eps, out)
+	err := JoinFilesInto(context.Background(), r, s, eps, out)
 	out.Flush()
 	return out.N, err
 }
@@ -122,11 +123,12 @@ func JoinFiles(r, s *ColReader, eps float64, emit colsweep.EmitBatch) (int64, er
 // exactly one cell, and every s within eps of it lies in exactly one of
 // that cell's native or halo chunk by the MINDIST rule. Nothing is
 // copied: chunk lanes are mmap views swept in place. The caller owns
-// flushing out.
+// flushing out. A cancelled ctx stops the join before the next R native
+// chunk and returns ctx's error.
 //
 // eps must be positive and at most the threshold the files were
 // partitioned for.
-func JoinFilesInto(r, s *ColReader, eps float64, out *colsweep.Sink) error {
+func JoinFilesInto(ctx context.Context, r, s *ColReader, eps float64, out *colsweep.Sink) error {
 	if !r.Partitioned() || !s.Partitioned() {
 		return fmt.Errorf("dstore: JoinFiles needs partitioned colfiles")
 	}
@@ -141,6 +143,9 @@ func JoinFilesInto(r, s *ColReader, eps float64, out *colsweep.Sink) error {
 		info := r.Info(i)
 		if info.Kind != ChunkKindNative {
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		rCols := r.Chunk(i)
 		if sn, ok := sIdx.native[info.Cell]; ok {

@@ -288,7 +288,7 @@ func (s *Store) recover() (*Recovery, error) {
 			if !ok {
 				return fmt.Errorf("seq %d: apply to unknown dataset %q", seq, r.Name)
 			}
-			d.tuples = applyMutations(d.tuples, r.Upserts, r.Deletes)
+			d.tuples = MergeMutations(d.tuples, r.Upserts, r.Deletes)
 			d.gen = r.Gen
 		case recDatasetDelete:
 			if seq <= regSeq {
@@ -440,10 +440,11 @@ func loadTuplesFile(path string) ([]tuple.Tuple, error) {
 	return r.Tuples()
 }
 
-// applyMutations mirrors the registry's Apply merge exactly: drop every
-// tuple whose id is deleted or re-upserted (preserving order), then
-// append the upserts.
-func applyMutations(ts []tuple.Tuple, ups []tuple.Tuple, dels []int64) []tuple.Tuple {
+// MergeMutations applies one mutation batch to a dataset's tuples: it
+// drops every tuple whose id is deleted or re-upserted, keeping the
+// survivors' order, and appends the upserts in request order. The live
+// registry and log recovery both merge with it; ts is not modified.
+func MergeMutations(ts []tuple.Tuple, ups []tuple.Tuple, dels []int64) []tuple.Tuple {
 	drop := make(map[int64]struct{}, len(ups)+len(dels))
 	for _, id := range dels {
 		drop[id] = struct{}{}

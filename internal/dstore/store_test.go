@@ -28,6 +28,34 @@ func sameTuples(t *testing.T, got, want []tuple.Tuple) {
 	}
 }
 
+// TestMergeMutations pins the one dataset-mutation merge that the live
+// registry and log recovery share.
+func TestMergeMutations(t *testing.T) {
+	moved := func(id int64) tuple.Tuple { return tuple.Tuple{ID: id, Pt: geom.Point{X: 100, Y: float64(id)}} }
+	for _, tc := range []struct {
+		name string
+		ts   []tuple.Tuple
+		ups  []tuple.Tuple
+		dels []int64
+		want []tuple.Tuple
+	}{
+		{"no mutation", pts(1, 2, 3), nil, nil, pts(1, 2, 3)},
+		{"delete keeps survivor order", pts(4, 1, 3, 2), nil, []int64{1}, pts(4, 3, 2)},
+		{"delete of an unknown id", pts(1, 2), nil, []int64{9}, pts(1, 2)},
+		{"upsert of a new id appends", pts(1, 2), pts(7), nil, pts(1, 2, 7)},
+		{"upsert of a known id moves it to the end", pts(1, 2, 3), []tuple.Tuple{moved(1)}, nil, append(pts(2, 3), moved(1))},
+		{"delete then re-upsert of one id", pts(1, 2, 3), []tuple.Tuple{moved(2)}, []int64{2}, append(pts(1, 3), moved(2))},
+		{"upserts appended in request order", pts(5), pts(9, 3, 7), []int64{5}, pts(9, 3, 7)},
+		{"delete everything", pts(1, 2), nil, []int64{2, 1}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := append([]tuple.Tuple(nil), tc.ts...)
+			sameTuples(t, MergeMutations(tc.ts, tc.ups, tc.dels), tc.want)
+			sameTuples(t, tc.ts, before)
+		})
+	}
+}
+
 func TestStoreRecoverFromLogOnly(t *testing.T) {
 	dir := t.TempDir()
 	st, rec, err := Open(dir, Options{})

@@ -123,7 +123,7 @@ func (s *Service) diskEngine(req JoinRequest) engine[JoinResponse] {
 			plan, _ = p.(*diskPlan)
 			return hit, release, err
 		},
-		execute: func(_ context.Context, j *joinRun) error {
+		execute: func(ctx context.Context, j *joinRun) error {
 			bufs := colsweep.Get()
 			defer colsweep.Put(bufs)
 			out := bufs.Sink(false, false)
@@ -137,7 +137,7 @@ func (s *Service) diskEngine(req JoinRequest) engine[JoinResponse] {
 				}, false)
 			}
 			sp := j.tr.Start(j.root.SpanID(), obs.SpanExecute)
-			err := dstore.JoinFilesInto(plan.r, plan.s, req.Eps, out)
+			err := dstore.JoinFilesInto(ctx, plan.r, plan.s, req.Eps, out)
 			out.Flush()
 			sp.SetInt("results", out.N)
 			sp.End()

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"spatialjoin"
+	"spatialjoin/internal/dstore"
 )
 
 // ErrUnknownDataset is returned (wrapped) when no point or geometry
@@ -137,20 +138,7 @@ func (r *Registry) Apply(name string, upserts []spatialjoin.Tuple, deletes []int
 	if !ok {
 		return 0, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
-	drop := make(map[int64]struct{}, len(deletes)+len(upserts))
-	for _, id := range deletes {
-		drop[id] = struct{}{}
-	}
-	for _, t := range upserts {
-		drop[t.ID] = struct{}{} // replaced below, not kept twice
-	}
-	ts := make([]spatialjoin.Tuple, 0, len(d.Tuples)+len(upserts))
-	for _, t := range d.Tuples {
-		if _, gone := drop[t.ID]; !gone {
-			ts = append(ts, t)
-		}
-	}
-	ts = append(ts, upserts...)
+	ts := dstore.MergeMutations(d.Tuples, upserts, deletes)
 	if len(ts) == 0 {
 		return 0, fmt.Errorf("service: mutation would empty dataset %q", name)
 	}

@@ -112,6 +112,9 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 // engine reproduces the original's live points, agreement types,
 // cumulative counters, and TTL ordering exactly, and re-encodes to the
 // same bytes: a blob the writer could not have produced is refused.
+// Placement and Counters().Replicas follow from the types and match too.
+// The drift scan's window (mutations and dirty cells since the last
+// scan) is not stored; the restored engine starts a fresh one.
 func Restore(cfg Config, blob []byte) (*Engine, error) {
 	body, err := codec.Unseal(blob)
 	if err != nil {
@@ -147,9 +150,9 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 		return nil, fmt.Errorf("stream: checkpoint has %d agreement slots, grid needs %d", nTypes, 4*e.g.NumCells())
 	}
 	// Restore the graph's types before any insert, so every point is
-	// assigned exactly as the original engine would assign it under those
-	// agreements. Nil statistics rebuild the changed subgraphs with zero
-	// weights, as a from-scratch build over the stored types would.
+	// assigned exactly as the original engine assigns it: the live
+	// rebalancer changes the graph only through SetPairType too, which
+	// resolves quartets from their types alone.
 	for i, tb := range c.Bytes(nTypes) {
 		t := tuple.Set(tb)
 		cx, cy := e.g.CellCoords(i / 4)
@@ -162,7 +165,7 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 				return nil, fmt.Errorf("stream: agreement type %v at slot %d names a pair outside the grid", t, i)
 			}
 		case t != e.graph.PairType(cx, cy, dir):
-			e.graph.SetPairType(nil, cx, cy, dir, t)
+			e.graph.SetPairType(cx, cy, dir, t)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"slices"
 
 	"spatialjoin/internal/agreements"
@@ -25,7 +26,7 @@ func canonSlot(d grid.Dir) int {
 // of its adjacent cell pairs against the exact live statistics, and for
 // every pair whose decision flipped commits the new type: the subgraphs
 // containing the pair are rebuilt (Graph.SetPairType re-runs Algorithm 1's
-// marking/locking with live weights) and only the replicas of the
+// marking/locking from the types alone) and only the replicas of the
 // rebuilt quartets' member cells are migrated. The grid, slabs of
 // unaffected cells, and all other subgraphs are untouched.
 //
@@ -89,14 +90,15 @@ func (e *Engine) rebalanceLocked() {
 // quartet's member cell — the only points whose replication consults the
 // rebuilt subgraphs — and move the changed replica copies between slabs.
 // A cell's native points are those of its slabs whose first assigned
-// cell it is; they are collected before any slab changes.
+// cell it is; they are collected before any slab changes and migrated in
+// id order, so a flip's slab work does not depend on map or slab order.
 //
 // Migration is silent (no deltas): both the old and the new graph are
 // consistent, so the qualifying pair set is unchanged (Corollary 4.6);
 // only the cell in which each pair is co-located may move.
 func (e *Engine) flipLocked(ci int, dir grid.Dir, want tuple.Set) {
 	cx, cy := e.g.CellCoords(ci)
-	qs := e.graph.SetPairType(e.stats, cx, cy, dir, want)
+	qs := e.graph.SetPairType(cx, cy, dir, want)
 	e.c.AgreementFlips++
 	affected := map[int]struct{}{}
 	for _, q := range qs {
@@ -117,6 +119,7 @@ func (e *Engine) flipLocked(ci int, dir grid.Dir, want tuple.Set) {
 		}
 	}
 	for set, ens := range own {
+		slices.SortFunc(ens, func(a, b *entry) int { return cmp.Compare(a.t.ID, b.t.ID) })
 		for _, en := range ens {
 			e.migrateLocked(tuple.Set(set), en)
 		}

@@ -191,6 +191,12 @@ func latticeCoord(rng *rand.Rand, span int) float64 {
 // opposite borders are disjoint and the lattice's exact-ε/exact-border
 // configurations are all handled (see Config.GridRes).
 func TestStreamQuiescentEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { quiescentEquivalence(t, seed) })
+	}
+}
+
+func quiescentEquivalence(t *testing.T, seed int64) {
 	bounds := geom.NewRect(0, 0, 10, 10)
 	h := newHarness(t, stream.Config{
 		Eps:            0.5,
@@ -199,7 +205,7 @@ func TestStreamQuiescentEquivalence(t *testing.T) {
 		Policy:         agreements.LPiB,
 		RebalanceEvery: 50,
 	})
-	rng := rand.New(rand.NewSource(20250806))
+	rng := rand.New(rand.NewSource(seed))
 	nextID := [2]int64{1, 1}
 
 	randomPoint := func() geom.Point {
