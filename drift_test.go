@@ -203,6 +203,49 @@ func TestHostileEps(t *testing.T) {
 	}
 }
 
+// TestHostileParallelism: a workers or partitions count past the
+// engine's bounds, or a workers × cells product past its budget, is an
+// error from every algorithm and entry point — never a goroutine per
+// requested worker or a per-worker table of a million cells each.
+func TestHostileParallelism(t *testing.T) {
+	rs := GenerateUniform(300, 51)
+	ss := GenerateUniform(300, 52)
+	world := World()
+	const huge = 2_000_000_000
+	for _, a := range everyAlgorithm() {
+		opts := []Options{
+			{Eps: 0.5, Workers: huge},
+			{Eps: 0.5, Partitions: huge},
+			{Eps: 0.5, Partitions: huge, UseLPT: true},
+		}
+		if a != SedonaLike { // gridless: its cells are quadtree leaves
+			// 0.1-wide cells over the 100 × 100 world: a million cells.
+			opts = append(opts, Options{Eps: 0.05, Workers: 1000, Bounds: &world})
+		}
+		for _, opt := range opts {
+			opt.Algorithm = a
+			name := fmt.Sprintf("%v/workers=%d/partitions=%d/eps=%v", a, opt.Workers, opt.Partitions, opt.Eps)
+			if _, err := Join(rs, ss, opt); err == nil {
+				t.Errorf("%s: Join accepted it", name)
+			}
+			if _, err := Prepare(rs, ss, opt); err == nil {
+				t.Errorf("%s: Prepare accepted it", name)
+			}
+			if supportsSelfJoin(a) {
+				if _, err := SelfJoin(rs, opt); err == nil {
+					t.Errorf("%s: SelfJoin accepted it", name)
+				}
+			}
+		}
+	}
+	obj := []Object{NewPointObject(1, Point{X: 1, Y: 1})}
+	for _, opt := range []Options{{Eps: 0.5, Workers: huge}, {Eps: 0.5, Partitions: huge}} {
+		if _, err := JoinObjects(obj, obj, opt); err == nil {
+			t.Errorf("JoinObjects accepted workers=%d partitions=%d", opt.Workers, opt.Partitions)
+		}
+	}
+}
+
 // TestAutoPlannedSamplesOnce: AutoPlanned costs the strategies on the
 // sample and graph its own plan is then built from, so the report is the
 // resolved algorithm's field for field and the trace shows one sample

@@ -5,8 +5,8 @@
 //
 // The adaptive pipeline follows the paper's phases exactly:
 //
-//  1. Sampling: a Bernoulli sample of each input feeds per-cell statistics
-//     (paper default 3%).
+//  1. Sampling: a sample of each input, drawn by tuple id, feeds per-cell
+//     statistics (paper default 3%).
 //  2. Agreement-based grid construction: a 2ε-resolution grid is built
 //     over the data MBR and the graph of agreements is instantiated with
 //     the LPiB or DIFF policy, then made duplicate-free with edge marking
@@ -60,8 +60,8 @@ type Config struct {
 	PoolSize       int               // OS-level goroutine pool cap; default GOMAXPROCS
 
 	// Scheme is the algorithm: which cells a point is assigned to. Nil is
-	// the paper's adaptive replication, which Res, Policy, UseLPT, Order,
-	// Simple and SampleR/SampleS parameterise; the baselines (internal/pbsm,
+	// the paper's adaptive replication, which Res, Policy, UseLPT, Order
+	// and Simple parameterise; the baselines (internal/pbsm,
 	// internal/sedonasim) and the cost-model planner supply their own.
 	Scheme Scheme
 
@@ -72,11 +72,6 @@ type Config struct {
 	// broadcast blob workers receive (Algorithm 5's driver broadcast, in
 	// real bytes).
 	Engine dpe.Engine
-
-	// SampleR and SampleS optionally supply pre-drawn Bernoulli samples of
-	// the inputs (e.g. cached by a serving layer across ε re-plans); when
-	// nil, samples are drawn from the inputs with SampleFraction and Seed.
-	SampleR, SampleS []tuple.Tuple
 
 	// Tracer records phase spans (plan → sample/partition/replicate/
 	// shuffle, then per-partition tasks at execute time) under
@@ -108,16 +103,21 @@ type Input struct {
 	Span       *obs.Span // the plan span: parent of the scheme's own spans
 }
 
-// Grid returns the grid of cell side res·ε over the bounds, or grid.Check's
-// error when it would exceed grid.MaxCells. Every plan keeps dense
+// Grid returns the grid of cell side res·ε over the bounds, or an error
+// when it would exceed grid.MaxCells or, with the plan's workers and
+// partitions, dpe.CheckParallelism's budget. Every plan keeps dense
 // Cells-sized tables (sample statistics, agreements, the rank → partition
-// table, one histogram per map worker), so the check runs before any of
+// table, one histogram per map worker), so the checks run before any of
 // them exists.
 func (in Input) Grid(res float64) (*grid.Grid, error) {
 	if err := grid.Check(in.Bounds, in.Eps, res); err != nil {
 		return nil, fmt.Errorf("core: eps %v to join %d input rows: %w", in.Eps, len(in.R)+len(in.S), err)
 	}
-	return grid.New(in.Bounds, in.Eps, res), nil
+	g := grid.New(in.Bounds, in.Eps, res)
+	if err := dpe.CheckParallelism(in.Workers, in.Partitions, g.NumCells()); err != nil {
+		return nil, fmt.Errorf("core: eps %v: %w", in.Eps, err)
+	}
+	return g, nil
 }
 
 // Result is the outcome of a join.
@@ -213,8 +213,9 @@ func adaptive(in Input, spec *dpe.Spec, p *Plan) error {
 }
 
 // SampleStats is phase 1: it builds the scheme's Res·ε grid and the
-// per-cell statistics of a Bernoulli sample of each input (drawn here
-// unless the caller supplied cached samples), and records them on p.
+// per-cell statistics of each input's sample — the tuples sample.Keep
+// selects by id (R with Seed, S with Seed+1), so the statistics do not
+// depend on input order — and records them on p.
 func SampleStats(in Input, p *Plan) (*grid.Stats, error) {
 	res := in.Res
 	if res == 0 {
@@ -230,13 +231,8 @@ func SampleStats(in Input, p *Plan) (*grid.Stats, error) {
 	sampleSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanSample)
 	start := time.Now()
 	st := grid.NewStats(g)
-	sr, ss := in.SampleR, in.SampleS
-	if sr == nil {
-		sr = sample.Bernoulli(in.R, in.SampleFraction, in.Seed)
-	}
-	if ss == nil {
-		ss = sample.Bernoulli(in.S, in.SampleFraction, in.Seed+1)
-	}
+	sr := sample.Bernoulli(in.R, in.SampleFraction, in.Seed)
+	ss := sample.Bernoulli(in.S, in.SampleFraction, in.Seed+1)
 	st.AddAll(tuple.R, sr)
 	st.AddAll(tuple.S, ss)
 	p.Grid, p.SampleTime = g, time.Since(start)

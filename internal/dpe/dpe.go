@@ -53,6 +53,7 @@ import (
 	"spatialjoin/internal/colsweep"
 	"spatialjoin/internal/dedup"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/grid"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/tuple"
 )
@@ -309,6 +310,22 @@ func maxParallel(workers, pool int) int {
 	return workers
 }
 
+// CheckParallelism returns an error when a join of the given simulated
+// workers, reduce partitions and cells would exceed grid.MaxWorkers,
+// grid.MaxPartitions or grid.MaxWorkerCells. Prepare runs it before
+// anything of that size exists.
+func CheckParallelism(workers, partitions, cells int) error {
+	switch {
+	case workers > grid.MaxWorkers:
+		return fmt.Errorf("dpe: %d workers exceed the limit of %d", workers, grid.MaxWorkers)
+	case partitions > grid.MaxPartitions:
+		return fmt.Errorf("dpe: %d partitions exceed the limit of %d", partitions, grid.MaxPartitions)
+	case float64(workers)*(float64(cells)+8*float64(partitions)) > grid.MaxWorkerCells:
+		return fmt.Errorf("dpe: %d workers × (%d cells + 8 × %d partitions) exceed the limit of %d per-worker table entries", workers, cells, partitions, grid.MaxWorkerCells)
+	}
+	return nil
+}
+
 // Result is the outcome of one engine run.
 type Result struct {
 	Metrics
@@ -365,10 +382,13 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	nparts := spec.Part.NumPartitions()
+	if err := CheckParallelism(workers, nparts, spec.Cells); err != nil {
+		return nil, err
+	}
 
 	pr := &Prepared{spec: spec, workers: workers}
 	res := &pr.build
-	nparts := spec.Part.NumPartitions()
 
 	// With every cell id in [0, Cells), partition routing is one table
 	// lookup per replica instead of a hash per replica. The table is
@@ -465,19 +485,20 @@ func (spec *Spec) side(set tuple.Set) ([]tuple.Tuple, TupleAssign) {
 	}
 }
 
-// eachWorker runs fn(w) for every simulated worker w, with at most
-// maxParallel(workers, pool) of them in flight, and waits for all.
+// eachWorker runs fn(w) for every simulated worker w on at most
+// maxParallel(workers, pool) goroutines, which take the workers in
+// order, and waits for all.
 func eachWorker(workers, pool int, fn func(w int)) {
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel(workers, pool))
-	for w := 0; w < workers; w++ {
+	var next atomic.Int64
+	for range maxParallel(workers, pool) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(w)
-		}(w)
+			for w := int(next.Add(1)) - 1; w < workers; w = int(next.Add(1)) - 1 {
+				fn(w)
+			}
+		}()
 	}
 	wg.Wait()
 }

@@ -2,7 +2,9 @@ package dpe
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"spatialjoin/internal/geom"
@@ -317,5 +319,57 @@ func TestWorkerBusyReported(t *testing.T) {
 	}
 	if res.TotalTime() <= 0 {
 		t.Fatal("total time must be positive")
+	}
+}
+
+// TestCheckParallelism: a workers count, a partitions count or a
+// workers × (cells + 8 × partitions) budget past the grid package's bounds
+// is an error from Prepare before any table of that size exists.
+func TestCheckParallelism(t *testing.T) {
+	ok := [][3]int{{1, 1, 1}, {grid.MaxWorkers, 8, 1}, {2, grid.MaxPartitions, 1}, {15, 120, grid.MaxCells}}
+	for _, c := range ok {
+		if err := CheckParallelism(c[0], c[1], c[2]); err != nil {
+			t.Errorf("workers=%d partitions=%d cells=%d: %v", c[0], c[1], c[2], err)
+		}
+	}
+	bad := [][3]int{
+		{2_000_000_000, 16, 1},
+		{2, 2_000_000_000, 1},
+		{1000, 8000, 1 << 20},
+		{1024, grid.MaxPartitions, 1},
+		{grid.MaxWorkers + 1, 1, 1},
+		{1, grid.MaxPartitions + 1, 1},
+	}
+	for _, c := range bad {
+		if err := CheckParallelism(c[0], c[1], c[2]); err == nil {
+			t.Errorf("workers=%d partitions=%d cells=%d accepted", c[0], c[1], c[2])
+		}
+	}
+	rs := tuple.FromPoints([]geom.Point{{X: 1, Y: 1}}, 0)
+	assign := func(_ geom.Point, _ tuple.Set, dst []int) []int { return append(dst, 0) }
+	for _, c := range bad {
+		spec := Spec{R: rs, S: rs, Eps: 1, AssignR: assign, AssignS: assign, Cells: c[2], Part: HashPartitioner{N: c[1]}, Workers: c[0]}
+		if _, err := Prepare(spec); err == nil {
+			t.Errorf("Prepare accepted workers=%d partitions=%d cells=%d", c[0], c[1], c[2])
+		}
+	}
+}
+
+// TestEachWorkerStartsAtMostPool: many simulated workers run on at most
+// pool goroutines, not one goroutine each.
+func TestEachWorkerStartsAtMostPool(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var peak, ran atomic.Int64
+	eachWorker(5000, 2, func(int) {
+		if n := int64(runtime.NumGoroutine() - base); n > peak.Load() {
+			peak.Store(n)
+		}
+		ran.Add(1)
+	})
+	if ran.Load() != 5000 {
+		t.Fatalf("ran %d workers, want 5000", ran.Load())
+	}
+	if peak.Load() > 2 {
+		t.Fatalf("%d goroutines in flight, want at most the pool's 2", peak.Load())
 	}
 }

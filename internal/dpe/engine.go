@@ -3,7 +3,6 @@ package dpe
 import (
 	"context"
 	"strconv"
-	"sync"
 	"time"
 
 	"spatialjoin/internal/obs"
@@ -35,32 +34,23 @@ func (LocalEngine) ExecutePrepared(ctx context.Context, pr *Prepared, opt ExecOp
 	start := time.Now()
 	outs := make([]PartitionResult, nparts)
 	busy := make([]time.Duration, workers)
-	var wg sync.WaitGroup
 	// In-flight workers are capped at the pool size: running more
 	// simulated workers than cores would only time-slice them against
 	// each other, polluting the per-worker busy clocks (Metrics.WorkerBusy).
-	sem := make(chan struct{}, maxParallel(workers, spec.PoolSize))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var wname string
-			if tr != nil {
-				wname = "local-" + strconv.Itoa(w)
-			}
-			t0 := time.Now()
-			var err error
-			for p := w; p < nparts && err == nil; p += workers {
-				ts := tr.Start(execSp.SpanID(), obs.SpanTask)
-				ts.SetWorker(wname).SetInt("partition", int64(p))
-				outs[p], err = JoinSlabsTraced(ctx, &pr.partR[p], &pr.partS[p], opt.Eps, spec.Kernel, opt.Collect, spec.SelfFilter, ts)
-			}
-			busy[w] = time.Since(t0)
-		}(w)
-	}
-	wg.Wait()
+	eachWorker(workers, spec.PoolSize, func(w int) {
+		var wname string
+		if tr != nil {
+			wname = "local-" + strconv.Itoa(w)
+		}
+		t0 := time.Now()
+		var err error
+		for p := w; p < nparts && err == nil; p += workers {
+			ts := tr.Start(execSp.SpanID(), obs.SpanTask)
+			ts.SetWorker(wname).SetInt("partition", int64(p))
+			outs[p], err = JoinSlabsTraced(ctx, &pr.partR[p], &pr.partS[p], opt.Eps, spec.Kernel, opt.Collect, spec.SelfFilter, ts)
+		}
+		busy[w] = time.Since(t0)
+	})
 	execSp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -141,6 +141,19 @@ type Grid struct {
 // tiles each hold one entry per cell.
 const MaxCells = 1 << 22
 
+// MaxWorkers, MaxPartitions and MaxWorkerCells bound the parallelism a
+// join may ask for (dpe.CheckParallelism). Every simulated worker keeps
+// a map log with a 4-byte entry per cell, and every (worker, partition)
+// pair about eight times that: the log's byte counters per slab and the
+// slab's row and byte counts per worker. MaxWorkerCells bounds workers ×
+// (cells + 8 × partitions): 256 MiB of log entries per side, which
+// still lets up to 15 workers map a MaxCells grid.
+const (
+	MaxWorkers     = 1 << 12
+	MaxPartitions  = 1 << 16
+	MaxWorkerCells = 1 << 26
+)
+
 // CheckCells is the one check run before any dense grid or tile grid is
 // sized: it returns an error when a grid of the given cell count, taken
 // in floating point so that a tiny cell side cannot overflow int first,

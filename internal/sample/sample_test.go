@@ -63,6 +63,9 @@ func TestBernoulliEdgeFractions(t *testing.T) {
 	if got := Bernoulli(ts, 1, 1); len(got) != 100 {
 		t.Errorf("fraction 1 should keep everything, got %d", len(got))
 	}
+	if got := Bernoulli(ts, 1e300, 1); len(got) != 100 {
+		t.Errorf("fraction 1e300 should keep everything, got %d", len(got))
+	}
 	if got := Bernoulli(nil, 0.5, 1); got != nil {
 		t.Errorf("empty input should sample nothing, got %d", len(got))
 	}
@@ -108,5 +111,60 @@ func TestScaleFactor(t *testing.T) {
 	}
 	if ScaleFactor(1) != 1 || ScaleFactor(2) != 1 {
 		t.Error("fractions >= 1 must scale to 1")
+	}
+}
+
+// TestKeepRate: the rule keeps about fraction of consecutive ids (the
+// ids real inputs carry) at every seed, and seeds s and s+1 — the R and
+// S samples of one plan — draw nearly independent samples.
+func TestKeepRate(t *testing.T) {
+	const n = 200_000
+	for _, f := range []float64{0.001, 0.03, 0.5, 0.97} {
+		for seed := int64(0); seed < 4; seed++ {
+			kept, both := 0, 0
+			for id := int64(0); id < n; id++ {
+				a, b := Keep(id, f, seed), Keep(id, f, seed+1)
+				if a {
+					kept++
+				}
+				if a && b {
+					both++
+				}
+			}
+			// Five binomial standard deviations.
+			tol := 5 * math.Sqrt(n*f*(1-f))
+			if d := math.Abs(float64(kept) - n*f); d > tol {
+				t.Errorf("f=%v seed=%d: kept %d of %d, want %.0f ± %.0f", f, seed, kept, n, n*f, tol)
+			}
+			if d := math.Abs(float64(both) - n*f*f); d > 5*math.Sqrt(n*f*f)+1 {
+				t.Errorf("f=%v seed=%d: %d ids in both seeds' samples, want about %.0f", f, seed, both, n*f*f)
+			}
+		}
+	}
+	if Keep(7, 0, 1) || Keep(7, -1, 1) || Keep(7, math.NaN(), 1) || !Keep(7, 1, 1) || !Keep(7, 2, 1) {
+		t.Error("fractions <= 0 (or NaN) must keep nothing and >= 1 everything")
+	}
+}
+
+// TestBernoulliIgnoresOrder: a permuted input yields the same sample set,
+// because membership is decided by id alone.
+func TestBernoulliIgnoresOrder(t *testing.T) {
+	ts := tuples(10_000)
+	want := map[int64]bool{}
+	for _, tu := range Bernoulli(ts, 0.05, 3) {
+		want[tu.ID] = true
+	}
+	rev := make([]tuple.Tuple, len(ts))
+	for i := range ts {
+		rev[len(ts)-1-i] = ts[i]
+	}
+	got := Bernoulli(rev, 0.05, 3)
+	if len(got) != len(want) {
+		t.Fatalf("reversed input sampled %d tuples, want %d", len(got), len(want))
+	}
+	for _, tu := range got {
+		if !want[tu.ID] {
+			t.Fatalf("reversed input sampled id %d, which the forward sample lacks", tu.ID)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/quadtree"
 	"spatialjoin/internal/rtree"
+	"spatialjoin/internal/sample"
 	"spatialjoin/internal/tuple"
 )
 
@@ -60,14 +61,12 @@ func JoinObjects(rs, ss []extgeom.Object, cfg ObjectsConfig) ([]tuple.Pair, erro
 		indexed, probe = rs, ss
 	}
 
-	// Partition on a strided sample of the probe side's centers.
-	stride := int(1 / cfg.SampleFraction)
-	if stride < 1 {
-		stride = 1
-	}
+	// Partition on the probe side's centers, sampled by sample.Keep.
 	var smp []tuple.Tuple
-	for i := 0; i < len(probe); i += stride {
-		smp = append(smp, tuple.Tuple{ID: probe[i].ID, Pt: probe[i].Bounds().Center()})
+	for i := range probe {
+		if sample.Keep(probe[i].ID, cfg.SampleFraction, cfg.Seed) {
+			smp = append(smp, tuple.Tuple{ID: probe[i].ID, Pt: probe[i].Bounds().Center()})
+		}
 	}
 	capacity := len(smp) / cfg.Partitions
 	if capacity < 1 {

@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	"spatialjoin"
 	"spatialjoin/internal/tuple"
 )
 
@@ -43,6 +46,62 @@ func FuzzDecodeMutations(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, batch) {
 			t.Fatalf("batch %+v decodes back as %+v", batch, again)
+		}
+	})
+}
+
+// FuzzJoinBodies posts arbitrary bytes as the /v1/join and /v1/geojoin
+// bodies against two tiny point and two tiny geometry datasets: every
+// reply must be a 2xx or a 4xx — never a 5xx, a panic or an allocation
+// the size of a hostile number in the body. The one 5xx allowed is the
+// 504 of a body that set its own timeout_ms.
+func FuzzJoinBodies(f *testing.F) {
+	for _, body := range []string{
+		`{"r":"r","s":"s","eps":0.5}`,
+		`{"r":"r","s":"s","eps":0}`,
+		`{"r":"r","s":"s","eps":1000,"collect":true,"limit":3}`,
+		`{"r":"r","s":"s","eps":1e308,"algorithm":"sedona"}`,
+		`{"r":"r","s":"s","eps":1e308,"grid_res":1e308,"use_lpt":true}`,
+		`{"r":"r","s":"s","eps":0.5,"workers":2000000000}`,
+		`{"r":"r","s":"s","eps":0.5,"partitions":2000000000,"use_lpt":true}`,
+		`{"r":"r","s":"s","eps":0.5,"algorithm":"nope"}`,
+		`{"r":"r","s":"s","eps":0.5,"algorithm":"disk","sample_fraction":1}`,
+		`{"r":"r","s":"s","eps":0.5,"algorithm":"eps-grid","grid_res":0.5,"timeout_ms":1}`,
+		`{"r":"r","s":"s","predicate":"intersects"}`,
+		`{"r":"r","s":"s","predicate":"within","eps":1e308,"collect":true}`,
+		`{"r":"r","s":"s","predicate":"contains","tiles":2000000000}`,
+		`{"r":"r","s":"s","predicate":"intersects","workers":2000000000,"partitions":2000000000}`,
+		`{"r":"r","s":"s","predicate":"nope","eps":-1}`,
+		`{"r":"x","s":"s","eps":0.5}`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	s := New(Config{})
+	f.Cleanup(func() { s.Close() })
+	for name, seed := range map[string]int64{"r": 1, "s": 2} {
+		if _, err := s.Registry.Put(name, spatialjoin.GenerateUniform(40, seed)); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := s.geo.put(name, geoTestObjects(seed, 20, seed*100_000)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var deadline struct {
+			TimeoutMillis int64 `json:"timeout_ms"`
+		}
+		timed := json.Unmarshal(body, &deadline) == nil && deadline.TimeoutMillis > 0
+		for _, path := range []string{"/v1/join", "/v1/geojoin"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if timed && rec.Code == http.StatusGatewayTimeout {
+				continue
+			}
+			if rec.Code < 200 || rec.Code >= 500 {
+				t.Fatalf("POST %s %q: status %d (%s)", path, body, rec.Code, rec.Body.String())
+			}
 		}
 	})
 }

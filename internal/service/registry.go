@@ -15,12 +15,6 @@ import (
 // dataset has the requested name.
 var ErrUnknownDataset = errors.New("service: unknown dataset")
 
-// sampleKey identifies one cached Bernoulli sample of a dataset.
-type sampleKey struct {
-	fraction float64
-	seed     int64
-}
-
 // dataset is one registered point set. Re-uploading under the same name
 // replaces it and bumps the revision; in-place mutation through Apply
 // (stream ingest mirrored into a dataset) bumps the generation instead.
@@ -32,27 +26,6 @@ type dataset struct {
 	Gen    int64
 	Tuples []spatialjoin.Tuple
 	Bounds spatialjoin.Rect
-
-	mu      sync.Mutex
-	samples map[sampleKey][]spatialjoin.Tuple
-}
-
-// sample returns the dataset's Bernoulli sample for (fraction, seed),
-// drawing and caching it on first use — the reuse that makes ε re-plans
-// skip the sampling pass.
-func (d *dataset) sample(fraction float64, seed int64) []spatialjoin.Tuple {
-	key := sampleKey{fraction, seed}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s, ok := d.samples[key]; ok {
-		return s
-	}
-	s := spatialjoin.Sample(d.Tuples, fraction, seed)
-	if d.samples == nil {
-		d.samples = map[sampleKey][]spatialjoin.Tuple{}
-	}
-	d.samples[key] = s
-	return s
 }
 
 // DatasetInfo describes a registered dataset to clients.

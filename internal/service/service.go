@@ -440,13 +440,6 @@ func (s *Service) pointEngine(req JoinRequest) engine[JoinResponse] {
 				// The building request's tracer captures the construction
 				// phases (plan, replicate, shuffle); cache hits skip them.
 				o.Trace, o.TraceParent = j.tr, j.root.SpanID()
-				// Reuse the datasets' cached Bernoulli samples across plans
-				// (e.g. ε re-sweeps): the facade draws R with Seed and S with
-				// Seed+1.
-				if isAdaptive(req.Algorithm) {
-					o.PresampledR = rd.sample(o.SampleFraction, o.Seed)
-					o.PresampledS = sd.sample(o.SampleFraction, o.Seed+1)
-				}
 				return spatialjoin.Prepare(rd.Tuples, sd.Tuples, o)
 			})
 			plan, _ = p.(*spatialjoin.PreparedJoin)
@@ -491,12 +484,4 @@ func joinResponse(run *joinRun, rd, sd *dataset) *JoinResponse {
 		resp.PlanCache = "hit"
 	}
 	return resp
-}
-
-func isAdaptive(a spatialjoin.Algorithm) bool {
-	switch a {
-	case spatialjoin.AdaptiveLPiB, spatialjoin.AdaptiveDIFF, spatialjoin.AdaptiveSimpleDedup:
-		return true
-	}
-	return false
 }

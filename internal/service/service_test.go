@@ -57,23 +57,50 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestRegistrySampleCache(t *testing.T) {
+// TestRegistryApplyKeepsPlan: re-upserting unchanged points through
+// Registry.Apply moves them to the end of the dataset, which changes
+// its order but not its points; a plan rebuilt after it must replicate
+// exactly as before, because the sample is drawn by id, not position.
+func TestRegistryApplyKeepsPlan(t *testing.T) {
 	s := New(Config{})
-	if _, err := s.Registry.Put("x", spatialjoin.GenerateUniform(5000, 1)); err != nil {
-		t.Fatal(err)
+	defer s.Close()
+	for name, ts := range map[string][]spatialjoin.Tuple{
+		"r": spatialjoin.GenerateTigerLike(6000, 11),
+		"s": spatialjoin.GenerateGaussian(6000, 12),
+	} {
+		if _, err := s.Registry.Put(name, ts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	d, err := s.Registry.Get("x")
+	req := JoinRequest{R: "r", S: "s", Eps: 0.6, Algorithm: spatialjoin.AdaptiveLPiB, Workers: 4, Seed: 3}
+	before, err := s.Join(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := d.sample(0.1, 42)
-	b := d.sample(0.1, 42)
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("sample not cached (backing arrays differ)")
+	for _, name := range []string{"r", "s"} {
+		d, err := s.Registry.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := d.Tuples[0].ID
+		if _, err := s.Registry.Apply(name, d.Tuples[:len(d.Tuples)/2], nil); err != nil {
+			t.Fatal(err)
+		}
+		if d, _ = s.Registry.Get(name); d.Tuples[0].ID == first {
+			t.Fatalf("re-upsert left %q in its old order; the test needs a reordered dataset", name)
+		}
 	}
-	c := d.sample(0.1, 43)
-	if len(c) > 0 && len(a) > 0 && &a[0] == &c[0] {
-		t.Fatal("different seeds must not share a sample")
+	after, err := s.Join(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.PlanCache != "miss" {
+		t.Fatalf("plan cache %q after Apply, want a rebuilt plan", after.PlanCache)
+	}
+	if after.ReplicatedR != before.ReplicatedR || after.ReplicatedS != before.ReplicatedS ||
+		after.Results != before.Results || after.Checksum != before.Checksum {
+		t.Fatalf("reordered datasets moved the plan: replicated %d/%d → %d/%d, results %d → %d",
+			before.ReplicatedR, before.ReplicatedS, after.ReplicatedR, after.ReplicatedS, before.Results, after.Results)
 	}
 }
 

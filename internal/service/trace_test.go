@@ -345,3 +345,36 @@ func TestHTTPHostileEps(t *testing.T) {
 		t.Fatalf("daemon not serving after hostile requests: %d %s", code, body)
 	}
 }
+
+// TestHTTPHostileParallelism: a join body asking for more workers or
+// partitions than the engine may start is a 400 from both join
+// endpoints, and the daemon keeps serving afterwards.
+func TestHTTPHostileParallelism(t *testing.T) {
+	s := testService(t, Config{})
+	defer s.Close()
+	for name, seed := range map[string]int64{"r": 1, "s": 2} {
+		if _, err := s.geo.put(name, geoTestObjects(seed, 50, seed*100_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := s.Handler()
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	for _, field := range []string{"workers", "partitions"} {
+		for path, body := range map[string]string{
+			"/v1/join":    `{"r": "r", "s": "s", "eps": 0.5, "%s": 2000000000}`,
+			"/v1/geojoin": `{"r": "r", "s": "s", "predicate": "intersects", "%s": 2000000000}`,
+		} {
+			if code, resp := post(path, fmt.Sprintf(body, field)); code != http.StatusBadRequest {
+				t.Errorf("POST %s %s=2e9: status %d (%s), want 400", path, field, code, resp)
+			}
+		}
+	}
+	if code, body := post("/v1/join", `{"r": "r", "s": "s", "eps": 0.5}`); code != http.StatusOK {
+		t.Fatalf("daemon not serving after hostile requests: %d %s", code, body)
+	}
+}

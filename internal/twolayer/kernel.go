@@ -55,10 +55,9 @@ type Kernel struct {
 	// differential tests use it to prove both paths emit identical
 	// result sets.
 	ForceFallback bool
-	// FallbackMinEntries and FallbackExtentFrac tune the degeneracy
-	// heuristic (zero selects the defaults).
+	// FallbackMinEntries tunes the degeneracy heuristic's population
+	// floor (zero selects DefaultFallbackMinEntries).
 	FallbackMinEntries int
-	FallbackExtentFrac float64
 
 	Stats KernelStats
 }
@@ -245,10 +244,6 @@ func (k *Kernel) degenerate(sc *tileScratch) bool {
 	if minEntries <= 0 {
 		minEntries = DefaultFallbackMinEntries
 	}
-	frac := k.FallbackExtentFrac
-	if frac <= 0 {
-		frac = DefaultFallbackExtentFrac
-	}
 	tw := k.Grid.tw
 	if tw <= 0 {
 		return false
@@ -264,7 +259,7 @@ func (k *Kernel) degenerate(sc *tileScratch) bool {
 		}
 		n += len(byClassR[c]) + len(byClassS[c])
 	}
-	return n >= minEntries && extent/float64(n) >= frac*tw
+	return n >= minEntries && extent/float64(n) >= DefaultFallbackExtentFrac*tw
 }
 
 // sweepCombo forward-scan sweeps one allowed class pair: both lists

@@ -12,10 +12,12 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/obs"
+	"spatialjoin/internal/sample"
 	"spatialjoin/internal/tuple"
 )
 
-// maxSample caps the MBRs fed to the costmodel's resolution selection.
+// maxSample caps the MBRs per side fed to the costmodel's resolution
+// selection.
 const maxSample = 1024
 
 // Config describes one non-point join.
@@ -43,10 +45,6 @@ type Config struct {
 	// Engine executes the reduce phase; nil is the in-process local
 	// engine, a cluster engine ships the tiles to worker processes.
 	Engine dpe.Engine
-
-	// ForceFallback routes every tile through the R-tree path (test
-	// hook; see Kernel.ForceFallback).
-	ForceFallback bool
 
 	Tracer      *obs.Tracer
 	TraceParent obs.SpanID
@@ -153,8 +151,8 @@ func Prepare(cfg Config) (*Plan, error) {
 	if cfg.Tiles > 0 {
 		pred = costmodel.TwoLayerPrediction{NX: cfg.Tiles, NY: cfg.Tiles}
 	} else {
-		sampleR := sampleMBRs(mbrsR, widen)
-		sampleS := sampleMBRs(mbrsS, 0)
+		sampleR := sampleMBRs(rs, mbrsR, widen, 0)
+		sampleS := sampleMBRs(ss, mbrsS, 0, 1)
 		pred = costmodel.TwoLayerResolution(bounds, sampleR, sampleS, len(cfg.R), len(cfg.S), workers)
 	}
 	// Forced or picked, the tile count sizes dpe's dense per-tile tables.
@@ -169,7 +167,7 @@ func Prepare(cfg Config) (*Plan, error) {
 	partSp.End()
 
 	p := &Plan{Grid: tiles, Prediction: pred, cfg: cfg}
-	p.kernel = &Kernel{Grid: tiles, Pred: cfg.Pred, ForceFallback: cfg.ForceFallback}
+	p.kernel = &Kernel{Grid: tiles, Pred: cfg.Pred}
 
 	// dpe needs a positive plan ε even for the ε-less predicates; the
 	// kernel never interprets it as a distance for those.
@@ -321,20 +319,42 @@ func dataBounds(explicit *geom.Rect, rs, ss []geom.Rect) geom.Rect {
 	return b
 }
 
-// sampleMBRs takes an evenly-strided sample of up to maxSample MBRs,
-// widened for the ε predicate — deterministic, so plans are stable.
-func sampleMBRs(mbrs []geom.Rect, widen float64) []geom.Rect {
+// sampleMBRs keeps up to maxSample of the MBRs, each by sample.Keep on
+// its object's id with the given seed, widened for the ε predicate — so
+// the tile pick depends on the objects, not on their order. Keep's
+// samples are nested (a lower fraction keeps a subset), so the fraction
+// is lowered until at most maxSample remain; counting first also sizes
+// the output exactly.
+func sampleMBRs(ts []tuple.Tuple, mbrs []geom.Rect, widen float64, seed int64) []geom.Rect {
 	if len(mbrs) == 0 {
 		return nil
 	}
-	stride := (len(mbrs) + maxSample - 1) / maxSample
-	out := make([]geom.Rect, 0, (len(mbrs)+stride-1)/stride)
-	for i := 0; i < len(mbrs); i += stride {
-		m := mbrs[i]
+	fraction := float64(maxSample) / float64(len(mbrs))
+	n := kept(ts, fraction, seed)
+	for n > maxSample {
+		fraction *= 0.9 * maxSample / float64(n)
+		n = kept(ts, fraction, seed)
+	}
+	out := make([]geom.Rect, 0, n)
+	for i, m := range mbrs {
+		if !sample.Keep(ts[i].ID, fraction, seed) {
+			continue
+		}
 		if widen > 0 {
 			m = m.Expand(widen)
 		}
 		out = append(out, m)
 	}
 	return out
+}
+
+// kept counts the tuples sample.Keep keeps at fraction and seed.
+func kept(ts []tuple.Tuple, fraction float64, seed int64) int {
+	n := 0
+	for i := range ts {
+		if sample.Keep(ts[i].ID, fraction, seed) {
+			n++
+		}
+	}
+	return n
 }

@@ -272,9 +272,17 @@ func TestTwoLayerForcedFallbackEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sweep %v: %v", pred, err)
 		}
-		forced, err := Join(Config{R: rs, S: ss, Pred: pred, Eps: 2, Tiles: 4, Collect: true, ForceFallback: true})
+		plan, err := Prepare(Config{R: rs, S: ss, Pred: pred, Eps: 2, Tiles: 4, Collect: true})
 		if err != nil {
 			t.Fatalf("fallback %v: %v", pred, err)
+		}
+		plan.Kernel().ForceFallback = true
+		forced, err := plan.Execute(context.Background(), ExecOptions{Collect: true})
+		if err != nil {
+			t.Fatalf("fallback %v: %v", pred, err)
+		}
+		if plan.Kernel().Stats.FallbackTiles.Load() == 0 {
+			t.Fatalf("fallback %v: no tile took the R-tree path", pred)
 		}
 		sortPairs(base.Pairs)
 		pairsEqual(t, "fallback "+pred.String(), forced.Pairs, base.Pairs)

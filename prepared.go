@@ -72,7 +72,6 @@ func (o Options) config() core.Config {
 func prepare(rs, ss []Tuple, opt Options, selfJoin bool) (*PreparedJoin, error) {
 	cfg := opt.config()
 	cfg.Res, cfg.UseLPT = opt.GridRes, opt.UseLPT
-	cfg.SampleR, cfg.SampleS = opt.PresampledR, opt.PresampledS
 	cfg.SelfFilter = selfJoin
 	var auto planner.Choice
 	switch opt.Algorithm {

@@ -107,36 +107,3 @@ func TestPreparedJoinConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestPrepareWithPresample: feeding the samples Prepare would draw back
-// through PresampledR/S must produce the identical plan outcome.
-func TestPrepareWithPresample(t *testing.T) {
-	rs := GenerateTigerLike(3000, 41)
-	ss := GenerateGaussian(3000, 42)
-	opt := Options{Eps: 0.6, Seed: 5}
-	direct, err := Prepare(rs, ss, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := opt
-	pre.PresampledR = Sample(rs, opt.SampleFraction, opt.Seed)
-	pre.PresampledS = Sample(ss, opt.SampleFraction, opt.Seed+1)
-	cached, err := Prepare(rs, ss, pre)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := direct.Execute(ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cached.Execute(ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Checksum != b.Checksum || a.Results != b.Results ||
-		a.ReplicatedR != b.ReplicatedR || a.ReplicatedS != b.ReplicatedS {
-		t.Fatalf("presampled plan diverged: (%d, %#x, repl %d/%d) != (%d, %#x, repl %d/%d)",
-			b.Results, b.Checksum, b.ReplicatedR, b.ReplicatedS,
-			a.Results, a.Checksum, a.ReplicatedR, a.ReplicatedS)
-	}
-}

@@ -37,7 +37,6 @@ import (
 	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/obs"
-	"spatialjoin/internal/sample"
 	"spatialjoin/internal/textio"
 	"spatialjoin/internal/tuple"
 )
@@ -184,7 +183,8 @@ type Options struct {
 	// SampleFraction is the sampling rate for statistics and partitioner
 	// construction; the paper's 3% when 0.
 	SampleFraction float64
-	// Seed makes sampling deterministic.
+	// Seed selects the sample: a tuple is in it by a hash of its id and
+	// the seed, so the same tuples in any order give the same plan.
 	Seed int64
 	// UseLPT enables the LPT cell placement (adaptive algorithms only).
 	UseLPT bool
@@ -197,12 +197,6 @@ type Options struct {
 	Collect bool
 	// Bounds fixes the data-space MBR; computed from the inputs when nil.
 	Bounds *Rect
-	// PresampledR and PresampledS optionally supply pre-drawn Bernoulli
-	// samples of the inputs — as produced by Sample with (SampleFraction,
-	// Seed) and (SampleFraction, Seed+1) respectively — letting a serving
-	// layer reuse cached samples across repeated plan constructions (e.g.
-	// ε re-sweeps). When nil, samples are drawn from the inputs.
-	PresampledR, PresampledS []Tuple
 	// PoolSize caps the OS-level goroutine pool that runs the simulated
 	// workers; GOMAXPROCS when 0. Unlike Workers it changes only real
 	// parallelism, not the modelled cluster size.
@@ -445,15 +439,4 @@ func report(a Algorithm, m dpe.Metrics, pairs []Pair) *Report {
 		CandidatePairs:     m.TotalPartitionCost,
 		Cluster:            m.Cluster,
 	}
-}
-
-// Sample draws the Bernoulli sample the adaptive algorithms use for
-// their statistics: fraction of ts (the paper's 3% when 0), seeded
-// deterministically. Serving layers can cache its output and feed it
-// back through Options.PresampledR / PresampledS.
-func Sample(ts []Tuple, fraction float64, seed int64) []Tuple {
-	if fraction == 0 {
-		fraction = sample.DefaultFraction
-	}
-	return sample.Bernoulli(ts, fraction, seed)
 }
