@@ -6,16 +6,20 @@
 // to the head cell) and which are locked (protected from marking because
 // another marking relies on them for correctness).
 //
-// The graph is represented as one Subgraph per quartet reference point,
-// exactly as the paper's second dictionary (Section 5.1). Agreement types
-// are a property of the unordered cell pair and are therefore computed
-// from pair-level sample statistics only, which keeps the 1–2 subgraphs
-// containing a side-sharing pair consistent by construction (Def. 4.2:
-// "the edges that link two vertices are always of the same type").
+// The graph holds one entry per quartet reference point, as the paper's
+// second dictionary (Section 5.1), but not the paper's subgraph: Algorithm
+// 1 resolves each quartet in a stack Subgraph, and the graph keeps only
+// its packed word (types, marks, locks) and its compiled assignment table
+// (see Graph and table.go). Agreement types are a property of the
+// unordered cell pair and are therefore computed from pair-level sample
+// statistics only, which keeps the 1–2 quartets containing a side-sharing
+// pair consistent by construction (Def. 4.2: "the edges that link two
+// vertices are always of the same type").
 package agreements
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"spatialjoin/internal/geom"
@@ -94,29 +98,21 @@ func dirBetween(i, j grid.Pos) grid.Dir {
 }
 
 // Subgraph models the agreements among the quartet of cells around one
-// grid corner: 4 vertices, 12 directed edges. Edge state is addressed by
-// (tail, head) quartet positions.
+// grid corner: 4 vertices, 12 directed edges, addressed by (tail, head)
+// quartet positions. It is Algorithm 1's per-quartet scratch: builds fill
+// one on the stack, resolve it and store it packed (see Graph); nothing
+// keeps it afterwards. Graph.Quartet rebuilds one, with zero weights, for
+// tests and diagnostics.
 type Subgraph struct {
 	Ref   geom.Point       // the quartet's reference point
 	Cells [grid.NumPos]int // cell ids by position; virtual cells are NoCell
-	typ   [grid.NumPos][grid.NumPos]tuple.Set
 	wgt   [grid.NumPos][grid.NumPos]int64
-	mark  [grid.NumPos][grid.NumPos]bool
-	lock  [grid.NumPos][grid.NumPos]bool
-	// anyMark caches whether any directed edge is marked: the assignment
-	// hot path (Algorithms 3 and 4) consults it to skip the per-edge
-	// mark machinery entirely in the — overwhelmingly common — quartets
-	// Algorithm 1 left untouched.
-	anyMark bool
-	// uniform caches whether all six pair types are equal (the common
-	// value is typ[0][1]); together with anyMark it gives Algorithm 3 a
-	// branch-light fast path for the dominant quartet shape.
-	uniform bool
+	w     uint32 // types, marks and locks in the word layout of table.go
 }
 
 // Type returns the agreement type of the edge from position i to j
 // (identical in both directions by construction).
-func (s *Subgraph) Type(i, j grid.Pos) tuple.Set { return s.typ[i][j] }
+func (s *Subgraph) Type(i, j grid.Pos) tuple.Set { return wordType(s.w, i, j) }
 
 // Weight returns the processing-cost weight of the directed edge i->j.
 // Weights exist to order Algorithm 1's traversal, which uniform quartets
@@ -126,75 +122,97 @@ func (s *Subgraph) Weight(i, j grid.Pos) int64 { return s.wgt[i][j] }
 // Marked reports whether the directed edge i->j is marked: points in the
 // merged duplicate-prone area of cell i are excluded from replication to
 // cell j.
-func (s *Subgraph) Marked(i, j grid.Pos) bool { return s.mark[i][j] }
+func (s *Subgraph) Marked(i, j grid.Pos) bool { return wordMarked(s.w, i, j) }
 
 // Locked reports whether the directed edge i->j is locked against marking.
-func (s *Subgraph) Locked(i, j grid.Pos) bool { return s.lock[i][j] }
+func (s *Subgraph) Locked(i, j grid.Pos) bool { return wordLocked(s.w, i, j) }
 
 // AnyMarked reports whether any directed edge of the subgraph is marked.
-// When false, every Marked query would return false and no supplementary
-// area exists in the quartet — the fast-path guard of Algorithms 3 and 4.
-func (s *Subgraph) AnyMarked() bool { return s.anyMark }
+// When false, every Marked query returns false and no supplementary area
+// exists in the quartet.
+func (s *Subgraph) AnyMarked() bool { return s.w>>markShift&edgeMask != 0 }
 
 // UniformType reports whether all six pair types of the quartet agree,
 // and when they do, their common value. A uniform quartet has no mixed
-// triangle, so Algorithm 1 marks nothing in it and every Type query
-// returns the same set — the precondition of Algorithm 3's fast path.
-func (s *Subgraph) UniformType() (tuple.Set, bool) { return s.typ[0][1], s.uniform }
+// triangle, so Algorithm 1 marks nothing in it.
+func (s *Subgraph) UniformType() (tuple.Set, bool) {
+	types := s.w & typeMask
+	return tuple.Set(types & 1), types == 0 || types == typeMask
+}
 
-// Graph is the full graph of agreements of a grid: one Subgraph per
-// quartet reference point, indexed by grid.QuartetID.
+// setType sets the agreement type of the pair of positions i and j.
+func (s *Subgraph) setType(i, j grid.Pos, t tuple.Set) {
+	b := pairBit[i][j]
+	s.w = s.w&^(1<<b) | uint32(t)<<b
+}
+
+// clearMarks drops every mark and lock, so Algorithm 1 can run afresh.
+func (s *Subgraph) clearMarks() { s.w &= typeMask }
+
+// Graph is the full graph of agreements of a grid, stored as two arrays
+// indexed by grid.QuartetID — 12 bytes per quartet, nothing else:
+//   - words holds each resolved quartet's state: 6 pair-type bits, 12
+//     mark bits and 12 lock bits (see the word layout in table.go);
+//   - tables holds each quartet's compiled assignment table, one Slot per
+//     (native position, set), which is all Algorithms 2–4 read per point.
+//
+// Cell ids and reference points are grid arithmetic.
 type Graph struct {
 	Grid   *grid.Grid
 	Policy Policy
-	Subs   []Subgraph
-	// flags packs each quartet's fast-path state (uniform, uniform type,
-	// any-marked) into one byte, indexed like Subs. The assignment hot
-	// path probes millions of random quartets; the byte table stays
-	// cache-resident where the ~200-byte Subgraph structs cannot.
-	flags []byte
+	words  []uint32
+	tables []uint64
 }
 
-const (
-	flagUniform byte = 1 << iota
-	flagUniformS
-	flagMarked
-)
-
-// Sub returns the subgraph of the quartet at corner (gx, gy).
-func (gr *Graph) Sub(gx, gy int) *Subgraph {
-	return &gr.Subs[gr.Grid.QuartetID(gx, gy)]
+// newGraph allocates the two per-quartet arrays of a graph over g.
+func newGraph(g *grid.Grid, policy Policy) *Graph {
+	n := g.NumQuartets()
+	return &Graph{Grid: g, Policy: policy, words: make([]uint32, n), tables: make([]uint64, n)}
 }
 
-// Info returns the quartet's assignment fast-path state from the packed
-// one-byte side table: the uniform pair type (meaningful only when
-// uniform is true), whether all six pair types agree, and whether any
-// directed edge is marked — without touching the Subgraph itself.
-func (gr *Graph) Info(gx, gy int) (t tuple.Set, uniform, marked bool) {
-	f := gr.flags[gr.Grid.QuartetID(gx, gy)]
-	t = tuple.R
-	if f&flagUniformS != 0 {
-		t = tuple.S
-	}
-	return t, f&flagUniform != 0, f&flagMarked != 0
+// scratch returns a subgraph over the cells of quartet (gx, gy) with no
+// types, weights, marks or locks.
+func scratch(g *grid.Grid, gx, gy int) Subgraph {
+	return Subgraph{Ref: g.RefPoint(gx, gy), Cells: g.QuartetCells(gx, gy)}
 }
 
-// refreshFlag re-derives the packed flags of quartet (gx, gy) from its
-// resolved subgraph. Every path that mutates a subgraph's types or marks
-// must call it before the graph is used for assignment.
-func (gr *Graph) refreshFlag(gx, gy int) {
-	s := gr.Sub(gx, gy)
-	var f byte
-	if s.uniform {
-		f |= flagUniform
-		if s.typ[0][1] == tuple.S {
-			f |= flagUniformS
-		}
+// store keeps the word of the resolved subgraph s of quartet (gx, gy) and
+// its assignment table, compiled through the build's cache c.
+func (gr *Graph) store(gx, gy int, s *Subgraph, c *tableCache) {
+	q := gr.Grid.QuartetID(gx, gy)
+	gr.words[q] = s.w
+	gr.tables[q] = c.compile(s.w, realMask(s.Cells))
+}
+
+// Quartet rebuilds the subgraph of the quartet at corner (gx, gy) from
+// its stored word: types, marks and locks as Algorithm 1 left them,
+// weights zero.
+func (gr *Graph) Quartet(gx, gy int) Subgraph {
+	s := scratch(gr.Grid, gx, gy)
+	s.w = gr.words[gr.Grid.QuartetID(gx, gy)]
+	return s
+}
+
+// Slot returns the compiled assignment of a point of the given set whose
+// native cell sits at position i of the quartet at corner (gx, gy).
+func (gr *Graph) Slot(gx, gy int, i grid.Pos, set tuple.Set) Slot {
+	return Slot(gr.tables[gr.Grid.QuartetID(gx, gy)] >> slotShift(i, set))
+}
+
+// Type returns the agreement type between positions i and j of the
+// quartet at corner (gx, gy).
+func (gr *Graph) Type(gx, gy int, i, j grid.Pos) tuple.Set {
+	return wordType(gr.words[gr.Grid.QuartetID(gx, gy)], i, j)
+}
+
+// EdgeCounts totals the marked and locked directed edges over all
+// quartets — the duplicate-free resolution state a plan reports.
+func (gr *Graph) EdgeCounts() (marked, locked int64) {
+	for _, w := range gr.words {
+		marked += int64(bits.OnesCount32(w >> markShift & edgeMask))
+		locked += int64(bits.OnesCount32(w >> lockShift & edgeMask))
 	}
-	if s.anyMark {
-		f |= flagMarked
-	}
-	gr.flags[gr.Grid.QuartetID(gx, gy)] = f
+	return marked, locked
 }
 
 // Order selects the edge traversal order of Algorithm 1. The paper
@@ -235,24 +253,36 @@ func BuildOrdered(st *grid.Stats, policy Policy, order Order) *Graph {
 	if !g.SupportsAgreements() {
 		panic(fmt.Sprintf("agreements: grid resolution %v·ε violates the l >= 2ε precondition", g.Res))
 	}
-	gr := &Graph{Grid: g, Policy: policy, Subs: make([]Subgraph, g.NumQuartets()), flags: make([]byte, g.NumQuartets())}
+	gr := newGraph(g, policy)
+	var cache tableCache
 	for gy := 0; gy <= g.NY; gy++ {
 		for gx := 0; gx <= g.NX; gx++ {
-			s := gr.Sub(gx, gy)
-			s.Ref = g.RefPoint(gx, gy)
-			s.Cells = g.QuartetCells(gx, gy)
-			if instantiateTypes(s, st, policy) {
-				// Uniform quartet: Algorithm 1 marks nothing, so the 12
-				// edge-weight products would never be read — skip them.
-				s.uniform = true
-			} else {
-				instantiateWeights(s, st)
-				resolveOrdered(s, order)
-			}
-			gr.refreshFlag(gx, gy)
+			s := scratch(g, gx, gy)
+			instantiate(&s, st, policy, order)
+			gr.store(gx, gy, &s, &cache)
 		}
 	}
 	return gr
+}
+
+// BuildQuartet instantiates and resolves the subgraph of the quartet at
+// corner (gx, gy) as BuildOrdered does, and returns it with its edge
+// weights — the one place they can be read once the graph is built.
+func BuildQuartet(st *grid.Stats, policy Policy, order Order, gx, gy int) Subgraph {
+	s := scratch(st.Grid(), gx, gy)
+	instantiate(&s, st, policy, order)
+	return s
+}
+
+// instantiate decides the agreement types of s from st, then — unless the
+// quartet is uniform, where Algorithm 1 marks nothing and its 12
+// edge-weight products would never be read — its weights, and runs
+// Algorithm 1 in the given order.
+func instantiate(s *Subgraph, st *grid.Stats, policy Policy, order Order) {
+	if !instantiateTypes(s, st, policy) {
+		instantiateWeights(s, st)
+		resolveOrdered(s, order)
+	}
 }
 
 // BuildFromTypeFunc instantiates a graph over g whose agreement types are
@@ -265,20 +295,18 @@ func BuildFromTypeFunc(g *grid.Grid, typeOf func(ci, cj int) tuple.Set) *Graph {
 	if !g.SupportsAgreements() {
 		panic(fmt.Sprintf("agreements: grid resolution %v·ε violates the l >= 2ε precondition", g.Res))
 	}
-	gr := &Graph{Grid: g, Subs: make([]Subgraph, g.NumQuartets()), flags: make([]byte, g.NumQuartets())}
+	gr := newGraph(g, LPiB)
+	var cache tableCache
 	for gy := 0; gy <= g.NY; gy++ {
 		for gx := 0; gx <= g.NX; gx++ {
-			s := gr.Sub(gx, gy)
-			s.Ref = g.RefPoint(gx, gy)
-			s.Cells = g.QuartetCells(gx, gy)
+			s := scratch(g, gx, gy)
 			for i := grid.Pos(0); i < grid.NumPos; i++ {
 				for j := i + 1; j < grid.NumPos; j++ {
-					t := typeOf(s.Cells[i], s.Cells[j])
-					s.typ[i][j], s.typ[j][i] = t, t
+					s.setType(i, j, typeOf(s.Cells[i], s.Cells[j]))
 				}
 			}
-			resolve(s)
-			gr.refreshFlag(gx, gy)
+			resolve(&s)
+			gr.store(gx, gy, &s, &cache)
 		}
 	}
 	return gr
@@ -305,17 +333,15 @@ func TypeForPair(st *grid.Stats, ci, cj int, dir grid.Dir, policy Policy) tuple.
 func (gr *Graph) SetPairType(cx, cy int, d grid.Dir, t tuple.Set) [][2]int {
 	dx, dy := d.Delta()
 	var corners [][2]int
+	var cache tableCache
 	for gy := max(cy, cy+dy); gy <= min(cy, cy+dy)+1; gy++ {
 		for gx := max(cx, cx+dx); gx <= min(cx, cx+dx)+1; gx++ {
-			s := gr.Sub(gx, gy)
+			s := gr.Quartet(gx, gy)
 			pi, pj := quartetPos(gx, gy, cx, cy), quartetPos(gx, gy, cx+dx, cy+dy)
-			s.typ[pi][pj], s.typ[pj][pi] = t, t
-			s.wgt = [grid.NumPos][grid.NumPos]int64{}
-			s.mark = [grid.NumPos][grid.NumPos]bool{}
-			s.lock = [grid.NumPos][grid.NumPos]bool{}
-			s.anyMark = false
-			resolve(s)
-			gr.refreshFlag(gx, gy)
+			s.setType(pi, pj, t)
+			s.clearMarks()
+			resolve(&s)
+			gr.store(gx, gy, &s, &cache)
 			corners = append(corners, [2]int{gx, gy})
 		}
 	}
@@ -333,16 +359,12 @@ func quartetPos(gx, gy, cx, cy int) grid.Pos {
 // quartet turns out mixed — uniform quartets skip Algorithm 1 entirely,
 // so their weights are never read.
 func instantiateTypes(s *Subgraph, st *grid.Stats, policy Policy) (uniform bool) {
-	uniform = true
 	for i := grid.Pos(0); i < grid.NumPos; i++ {
 		for j := i + 1; j < grid.NumPos; j++ {
-			t := pairType(st, s.Cells[i], s.Cells[j], dirBetween(i, j), policy)
-			s.typ[i][j], s.typ[j][i] = t, t
-			if t != s.typ[0][1] {
-				uniform = false
-			}
+			s.w |= uint32(pairType(st, s.Cells[i], s.Cells[j], dirBetween(i, j), policy)) << pairBit[i][j]
 		}
 	}
+	_, uniform = s.UniformType()
 	return uniform
 }
 
@@ -351,7 +373,7 @@ func instantiateTypes(s *Subgraph, st *grid.Stats, policy Policy) (uniform bool)
 func instantiateWeights(s *Subgraph, st *grid.Stats) {
 	for i := grid.Pos(0); i < grid.NumPos; i++ {
 		for j := i + 1; j < grid.NumPos; j++ {
-			t := s.typ[i][j]
+			t := s.Type(i, j)
 			s.wgt[i][j] = edgeWeight(st, s.Cells[i], s.Cells[j], dirBetween(i, j), t)
 			s.wgt[j][i] = edgeWeight(st, s.Cells[j], s.Cells[i], dirBetween(j, i), t)
 		}
@@ -462,18 +484,7 @@ func resolveOrdered(s *Subgraph, order Order) {
 	// traversal outright. Under sparse sampling most quartets are
 	// uniform (empty regions tie to R everywhere), making this the
 	// common case by a wide margin.
-	uniform := true
-	t0 := s.typ[0][1]
-	for i := grid.Pos(0); uniform && i < grid.NumPos; i++ {
-		for j := i + 1; j < grid.NumPos; j++ {
-			if s.typ[i][j] != t0 {
-				uniform = false
-				break
-			}
-		}
-	}
-	s.uniform = uniform
-	if uniform {
+	if _, uniform := s.UniformType(); uniform {
 		return
 	}
 
@@ -510,9 +521,10 @@ func resolveOrdered(s *Subgraph, order Order) {
 		return int(ea.j) - int(eb.j)
 	})
 
+	w := s.w
 	for _, e := range edges {
 		i, j := e.i, e.j
-		if s.lock[i][j] || s.mark[i][j] {
+		if wordLocked(w, i, j) || wordMarked(w, i, j) {
 			continue
 		}
 		// Only triangles whose three cells are all real can produce
@@ -532,10 +544,10 @@ func resolveOrdered(s *Subgraph, order Order) {
 			// Triangle (i, j, k) is eligible for marking e_ij when i is the
 			// apex of a mixed triangle: e_ik shares e_ij's type, e_jk has
 			// the other type, and neither e_jk nor e_ik is already marked.
-			if s.typ[i][k] != s.typ[i][j] || s.typ[j][k] == s.typ[i][j] {
+			if t := wordType(w, i, j); wordType(w, i, k) != t || wordType(w, j, k) == t {
 				continue
 			}
-			if s.mark[j][k] || s.mark[i][k] {
+			if wordMarked(w, j, k) || wordMarked(w, i, k) {
 				continue
 			}
 			lockWeight := s.wgt[j][k] + s.wgt[i][k]
@@ -545,12 +557,10 @@ func resolveOrdered(s *Subgraph, order Order) {
 			}
 		}
 		if bestK != grid.Pos(255) {
-			s.mark[i][j] = true
-			s.anyMark = true
-			s.lock[j][bestK] = true
-			s.lock[i][bestK] = true
+			w |= 1<<(markShift+edgeBit[i][j]) | 1<<(lockShift+edgeBit[j][bestK]) | 1<<(lockShift+edgeBit[i][bestK])
 		}
 	}
+	s.w = w
 }
 
 // MixedTriangles returns the number of triangles of s that contain both
@@ -559,7 +569,7 @@ func resolveOrdered(s *Subgraph, order Order) {
 func (s *Subgraph) MixedTriangles() int {
 	n := 0
 	forEachTriangle(func(a, b, c grid.Pos) {
-		t1, t2, t3 := s.typ[a][b], s.typ[a][c], s.typ[b][c]
+		t1, t2, t3 := s.Type(a, b), s.Type(a, c), s.Type(b, c)
 		if t1 != t2 || t2 != t3 {
 			n++
 		}
@@ -568,17 +578,7 @@ func (s *Subgraph) MixedTriangles() int {
 }
 
 // MarkedEdges returns the number of marked directed edges in s.
-func (s *Subgraph) MarkedEdges() int {
-	n := 0
-	for i := grid.Pos(0); i < grid.NumPos; i++ {
-		for j := grid.Pos(0); j < grid.NumPos; j++ {
-			if i != j && s.mark[i][j] {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (s *Subgraph) MarkedEdges() int { return bits.OnesCount32(s.w >> markShift & edgeMask) }
 
 // forEachTriangle visits the four 3-vertex subsets of a quartet.
 func forEachTriangle(f func(a, b, c grid.Pos)) {
@@ -596,13 +596,11 @@ func (s *Subgraph) SetTypesForTest(types [6]tuple.Set) {
 	idx := 0
 	for i := grid.Pos(0); i < grid.NumPos; i++ {
 		for j := i + 1; j < grid.NumPos; j++ {
-			s.typ[i][j], s.typ[j][i] = types[idx], types[idx]
+			s.setType(i, j, types[idx])
 			idx++
 		}
 	}
-	s.mark = [grid.NumPos][grid.NumPos]bool{}
-	s.lock = [grid.NumPos][grid.NumPos]bool{}
-	s.anyMark = false
+	s.clearMarks()
 	resolve(s)
 }
 
@@ -635,10 +633,10 @@ func (gr *Graph) EstimatedCosts(st *grid.Stats) []int64 {
 }
 
 // PairType returns the agreement type between cell (cx, cy) and its
-// neighbour in direction d, read from a subgraph containing the pair
-// (SetPairType keeps every such subgraph agreeing).
+// neighbour in direction d, read from a quartet containing the pair
+// (SetPairType keeps every such quartet agreeing).
 func (gr *Graph) PairType(cx, cy int, d grid.Dir) tuple.Set {
 	dx, dy := d.Delta()
 	gx, gy := max(cx, cx+dx), max(cy, cy+dy)
-	return gr.Sub(gx, gy).typ[quartetPos(gx, gy, cx, cy)][quartetPos(gx, gy, cx+dx, cy+dy)]
+	return gr.Type(gx, gy, quartetPos(gx, gy, cx, cy), quartetPos(gx, gy, cx+dx, cy+dy))
 }

@@ -1,7 +1,6 @@
 package agreements
 
 import (
-	"bytes"
 	"cmp"
 	"math/rand"
 	"slices"
@@ -15,6 +14,17 @@ import (
 // worldGrid returns a 3x3 grid of 4x4 cells with eps=1.
 func worldGrid() *grid.Grid {
 	return grid.New(geom.Rect{MinX: 0, MinY: 0, MaxX: 12, MaxY: 12}, 1, 4)
+}
+
+// forEachQuartet calls f with the subgraph of every quartet of gr, as
+// Graph.Quartet rebuilds it.
+func forEachQuartet(gr *Graph, f func(gx, gy int, s *Subgraph)) {
+	for gy := 0; gy <= gr.Grid.NY; gy++ {
+		for gx := 0; gx <= gr.Grid.NX; gx++ {
+			s := gr.Quartet(gx, gy)
+			f(gx, gy, &s)
+		}
+	}
 }
 
 func TestPolicyString(t *testing.T) {
@@ -46,13 +56,12 @@ func TestUniversalPoliciesHaveNoMixedTriangles(t *testing.T) {
 		if pol == UniS {
 			wantType = tuple.S
 		}
-		for qi := range gr.Subs {
-			s := &gr.Subs[qi]
+		forEachQuartet(gr, func(gx, gy int, s *Subgraph) {
 			if s.MixedTriangles() != 0 {
-				t.Fatalf("%v: subgraph %d has mixed triangles", pol, qi)
+				t.Fatalf("%v: quartet (%d,%d) has mixed triangles", pol, gx, gy)
 			}
 			if s.MarkedEdges() != 0 {
-				t.Fatalf("%v: subgraph %d has marked edges", pol, qi)
+				t.Fatalf("%v: quartet (%d,%d) has marked edges", pol, gx, gy)
 			}
 			for i := grid.Pos(0); i < grid.NumPos; i++ {
 				for j := grid.Pos(0); j < grid.NumPos; j++ {
@@ -61,7 +70,7 @@ func TestUniversalPoliciesHaveNoMixedTriangles(t *testing.T) {
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -77,12 +86,11 @@ func TestLPiBPicksFewerBoundaryPoints(t *testing.T) {
 
 	gr := Build(st, LPiB)
 	// The pair (0,0)-(1,0) appears in quartet (1,1) as BL-BR.
-	s := gr.Sub(1, 1)
-	if got := s.Type(grid.BL, grid.BR); got != tuple.S {
+	if got := gr.Type(1, 1, grid.BL, grid.BR); got != tuple.S {
 		t.Fatalf("LPiB type = %v, want S (1 S candidate vs 3 R candidates)", got)
 	}
 	// The same pair in quartet (1,0) as TL-TR must agree.
-	if got := gr.Sub(1, 0).Type(grid.TL, grid.TR); got != tuple.S {
+	if got := gr.Type(1, 0, grid.TL, grid.TR); got != tuple.S {
 		t.Fatalf("pair type differs between subgraphs: %v", got)
 	}
 }
@@ -91,7 +99,7 @@ func TestLPiBTieBreaksToR(t *testing.T) {
 	g := worldGrid()
 	st := grid.NewStats(g)
 	gr := Build(st, LPiB) // empty stats: every pair ties 0-0
-	if got := gr.Sub(1, 1).Type(grid.BL, grid.BR); got != tuple.R {
+	if got := gr.Type(1, 1, grid.BL, grid.BR); got != tuple.R {
 		t.Fatalf("empty tie should resolve to R, got %v", got)
 	}
 }
@@ -111,7 +119,7 @@ func TestDIFFPicksMinorityOfMostSkewedCell(t *testing.T) {
 	st.Add(tuple.S, geom.Point{X: 6, Y: 2})
 
 	gr := Build(st, DIFF)
-	if got := gr.Sub(1, 1).Type(grid.BL, grid.BR); got != tuple.R {
+	if got := gr.Type(1, 1, grid.BL, grid.BR); got != tuple.R {
 		t.Fatalf("DIFF type = %v, want R", got)
 	}
 }
@@ -125,7 +133,7 @@ func TestDIFFSkewedTowardR(t *testing.T) {
 	}
 	st.Add(tuple.S, geom.Point{X: 1, Y: 1})
 	gr := Build(st, DIFF)
-	if got := gr.Sub(1, 1).Type(grid.BL, grid.BR); got != tuple.S {
+	if got := gr.Type(1, 1, grid.BL, grid.BR); got != tuple.S {
 		t.Fatalf("DIFF type = %v, want S", got)
 	}
 }
@@ -148,8 +156,7 @@ func TestEdgeWeight(t *testing.T) {
 	st.Add(tuple.R, geom.Point{X: 3.5, Y: 6})
 	st.Add(tuple.R, geom.Point{X: 3.5, Y: 6.5})
 
-	gr := Build(st, LPiB)
-	s := gr.Sub(1, 1)
+	s := BuildQuartet(st, LPiB, OrderPaper, 1, 1)
 	if got := s.Type(grid.BL, grid.BR); got != tuple.R {
 		t.Fatalf("agreement type = %v, want R", got)
 	}
@@ -171,8 +178,7 @@ func TestEdgeWeight(t *testing.T) {
 func TestResolveExhaustiveInvariants(t *testing.T) {
 	g := worldGrid()
 	st := grid.NewStats(g)
-	gr := Build(st, LPiB)
-	s := gr.Sub(1, 1) // interior quartet, all cells real
+	s := Build(st, LPiB).Quartet(1, 1) // interior quartet, all cells real
 
 	for mask := 0; mask < 64; mask++ {
 		var types [6]tuple.Set
@@ -218,7 +224,7 @@ func TestResolveExhaustiveInvariants(t *testing.T) {
 		// replicate its duplicate-prone points to both other vertices,
 		// i.e. at least one apex out-edge within the triangle is marked.
 		forEachTriangle(func(a, b, c grid.Pos) {
-			apex, x, y, mixed := apexOf(s, a, b, c)
+			apex, x, y, mixed := apexOf(&s, a, b, c)
 			if !mixed {
 				return
 			}
@@ -288,8 +294,8 @@ func TestPairTypeConsistentAcrossSubgraphs(t *testing.T) {
 			for cx := 0; cx < g.NX-1; cx++ {
 				// Horizontal pair (cx,cy)-(cx+1,cy): quartets at
 				// (cx+1,cy) [TL-TR] and (cx+1,cy+1) [BL-BR].
-				a := gr.Sub(cx+1, cy).Type(grid.TL, grid.TR)
-				b := gr.Sub(cx+1, cy+1).Type(grid.BL, grid.BR)
+				a := gr.Type(cx+1, cy, grid.TL, grid.TR)
+				b := gr.Type(cx+1, cy+1, grid.BL, grid.BR)
 				if a != b {
 					t.Fatalf("%v: horizontal pair (%d,%d): types %v vs %v", pol, cx, cy, a, b)
 				}
@@ -299,8 +305,8 @@ func TestPairTypeConsistentAcrossSubgraphs(t *testing.T) {
 			for cx := 0; cx < g.NX; cx++ {
 				// Vertical pair (cx,cy)-(cx,cy+1): quartets at
 				// (cx,cy+1) [BR-TR] and (cx+1,cy+1) [BL-TL].
-				a := gr.Sub(cx, cy+1).Type(grid.BR, grid.TR)
-				b := gr.Sub(cx+1, cy+1).Type(grid.BL, grid.TL)
+				a := gr.Type(cx, cy+1, grid.BR, grid.TR)
+				b := gr.Type(cx+1, cy+1, grid.BL, grid.TL)
 				if a != b {
 					t.Fatalf("%v: vertical pair (%d,%d): types %v vs %v", pol, cx, cy, a, b)
 				}
@@ -377,8 +383,8 @@ func TestBorderQuartetsResolveWithoutPanic(t *testing.T) {
 	}
 	for _, pol := range []Policy{LPiB, DIFF} {
 		gr := Build(st, pol)
-		if len(gr.Subs) != g.NumQuartets() {
-			t.Fatalf("%v: %d subgraphs, want %d", pol, len(gr.Subs), g.NumQuartets())
+		if len(gr.words) != g.NumQuartets() || len(gr.tables) != g.NumQuartets() {
+			t.Fatalf("%v: %d words and %d tables, want %d", pol, len(gr.words), len(gr.tables), g.NumQuartets())
 		}
 	}
 }
@@ -399,8 +405,7 @@ func TestOrderNamesAndBehaviour(t *testing.T) {
 	}
 	for _, order := range []Order{OrderPaper, OrderWeightOnly, OrderIndex} {
 		gr := BuildOrdered(st, LPiB, order)
-		for qi := range gr.Subs {
-			s := &gr.Subs[qi]
+		forEachQuartet(gr, func(_, _ int, s *Subgraph) {
 			for i := grid.Pos(0); i < grid.NumPos; i++ {
 				for j := grid.Pos(0); j < grid.NumPos; j++ {
 					if i != j && s.Marked(i, j) && s.Locked(i, j) {
@@ -408,7 +413,7 @@ func TestOrderNamesAndBehaviour(t *testing.T) {
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -423,11 +428,10 @@ func TestLPiBStrictIgnoresTotals(t *testing.T) {
 	st.Add(tuple.S, geom.Point{X: 2, Y: 2})
 	strict := Build(st, LPiBStrict)
 	fallback := Build(st, LPiB)
-	pair := strict.Sub(1, 1)
-	if got := pair.Type(grid.BL, grid.BR); got != tuple.R {
+	if got := strict.Type(1, 1, grid.BL, grid.BR); got != tuple.R {
 		t.Fatalf("strict tie should resolve to R, got %v", got)
 	}
-	if got := fallback.Sub(1, 1).Type(grid.BL, grid.BR); got != tuple.S {
+	if got := fallback.Type(1, 1, grid.BL, grid.BR); got != tuple.S {
 		t.Fatalf("fallback should use totals and pick S, got %v", got)
 	}
 }
@@ -439,7 +443,7 @@ func TestLPiBStrictIgnoresTotals(t *testing.T) {
 // and l = 2.5ε. After every flip each subgraph containing a pair reports
 // the same type, the model's (Def. 4.2), SetPairType returned exactly the
 // corners of the subgraphs holding the flipped pair, and every quartet's
-// types, marks, locks and fast-path flags equal those of
+// word (types, marks, locks) and compiled assignment table equal those of
 // BuildFromTypeFunc over the model's types.
 func TestSetPairTypeKeepsSubgraphsAgreeing(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
@@ -473,7 +477,7 @@ func TestSetPairTypeKeepsSubgraphsAgreeing(t *testing.T) {
 			var holding [][2]int
 			for gy := 0; gy <= g.NY; gy++ {
 				for gx := 0; gx <= g.NX; gx++ {
-					s := gr.Sub(gx, gy)
+					s := gr.Quartet(gx, gy)
 					for i := grid.Pos(0); i < grid.NumPos; i++ {
 						for j := i + 1; j < grid.NumPos; j++ {
 							a, b := s.Cells[i], s.Cells[j]
@@ -499,13 +503,13 @@ func TestSetPairTypeKeepsSubgraphsAgreeing(t *testing.T) {
 				t.Fatalf("res %v flip %d: pair %d-%d held by quartets %v, SetPairType rebuilt %v", res, flips, ci, nb, holding, corners)
 			}
 			fresh := BuildFromTypeFunc(g, typeOf)
-			for qi := range gr.Subs {
-				if got, exp := &gr.Subs[qi], &fresh.Subs[qi]; got.typ != exp.typ || got.mark != exp.mark || got.lock != exp.lock {
-					t.Fatalf("res %v flip %d: quartet %d differs from BuildFromTypeFunc over the same types:\n got %+v\nwant %+v", res, flips, qi, *got, *exp)
+			for qi := range gr.words {
+				if got, exp := gr.words[qi], fresh.words[qi]; got != exp {
+					t.Fatalf("res %v flip %d: quartet %d word %030b differs from BuildFromTypeFunc over the same types: %030b", res, flips, qi, got, exp)
 				}
 			}
-			if !bytes.Equal(gr.flags, fresh.flags) {
-				t.Fatalf("res %v flip %d: fast-path flags differ from BuildFromTypeFunc over the same types", res, flips)
+			if !slices.Equal(gr.tables, fresh.tables) {
+				t.Fatalf("res %v flip %d: compiled tables differ from BuildFromTypeFunc over the same types", res, flips)
 			}
 		}
 	}

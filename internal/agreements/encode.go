@@ -10,7 +10,6 @@ import (
 	"spatialjoin/internal/codec"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
-	"spatialjoin/internal/tuple"
 )
 
 // Wire format of a resolved graph of agreements, for the broadcast step
@@ -18,8 +17,11 @@ import (
 // agreements to every worker). After resolution only the agreement types
 // and edge marks matter for point assignment — locks exist solely to
 // steer Algorithm 1 and weights solely to order it — so each quartet
-// costs exactly three bytes: 6 type bits (one per unordered cell pair in
-// canonical order) and 12 mark bits (one per directed edge).
+// costs exactly three bytes: the low 18 bits of its stored word (see
+// table.go), 6 type bits (one per unordered cell pair in canonical order)
+// and 12 mark bits (one per directed edge). The format predates the
+// packed word and is unchanged by it: Decode stores each record as the
+// quartet's word, with no locks, and compiles its assignment table.
 //
 //	magic "SJAG" | version u8 | policy u8
 //	bounds 4×f64 | eps f64 | res f64
@@ -35,7 +37,7 @@ const (
 // EncodedSize returns the exact number of bytes Encode will write — the
 // broadcast cost of the graph.
 func (gr *Graph) EncodedSize() int {
-	return headerBytes + bytesPerQuartet*len(gr.Subs)
+	return headerBytes + bytesPerQuartet*len(gr.words)
 }
 
 // Encode writes the resolved graph in the wire format.
@@ -53,35 +55,14 @@ func (gr *Graph) Encode(w io.Writer) error {
 		bw.Write(buf[:])
 	}
 	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(gr.Subs)))
+	binary.LittleEndian.PutUint32(cnt[:], uint32(len(gr.words)))
 	bw.Write(cnt[:])
 
-	for qi := range gr.Subs {
-		s := &gr.Subs[qi]
-		var types byte
-		var marks uint16
-		bit := 0
-		mbit := 0
-		for i := grid.Pos(0); i < grid.NumPos; i++ {
-			for j := i + 1; j < grid.NumPos; j++ {
-				if s.typ[i][j] == tuple.S {
-					types |= 1 << bit
-				}
-				bit++
-				if s.mark[i][j] {
-					marks |= 1 << mbit
-				}
-				mbit++
-				if s.mark[j][i] {
-					marks |= 1 << mbit
-				}
-				mbit++
-			}
-		}
-		bw.WriteByte(types)
-		var mb [2]byte
-		binary.LittleEndian.PutUint16(mb[:], marks)
-		bw.Write(mb[:])
+	for _, w := range gr.words {
+		marks := w >> markShift & edgeMask // little-endian u16
+		bw.WriteByte(byte(w & typeMask))
+		bw.WriteByte(byte(marks))
+		bw.WriteByte(byte(marks >> 8))
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("agreements: encode: %w", err)
@@ -123,36 +104,14 @@ func Decode(b []byte) (*Graph, error) {
 		return nil, fmt.Errorf("agreements: decode: %d quartets, grid needs %d", count, g.NumQuartets())
 	}
 
-	gr := &Graph{Grid: g, Policy: policy, Subs: make([]Subgraph, count), flags: make([]byte, count)}
+	gr := newGraph(g, policy)
+	var cache tableCache
 	for gy := 0; gy <= g.NY; gy++ {
 		for gx := 0; gx <= g.NX; gx++ {
 			body := r.Bytes(bytesPerQuartet) // Count checked the bytes are there
-			s := gr.Sub(gx, gy)
-			s.Ref = g.RefPoint(gx, gy)
-			s.Cells = g.QuartetCells(gx, gy)
-			types := body[0]
-			marks := binary.LittleEndian.Uint16(body[1:])
-			bit := 0
-			mbit := 0
-			for i := grid.Pos(0); i < grid.NumPos; i++ {
-				for j := i + 1; j < grid.NumPos; j++ {
-					t := tuple.R
-					if types&(1<<bit) != 0 {
-						t = tuple.S
-					}
-					bit++
-					s.typ[i][j], s.typ[j][i] = t, t
-					s.mark[i][j] = marks&(1<<mbit) != 0
-					mbit++
-					s.mark[j][i] = marks&(1<<mbit) != 0
-					mbit++
-				}
-			}
-			s.anyMark = marks != 0
-			// types is the packed 6-bit pair-type vector: all-R (0) and
-			// all-S (0b111111) are the uniform quartets.
-			s.uniform = types == 0 || types == 0b111111
-			gr.refreshFlag(gx, gy)
+			s := scratch(g, gx, gy)
+			s.w = uint32(body[0]&typeMask) | uint32(binary.LittleEndian.Uint16(body[1:])&edgeMask)<<markShift
+			gr.store(gx, gy, &s, &cache)
 		}
 	}
 	if err := r.Done(); err != nil {

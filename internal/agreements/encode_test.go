@@ -2,9 +2,13 @@ package agreements
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,10 +51,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		back.Grid.Eps != gr.Grid.Eps || back.Grid.Bounds != gr.Grid.Bounds {
 		t.Fatal("grid parameters did not round trip")
 	}
-	for qi := range gr.Subs {
-		a, b := &gr.Subs[qi], &back.Subs[qi]
+	forEachQuartet(gr, func(gx, gy int, a *Subgraph) {
+		b := back.Quartet(gx, gy)
 		if a.Cells != b.Cells || a.Ref != b.Ref {
-			t.Fatalf("quartet %d geometry mismatch", qi)
+			t.Fatalf("quartet (%d,%d) geometry mismatch", gx, gy)
 		}
 		for i := grid.Pos(0); i < grid.NumPos; i++ {
 			for j := grid.Pos(0); j < grid.NumPos; j++ {
@@ -58,13 +62,21 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 					continue
 				}
 				if a.Type(i, j) != b.Type(i, j) {
-					t.Fatalf("quartet %d edge %v->%v type mismatch", qi, i, j)
+					t.Fatalf("quartet (%d,%d) edge %v->%v type mismatch", gx, gy, i, j)
 				}
 				if a.Marked(i, j) != b.Marked(i, j) {
-					t.Fatalf("quartet %d edge %v->%v mark mismatch", qi, i, j)
+					t.Fatalf("quartet (%d,%d) edge %v->%v mark mismatch", gx, gy, i, j)
+				}
+				if b.Locked(i, j) {
+					t.Fatalf("quartet (%d,%d) edge %v->%v: locks are not on the wire, decoded one", gx, gy, i, j)
 				}
 			}
 		}
+	})
+	// Locks only steer Algorithm 1: the compiled tables, which are all
+	// point assignment reads, must survive the trip unchanged.
+	if !slices.Equal(gr.tables, back.tables) {
+		t.Fatal("decoded assignment tables differ from the encoded graph's")
 	}
 }
 
@@ -145,4 +157,89 @@ func TestEncodedSizeScalesWithGrid(t *testing.T) {
 	if grBig.EncodedSize() != want {
 		t.Fatalf("encoded size = %d, want %d", grBig.EncodedSize(), want)
 	}
+}
+
+// TestEncodeBytesPinned pins the wire bytes of graphs built by every
+// edge order and both sampled policies, so a change to how the graph is
+// stored cannot move the broadcast format.
+func TestEncodeBytesPinned(t *testing.T) {
+	g := grid.New(geom.Rect{MaxX: 80, MaxY: 60}, 1, 2)
+	st := grid.NewStats(g)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		st.Add(tuple.Set(rng.Intn(2)), geom.Point{X: rng.Float64() * 80, Y: rng.Float64() * 60})
+	}
+	want := map[string]string{
+		"LPiB/paper":       "0de2bd31500b700312ff94d6ab4856bdad6a52f7e6cfd6a21253413151276f02",
+		"LPiB/weight-only": "37ba8d604f5ac166abf56ca845d62f1fd2509b9c9dd533004e691250dadbcac7",
+		"LPiB/index":       "60785d67e207be32b09fe96600c4ee41ad7e1e7146f19a23a1303479c5852930",
+		"DIFF/paper":       "96fa97e3fe1391afd550186dcc1283486971d64651dfa2212cb3a1b6cded0ae6",
+		"DIFF/weight-only": "1eec90085cc107cf63ba2c3bd4f4511bdad9ee3eeba0795976df004d231072fe",
+		"DIFF/index":       "c8c21d9c95818d2661187133c0cee8e947d0dd2cbade55862e9510e6dc02f1e4",
+	}
+	for _, pol := range []Policy{LPiB, DIFF} {
+		for _, order := range []Order{OrderPaper, OrderWeightOnly, OrderIndex} {
+			var buf bytes.Buffer
+			gr := BuildOrdered(st, pol, order)
+			if err := gr.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			name := pol.String() + "/" + order.String()
+			got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+			if w := want[name]; got != w {
+				t.Errorf("%s: encoding sha256 %s, want %s", name, got, w)
+			}
+		}
+	}
+}
+
+// TestGraphBytesPerQuartet bounds what a graph costs in memory: each of
+// BuildOrdered, BuildFromTypeFunc and Decode allocates at most 16 bytes
+// per quartet on a 1000×1000-cell grid (a word and a compiled table are
+// 12). It also caps what a well-formed 3-byte-per-quartet broadcast can
+// make Decode allocate.
+func TestGraphBytesPerQuartet(t *testing.T) {
+	const side, maxBytes = 2000, 16
+	g := grid.New(geom.Rect{MaxX: side, MaxY: side}, 1, 2)
+	if g.NX != 1000 || g.NY != 1000 {
+		t.Fatalf("grid is %d×%d cells, want 1000×1000", g.NX, g.NY)
+	}
+	st := grid.NewStats(g)
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 400_000; i++ {
+		st.Add(tuple.Set(rng.Intn(2)), geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side})
+	}
+	measure := func(name string, build func() *Graph) *Graph {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		gr := build()
+		runtime.ReadMemStats(&after)
+		marked, _ := gr.EdgeCounts()
+		perQuartet := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumQuartets())
+		t.Logf("%s: %.2f bytes per quartet, %d marked edges", name, perQuartet, marked)
+		if perQuartet > maxBytes {
+			t.Errorf("%s allocates %.2f bytes per quartet, want at most %d", name, perQuartet, maxBytes)
+		}
+		if marked == 0 {
+			t.Errorf("%s: no marked edge, so Algorithm 1 never ran", name)
+		}
+		return gr
+	}
+	built := measure("BuildOrdered", func() *Graph { return BuildOrdered(st, LPiB, OrderPaper) })
+	measure("BuildFromTypeFunc", func() *Graph {
+		return BuildFromTypeFunc(g, func(ci, cj int) tuple.Set { return tuple.Set((ci ^ cj) & 1) })
+	})
+	var buf bytes.Buffer
+	if err := built.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	measure("Decode", func() *Graph {
+		gr, err := Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gr
+	})
 }

@@ -258,7 +258,7 @@ func Adaptive(in Input, spec *dpe.Spec, p *Plan, st *grid.Stats, gr *agreements.
 	}
 	p.BuildTime += time.Since(start)
 	if partSp != nil {
-		marked, locked := edgeCounts(gr)
+		marked, locked := gr.EdgeCounts()
 		partSp.SetInt("partitions", int64(in.Partitions))
 		partSp.SetInt("marked_edges", marked).SetInt("locked_edges", locked)
 	}
@@ -365,29 +365,6 @@ func Parallelism(workers, partitions int) (int, int) {
 		partitions = 8 * workers
 	}
 	return workers, partitions
-}
-
-// edgeCounts totals the marked and locked directed edges across the
-// graph's quartet subgraphs — the duplicate-free resolution state the
-// plan span reports.
-func edgeCounts(gr *agreements.Graph) (marked, locked int64) {
-	for q := range gr.Subs {
-		s := &gr.Subs[q]
-		// Locks are only ever placed alongside a mark, so an unmarked
-		// subgraph contributes to neither count.
-		if !s.AnyMarked() {
-			continue
-		}
-		marked += int64(s.MarkedEdges())
-		for i := grid.Pos(0); i < grid.NumPos; i++ {
-			for j := grid.Pos(0); j < grid.NumPos; j++ {
-				if i != j && s.Locked(i, j) {
-					locked++
-				}
-			}
-		}
-	}
-	return marked, locked
 }
 
 // DataBounds returns explicit bounds if given, else the MBR of both

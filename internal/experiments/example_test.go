@@ -43,7 +43,7 @@ func TestPaperExample43LPiB(t *testing.T) {
 		t.Fatalf("S candidates between A and D = %d, want 2 (s3, s7)", candS)
 	}
 	gr := agreements.Build(st, agreements.LPiB)
-	if got := gr.Sub(1, 1).Type(posOf("A"), posOf("D")); got != tuple.S {
+	if got := gr.Type(1, 1, posOf("A"), posOf("D")); got != tuple.S {
 		t.Fatalf("LPiB agreement A-D = %v, want S (Example 4.3)", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestPaperExample43DIFF(t *testing.T) {
 		t.Fatalf("cell D totals = %v, want 2 R / 2 S", dStats.Total)
 	}
 	gr := agreements.Build(st, agreements.DIFF)
-	if got := gr.Sub(1, 1).Type(posOf("A"), posOf("D")); got != tuple.R {
+	if got := gr.Type(1, 1, posOf("A"), posOf("D")); got != tuple.R {
 		t.Fatalf("DIFF agreement A-D = %v, want R (Example 4.3)", got)
 	}
 }
@@ -72,8 +72,7 @@ func TestPaperExample43DIFF(t *testing.T) {
 // in B).
 func TestPaperExample44Weights(t *testing.T) {
 	st, _ := exampleStats(t)
-	gr := agreements.Build(st, agreements.LPiB)
-	sub := gr.Sub(1, 1)
+	sub := agreements.BuildQuartet(st, agreements.LPiB, agreements.OrderPaper, 1, 1)
 
 	if got := sub.Type(posOf("B"), posOf("A")); got != tuple.R {
 		t.Fatalf("agreement B-A = %v, want R", got)

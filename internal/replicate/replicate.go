@@ -37,12 +37,14 @@ func Universal(g *grid.Grid, p geom.Point, replicated bool, dst []int) []int {
 
 // Adaptive assigns p of the given set under the paper's adaptive
 // replication (Algorithm 2). The first id is the native cell; subsequent
-// ids are replication targets, deduplicated.
+// ids are replication targets, deduplicated. It reads one compiled slot
+// (agreements.Slot) per quartet it visits; the slot holds every decision
+// of Algorithms 3 and 4 that does not depend on p's position, so only the
+// distance tests run here.
 func Adaptive(gr *agreements.Graph, p geom.Point, set tuple.Set, dst []int) []int {
 	g := gr.Grid
 	cx, cy, area := g.Classify(p)
-	native := g.CellID(cx, cy)
-	dst = append(dst, native)
+	dst = append(dst, g.CellID(cx, cy))
 
 	switch area.Kind {
 	case grid.AreaInterior:
@@ -52,179 +54,103 @@ func Adaptive(gr *agreements.Graph, p geom.Point, set tuple.Set, dst []int) []in
 	case grid.AreaCorner:
 		// Merged duplicate-prone area of the quartet at this corner:
 		// MeDuPAr for that quartet, then SupAr for the two nearest
-		// neighbouring quartets (Algorithm 2 lines 5-11). The packed
-		// quartet flags decide how much machinery each quartet needs
-		// before its ~200-byte subgraph is touched at all.
+		// neighbouring quartets (Algorithm 2 lines 5-11).
 		gx, gy, pos := g.CornerQuartet(cx, cy, area.Corner)
-		t, uniform, marked := gr.Info(gx, gy)
-		switch {
-		case uniform && t != set:
-			// All borders agree on the opposite set: p crosses nowhere.
-		case uniform:
-			// All borders agree on p's set and nothing is marked
-			// (marking needs mixed types): both side-adjacent cells,
-			// plus the diagonal cell when p is within ε of the
-			// reference point.
-			sub := gr.Sub(gx, gy)
-			for _, j := range pos.SideAdjacent() {
-				if sub.Cells[j] != grid.NoCell {
-					dst = append(dst, sub.Cells[j])
-				}
-			}
-			if l := pos.Diagonal(); sub.Cells[l] != grid.NoCell && p.WithinDist(sub.Ref, g.Eps) {
-				dst = append(dst, sub.Cells[l])
-			}
-		default:
-			sub := gr.Sub(gx, gy)
-			dst = meDuPAr(sub, g, p, set, pos, dst)
-			// Deviation from the paper's Algorithm 2 pseudocode (documented in
-			// DESIGN.md): a point in the merged duplicate-prone area of q can
-			// simultaneously lie in a supplementary area of ANOTHER triad of
-			// the same quartet (Def. 4.10 admits it: within ε of a side
-			// neighbour whose marked edge excluded partners from this cell,
-			// farther than ε from the third cell, within 2ε of the reference
-			// point). The pseudocode only probes q' and q'', which loses such
-			// pairs; running SupAr on q as well restores them.
-			if marked {
-				dst = supAr(sub, g, p, set, pos, dst)
-			}
-		}
+		sl := gr.Slot(gx, gy, pos, set)
+		dst = meDuPAr(g, p, cx, cy, gx, gy, pos, sl, dst)
+		// Deviation from the paper's Algorithm 2 pseudocode (documented in
+		// DESIGN.md): a point in the merged duplicate-prone area of q can
+		// simultaneously lie in a supplementary area of ANOTHER triad of
+		// the same quartet (Def. 4.10 admits it: within ε of a side
+		// neighbour whose marked edge excluded partners from this cell,
+		// farther than ε from the third cell, within 2ε of the reference
+		// point). The pseudocode only probes q' and q'', which loses such
+		// pairs; running SupAr on q as well restores them.
+		dst = supAr(g, p, cx, cy, gx, gy, pos, sl, dst)
 		q1x, q1y, pos1, q2x, q2y, pos2 := g.AdjacentCornerQuartets(cx, cy, area.Corner)
-		if _, _, m := gr.Info(q1x, q1y); m {
-			dst = supAr(gr.Sub(q1x, q1y), g, p, set, pos1, dst)
-		}
-		if _, _, m := gr.Info(q2x, q2y); m {
-			dst = supAr(gr.Sub(q2x, q2y), g, p, set, pos2, dst)
-		}
+		dst = supAr(g, p, cx, cy, q1x, q1y, pos1, gr.Slot(q1x, q1y, pos1, set), dst)
+		dst = supAr(g, p, cx, cy, q2x, q2y, pos2, gr.Slot(q2x, q2y, pos2, set), dst)
 
 	default: // grid.AreaStrip
 		// Plain replication area: replicate across the side when the
-		// agreement type matches, then SupAr for the two quartets at the
-		// side's endpoints (Algorithm 2 lines 12-19).
+		// agreement type matches, marked or not, then SupAr for the two
+		// quartets at the side's endpoints (Algorithm 2 lines 12-19).
 		q1x, q1y, pos1, q2x, q2y, pos2 := g.StripQuartets(p, cx, cy, area.Side)
-		t1, uniform1, marked1 := gr.Info(q1x, q1y)
-		if j, ok := grid.PosAcross(pos1, area.Side); ok && (!uniform1 || t1 == set) {
-			sub := gr.Sub(q1x, q1y)
-			if sub.Cells[j] != grid.NoCell && sub.Type(pos1, j) == set {
-				dst = append(dst, sub.Cells[j])
-			}
+		sl1 := gr.Slot(q1x, q1y, pos1, set)
+		// The cell across a west or east side is pos1's side cell 0, the
+		// one across a south or north side its side cell 1.
+		if n := int(area.Side) / 2; sl1.Crosses(n) {
+			dst = append(dst, cellAt(g, cx, cy, pos1, pos1.SideAdjacent()[n]))
 		}
-		if marked1 {
-			dst = supAr(gr.Sub(q1x, q1y), g, p, set, pos1, dst)
-		}
-		if _, _, m := gr.Info(q2x, q2y); m {
-			dst = supAr(gr.Sub(q2x, q2y), g, p, set, pos2, dst)
-		}
+		dst = supAr(g, p, cx, cy, q1x, q1y, pos1, sl1, dst)
+		dst = supAr(g, p, cx, cy, q2x, q2y, pos2, gr.Slot(q2x, q2y, pos2, set), dst)
 	}
 	return dedupeKeepFirst(dst)
 }
 
+// cellAt returns the id of the cell at position j of a quartet whose
+// position i holds cell (cx, cy), or grid.NoCell outside the grid.
+func cellAt(g *grid.Grid, cx, cy int, i, j grid.Pos) int {
+	ix, iy := grid.PosCoord(i)
+	jx, jy := grid.PosCoord(j)
+	return g.CellID(cx+jx-ix, cy+jy-iy)
+}
+
 // meDuPAr is Algorithm 3: assignment of a point located in the merged
-// duplicate-prone area of the quartet sub, where the point's native cell
-// occupies position i.
-func meDuPAr(sub *agreements.Subgraph, g *grid.Grid, p geom.Point, set tuple.Set, i grid.Pos, dst []int) []int {
-	// Fast path for the dominant quartet shape: all six pair types equal
-	// and nothing marked. A point of the opposite set replicates nowhere;
-	// a point of the matching set crosses to every real side-adjacent
-	// cell, and to the diagonal cell exactly when it is within ε of the
-	// reference point (no marked edge can redirect it there).
-	if t, ok := sub.UniformType(); ok && !sub.AnyMarked() {
-		if t != set {
-			return dst
-		}
-		for _, j := range i.SideAdjacent() {
-			if sub.Cells[j] != grid.NoCell {
-				dst = append(dst, sub.Cells[j])
-			}
-		}
-		if l := i.Diagonal(); sub.Cells[l] != grid.NoCell && p.WithinDist(sub.Ref, g.Eps) {
-			dst = append(dst, sub.Cells[l])
-		}
-		return dst
-	}
-	adj := i.SideAdjacent()
-	// Lines 2-4: side-adjacent cells via unmarked same-type edges.
-	for _, j := range adj {
-		if sub.Cells[j] == grid.NoCell {
-			continue
-		}
-		if sub.Type(i, j) == set && !sub.Marked(i, j) {
-			dst = append(dst, sub.Cells[j])
+// duplicate-prone area of the quartet at corner (gx, gy), where the
+// point's native cell (cx, cy) occupies position i and sl is its slot.
+// The slot already holds lines 2-4 (side-adjacent cells via unmarked
+// same-type edges) and the edge tests of lines 5-11 (the cell sharing
+// only the reference point with i); only the ε test of line 6 is left.
+func meDuPAr(g *grid.Grid, p geom.Point, cx, cy, gx, gy int, i grid.Pos, sl agreements.Slot, dst []int) []int {
+	for n, j := range i.SideAdjacent() {
+		if sl.Side(n) {
+			dst = append(dst, cellAt(g, cx, cy, i, j))
 		}
 	}
-	// Lines 5-11: the cell sharing only the reference point with i.
-	l := i.Diagonal()
-	if sub.Cells[l] != grid.NoCell && sub.Type(i, l) == set && !sub.Marked(i, l) {
-		if p.WithinDist(sub.Ref, g.Eps) {
-			dst = append(dst, sub.Cells[l])
-		} else {
-			// The point cannot reach the diagonal cell directly, but if a
-			// marked same-type side edge excluded it from a side cell, it
-			// must travel to the diagonal cell instead, where its excluded
-			// pairs are recovered.
-			for _, j := range adj {
-				if sub.Type(i, j) == set && sub.Marked(i, j) {
-					dst = append(dst, sub.Cells[l])
-					break
-				}
-			}
-		}
+	if near, always := sl.Diagonal(); always || near && p.WithinDist(g.RefPoint(gx, gy), g.Eps) {
+		dst = append(dst, cellAt(g, cx, cy, i, i.Diagonal()))
 	}
 	return dst
 }
 
 // supAr is Algorithm 4: assignment of a point that may lie in a
-// supplementary area of the quartet sub, where the point's native cell
-// occupies position i. A supplementary area exists opposite a marked
-// opposite-type edge e_ji: the points that edge excludes from replication
-// into i's cell travel to a third cell of the quartet, and p — which can
-// form pairs with them — must follow them there.
-func supAr(sub *agreements.Subgraph, g *grid.Grid, p geom.Point, set tuple.Set, i grid.Pos, dst []int) []int {
-	// Line 4's precondition, hoisted: without a marked edge anywhere in
-	// the quartet no supplementary area exists, so the geometry tests
-	// below cannot matter. Algorithm 1 leaves most quartets unmarked,
-	// making this the common exit.
-	if !sub.AnyMarked() {
+// supplementary area of the quartet at corner (gx, gy), where the point's
+// native cell (cx, cy) occupies position i and sl is its slot. A
+// supplementary area exists opposite a marked opposite-type edge e_ji:
+// the points that edge excludes from replication into i's cell travel to
+// a third cell of the quartet, and p — which can form pairs with them —
+// must follow them there. The slot holds lines 4-8 per side cell j (the
+// third cell, if any); the geometry of line 3 is left.
+func supAr(g *grid.Grid, p geom.Point, cx, cy, gx, gy int, i grid.Pos, sl agreements.Slot, dst []int) []int {
+	// Most slots have no target: Algorithm 1 leaves most quartets
+	// unmarked, making this the common exit.
+	if !sl.AnySupAr() {
 		return dst
 	}
 	// Line 3's first clause is independent of the neighbour: p must be
 	// within 2ε of the quartet's reference point for any supplementary
 	// area of the quartet to contain it.
-	if !p.WithinDist(sub.Ref, 2*g.Eps) {
+	if !p.WithinDist(g.RefPoint(gx, gy), 2*g.Eps) {
 		return dst
 	}
 	adj := i.SideAdjacent()
 	for n, j := range adj {
-		if sub.Cells[j] == grid.NoCell {
-			continue
-		}
-		// Line 4: the edge from j into i is marked with the opposite type,
-		// so j's duplicate-prone points that p could match were excluded
-		// from i's cell. Checked before line 3's remaining geometry —
-		// two array reads against a MINDIST computation.
-		if sub.Type(j, i) == set || !sub.Marked(j, i) {
+		t := sl.SupAr(n)
+		if t == agreements.TargetNone {
 			continue
 		}
 		// Line 3: p must also be near cell j.
-		jx, jy := g.CellCoords(sub.Cells[j])
-		if !g.CellRect(jx, jy).WithinMinDist(p, g.Eps) {
+		ix, iy := grid.PosCoord(i)
+		jx, jy := grid.PosCoord(j)
+		if !g.CellRect(cx+jx-ix, cy+jy-iy).WithinMinDist(p, g.Eps) {
 			continue
 		}
-		k := adj[1-n]     // the other side-adjacent cell
-		l := i.Diagonal() // the cell sharing only the reference point
-		// Lines 5-8: follow the excluded points to whichever cell both p
-		// (via an unmarked same-type edge from i) and they (via an
-		// unmarked opposite-type edge from j) reach.
-		switch {
-		case sub.Cells[k] != grid.NoCell &&
-			sub.Type(i, k) == set && !sub.Marked(i, k) &&
-			sub.Type(j, k) != set && !sub.Marked(j, k):
-			dst = append(dst, sub.Cells[k])
-		case sub.Cells[l] != grid.NoCell &&
-			sub.Type(i, l) == set && !sub.Marked(i, l) &&
-			sub.Type(j, l) != set && !sub.Marked(j, l):
-			dst = append(dst, sub.Cells[l])
+		to := adj[1-n] // the other side-adjacent cell
+		if t == agreements.TargetDiag {
+			to = i.Diagonal() // the cell sharing only the reference point
 		}
+		dst = append(dst, cellAt(g, cx, cy, i, to))
 	}
 	return dst
 }
@@ -235,7 +161,7 @@ func supAr(sub *agreements.Subgraph, g *grid.Grid, p geom.Point, set tuple.Set, 
 // replication happens. The assignment is correct (Corollary 4.6) but
 // produces duplicate join results in quartets with mixed agreement types
 // (Lemma 4.8); it exists as the baseline for the deduplication ablation
-// (Table 6).
+// (Table 6). It reads only the pair types of the quartets it visits.
 func AdaptiveSimple(gr *agreements.Graph, p geom.Point, set tuple.Set, dst []int) []int {
 	g := gr.Grid
 	cx, cy, area := g.Classify(p)
@@ -247,37 +173,25 @@ func AdaptiveSimple(gr *agreements.Graph, p geom.Point, set tuple.Set, dst []int
 
 	case grid.AreaCorner:
 		gx, gy, pos := g.CornerQuartet(cx, cy, area.Corner)
-		// Uniform quartet of the opposite set: no border agrees with p's
-		// set, so no geometry test can add a cell — decided from the
-		// packed flags without touching the subgraph.
-		if t, uniform, _ := gr.Info(gx, gy); uniform && t != set {
-			return dst
-		}
-		sub := gr.Sub(gx, gy)
 		for _, j := range pos.SideAdjacent() {
-			if sub.Cells[j] == grid.NoCell || sub.Type(pos, j) != set {
+			c := cellAt(g, cx, cy, pos, j)
+			if c == grid.NoCell || gr.Type(gx, gy, pos, j) != set {
 				continue
 			}
-			jx, jy := g.CellCoords(sub.Cells[j])
-			if g.CellRect(jx, jy).WithinMinDist(p, g.Eps) {
-				dst = append(dst, sub.Cells[j])
+			if jx, jy := g.CellCoords(c); g.CellRect(jx, jy).WithinMinDist(p, g.Eps) {
+				dst = append(dst, c)
 			}
 		}
 		l := pos.Diagonal()
-		if sub.Cells[l] != grid.NoCell && sub.Type(pos, l) == set && p.WithinDist(sub.Ref, g.Eps) {
-			dst = append(dst, sub.Cells[l])
+		if c := cellAt(g, cx, cy, pos, l); c != grid.NoCell && gr.Type(gx, gy, pos, l) == set && p.WithinDist(g.RefPoint(gx, gy), g.Eps) {
+			dst = append(dst, c)
 		}
 
 	default: // grid.AreaStrip
 		q1x, q1y, pos1, _, _, _ := g.StripQuartets(p, cx, cy, area.Side)
-		if t, uniform, _ := gr.Info(q1x, q1y); uniform && t != set {
-			return dst
-		}
-		sub := gr.Sub(q1x, q1y)
-		if j, ok := grid.PosAcross(pos1, area.Side); ok {
-			if sub.Cells[j] != grid.NoCell && sub.Type(pos1, j) == set {
-				dst = append(dst, sub.Cells[j])
-			}
+		j := pos1.SideAdjacent()[area.Side/2] // the cell across the side, as in Adaptive
+		if c := cellAt(g, cx, cy, pos1, j); c != grid.NoCell && gr.Type(q1x, q1y, pos1, j) == set {
+			dst = append(dst, c)
 		}
 	}
 	return dst

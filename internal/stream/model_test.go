@@ -42,7 +42,7 @@ func checkModel(t testing.TB, e *Engine) {
 	})
 	for gy := 0; gy <= g.NY; gy++ {
 		for gx := 0; gx <= g.NX; gx++ {
-			got, want := e.graph.Sub(gx, gy), fresh.Sub(gx, gy)
+			got, want := e.graph.Quartet(gx, gy), fresh.Quartet(gx, gy)
 			for i := grid.Pos(0); i < grid.NumPos; i++ {
 				for j := grid.Pos(0); j < grid.NumPos; j++ {
 					if i != j && (got.Type(i, j) != want.Type(i, j) || got.Marked(i, j) != want.Marked(i, j) || got.Locked(i, j) != want.Locked(i, j)) {
@@ -50,10 +50,12 @@ func checkModel(t testing.TB, e *Engine) {
 					}
 				}
 			}
-			gt, gu, gm := e.graph.Info(gx, gy)
-			wt, wu, wm := fresh.Info(gx, gy)
-			if gu != wu || gm != wm || gu && gt != wt {
-				t.Fatalf("quartet (%d,%d) fast-path flags differ from BuildFromTypeFunc over the same types", gx, gy)
+			for i := grid.Pos(0); i < grid.NumPos; i++ {
+				for set := tuple.R; set <= tuple.S; set++ {
+					if e.graph.Slot(gx, gy, i, set) != fresh.Slot(gx, gy, i, set) {
+						t.Fatalf("quartet (%d,%d) compiled slot (%v, %v) differs from BuildFromTypeFunc over the same types", gx, gy, i, set)
+					}
+				}
 			}
 		}
 	}
