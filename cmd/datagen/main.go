@@ -100,6 +100,7 @@ func main() {
 			werr = cw.Close()
 		}
 		if werr != nil {
+			cw.Abort()
 			fail("%v", werr)
 		}
 		fmt.Printf("wrote %d %s points to %s (columnar)\n", cw.Count(), *kind, *streamOut)
@@ -124,6 +125,10 @@ func main() {
 // GeomObjectsEach stream, so their draw order is identical.
 func runGeom(spec datagen.GeomSpec, centers func(func(tuple.Tuple)), out, streamOut, kind string) {
 	if streamOut != "" {
+		// An empty center stream checks the spec before the file exists.
+		if _, err := datagen.GeomObjects(spec, func(func(tuple.Tuple)) {}); err != nil {
+			fail("%v", err)
+		}
 		cw, err := dstore.NewTuplesWriter(streamOut)
 		if err != nil {
 			fail("%v", err)
@@ -144,6 +149,7 @@ func runGeom(spec datagen.GeomSpec, centers func(func(tuple.Tuple)), out, stream
 			err = cw.Close()
 		}
 		if err != nil {
+			cw.Abort()
 			fail("%v", err)
 		}
 		fmt.Printf("wrote %d %s %s objects to %s (columnar)\n", cw.Count(), kind, spec.Kind, streamOut)
@@ -175,7 +181,10 @@ func generator(kind string, w geom.Rect, n int, seed int64) (func(func(tuple.Tup
 	}
 }
 
+// fail reports one "datagen: "-prefixed line, whether or not the
+// message comes from package datagen, and exits.
 func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "datagen: "+format+"\n", args...)
+	msg := fmt.Sprintf(format, args...)
+	fmt.Fprintln(os.Stderr, "datagen: "+strings.TrimPrefix(msg, "datagen: "))
 	os.Exit(2)
 }

@@ -198,7 +198,12 @@ func TestDatagenGeomOut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := textio.ReadGeomsFile(txt, 0)
+	f, err := os.Open(txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := textio.ReadGeoms(f, 0)
 	if err != nil {
 		t.Fatalf("reading text output: %v", err)
 	}
@@ -249,5 +254,25 @@ func TestDatagenGeomOut(t *testing.T) {
 	// -payload and -geom are mutually exclusive.
 	if _, err := exec.Command(bins["datagen"], append(args, "-payload", "4", "-out", txt)...).CombinedOutput(); err == nil {
 		t.Fatal("datagen accepted -payload with -geom")
+	}
+
+	// A bad spec fails with one "datagen: " prefix and leaves no file.
+	bad := filepath.Join(dir, "bad")
+	for _, flags := range [][]string{
+		{"-geom", "polygon", "-max-size", "nan", "-out", bad},
+		{"-geom", "polygon", "-max-size", "inf", "-stream-out", bad},
+		{"-geom", "blob", "-stream-out", bad},
+	} {
+		msg, err := exec.Command(bins["datagen"], append([]string{"-n", "10"}, flags...)...).CombinedOutput()
+		if err == nil {
+			t.Errorf("datagen %v succeeded", flags)
+		}
+		if strings.Count(string(msg), "datagen: ") != 1 {
+			t.Errorf("datagen %v printed %q, want one \"datagen: \" prefix", flags, msg)
+		}
+		if _, err := os.Stat(bad); !os.IsNotExist(err) {
+			t.Errorf("datagen %v left %s behind", flags, bad)
+			os.Remove(bad)
+		}
 	}
 }

@@ -563,47 +563,6 @@ func resolveOrdered(s *Subgraph, order Order) {
 	s.w = w
 }
 
-// MixedTriangles returns the number of triangles of s that contain both
-// agreement types — the configurations that require marking (diagnostics
-// and tests).
-func (s *Subgraph) MixedTriangles() int {
-	n := 0
-	forEachTriangle(func(a, b, c grid.Pos) {
-		t1, t2, t3 := s.Type(a, b), s.Type(a, c), s.Type(b, c)
-		if t1 != t2 || t2 != t3 {
-			n++
-		}
-	})
-	return n
-}
-
-// MarkedEdges returns the number of marked directed edges in s.
-func (s *Subgraph) MarkedEdges() int { return bits.OnesCount32(s.w >> markShift & edgeMask) }
-
-// forEachTriangle visits the four 3-vertex subsets of a quartet.
-func forEachTriangle(f func(a, b, c grid.Pos)) {
-	f(grid.BL, grid.BR, grid.TL)
-	f(grid.BL, grid.BR, grid.TR)
-	f(grid.BL, grid.TL, grid.TR)
-	f(grid.BR, grid.TL, grid.TR)
-}
-
-// SetTypesForTest overrides the agreement types of the unordered pairs of
-// s and re-runs Algorithm 1, for exhaustive tests that enumerate type
-// configurations. pairs is indexed like the iteration order of
-// instantiate: (BL,BR), (BL,TL), (BL,TR), (BR,TL), (BR,TR), (TL,TR).
-func (s *Subgraph) SetTypesForTest(types [6]tuple.Set) {
-	idx := 0
-	for i := grid.Pos(0); i < grid.NumPos; i++ {
-		for j := i + 1; j < grid.NumPos; j++ {
-			s.setType(i, j, types[idx])
-			idx++
-		}
-	}
-	s.clearMarks()
-	resolve(s)
-}
-
 // EstimatedCosts returns, per cell, the LPT cost estimate including
 // replication: (R points native plus replicated in) × (S points native
 // plus replicated in), from sample statistics and the agreement types.

@@ -57,10 +57,10 @@ func TestUniversalPoliciesHaveNoMixedTriangles(t *testing.T) {
 			wantType = tuple.S
 		}
 		forEachQuartet(gr, func(gx, gy int, s *Subgraph) {
-			if s.MixedTriangles() != 0 {
+			if mixedTriangles(s) != 0 {
 				t.Fatalf("%v: quartet (%d,%d) has mixed triangles", pol, gx, gy)
 			}
-			if s.MarkedEdges() != 0 {
+			if s.AnyMarked() {
 				t.Fatalf("%v: quartet (%d,%d) has marked edges", pol, gx, gy)
 			}
 			for i := grid.Pos(0); i < grid.NumPos; i++ {
@@ -187,7 +187,7 @@ func TestResolveExhaustiveInvariants(t *testing.T) {
 				types[b] = tuple.S
 			}
 		}
-		s.SetTypesForTest(types)
+		setTypes(&s, types)
 
 		// (1) No edge is both marked and locked.
 		for i := grid.Pos(0); i < grid.NumPos; i++ {
@@ -513,4 +513,40 @@ func TestSetPairTypeKeepsSubgraphsAgreeing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mixedTriangles returns the number of triangles of s that contain both
+// agreement types — the configurations that require marking.
+func mixedTriangles(s *Subgraph) int {
+	n := 0
+	forEachTriangle(func(a, b, c grid.Pos) {
+		t1, t2, t3 := s.Type(a, b), s.Type(a, c), s.Type(b, c)
+		if t1 != t2 || t2 != t3 {
+			n++
+		}
+	})
+	return n
+}
+
+// forEachTriangle visits the four 3-vertex subsets of a quartet.
+func forEachTriangle(f func(a, b, c grid.Pos)) {
+	f(grid.BL, grid.BR, grid.TL)
+	f(grid.BL, grid.BR, grid.TR)
+	f(grid.BL, grid.TL, grid.TR)
+	f(grid.BR, grid.TL, grid.TR)
+}
+
+// setTypes overrides the agreement types of the unordered pairs of s and
+// re-runs Algorithm 1. types is indexed (BL,BR), (BL,TL), (BL,TR),
+// (BR,TL), (BR,TR), (TL,TR).
+func setTypes(s *Subgraph, types [6]tuple.Set) {
+	idx := 0
+	for i := grid.Pos(0); i < grid.NumPos; i++ {
+		for j := i + 1; j < grid.NumPos; j++ {
+			s.setType(i, j, types[idx])
+			idx++
+		}
+	}
+	s.clearMarks()
+	resolve(s)
 }

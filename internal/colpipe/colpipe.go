@@ -29,11 +29,10 @@
 // views of the lanes — with one colsweep.Sink receiving every pair.
 //
 // Ranks. Groups are keyed by cell rank rather than raw cell id so the
-// caller can pick a locality-preserving traversal order: MortonRanks
-// and HilbertRanks map a grid's cells onto a Z-order or Hilbert curve,
-// making adjacent groups in the slab spatially adjacent in the plane —
-// consecutive sweeps touch nearby coordinate ranges, which keeps the
-// ε-window scans cache-warm. Any bijection cell → [0, NumRanks) is
+// caller can pick a locality-preserving traversal order: HilbertRanks
+// maps a grid's cells onto a Hilbert curve, making adjacent groups in
+// the slab spatially adjacent in the plane — consecutive sweeps touch
+// nearby coordinate ranges, which keeps the ε-window scans cache-warm. Any bijection cell → [0, NumRanks) is
 // valid; nil means identity (row-major cell order).
 //
 // Seg and Builder.BuildInto are the single-slab entry the benchmark's
@@ -499,9 +498,9 @@ func (s *Seg) Len() int { return len(s.Ranks) }
 // counters (all-zero between builds) and sort scratch across BuildInto
 // calls; it must not be shared across goroutines.
 type Builder struct {
-	Sorter
-	logs [1]Log  // the segments of one build, histogrammed as one split
-	part []int32 // all zero: every rank belongs to the one slab
+	sorter Sorter
+	logs   [1]Log  // the segments of one build, histogrammed as one split
+	part   []int32 // all zero: every rank belongs to the one slab
 }
 
 // NewBuilder returns a Builder for slabs whose ranks lie in
@@ -542,7 +541,7 @@ func (b *Builder) BuildInto(dst *Slab, segs []Seg) error {
 				dst.Xs[pos], dst.Ys[pos], dst.IDs[pos] = seg.Xs[i], seg.Ys[i], seg.IDs[i]
 			}
 		}
-		b.SortGroups(dst)
+		b.sorter.SortGroups(dst)
 	}
 	// Restore the all-zero counter invariant by walking only the ranks
 	// this build touched.
@@ -609,37 +608,21 @@ func JoinSlabsContext(ctx context.Context, r, s *Slab, eps float64,
 	return cost, nil
 }
 
-// MortonRanks returns the dense rank of every cell of an nx×ny grid
-// along the Z-order (Morton) curve: ranks[cell] ∈ [0, nx·ny), with
-// rank order following the curve. Cell ids are row-major (cy·nx+cx).
-func MortonRanks(nx, ny int) []int32 {
-	return curveRanks(nx, ny, func(cx, cy uint32) uint64 {
-		return part1by1(cx) | part1by1(cy)<<1
-	})
-}
-
-// HilbertRanks is MortonRanks along the Hilbert curve, which preserves
-// locality strictly better than Z-order (no long diagonal jumps).
+// HilbertRanks returns the dense rank of every cell of an nx×ny grid
+// along the Hilbert curve: ranks[cell] ∈ [0, nx·ny), with rank order
+// following the curve. Cell ids are row-major (cy·nx+cx).
 func HilbertRanks(nx, ny int) []int32 {
 	side := uint32(1)
 	for int(side) < max(nx, ny) {
 		side <<= 1
 	}
-	return curveRanks(nx, ny, func(cx, cy uint32) uint64 {
-		return hilbertD(side, cx, cy)
-	})
-}
-
-// curveRanks densifies an arbitrary space-filling-curve key into ranks
-// by argsorting the cells along the curve.
-func curveRanks(nx, ny int, key func(cx, cy uint32) uint64) []int32 {
 	n := nx * ny
 	keys := make([]uint64, n)
 	order := make([]int32, n)
 	for cy := 0; cy < ny; cy++ {
 		for cx := 0; cx < nx; cx++ {
 			id := cy*nx + cx
-			keys[id] = key(uint32(cx), uint32(cy))
+			keys[id] = hilbertD(side, uint32(cx), uint32(cy))
 			order[id] = int32(id)
 		}
 	}
@@ -658,17 +641,6 @@ func curveRanks(nx, ny int, key func(cx, cy uint32) uint64) []int32 {
 		ranks[cell] = int32(rank)
 	}
 	return ranks
-}
-
-// part1by1 spreads the low 32 bits of v to the even bit positions.
-func part1by1(v uint32) uint64 {
-	x := uint64(v)
-	x = (x | x<<16) & 0x0000ffff0000ffff
-	x = (x | x<<8) & 0x00ff00ff00ff00ff
-	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
 }
 
 // hilbertD converts (x, y) on a side×side grid (side a power of two)

@@ -363,25 +363,21 @@ func sortPairs(ps []tuple.Pair) {
 	})
 }
 
-// TestCurveRanksBijection: both curve orders are bijections cell →
+// TestCurveRanksBijection: the Hilbert order is a bijection cell →
 // [0, nx·ny) for square and rectangular grids.
 func TestCurveRanksBijection(t *testing.T) {
 	for _, dims := range [][2]int{{8, 8}, {16, 16}, {5, 3}, {1, 9}, {13, 7}} {
 		nx, ny := dims[0], dims[1]
-		for name, ranks := range map[string][]int32{
-			"morton":  MortonRanks(nx, ny),
-			"hilbert": HilbertRanks(nx, ny),
-		} {
-			if len(ranks) != nx*ny {
-				t.Fatalf("%s %dx%d: %d ranks", name, nx, ny, len(ranks))
+		ranks := HilbertRanks(nx, ny)
+		if len(ranks) != nx*ny {
+			t.Fatalf("%dx%d: %d ranks", nx, ny, len(ranks))
+		}
+		seen := make([]bool, nx*ny)
+		for cell, r := range ranks {
+			if r < 0 || int(r) >= nx*ny || seen[r] {
+				t.Fatalf("%dx%d: cell %d has invalid/duplicate rank %d", nx, ny, cell, r)
 			}
-			seen := make([]bool, nx*ny)
-			for cell, r := range ranks {
-				if r < 0 || int(r) >= nx*ny || seen[r] {
-					t.Fatalf("%s %dx%d: cell %d has invalid/duplicate rank %d", name, nx, ny, cell, r)
-				}
-				seen[r] = true
-			}
+			seen[r] = true
 		}
 	}
 }

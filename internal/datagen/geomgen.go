@@ -25,7 +25,7 @@ type GeomSpec struct {
 	// Kind is the shape: "rect", "polyline" or "polygon".
 	Kind string
 	// MinExtent and MaxExtent bound the object's MBR diameter; each
-	// object's extent is drawn uniformly in between.
+	// object's extent is drawn uniformly in between. Both must be finite.
 	MinExtent, MaxExtent float64
 	// Verts is the vertex budget for polylines and polygons (ignored for
 	// rects): polylines get exactly Verts vertices, polygons Verts-gon
@@ -40,6 +40,9 @@ func (s GeomSpec) withDefaults() (GeomSpec, error) {
 	case "rect", "polyline", "polygon":
 	default:
 		return s, fmt.Errorf("datagen: unknown geometry kind %q (rect, polyline, polygon)", s.Kind)
+	}
+	if math.IsNaN(s.MinExtent) || math.IsInf(s.MinExtent, 0) || math.IsNaN(s.MaxExtent) || math.IsInf(s.MaxExtent, 0) {
+		return s, fmt.Errorf("datagen: object extents must be finite, got [%v, %v]", s.MinExtent, s.MaxExtent)
 	}
 	if s.MaxExtent <= 0 {
 		s.MaxExtent = 1

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"math"
 	"testing"
 
 	"spatialjoin/internal/extgeom"
@@ -112,5 +113,17 @@ func TestGeomSpecValidation(t *testing.T) {
 		func(emit func(tuple.Tuple)) { UniformEach(World(), 10, 1, 0, emit) })
 	if err != nil || len(objs) != 10 {
 		t.Fatalf("defaults: %v, %d objects", err, len(objs))
+	}
+}
+
+// TestGeomSpecRejectsNonFiniteExtents: a NaN or infinite extent is an
+// error, not a set of NaN-vertex objects.
+func TestGeomSpecRejectsNonFiniteExtents(t *testing.T) {
+	centers := func(emit func(tuple.Tuple)) { UniformEach(World(), 10, 1, 0, emit) }
+	for _, ext := range [][2]float64{{0, math.NaN()}, {0, math.Inf(1)}, {0, math.Inf(-1)}, {math.NaN(), 2}, {math.Inf(1), 2}} {
+		spec := GeomSpec{Kind: "polygon", MinExtent: ext[0], MaxExtent: ext[1]}
+		if objs, err := GeomObjects(spec, centers); err == nil {
+			t.Errorf("extents %v: %d objects and no error", ext, len(objs))
+		}
 	}
 }

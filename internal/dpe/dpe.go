@@ -210,7 +210,7 @@ type Spec struct {
 	Cells int
 	// CellRank optionally maps cell id → slab group rank (any bijection
 	// onto [0, Cells)); nil means identity. Orchestrators pass a
-	// Hilbert- or Morton-curve ranking so adjacent slab groups are
+	// Hilbert-curve ranking so adjacent slab groups are
 	// spatially adjacent (see colpipe.HilbertRanks). Ignored when Kernel
 	// is set: a kernel is handed its cell id, which the slab — locally
 	// and on a remote worker — carries as the group rank.

@@ -643,13 +643,6 @@ func (s *Store) AppendTelemSnapshot(blob []byte) error {
 	return nil
 }
 
-// TelemSnapshot returns the latest telemetry snapshot (nil = none).
-func (s *Store) TelemSnapshot() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.telemBlob
-}
-
 func skewKey(r, s string, eps float64) string {
 	return fmt.Sprintf("%s\xff%s\xff%g", r, s, eps)
 }
@@ -682,9 +675,6 @@ func (s *Store) SkewHistory() []SkewSample {
 	defer s.mu.Unlock()
 	return s.skewHistoryLocked()
 }
-
-// LastSeq returns the log position of the last appended record.
-func (s *Store) LastSeq() uint64 { return s.log.LastSeq() }
 
 // WriteCheckpoint persists the snapshot st, prunes old checkpoints,
 // deletes dataset files the checkpoint obsoletes, and truncates the
@@ -801,9 +791,6 @@ func (s *Store) WriteCheckpoint(st CheckpointState) (uint64, error) {
 	}
 	return m.LastSeq, nil
 }
-
-// Sync flushes the log to stable storage.
-func (s *Store) Sync() error { return s.log.Sync() }
 
 // Close syncs and closes the log. The store must not be used after.
 func (s *Store) Close() error { return s.log.Close() }

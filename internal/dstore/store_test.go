@@ -168,16 +168,16 @@ func TestStoreCheckpointBoundsReplay(t *testing.T) {
 	blob := []byte("engine-snapshot")
 	ckSeq, err := st.WriteCheckpoint(CheckpointState{
 		NextRev:     2,
-		RegistrySeq: st.LastSeq(),
-		StreamsSeq:  st.LastSeq(),
+		RegistrySeq: st.log.LastSeq(),
+		StreamsSeq:  st.log.LastSeq(),
 		Datasets:    []DatasetCheckpoint{{Name: "roads", Rev: 1, Gen: 1, Tuples: pts(1, 2, 3)}},
 		Streams:     []StreamCheckpoint{{Spec: spec, CoveredSeq: batchSeq, Blob: blob}},
 	})
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if ckSeq != st.LastSeq() {
-		t.Fatalf("checkpoint seq %d, want %d", ckSeq, st.LastSeq())
+	if ckSeq != st.log.LastSeq() {
+		t.Fatalf("checkpoint seq %d, want %d", ckSeq, st.log.LastSeq())
 	}
 
 	// Two records after the checkpoint: only these replay on reopen.
@@ -229,10 +229,10 @@ func TestStoreCheckpointBoundsReplay(t *testing.T) {
 	// replay nothing at all.
 	if _, err := st2.WriteCheckpoint(CheckpointState{
 		NextRev:     2,
-		RegistrySeq: st2.LastSeq(),
-		StreamsSeq:  st2.LastSeq(),
+		RegistrySeq: st2.log.LastSeq(),
+		StreamsSeq:  st2.log.LastSeq(),
 		Datasets:    []DatasetCheckpoint{{Name: "roads", Rev: 1, Gen: 2, Tuples: pts(1, 2, 3, 4)}},
-		Streams:     []StreamCheckpoint{{Spec: spec, CoveredSeq: st2.LastSeq(), Blob: blob}},
+		Streams:     []StreamCheckpoint{{Spec: spec, CoveredSeq: st2.log.LastSeq(), Blob: blob}},
 	}); err != nil {
 		t.Fatalf("second checkpoint: %v", err)
 	}

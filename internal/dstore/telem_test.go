@@ -20,7 +20,7 @@ func TestTelemSnapshotLogReplay(t *testing.T) {
 	if err := st.AppendTelemSnapshot([]byte(`{"gen":2}`)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if got := st.TelemSnapshot(); !bytes.Equal(got, []byte(`{"gen":2}`)) {
+	if got := st.telemBlob; !bytes.Equal(got, []byte(`{"gen":2}`)) {
 		t.Fatalf("live snapshot = %q", got)
 	}
 	if err := st.Close(); err != nil {

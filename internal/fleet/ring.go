@@ -69,11 +69,6 @@ func NewRing(vnodes int) *Ring {
 	return &Ring{vnodes: vnodes}
 }
 
-// Shards lists the ring members, sorted.
-func (r *Ring) Shards() []string {
-	return slices.Clone(r.shards)
-}
-
 // Len returns the number of member shards.
 func (r *Ring) Len() int { return len(r.shards) }
 

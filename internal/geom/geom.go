@@ -139,12 +139,6 @@ func (r Rect) SqMinDist(p Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// MinDist returns MINDIST(p, r), the minimum distance from p to any point
-// of the rectangle r (zero when p is inside r).
-func (r Rect) MinDist(p Point) float64 {
-	return math.Sqrt(r.SqMinDist(p))
-}
-
 // WithinMinDist reports whether MINDIST(p, r) <= eps.
 func (r Rect) WithinMinDist(p Point, eps float64) bool {
 	return r.SqMinDist(p) <= eps*eps

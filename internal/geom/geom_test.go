@@ -117,8 +117,8 @@ func TestSqMinDist(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := r.MinDist(tc.p); math.Abs(got-tc.want) > 1e-12 {
-				t.Errorf("MinDist(%v) = %v, want %v", tc.p, got, tc.want)
+			if got := math.Sqrt(r.SqMinDist(tc.p)); math.Abs(got-tc.want) > 1e-12 {
+				t.Errorf("MINDIST(%v) = %v, want %v", tc.p, got, tc.want)
 			}
 		})
 	}

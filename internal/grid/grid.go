@@ -53,8 +53,7 @@ const (
 func (c Corner) String() string { return [...]string{"SW", "SE", "NW", "NE"}[c] }
 
 // Dir identifies one of the eight neighbours of a cell (four sides and
-// four diagonals). Side and Corner values embed into Dir via DirOfSide
-// and DirOfCorner.
+// four diagonals).
 type Dir uint8
 
 // The eight neighbour directions.
@@ -75,12 +74,6 @@ const (
 func (d Dir) String() string {
 	return [...]string{"W", "E", "S", "N", "SW", "SE", "NW", "NE"}[d]
 }
-
-// DirOfSide converts a Side to its Dir.
-func DirOfSide(s Side) Dir { return Dir(s) }
-
-// DirOfCorner converts a Corner to its Dir.
-func DirOfCorner(c Corner) Dir { return Dir(c) + DirSW }
 
 // Opposite returns the direction pointing back (W<->E, SW<->NE, ...).
 func (d Dir) Opposite() Dir {
@@ -281,11 +274,6 @@ func (g *Grid) QuartetID(gx, gy int) int { return gy*(g.NX+1) + gx }
 // NumQuartets returns the number of quartet reference points, including
 // those on the outer boundary of the grid.
 func (g *Grid) NumQuartets() int { return (g.NX + 1) * (g.NY + 1) }
-
-// QuartetCoords is the inverse of QuartetID.
-func (g *Grid) QuartetCoords(qid int) (gx, gy int) {
-	return qid % (g.NX + 1), qid / (g.NX + 1)
-}
 
 // Pos is the local position of a cell within a quartet, named from the
 // quartet reference point's perspective: BL is the cell south-west of the

@@ -91,7 +91,7 @@ func TestPosAcrossConsistentWithDeltas(t *testing.T) {
 	for p := Pos(0); p < NumPos; p++ {
 		for s := Side(0); s < 4; s++ {
 			px, py := PosCoord(p)
-			dx, dy := DirOfSide(s).Delta()
+			dx, dy := Dir(s).Delta()
 			wantX, wantY := px+dx, py+dy
 			got, ok := PosAcross(p, s)
 			if wantX < 0 || wantX > 1 || wantY < 0 || wantY > 1 {

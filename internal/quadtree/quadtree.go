@@ -87,9 +87,6 @@ func quadIndex(pt geom.Point, c geom.Point) int {
 // NumLeaves returns the number of partitions.
 func (p *Partitioner) NumLeaves() int { return len(p.leaves) }
 
-// Bounds returns the partitioned region.
-func (p *Partitioner) Bounds() geom.Rect { return p.bounds }
-
 // LeafRect returns the region of leaf id.
 func (p *Partitioner) LeafRect(id int) geom.Rect { return p.leaves[id].rect }
 

@@ -153,9 +153,6 @@ func (s *Service) flushTelem() {
 	}
 }
 
-// Durable reports whether the service runs on a durable store.
-func (s *Service) Durable() bool { return s.store != nil }
-
 // adoptStream rebuilds one recovered stream: engine from the
 // checkpoint snapshot (or fresh when the stream postdates it), tail
 // batches re-applied under their logged wall-clock times, TTL loop
@@ -198,9 +195,7 @@ func (s *Service) adoptStream(rs dstore.RecoveredStream, lastSeq uint64) error {
 	s.streams[spec.Name] = st
 	s.streamMu.Unlock()
 	s.updateStreamGauges()
-	if spec.TTLMillis > 0 {
-		go s.ttlLoop(st, time.Duration(spec.TTLMillis)*time.Millisecond)
-	}
+	s.startTTL(st)
 	return nil
 }
 
@@ -310,12 +305,20 @@ func (s *Service) SkewHistory() ([]dstore.SkewSample, error) {
 	return s.store.SkewHistory(), nil
 }
 
-// Close stops the telemetry and checkpoint loops, frees the cached plans
-// (a disk plan is unmapped once the last join on it returns), flushes a final telemetry snapshot, writes a final checkpoint so the
-// next start replays nothing, and closes the store. On an in-memory
-// service it only stops the telemetry sampler and frees the plans.
+// Close stops the telemetry sampler and every stream's expiry loop,
+// waiting for them, and frees the cached plans (a disk plan is unmapped
+// once the last join on it returns). A durable service then stops its
+// flush and checkpoint loops, flushes a final telemetry snapshot,
+// writes a final checkpoint so the next start replays nothing, and
+// closes the store.
 func (s *Service) Close() error {
 	s.Telem.Stop()
+	s.streamMu.Lock()
+	for _, st := range s.streams {
+		st.stopTTL()
+	}
+	s.streamMu.Unlock()
+	s.ttlLoops.Wait()
 	s.cache.invalidate(func(PlanKey) bool { return true })
 	if s.store == nil {
 		return nil

@@ -251,8 +251,8 @@ func TestInMemoryServiceUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Durable() {
-		t.Fatal("Durable() true without a data dir")
+	if s.store != nil {
+		t.Fatal("a store without a data dir")
 	}
 	if _, err := s.Checkpoint(); err != ErrNotDurable {
 		t.Fatalf("Checkpoint = %v, want ErrNotDurable", err)

@@ -50,6 +50,40 @@ func FuzzDecodeMutations(f *testing.F) {
 	})
 }
 
+// FuzzDatasetBodies posts arbitrary bytes as a point and a geometry
+// dataset upload under a fixed name: every reply must be a 2xx or a 4xx,
+// never a 5xx or a panic. The query is fixed so the fuzzer cannot ask
+// for a generated set.
+func FuzzDatasetBodies(f *testing.F) {
+	for _, body := range []string{
+		"1 2\n3 4 payload\n",
+		"# comment\n\n-1e300 0\n",
+		"nan 1\n",
+		"1e400 1\n",
+		"1 inf\n",
+		"1\n",
+		"",
+		"POLYGON ((0 0, 1 0, 1 1, 0 0))\nBOX (0 0, 2 2)\nPOINT (1 1)\nLINESTRING (0 0, 3 3)\n",
+		"POLYGON ((0 0, nan 0, 1 1, 0 0))\n",
+		"LINESTRING (0 0)\n",
+		"\x00\xff",
+	} {
+		f.Add([]byte(body))
+	}
+	s := New(Config{MaxUploadBytes: 1 << 20})
+	f.Cleanup(func() { s.Close() })
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/datasets?name=x", "/v1/geodatasets?name=x"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code < 200 || rec.Code >= 500 {
+				t.Fatalf("POST %s %q: status %d (%s)", path, body, rec.Code, rec.Body.String())
+			}
+		}
+	})
+}
+
 // FuzzJoinBodies posts arbitrary bytes as the /v1/join and /v1/geojoin
 // bodies against two tiny point and two tiny geometry datasets: every
 // reply must be a 2xx or a 4xx — never a 5xx, a panic or an allocation

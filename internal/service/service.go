@@ -159,7 +159,8 @@ type Service struct {
 
 	streamMu   sync.Mutex
 	streams    map[string]*streamState
-	streamsSeq uint64 // log position of the last stream create/delete
+	streamsSeq uint64         // log position of the last stream create/delete
+	ttlLoops   sync.WaitGroup // one per running stream expiry loop
 
 	traces *obs.Ring[joinTrace]
 

@@ -60,6 +60,7 @@ type streamState struct {
 	eng    *stream.Engine
 	rset   [2]string // linked dataset name per tuple.Set ("" = none)
 	done   chan struct{}
+	stop   sync.Once // closes done
 
 	// Durable-mode state (zero on in-memory services). pmu serializes
 	// log appends with engine applies so the log order is the apply
@@ -183,15 +184,27 @@ func (s *Service) CreateStream(cfg StreamConfig) (StreamInfo, error) {
 	}
 	s.updateStreamGauges()
 
-	if cfg.TTLMillis > 0 {
-		go s.ttlLoop(st, time.Duration(cfg.TTLMillis)*time.Millisecond)
-	}
+	s.startTTL(st)
 	return st.info(), nil
 }
+
+// startTTL starts the stream's expiry loop when it has a TTL window.
+// Close stops the loop and waits for it.
+func (s *Service) startTTL(st *streamState) {
+	if st.spec.TTLMillis > 0 {
+		s.ttlLoops.Add(1)
+		go s.ttlLoop(st, time.Duration(st.spec.TTLMillis)*time.Millisecond)
+	}
+}
+
+// stopTTL ends the stream's expiry loop, if any; it may run more than
+// once.
+func (st *streamState) stopTTL() { st.stop.Do(func() { close(st.done) }) }
 
 // ttlLoop drives sliding-window expiry for one stream so windows slide
 // even while no mutations arrive.
 func (s *Service) ttlLoop(st *streamState, ttl time.Duration) {
+	defer s.ttlLoops.Done()
 	period := ttl / 4
 	if period < 10*time.Millisecond {
 		period = 10 * time.Millisecond
@@ -266,7 +279,7 @@ func (s *Service) DeleteStream(name string) bool {
 		return false
 	}
 	s.updateStreamGauges()
-	close(st.done)
+	st.stopTTL()
 	st.eng.Close()
 	return true
 }

@@ -116,13 +116,6 @@ func (s *Subscription) TryNext() (Delta, bool) {
 	return d, true
 }
 
-// Pending returns the number of queued, undelivered deltas.
-func (s *Subscription) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
 // Close detaches the subscription from the engine and unblocks Next.
 // Queued deltas remain drainable; Close is idempotent.
 func (s *Subscription) Close() {

@@ -238,16 +238,6 @@ func FormatGeom(o *extgeom.Object) string {
 	return b.String()
 }
 
-// ReadGeomsFile reads a geometry data set from a file.
-func ReadGeomsFile(path string, idBase int64) ([]extgeom.Object, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("textio: %w", err)
-	}
-	defer f.Close()
-	return ReadGeoms(f, idBase)
-}
-
 // WriteGeomsFile writes a geometry data set to a file.
 func WriteGeomsFile(path string, objs []extgeom.Object) error {
 	f, err := os.Create(path)

@@ -115,15 +115,6 @@ func FromPoints(pts []geom.Point, base int64) []Tuple {
 	return out
 }
 
-// Points extracts the coordinates of ts.
-func Points(ts []Tuple) []geom.Point {
-	out := make([]geom.Point, len(ts))
-	for i, t := range ts {
-		out[i] = t.Pt
-	}
-	return out
-}
-
 // Pair is one join result: the identifiers of an (r, s) tuple pair with
 // d(r, s) <= eps.
 type Pair struct {

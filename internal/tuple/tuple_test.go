@@ -79,9 +79,8 @@ func TestFromPointsAndPoints(t *testing.T) {
 	if ts[0].ID != 100 || ts[1].ID != 101 {
 		t.Errorf("sequential IDs: got %d, %d", ts[0].ID, ts[1].ID)
 	}
-	back := Points(ts)
 	for i := range pts {
-		if back[i] != pts[i] {
+		if ts[i].Pt != pts[i] {
 			t.Errorf("round trip mismatch at %d", i)
 		}
 	}

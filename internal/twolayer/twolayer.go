@@ -78,21 +78,6 @@ func (p *Plan) ClassBytes() map[string]int64 {
 	return out
 }
 
-// Metrics returns the plan's build-phase metrics.
-func (p *Plan) Metrics() dpe.Metrics { return p.prep.BuildMetrics() }
-
-// Eps returns the plan's replication threshold (the upper bound for
-// re-sweeps); zero for Intersects/Contains plans.
-func (p *Plan) Eps() float64 {
-	if p.cfg.Pred == extgeom.WithinDistance {
-		return p.cfg.Eps
-	}
-	return 0
-}
-
-// FootprintBytes returns the wire size of the tile-bucketed replicas.
-func (p *Plan) FootprintBytes() int64 { return p.prep.FootprintBytes() }
-
 // Encode turns objects into join tuples — the object id, the MBR center
 // as the point (cluster shuffle framing needs one), and the geometry
 // wire encoding as the payload — and returns each object's MBR beside
