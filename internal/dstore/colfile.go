@@ -165,11 +165,25 @@ func (w *ColWriter) AppendChunk(cell int64, kind byte, cols *colsweep.Cols, payl
 }
 
 // Close writes the directory, patches the header, and fsyncs the file.
+// A file that fails any of these is removed, as Abort removes it.
 func (w *ColWriter) Close() error {
 	if w.closed {
 		return nil
 	}
+	if err := w.seal(); err != nil {
+		w.Abort()
+		return err
+	}
 	w.closed = true
+	if err := w.f.Close(); err != nil {
+		os.Remove(w.path)
+		return err
+	}
+	return nil
+}
+
+// seal is Close's writes and fsync, leaving the file open.
+func (w *ColWriter) seal() error {
 	dirOff := w.off
 	db := make([]byte, 0, colDirEntry*len(w.dir)+4)
 	for _, d := range w.dir {
@@ -179,7 +193,6 @@ func (w *ColWriter) Close() error {
 		db = binary.LittleEndian.AppendUint64(db, d.offset)
 	}
 	if _, err := w.f.Write(codec.Seal(db)); err != nil {
-		w.f.Close()
 		return err
 	}
 
@@ -209,14 +222,9 @@ func (w *ColWriter) Close() error {
 	binary.LittleEndian.PutUint64(hdr[72:], dirOff)
 	binary.LittleEndian.PutUint32(hdr[80:], crc32.ChecksumIEEE(hdr[:80]))
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
-		w.f.Close()
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return w.f.Sync()
 }
 
 // Abort closes and removes a partially written file.

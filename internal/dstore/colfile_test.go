@@ -324,3 +324,25 @@ func TestJoinFilesRejectsOversizedEps(t *testing.T) {
 		t.Fatalf("JoinFiles accepted eps larger than the partitioning eps")
 	}
 }
+
+// A Close that fails partway (here: its directory write) removes the
+// file instead of leaving a headers-only one behind.
+func TestColWriterFailedCloseRemovesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "partial.col")
+	w, err := NewColWriter(path, ColOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols colsweep.Cols
+	cols.Append(1, 2, 1)
+	if err := w.AppendChunk(-1, ChunkKindNative, &cols, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.f.Close()
+	if err := w.Close(); err == nil {
+		t.Fatal("Close on a closed descriptor succeeded")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed Close left %s behind (stat: %v)", path, err)
+	}
+}
