@@ -220,6 +220,23 @@ var archGuards = []archGuard{
 		badPath: "internal/twolayer/bad.go",
 		bad:     "func sample() { i += stride }",
 	}}},
+	{"cluster facts once", []archCheck{{
+		re:      `broadcastBlob|msgTrace\b|traceMsg|decodeTrace|handleTrace|agreements\.Decode\b|\bMaxFrame\b`,
+		hint:    "a second copy of a cluster fact is back: the plan frame carries the trace context, workers get finished slabs, not the graph, and the frame cap is the protocol's maxFrame",
+		badPath: "internal/cluster/bad.go",
+		bad:     "func broadcastBlob() []byte { return nil }\nconst msgTrace = 9\ntype traceMsg struct{}\nvar _ = decodeTrace\nvar _, _ = agreements.Decode(b)\ntype Config struct{ MaxFrame int }",
+	}, {
+		re:      `\*Prepared\) Broadcast\(|\b(pr|spec)\.Broadcast\b|\bBroadcast +\[\]byte`,
+		hint:    "the plan's broadcast blob is back: no worker reads the graph; model its size with Graph.EncodedSize",
+		badPath: "internal/dpe/bad.go",
+		bad:     "func (pr *Prepared) Broadcast() []byte { return nil }\nvar _ = pr.Broadcast()\ntype Spec struct{ Broadcast []byte }",
+	}, {
+		re:      `HeartbeatInterval|HeartbeatMisses|"heartbeat"`,
+		in:      []string{"internal/cluster/", "cmd/sjoin-worker/"},
+		hint:    "cluster liveness timing is settable again: heartbeatPeriod and heartbeatMisses are protocol constants both sides read",
+		badPath: "cmd/sjoin-worker/bad.go",
+		bad:     "var _ = cluster.WorkerOptions{HeartbeatInterval: time.Second}\nvar _ = cfg.HeartbeatMisses\nvar _ = flag.Duration(\"heartbeat\", 0, \"\")",
+	}}},
 	{"join pipeline", []archCheck{{
 		re:      `s\.acquire\(`,
 		in:      []string{"internal/service/"},
@@ -472,7 +489,6 @@ func unusedExports(files []*archFile) []string {
 var exportAllow = map[string]string{
 	"agreements.BuildFromTypeFunc": "test fixture: a graph from hand-set agreement types, for the property and model tests",
 	"agreements.BuildQuartet":      "test probe: a quartet's edge weights, which the stored graph drops (paper Example 4.4)",
-	"agreements.Decode":            "test oracle: the round trip of the graph's broadcast format",
 	"dpe.Run":                      "test harness: prepare and execute one spec",
 	"extgeom.DecodeObject":         "test oracle of DecodeObjectInto",
 	"grid.PosAcross":               "test reference: the reference assignment in internal/replicate",

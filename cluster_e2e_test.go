@@ -261,13 +261,15 @@ func TestClusterFaultInjectionE2E(t *testing.T) {
 		if cm := rep.Cluster; cm.Workers != 3 || cm.TaskBytesRemote <= 0 || cm.BroadcastBytes <= 0 {
 			t.Errorf("cluster metrics implausible: %+v", cm)
 		}
+		// The graph broadcast is modelled the same on every engine; the
+		// cluster's own plan frames are counted in rep.Cluster.
+		if rep.BroadcastBytes <= 0 || rep.BroadcastBytes != localRep.BroadcastBytes {
+			t.Errorf("BroadcastBytes %d, local %d: want the same positive model", rep.BroadcastBytes, localRep.BroadcastBytes)
+		}
 	})
 
 	t.Run("worker-killed-mid-join", func(t *testing.T) {
-		coord, err := cluster.Listen("127.0.0.1:0", cluster.Config{
-			HeartbeatInterval: 50 * time.Millisecond,
-			Log:               e2eLogger(t),
-		})
+		coord, err := cluster.Listen("127.0.0.1:0", cluster.Config{Log: e2eLogger(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,8 +321,8 @@ func TestClusterFaultInjectionE2E(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatal("cluster join did not recover from the worker kill")
 		}
-		if st := coord.Stats(); st.WorkersLost == 0 {
-			t.Errorf("coordinator never declared the killed worker dead: %+v", st)
+		if n := coord.NumWorkers(); n != 2 {
+			t.Errorf("coordinator has %d live workers after one of 3 was killed, want 2", n)
 		}
 	})
 }

@@ -7,10 +7,11 @@
 // Usage:
 //
 //	sjoin-worker -connect host:7077 [-name w1] [-parallel N]
-//	             [-heartbeat 500ms] [-task-delay 0] [-log-level info]
+//	             [-task-delay 0] [-log-level info]
 //
 // -task-delay stalls every task before it runs; it exists for fault
-// injection and straggler experiments, not production use.
+// injection and straggler experiments, not production use. The
+// liveness beacon period is fixed by the cluster protocol.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"spatialjoin/internal/cluster"
 )
@@ -30,7 +30,6 @@ func main() {
 		connect   = flag.String("connect", "", "coordinator address (required), e.g. 127.0.0.1:7077")
 		name      = flag.String("name", "", "worker name in coordinator logs (default the hostname)")
 		parallel  = flag.Int("parallel", 0, "concurrent task executors (default GOMAXPROCS)")
-		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "liveness beacon period")
 		taskDelay = flag.Duration("task-delay", 0, "stall every task by this long (fault-injection aid)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	)
@@ -65,11 +64,10 @@ func main() {
 	}()
 
 	err := cluster.RunWorker(ctx, *connect, cluster.WorkerOptions{
-		Name:              *name,
-		Parallel:          *parallel,
-		HeartbeatInterval: *heartbeat,
-		TaskDelay:         *taskDelay,
-		Log:               logger,
+		Name:      *name,
+		Parallel:  *parallel,
+		TaskDelay: *taskDelay,
+		Log:       logger,
 	})
 	if err != nil {
 		logger.Error("worker exited", "worker", *name, "err", err)

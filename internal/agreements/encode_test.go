@@ -1,15 +1,11 @@
 package agreements
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
-	"slices"
-	"strings"
 	"testing"
 
 	"spatialjoin/internal/codec"
@@ -18,130 +14,21 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-func buildRandomGraph(t *testing.T, seed int64) *Graph {
-	t.Helper()
-	g := grid.New(geom.Rect{MinX: -2, MinY: 3, MaxX: 14, MaxY: 19}, 1, 2)
-	st := grid.NewStats(g)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 3000; i++ {
-		st.Add(tuple.Set(rng.Intn(2)), geom.Point{
-			X: -2 + rng.Float64()*16, Y: 3 + rng.Float64()*16,
-		})
-	}
-	return Build(st, LPiB)
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	gr := buildRandomGraph(t, 1)
-	var buf bytes.Buffer
-	if err := gr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != gr.EncodedSize() {
-		t.Fatalf("encoded %d bytes, EncodedSize promised %d", buf.Len(), gr.EncodedSize())
-	}
-	back, err := Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Policy != gr.Policy {
-		t.Fatalf("policy = %v, want %v", back.Policy, gr.Policy)
-	}
-	if back.Grid.NX != gr.Grid.NX || back.Grid.NY != gr.Grid.NY ||
-		back.Grid.Eps != gr.Grid.Eps || back.Grid.Bounds != gr.Grid.Bounds {
-		t.Fatal("grid parameters did not round trip")
-	}
-	forEachQuartet(gr, func(gx, gy int, a *Subgraph) {
-		b := back.Quartet(gx, gy)
-		if a.Cells != b.Cells || a.Ref != b.Ref {
-			t.Fatalf("quartet (%d,%d) geometry mismatch", gx, gy)
-		}
-		for i := grid.Pos(0); i < grid.NumPos; i++ {
-			for j := grid.Pos(0); j < grid.NumPos; j++ {
-				if i == j {
-					continue
-				}
-				if a.Type(i, j) != b.Type(i, j) {
-					t.Fatalf("quartet (%d,%d) edge %v->%v type mismatch", gx, gy, i, j)
-				}
-				if a.Marked(i, j) != b.Marked(i, j) {
-					t.Fatalf("quartet (%d,%d) edge %v->%v mark mismatch", gx, gy, i, j)
-				}
-				if b.Locked(i, j) {
-					t.Fatalf("quartet (%d,%d) edge %v->%v: locks are not on the wire, decoded one", gx, gy, i, j)
-				}
-			}
-		}
-	})
-	// Locks only steer Algorithm 1: the compiled tables, which are all
-	// point assignment reads, must survive the trip unchanged.
-	if !slices.Equal(gr.tables, back.tables) {
-		t.Fatal("decoded assignment tables differ from the encoded graph's")
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	gr := buildRandomGraph(t, 2)
-	var buf bytes.Buffer
-	if err := gr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("XXXX"), full[4:]...),
-		"bad version": append(append([]byte("SJAG"), 99), full[5:]...),
-		"truncated":   full[:len(full)-5],
-	}
-	for name, data := range cases {
-		if _, err := Decode(data); err == nil {
-			t.Errorf("%s: expected decode error", name)
-		}
-	}
-}
-
-// header encodes a graph header with the given grid parameters followed
-// by count zeroed quartets.
-func header(bounds geom.Rect, eps, res float64, count uint32) []byte {
-	b := append([]byte(encodeMagic), encodeVersion, byte(LPiB))
-	for _, f := range []float64{bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, eps, res} {
+// wireBytes returns the graph in the broadcast format encode.go
+// documents: the header, then each quartet's low 18 word bits as 6 type
+// bits and 12 little-endian mark bits.
+func wireBytes(gr *Graph) []byte {
+	g := gr.Grid
+	b := append([]byte("SJAG"), 1, byte(gr.Policy))
+	for _, f := range []float64{g.Bounds.MinX, g.Bounds.MinY, g.Bounds.MaxX, g.Bounds.MaxY, g.Eps, g.Res} {
 		b = codec.AppendF64(b, f)
 	}
-	b = binary.LittleEndian.AppendUint32(b, count)
-	return append(b, make([]byte, bytesPerQuartet*int(count))...)
-}
-
-// Decode fails closed on grid parameters no encoder writes: each case
-// below would otherwise build a graph over a NaN, infinite, degenerate
-// or oversized grid.
-func TestDecodeRejectsHostileGrid(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	box := geom.Rect{MaxX: 10, MaxY: 10}
-	cases := []struct {
-		name string
-		data []byte
-		want string // substring of the error
-	}{
-		{"nan eps", header(box, nan, 2, 4), "invalid grid parameters"},
-		{"inf eps", header(box, inf, 2, 4), "invalid grid parameters"},
-		{"nan bounds", header(geom.Rect{MinX: nan, MaxX: 10, MaxY: 10}, 1, 2, 4), "exceeds the limit"},
-		{"inf bounds", header(geom.Rect{MaxX: inf, MaxY: 10}, 1, 2, 4), "exceeds the limit"},
-		{"zero res", header(box, 1, 0, 4), "invalid grid parameters"},
-		{"negative res", header(box, 1, -2, 4), "invalid grid parameters"},
-		{"past MaxCells", header(geom.Rect{MaxX: 1e6, MaxY: 1e6}, 0.01, 2, 4), "exceeds the limit"},
-		{"lying count", header(box, 1, 2, 4)[:headerBytes+5], "truncated"},
-		{"trailing bytes", append(header(box, 1, 2, 36), 0), "trailing"},
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(gr.words)))
+	for _, w := range gr.words {
+		b = append(b, byte(w&typeMask))
+		b = binary.LittleEndian.AppendUint16(b, uint16(w>>markShift&edgeMask))
 	}
-	if _, err := Decode(header(box, 1, 2, 36)); err != nil {
-		t.Fatalf("well-formed 5×5-cell header: %v", err)
-	}
-	for _, c := range cases {
-		gr, err := Decode(c.data)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Decode = (%v, %v), want an error containing %q", c.name, gr != nil, err, c.want)
-		}
-	}
+	return b
 }
 
 func TestEncodedSizeScalesWithGrid(t *testing.T) {
@@ -161,7 +48,8 @@ func TestEncodedSizeScalesWithGrid(t *testing.T) {
 
 // TestEncodeBytesPinned pins the wire bytes of graphs built by every
 // edge order and both sampled policies, so a change to how the graph is
-// stored cannot move the broadcast format.
+// stored or resolved cannot move the types and marks it holds, and
+// EncodedSize counts exactly those bytes.
 func TestEncodeBytesPinned(t *testing.T) {
 	g := grid.New(geom.Rect{MaxX: 80, MaxY: 60}, 1, 2)
 	st := grid.NewStats(g)
@@ -179,13 +67,13 @@ func TestEncodeBytesPinned(t *testing.T) {
 	}
 	for _, pol := range []Policy{LPiB, DIFF} {
 		for _, order := range []Order{OrderPaper, OrderWeightOnly, OrderIndex} {
-			var buf bytes.Buffer
 			gr := BuildOrdered(st, pol, order)
-			if err := gr.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
+			b := wireBytes(gr)
 			name := pol.String() + "/" + order.String()
-			got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+			if len(b) != gr.EncodedSize() {
+				t.Errorf("%s: %d wire bytes, EncodedSize says %d", name, len(b), gr.EncodedSize())
+			}
+			got := fmt.Sprintf("%x", sha256.Sum256(b))
 			if w := want[name]; got != w {
 				t.Errorf("%s: encoding sha256 %s, want %s", name, got, w)
 			}
@@ -194,10 +82,8 @@ func TestEncodeBytesPinned(t *testing.T) {
 }
 
 // TestGraphBytesPerQuartet bounds what a graph costs in memory: each of
-// BuildOrdered, BuildFromTypeFunc and Decode allocates at most 16 bytes
-// per quartet on a 1000×1000-cell grid (a word and a compiled table are
-// 12). It also caps what a well-formed 3-byte-per-quartet broadcast can
-// make Decode allocate.
+// BuildOrdered and BuildFromTypeFunc allocates at most 16 bytes per
+// quartet on a 1000×1000-cell grid (a word and a compiled table are 12).
 func TestGraphBytesPerQuartet(t *testing.T) {
 	const side, maxBytes = 2000, 16
 	g := grid.New(geom.Rect{MaxX: side, MaxY: side}, 1, 2)
@@ -209,7 +95,7 @@ func TestGraphBytesPerQuartet(t *testing.T) {
 	for i := 0; i < 400_000; i++ {
 		st.Add(tuple.Set(rng.Intn(2)), geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side})
 	}
-	measure := func(name string, build func() *Graph) *Graph {
+	measure := func(name string, build func() *Graph) {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -225,21 +111,9 @@ func TestGraphBytesPerQuartet(t *testing.T) {
 		if marked == 0 {
 			t.Errorf("%s: no marked edge, so Algorithm 1 never ran", name)
 		}
-		return gr
 	}
-	built := measure("BuildOrdered", func() *Graph { return BuildOrdered(st, LPiB, OrderPaper) })
+	measure("BuildOrdered", func() *Graph { return BuildOrdered(st, LPiB, OrderPaper) })
 	measure("BuildFromTypeFunc", func() *Graph {
 		return BuildFromTypeFunc(g, func(ci, cj int) tuple.Set { return tuple.Set((ci ^ cj) & 1) })
-	})
-	var buf bytes.Buffer
-	if err := built.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	measure("Decode", func() *Graph {
-		gr, err := Decode(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return gr
 	})
 }

@@ -13,7 +13,7 @@ import (
 //	bits  6–17  marks, bit 6+e set when directed edge e is marked
 //	bits 18–29  locks, bit 18+e set when directed edge e is locked
 //
-// The low 18 bits are exactly the 3-byte wire record Encode writes.
+// The low 18 bits are exactly the 3-byte wire record EncodedSize counts.
 const (
 	markShift = 6
 	lockShift = 18

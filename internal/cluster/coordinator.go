@@ -32,15 +32,10 @@ var ErrKernelNotPortable = errors.New("cluster: plan kernel cannot run on remote
 // declared failed.
 const maxTaskRetries = 8
 
-// Config tunes the coordinator. Zero values select defaults.
+// Config tunes the coordinator. Zero values select defaults. Liveness
+// timing and the frame cap are protocol constants (see proto.go), not
+// settings, so coordinator and workers cannot disagree on them.
 type Config struct {
-	// HeartbeatInterval is the expected worker beacon period; default
-	// 500ms. A worker silent for HeartbeatMisses intervals is declared
-	// dead and its tasks are re-queued.
-	HeartbeatInterval time.Duration
-	// HeartbeatMisses is the tolerated number of missed beacons;
-	// default 5.
-	HeartbeatMisses int
 	// StragglerMin is the floor a task must run before it can be
 	// speculatively duplicated; default 2s.
 	StragglerMin time.Duration
@@ -48,28 +43,17 @@ type Config struct {
 	// speculation threshold (threshold = max(StragglerMin, factor ×
 	// median)); default 3.
 	StragglerFactor float64
-	// MaxFrame bounds one protocol frame; default 1 GiB.
-	MaxFrame int
 	// Log receives structured progress and fault events; nil discards
 	// them.
 	Log *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 5
-	}
 	if c.StragglerMin <= 0 {
 		c.StragglerMin = 2 * time.Second
 	}
 	if c.StragglerFactor <= 0 {
 		c.StragglerFactor = 3
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = defaultMaxFrame
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
@@ -77,45 +61,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time snapshot of the coordinator's lifetime
-// counters.
-type Stats struct {
-	Workers       int   // currently live worker processes
-	WorkersJoined int64 // handshakes accepted since start
-	WorkersLost   int64 // workers declared dead (conn error or heartbeat miss)
-
-	Tasks               int64 // tasks completed across all runs
-	Retries             int64 // task re-executions after failures
-	SpeculativeLaunched int64 // duplicate attempts launched for stragglers
-	SpeculativeWins     int64 // speculative attempts that finished first
-
-	TaskBytesLocal  int64 // streamed task bytes headed to the map-local worker
-	TaskBytesRemote int64 // streamed task bytes crossing worker boundaries
-	BroadcastBytes  int64 // plan frames shipped (grid, agreements, placement)
-	ResultBytes     int64 // result frames received
-}
-
 // Coordinator accepts worker connections and executes prepared joins on
 // them. It implements the engine side of the protocol; its Engine method
 // adapts it to dpe.Engine so orchestrators can treat it as a drop-in
-// backend.
+// backend. Each execution reports its own counters in
+// dpe.Result.Cluster; the coordinator keeps none across runs.
 type Coordinator struct {
 	cfg Config
 	ln  net.Listener
 
 	mu       sync.Mutex
+	conns    map[net.Conn]struct{} // accepted connections, workers or mid-handshake
 	workers  map[int64]*remote
 	runs     map[uint64]*run
 	nextWID  int64
 	memberCh chan struct{} // closed and replaced on every membership change
 	closed   bool
 
-	nextPlan atomic.Uint64
+	quit chan struct{}  // closed by Close: stops monitorLoop
+	wg   sync.WaitGroup // acceptLoop, monitorLoop and one per connection
 
-	stWorkersJoined, stWorkersLost               atomic.Int64
-	stTasks, stRetries, stSpecLaunch, stSpecWins atomic.Int64
-	stBytesLocal, stBytesRemote                  atomic.Int64
-	stBroadcast, stResultBytes                   atomic.Int64
+	nextPlan atomic.Uint64
 }
 
 // remote is the coordinator's handle on one connected worker.
@@ -147,10 +113,13 @@ func Listen(addr string, cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:      cfg.withDefaults(),
 		ln:       ln,
+		conns:    map[net.Conn]struct{}{},
 		workers:  map[int64]*remote{},
 		runs:     map[uint64]*run{},
 		memberCh: make(chan struct{}),
+		quit:     make(chan struct{}),
 	}
+	c.wg.Add(2)
 	go c.acceptLoop()
 	go c.monitorLoop()
 	return c, nil
@@ -159,8 +128,9 @@ func Listen(addr string, cfg Config) (*Coordinator, error) {
 // Addr returns the coordinator's listen address.
 func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
 
-// Close stops accepting workers and disconnects the connected ones.
-// In-flight runs fail with ErrNoWorkers.
+// Close stops accepting workers, disconnects every connection and
+// returns once the coordinator's own goroutines have exited. In-flight
+// runs fail with ErrNoWorkers.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -168,15 +138,19 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	workers := make([]*remote, 0, len(c.workers))
-	for _, w := range c.workers {
-		workers = append(workers, w)
+	conns := make([]net.Conn, 0, len(c.conns))
+	for conn := range c.conns {
+		conns = append(conns, conn)
 	}
 	c.mu.Unlock()
+	close(c.quit)
 	err := c.ln.Close()
-	for _, w := range workers {
-		c.dropWorker(w, errors.New("coordinator closed"))
+	// A closed connection fails its reader, which drops the worker and
+	// re-queues (here: fails) its runs' tasks.
+	for _, conn := range conns {
+		conn.Close()
 	}
+	c.wg.Wait()
 	return err
 }
 
@@ -208,23 +182,6 @@ func (c *Coordinator) WaitForWorkers(ctx context.Context, n int) error {
 	}
 }
 
-// Stats snapshots the lifetime counters.
-func (c *Coordinator) Stats() Stats {
-	return Stats{
-		Workers:             c.NumWorkers(),
-		WorkersJoined:       c.stWorkersJoined.Load(),
-		WorkersLost:         c.stWorkersLost.Load(),
-		Tasks:               c.stTasks.Load(),
-		Retries:             c.stRetries.Load(),
-		SpeculativeLaunched: c.stSpecLaunch.Load(),
-		SpeculativeWins:     c.stSpecWins.Load(),
-		TaskBytesLocal:      c.stBytesLocal.Load(),
-		TaskBytesRemote:     c.stBytesRemote.Load(),
-		BroadcastBytes:      c.stBroadcast.Load(),
-		ResultBytes:         c.stResultBytes.Load(),
-	}
-}
-
 // Engine adapts the coordinator to the data-parallel engine's pluggable
 // backend interface.
 func (c *Coordinator) Engine() dpe.Engine { return engine{c} }
@@ -232,12 +189,28 @@ func (c *Coordinator) Engine() dpe.Engine { return engine{c} }
 // acceptLoop admits workers: each connection must open with a hello
 // frame before it joins the pool.
 func (c *Coordinator) acceptLoop() {
+	defer c.wg.Done()
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		go c.handshake(conn)
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			conn.Close()
+			return
+		}
+		c.conns[conn] = struct{}{}
+		c.wg.Add(1)
+		c.mu.Unlock()
+		go func() {
+			defer c.wg.Done()
+			c.handshake(conn)
+			c.mu.Lock()
+			delete(c.conns, conn)
+			c.mu.Unlock()
+		}()
 	}
 }
 
@@ -263,18 +236,12 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	w := &remote{name: hello.name, conn: conn}
 	w.lastSeen.Store(time.Now().UnixNano())
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return
-	}
 	c.nextWID++
 	w.id = c.nextWID
 	c.workers[w.id] = w
 	close(c.memberCh)
 	c.memberCh = make(chan struct{})
 	c.mu.Unlock()
-	c.stWorkersJoined.Add(1)
 	c.cfg.Log.Info("worker joined",
 		"worker", w.id, "name", w.name, "addr", conn.RemoteAddr().String())
 
@@ -284,7 +251,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 // readLoop consumes a worker's frames until the connection breaks.
 func (c *Coordinator) readLoop(w *remote, br *bufio.Reader) {
 	for {
-		typ, payload, err := readFrame(br, c.cfg.MaxFrame)
+		typ, payload, err := readFrame(br, maxFrame)
 		if err != nil {
 			c.dropWorker(w, err)
 			return
@@ -308,25 +275,26 @@ func (c *Coordinator) readLoop(w *remote, br *bufio.Reader) {
 
 // monitorLoop declares workers dead when their heartbeats stop.
 func (c *Coordinator) monitorLoop() {
-	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
+	defer c.wg.Done()
+	ticker := time.NewTicker(heartbeatPeriod)
 	defer ticker.Stop()
-	limit := time.Duration(c.cfg.HeartbeatMisses) * c.cfg.HeartbeatInterval
-	for range ticker.C {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
+	for {
+		select {
+		case <-c.quit:
 			return
+		case <-ticker.C:
 		}
+		c.mu.Lock()
 		var stale []*remote
 		now := time.Now().UnixNano()
 		for _, w := range c.workers {
-			if now-w.lastSeen.Load() > int64(limit) {
+			if now-w.lastSeen.Load() > int64(heartbeatMisses*heartbeatPeriod) {
 				stale = append(stale, w)
 			}
 		}
 		c.mu.Unlock()
 		for _, w := range stale {
-			c.dropWorker(w, fmt.Errorf("missed %d heartbeats", c.cfg.HeartbeatMisses))
+			c.dropWorker(w, fmt.Errorf("missed %d heartbeats", heartbeatMisses))
 		}
 	}
 }
@@ -348,7 +316,6 @@ func (c *Coordinator) dropWorker(w *remote, cause error) {
 	}
 	closed := c.closed
 	c.mu.Unlock()
-	c.stWorkersLost.Add(1)
 	if !closed {
 		c.cfg.Log.Warn("worker lost", "worker", w.id, "name", w.name, "cause", cause)
 	}
@@ -413,8 +380,8 @@ type attempt struct {
 // engine adapts the coordinator to dpe.Engine.
 type engine struct{ c *Coordinator }
 
-// ExecutePrepared implements dpe.Engine: broadcast the plan, stream the
-// partitions to their owners, collect results with retry and
+// ExecutePrepared implements dpe.Engine: send each worker the plan,
+// stream the partitions to their owners, collect results with retry and
 // speculation, and assemble the metrics.
 func (e engine) ExecutePrepared(ctx context.Context, pr *dpe.Prepared, opt dpe.ExecOptions) (*dpe.Result, error) {
 	c := e.c
@@ -436,39 +403,32 @@ func (e engine) ExecutePrepared(ctx context.Context, pr *dpe.Prepared, opt dpe.E
 	execSp.SetStr("engine", "cluster")
 	defer execSp.End()
 
-	// ---- Plan broadcast (Algorithm 5 line 6, in real bytes): grid,
-	// agreements and placement travel to every worker before any tuple.
-	planFrame := appendFrame(msgPlan, planMsg{
+	// ---- One plan frame per worker before any tuple. The coordinator
+	// mapped and replicated already, so the frame carries only what the
+	// worker's kernel needs, plus the trace context: a traced join gives
+	// each worker its own span-id base so remote spans stitch without
+	// collisions.
+	plan := planMsg{
 		id:         r.id,
 		eps:        opt.Eps,
 		selfFilter: pr.SelfFilter(),
 		collect:    opt.Collect,
 		kernel:     kd,
-		broadcast:  pr.Broadcast(),
-	}.encode())
+	}
+	if r.tr != nil {
+		plan.traceID, plan.parent = r.traceID, uint64(execSp.SpanID())
+	}
 	for _, w := range c.liveWorkers() {
-		if err := w.send(planFrame); err != nil {
+		if r.tr != nil {
+			plan.idBase = uint64(w.id) << 40
+		}
+		frame := appendFrame(msgPlan, plan.encode())
+		if err := w.send(frame); err != nil {
 			c.dropWorker(w, err)
 			continue
 		}
-		if r.tr != nil {
-			// Hand the recipient the trace context right after the plan on
-			// the same ordered connection: trace id, the execute span its
-			// task spans parent under, and a worker-unique span-id base so
-			// remote spans stitch without collisions.
-			traceFrame := appendFrame(msgTrace, traceMsg{
-				plan:    r.id,
-				traceID: r.traceID,
-				parent:  uint64(execSp.SpanID()),
-				idBase:  uint64(w.id) << 40,
-			}.encode())
-			if err := w.send(traceFrame); err != nil {
-				c.dropWorker(w, err)
-				continue
-			}
-		}
 		r.workers = append(r.workers, w)
-		r.cm.BroadcastBytes += int64(len(planFrame))
+		r.cm.BroadcastBytes += int64(len(frame))
 	}
 	if len(r.workers) == 0 {
 		return nil, ErrNoWorkers
@@ -483,7 +443,6 @@ func (e engine) ExecutePrepared(ctx context.Context, pr *dpe.Prepared, opt dpe.E
 		c.mu.Lock()
 		delete(c.runs, r.id)
 		c.mu.Unlock()
-		c.accumulate(r)
 	}()
 
 	// ---- Task construction: one task per reduce partition that holds
@@ -550,7 +509,6 @@ func (e engine) ExecutePrepared(ctx context.Context, pr *dpe.Prepared, opt dpe.E
 	}
 	res.Cluster = r.cm
 	r.mu.Unlock()
-	res.BroadcastBytes = res.Cluster.BroadcastBytes
 	return res, nil
 }
 
@@ -894,19 +852,4 @@ func (c *Coordinator) handleSpans(w *remote, payload []byte) {
 		return // plan finished, or an untraced run
 	}
 	r.tr.AddSpans(m.spans)
-}
-
-// accumulate folds a finished run's counters into the lifetime stats.
-func (c *Coordinator) accumulate(r *run) {
-	r.mu.Lock()
-	cm := r.cm
-	r.mu.Unlock()
-	c.stTasks.Add(cm.Tasks)
-	c.stRetries.Add(cm.Retries)
-	c.stSpecLaunch.Add(cm.SpeculativeLaunched)
-	c.stSpecWins.Add(cm.SpeculativeWins)
-	c.stBytesLocal.Add(cm.TaskBytesLocal)
-	c.stBytesRemote.Add(cm.TaskBytesRemote)
-	c.stBroadcast.Add(cm.BroadcastBytes)
-	c.stResultBytes.Add(cm.ResultBytes)
 }

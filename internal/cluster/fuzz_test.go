@@ -44,9 +44,14 @@ func FuzzFrame(f *testing.F) {
 			Bounds:  geom.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4},
 			GridEps: 0.5, GridRes: 2,
 		},
-		broadcast: []byte("opaque plan bytes"),
 	}
-	f.Add(appendFrame(msgPlan, refPlan.encode()))
+	f.Add(appendFrame(msgPlan, refPlan.encode())) // untraced: zero trace fields
+	tracedPlan := refPlan
+	tracedPlan.traceID, tracedPlan.parent, tracedPlan.idBase = 99, 3, 1<<40
+	traced := tracedPlan.encode()
+	f.Add(appendFrame(msgPlan, traced))
+	f.Add(appendFrame(msgPlan, traced[:len(traced)-12])) // cut inside the trace fields
+
 	refPlan.kernel.GridEps = 0 // grid.New panics on it
 	f.Add(appendFrame(msgPlan, refPlan.encode()))
 	f.Add(appendFrame(msgPlan, planMsg{id: 8, eps: 0.5, kernel: dpe.KernelDesc{
@@ -63,13 +68,11 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendFrame(msgCancel, cancelMsg{plan: 7, part: 3}.encode()))
 	f.Add(appendFrame(msgPlanDone, encodePlanDone(7)))
 
-	// Trace-context and span frames of the v2 protocol.
-	traceFrame := traceMsg{plan: 7, traceID: 99, parent: 3, idBase: 1 << 40}.encode()
-	f.Add(appendFrame(msgTrace, traceFrame))
-	f.Add(appendFrame(msgTrace, traceFrame[:10])) // truncated mid-field
-	wrongVersion := append([]byte(nil), traceFrame...)
-	wrongVersion[0] = protoVersion + 1
-	f.Add(appendFrame(msgTrace, wrongVersion))
+	// Type 9, the trace-context frame of protocols v2–v4, which a v5
+	// worker refuses as an unexpected type.
+	f.Add(appendFrame(9, make([]byte, 33)))
+
+	// Span frames.
 	f.Add(appendFrame(msgSpans, spansMsg{plan: 7, spans: []obs.Span{
 		{ID: 1<<40 | 1, Parent: 3, Name: obs.SpanTask, Worker: "w1",
 			Start: 100, Done: 200,
@@ -151,8 +154,6 @@ func FuzzFrame(f *testing.F) {
 				decodeCancel(payload)
 			case msgPlanDone:
 				decodePlanDone(payload)
-			case msgTrace:
-				decodeTrace(payload)
 			case msgSpans:
 				decodeSpans(payload)
 			}

@@ -49,16 +49,21 @@ func decodeHello(b []byte) (helloMsg, error) {
 	return m, short(&r, "hello")
 }
 
-// planMsg is the coordinator → worker broadcast of one execution's plan:
-// the join parameters, the kernel description, and the opaque broadcast
-// blob (encoded grid + graph of agreements + LPT placement).
+// planMsg is the coordinator → worker plan of one execution, sent to
+// each worker once: the join parameters, the kernel description and the
+// trace context. The trace context is the trace id, the execute span
+// the worker's task spans parent under, and a per-worker span-id base so
+// ids minted in different processes never collide when stitched at the
+// coordinator; all three are zero when the join is untraced.
 type planMsg struct {
 	id         uint64
 	eps        float64
 	selfFilter bool
 	collect    bool
 	kernel     dpe.KernelDesc
-	broadcast  []byte
+	traceID    uint64
+	parent     uint64 // span id worker task spans hang under
+	idBase     uint64 // first span id (exclusive) this worker may mint
 }
 
 const (
@@ -98,8 +103,9 @@ func (m planMsg) encode() []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.kernel.TileNY))
 		b = append(b, m.kernel.Predicate)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.broadcast)))
-	return append(b, m.broadcast...)
+	b = binary.LittleEndian.AppendUint64(b, m.traceID)
+	b = binary.LittleEndian.AppendUint64(b, m.parent)
+	return binary.LittleEndian.AppendUint64(b, m.idBase)
 }
 
 func decodePlan(b []byte) (planMsg, error) {
@@ -122,7 +128,7 @@ func decodePlan(b []byte) (planMsg, error) {
 		k.TileNX, k.TileNY = int(r.U32()), int(r.U32())
 		k.Predicate = r.U8()
 	}
-	m.broadcast = append([]byte(nil), r.Bytes(int(r.U32()))...)
+	m.traceID, m.parent, m.idBase = r.U64(), r.U64(), r.U64()
 	if err := short(&r, "plan"); err != nil {
 		return m, err
 	}
@@ -296,40 +302,6 @@ func decodeCancel(b []byte) (cancelMsg, error) {
 	r := codec.NewReader(b)
 	m := cancelMsg{plan: r.U64(), part: r.U32()}
 	return m, short(&r, "cancel")
-}
-
-// traceMsg hands a worker the trace context for one plan: the trace id,
-// the execute span its task spans should parent under, and a per-worker
-// span-id base so ids minted in different processes never collide when
-// stitched at the coordinator. The version byte is echoed so a frame
-// replayed across protocol revisions is rejected rather than misparsed.
-type traceMsg struct {
-	version byte
-	plan    uint64
-	traceID uint64
-	parent  uint64 // span id worker task spans hang under
-	idBase  uint64 // first span id (exclusive) this worker may mint
-}
-
-func (m traceMsg) encode() []byte {
-	b := append([]byte(nil), protoVersion)
-	b = binary.LittleEndian.AppendUint64(b, m.plan)
-	b = binary.LittleEndian.AppendUint64(b, m.traceID)
-	b = binary.LittleEndian.AppendUint64(b, m.parent)
-	return binary.LittleEndian.AppendUint64(b, m.idBase)
-}
-
-func decodeTrace(b []byte) (traceMsg, error) {
-	r := codec.NewReader(b)
-	m := traceMsg{version: r.U8()}
-	if r.Err() == nil && m.version != protoVersion {
-		return m, fmt.Errorf("cluster: trace frame speaks protocol v%d, want v%d", m.version, protoVersion)
-	}
-	m.plan = r.U64()
-	m.traceID = r.U64()
-	m.parent = r.U64()
-	m.idBase = r.U64()
-	return m, short(&r, "trace")
 }
 
 // spansMsg ships a batch of finished worker-side spans back to the

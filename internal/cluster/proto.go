@@ -2,9 +2,10 @@
 // data-parallel engine: a coordinator and N worker processes connected
 // over TCP with a length-prefixed binary protocol. Where the local
 // engine simulates workers in-process and models shuffle bytes, the
-// cluster engine ships the prepared plan (grid, agreements, LPT
-// placement) and the partition-bucketed tuples over actual sockets, so
-// the replication decisions of the paper drive measured network bytes.
+// cluster engine ships one plan frame per worker (ε, join flags, kernel
+// description, trace context) and the partition-bucketed tuples over
+// actual sockets, so the replication decisions of the paper drive
+// measured network bytes.
 //
 // The coordinator owns the prepared partitions (the product of the map +
 // shuffle phases) and streams each reduce partition to its owning worker
@@ -30,17 +31,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 )
 
 // protoVersion is bumped on any incompatible frame change.
-// v2 added the trace-context (msgTrace) and span-shipping (msgSpans)
-// frames that stitch worker-process spans into the coordinator's trace.
+// v2 added the trace-context and span-shipping (msgSpans) frames that
+// stitch worker-process spans into the coordinator's trace.
 // v3 added the columnar task frame (msgTaskCols): a reduce partition
 // shipped as kernel-ready slab columns instead of per-record tuples.
 // v4 made it the only task frame: the per-record frame (type 4) is
 // retired and each slab gains an optional length-prefixed payload
 // column, so payload-carrying joins ship column-wise too.
-const protoVersion = 4
+// v5 folds the trace context into the plan frame, which the
+// coordinator now sends each worker once per execution, and drops the
+// plan's unread graph-of-agreements blob: the coordinator maps and
+// replicates, so workers receive finished slabs. Type 9, the separate
+// trace-context frame, is retired.
+const protoVersion = 5
 
 // helloMagic opens the worker → coordinator handshake.
 const helloMagic = "SJWK"
@@ -49,22 +56,30 @@ const helloMagic = "SJWK"
 const (
 	msgHello     byte = 1  // worker → coordinator: magic, version, name
 	msgHeartbeat byte = 2  // worker → coordinator: liveness beacon
-	msgPlan      byte = 3  // coordinator → worker: per-execution plan broadcast
+	msgPlan      byte = 3  // coordinator → worker: one execution's plan and trace context
 	msgResult    byte = 5  // worker → coordinator: one task's join outcome
 	msgTaskErr   byte = 6  // worker → coordinator: task execution failed
 	msgCancel    byte = 7  // coordinator → worker: drop a task (speculation lost)
 	msgPlanDone  byte = 8  // coordinator → worker: plan finished, free its state
-	msgTrace     byte = 9  // coordinator → worker: trace context for a plan
 	msgSpans     byte = 10 // worker → coordinator: finished spans of one task
 	msgTaskCols  byte = 11 // coordinator → worker: one reduce partition as columnar slabs
 
-	// Type 4 was the per-record task frame of protocols v1–v3; it stays
-	// unassigned.
+	// Type 4 was the per-record task frame of protocols v1–v3 and type 9
+	// the trace-context frame of v2–v4; both stay unassigned.
 )
 
-// defaultMaxFrame bounds a single frame; a task carries a whole reduce
+// Liveness timing, part of the protocol so both sides read one value:
+// a worker beacons every heartbeatPeriod, and the coordinator declares
+// a worker silent for heartbeatMisses periods dead and re-queues its
+// tasks.
+const (
+	heartbeatPeriod = 500 * time.Millisecond
+	heartbeatMisses = 5
+)
+
+// maxFrame bounds a single frame; a task carries a whole reduce
 // partition, so the cap is generous.
-const defaultMaxFrame = 1 << 30
+const maxFrame = 1 << 30
 
 // frame length prefix + type byte.
 const frameHeader = 4 + 1

@@ -60,9 +60,9 @@ func TestClusterTaskErrRequeues(t *testing.T) {
 	if want.N == 0 {
 		t.Fatal("the workload has no pairs")
 	}
-	if calls.Load() < 2 || got.Cluster.Retries < 1 || h.coord.Stats().WorkersLost != 0 {
-		t.Fatalf("%d kernel calls, %d retries, %d workers lost: want the failed attempt re-queued on a live worker",
-			calls.Load(), got.Cluster.Retries, h.coord.Stats().WorkersLost)
+	if calls.Load() < 2 || got.Cluster.Retries < 1 || h.coord.NumWorkers() != 2 {
+		t.Fatalf("%d kernel calls, %d retries, %d of 2 workers live: want the failed attempt re-queued on a live worker",
+			calls.Load(), got.Cluster.Retries, h.coord.NumWorkers())
 	}
 }
 

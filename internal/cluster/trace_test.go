@@ -9,25 +9,33 @@ import (
 	"spatialjoin/internal/obs"
 )
 
-// TestTraceWireRoundTrip checks the v2 trace frames encode/decode
-// losslessly, including typed attributes.
+// TestTraceWireRoundTrip checks the trace context travels inside the
+// plan frame — a traced plan installs a tracer minting span ids above
+// the worker's base under the execute span, an untraced one none, and a
+// frame cut inside the trace fields is refused — and that span frames
+// encode/decode losslessly, including typed attributes.
 func TestTraceWireRoundTrip(t *testing.T) {
-	tm := traceMsg{plan: 42, traceID: 7, parent: 3, idBase: 5 << 40}
-	got, err := decodeTrace(tm.encode())
-	if err != nil {
-		t.Fatalf("decodeTrace: %v", err)
+	sweepKernel := dpe.KernelDesc{Kind: dpe.KernelSweep}
+	traced := planMsg{id: 42, eps: 1, kernel: sweepKernel, traceID: 7, parent: 3, idBase: 5 << 40}.encode()
+	w := discardWorker()
+	if err := w.handlePlan(traced); err != nil {
+		t.Fatal(err)
 	}
-	got.version = 0
-	tm.version = 0
-	if got != tm {
-		t.Fatalf("trace round trip: got %+v, want %+v", got, tm)
+	p := w.plans[42]
+	if p.tr.TraceID() != 7 || p.parent != 3 {
+		t.Fatalf("traced plan installed trace %d under span %d, want trace 7 under span 3", p.tr.TraceID(), p.parent)
 	}
-
-	bad := tm
-	badBytes := bad.encode()
-	badBytes[0] = protoVersion + 1
-	if _, err := decodeTrace(badBytes); err == nil {
-		t.Fatal("decodeTrace accepted a wrong-version frame")
+	if sp := p.tr.Start(p.parent, obs.SpanTask); sp.SpanID() != 5<<40+1 {
+		t.Fatalf("first worker span id %d, want %d: ids must start above the plan's base", sp.SpanID(), 5<<40+1)
+	}
+	if err := w.handlePlan(planMsg{id: 43, eps: 1, kernel: sweepKernel}.encode()); err != nil {
+		t.Fatal(err)
+	}
+	if tr := w.plans[43].tr; tr != nil {
+		t.Fatalf("untraced plan installed tracer %d, want none", tr.TraceID())
+	}
+	if _, err := decodePlan(traced[:len(traced)-12]); err == nil {
+		t.Fatal("plan frame cut inside its trace fields accepted")
 	}
 
 	sm := spansMsg{plan: 42, spans: []obs.Span{

@@ -27,14 +27,9 @@ type WorkerOptions struct {
 	// Parallel is the number of concurrent task executors; default
 	// GOMAXPROCS.
 	Parallel int
-	// HeartbeatInterval is the liveness beacon period; default 500ms and
-	// must stay below the coordinator's miss window.
-	HeartbeatInterval time.Duration
 	// TaskDelay stalls every task before it runs — a fault-injection and
 	// straggler-simulation aid for tests; default 0.
 	TaskDelay time.Duration
-	// MaxFrame bounds one protocol frame; default 1 GiB.
-	MaxFrame int
 	// Log receives structured progress events; nil discards them.
 	Log *slog.Logger
 }
@@ -46,28 +41,21 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = defaultMaxFrame
-	}
 	if o.Log == nil {
 		o.Log = slog.New(slog.DiscardHandler)
 	}
 	return o
 }
 
-// workerPlan is the worker-side state of one broadcast plan.
+// workerPlan is the worker-side state of one plan.
 type workerPlan struct {
 	eps        float64
 	selfFilter bool
 	collect    bool
 	kernel     dpe.Kernel
 
-	// Trace context, installed by a msgTrace frame following the plan.
-	// tr is nil when the coordinator's join is untraced, so task spans
-	// cost nothing.
+	// Trace context from the plan frame. tr is nil when the
+	// coordinator's join is untraced, so task spans cost nothing.
 	tr     *obs.Tracer
 	parent obs.SpanID
 
@@ -124,11 +112,12 @@ func (w *workerState) send(frame []byte) error {
 
 // RunWorker connects to the coordinator at addr and serves tasks until
 // ctx is cancelled (returns nil) or the connection breaks (returns the
-// read error). One process typically hosts exactly one RunWorker call.
+// read error). It returns only after every goroutine it started has
+// exited. One process typically hosts exactly one RunWorker call.
 func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 	opt = opt.withDefaults()
 	ctx, stop := context.WithCancel(ctx)
-	defer stop() // running tasks end with the worker
+	defer stop()
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -150,22 +139,35 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 	}
 	opt.Log.Info("worker connected", "worker", opt.Name, "coordinator", addr)
 
-	// The context watcher unblocks the read loop by closing the socket.
-	stopped := make(chan struct{})
-	defer close(stopped)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stopped:
-		}
+	// On return, cancelling ctx ends every plan's tasks and the
+	// heartbeat, and the watcher closes the socket so no send blocks;
+	// then wait for the executors, heartbeat and watcher.
+	tasks := make(chan workerTask, 1024)
+	var wg sync.WaitGroup
+	defer func() {
+		stop()
+		close(tasks)
+		wg.Wait()
 	}()
+	goWait := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+
+	// The context watcher unblocks the read loop by closing the socket.
+	goWait(func() {
+		<-ctx.Done()
+		conn.Close()
+	})
 
 	// Heartbeats ride their own ticker so long task queues never starve
 	// liveness.
 	heartbeat := appendFrame(msgHeartbeat, nil)
-	go func() {
-		ticker := time.NewTicker(opt.HeartbeatInterval)
+	goWait(func() {
+		ticker := time.NewTicker(heartbeatPeriod)
 		defer ticker.Stop()
 		for {
 			select {
@@ -173,27 +175,25 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 				if w.send(heartbeat) != nil {
 					return
 				}
-			case <-stopped:
+			case <-ctx.Done():
 				return
 			}
 		}
-	}()
+	})
 
 	// Task executors drain a buffered queue so the read loop stays
 	// responsive to cancels and new plans while joins run.
-	tasks := make(chan workerTask, 1024)
-	defer close(tasks)
 	for i := 0; i < opt.Parallel; i++ {
-		go func() {
+		goWait(func() {
 			for t := range tasks {
 				w.runTask(t)
 			}
-		}()
+		})
 	}
 
 	br := bufio.NewReader(conn)
 	for {
-		typ, payload, err := readFrame(br, opt.MaxFrame)
+		typ, payload, err := readFrame(br, maxFrame)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -209,10 +209,6 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 		switch typ {
 		case msgPlan:
 			if err := w.handlePlan(payload); err != nil {
-				return err
-			}
-		case msgTrace:
-			if err := w.handleTrace(payload); err != nil {
 				return err
 			}
 		case msgTaskCols:
@@ -245,8 +241,10 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 	}
 }
 
-// handlePlan installs a broadcast plan, rebuilding its kernel from the
-// wire description.
+// handlePlan installs a plan, rebuilding its kernel from the wire
+// description and, for a traced join, a tracer that mints task spans
+// from the coordinator-assigned id base, so the stitched trace stays
+// collision-free across processes.
 func (w *workerState) handlePlan(payload []byte) error {
 	m, err := decodePlan(payload)
 	if err != nil {
@@ -257,12 +255,16 @@ func (w *workerState) handlePlan(payload []byte) error {
 		return fmt.Errorf("cluster: plan %d: %w", m.id, err)
 	}
 	p := &workerPlan{eps: m.eps, selfFilter: m.selfFilter, collect: m.collect, kernel: kernel, parts: map[uint32]taskCtx{}}
+	if m.traceID != 0 {
+		p.tr = obs.NewWithID(obs.TraceID(m.traceID), obs.SpanID(m.idBase))
+		p.parent = obs.SpanID(m.parent)
+	}
 	p.ctx, p.cancel = context.WithCancel(w.ctx)
 	w.mu.Lock()
 	w.plans[m.id] = p
 	w.mu.Unlock()
 	w.opt.Log.Info("plan installed",
-		"worker", w.opt.Name, "plan", m.id, "eps", m.eps, "broadcast_bytes", len(m.broadcast))
+		"worker", w.opt.Name, "plan", m.id, "eps", m.eps, "trace", m.traceID)
 	return nil
 }
 
@@ -307,25 +309,6 @@ func (w *workerState) planDone(id uint64) {
 		delete(w.plans, id)
 	}
 	w.mu.Unlock()
-}
-
-// handleTrace attaches trace context to an installed plan. The worker
-// mints its task spans from the coordinator-assigned id base, so the
-// stitched trace stays collision-free across processes.
-func (w *workerState) handleTrace(payload []byte) error {
-	m, err := decodeTrace(payload)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	if p := w.plans[m.plan]; p != nil {
-		p.tr = obs.NewWithID(obs.TraceID(m.traceID), obs.SpanID(m.idBase))
-		p.parent = obs.SpanID(m.parent)
-	}
-	w.mu.Unlock()
-	w.opt.Log.Debug("trace context installed",
-		"worker", w.opt.Name, "plan", m.plan, "trace", m.traceID)
-	return nil
 }
 
 // runTask joins one reduce partition and reports the outcome. Panics are

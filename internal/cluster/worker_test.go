@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"net"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/colpipe"
@@ -34,7 +36,7 @@ func TestWorkerStopsCancelledTask(t *testing.T) {
 				defer close(sent)
 				br := bufio.NewReader(coord)
 				for {
-					typ, _, err := readFrame(br, defaultMaxFrame)
+					typ, _, err := readFrame(br, maxFrame)
 					if err != nil {
 						return
 					}
@@ -91,5 +93,33 @@ func TestWorkerStopsCancelledTask(t *testing.T) {
 					groups, results, other, wantGroups, wantResults)
 			}
 		})
+	}
+}
+
+// TestWorkerRefusesRetiredFrame sends a worker the type-9 trace-context
+// frame of protocols v2–v4 right after its hello: a v5 worker carries
+// the trace context in the plan frame and must refuse the frame as an
+// unexpected type rather than skip it.
+func TestWorkerRefusesRetiredFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- RunWorker(context.Background(), ln.Addr().String(), WorkerOptions{Name: "w"}) }()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if typ, _, err := readFrame(bufio.NewReader(conn), 1<<16); err != nil || typ != msgHello {
+		t.Fatalf("first frame: type %d, err %v, want a hello", typ, err)
+	}
+	if _, err := conn.Write(appendFrame(9, make([]byte, 33))); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "unexpected frame type 9") {
+		t.Fatalf("RunWorker = %v, want an unexpected-frame error", err)
 	}
 }

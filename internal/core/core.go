@@ -20,9 +20,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -67,10 +65,8 @@ type Config struct {
 
 	// Engine selects the execution backend for the partition-level joins:
 	// nil runs them on the in-process local engine; a cluster engine ships
-	// them to remote worker processes. With a non-nil Engine the plan also
-	// carries the encoded graph of agreements and LPT placement as the
-	// broadcast blob workers receive (Algorithm 5's driver broadcast, in
-	// real bytes).
+	// them to remote worker processes. The plan is built here either way,
+	// so a cluster engine ships finished partitions, not the graph.
 	Engine dpe.Engine
 
 	// Tracer records phase spans (plan → sample/partition/replicate/
@@ -84,7 +80,7 @@ type Config struct {
 // hands it the resolved Input, the join's dpe.Spec with everything
 // common already filled in, and the Plan to report on; the scheme fills
 // in what varies — Cells (and CellRank), AssignR/AssignS, Part, Kernel
-// with its KernelDesc, Dedup, Broadcast — and the Plan's Grid, Graph,
+// with its KernelDesc, Dedup — and the Plan's Grid, Graph,
 // SampleTime, BuildTime and BroadcastBytes where it has them.
 //
 // A scheme must guarantee what dpe relies on: each Assign emits the
@@ -140,7 +136,8 @@ type Plan struct {
 	prep *dpe.Prepared
 
 	// SampleTime and BuildTime are the construction-phase timings;
-	// BroadcastBytes is the graph's wire size per receiving node.
+	// BroadcastBytes is the modelled Algorithm-5 broadcast, the graph's
+	// wire size times the workers.
 	SampleTime, BuildTime time.Duration
 	BroadcastBytes        int64
 }
@@ -279,11 +276,9 @@ func Adaptive(in Input, spec *dpe.Spec, p *Plan, st *grid.Stats, gr *agreements.
 	// adjacent.
 	spec.Cells = gr.Grid.NumCells()
 	spec.CellRank = colpipe.HilbertRanks(gr.Grid.NX, gr.Grid.NY)
-	if in.Engine != nil {
-		spec.Broadcast = broadcastBlob(gr, spec.Part)
-	}
-	// The resolved graph is broadcast to every worker (Algorithm 5,
-	// line 6); account its wire size per receiving node.
+	// Algorithm 5 (line 6) broadcasts the resolved graph to every
+	// worker; account its wire size per receiving node. No engine here
+	// ships it: the cluster coordinator maps and replicates itself.
 	p.Graph = gr
 	p.BroadcastBytes = int64(gr.EncodedSize()) * int64(in.Workers)
 }
@@ -318,29 +313,8 @@ func (p *Plan) ExecuteContext(ctx context.Context, e Exec) (*Result, error) {
 	}
 	res.SampleTime = p.SampleTime
 	res.BuildTime = p.BuildTime
-	// A distributed engine reports the broadcast it actually shipped;
-	// otherwise fall back to the modelled per-node graph size.
-	if res.BroadcastBytes == 0 {
-		res.BroadcastBytes = p.BroadcastBytes
-	}
+	res.BroadcastBytes = p.BroadcastBytes
 	return &Result{Metrics: res.Metrics, Pairs: res.Pairs, Grid: p.Grid, Graph: p.Graph}, nil
-}
-
-// broadcastBlob serialises what the driver ships to every worker of a
-// distributed engine: the resolved graph of agreements (its own wire
-// format) followed by the explicit cell placement table, when one exists.
-func broadcastBlob(gr *agreements.Graph, part dpe.Partitioner) []byte {
-	var buf bytes.Buffer
-	buf.Grow(gr.EncodedSize())
-	gr.Encode(&buf) // cannot fail on a bytes.Buffer
-	if ep, ok := part.(dpe.ExplicitPartitioner); ok {
-		b := binary.LittleEndian.AppendUint32(nil, uint32(len(ep.Table)))
-		for _, p := range ep.Table {
-			b = binary.LittleEndian.AppendUint32(b, uint32(p))
-		}
-		buf.Write(b)
-	}
-	return buf.Bytes()
 }
 
 // Join executes the ε-distance join R ⋈ε S — BuildPlan followed by a

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/tuple"
@@ -15,8 +16,9 @@ import (
 
 // TestLocalJoinLeavesNoGoroutines runs a completed, a cancelled and a
 // failing local join. After each returns, the goroutine count is back at
-// its baseline: every phase waits for the goroutines it starts, so no
-// sleep or poll is needed to see it.
+// its baseline. Every phase waits for the goroutines it starts, but a
+// goroutine that has signalled its WaitGroup may not have exited yet, so
+// the check yields until a deadline before it fails.
 func TestLocalJoinLeavesNoGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rs := clustered(rng, 3000, 0)
@@ -28,8 +30,12 @@ func TestLocalJoinLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	check := func(what string) {
 		t.Helper()
-		if n := runtime.NumGoroutine(); n != base {
-			t.Fatalf("%s: %d goroutines after it returned, %d before", what, n, base)
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines after it returned, %d before\n%s", what, n, base, buf[:runtime.Stack(buf, true)])
 		}
 	}
 

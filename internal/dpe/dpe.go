@@ -187,11 +187,6 @@ type Spec struct {
 	// the in-process local engine. A cluster engine instead ships
 	// partitions to remote worker processes and measures real bytes.
 	Engine Engine
-	// Broadcast is an opaque blob a distributed Engine ships to every
-	// worker alongside the plan — for the adaptive join, the encoded
-	// graph of agreements and the LPT placement (Algorithm 5's driver
-	// broadcast, now in real bytes). The local engine ignores it.
-	Broadcast []byte
 	// KernelDesc describes Kernel in a form a remote worker can
 	// reconstruct. Leave zero when Kernel is nil (plane sweep). A non-nil
 	// Kernel with a zero descriptor is treated as KernelCustom: the plan
@@ -238,8 +233,10 @@ type ClusterMetrics struct {
 	// of ShuffledBytes/RemoteBytes.
 	TaskBytesLocal  int64
 	TaskBytesRemote int64
-	// BroadcastBytes is the measured size of the plan frames (grid,
-	// agreements, placement) shipped to every worker.
+	// BroadcastBytes is the measured size of the plan frames, one per
+	// worker: ε, join flags, kernel description and trace context. The
+	// coordinator maps and replicates itself, so no graph of agreements
+	// travels; Metrics.BroadcastBytes models that graph's broadcast.
 	BroadcastBytes int64
 	// ResultBytes is the measured size of the result frames received.
 	ResultBytes int64
@@ -262,7 +259,12 @@ type Metrics struct {
 	JoinTime    time.Duration // per-partition grouping + plane sweeps
 	DedupTime   time.Duration // distinct() pass, when enabled
 
-	BroadcastBytes int64 // orchestrator-filled: structures shipped to every worker
+	// BroadcastBytes is orchestrator-filled on every engine: the
+	// modelled wire size of Algorithm 5's broadcast of the resolved graph
+	// of agreements, its encoded size times the workers (0 for schemes
+	// without a graph). ClusterMetrics.BroadcastBytes holds the plan
+	// frame bytes a cluster engine measured.
+	BroadcastBytes int64
 
 	ReplicatedR   int64 // extra copies of R tuples beyond the native cell
 	ReplicatedS   int64
@@ -594,10 +596,6 @@ func (pr *Prepared) Slabs(p int) (rs, ss *colpipe.Slab) {
 
 // SelfFilter reports whether the plan joins in self-join mode.
 func (pr *Prepared) SelfFilter() bool { return pr.spec.SelfFilter }
-
-// Broadcast returns the opaque per-worker broadcast blob of the plan
-// (nil when the orchestrator attached none).
-func (pr *Prepared) Broadcast() []byte { return pr.spec.Broadcast }
 
 // BuildMetrics returns a copy of the construction-phase metrics, the
 // base every engine's Result starts from.

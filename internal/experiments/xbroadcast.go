@@ -11,7 +11,10 @@ import (
 // 5, line 6), and its size grows with the grid — i.e. shrinks with ε.
 // PBSM only ships the grid parameters (a few dozen bytes), so this is
 // the admission price of adaptivity; the experiment shows it stays three
-// orders of magnitude below the shuffle savings it buys.
+// orders of magnitude below the shuffle savings it buys. The broadcast
+// is modelled (Report.BroadcastBytes, 3 bytes per quartet per worker):
+// this repo's cluster coordinator maps and replicates itself, so no
+// engine ships the graph.
 func XBroadcast(sc Scale) []*Table {
 	t := &Table{
 		ID:    "xbroadcast",

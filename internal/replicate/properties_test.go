@@ -1,7 +1,6 @@
 package replicate
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"strconv"
@@ -101,42 +100,6 @@ func sameSet(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// A graph that has been encoded and decoded must assign every point to
-// exactly the same cells as the original — the broadcast wire format
-// carries everything replication needs.
-func TestDecodedGraphAssignsIdentically(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	g := grid.New(geom.Rect{MinX: 0, MinY: 0, MaxX: 14, MaxY: 14}, 1, 2)
-	st := grid.NewStats(g)
-	for i := 0; i < 2000; i++ {
-		st.Add(tuple.Set(rng.Intn(2)), geom.Point{X: rng.Float64() * 14, Y: rng.Float64() * 14})
-	}
-	gr := agreements.Build(st, agreements.LPiB)
-	var buf bytes.Buffer
-	if err := gr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := agreements.Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bufA, bufB []int
-	for i := 0; i < 20000; i++ {
-		p := geom.Point{X: rng.Float64() * 14, Y: rng.Float64() * 14}
-		set := tuple.Set(rng.Intn(2))
-		bufA = Adaptive(gr, p, set, bufA[:0])
-		bufB = Adaptive(back, p, set, bufB[:0])
-		if len(bufA) != len(bufB) {
-			t.Fatalf("point %v: %v vs %v", p, bufA, bufB)
-		}
-		for k := range bufA {
-			if bufA[k] != bufB[k] {
-				t.Fatalf("point %v: %v vs %v", p, bufA, bufB)
-			}
-		}
-	}
 }
 
 // TestAdaptiveSoak is a long randomized oracle comparison; the trial

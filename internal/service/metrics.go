@@ -76,7 +76,7 @@ type Metrics struct {
 	ClusterWorkers         *telem.Gauge   // workers that served the most recent run
 	ClusterTaskBytesLocal  *telem.Counter // streamed task bytes read worker-locally
 	ClusterTaskBytesRemote *telem.Counter // streamed task bytes crossing workers
-	ClusterBroadcastBytes  *telem.Counter // plan broadcast bytes shipped
+	ClusterBroadcastBytes  *telem.Counter // plan frame bytes shipped
 	ClusterResultBytes     *telem.Counter // result frame bytes received
 	ClusterTasks           *telem.Counter // partition tasks completed
 	ClusterRetries         *telem.Counter // task re-executions after failures
@@ -138,7 +138,7 @@ func NewMetrics() *Metrics {
 		ClusterWorkers:         r.NewGauge("sjoind_cluster_workers", "Worker processes that served the most recent distributed join."),
 		ClusterTaskBytesLocal:  r.NewCounter("sjoind_cluster_task_bytes_local_total", "Measured task bytes streamed to the worker co-located with the producing map split."),
 		ClusterTaskBytesRemote: r.NewCounter("sjoind_cluster_task_bytes_remote_total", "Measured task bytes streamed across worker boundaries (real shuffle remote reads)."),
-		ClusterBroadcastBytes:  r.NewCounter("sjoind_cluster_broadcast_bytes_total", "Measured plan broadcast bytes (grid, agreements, placement) shipped to workers."),
+		ClusterBroadcastBytes:  r.NewCounter("sjoind_cluster_broadcast_bytes_total", "Measured plan frame bytes (one per worker per join: eps, flags, kernel, trace context) shipped to workers."),
 		ClusterResultBytes:     r.NewCounter("sjoind_cluster_result_bytes_total", "Measured result frame bytes received from workers."),
 		ClusterTasks:           r.NewCounter("sjoind_cluster_tasks_total", "Partition tasks completed by cluster workers."),
 		ClusterRetries:         r.NewCounter("sjoind_cluster_task_retries_total", "Task re-executions after a worker died or failed."),

@@ -266,8 +266,11 @@ type Report struct {
 	ReplicatedR, ReplicatedS int64
 	ShuffledBytes            int64
 	ShuffleRemoteBytes       int64
-	// BroadcastBytes is the wire size of driver-built structures (grid +
-	// graph of agreements) shipped to every worker before the join.
+	// BroadcastBytes is the modelled wire size of Algorithm 5's
+	// broadcast of the resolved graph of agreements to every worker: its
+	// encoded size times Workers, on every engine (0 for algorithms
+	// without a graph). Cluster.BroadcastBytes holds the plan frame bytes
+	// a cluster engine actually sent.
 	BroadcastBytes int64
 	// Measured wall-clock phase timings. Construction covers sampling,
 	// structure building, mapping and shuffling; Join covers the
@@ -281,7 +284,7 @@ type Report struct {
 	CandidatePairs   int64
 	// Cluster holds the measured wire counters when the join ran on a
 	// distributed Engine (zero otherwise): real shuffle bytes split into
-	// worker-local and remote reads, broadcast and result bytes, task
+	// worker-local and remote reads, plan frame and result bytes, task
 	// retries and speculative executions.
 	Cluster ClusterMetrics
 }
