@@ -20,7 +20,8 @@ package agreements
 import (
 	"fmt"
 	"math/bits"
-	"slices"
+	"runtime"
+	"sync"
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
@@ -247,22 +248,54 @@ func Build(st *grid.Stats, policy Policy) *Graph {
 	return BuildOrdered(st, policy, OrderPaper)
 }
 
-// BuildOrdered is Build with an explicit Algorithm 1 edge order.
+// BuildOrdered is Build with an explicit Algorithm 1 edge order, built
+// on GOMAXPROCS goroutines (see BuildParallel).
 func BuildOrdered(st *grid.Stats, policy Policy, order Order) *Graph {
+	return BuildParallel(st, policy, order, runtime.GOMAXPROCS(0))
+}
+
+// BuildParallel is BuildOrdered on at most width goroutines. Algorithm 1
+// resolves each quartet from the statistics alone, so the quartet rows
+// are built independently: goroutine k takes rows k, k+width, …, keeps
+// its own table cache and writes only its own rows' words and tables.
+// The graph is the same for every width.
+func BuildParallel(st *grid.Stats, policy Policy, order Order, width int) *Graph {
 	g := st.Grid()
 	if !g.SupportsAgreements() {
 		panic(fmt.Sprintf("agreements: grid resolution %v·ε violates the l >= 2ε precondition", g.Res))
 	}
-	gr := newGraph(g, policy)
-	var cache tableCache
-	for gy := 0; gy <= g.NY; gy++ {
-		for gx := 0; gx <= g.NX; gx++ {
-			s := scratch(g, gx, gy)
-			instantiate(&s, st, policy, order)
-			gr.store(gx, gy, &s, &cache)
-		}
+	if policy > LPiBStrict {
+		panic(fmt.Sprintf("agreements: unknown policy %d", policy))
 	}
+	gr := newGraph(g, policy)
+	eachRow(g.NY+1, width, func(first, stride int) {
+		var cache tableCache
+		for gy := first; gy <= g.NY; gy += stride {
+			for gx := 0; gx <= g.NX; gx++ {
+				s := scratch(g, gx, gy)
+				instantiate(&s, st, policy, order)
+				gr.store(gx, gy, &s, &cache)
+			}
+		}
+	})
 	return gr
+}
+
+// eachRow runs fn on min(width, rows) goroutines, at least one, the
+// first on the caller's: goroutine k gets (k, n) and owns rows k, k+n,
+// k+2n, … of rows. It returns when every goroutine has finished.
+func eachRow(rows, width int, fn func(first, stride int)) {
+	n := max(1, min(width, rows))
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(k, n)
+		}()
+	}
+	fn(0, n)
+	wg.Wait()
 }
 
 // BuildQuartet instantiates and resolves the subgraph of the quartet at
@@ -488,38 +521,31 @@ func resolveOrdered(s *Subgraph, order Order) {
 		return
 	}
 
-	var edgeArr [12]quartetEdge
-	edges := edgeArr[:0]
+	var edges [12]quartetEdge
+	n := 0
 	for i := grid.Pos(0); i < grid.NumPos; i++ {
 		for j := grid.Pos(0); j < grid.NumPos; j++ {
 			if i == j {
 				continue
 			}
-			edges = append(edges, quartetEdge{
+			edges[n] = quartetEdge{
 				i: i, j: j,
 				diagonal: grid.IsDiagonalPair(i, j),
 				weight:   s.wgt[i][j],
-			})
+			}
+			n++
 		}
 	}
-	slices.SortStableFunc(edges, func(ea, eb quartetEdge) int {
-		if order == OrderPaper && ea.diagonal != eb.diagonal {
-			if ea.diagonal { // touching-point edges first
-				return -1
-			}
-			return 1
+	// Insertion sort in place: edgeBefore is a total order, so this is
+	// the order any stable sort would give, without a closure call per
+	// comparison.
+	for k := 1; k < len(edges); k++ {
+		e, m := edges[k], k
+		for ; m > 0 && edgeBefore(e, edges[m-1], order); m-- {
+			edges[m] = edges[m-1]
 		}
-		if order != OrderIndex && ea.weight != eb.weight {
-			if ea.weight > eb.weight { // descending weight
-				return -1
-			}
-			return 1
-		}
-		if ea.i != eb.i { // deterministic tie-break
-			return int(ea.i) - int(eb.i)
-		}
-		return int(ea.j) - int(eb.j)
-	})
+		edges[m] = e
+	}
 
 	w := s.w
 	for _, e := range edges {
@@ -563,31 +589,55 @@ func resolveOrdered(s *Subgraph, order Order) {
 	s.w = w
 }
 
+// edgeBefore reports whether Algorithm 1 visits edge a before edge b in
+// the given order: touching-point (diagonal) edges first under
+// OrderPaper, then descending weight unless OrderIndex, then by (i, j).
+func edgeBefore(a, b quartetEdge, order Order) bool {
+	if order == OrderPaper && a.diagonal != b.diagonal {
+		return a.diagonal
+	}
+	if order != OrderIndex && a.weight != b.weight {
+		return a.weight > b.weight
+	}
+	if a.i != b.i {
+		return a.i < b.i
+	}
+	return a.j < b.j
+}
+
 // EstimatedCosts returns, per cell, the LPT cost estimate including
 // replication: (R points native plus replicated in) × (S points native
 // plus replicated in), from sample statistics and the agreement types.
 // Marking is ignored — it only redirects a small fraction of points and
 // this is a scheduling estimate, not an exact count.
 func (gr *Graph) EstimatedCosts(st *grid.Stats) []int64 {
+	return gr.EstimatedCostsParallel(st, runtime.GOMAXPROCS(0))
+}
+
+// EstimatedCostsParallel is EstimatedCosts on at most width goroutines,
+// each owning every width-th cell row as in BuildParallel.
+func (gr *Graph) EstimatedCostsParallel(st *grid.Stats, width int) []int64 {
 	g := gr.Grid
 	costs := make([]int64, g.NumCells())
-	for cy := 0; cy < g.NY; cy++ {
-		for cx := 0; cx < g.NX; cx++ {
-			id := g.CellID(cx, cy)
-			cs := st.At(id)
-			est := [2]int64{int64(cs.Total[tuple.R]), int64(cs.Total[tuple.S])}
-			for d := grid.Dir(0); d < grid.NumDirs; d++ {
-				nb := g.Neighbor(cx, cy, d)
-				if nb == grid.NoCell {
-					continue
+	eachRow(g.NY, width, func(first, stride int) {
+		for cy := first; cy < g.NY; cy += stride {
+			for cx := 0; cx < g.NX; cx++ {
+				id := g.CellID(cx, cy)
+				cs := st.At(id)
+				est := [2]int64{int64(cs.Total[tuple.R]), int64(cs.Total[tuple.S])}
+				for d := grid.Dir(0); d < grid.NumDirs; d++ {
+					nb := g.Neighbor(cx, cy, d)
+					if nb == grid.NoCell {
+						continue
+					}
+					t := gr.PairType(cx, cy, d)
+					// Points of type t flow from the neighbour toward this cell.
+					est[t] += int64(st.Candidates(nb, d.Opposite(), t))
 				}
-				t := gr.PairType(cx, cy, d)
-				// Points of type t flow from the neighbour toward this cell.
-				est[t] += int64(st.Candidates(nb, d.Opposite(), t))
+				costs[id] = est[0] * est[1]
 			}
-			costs[id] = est[0] * est[1]
 		}
-	}
+	})
 	return costs
 }
 

@@ -2,6 +2,7 @@ package agreements
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -549,4 +550,49 @@ func setTypes(s *Subgraph, types [6]tuple.Set) {
 	}
 	s.clearMarks()
 	resolve(s)
+}
+
+// TestBuildParallelMatchesSerial: building on 2, 3 or 8 goroutines gives
+// the words, tables and cost estimates of the one-goroutine build, for
+// every statistics policy and edge order, on grids of 1, 2 and 3 cell
+// rows (2–4 quartet rows, fewer than some widths) and of 300. With one
+// cell row every quartet holds virtual cells, so nothing is marked.
+func TestBuildParallelMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, dims := range [][2]int{{9, 1}, {7, 2}, {5, 3}, {24, 300}} {
+		nx, ny := dims[0], dims[1]
+		g := grid.New(geom.Rect{MaxX: 2 * float64(nx), MaxY: 2 * float64(ny)}, 1, 2)
+		if g.NX != nx || g.NY != ny {
+			t.Fatalf("grid is %d×%d, want %d×%d", g.NX, g.NY, nx, ny)
+		}
+		st := grid.NewStats(g)
+		// R thins out eastward and S northward, so pair types mix.
+		for i := 0; i < 20*nx*ny; i++ {
+			p := geom.Point{X: rng.Float64() * 2 * float64(nx), Y: rng.Float64() * 2 * float64(ny)}
+			set := tuple.R
+			if rng.Float64()*float64(nx) < p.X/2 || rng.Float64()*float64(ny) > p.Y/2 {
+				set = tuple.S
+			}
+			st.Add(set, p)
+		}
+		for _, pol := range []Policy{LPiB, DIFF, UniR, LPiBStrict} {
+			for _, order := range []Order{OrderPaper, OrderWeightOnly, OrderIndex} {
+				serial := BuildParallel(st, pol, order, 1)
+				serialCosts := serial.EstimatedCostsParallel(st, 1)
+				if marked, _ := serial.EdgeCounts(); marked == 0 && pol != UniR && ny > 1 {
+					t.Fatalf("%d×%d %v %v: nothing marked, so Algorithm 1 went untested", nx, ny, pol, order)
+				}
+				for _, width := range []int{2, 3, 8} {
+					gr := BuildParallel(st, pol, order, width)
+					what := fmt.Sprintf("%d×%d %v %v width %d", nx, ny, pol, order, width)
+					if !slices.Equal(gr.words, serial.words) || !slices.Equal(gr.tables, serial.tables) {
+						t.Fatalf("%s: words or tables differ from the serial build", what)
+					}
+					if !slices.Equal(gr.EstimatedCostsParallel(st, width), serialCosts) {
+						t.Fatalf("%s: cost estimates differ from the serial ones", what)
+					}
+				}
+			}
+		}
+	}
 }

@@ -610,59 +610,51 @@ func JoinSlabsContext(ctx context.Context, r, s *Slab, eps float64,
 
 // HilbertRanks returns the dense rank of every cell of an nx×ny grid
 // along the Hilbert curve: ranks[cell] ∈ [0, nx·ny), with rank order
-// following the curve. Cell ids are row-major (cy·nx+cx).
+// following the curve. Cell ids are row-major (cy·nx+cx). The curve is
+// that of the smallest power-of-two square holding the grid; it is
+// walked in curve order and every sub-square wholly outside the grid is
+// skipped, so the walk costs about the grid's cells, whatever its shape.
 func HilbertRanks(nx, ny int) []int32 {
-	side := uint32(1)
-	for int(side) < max(nx, ny) {
+	side := 1
+	for side < max(nx, ny) {
 		side <<= 1
 	}
-	n := nx * ny
-	keys := make([]uint64, n)
-	order := make([]int32, n)
-	for cy := 0; cy < ny; cy++ {
-		for cx := 0; cx < nx; cx++ {
-			id := cy*nx + cx
-			keys[id] = hilbertD(side, uint32(cx), uint32(cy))
-			order[id] = int32(id)
-		}
+	h := hilbertWalk{nx: nx, ny: ny, ranks: make([]int32, nx*ny)}
+	if nx > 0 && ny > 0 {
+		h.walk(side, 0, 0, 1, 0, 0, 1)
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		ka, kb := keys[a], keys[b]
-		if ka < kb {
-			return -1
-		}
-		if ka > kb {
-			return 1
-		}
-		return 0
-	})
-	ranks := make([]int32, n)
-	for rank, cell := range order {
-		ranks[cell] = int32(rank)
-	}
-	return ranks
+	return h.ranks
 }
 
-// hilbertD converts (x, y) on a side×side grid (side a power of two)
-// to its distance along the Hilbert curve.
-func hilbertD(side, x, y uint32) uint64 {
-	var d uint64
-	for s := side / 2; s > 0; s /= 2 {
-		var rx, ry uint32
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - x
-				y = s - 1 - y
-			}
-			x, y = y, x
-		}
+// hilbertWalk numbers the cells of an nx×ny grid in Hilbert-curve order.
+type hilbertWalk struct {
+	nx, ny int
+	ranks  []int32
+	next   int32
+}
+
+// walk visits, in curve order, the size×size square (size a power of
+// two) whose local cell (u, v) is the grid cell (ox + ax·u + bx·v,
+// oy + ay·u + by·v); the coefficients are a signed permutation. Each
+// level takes the quadrants in the order (0,0), (0,1), (1,1), (1,0),
+// the first transposed and the last transposed and turned half round —
+// the recursion of the classic xy → d conversion, so cells come out in
+// ascending curve distance.
+func (h *hilbertWalk) walk(size, ox, oy, ax, bx, ay, by int) {
+	far := size - 1
+	x0 := ox + min(0, ax*far) + min(0, bx*far)
+	y0 := oy + min(0, ay*far) + min(0, by*far)
+	if x0 >= h.nx || y0 >= h.ny {
+		return // wholly outside: the square's extent starts past the grid
 	}
-	return d
+	if size == 1 {
+		h.ranks[oy*h.nx+ox] = h.next
+		h.next++
+		return
+	}
+	s := size / 2
+	h.walk(s, ox, oy, bx, ax, by, ay)
+	h.walk(s, ox+bx*s, oy+by*s, ax, bx, ay, by)
+	h.walk(s, ox+(ax+bx)*s, oy+(ay+by)*s, ax, bx, ay, by)
+	h.walk(s, ox+ax*far+bx*(s-1), oy+ay*far+by*(s-1), -bx, -ax, -by, -ay)
 }

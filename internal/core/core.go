@@ -116,6 +116,17 @@ func (in Input) Grid(res float64) (*grid.Grid, error) {
 	return g, nil
 }
 
+// planWidth is how many goroutines the plan's CPU-bound steps (sampling,
+// the graph of agreements, LPT cost estimates) may run on: PoolSize,
+// which defaults to GOMAXPROCS, and never more than GOMAXPROCS, since
+// those steps never block. Every plan is the same at every width.
+func (in Input) planWidth() int {
+	if n := runtime.GOMAXPROCS(0); in.PoolSize <= 0 || in.PoolSize > n {
+		return n
+	}
+	return in.PoolSize
+}
+
 // Result is the outcome of a join.
 type Result struct {
 	dpe.Metrics
@@ -228,8 +239,19 @@ func SampleStats(in Input, p *Plan) (*grid.Stats, error) {
 	sampleSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanSample)
 	start := time.Now()
 	st := grid.NewStats(g)
+	var ss []tuple.Tuple
+	sampled := make(chan struct{})
+	sampleS := func() {
+		defer close(sampled)
+		ss = sample.Bernoulli(in.S, in.SampleFraction, in.Seed+1)
+	}
+	if in.planWidth() > 1 {
+		go sampleS()
+	} else {
+		sampleS()
+	}
 	sr := sample.Bernoulli(in.R, in.SampleFraction, in.Seed)
-	ss := sample.Bernoulli(in.S, in.SampleFraction, in.Seed+1)
+	<-sampled
 	st.AddAll(tuple.R, sr)
 	st.AddAll(tuple.S, ss)
 	p.Grid, p.SampleTime = g, time.Since(start)
@@ -246,11 +268,11 @@ func Adaptive(in Input, spec *dpe.Spec, p *Plan, st *grid.Stats, gr *agreements.
 	partSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanPartition)
 	start := time.Now()
 	if gr == nil {
-		gr = agreements.BuildOrdered(st, in.Policy, in.Order)
+		gr = agreements.BuildParallel(st, in.Policy, in.Order, in.planWidth())
 	}
 	spec.Part = dpe.HashPartitioner{N: in.Partitions}
 	if in.UseLPT {
-		costs := gr.EstimatedCosts(st)
+		costs := gr.EstimatedCostsParallel(st, in.planWidth())
 		spec.Part = dpe.ExplicitPartitioner{Table: lpt.Assign(costs, in.Partitions), N: in.Partitions}
 	}
 	p.BuildTime += time.Since(start)

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"spatialjoin/internal/agreements"
+	"spatialjoin/internal/dpe"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/sweep"
@@ -243,6 +245,76 @@ func TestAllEdgeOrdersExact(t *testing.T) {
 		}
 		if res.Results != want.N || res.Checksum != want.Checksum {
 			t.Fatalf("order %v: results %d/%x, want %d/%x", order, res.Results, res.Checksum, want.N, want.Checksum)
+		}
+	}
+}
+
+// TestPlanSameAtEveryPoolSize: the plan's parallel steps give the same
+// graph of agreements (every quartet word and assignment slot), Hilbert
+// ranks and LPT partition table on one goroutine as on the default
+// GOMAXPROCS — raised to at least 4 here so the parallel path runs — and
+// the same join answer.
+func TestPlanSameAtEveryPoolSize(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	rng := rand.New(rand.NewSource(44))
+	rs := clustered(rng, 6000, 0)
+	ss := clustered(rng, 6000, 1_000_000)
+	type built struct {
+		plan *Plan
+		spec dpe.Spec
+	}
+	build := func(pool int) built {
+		var b built
+		scheme := func(in Input, spec *dpe.Spec, p *Plan) error {
+			err := adaptive(in, spec, p)
+			b.spec = *spec
+			return err
+		}
+		p, err := BuildPlan(rs, ss, Config{Eps: 0.5, UseLPT: true, Workers: 4, Seed: 9, PoolSize: pool, Scheme: scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.plan = p
+		return b
+	}
+	serial := build(1)
+	g := serial.plan.Grid
+	if marked, _ := serial.plan.Graph.EdgeCounts(); marked == 0 || g.NY < 8 {
+		t.Fatalf("%d marked edges over %d cell rows: too small a plan to test", marked, g.NY)
+	}
+	serialRes, err := serial.plan.Execute(Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range []int{0, 3} {
+		b := build(pool)
+		for gy := 0; gy <= g.NY; gy++ {
+			for gx := 0; gx <= g.NX; gx++ {
+				if b.plan.Graph.Quartet(gx, gy) != serial.plan.Graph.Quartet(gx, gy) {
+					t.Fatalf("pool %d: quartet (%d, %d) differs from the one-goroutine plan", pool, gx, gy)
+				}
+				for i := grid.Pos(0); i < grid.NumPos; i++ {
+					for _, set := range []tuple.Set{tuple.R, tuple.S} {
+						if b.plan.Graph.Slot(gx, gy, i, set) != serial.plan.Graph.Slot(gx, gy, i, set) {
+							t.Fatalf("pool %d: quartet (%d, %d) slot (%d, %v) differs", pool, gx, gy, i, set)
+						}
+					}
+				}
+			}
+		}
+		if !slices.Equal(b.spec.CellRank, serial.spec.CellRank) {
+			t.Fatalf("pool %d: Hilbert ranks differ", pool)
+		}
+		if !slices.Equal(b.spec.Part.(dpe.ExplicitPartitioner).Table, serial.spec.Part.(dpe.ExplicitPartitioner).Table) {
+			t.Fatalf("pool %d: LPT partition table differs", pool)
+		}
+		res, err := b.plan.Execute(Exec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Results != serialRes.Results || res.Checksum != serialRes.Checksum || res.Replicated() != serialRes.Replicated() {
+			t.Fatalf("pool %d: %d pairs/%x, %d replicated; one goroutine: %d/%x, %d", pool,
+				res.Results, res.Checksum, res.Replicated(), serialRes.Results, serialRes.Checksum, serialRes.Replicated())
 		}
 	}
 }

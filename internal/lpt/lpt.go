@@ -7,6 +7,7 @@
 package lpt
 
 import (
+	"cmp"
 	"container/heap"
 	"slices"
 )
@@ -19,23 +20,34 @@ func Assign(costs []int64, nbins int) []int {
 	if nbins <= 0 {
 		panic("lpt: number of bins must be positive")
 	}
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
+	// Only the costly tasks are sorted and placed by load. The rest take
+	// bins round-robin where a stable sort of every task by descending
+	// cost would put them: zero-cost tasks in index order, then negative
+	// ones by descending cost. On a sparse grid most cells cost nothing.
+	out := make([]int, len(costs))
+	var order, negative []int
+	rr := 0
+	for task, c := range costs {
+		switch {
+		case c > 0:
+			order = append(order, task)
+		case c == 0:
+			out[task] = rr % nbins
+			rr++
+		default:
+			negative = append(negative, task)
+		}
 	}
-	// Stable so equal-cost cells keep index order (round-robin ties and
-	// test expectations depend on it); SortStableFunc avoids the
-	// reflection of sort.SliceStable.
-	slices.SortStableFunc(order, func(a, b int) int {
-		ca, cb := costs[a], costs[b]
-		if ca > cb {
-			return -1
-		}
-		if ca < cb {
-			return 1
-		}
-		return 0
-	})
+	// Stable so equal-cost tasks keep index order (test expectations
+	// depend on it); SortStableFunc avoids the reflection of
+	// sort.SliceStable.
+	byCostDesc := func(a, b int) int { return cmp.Compare(costs[b], costs[a]) }
+	slices.SortStableFunc(order, byCostDesc)
+	slices.SortStableFunc(negative, byCostDesc)
+	for _, task := range negative {
+		out[task] = rr % nbins
+		rr++
+	}
 
 	loads := make(binHeap, nbins)
 	for i := range loads {
@@ -43,14 +55,7 @@ func Assign(costs []int64, nbins int) []int {
 	}
 	heap.Init(&loads)
 
-	out := make([]int, len(costs))
-	rr := 0
 	for _, task := range order {
-		if costs[task] <= 0 {
-			out[task] = rr % nbins
-			rr++
-			continue
-		}
 		b := loads[0]
 		out[task] = b.index
 		b.load += costs[task]

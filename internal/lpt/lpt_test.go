@@ -1,7 +1,10 @@
 package lpt
 
 import (
+	"cmp"
+	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +215,63 @@ func TestAssignStableUnderEqualCosts(t *testing.T) {
 		for i := range first {
 			if again[i] != first[i] {
 				t.Fatalf("trial %d: task %d moved from bin %d to %d under identical input", trial, i, first[i], again[i])
+			}
+		}
+	}
+}
+
+// assignFullSort is the reference Assign: every task, zero-cost ones
+// included, stable-sorted by descending cost, then placed in that order.
+func assignFullSort(costs []int64, nbins int) []int {
+	order := make([]int, len(costs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(costs[b], costs[a]) })
+	loads := make(binHeap, nbins)
+	for i := range loads {
+		loads[i] = &bin{index: i}
+	}
+	heap.Init(&loads)
+	out := make([]int, len(costs))
+	rr := 0
+	for _, task := range order {
+		if costs[task] <= 0 {
+			out[task] = rr % nbins
+			rr++
+			continue
+		}
+		b := loads[0]
+		out[task] = b.index
+		b.load += costs[task]
+		heap.Fix(&loads, 0)
+	}
+	return out
+}
+
+// TestAssignMatchesFullSort: sorting only the costly tasks places every
+// task as the full sort does, on cost vectors from all-costly to 99 %
+// zero, drawn from few distinct values so ties abound, with a sprinkle
+// of negative costs.
+func TestAssignMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, zeroPct := range []int{0, 10, 50, 90, 97, 99} {
+		for _, nbins := range []int{1, 3, 32} {
+			for trial := 0; trial < 20; trial++ {
+				costs := make([]int64, rng.Intn(3000))
+				for i := range costs {
+					switch r := rng.Intn(100); {
+					case r < zeroPct:
+					case r == 99 && trial%4 == 0:
+						costs[i] = -rng.Int63n(3)
+					default:
+						costs[i] = 1 + rng.Int63n(8)
+					}
+				}
+				got, want := Assign(costs, nbins), assignFullSort(costs, nbins)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d%% zero, %d bins, %d tasks: placement differs from the full sort", zeroPct, nbins, len(costs))
+				}
 			}
 		}
 	}
