@@ -10,7 +10,9 @@
 // sweep axis from the spread computed while packing.
 //
 // The kernel (SweepSorted) walks the x-sorted R rows with two monotone
-// cursors bounding the S rows whose x lies within ε. Each R row filters
+// cursors bounding the S rows whose x lies within ε, a window widened
+// by a few ulps so float rounding of x ± ε never drops a row the exact
+// test would accept: the window only filters. Each R row filters
 // its window without a branch into a selection vector: every index is
 // written, and the write position advances by the outcome of the exact
 // closed test dx²+dy² ≤ ε² — the predicate sweep.NestedLoop uses — so
@@ -37,6 +39,7 @@
 package colsweep
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -325,9 +328,15 @@ func SweepSorted(r, s *Cols, eps float64, out *Sink) {
 	rx, ry, rid := r.Xs, r.Ys, r.IDs
 	sx, sy, sid := s.Xs, s.Ys, s.IDs
 	eps2 := eps * eps
+	if len(rx) == 0 {
+		return
+	}
+	// One reach serves every row: the widening grows with |x|, and the
+	// largest |x| of the sorted rows is at one end.
+	w := reach(max(math.Abs(rx[0]), math.Abs(rx[len(rx)-1])), eps)
 	start, end := 0, 0 // S window [start, end) of the current R row
 	for i, x := range rx {
-		xlo, xhi := x-eps, x+eps
+		xlo, xhi := x-w, x+w
 		for start < len(sx) && sx[start] < xlo {
 			start++
 		}
@@ -345,6 +354,17 @@ func SweepSorted(r, s *Cols, eps float64, out *Sink) {
 			}
 		}
 	}
+}
+
+// reach returns the half-width of an x-window around a row at ±x that
+// holds every row within eps of it: eps widened by (|x| + eps)·2⁻⁵⁰. In
+// floats x ± eps can round inward past a row that the exact test
+// dx²+dy² ≤ eps² accepts — at eps 2.5, 2.6 − 2.5 rounds to
+// 0.10000000000000009, yet 2.6 − 0.1 rounds to 2.5 — and the widening,
+// a few ulps of the window's bounds, covers that rounding. The window
+// only filters; the exact test alone decides.
+func reach(x, eps float64) float64 {
+	return eps + (math.Abs(x)+eps)*0x1p-50
 }
 
 // selectWithin writes to sel, in ascending order, the index of every
@@ -391,19 +411,20 @@ func selectWithin(sel []int32, xs, ys []float64, x, y, eps2 float64) int {
 // back in to reuse it.
 func Probe(c *Cols, px, py, eps float64, sel []int32) []int32 {
 	n := len(c.Xs)
-	// Binary search for the first x >= px-eps.
+	w := reach(px, eps)
+	xlo, xhi := px-w, px+w
+	// Binary search for the first x >= xlo.
 	lo, hi := 0, n
-	bound := px - eps
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.Xs[mid] < bound {
+		if c.Xs[mid] < xlo {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	end := lo
-	for end < n && c.Xs[end] <= px+eps {
+	for end < n && c.Xs[end] <= xhi {
 		end++
 	}
 	sel = slices.Grow(sel[:0], end-lo)[:end-lo]

@@ -198,18 +198,77 @@ func TestProbeMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// decimalEps and decimalOffsets span the decimal-offset lattices: ε
+// values and lattice origins with no exact binary form, where x ± ε
+// rounds and pairs at distance exactly ε sit on the window's edge.
+var (
+	decimalEps     = [8]float64{0.1, 0.3, 1.0 / 3, 0.7, 0.007, 2.5, 0.15, 0.45}
+	decimalOffsets = [4]float64{0.1, -3.7, 1000, 12345.678}
+)
+
+// TestWindowDecimalOffsetLattice checks SweepSorted and Probe against
+// the nested loop on full (ε/2)-lattices of 16 × 16 positions for every
+// decimal ε and lattice origin. The x-window is a filter: where x ± ε
+// rounds inward it must still hold every row the exact test accepts
+// (at ε = 2.5, origin 0.1, the rows at x = 0.1 and x = 2.6).
+func TestWindowDecimalOffsetLattice(t *testing.T) {
+	lattice := func(origin, eps float64, base int64) []tuple.Tuple {
+		var out []tuple.Tuple
+		for i := 0; i < 16; i++ {
+			for j := 0; j < 16; j++ {
+				pt := geom.Point{X: origin + float64(i)*eps/2, Y: origin + float64(j)*eps/2}
+				out = append(out, tuple.Tuple{ID: base + int64(len(out)), Pt: pt})
+			}
+		}
+		return out
+	}
+	b := colsweep.Get()
+	defer colsweep.Put(b)
+	for _, eps := range decimalEps {
+		for _, origin := range append([]float64{0}, decimalOffsets[:]...) {
+			rs, ss := lattice(origin, eps, 0), lattice(origin, eps, 1_000_000)
+			var want sweep.Counter
+			sweep.NestedLoop(rs, ss, eps, want.Emit)
+			r, s := sortedCols(rs), sortedCols(ss)
+			out := b.Sink(false, false)
+			colsweep.SweepSorted(&r, &s, eps, out)
+			if out.N != want.N || out.Checksum != want.Checksum {
+				t.Errorf("eps %v, origin %v: SweepSorted %d/%x, nested loop %d/%x", eps, origin, out.N, out.Checksum, want.N, want.Checksum)
+			}
+			if p := probeEach(rs, ss, eps); p != want {
+				t.Errorf("eps %v, origin %v: Probe %d/%x, nested loop %d/%x", eps, origin, p.N, p.Checksum, want.N, want.Checksum)
+			}
+		}
+	}
+}
+
 // FuzzColumnarDifferential decodes arbitrary bytes into two point sets
 // and asserts the columnar kernel, the slab join and Probe agree with the
 // nested loop.
+//
+// data[0] picks ε (low nibble: eight dyadic values, then the decimal
+// values of decimalEps) and the lattice origin (bits 4–6: zero below 4,
+// else a decimal offset of decimalOffsets), so seeds reach the
+// decimal-offset lattices where x ± ε rounds inward.
 func FuzzColumnarDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(10), uint8(10))
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 255}, uint8(1), uint8(1))
 	f.Add([]byte{128, 64, 32, 16, 8, 4, 2, 1, 0, 255}, uint8(30), uint8(3))
+	// ε = 2.5 on the lattice at origin 0.1: R at x = 2.6 and S at
+	// x = 0.1 are exactly ε apart, but 2.6 − 2.5 rounds above 0.1.
+	f.Add([]byte{4<<4 | 13, 0, 2, 0, 0}, uint8(2), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, nr, ns uint8) {
 		if len(data) == 0 {
 			return
 		}
 		eps := 0.25 + float64(data[0]%8)/8
+		if k := int(data[0] % 16); k >= 8 {
+			eps = decimalEps[k-8]
+		}
+		origin := 0.0
+		if k := int(data[0] / 16 % 8); k >= 4 {
+			origin = decimalOffsets[k-4]
+		}
 		decode := func(n int, base int64, off int) []tuple.Tuple {
 			out := make([]tuple.Tuple, n)
 			for i := range out {
@@ -218,7 +277,7 @@ func FuzzColumnarDifferential(f *testing.F) {
 				// Quantise to the eps/2 grid so exact-ε borders occur.
 				out[i] = tuple.Tuple{
 					ID: base + int64(i),
-					Pt: geom.Point{X: float64(bx%16) * eps / 2, Y: float64(by%16) * eps / 2},
+					Pt: geom.Point{X: origin + float64(bx%16)*eps/2, Y: origin + float64(by%16)*eps/2},
 				}
 			}
 			return out

@@ -207,7 +207,7 @@ func Restore(cfg Config, blob []byte) (*Engine, error) {
 	// cumulative counters with the snapshot's (Replicas and the live
 	// gauges were recomputed by the inserts themselves).
 	e.pending = e.pending[:0]
-	e.dirty = map[int]struct{}{}
+	clear(e.dirty)
 	e.sinceReb = 0
 	e.c.Upserts = counters[0]
 	e.c.Deletes = counters[1]

@@ -141,6 +141,7 @@ type Engine struct {
 	live     [2]map[int64]*entry
 	ttlq     [2][]ttlRec
 	dirty    map[int]struct{} // cells whose histograms changed since the last drift scan
+	pairKeys []int            // drift scan scratch: canonical keys of the pairs to examine
 	sinceReb int
 	subs     map[*Subscription]struct{}
 	c        Counters
@@ -419,7 +420,7 @@ func (e *Engine) removeEntryLocked(set tuple.Set, en *entry) {
 	id := en.t.ID
 	for _, c32 := range en.cells {
 		cs := &e.cells[c32]
-		cs[set].remove(id)
+		cs[set].remove(id, en.t.Pt)
 		e.sel = cs[other].probe(en.t.Pt, e.cfg.Eps, e.sel, func(pid int64) {
 			e.emitLocked(Remove, set, id, pid)
 		})

@@ -32,7 +32,11 @@ func canonSlot(d grid.Dir) int {
 //
 // Flips are decided before any is applied: committing a flip does not
 // change the statistics, so the desired types are independent of
-// application order and one scan converges in a single pass.
+// application order and one scan converges in a single pass. The pairs
+// are examined, and their flips applied, in canonical pair order: the
+// final graph is order-independent, but the count of replica copies
+// moved through intermediate states is not — a deterministic order makes
+// rebalance work reproducible.
 func (e *Engine) rebalanceLocked() {
 	sp := e.cfg.Tracer.Start(0, obs.SpanRebalance)
 	sp.SetInt("dirty_cells", int64(len(e.dirty)))
@@ -41,13 +45,9 @@ func (e *Engine) rebalanceLocked() {
 	if len(e.dirty) == 0 {
 		return
 	}
-	type flipRec struct {
-		ci   int
-		dir  grid.Dir
-		want tuple.Set
-	}
-	var flips []flipRec
-	checked := map[int]struct{}{}
+	// Canonical key cell*4 + slot of every pair with a dirty endpoint,
+	// so each unordered pair is examined once even when both are dirty.
+	keys := e.pairKeys[:0]
 	for ci := range e.dirty {
 		cx, cy := e.g.CellCoords(ci)
 		for dir := grid.Dir(0); dir < grid.NumDirs; dir++ {
@@ -55,30 +55,31 @@ func (e *Engine) rebalanceLocked() {
 			if cj == grid.NoCell {
 				continue
 			}
-			// Canonicalise (ci, dir) so each unordered pair is
-			// examined once even when both endpoints are dirty.
-			cc, cd, nb := ci, dir, cj
-			if canonSlot(cd) < 0 {
-				cc, cd, nb = cj, dir.Opposite(), ci
-			}
-			key := cc*4 + canonSlot(cd)
-			if _, done := checked[key]; done {
-				continue
-			}
-			checked[key] = struct{}{}
-			ccx, ccy := e.g.CellCoords(cc)
-			if want := agreements.TypeForPair(e.stats, cc, nb, cd, e.cfg.Policy); want != e.graph.PairType(ccx, ccy, cd) {
-				flips = append(flips, flipRec{ci: cc, dir: cd, want: want})
+			if slot := canonSlot(dir); slot >= 0 {
+				keys = append(keys, ci*4+slot)
+			} else {
+				keys = append(keys, cj*4+canonSlot(dir.Opposite()))
 			}
 		}
 	}
-	e.dirty = map[int]struct{}{}
-	// Apply in canonical pair order: the final graph is order-independent,
-	// but the count of replica copies moved through intermediate states is
-	// not — a deterministic order makes rebalance work reproducible.
-	slices.SortFunc(flips, func(a, b flipRec) int {
-		return (a.ci*4 + canonSlot(a.dir)) - (b.ci*4 + canonSlot(b.dir))
-	})
+	clear(e.dirty)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	e.pairKeys = keys
+	type flipRec struct {
+		ci   int
+		dir  grid.Dir
+		want tuple.Set
+	}
+	var flips []flipRec
+	for _, key := range keys {
+		cc, cd := key/4, canonDirs[key%4]
+		ccx, ccy := e.g.CellCoords(cc)
+		nb := e.g.Neighbor(ccx, ccy, cd)
+		if want := agreements.TypeForPair(e.stats, cc, nb, cd, e.cfg.Policy); want != e.graph.PairType(ccx, ccy, cd) {
+			flips = append(flips, flipRec{ci: cc, dir: cd, want: want})
+		}
+	}
 	sp.SetInt("flips", int64(len(flips)))
 	for _, f := range flips {
 		e.flipLocked(f.ci, f.dir, f.want)
@@ -137,7 +138,7 @@ func (e *Engine) migrateLocked(set tuple.Set, en *entry) {
 	for _, oc := range en.cells {
 		if !slices.Contains(newCells, int(oc)) {
 			cs := &e.cells[oc]
-			cs[set].remove(en.t.ID)
+			cs[set].remove(en.t.ID, en.t.Pt)
 			e.compactSlab(&cs[set], set, int(oc))
 			moved++
 		}
