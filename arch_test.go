@@ -19,9 +19,9 @@ import (
 
 // TestArchitecture holds the repo's single paths — one execution
 // format, one agreement store, one sweep kernel, one orchestrator, one
-// sampling rule, one join pipeline, one codec, one metric registry and
-// measured clocks only — as one table over the non-test Go of the
-// module. Each check is the regexp a CI grep step used to run, matched
+// sampling rule, one join pipeline, one codec, one metric registry, one
+// cross-shard join and measured clocks only — as one table over the
+// non-test Go of the module. Each check is the regexp a CI grep step used to run, matched
 // the way grep matched it (unanchored, line by line) but over the
 // source with its comments blanked: a retired name in a comment
 // passes; in code or a string literal it fails, as with the grep.
@@ -256,6 +256,12 @@ var archGuards = []archGuard{
 		hint:    "a deleted name is back in non-test Go",
 		badPath: "internal/service/bad.go",
 		bad:     "var diskCache map[string]int\nfunc KNNJoinFacade() {}",
+	}}},
+	{"cross-shard join", []archCheck{{
+		re:      `FanoutMinPoints|fanout-min-points|fanoutJoin|regionFilter|SpanFleetMerge`,
+		hint:    "the fleet's strip fan-out is back beside the streamed join: a cross-shard join mirrors the smaller input to the larger's shard",
+		badPath: "internal/fleet/bad.go",
+		bad:     "type Config struct{ FanoutMinPoints int }\nvar _ = flag.Int(\"fanout-min-points\", 0, \"\")\nfunc fanoutJoin() {}\ntype regionFilter struct{}\nvar _ = obs.SpanFleetMerge",
 	}}},
 }
 

@@ -28,17 +28,6 @@ func (w e2eLogWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// buildWorker compiles cmd/sjoin-worker into a temp dir.
-func buildWorker(t *testing.T) string {
-	t.Helper()
-	bin := t.TempDir() + "/sjoin-worker"
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/sjoin-worker")
-	if msg, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building sjoin-worker: %v\n%s", err, msg)
-	}
-	return bin
-}
-
 // startWorkerProc launches one sjoin-worker process against the
 // coordinator and returns it; cleanup kills it if still running.
 func startWorkerProc(t *testing.T, bin string, coord *cluster.Coordinator, args ...string) *exec.Cmd {
@@ -90,7 +79,7 @@ func TestClusterTraceStitchE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and spawns worker processes")
 	}
-	bin := buildWorker(t)
+	bin := buildCmds(t)["sjoin-worker"]
 
 	coord, err := cluster.Listen("127.0.0.1:0", cluster.Config{Log: e2eLogger(t)})
 	if err != nil {
@@ -213,7 +202,7 @@ func TestClusterFaultInjectionE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and spawns worker processes")
 	}
-	bin := buildWorker(t)
+	bin := buildCmds(t)["sjoin-worker"]
 
 	// Seed generators: one uniform input, one gaussian, at the scaled
 	// paper default ε.

@@ -1,9 +1,9 @@
 // Command sjoin-router is the fleet front door: one logical sjoind
 // over N sjoind shards. Datasets are placed on a consistent-hash ring
 // (tenant-aware keys, replicated), single-shard requests are proxied,
-// cross-shard joins are fanned out or streamed and their partial
-// results merged so clients see exactly the single-daemon HTTP API —
-// same wire formats, byte-identical checksums.
+// and a cross-shard join streams the smaller input to the larger's
+// shard and runs there, so clients see exactly the single-daemon HTTP
+// API — same wire formats, byte-identical checksums.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	             [-vnodes 64] [-replicas 2]
 //	             [-heartbeat 500ms] [-heartbeat-misses 5] [-retries 3]
 //	             [-tenant-quota RATE:BURST] [-tenant-override T=RATE:BURST]
-//	             [-fanout-min-points N] [-warm-joins 4] [-log-level info]
+//	             [-warm-joins 4] [-log-level info]
 //
 // Tenancy rides on the X-Tenant request header: it scopes dataset
 // names, placement keys and admission buckets. -tenant-quota sets the
@@ -50,7 +50,6 @@ func main() {
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "shard /healthz probe interval")
 		hbMisses  = flag.Int("heartbeat-misses", 5, "consecutive missed probes before a shard is declared dead")
 		retries   = flag.Int("retries", 3, "per-request attempts across shard failures")
-		fanoutMin = flag.Int("fanout-min-points", 0, "fan a cross-shard join out by grid region when both inputs have at least this many points (0 streams instead)")
 		warmJoins = flag.Int("warm-joins", 4, "recent join shapes replayed to warm a migrated dataset's new owner")
 		maxUpload = flag.Int64("max-upload-bytes", 64<<20, "dataset upload size cap")
 		traceRing = flag.Int("trace-ring", 0, "retained routed-join traces for /v1/joins/{id}/trace (default 64)")
@@ -109,7 +108,6 @@ func main() {
 		MaxRetries:        *retries,
 		TenantQuota:       defQuota,
 		TenantOverrides:   overrides,
-		FanoutMinPoints:   *fanoutMin,
 		WarmJoins:         *warmJoins,
 		MaxUploadBytes:    *maxUpload,
 		TraceRing:         *traceRing,

@@ -1,10 +1,12 @@
 package spatialjoin_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"spatialjoin/internal/datagen"
@@ -14,20 +16,50 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// buildCmds compiles the command-line tools once into a temp dir and
-// returns their paths.
+// cmdNames are the commands buildCmds compiles.
+var cmdNames = []string{"sjoin", "datagen", "experiments", "sjoind", "sjoin-router", "sjoin-worker"}
+
+// cmdBuild is the one build of the commands per test binary run; its
+// directory is removed by TestMain.
+var cmdBuild struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cmdBuild.dir != "" {
+		os.RemoveAll(cmdBuild.dir)
+	}
+	os.Exit(code)
+}
+
+// buildCmds compiles the command-line tools, on its first call only,
+// into a shared temp dir and returns their paths by command name.
 func buildCmds(t *testing.T) map[string]string {
 	t.Helper()
-	dir := t.TempDir()
-	out := map[string]string{}
-	for _, name := range []string{"sjoin", "datagen", "experiments", "sjoind", "sjoin-router"} {
-		bin := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, msg)
+	cmdBuild.once.Do(func() {
+		dir, err := os.MkdirTemp("", "spatialjoin-cmds-")
+		if err != nil {
+			cmdBuild.err = err
+			return
 		}
-		out[name] = bin
+		cmdBuild.dir = dir
+		args := []string{"build", "-o", dir + string(filepath.Separator)}
+		for _, name := range cmdNames {
+			args = append(args, "./cmd/"+name)
+		}
+		if msg, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			cmdBuild.err = fmt.Errorf("%v\n%s", err, msg)
+		}
+	})
+	if cmdBuild.err != nil {
+		t.Fatalf("building the commands: %v", cmdBuild.err)
+	}
+	out := map[string]string{}
+	for _, name := range cmdNames {
+		out[name] = filepath.Join(cmdBuild.dir, name)
 	}
 	return out
 }

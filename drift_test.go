@@ -249,8 +249,8 @@ func TestHostileParallelism(t *testing.T) {
 // TestAutoPlannedSamplesOnce: AutoPlanned costs the strategies on the
 // sample and graph its own plan is then built from, so the report is the
 // resolved algorithm's field for field and the trace shows one sample
-// phase. (internal/planner covers the universal outcomes, which
-// MinShuffle never reaches on natural data.)
+// phase. (internal/planner covers the universal outcomes, which the
+// planner never reaches on natural data.)
 func TestAutoPlannedSamplesOnce(t *testing.T) {
 	rs, ss := GenerateTigerLike(6000, 1), GenerateGaussian(6000, 2)
 	opt := Options{Eps: 0.6, Algorithm: AutoPlanned, SampleFraction: 0.2, Seed: 3, Workers: 4, Partitions: 16}

@@ -333,7 +333,7 @@ func SweepSorted(r, s *Cols, eps float64, out *Sink) {
 	}
 	// One reach serves every row: the widening grows with |x|, and the
 	// largest |x| of the sorted rows is at one end.
-	w := reach(max(math.Abs(rx[0]), math.Abs(rx[len(rx)-1])), eps)
+	w := Reach(max(math.Abs(rx[0]), math.Abs(rx[len(rx)-1])), eps)
 	start, end := 0, 0 // S window [start, end) of the current R row
 	for i, x := range rx {
 		xlo, xhi := x-w, x+w
@@ -356,14 +356,14 @@ func SweepSorted(r, s *Cols, eps float64, out *Sink) {
 	}
 }
 
-// reach returns the half-width of an x-window around a row at ±x that
-// holds every row within eps of it: eps widened by (|x| + eps)·2⁻⁵⁰. In
-// floats x ± eps can round inward past a row that the exact test
-// dx²+dy² ≤ eps² accepts — at eps 2.5, 2.6 − 2.5 rounds to
-// 0.10000000000000009, yet 2.6 − 0.1 rounds to 2.5 — and the widening,
-// a few ulps of the window's bounds, covers that rounding. The window
-// only filters; the exact test alone decides.
-func reach(x, eps float64) float64 {
+// Reach returns the half-width of a window around a coordinate ±x that
+// holds every row within eps of it on that axis: eps widened by
+// (|x| + eps)·2⁻⁵⁰. In floats x ± eps can round inward past a row that
+// the exact test dx²+dy² ≤ eps² accepts — at eps 2.5, 2.6 − 2.5 rounds
+// to 0.10000000000000009, yet 2.6 − 0.1 rounds to 2.5 — and the
+// widening, a few ulps of the window's bounds, covers that rounding.
+// The window only filters; the exact test alone decides.
+func Reach(x, eps float64) float64 {
 	return eps + (math.Abs(x)+eps)*0x1p-50
 }
 
@@ -411,7 +411,7 @@ func selectWithin(sel []int32, xs, ys []float64, x, y, eps2 float64) int {
 // back in to reuse it.
 func Probe(c *Cols, px, py, eps float64, sel []int32) []int32 {
 	n := len(c.Xs)
-	w := reach(px, eps)
+	w := Reach(px, eps)
 	xlo, xhi := px-w, px+w
 	// Binary search for the first x >= xlo.
 	lo, hi := 0, n

@@ -26,7 +26,7 @@ func XResolution(sc Scale) []*Table {
 	if err != nil {
 		panic(fmt.Sprintf("xresolution: %v", err))
 	}
-	choice, err := planner.PlanResolution(bounds, rs, ss, DefaultEps, 0, sc.Seed, 24, planner.Weights{}, ResSweep)
+	choice, err := planner.PlanResolution(bounds, rs, ss, DefaultEps, 0, sc.Seed, 24, ResSweep)
 	if err != nil {
 		panic(fmt.Sprintf("xresolution: %v", err))
 	}

@@ -48,7 +48,7 @@ type joinResp struct {
 	JoinID      int64      `json:"join_id"`
 }
 
-// joinLeg records one shard execution of (part of) a routed join, for
+// joinLeg records the shard execution of a routed join, for
 // trace stitching.
 type joinLeg struct {
 	shardID string
@@ -67,7 +67,7 @@ type shardError struct {
 func (e *shardError) Error() string { return e.msg }
 
 // handleJoin is the router's POST /v1/join(+/count): per-tenant
-// admission, then route-and-merge with whole-attempt retry across
+// admission, then routing with whole-attempt retry across
 // shard deaths.
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request, allowCollect bool) (int, error) {
 	tenant := tenantOf(r)
@@ -197,16 +197,6 @@ func (rt *Router) routeJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span,
 		return resp, "local", []joinLeg{leg}, nil
 	}
 
-	// Cross-shard, both sides large: split into vertical strips and fan
-	// out to both owners, merging partial results.
-	if rt.cfg.FanoutMinPoints > 0 && entR.Points >= rt.cfg.FanoutMinPoints && entS.Points >= rt.cfg.FanoutMinPoints {
-		resp, legs, err := rt.fanoutJoin(ctx, tr, root, tenant, wire, entR, entS, targetR, targetS)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return resp, "fanout", legs, nil
-	}
-
 	// Cross-shard: stream the smaller dataset to the larger's shard as a
 	// hidden mirror and join there.
 	big, small := targetR, targetS
@@ -215,7 +205,7 @@ func (rt *Router) routeJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span,
 		big, small = targetS, targetR
 		smallKey, smallEnt, smallName = keyR, entR, snameR
 	}
-	mirror, err := rt.ensureMirror(ctx, tr, root, small, big, smallKey, smallEnt, smallName, nil)
+	mirror, err := rt.ensureMirror(ctx, tr, root, small, big, smallKey, smallEnt, smallName)
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -262,46 +252,14 @@ func (rt *Router) proxyJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span,
 	return &resp, joinLeg{shardID: sh.id, url: sh.url, joinID: resp.JoinID, span: uint64(span.SpanID())}, nil
 }
 
-// regionFilter restricts a handoff export to an x-range; nil exports the
-// whole dataset. Lo is always inclusive; IncHi makes Hi inclusive too
-// (half-open otherwise).
-type regionFilter struct {
-	Lo, Hi float64
-	IncHi  bool
-}
-
-func (f *regionFilter) query() url.Values {
-	q := url.Values{}
-	if f == nil {
-		return q
-	}
-	q.Set("xlo", strconv.FormatFloat(f.Lo, 'g', -1, 64))
-	q.Set("xhi", strconv.FormatFloat(f.Hi, 'g', -1, 64))
-	if f.IncHi {
-		q.Set("inchi", "1")
-	}
-	return q
-}
-
-func (f *regionFilter) tag() string {
-	if f == nil {
-		return "full"
-	}
-	inc := "o"
-	if f.IncHi {
-		inc = "c"
-	}
-	return fmt.Sprintf("%x-%x-%s", math.Float64bits(f.Lo), math.Float64bits(f.Hi), inc)
-}
-
-// ensureMirror ships (a region of) a dataset from shard src to shard
-// dst under a hidden name, reusing a previous ship when the dataset
-// version has not changed. Mirrors are invalidated when the dataset is
-// re-uploaded and garbage-collected when it is deleted.
-func (rt *Router) ensureMirror(ctx context.Context, tr *obs.Tracer, root *obs.Span, src, dst *shard, key string, ent *catEntry, sname string, filter *regionFilter) (string, error) {
-	tag := filter.tag()
-	mk := dst.id + "\xff" + key + "\xff" + tag
-	mirror := fmt.Sprintf("~m~%d~%s~%s", ent.Ver, tag, sname)
+// ensureMirror ships a dataset from shard src to shard dst under a
+// hidden name, reusing a previous ship when the dataset version has not
+// changed. Mirrors are invalidated when the dataset is re-uploaded and
+// garbage-collected when it is deleted. The name keeps its "full" field
+// so that mirrors already held by durable shards are still found.
+func (rt *Router) ensureMirror(ctx context.Context, tr *obs.Tracer, root *obs.Span, src, dst *shard, key string, ent *catEntry, sname string) (string, error) {
+	mk := dst.id + "\xff" + key
+	mirror := fmt.Sprintf("~m~%d~full~%s", ent.Ver, sname)
 	rt.catMu.Lock()
 	cached := rt.mirrors[mk] == mirror && dst.alive.Load()
 	rt.catMu.Unlock()
@@ -313,15 +271,9 @@ func (rt *Router) ensureMirror(ctx context.Context, tr *obs.Tracer, root *obs.Sp
 	span.SetStr("dataset", ent.Name).SetStr("from", src.id).SetStr("to", dst.id)
 	defer span.End()
 
-	q := filter.query()
-	blob, _, err := rt.shardGet(ctx, src, "/v1/admin/handoff/"+sname+"?"+q.Encode())
+	blob, _, err := rt.shardGet(ctx, src, "/v1/admin/handoff/"+sname)
 	if err != nil {
 		return "", err
-	}
-	if len(blob) == 0 {
-		// Empty region: nothing to join against on this leg.
-		span.SetInt("bytes", 0)
-		return "", nil
 	}
 	code, out, err := rt.shardPost(ctx, dst, "/v1/admin/handoff?name="+url.QueryEscape(mirror), "application/octet-stream", blob)
 	if err != nil {
@@ -339,127 +291,4 @@ func (rt *Router) ensureMirror(ctx context.Context, tr *obs.Tracer, root *obs.Sp
 	rt.mirrors[mk] = mirror
 	rt.catMu.Unlock()
 	return mirror, nil
-}
-
-// fanoutJoin splits a cross-shard join into two vertical strips, one
-// per owner shard, and merges the partial results. Correctness: the
-// strips partition R's points exactly (half-open cut at the x midpoint),
-// and each strip's S side is expanded by eps on both ends, so every
-// result pair is produced by exactly one strip — counts add up and the
-// order-independent checksum (a sum of per-pair hashes) merges by
-// addition, reproducing the single-process result bit for bit.
-func (rt *Router) fanoutJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span, tenant string, wire joinWire, entR, entS *catEntry, targetR, targetS *shard) (*joinResp, []joinLeg, error) {
-	keyR, keyS := Key(tenant, wire.R), Key(tenant, wire.S)
-	snameR := shardDatasetName(tenant, wire.R)
-	snameS := shardDatasetName(tenant, wire.S)
-
-	rlo, rhi := boundsX(entR)
-	slo, shi := boundsX(entS)
-	lo, hi := math.Min(rlo, slo), math.Max(rhi, shi)
-	mid := lo + (hi-lo)/2
-
-	type strip struct {
-		target *shard
-		rf, sf regionFilter
-	}
-	strips := []strip{
-		{target: targetR,
-			rf: regionFilter{Lo: lo, Hi: mid, IncHi: false},
-			sf: regionFilter{Lo: lo - wire.Eps, Hi: mid + wire.Eps, IncHi: true}},
-		{target: targetS,
-			rf: regionFilter{Lo: mid, Hi: hi, IncHi: true},
-			sf: regionFilter{Lo: mid - wire.Eps, Hi: hi + wire.Eps, IncHi: true}},
-	}
-
-	type legOut struct {
-		resp *joinResp
-		leg  joinLeg
-		err  error
-	}
-	outs := make([]legOut, len(strips))
-	done := make(chan int, len(strips))
-	for i := range strips {
-		go func(i int) {
-			defer func() { done <- i }()
-			st := strips[i]
-			rName, err := rt.ensureMirror(ctx, tr, root, targetR, st.target, keyR, entR, snameR, &st.rf)
-			if err != nil {
-				outs[i].err = err
-				return
-			}
-			sName, err := rt.ensureMirror(ctx, tr, root, targetS, st.target, keyS, entS, snameS, &st.sf)
-			if err != nil {
-				outs[i].err = err
-				return
-			}
-			if rName == "" || sName == "" {
-				// An empty strip side joins to nothing: zero partial.
-				outs[i].resp = &joinResp{Checksum: "0000000000000000", PlanCache: "hit"}
-				return
-			}
-			sw := wire
-			sw.R, sw.S = rName, sName
-			outs[i].resp, outs[i].leg, outs[i].err = rt.proxyJoin(ctx, tr, root, st.target, sw)
-		}(i)
-	}
-	for range strips {
-		<-done
-	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, nil, outs[i].err
-		}
-	}
-
-	mspan := tr.Start(root.SpanID(), obs.SpanFleetMerge)
-	defer mspan.End()
-	merged := &joinResp{PlanCache: "hit"}
-	var checksum uint64
-	var legs []joinLeg
-	limit := wire.Limit
-	for i := range outs {
-		p := outs[i].resp
-		merged.Results += p.Results
-		merged.ReplicatedR += p.ReplicatedR
-		merged.ReplicatedS += p.ReplicatedS
-		if p.Algorithm != "" {
-			merged.Algorithm = p.Algorithm
-		}
-		if p.PlanCache != "hit" {
-			merged.PlanCache = "miss"
-		}
-		if p.BuildMillis > merged.BuildMillis {
-			merged.BuildMillis = p.BuildMillis
-		}
-		if p.ProbeMillis > merged.ProbeMillis {
-			merged.ProbeMillis = p.ProbeMillis
-		}
-		if c, err := strconv.ParseUint(p.Checksum, 16, 64); err == nil {
-			checksum += c
-		}
-		if wire.Collect {
-			merged.Pairs = append(merged.Pairs, p.Pairs...)
-			merged.Truncated = merged.Truncated || p.Truncated
-		}
-		if outs[i].leg.shardID != "" {
-			legs = append(legs, outs[i].leg)
-		}
-	}
-	if wire.Collect && limit > 0 && len(merged.Pairs) > limit {
-		merged.Pairs = merged.Pairs[:limit]
-		merged.Truncated = true
-	}
-	merged.Checksum = fmt.Sprintf("%016x", checksum)
-	if pr, ps := entR.Points, entS.Points; pr > 0 && ps > 0 {
-		merged.Selectivity = float64(merged.Results) / (float64(pr) * float64(ps))
-	}
-	mspan.SetInt("results", merged.Results).SetInt("legs", int64(len(legs)))
-	return merged, legs, nil
-}
-
-// boundsX pulls a dataset's x extent from its catalog info.
-func boundsX(ent *catEntry) (lo, hi float64) {
-	lo, _ = ent.Info["min_x"].(float64)
-	hi, _ = ent.Info["max_x"].(float64)
-	return lo, hi
 }

@@ -5,13 +5,13 @@ import "spatialjoin/internal/telem"
 // Metrics is the router's metric set, rendered in the Prometheus text
 // exposition format on the router's /metrics. Shard-level join metrics
 // stay on the shards; the router reports what only it can see — routing
-// decisions, fan-outs, retries, tenant admission, and handoff traffic.
+// decisions, retries, tenant admission, and handoff traffic.
 type Metrics struct {
 	*telem.Registry
 
 	Requests       *telem.CounterVec // by endpoint, code
 	Proxied        *telem.CounterVec // by shard
-	Joins          *telem.CounterVec // by mode (local, streamed, fanout)
+	Joins          *telem.CounterVec // by mode (local, streamed)
 	Retries        *telem.CounterVec // by shard
 	TenantRejected *telem.CounterVec // by tenant
 	ShardDeaths    *telem.CounterVec // by shard
@@ -27,7 +27,7 @@ func NewMetrics() *Metrics {
 		Registry:       r,
 		Requests:       r.NewCounterVec("sjoin_router_requests_total", "Requests handled by the router, by endpoint and status code.", "endpoint", "code"),
 		Proxied:        r.NewCounterVec("sjoin_router_proxied_total", "Requests proxied to a shard, by shard.", "shard"),
-		Joins:          r.NewCounterVec("sjoin_router_joins_total", "Joins routed, by mode (local, streamed, fanout).", "mode"),
+		Joins:          r.NewCounterVec("sjoin_router_joins_total", "Joins routed, by mode (local, streamed).", "mode"),
 		Retries:        r.NewCounterVec("sjoin_router_retries_total", "Shard requests retried after a transport failure, by shard.", "shard"),
 		TenantRejected: r.NewCounterVec("sjoin_router_tenant_rejected_total", "Joins rejected by per-tenant admission, by tenant.", "tenant"),
 		ShardDeaths:    r.NewCounterVec("sjoin_router_shard_deaths_total", "Shards declared dead by the heartbeat monitor, by shard.", "shard"),

@@ -56,10 +56,10 @@ func TestFleetOverviewAggregation(t *testing.T) {
 		shardObs += countLatency(row.Series)
 	}
 	aggObs = countLatency(ov.Series)
-	// Fan-out legs may run extra shard-side joins, so >= the 3 routed
-	// joins, and the aggregate must account for exactly the per-shard sum.
-	if shardObs < 3 || aggObs != shardObs {
-		t.Fatalf("latency observations: shards %d (want >= 3), aggregate %d", shardObs, aggObs)
+	// Each routed join runs exactly one shard-side join, and the
+	// aggregate must account for exactly the per-shard sum.
+	if shardObs != 3 || aggObs != shardObs {
+		t.Fatalf("latency observations: shards %d (want 3), aggregate %d", shardObs, aggObs)
 	}
 
 	found := false

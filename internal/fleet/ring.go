@@ -1,8 +1,8 @@
 // Package fleet multiplies sjoind: a consistent-hash ring places
-// datasets across N shard daemons, a fan-out router exposes the
-// single-process HTTP API over the fleet (proxying same-shard joins,
-// streaming or strip-splitting cross-shard ones and merging the
-// partial results), token buckets keyed by tenant replace global-only
+// datasets across N shard daemons, a router exposes the single-process
+// HTTP API over the fleet (proxying same-shard joins, and running a
+// cross-shard one on the larger input's shard against a mirror of the
+// smaller), token buckets keyed by tenant replace global-only
 // admission, and ring changes migrate datasets between shards through
 // dstore-format handoff with plan-cache warming on the new owner.
 package fleet

@@ -39,12 +39,6 @@ type Config struct {
 	TenantQuota Quota
 	// TenantOverrides names per-tenant budgets.
 	TenantOverrides map[string]Quota
-	// FanoutMinPoints: when both join inputs have at least this many
-	// points and live on different shards, the join is split by grid
-	// region (vertical strips) and fanned out to both owners, merging
-	// the partial results. 0 disables fan-out (cross-shard joins then
-	// always stream the smaller input to the larger's shard).
-	FanoutMinPoints int
 	// WarmJoins caps how many recent join shapes are replayed against a
 	// dataset's new owner after a migration, warming its plan cache;
 	// default 4.
@@ -534,7 +528,7 @@ func (rt *Router) Owners(tenant, name string) []string {
 //	POST   /v1/datasets?name=N        place + replicate a dataset
 //	GET    /v1/datasets               this tenant's datasets
 //	DELETE /v1/datasets/{name}        drop a dataset fleet-wide
-//	POST   /v1/join                   route (and fan out) a join
+//	POST   /v1/join                   route a join
 //	POST   /v1/join/count             count-only fast path
 //	GET    /v1/joins/{id}/trace       router-stitched span tree
 //	GET    /v1/fleet/ring             shard + placement state
@@ -672,18 +666,12 @@ func (rt *Router) handlePutDataset(w http.ResponseWriter, r *http.Request) (int,
 	return writeJSON(w, http.StatusCreated, primary), nil
 }
 
-// staleMirrorsLocked collects and forgets every mirror of key (full
-// copies and region strips alike); callers hold catMu and delete the
-// returned shard-side names afterwards. Mirror map keys are
-// shardID \xff datasetKey \xff regionTag.
+// staleMirrorsLocked collects and forgets every mirror of key; callers
+// hold catMu and delete the returned shard-side names afterwards.
 func (rt *Router) staleMirrorsLocked(key string) map[*shard]string {
 	out := map[*shard]string{}
 	for mk, mname := range rt.mirrors {
-		id, rest, ok := strings.Cut(mk, "\xff")
-		if !ok {
-			continue
-		}
-		k, _, ok := strings.Cut(rest, "\xff")
+		id, k, ok := strings.Cut(mk, "\xff")
 		if !ok || k != key {
 			continue
 		}

@@ -54,13 +54,12 @@ const (
 	SpanRefine = "refine"
 
 	// Fleet-router span names: the routing decision, one span per
-	// proxied shard request, dataset mirroring/strip shipping, and the
-	// cross-shard result merge. Shard-local join trees are grafted under
-	// the SpanFleetProxy spans when a stitched trace is served.
+	// proxied shard request, and dataset mirroring. Shard-local join
+	// trees are grafted under the SpanFleetProxy spans when a stitched
+	// trace is served.
 	SpanFleetJoin   = "fleet.join"
 	SpanFleetProxy  = "fleet.proxy"
 	SpanFleetMirror = "fleet.mirror"
-	SpanFleetMerge  = "fleet.merge"
 )
 
 // Attr is one typed key/value attribute on a span.

@@ -1,10 +1,10 @@
 // Package planner chooses a join strategy from sampled statistics before
 // any data moves: it evaluates the analytical cost model of
 // internal/costmodel for the adaptive assignment and both universal
-// replication choices, and picks the cheapest by a configurable
-// objective. It is the natural application of the cost model the paper
-// lists as future work — replication decisions become a (tiny) query
-// optimisation problem.
+// replication choices, and picks the one with the least predicted
+// shuffle volume. It is the natural application of the cost model the
+// paper lists as future work — replication decisions become a (tiny)
+// query optimisation problem.
 package planner
 
 import (
@@ -40,37 +40,19 @@ func (s Strategy) String() string {
 	return [...]string{"adaptive", "UNI(R)", "UNI(S)"}[s]
 }
 
-// Objective ranks predicted costs.
-type Objective uint8
-
-const (
-	// MinShuffle minimises predicted shuffle volume — the right choice
-	// on network-bound clusters (the paper's setting).
-	MinShuffle Objective = iota
-	// MinReplication minimises predicted replicated objects.
-	MinReplication
-	// MinMakespan minimises the predicted hottest cell, the lower bound
-	// on parallel join time.
-	MinMakespan
-)
-
-// String names the objective.
-func (o Objective) String() string {
-	return [...]string{"min-shuffle", "min-replication", "min-makespan"}[o]
-}
-
 // Choice is the planner's decision with its supporting predictions.
 type Choice struct {
 	Strategy    Strategy
-	Objective   Objective
 	Predictions map[Strategy]costmodel.Prediction
 }
 
 // Plan costs the three strategies on sampled statistics and the LPiB
-// graph of agreements built from them, and picks the cheapest under the
-// objective. fraction is the rate st was sampled at; tupleBytes is the
-// wire size of one tuple (24 for payload-free points).
-func Plan(gr *agreements.Graph, st *grid.Stats, fraction float64, tupleBytes int, obj Objective) *Choice {
+// graph of agreements built from them, and picks the one with the least
+// predicted shuffle volume — the cost that matters on network-bound
+// clusters, the paper's setting. fraction is the rate st was sampled
+// at; tupleBytes is the wire size of one tuple (24 for payload-free
+// points).
+func Plan(gr *agreements.Graph, st *grid.Stats, fraction float64, tupleBytes int) *Choice {
 	preds := map[Strategy]costmodel.Prediction{
 		Adaptive:   costmodel.Adaptive(gr, st, fraction, tupleBytes),
 		UniversalR: costmodel.Universal(st, tuple.R, fraction, tupleBytes),
@@ -78,20 +60,19 @@ func Plan(gr *agreements.Graph, st *grid.Stats, fraction float64, tupleBytes int
 	}
 
 	best := Adaptive
-	bestCost := score(preds[Adaptive], obj)
 	for _, s := range []Strategy{UniversalR, UniversalS} {
-		if c := score(preds[s], obj); c < bestCost {
-			best, bestCost = s, c
+		if preds[s].ShuffledBytes < preds[best].ShuffledBytes {
+			best = s
 		}
 	}
-	return &Choice{Strategy: best, Objective: obj, Predictions: preds}
+	return &Choice{Strategy: best, Predictions: preds}
 }
 
 // Auto is the planner as a scheme of the core orchestrator: it samples
-// once, builds the LPiB graph, records its Choice under obj in *out, and
-// continues the build with the chosen strategy — adaptive replication on
-// the statistics and graph it just costed, or a universal PBSM scheme.
-func Auto(obj Objective, out *Choice) core.Scheme {
+// once, builds the LPiB graph, records its Choice in *out, and continues
+// the build with the chosen strategy — adaptive replication on the
+// statistics and graph it just costed, or a universal PBSM scheme.
+func Auto(out *Choice) core.Scheme {
 	return func(in core.Input, spec *dpe.Spec, p *core.Plan) error {
 		st, err := core.SampleStats(in, p)
 		if err != nil {
@@ -103,7 +84,7 @@ func Auto(obj Objective, out *Choice) core.Scheme {
 		if len(in.R) > 0 {
 			tupleBytes = in.R[0].SerializedSize()
 		}
-		*out = *Plan(gr, st, in.SampleFraction, tupleBytes, obj)
+		*out = *Plan(gr, st, in.SampleFraction, tupleBytes)
 		p.BuildTime = time.Since(start)
 		in.Span.SetStr("planned", out.Strategy.String())
 		switch out.Strategy {
@@ -117,21 +98,13 @@ func Auto(obj Objective, out *Choice) core.Scheme {
 	}
 }
 
-// Weights convert the cost model's mixed units into one scalar cost:
-// predicted nanoseconds.
-type Weights struct {
-	// NsPerCandidatePair is the cost of one refine comparison.
-	NsPerCandidatePair float64
-	// NsPerShuffledByte is the cost of moving one byte through the
-	// shuffle (serialisation + network amortised).
-	NsPerShuffledByte float64
-}
-
-// DefaultWeights are rough single-machine constants; they only need to
-// be correct relative to each other for resolution ranking.
-func DefaultWeights() Weights {
-	return Weights{NsPerCandidatePair: 5, NsPerShuffledByte: 1}
-}
+// Resolution ranking converts the cost model's mixed units into one
+// scalar cost, predicted nanoseconds, with rough single-machine
+// constants; they only need to be correct relative to each other.
+const (
+	nsPerCandidatePair = 5 // one refine comparison
+	nsPerShuffledByte  = 1 // one byte through the shuffle (serialisation + network amortised)
+)
 
 // ResolutionChoice is the outcome of PlanResolution.
 type ResolutionChoice struct {
@@ -145,7 +118,7 @@ type ResolutionChoice struct {
 // in-memory join literature, driven by the cost model instead of trial
 // runs. An empty candidate list defaults to {2, 3, 4, 5} (the paper's
 // Figure 15 sweep).
-func PlanResolution(bounds geom.Rect, rs, ss []tuple.Tuple, eps, fraction float64, seed int64, tupleBytes int, w Weights, candidates []float64) (*ResolutionChoice, error) {
+func PlanResolution(bounds geom.Rect, rs, ss []tuple.Tuple, eps, fraction float64, seed int64, tupleBytes int, candidates []float64) (*ResolutionChoice, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("planner: eps must be positive, got %v", eps)
 	}
@@ -154,9 +127,6 @@ func PlanResolution(bounds geom.Rect, rs, ss []tuple.Tuple, eps, fraction float6
 	}
 	if fraction <= 0 {
 		fraction = sample.DefaultFraction
-	}
-	if w == (Weights{}) {
-		w = DefaultWeights()
 	}
 	smpR := sample.Bernoulli(rs, fraction, seed)
 	smpS := sample.Bernoulli(ss, fraction, seed+1)
@@ -173,7 +143,7 @@ func PlanResolution(bounds geom.Rect, rs, ss []tuple.Tuple, eps, fraction float6
 		st.AddAll(tuple.S, smpS)
 		gr := agreements.Build(st, agreements.LPiB)
 		p := costmodel.Adaptive(gr, st, fraction, tupleBytes)
-		cost := p.CandidatePairs*w.NsPerCandidatePair + p.ShuffledBytes*w.NsPerShuffledByte
+		cost := p.CandidatePairs*nsPerCandidatePair + p.ShuffledBytes*nsPerShuffledByte
 		choice.Costs[res] = cost
 		if cost < bestCost {
 			bestCost = cost
@@ -181,15 +151,4 @@ func PlanResolution(bounds geom.Rect, rs, ss []tuple.Tuple, eps, fraction float6
 		}
 	}
 	return choice, nil
-}
-
-func score(p costmodel.Prediction, obj Objective) float64 {
-	switch obj {
-	case MinReplication:
-		return p.Replicated
-	case MinMakespan:
-		return p.MaxCellPairs
-	default: // MinShuffle
-		return p.ShuffledBytes
-	}
 }

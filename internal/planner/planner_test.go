@@ -9,7 +9,6 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/obs"
-	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/sample"
 	"spatialjoin/internal/tuple"
 )
@@ -20,11 +19,11 @@ func mkGrid() *grid.Grid {
 
 // plan samples both inputs onto g, builds the LPiB graph and costs the
 // strategies — the orchestrator's steps ahead of Plan, done by hand.
-func plan(g *grid.Grid, rs, ss []tuple.Tuple, fraction float64, seed int64, tupleBytes int, obj Objective) *Choice {
+func plan(g *grid.Grid, rs, ss []tuple.Tuple, fraction float64, seed int64, tupleBytes int) *Choice {
 	st := grid.NewStats(g)
 	st.AddAll(tuple.R, sample.Bernoulli(rs, fraction, seed))
 	st.AddAll(tuple.S, sample.Bernoulli(ss, fraction, seed+1))
-	return Plan(agreements.Build(st, agreements.LPiB), st, fraction, tupleBytes, obj)
+	return Plan(agreements.Build(st, agreements.LPiB), st, fraction, tupleBytes)
 }
 
 func clamp(p geom.Point) geom.Point {
@@ -70,19 +69,17 @@ func lopsidedSets(rng *rand.Rand, nr, ns int) (rs, ss []tuple.Tuple) {
 func TestPlanPicksAdaptiveOnSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rs, ss := skewedSets(rng, 20_000)
-	for _, obj := range []Objective{MinShuffle, MinReplication} {
-		choice := plan(mkGrid(), rs, ss, 0.2, 1, 24, obj)
-		if choice.Strategy != Adaptive {
-			t.Fatalf("%v: picked %v on skewed data, want adaptive (predictions: %+v)",
-				obj, choice.Strategy, choice.Predictions)
-		}
+	choice := plan(mkGrid(), rs, ss, 0.2, 1, 24)
+	if choice.Strategy != Adaptive {
+		t.Fatalf("picked %v on skewed data, want adaptive (predictions: %+v)",
+			choice.Strategy, choice.Predictions)
 	}
 }
 
 func TestPlanPredictionsOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rs, ss := skewedSets(rng, 10_000)
-	choice := plan(mkGrid(), rs, ss, 0.5, 1, 24, MinShuffle)
+	choice := plan(mkGrid(), rs, ss, 0.5, 1, 24)
 	ad := choice.Predictions[Adaptive]
 	ur := choice.Predictions[UniversalR]
 	us := choice.Predictions[UniversalS]
@@ -97,7 +94,7 @@ func TestPlanPicksCheapUniversalWhenLopsided(t *testing.T) {
 	// 200 R points vs 50k S points, uniform: replicating R costs almost
 	// nothing; the planner should never pick UNI(S).
 	rs, ss := lopsidedSets(rng, 200, 50_000)
-	choice := plan(mkGrid(), rs, ss, 0.5, 1, 24, MinReplication)
+	choice := plan(mkGrid(), rs, ss, 0.5, 1, 24)
 	if choice.Strategy == UniversalS {
 		t.Fatalf("picked UNI(S) with |S| >> |R| (predictions: %+v)", choice.Predictions)
 	}
@@ -107,38 +104,16 @@ func TestPlanPicksCheapUniversalWhenLopsided(t *testing.T) {
 	}
 }
 
-func TestPlanObjectives(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	rs, ss := skewedSets(rng, 5000)
-	for _, obj := range []Objective{MinShuffle, MinReplication, MinMakespan} {
-		choice := plan(mkGrid(), rs, ss, 0.3, 1, 24, obj)
-		if choice.Objective != obj {
-			t.Fatalf("objective not recorded: %v", choice.Objective)
-		}
-		// The chosen strategy's score must be minimal.
-		best := score(choice.Predictions[choice.Strategy], obj)
-		for s, p := range choice.Predictions {
-			if score(p, obj) < best {
-				t.Fatalf("%v: %v scores %v below chosen %v's %v",
-					obj, s, score(p, obj), choice.Strategy, best)
-			}
-		}
-	}
-}
-
 func TestPlanValidation(t *testing.T) {
 	var c Choice
-	if _, err := core.BuildPlan(nil, nil, core.Config{Eps: 1, Res: 1, Scheme: Auto(MinShuffle, &c)}); err == nil {
+	if _, err := core.BuildPlan(nil, nil, core.Config{Eps: 1, Res: 1, Scheme: Auto(&c)}); err == nil {
 		t.Fatal("eps-grid resolution must be rejected")
 	}
 }
 
-func TestStrategyAndObjectiveNames(t *testing.T) {
+func TestStrategyNames(t *testing.T) {
 	if Adaptive.String() != "adaptive" || UniversalR.String() != "UNI(R)" || UniversalS.String() != "UNI(S)" {
 		t.Fatal("strategy names broken")
-	}
-	if MinShuffle.String() != "min-shuffle" || MinReplication.String() != "min-replication" || MinMakespan.String() != "min-makespan" {
-		t.Fatal("objective names broken")
 	}
 }
 
@@ -155,7 +130,7 @@ func TestPlanResolutionPrefersFineCells(t *testing.T) {
 			X: c.X + rng.NormFloat64()*3, Y: c.Y + rng.NormFloat64()*3})})
 	}
 	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}
-	choice, err := PlanResolution(bounds, rs, ss, 1, 0.3, 1, 24, Weights{}, nil)
+	choice, err := PlanResolution(bounds, rs, ss, 1, 0.3, 1, 24, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +150,10 @@ func TestPlanResolutionPrefersFineCells(t *testing.T) {
 
 func TestPlanResolutionValidation(t *testing.T) {
 	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	if _, err := PlanResolution(bounds, nil, nil, 0, 0.1, 1, 24, Weights{}, nil); err == nil {
+	if _, err := PlanResolution(bounds, nil, nil, 0, 0.1, 1, 24, nil); err == nil {
 		t.Fatal("eps=0 must fail")
 	}
-	if _, err := PlanResolution(bounds, nil, nil, 1, 0.1, 1, 24, Weights{}, []float64{1.5}); err == nil {
+	if _, err := PlanResolution(bounds, nil, nil, 1, 0.1, 1, 24, []float64{1.5}); err == nil {
 		t.Fatal("resolution < 2 must fail")
 	}
 }
@@ -186,8 +161,8 @@ func TestPlanResolutionValidation(t *testing.T) {
 // hotMiddleSets puts a hot cell between two neighbours that each push a
 // different set into it under LPiB (501 R vs 500 S on one border, 500 R
 // vs 501 S on the other): adaptive then grows both sides of the hot
-// cell's product, universal replication only one, so MinMakespan must
-// pick a universal strategy — the planner's rare non-adaptive outcome.
+// cell's product, universal replication only one, and the predicted
+// shuffle of the three strategies is within 32 bytes.
 func hotMiddleSets() (rs, ss []tuple.Tuple, bounds geom.Rect) {
 	rng := rand.New(rand.NewSource(7))
 	add := func(ts *[]tuple.Tuple, n int, x0 float64) {
@@ -210,41 +185,32 @@ func hotMiddleSets() (rs, ss []tuple.Tuple, bounds geom.Rect) {
 func TestAutoContinuesWithChosenStrategy(t *testing.T) {
 	rs, ss, bounds := hotMiddleSets()
 	base := core.Config{Eps: 1, Res: 3, SampleFraction: 1, Seed: 5, Workers: 2, Partitions: 4, Bounds: &bounds}
-	for _, tc := range []struct {
-		obj  Objective
-		want Strategy
-	}{{MinShuffle, Adaptive}, {MinMakespan, UniversalR}} {
-		var c Choice
-		cfg := base
-		cfg.Scheme, cfg.Tracer = Auto(tc.obj, &c), obs.New()
-		got, err := core.Join(rs, ss, cfg)
-		if err != nil {
-			t.Fatal(err)
+	var c Choice
+	cfg := base
+	cfg.Scheme, cfg.Tracer = Auto(&c), obs.New()
+	got, err := core.Join(rs, ss, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Strategy != Adaptive {
+		t.Fatalf("chose %v, want adaptive (predictions %+v)", c.Strategy, c.Predictions)
+	}
+	samples := 0
+	for _, sp := range cfg.Tracer.Spans() {
+		if sp.Name == obs.SpanSample {
+			samples++
 		}
-		if c.Strategy != tc.want {
-			t.Fatalf("%v: chose %v, want %v (predictions %+v)", tc.obj, c.Strategy, tc.want, c.Predictions)
-		}
-		samples := 0
-		for _, sp := range cfg.Tracer.Spans() {
-			if sp.Name == obs.SpanSample {
-				samples++
-			}
-		}
-		if samples != 1 {
-			t.Errorf("%v: %d sample spans, want 1", tc.obj, samples)
-		}
-		cfg = base
-		if tc.want == UniversalR {
-			cfg.Scheme = pbsm.Scheme(pbsm.UniR)
-		}
-		want, err := core.Join(rs, ss, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, w := got.Metrics, want.Metrics
-		if g.Results != w.Results || g.Checksum != w.Checksum || g.ReplicatedR != w.ReplicatedR ||
-			g.ReplicatedS != w.ReplicatedS || g.ShuffledBytes != w.ShuffledBytes || g.MaxPartitionCost != w.MaxPartitionCost {
-			t.Errorf("%v: auto plan differs from the %v plan:\n got %+v\nwant %+v", tc.obj, tc.want, g, w)
-		}
+	}
+	if samples != 1 {
+		t.Errorf("%d sample spans, want 1", samples)
+	}
+	want, err := core.Join(rs, ss, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := got.Metrics, want.Metrics
+	if g.Results != w.Results || g.Checksum != w.Checksum || g.ReplicatedR != w.ReplicatedR ||
+		g.ReplicatedS != w.ReplicatedS || g.ShuffledBytes != w.ShuffledBytes || g.MaxPartitionCost != w.MaxPartitionCost {
+		t.Errorf("auto plan differs from the adaptive plan:\n got %+v\nwant %+v", g, w)
 	}
 }

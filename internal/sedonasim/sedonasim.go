@@ -93,8 +93,10 @@ func buildPartitioner(smp []tuple.Tuple, bounds geom.Rect, partitions int) *quad
 
 // IndexProbeKernel returns the local join kernel: the indexed side's
 // rows are STR-packed as point boxes into an R-tree, each row of the
-// other side probes it with its ε-square, and a candidate is a pair when
-// it passes the closed test dx²+dy² ≤ ε². indexS indexes S (R probes);
+// other side probes it with its ε-square, widened on each axis by
+// colsweep.Reach so that rounding cannot drop a row at distance exactly
+// ε, and a candidate is a pair when it passes the closed test
+// dx²+dy² ≤ ε². indexS indexes S (R probes);
 // otherwise R is indexed and S probes.
 func IndexProbeKernel(indexS bool) dpe.Kernel {
 	return func(_ int, r, s *colpipe.Group, eps float64, out *colsweep.Sink) {
@@ -111,7 +113,8 @@ func IndexProbeKernel(indexS bool) dpe.Kernel {
 		eps2 := eps * eps
 		for i, id := range probe.IDs {
 			x, y := probe.Xs[i], probe.Ys[i]
-			tree.SearchIntersects(geom.Rect{MinX: x - eps, MinY: y - eps, MaxX: x + eps, MaxY: y + eps}, func(e rtree.BoxEntry) {
+			wx, wy := colsweep.Reach(x, eps), colsweep.Reach(y, eps)
+			tree.SearchIntersects(geom.Rect{MinX: x - wx, MinY: y - wy, MaxX: x + wx, MaxY: y + wy}, func(e rtree.BoxEntry) {
 				dx, dy := x-idx.Xs[e.Ref], y-idx.Ys[e.Ref]
 				if dx*dx+dy*dy > eps2 {
 					return

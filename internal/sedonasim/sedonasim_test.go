@@ -121,3 +121,33 @@ func TestMoveNativeFirst(t *testing.T) {
 	}()
 	moveNativeFirst([]int{1, 2}, 7)
 }
+
+// TestDecimalOffsetLattice joins two (ε/2)-lattices at origin 0.1 with
+// ε = 2.5, where pairs at distance exactly ε sit on the edge of the
+// probe square and x ± ε rounds inward (2.6 − 2.5 rounds above 0.1):
+// the R-tree probe must still reach every pair the closed test accepts.
+func TestDecimalOffsetLattice(t *testing.T) {
+	const eps, origin = 2.5, 0.1
+	lattice := func(base int64) []tuple.Tuple {
+		var out []tuple.Tuple
+		for i := 0; i < 16; i++ {
+			for j := 0; j < 16; j++ {
+				pt := geom.Point{X: origin + float64(i)*eps/2, Y: origin + float64(j)*eps/2}
+				out = append(out, tuple.Tuple{ID: base + int64(len(out)), Pt: pt})
+			}
+		}
+		return out
+	}
+	rs, ss := lattice(0), lattice(1_000_000)
+	var want sweep.Counter
+	sweep.NestedLoop(rs, ss, eps, want.Emit)
+	for _, workers := range []int{1, 4} {
+		res, err := Join(rs, ss, Config{Eps: eps, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Results != want.N || res.Checksum != want.Checksum {
+			t.Errorf("workers %d: results %d/%x, nested loop %d/%x", workers, res.Results, res.Checksum, want.N, want.Checksum)
+		}
+	}
+}

@@ -214,6 +214,40 @@ func TestHTTPUploadErrors(t *testing.T) {
 	}
 }
 
+// TestHandoffExportRejectsStrips: the handoff export always ships the
+// whole dataset, so a request for an x-range strip fails closed rather
+// than answering every strip with all the points.
+func TestHandoffExportRejectsStrips(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/datasets?name=d&generate=uniform&n=200&seed=3", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("generate status = %d", resp.StatusCode)
+	}
+	for query, want := range map[string]int{
+		"":                  http.StatusOK,
+		"?xlo=0&xhi=1":      http.StatusBadRequest,
+		"?xlo=0":            http.StatusBadRequest,
+		"?xhi=1":            http.StatusBadRequest,
+		"?inchi=1":          http.StatusBadRequest,
+		"?xlo=&xhi=&inchi=": http.StatusBadRequest,
+	} {
+		resp, err := http.Get(ts.URL + "/v1/admin/handoff/d" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET /v1/admin/handoff/d%s: status %d, want %d", query, resp.StatusCode, want)
+		}
+	}
+}
+
 func firstLine(s string) string {
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
 		return s[:i]

@@ -4,7 +4,7 @@
 // join against a shipped copy produces the same pair ids and checksum
 // as against the original. The router drives these endpoints for
 // replica placement, ring-change migration, and cross-shard join
-// mirroring (optionally restricted to an x-range strip).
+// mirroring, each shipping the whole dataset.
 
 package service
 
@@ -21,48 +21,24 @@ import (
 )
 
 // handleHandoffExport serves GET /v1/admin/handoff/{name}: the dataset
-// as a columnar blob. Query parameters xlo/xhi restrict the export to
-// an x-range (xlo inclusive; xhi inclusive only with inchi=1) — the
-// strip filter the router's fan-out join uses. An empty filtered
-// region answers 204 with no body.
+// as a columnar blob. The x-range strip parameters an older router sent
+// (xlo, xhi, inchi) answer 400: exporting the whole dataset for each
+// strip would make such a router count pairs twice.
 func (s *Service) handleHandoffExport(w http.ResponseWriter, r *http.Request) (int, error) {
-	name := r.PathValue("name")
-	d, err := s.Registry.Get(name)
+	q := r.URL.Query()
+	for _, p := range []string{"xlo", "xhi", "inchi"} {
+		if q.Has(p) {
+			return http.StatusBadRequest, fmt.Errorf("service: handoff export takes no %s parameter", p)
+		}
+	}
+	d, err := s.Registry.Get(r.PathValue("name"))
 	if err != nil {
 		return http.StatusNotFound, err
 	}
-	ts := d.Tuples
-	q := r.URL.Query()
-	if q.Get("xlo") != "" || q.Get("xhi") != "" {
-		xlo, err := strconv.ParseFloat(q.Get("xlo"), 64)
-		if err != nil {
-			return http.StatusBadRequest, fmt.Errorf("service: bad xlo %q", q.Get("xlo"))
-		}
-		xhi, err := strconv.ParseFloat(q.Get("xhi"), 64)
-		if err != nil {
-			return http.StatusBadRequest, fmt.Errorf("service: bad xhi %q", q.Get("xhi"))
-		}
-		incHi := q.Get("inchi") == "1"
-		kept := make([]spatialjoin.Tuple, 0, len(ts))
-		for _, t := range ts {
-			if t.Pt.X < xlo {
-				continue
-			}
-			if t.Pt.X > xhi || (!incHi && t.Pt.X == xhi) {
-				continue
-			}
-			kept = append(kept, t)
-		}
-		ts = kept
-	}
 	w.Header().Set("X-Sjoin-Rev", strconv.FormatInt(d.Rev, 10))
 	w.Header().Set("X-Sjoin-Gen", strconv.FormatInt(d.Gen, 10))
-	w.Header().Set("X-Sjoin-Points", strconv.Itoa(len(ts)))
-	if len(ts) == 0 {
-		w.WriteHeader(http.StatusNoContent)
-		return http.StatusNoContent, nil
-	}
-	blob, err := tuplesToBlob(ts)
+	w.Header().Set("X-Sjoin-Points", strconv.Itoa(len(d.Tuples)))
+	blob, err := tuplesToBlob(d.Tuples)
 	if err != nil {
 		return http.StatusInternalServerError, err
 	}

@@ -54,7 +54,6 @@ type errorWire struct {
 //	GET    /v1/joins/{id}/trace      span tree + skew of a recent join
 //	                                 (?format=chrome for trace-event JSON)
 //	GET    /v1/admin/handoff/{name}  export a dataset as a columnar blob
-//	                                 (?xlo=&xhi=&inchi= x-range filter)
 //	POST   /v1/admin/handoff?name=N  import a columnar blob as a dataset
 //	POST   /v1/admin/skew            import planner skew observations
 //	POST   /v1/stream                create a streaming join (JSON body)

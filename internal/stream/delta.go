@@ -58,11 +58,14 @@ type Delta struct {
 // blocks until a delta arrives or the subscription is closed. The queue
 // is unbounded so a slow consumer can never block the ingest path — the
 // serving layer bounds exposure by closing subscriptions whose clients
-// disconnect.
+// disconnect. The queue's backing array is reused: consumers advance a
+// head index, the queue resets once drained, and push slides the
+// unconsumed deltas to the front before it would have to grow.
 type Subscription struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []Delta
+	head   int // queue[head:] is not yet consumed
 	closed bool
 
 	cancel func() // detaches from the engine; idempotent
@@ -81,6 +84,10 @@ func (s *Subscription) push(ds []Delta) {
 	}
 	s.mu.Lock()
 	if !s.closed {
+		if s.head > 0 && len(s.queue)+len(ds) > cap(s.queue) {
+			n := copy(s.queue, s.queue[s.head:])
+			s.queue, s.head = s.queue[:n], 0
+		}
 		s.queue = append(s.queue, ds...)
 		s.cond.Broadcast()
 	}
@@ -92,15 +99,10 @@ func (s *Subscription) push(ds []Delta) {
 func (s *Subscription) Next() (Delta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.queue) == 0 && !s.closed {
+	for s.head == len(s.queue) && !s.closed {
 		s.cond.Wait()
 	}
-	if len(s.queue) == 0 {
-		return Delta{}, false
-	}
-	d := s.queue[0]
-	s.queue = s.queue[1:]
-	return d, true
+	return s.popLocked()
 }
 
 // TryNext returns the next delta without blocking; ok is false when the
@@ -108,11 +110,19 @@ func (s *Subscription) Next() (Delta, bool) {
 func (s *Subscription) TryNext() (Delta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
+	return s.popLocked()
+}
+
+// popLocked takes the head delta, if any, and resets the drained queue.
+func (s *Subscription) popLocked() (Delta, bool) {
+	if s.head == len(s.queue) {
 		return Delta{}, false
 	}
-	d := s.queue[0]
-	s.queue = s.queue[1:]
+	d := s.queue[s.head]
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
 	return d, true
 }
 

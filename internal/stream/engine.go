@@ -366,24 +366,30 @@ func badPoint(p geom.Point) bool {
 }
 
 func (e *Engine) upsertLocked(set tuple.Set, t tuple.Tuple, now time.Time) {
-	if old, ok := e.live[set][t.ID]; ok {
-		if old.t.Pt == t.Pt {
+	en, ok := e.live[set][t.ID]
+	if ok {
+		if en.t.Pt == t.Pt {
 			// Pure refresh: position unchanged, no deltas, just payload
 			// and TTL bookkeeping.
-			old.t = t
-			old.ts = now
+			en.t = t
+			en.ts = now
 			if e.cfg.TTL > 0 {
 				e.ttlq[set] = append(e.ttlq[set], ttlRec{id: t.ID, ts: now})
 			}
 			return
 		}
-		e.removeEntryLocked(set, old)
+		// A move: retract the old position, then reuse the retired entry
+		// and its cells slice for the new one.
+		e.removeEntryLocked(set, en)
+	} else {
+		en = &entry{}
 	}
 	cells := replicate.Adaptive(e.graph, t.Pt, set, e.scratch[:0])
 	e.scratch = cells
-	en := &entry{t: t, cells: make([]int32, len(cells)), ts: now}
-	for i, c := range cells {
-		en.cells[i] = int32(c)
+	en.t, en.ts = t, now
+	en.cells = en.cells[:0]
+	for _, c := range cells {
+		en.cells = append(en.cells, int32(c))
 	}
 	other := set.Other()
 	for _, c := range cells {

@@ -90,7 +90,7 @@ func prepare(rs, ss []Tuple, opt Options, selfJoin bool) (*PreparedJoin, error) 
 	case SedonaLike:
 		cfg.Scheme = sedonasim.Scheme
 	case AutoPlanned:
-		cfg.Scheme = planner.Auto(planner.MinShuffle, &auto)
+		cfg.Scheme = planner.Auto(&auto)
 	}
 	plan, err := core.BuildPlan(rs, ss, cfg)
 	if err != nil {
