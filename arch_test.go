@@ -237,6 +237,12 @@ var archGuards = []archGuard{
 		badPath: "cmd/sjoin-worker/bad.go",
 		bad:     "var _ = cluster.WorkerOptions{HeartbeatInterval: time.Second}\nvar _ = cfg.HeartbeatMisses\nvar _ = flag.Duration(\"heartbeat\", 0, \"\")",
 	}}},
+	{"streamed task frames", []archCheck{{
+		re:      `AppendWire|DecodeWire|encodeTaskCols|decodeTaskCols`,
+		hint:    "a task frame is staged whole in memory again: stream it between the slab lanes and the connection with Slab.WriteWire/ReadWire",
+		badPath: "internal/cluster/bad.go",
+		bad:     "func (s *Slab) AppendWire(b []byte) []byte { return b }\nvar _, _ = s.DecodeWire(b)\nfunc encodeTaskCols() {}\nvar _ = decodeTaskCols",
+	}}},
 	{"join pipeline", []archCheck{{
 		re:      `s\.acquire\(`,
 		in:      []string{"internal/service/"},

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"os"
 	"os/exec"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,7 +34,15 @@ func (w e2eLogWriter) Write(p []byte) (int, error) {
 // coordinator and returns it; cleanup kills it if still running.
 func startWorkerProc(t *testing.T, bin string, coord *cluster.Coordinator, args ...string) *exec.Cmd {
 	t.Helper()
+	return startWorkerProcLog(t, bin, coord, nil, args...)
+}
+
+// startWorkerProcLog is startWorkerProc with the worker's stderr, where
+// it logs, copied to stderr (nil discards it).
+func startWorkerProcLog(t *testing.T, bin string, coord *cluster.Coordinator, stderr io.Writer, args ...string) *exec.Cmd {
+	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-connect", coord.Addr().String()}, args...)...)
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting worker: %v", err)
 	}
@@ -44,6 +54,30 @@ func startWorkerProc(t *testing.T, bin string, coord *cluster.Coordinator, args 
 	})
 	return cmd
 }
+
+// e2eLineWatch returns a writer that hands each complete line written
+// to it to seen.
+func e2eLineWatch(seen func(line []byte)) io.Writer {
+	var mu sync.Mutex
+	var buf []byte
+	return e2eWriterFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		buf = append(buf, p...)
+		for {
+			i := bytes.IndexByte(buf, '\n')
+			if i < 0 {
+				return len(p), nil
+			}
+			seen(buf[:i])
+			buf = buf[i+1:]
+		}
+	})
+}
+
+type e2eWriterFunc func(p []byte) (int, error)
+
+func (f e2eWriterFunc) Write(p []byte) (int, error) { return f(p) }
 
 func sortedPairs(ps []spatialjoin.Pair) []spatialjoin.Pair {
 	out := append([]spatialjoin.Pair(nil), ps...)
@@ -265,9 +299,17 @@ func TestClusterFaultInjectionE2E(t *testing.T) {
 		defer coord.Close()
 
 		// The victim stalls each task and runs them one at a time, so a
-		// kill shortly after dispatch is guaranteed to land while its
-		// partitions are outstanding.
-		victim := startWorkerProc(t, bin, coord, "-name", "victim", "-task-delay", "400ms", "-parallel", "1")
+		// kill once its log shows a task started lands while that
+		// partition is outstanding.
+		holding := make(chan struct{})
+		var once sync.Once
+		victimLog := e2eLineWatch(func(line []byte) {
+			if bytes.Contains(line, []byte(`msg="task started"`)) {
+				once.Do(func() { close(holding) })
+			}
+		})
+		victim := startWorkerProcLog(t, bin, coord, victimLog,
+			"-name", "victim", "-task-delay", "400ms", "-parallel", "1", "-log-level", "debug")
 		startWorkerProc(t, bin, coord, "-name", "s1")
 		startWorkerProc(t, bin, coord, "-name", "s2")
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -288,8 +330,12 @@ func TestClusterFaultInjectionE2E(t *testing.T) {
 			ch <- outcome{rep, err}
 		}()
 
-		// Kill the victim process while its tasks are in flight.
-		time.Sleep(150 * time.Millisecond)
+		// Kill the victim process once it holds a task.
+		select {
+		case <-holding:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the victim never logged a task start")
+		}
 		if err := victim.Process.Kill(); err != nil {
 			t.Fatalf("killing victim: %v", err)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,6 +45,24 @@ func (w testLogWriter) Write(p []byte) (int, error) {
 func testLogger(t *testing.T) *slog.Logger {
 	return slog.New(slog.NewTextHandler(testLogWriter{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))
 }
+
+// taskStartLog returns a worker logger and a channel closed once the
+// worker logs that it started a task: the signal that it holds one.
+func taskStartLog() (*slog.Logger, <-chan struct{}) {
+	started := make(chan struct{})
+	var once sync.Once
+	w := writerFunc(func(p []byte) (int, error) {
+		if bytes.Contains(p, []byte(`msg="task started"`)) {
+			once.Do(func() { close(started) })
+		}
+		return len(p), nil
+	})
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug})), started
+}
+
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func startHarness(t *testing.T, cfg Config, workers ...WorkerOptions) *testHarness {
 	t.Helper()
@@ -261,10 +281,11 @@ func TestClusterWorkerDeathMidJoin(t *testing.T) {
 	rs := datagen.Uniform(world, 2000, 7, 0)
 	ss := datagen.Uniform(world, 2000, 8, 1<<20)
 
-	// The victim stalls every task long enough for the kill to land while
-	// its share of partitions is still outstanding.
+	// The victim stalls every task, so once it has started one the kill
+	// lands while that partition is still outstanding.
+	victimLog, holding := taskStartLog()
 	h := startHarness(t, Config{},
-		WorkerOptions{Name: "victim", TaskDelay: 400 * time.Millisecond, Parallel: 1},
+		WorkerOptions{Name: "victim", TaskDelay: 400 * time.Millisecond, Parallel: 1, Log: victimLog},
 		WorkerOptions{Name: "s1"},
 		WorkerOptions{Name: "s2"},
 	)
@@ -287,9 +308,13 @@ func TestClusterWorkerDeathMidJoin(t *testing.T) {
 		resCh <- res
 	}()
 
-	// Kill the victim while its tasks are in flight (worker 0 gets the
-	// plan first, so it owns partitions 0, 3, 6, ...).
-	time.Sleep(100 * time.Millisecond)
+	// Kill the victim once it holds a task (worker 0 gets the plan
+	// first, so it owns partitions 0, 3, 6, ...).
+	select {
+	case <-holding:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the victim never started a task")
+	}
 	h.kill[0]()
 
 	select {
@@ -451,18 +476,19 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 			Xs: []float64{3}, Ys: []float64{4}, IDs: []int64{9},
 			WorkerRows: []int32{0, 1},
 		}
-		frame, local, remote := encodeTaskCols(taskHeader{plan: 1, part: 2, attempt: 3}, rs, ss,
-			func(src int) bool { return src == 0 })
+		local, remote := splitTaskBytes(rs, ss, func(src int) bool { return src == 0 })
 		if want := int64(colpipe.RowWire + 4 + 4); local != want {
 			t.Fatalf("local bytes = %d, want %d", local, want)
 		}
 		if want := int64(colpipe.RowWire + 4 + colpipe.RowWire); remote != want {
 			t.Fatalf("remote bytes = %d, want %d", remote, want)
 		}
-		h, gotR, gotS, err := decodeTaskCols(frame[frameHeader:])
+		frame := taskFrame(taskHeader{plan: 1, part: 2, attempt: 3}, rs, ss)
+		task, err := readTaskFrame(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
+		h, gotR, gotS := task.h, task.rs, task.ss
 		if h != (taskHeader{plan: 1, part: 2, attempt: 3}) {
 			t.Fatalf("header round trip: %+v", h)
 		}
@@ -473,10 +499,10 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 			t.Fatalf("point slab grew a payload lane: %q", gotS.Payloads)
 		}
 		// A payload length running past the frame must be rejected.
-		bad := append([]byte(nil), frame[frameHeader:]...)
-		lenAt := 16 + 4 + 4 + 8 + 2*colpipe.RowWire + 1 // R slab's first payload length
+		bad := append([]byte(nil), frame...)
+		lenAt := frameHeader + 16 + 4 + 4 + 8 + 2*colpipe.RowWire + 1 // R slab's first payload length
 		bad[lenAt+3] = 0x7f
-		if _, _, _, err := decodeTaskCols(bad); err == nil {
+		if _, err := readTaskFrame(bad); err == nil {
 			t.Error("lying payload length accepted")
 		}
 	})
@@ -493,15 +519,16 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 			Xs:     []float64{2.5}, Ys: []float64{5.5}, IDs: []int64{11},
 			WorkerRows: []int32{0, 1},
 		}
-		frame, local, remote := encodeTaskCols(taskHeader{plan: 4, part: 2, attempt: 1}, rs, ss,
-			func(src int) bool { return src == 0 })
+		local, remote := splitTaskBytes(rs, ss, func(src int) bool { return src == 0 })
 		if local != 2*colpipe.RowWire || remote != 2*colpipe.RowWire {
 			t.Fatalf("byte classification: local=%d remote=%d, want %d each", local, remote, 2*colpipe.RowWire)
 		}
-		h, gotR, gotS, err := decodeTaskCols(frame[frameHeader:])
+		frame := taskFrame(taskHeader{plan: 4, part: 2, attempt: 1}, rs, ss)
+		task, err := readTaskFrame(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
+		h, gotR, gotS := task.h, task.rs, task.ss
 		if h != (taskHeader{plan: 4, part: 2, attempt: 1}) {
 			t.Fatalf("header round trip: %+v", h)
 		}
@@ -513,9 +540,9 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 			t.Fatalf("S slab corrupted: %+v", gotS)
 		}
 		// Lying group offsets must be rejected, not scanned past.
-		bad := append([]byte(nil), frame[frameHeader:]...)
-		bad[16+4+8] = 0xff // first Starts entry of the R slab
-		if _, _, _, err := decodeTaskCols(bad); err == nil {
+		bad := append([]byte(nil), frame...)
+		bad[frameHeader+16+4+8] = 0xff // first Starts entry of the R slab
+		if _, err := readTaskFrame(bad); err == nil {
 			t.Error("corrupt offsets accepted")
 		}
 	})
@@ -525,7 +552,16 @@ func TestClusterProtoRoundTrips(t *testing.T) {
 			dur:        time.Second, results: 2, checksum: 0xbeef, cost: 42,
 			pairs: []tuple.Pair{{RID: 1, SID: 2}, {RID: 3, SID: 4}},
 		}
-		out, err := decodeResult(in.encode())
+		frame := resultFrame(in)
+		if want := appendFrame(msgResult, refResult(in)); !bytes.Equal(frame, want) {
+			t.Fatalf("streamed result frame\n%x\ndiffers from the v5 layout\n%x", frame, want)
+		}
+		br := bufio.NewReaderSize(bytes.NewReader(frame), 16)
+		_, n, _, err := readFrame(br, maxFrame, msgResult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := readResult(br, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,19 +88,10 @@ type Coordinator struct {
 type remote struct {
 	id   int64
 	name string
-	conn net.Conn
+	*conn
 
-	wmu      sync.Mutex // serialises frame writes
 	lastSeen atomic.Int64
 	dead     atomic.Bool
-}
-
-func (w *remote) send(frame []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	w.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	_, err := w.conn.Write(frame)
-	return err
 }
 
 // Listen starts a coordinator on addr (e.g. ":7077", or ":0" to pick a
@@ -216,8 +207,8 @@ func (c *Coordinator) acceptLoop() {
 
 func (c *Coordinator) handshake(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	br := bufio.NewReader(conn)
-	typ, payload, err := readFrame(br, 1<<16)
+	br := bufio.NewReaderSize(conn, connBuffer)
+	typ, _, payload, err := readFrame(br, 1<<16, 0)
 	if err != nil || typ != msgHello {
 		conn.Close()
 		return
@@ -229,11 +220,8 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 
-	w := &remote{name: hello.name, conn: conn}
+	w := &remote{name: hello.name, conn: newConn(conn)}
 	w.lastSeen.Store(time.Now().UnixNano())
 	c.mu.Lock()
 	c.nextWID++
@@ -248,10 +236,12 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	c.readLoop(w, br)
 }
 
-// readLoop consumes a worker's frames until the connection breaks.
+// readLoop consumes a worker's frames until the connection breaks. A
+// result frame decodes straight from the reader, its pairs into their
+// own slice; every other frame is small and read whole.
 func (c *Coordinator) readLoop(w *remote, br *bufio.Reader) {
 	for {
-		typ, payload, err := readFrame(br, maxFrame)
+		typ, n, payload, err := readFrame(br, maxFrame, msgResult)
 		if err != nil {
 			c.dropWorker(w, err)
 			return
@@ -261,7 +251,12 @@ func (c *Coordinator) readLoop(w *remote, br *bufio.Reader) {
 		case msgHeartbeat:
 			// lastSeen update above is the whole point.
 		case msgResult:
-			c.handleResult(w, payload)
+			m, err := readResult(br, n)
+			if err != nil {
+				c.dropWorker(w, err)
+				return
+			}
+			c.handleResult(w, m, frameHeader+n)
 		case msgTaskErr:
 			c.handleTaskErr(w, payload)
 		case msgSpans:
@@ -422,13 +417,13 @@ func (e engine) ExecutePrepared(ctx context.Context, pr *dpe.Prepared, opt dpe.E
 		if r.tr != nil {
 			plan.idBase = uint64(w.id) << 40
 		}
-		frame := appendFrame(msgPlan, plan.encode())
-		if err := w.send(frame); err != nil {
+		payload := plan.encode()
+		if err := w.send(msgPlan, payload); err != nil {
 			c.dropWorker(w, err)
 			continue
 		}
 		r.workers = append(r.workers, w)
-		r.cm.BroadcastBytes += int64(len(frame))
+		r.cm.BroadcastBytes += int64(frameHeader + len(payload))
 	}
 	if len(r.workers) == 0 {
 		return nil, ErrNoWorkers
@@ -581,17 +576,17 @@ func (c *Coordinator) dispatch(r *run, t *task, w *remote, speculative bool) {
 	att := attempt{id: t.nextAttempt, worker: w.id, start: time.Now(), speculative: speculative}
 	t.nextAttempt++
 	t.active = append(t.active, att)
-	nw := len(r.workers)
-	r.mu.Unlock()
-
-	h := taskHeader{plan: r.id, part: t.part, attempt: att.id}
-	isLocal := func(src int) bool { return r.workers[src%nw] == w }
-	frame, local, remote := encodeTaskCols(h, t.rs, t.ss, isLocal)
-	r.mu.Lock()
+	rs, ss := t.rs, t.ss
+	local, remote := splitTaskBytes(rs, ss, func(src int) bool { return r.workers[src%len(r.workers)] == w })
 	r.cm.TaskBytesLocal += local
 	r.cm.TaskBytesRemote += remote
 	r.mu.Unlock()
-	if err := w.send(frame); err != nil {
+
+	h := taskHeader{plan: r.id, part: t.part, attempt: att.id}
+	err := w.stream(msgTaskCols, taskWire(rs, ss), func(bw *bufio.Writer) error {
+		return writeTask(bw, h, rs, ss)
+	})
+	if err != nil {
 		c.dropWorker(w, err)
 	}
 }
@@ -640,12 +635,7 @@ func (r *run) fail(err error) {
 
 // handleResult settles one task attempt: the first result for a
 // partition wins, later duplicates (lost speculation races) are dropped.
-func (c *Coordinator) handleResult(w *remote, payload []byte) {
-	m, err := decodeResult(payload)
-	if err != nil {
-		c.dropWorker(w, err)
-		return
-	}
+func (c *Coordinator) handleResult(w *remote, m resultMsg, frameBytes int) {
 	c.mu.Lock()
 	r := c.runs[m.plan]
 	c.mu.Unlock()
@@ -686,7 +676,7 @@ func (c *Coordinator) handleResult(w *remote, payload []byte) {
 		r.pairs = append(r.pairs, m.pairs...)
 	}
 	r.cm.Tasks++
-	r.cm.ResultBytes += int64(frameHeader + len(payload))
+	r.cm.ResultBytes += int64(frameBytes)
 	if winnerSpeculative {
 		r.cm.SpeculativeWins++
 	}
@@ -700,11 +690,11 @@ func (c *Coordinator) handleResult(w *remote, payload []byte) {
 	// Cancel the losing attempts (best effort; a late result is ignored
 	// anyway).
 	if len(losers) > 0 {
-		cancel := appendFrame(msgCancel, cancelMsg{plan: r.id, part: m.part}.encode())
+		cancel := cancelMsg{plan: r.id, part: m.part}.encode()
 		c.mu.Lock()
 		for _, a := range losers {
 			if lw := c.workers[a.worker]; lw != nil {
-				go lw.send(cancel)
+				go lw.send(msgCancel, cancel)
 			}
 		}
 		c.mu.Unlock()
@@ -828,10 +818,10 @@ func (c *Coordinator) speculateLoop(r *run, stop <-chan struct{}) {
 // broadcastPlanDone tells every plan recipient to free the plan's state
 // and drop its queued tasks.
 func (c *Coordinator) broadcastPlanDone(r *run) {
-	frame := appendFrame(msgPlanDone, encodePlanDone(r.id))
+	payload := encodePlanDone(r.id)
 	for _, w := range r.workers {
 		if !w.dead.Load() {
-			go w.send(frame)
+			go w.send(msgPlanDone, payload)
 		}
 	}
 }

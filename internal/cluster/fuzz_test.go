@@ -19,9 +19,10 @@ import (
 const fuzzMaxFrame = 1 << 20
 
 // FuzzFrame feeds arbitrary bytes through the wire protocol's framing
-// and every payload decoder. Decoders may reject input with errors but
-// must never panic, over-allocate past the frame, or read out of
-// bounds; any frame that parses must survive a re-frame round trip.
+// and every payload decoder, task and result frames through the
+// streaming decoders the read loops use. Decoders may reject input with
+// errors but must never panic, over-allocate past the frame, or read
+// out of bounds; any frame that decodes must re-encode to its bytes.
 func FuzzFrame(f *testing.F) {
 	// Truncated and degenerate frames.
 	f.Add([]byte{})
@@ -57,11 +58,11 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendFrame(msgPlan, planMsg{id: 8, eps: 0.5, kernel: dpe.KernelDesc{
 		Kind: dpe.KernelTwoLayer, Bounds: geom.Rect{MaxX: 4, MaxY: 4}, TileNX: 4, TileNY: 4, Predicate: 1,
 	}}.encode()))
-	f.Add(appendFrame(msgResult, resultMsg{
+	f.Add(resultFrame(resultMsg{
 		taskHeader: taskHeader{plan: 7, part: 3, attempt: 1},
 		results:    1, checksum: 42, cost: 9,
 		pairs: []tuple.Pair{{RID: 1, SID: 2}},
-	}.encode()))
+	}))
 	f.Add(appendFrame(msgTaskErr, taskErrMsg{
 		taskHeader: taskHeader{plan: 7, part: 3}, msg: "boom",
 	}.encode()))
@@ -85,22 +86,18 @@ func FuzzFrame(f *testing.F) {
 
 	// Task frames: point slabs (no payload column) and a payload-carrying
 	// side.
-	colsFrame, _, _ := encodeTaskCols(taskHeader{plan: 7, part: 3, attempt: 1},
+	colsFrame := taskFrame(taskHeader{plan: 7, part: 3, attempt: 1},
 		&colpipe.Slab{Ranks: []int32{2, 9}, Starts: []int32{0, 1, 3},
-			Xs: []float64{1, 2, 3}, Ys: []float64{4, 5, 6}, IDs: []int64{7, 8, 9},
-			WorkerRows: []int32{3}},
+			Xs: []float64{1, 2, 3}, Ys: []float64{4, 5, 6}, IDs: []int64{7, 8, 9}},
 		&colpipe.Slab{Ranks: []int32{9}, Starts: []int32{0, 1},
-			Xs: []float64{2}, Ys: []float64{5}, IDs: []int64{10},
-			WorkerRows: []int32{1}},
-		func(int) bool { return true })
+			Xs: []float64{2}, Ys: []float64{5}, IDs: []int64{10}})
 	f.Add(colsFrame)
 	f.Add(colsFrame[:len(colsFrame)-8]) // truncated mid-lane
 	paySlab := &colpipe.Slab{Ranks: []int32{9}, Starts: []int32{0, 2},
 		Xs: []float64{2, 3}, Ys: []float64{5, 6}, IDs: []int64{10, 11},
 		Payloads:   [][]byte{[]byte("geometry"), nil},
 		WorkerRows: []int32{2}, WorkerPayload: []int64{8}}
-	payFrame, _, _ := encodeTaskCols(taskHeader{plan: 7, part: 4}, paySlab, paySlab,
-		func(int) bool { return false })
+	payFrame := taskFrame(taskHeader{plan: 7, part: 4}, paySlab, paySlab)
 	f.Add(payFrame)
 	f.Add(payFrame[:len(payFrame)-3])                    // truncated inside the last payload length
 	f.Add(payFrame[:len(payFrame)-paySlab.WireSize()+4]) // S side cut right after its group count
@@ -124,44 +121,86 @@ func FuzzFrame(f *testing.F) {
 	lyingCols := appendTaskHeader(nil, taskHeader{plan: 1})
 	lyingCols = binary.LittleEndian.AppendUint32(lyingCols, 1<<30) // a billion groups, no bytes
 	f.Add(appendFrame(msgTaskCols, lyingCols))
-	lyingResult := resultMsg{taskHeader: taskHeader{plan: 1}}.encode()
+	lyingResult := resultFrame(resultMsg{taskHeader: taskHeader{plan: 1}})
 	binary.LittleEndian.PutUint32(lyingResult[len(lyingResult)-4:], 1<<30)
-	f.Add(appendFrame(msgResult, lyingResult))
+	f.Add(lyingResult)
 
 	// Two frames back to back: framing must resynchronise.
 	f.Add(append(appendFrame(msgHeartbeat, nil), appendFrame(msgCancel, cancelMsg{plan: 1}.encode())...))
 
+	// Streaming decoder: a task frame whose length prefix promises more
+	// bytes than follow; a slab whose row count fits the declared frame
+	// but whose lanes are cut, across several Peek windows; a payload
+	// length one byte past the frame's end; and a task frame followed by
+	// a result frame, which must resynchronise after the streamed body.
+	promising := append([]byte(nil), colsFrame...)
+	binary.LittleEndian.PutUint32(promising, binary.LittleEndian.Uint32(promising)+64)
+	f.Add(promising)
+	big := taskFrame(taskHeader{plan: 7, part: 5}, benchSlab(40, 0), benchSlab(1, 40))
+	f.Add(big[:frameHeader+16+4+4+8+8*25]) // cut inside the R slab's x lane
+	pastEnd := append([]byte(nil), payFrame...)
+	// The S side's first payload length; its 8 bytes and the last row's
+	// length close the frame.
+	binary.LittleEndian.PutUint32(pastEnd[len(pastEnd)-16:], 8+4+1)
+	f.Add(pastEnd)
+	f.Add(append(append([]byte(nil), colsFrame...), resultFrame(resultMsg{taskHeader: taskHeader{plan: 7, part: 3}, results: 2})...))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
+		// The same reader and decoders as the worker's and the
+		// coordinator's read loops, with a small buffer so lanes cross
+		// Peek windows.
+		src := bytes.NewReader(data)
+		br := bufio.NewReaderSize(src, 64)
 		for {
-			typ, payload, err := readFrame(br, fuzzMaxFrame)
+			at := len(data) - src.Len() - br.Buffered()
+			// Each read loop streams its one large frame type: the
+			// worker's task frames, the coordinator's result frames.
+			streamed := msgTaskCols
+			if head, _ := br.Peek(frameHeader); len(head) == frameHeader && head[4] == msgResult {
+				streamed = msgResult
+			}
+			typ, n, payload, err := readFrame(br, fuzzMaxFrame, streamed)
 			if err != nil {
 				return // rejected cleanly; nothing more to parse
 			}
+			frame := data[at:min(len(data), at+frameHeader+n)]
+			var again []byte
 			switch typ {
-			case msgHello:
-				decodeHello(payload)
-			case msgPlan:
-				decodePlan(payload)
-				discardWorker().handlePlan(payload)
 			case msgTaskCols:
-				decodeTaskCols(payload)
+				task, err := readTask(br, n)
+				if err != nil {
+					return // the stream is mid-frame: the connection dies
+				}
+				again = taskFrame(task.h, task.rs, task.ss)
 			case msgResult:
-				decodeResult(payload)
-			case msgTaskErr:
-				decodeTaskErr(payload)
-			case msgCancel:
-				decodeCancel(payload)
-			case msgPlanDone:
-				decodePlanDone(payload)
-			case msgSpans:
-				decodeSpans(payload)
+				m, err := readResult(br, n)
+				if err != nil {
+					return
+				}
+				again = resultFrame(m)
+			default:
+				switch typ {
+				case msgHello:
+					decodeHello(payload)
+				case msgPlan:
+					decodePlan(payload)
+					discardWorker().handlePlan(payload)
+				case msgTaskErr:
+					decodeTaskErr(payload)
+				case msgCancel:
+					decodeCancel(payload)
+				case msgPlanDone:
+					decodePlanDone(payload)
+				case msgSpans:
+					decodeSpans(payload)
+				}
+				again = appendFrame(typ, payload)
 			}
-			// Any frame that framed must round-trip bit-identically.
-			reframed := appendFrame(typ, payload)
-			typ2, payload2, err2 := readFrame(bufio.NewReader(bytes.NewReader(reframed)), fuzzMaxFrame)
-			if err2 != nil || typ2 != typ || !bytes.Equal(payload2, payload) {
-				t.Fatalf("round trip broke: typ %d->%d err=%v", typ, typ2, err2)
+			// Any frame that decoded must re-encode to its exact bytes: a
+			// streamed task or result frame through WriteWire and the
+			// pair lane, a control frame through appendFrame.
+			if !bytes.Equal(again, frame) {
+				t.Fatalf("type %d frame changed across a decode and re-encode:\n%x\n%x", typ, frame, again)
 			}
 		}
 	})

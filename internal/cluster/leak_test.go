@@ -35,6 +35,7 @@ const loopExit = 100 * time.Millisecond
 func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
 	rs := datagen.Uniform(datagen.World(), 1500, 41, 0)
 	ss := datagen.Uniform(datagen.World(), 1500, 42, 1<<20)
+	victimLog, holding := taskStartLog()
 	base := runtime.NumGoroutine()
 	check := func(what string) {
 		t.Helper()
@@ -87,10 +88,12 @@ func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
 			}
 		}},
 		{"worker killed mid-join", []WorkerOptions{
-			{Name: "victim", TaskDelay: 400 * time.Millisecond, Parallel: 1}, {Name: "s1"}, {Name: "s2"},
+			{Name: "victim", TaskDelay: 400 * time.Millisecond, Parallel: 1, Log: victimLog}, {Name: "s1"}, {Name: "s2"},
 		}, func(t *testing.T, h *testHarness, spec dpe.Spec) {
+			// Kill the victim once it holds a task, which its stall keeps
+			// outstanding.
 			go func() {
-				time.Sleep(100 * time.Millisecond)
+				<-holding
 				h.kill[0]()
 			}()
 			res, err := dpe.Run(spec)

@@ -4,8 +4,11 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -179,49 +182,69 @@ func readTaskHeader(r *codec.Reader) taskHeader {
 	return taskHeader{plan: r.U64(), part: r.U32(), attempt: r.U32()}
 }
 
-// encodeTaskCols frames one reduce partition in the pipeline's native
+// taskHeaderWire is the encoded size of a taskHeader.
+const taskHeaderWire = 8 + 4 + 4
+
+// taskWire is the body size of the task frame of rs and ss.
+func taskWire(rs, ss *colpipe.Slab) int {
+	return taskHeaderWire + rs.WireSize() + ss.WireSize()
+}
+
+// writeTask encodes one reduce partition in the pipeline's native
 // columnar form: per side, the slab's wire encoding (group directory,
 // raw x/y/id lanes, optional length-prefixed payload column — see
-// colpipe's codec), which the worker decodes straight into kernel-ready
-// slabs — no tuple structs on either end. The local/remote byte split
-// attributes each producing map split's encoded rows by isLocal; the
-// group directory bytes belong to the partition, not a producer, and are
+// colpipe's codec), streamed from the lanes into w and decoded by the
+// worker straight into kernel-ready slabs — no tuple structs and no
+// frame-sized buffer on either end.
+func writeTask(w *bufio.Writer, h taskHeader, rs, ss *colpipe.Slab) error {
+	w.Write(appendTaskHeader(w.AvailableBuffer(), h))
+	if err := rs.WriteWire(w); err != nil {
+		return err
+	}
+	return ss.WriteWire(w)
+}
+
+// splitTaskBytes attributes each producing map split's encoded rows of
+// a task to the local or the remote side by isLocal. The group
+// directory bytes belong to the partition, not a producer, and are
 // left unattributed.
-func encodeTaskCols(h taskHeader, rs, ss *colpipe.Slab, isLocal func(src int) bool) (frame []byte, local, remote int64) {
-	b := make([]byte, 0, 16+rs.WireSize()+ss.WireSize())
-	b = appendTaskHeader(b, h)
-	b = rs.AppendWire(b)
-	b = ss.AppendWire(b)
+func splitTaskBytes(rs, ss *colpipe.Slab, isLocal func(src int) bool) (local, remote int64) {
 	for _, side := range [2]*colpipe.Slab{rs, ss} {
-		for w := range side.WorkerRows {
-			if isLocal(w) {
-				local += side.WorkerWire(w)
+		for src := range side.WorkerRows {
+			if isLocal(src) {
+				local += side.WorkerWire(src)
 			} else {
-				remote += side.WorkerWire(w)
+				remote += side.WorkerWire(src)
 			}
 		}
 	}
-	return appendFrame(msgTaskCols, b), local, remote
+	return local, remote
 }
 
-func decodeTaskCols(b []byte) (h taskHeader, rs, ss *colpipe.Slab, err error) {
-	r := codec.NewReader(b)
-	h = readTaskHeader(&r)
-	if err := short(&r, "task"); err != nil {
-		return h, nil, nil, err
+// readTask decodes a task frame's body of n bytes from r into fresh
+// slabs, consuming exactly the frame.
+func readTask(r *bufio.Reader, n int) (t workerTask, err error) {
+	var head [taskHeaderWire]byte
+	if n < len(head) {
+		return t, errors.New("cluster: short task frame")
 	}
-	rs, ss = &colpipe.Slab{}, &colpipe.Slab{}
-	rest, err := rs.DecodeWire(r.Rest())
-	if err == nil {
-		rest, err = ss.DecodeWire(rest)
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return t, err
+	}
+	hr := codec.NewReader(head[:])
+	t.h = readTaskHeader(&hr)
+	left := n - len(head)
+	t.rs, t.ss = &colpipe.Slab{}, &colpipe.Slab{}
+	if err = t.rs.ReadWire(r, &left); err == nil {
+		err = t.ss.ReadWire(r, &left)
 	}
 	if err != nil {
-		return h, nil, nil, fmt.Errorf("cluster: task frame: %w", err)
+		return t, fmt.Errorf("cluster: task frame: %w", err)
 	}
-	if len(rest) != 0 {
-		return h, nil, nil, fmt.Errorf("cluster: task frame carries %d trailing bytes", len(rest))
+	if left != 0 {
+		return t, fmt.Errorf("cluster: task frame carries %d trailing bytes", left)
 	}
-	return h, rs, ss, nil
+	return t, nil
 }
 
 // resultMsg carries one completed task's join outcome back to the
@@ -236,37 +259,59 @@ type resultMsg struct {
 	pairs    []tuple.Pair
 }
 
-func (m resultMsg) encode() []byte {
-	b := make([]byte, 0, 16+40+len(m.pairs)*tuple.PairWireSize)
-	b = appendTaskHeader(b, m.taskHeader)
+// resultHeadWire is the encoded size of a result frame before its pairs.
+const resultHeadWire = taskHeaderWire + 4*8 + 4
+
+func (m *resultMsg) size() int { return resultHeadWire + len(m.pairs)*tuple.PairWireSize }
+
+// write streams the result, its collected pairs in chunks, into w.
+func (m *resultMsg) write(w *bufio.Writer) error {
+	b := appendTaskHeader(w.AvailableBuffer(), m.taskHeader)
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.dur))
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.results))
 	b = binary.LittleEndian.AppendUint64(b, m.checksum)
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.cost))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.pairs)))
-	for _, p := range m.pairs {
-		b = tuple.AppendPair(b, p)
-	}
-	return b
+	w.Write(binary.LittleEndian.AppendUint32(b, uint32(len(m.pairs))))
+	return codec.WriteLane(w, m.pairs, tuple.PairWireSize, tuple.AppendPair)
 }
 
-func decodeResult(b []byte) (resultMsg, error) {
-	r := codec.NewReader(b)
+// readResult decodes a result frame's body of n bytes from r, its pairs
+// straight into an exactly sized slice, consuming exactly the frame.
+func readResult(r *bufio.Reader, n int) (resultMsg, error) {
 	var m resultMsg
-	m.taskHeader = readTaskHeader(&r)
-	m.dur = time.Duration(r.I64())
-	m.results = r.I64()
-	m.checksum = r.U64()
-	m.cost = r.I64()
-	if n := r.Count(tuple.PairWireSize); n > 0 {
-		pb := r.Bytes(n * tuple.PairWireSize)
-		m.pairs = make([]tuple.Pair, n)
-		for i := range m.pairs {
-			// Cannot fail: Count checked pb holds n pairs.
-			m.pairs[i], _ = tuple.DecodePair(pb[i*tuple.PairWireSize:])
+	var head [resultHeadWire]byte
+	if n < len(head) {
+		return m, errors.New("cluster: short result frame")
+	}
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return m, err
+	}
+	hr := codec.NewReader(head[:])
+	m.taskHeader = readTaskHeader(&hr)
+	m.dur = time.Duration(hr.I64())
+	m.results = hr.I64()
+	m.checksum = hr.U64()
+	m.cost = hr.I64()
+	left := n - len(head)
+	if np := int(hr.U32()); np > 0 {
+		if np > left/tuple.PairWireSize {
+			return m, errors.New("cluster: result frame declares more pairs than it carries")
+		}
+		m.pairs = make([]tuple.Pair, np)
+		if err := codec.ReadLane(r, &left, m.pairs, tuple.PairWireSize, decodePair); err != nil {
+			return m, err
 		}
 	}
-	return m, short(&r, "result")
+	if left != 0 {
+		return m, fmt.Errorf("cluster: result frame carries %d trailing bytes", left)
+	}
+	return m, nil
+}
+
+// decodePair decodes one pair from a window ReadLane checked holds it.
+func decodePair(b []byte) tuple.Pair {
+	p, _ := tuple.DecodePair(b)
+	return p
 }
 
 // taskErrMsg reports a failed task attempt.

@@ -21,9 +21,13 @@
 //
 // in little-endian byte order, with task partitions encoded by
 // internal/colpipe's slab codec and result pairs by internal/tuple's
-// wire format. The protocol is deliberately dumb:
-// no compression, no pipelining windows — measured bytes should map
-// one-to-one onto the replication and placement decisions under test.
+// wire format. Task and result frames stream between their lanes and
+// each connection's fixed-size buffers (conn, readFrame), so a
+// partition is copied once on its way across and no frame is held
+// whole; small control frames are encoded and read whole. The protocol
+// is deliberately dumb: no compression, no pipelining windows —
+// measured bytes should map one-to-one onto the replication and
+// placement decisions under test.
 package cluster
 
 import (
@@ -31,6 +35,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 	"time"
 )
 
@@ -84,27 +90,82 @@ const maxFrame = 1 << 30
 // frame length prefix + type byte.
 const frameHeader = 4 + 1
 
-// appendFrame wraps a payload into a frame ready for a single Write.
-func appendFrame(typ byte, payload []byte) []byte {
-	buf := make([]byte, 0, frameHeader+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(payload)))
-	buf = append(buf, typ)
-	return append(buf, payload...)
+// connBuffer is the size of each connection's read and write buffer.
+// Task and result frames stream through it in chunks, so it bounds the
+// memory a connection holds whatever the size of its frames.
+const connBuffer = 64 << 10
+
+// writeTimeout bounds the write of one frame.
+const writeTimeout = 30 * time.Second
+
+// conn is one end of a cluster connection, the coordinator's or a
+// worker's: the socket, a lock that keeps frames whole and one
+// fixed-size write buffer every frame passes through.
+type conn struct {
+	net.Conn
+	mu sync.Mutex
+	bw *bufio.Writer
 }
 
-// readFrame reads one frame from r, enforcing the size cap.
-func readFrame(r *bufio.Reader, max int) (byte, []byte, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, nil, err
+func newConn(c net.Conn) *conn {
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
 	}
-	n := int(binary.LittleEndian.Uint32(head[:]))
-	if n < 1 || n > max {
-		return 0, nil, fmt.Errorf("cluster: frame of %d bytes outside (0, %d]", n, max)
+	return &conn{Conn: c, bw: bufio.NewWriterSize(c, connBuffer)}
+}
+
+// send writes one control frame, its payload encoded whole.
+func (c *conn) send(typ byte, payload []byte) error {
+	return c.stream(typ, len(payload), func(w *bufio.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
+
+// stream writes one frame and flushes it, under the lock and one write
+// deadline. body encodes the frame's size bytes after the type byte
+// straight into the connection's buffer.
+func (c *conn) stream(typ byte, size int, body func(*bufio.Writer) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err := writeFrame(c.bw, typ, size, body); err != nil {
+		return err
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	return c.bw.Flush()
+}
+
+// writeFrame writes a frame's header, then its body, which must write
+// exactly size bytes. A bufio.Writer's first error sticks, so a failed
+// header write surfaces from body's writes or the caller's Flush.
+func writeFrame(w *bufio.Writer, typ byte, size int, body func(*bufio.Writer) error) error {
+	w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(1+size)))
+	w.WriteByte(typ)
+	return body(w)
+}
+
+// readFrame reads one frame's header from r, enforcing the size cap,
+// and returns its type, the length n of its body and the body itself —
+// except for a frame of type streamed, whose n body bytes the caller
+// decodes from r.
+func readFrame(r *bufio.Reader, max int, streamed byte) (typ byte, n int, body []byte, err error) {
+	head, err := r.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(head) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, nil, err
 	}
-	return body[0], body[1:], nil
+	size := int(binary.LittleEndian.Uint32(head))
+	if size < 1 || size > max {
+		return 0, 0, nil, fmt.Errorf("cluster: frame of %d bytes outside (0, %d]", size, max)
+	}
+	typ, n = head[4], size-1
+	r.Discard(frameHeader)
+	if typ == streamed {
+		return typ, n, nil, nil
+	}
+	body = make([]byte, n)
+	_, err = io.ReadFull(r, body)
+	return typ, n, body, err
 }

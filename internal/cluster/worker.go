@@ -93,21 +93,12 @@ type workerTask struct {
 
 // workerState is everything the read loop and the executors share.
 type workerState struct {
-	opt  WorkerOptions
-	conn net.Conn
-	wmu  sync.Mutex      // serialises frame writes (results vs heartbeats)
-	ctx  context.Context // parent of every plan's context
+	opt   WorkerOptions
+	*conn                 // frame writes: results, task errors, spans and heartbeats
+	ctx   context.Context // parent of every plan's context
 
 	mu    sync.Mutex
 	plans map[uint64]*workerPlan
-}
-
-func (w *workerState) send(frame []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	w.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	_, err := w.conn.Write(frame)
-	return err
 }
 
 // RunWorker connects to the coordinator at addr and serves tasks until
@@ -119,22 +110,19 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
 	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
+	defer nc.Close()
 
 	w := &workerState{
 		opt:   opt,
-		conn:  conn,
+		conn:  newConn(nc),
 		ctx:   ctx,
 		plans: map[uint64]*workerPlan{},
 	}
-	if err := w.send(appendFrame(msgHello, helloMsg{name: opt.Name}.encode())); err != nil {
+	if err := w.send(msgHello, helloMsg{name: opt.Name}.encode()); err != nil {
 		return fmt.Errorf("cluster: hello: %w", err)
 	}
 	opt.Log.Info("worker connected", "worker", opt.Name, "coordinator", addr)
@@ -160,19 +148,18 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 	// The context watcher unblocks the read loop by closing the socket.
 	goWait(func() {
 		<-ctx.Done()
-		conn.Close()
+		nc.Close()
 	})
 
 	// Heartbeats ride their own ticker so long task queues never starve
 	// liveness.
-	heartbeat := appendFrame(msgHeartbeat, nil)
 	goWait(func() {
 		ticker := time.NewTicker(heartbeatPeriod)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-ticker.C:
-				if w.send(heartbeat) != nil {
+				if w.send(msgHeartbeat, nil) != nil {
 					return
 				}
 			case <-ctx.Done():
@@ -191,9 +178,11 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 		})
 	}
 
-	br := bufio.NewReader(conn)
+	// A task frame decodes straight from the reader into its slabs;
+	// every other frame is small and read whole.
+	br := bufio.NewReaderSize(nc, connBuffer)
 	for {
-		typ, payload, err := readFrame(br, maxFrame)
+		typ, n, payload, err := readFrame(br, maxFrame, msgTaskCols)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -212,16 +201,16 @@ func RunWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 				return err
 			}
 		case msgTaskCols:
-			h, rs, ss, err := decodeTaskCols(payload)
+			t, err := readTask(br, n)
 			if err != nil {
 				return err
 			}
 			select {
-			case tasks <- workerTask{h: h, rs: rs, ss: ss}:
+			case tasks <- t:
 			default:
 				// Queue full: the coordinator oversubscribed us wildly;
 				// refuse rather than deadlock the read loop.
-				w.sendTaskErr(h, "worker task queue overflow")
+				w.sendTaskErr(t.h, "worker task queue overflow")
 			}
 		case msgCancel:
 			m, err := decodeCancel(payload)
@@ -331,6 +320,8 @@ func (w *workerState) runTask(t workerTask) {
 	if plan == nil || ctx.Err() != nil {
 		return // plan finished, or a speculation race this attempt lost
 	}
+	w.opt.Log.Debug("task started",
+		"worker", w.opt.Name, "plan", t.h.plan, "partition", t.h.part, "attempt", t.h.attempt)
 	if w.opt.TaskDelay > 0 {
 		// A cancel may race the injected stall (a lost speculation): skip
 		// the join rather than burn the executor.
@@ -355,7 +346,7 @@ func (w *workerState) runTask(t workerTask) {
 		// connection, so the coordinator stitches them while the run is
 		// still live.
 		if spans := plan.tr.TakeSpans(); len(spans) > 0 {
-			w.send(appendFrame(msgSpans, spansMsg{plan: t.h.plan, spans: spans}.encode()))
+			w.send(msgSpans, spansMsg{plan: t.h.plan, spans: spans}.encode())
 		}
 	}
 	m := resultMsg{
@@ -366,9 +357,9 @@ func (w *workerState) runTask(t workerTask) {
 		cost:       out.Cost,
 		pairs:      out.Pairs,
 	}
-	w.send(appendFrame(msgResult, m.encode()))
+	w.stream(msgResult, m.size(), m.write)
 }
 
 func (w *workerState) sendTaskErr(h taskHeader, msg string) {
-	w.send(appendFrame(msgTaskErr, taskErrMsg{taskHeader: h, msg: msg}.encode()))
+	w.send(msgTaskErr, taskErrMsg{taskHeader: h, msg: msg}.encode())
 }

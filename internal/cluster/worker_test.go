@@ -30,13 +30,13 @@ func TestWorkerStopsCancelledTask(t *testing.T) {
 		t.Run(stop.name, func(t *testing.T) {
 			coord, conn := net.Pipe()
 			w := discardWorker()
-			w.conn = conn
+			w.conn = newConn(conn)
 			sent := make(chan byte, 16) // room for every frame one task can send
 			go func() {
 				defer close(sent)
 				br := bufio.NewReader(coord)
 				for {
-					typ, _, err := readFrame(br, maxFrame)
+					typ, _, _, err := readFrame(br, maxFrame, 0)
 					if err != nil {
 						return
 					}
@@ -113,7 +113,7 @@ func TestWorkerRefusesRetiredFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if typ, _, err := readFrame(bufio.NewReader(conn), 1<<16); err != nil || typ != msgHello {
+	if typ, _, _, err := readFrame(bufio.NewReader(conn), 1<<16, 0); err != nil || typ != msgHello {
 		t.Fatalf("first frame: type %d, err %v, want a hello", typ, err)
 	}
 	if _, err := conn.Write(appendFrame(9, make([]byte, 33))); err != nil {

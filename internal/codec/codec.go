@@ -1,17 +1,21 @@
 // Package codec is the one little-endian byte codec behind every wire
 // and disk format of the repository: cluster frames, log records,
 // checkpoints, engine snapshots, colfile headers, slab and geometry
-// payloads. Everything it decodes may come from another process or an
+// payloads. WriteLane and ReadLane stream a lane of fixed-size values
+// through a buffered connection for the cluster's task and result
+// frames. Everything it decodes may come from another process or an
 // earlier run, so its Reader never reads past its input and checks a
 // declared element count against the bytes actually present before a
 // caller allocates for it.
 package codec
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 )
 
@@ -137,6 +141,66 @@ func AppendStr16(b []byte, s string) []byte {
 	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
+}
+
+// WriteLane encodes vs, size bytes each, with put straight into w's
+// free buffer space, flushing whenever it fills, so a lane of any length
+// streams through w's fixed buffer without a copy of its own. A buffer
+// too small for one value is io.ErrShortBuffer.
+func WriteLane[T any](w *bufio.Writer, vs []T, size int, put func([]byte, T) []byte) error {
+	for len(vs) > 0 {
+		if w.Available() < size {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		b := w.AvailableBuffer()
+		n := min(len(vs), cap(b)/size)
+		if n == 0 {
+			return io.ErrShortBuffer
+		}
+		for _, v := range vs[:n] {
+			b = put(b, v)
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		vs = vs[n:]
+	}
+	return nil
+}
+
+// ReadLane fills dst with values of size bytes each, decoded by get
+// from Peek windows of r, where r is inside a frame with *left bytes to
+// go. A lane longer than *left is ErrShort before anything is read;
+// callers sizing dst from a declared count check it against *left the
+// same way before they allocate. The stream ending early is
+// io.ErrUnexpectedEOF; a buffer too small for one value is
+// io.ErrShortBuffer.
+func ReadLane[T any](r *bufio.Reader, left *int, dst []T, size int, get func([]byte) T) error {
+	if len(dst) > *left/size {
+		return fmt.Errorf("%w: %d values of %d bytes, %d bytes left in the frame", ErrShort, len(dst), size, *left)
+	}
+	if size > r.Size() {
+		return io.ErrShortBuffer
+	}
+	*left -= len(dst) * size
+	for len(dst) > 0 {
+		n := min(len(dst), r.Size()/size)
+		b, err := r.Peek(n * size)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = get(b[i*size:])
+		}
+		r.Discard(n * size)
+		dst = dst[n:]
+	}
+	return nil
 }
 
 // Seal appends the CRC-32 (IEEE) of b as a little-endian u32 trailer.

@@ -1,8 +1,12 @@
 package codec
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"slices"
 	"testing"
 )
 
@@ -95,4 +99,48 @@ func TestCodecReader(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLaneStreaming: a lane written through a small buffer reads back
+// through Peek windows of another; a lane longer than the frame's bytes
+// left is refused before a byte is read; a stream ending mid-lane is an
+// unexpected EOF; a buffer smaller than one value is an error, not a
+// spin.
+func TestLaneStreaming(t *testing.T) {
+	in := make([]uint64, 1000)
+	for i := range in {
+		in[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	var buf bytes.Buffer
+	w := bufio.NewWriterSize(&buf, 20)
+	if err := WriteLane(w, in, 8, binary.LittleEndian.AppendUint64); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	if buf.Len() != 8*len(in) {
+		t.Fatalf("wrote %d bytes, want %d", buf.Len(), 8*len(in))
+	}
+	read := func(b []byte, left, n int) ([]uint64, int, error) {
+		out := make([]uint64, n)
+		err := ReadLane(bufio.NewReaderSize(bytes.NewReader(b), 16), &left, out, 8, binary.LittleEndian.Uint64)
+		return out, left, err
+	}
+	out, left, err := read(buf.Bytes(), buf.Len()+3, len(in))
+	if err != nil || left != 3 || !slices.Equal(out, in) {
+		t.Fatalf("round trip: err %v, %d bytes left (want 3), equal %v", err, left, slices.Equal(out, in))
+	}
+	if _, _, err := read(buf.Bytes(), buf.Len()-1, len(in)); !errors.Is(err, ErrShort) {
+		t.Errorf("a lane longer than the frame: err = %v, want ErrShort", err)
+	}
+	if _, _, err := read(buf.Bytes()[:100], buf.Len(), len(in)); err != io.ErrUnexpectedEOF {
+		t.Errorf("a cut stream: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if err := WriteLane(bufio.NewWriterSize(io.Discard, 4), in, 8, binary.LittleEndian.AppendUint64); err != io.ErrShortBuffer {
+		t.Errorf("a 4-byte buffer for 8-byte values: err = %v, want io.ErrShortBuffer", err)
+	}
+	left = 64
+	if err := ReadLane(bufio.NewReaderSize(bytes.NewReader(buf.Bytes()), 16), &left, make([][32]byte, 1), 32,
+		func(b []byte) (v [32]byte) { copy(v[:], b); return v }); err != io.ErrShortBuffer {
+		t.Errorf("a 16-byte reader for 32-byte values: err = %v, want io.ErrShortBuffer", err)
+	}
 }

@@ -257,11 +257,7 @@ func TestScatterPayloadStaysWithRow(t *testing.T) {
 			}
 
 			// Wire round trip: lanes and payload column survive bit for bit.
-			var back Slab
-			rest, err := back.DecodeWire(slab.AppendWire(nil))
-			if err != nil || len(rest) != 0 {
-				t.Fatalf("trial %d: wire round trip: %v (%d trailing bytes)", trial, err, len(rest))
-			}
+			back := readWire(t, writeWire(t, slab))
 			if !slices.Equal(back.Ranks, slab.Ranks) || !slices.Equal(back.Starts, slab.Starts) ||
 				!slices.Equal(back.Xs, slab.Xs) || !slices.Equal(back.Ys, slab.Ys) || !slices.Equal(back.IDs, slab.IDs) ||
 				!slices.EqualFunc(back.Payloads, slab.Payloads, bytes.Equal) {

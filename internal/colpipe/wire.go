@@ -1,5 +1,9 @@
 // Wire codec of a Slab — the payload of the cluster's task frame, kept
-// next to the format it serialises.
+// next to the format it serialises. A slab streams between its lanes
+// and a connection's buffers: WriteWire encodes each lane in chunks
+// into a bufio.Writer's free space, and ReadWire decodes Peek windows of
+// a bufio.Reader straight into exactly sized lanes, so neither end holds
+// the encoded slab in memory.
 //
 //	groups u32 | ranks u32×g | starts u32×(g+1) |
 //	xs f64×n | ys f64×n | ids i64×n |
@@ -12,8 +16,10 @@
 package colpipe
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"slices"
 
@@ -48,89 +54,110 @@ func (s *Slab) WorkerWire(w int) int64 {
 	return n
 }
 
-// AppendWire appends the slab's wire encoding to b.
-func (s *Slab) AppendWire(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Ranks)))
-	for _, r := range s.Ranks {
-		b = binary.LittleEndian.AppendUint32(b, uint32(r))
-	}
-	for _, o := range s.Starts {
-		b = binary.LittleEndian.AppendUint32(b, uint32(o))
-	}
-	for _, x := range s.Xs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	for _, y := range s.Ys {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(y))
-	}
-	for _, id := range s.IDs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(id))
-	}
+// WriteWire writes the slab's wire encoding, WireSize bytes, to w: each
+// lane is encoded in chunks straight into w's buffer, so no copy of the
+// slab exists on its way to the connection.
+func (s *Slab) WriteWire(w *bufio.Writer) error {
+	// A bufio.Writer's first error sticks: every later write stops at
+	// it, and the last one below reports it.
+	writeU32(w, len(s.Ranks))
+	codec.WriteLane(w, s.Ranks, 4, putI32)
+	codec.WriteLane(w, s.Starts, 4, putI32)
+	codec.WriteLane(w, s.Xs, 8, codec.AppendF64)
+	codec.WriteLane(w, s.Ys, 8, codec.AppendF64)
+	codec.WriteLane(w, s.IDs, 8, putI64)
 	if s.Payloads == nil {
-		return append(b, 0)
+		return w.WriteByte(0)
 	}
-	b = append(b, 1)
+	w.WriteByte(1)
 	for _, p := range s.Payloads {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
-		b = append(b, p...)
+		writeU32(w, len(p))
+		w.Write(p)
 	}
-	return b
+	_, err := w.Write(nil)
+	return err
 }
 
-// DecodeWire fills s from the encoding at the head of b and returns the
-// unread remainder. Every declared count is checked against the bytes
-// actually present before anything is allocated, so a lying frame is an
-// error, never a panic or an oversized allocation. The fixed lanes are
-// copied out of b; payloads alias it.
-func (s *Slab) DecodeWire(b []byte) (rest []byte, err error) {
-	r := codec.NewReader(b)
-	ng := r.Count(8) // a rank and a start per group
-	ranks, starts := r.Bytes(4*ng), r.Bytes(4*ng+4)
-	if r.Err() != nil {
-		return nil, errors.New("colpipe: slab declares more groups than it carries")
+// ReadWire fills s from the encoding at the head of r, inside a frame
+// with *left bytes to go, and counts what it consumes off *left. Every
+// declared count is checked against *left before anything is
+// allocated, so a lying frame is an error, never a panic or an
+// allocation past the frame's declared length. Lanes are decoded
+// straight from r's buffer into exactly sized slices; payloads get
+// their own storage.
+func (s *Slab) ReadWire(r *bufio.Reader, left *int) error {
+	var u32 [1]uint32
+	if err := codec.ReadLane(r, left, u32[:], 4, getU32); err != nil {
+		return err
 	}
-	s.Ranks, s.Starts = decodeI32s(ranks), decodeI32s(starts)
+	g := int(u32[0])
+	if *left < 4 || g > (*left-4)/8 { // a rank and a start per group, and a last start
+		return errors.New("colpipe: slab declares more groups than it carries")
+	}
+	s.Ranks, s.Starts = make([]int32, g), make([]int32, g+1)
+	if err := codec.ReadLane(r, left, s.Ranks, 4, getI32); err != nil {
+		return err
+	}
+	if err := codec.ReadLane(r, left, s.Starts, 4, getI32); err != nil {
+		return err
+	}
 	if s.Starts[0] != 0 || !slices.IsSorted(s.Starts) {
-		return nil, errors.New("colpipe: slab group offsets are not monotonic from 0")
+		return errors.New("colpipe: slab group offsets are not monotonic from 0")
 	}
-	rows := int(s.Starts[ng])
-	lanes, flag := r.Bytes(RowWire*rows), r.U8()
-	if r.Err() != nil {
-		return nil, errors.New("colpipe: slab declares more rows than it carries")
+	rows := int(s.Starts[g])
+	if *left < 1 || rows > (*left-1)/RowWire { // the lanes, then the payload flag
+		return errors.New("colpipe: slab declares more rows than it carries")
 	}
 	s.Xs, s.Ys, s.IDs = make([]float64, rows), make([]float64, rows), make([]int64, rows)
-	for i := 0; i < rows; i++ {
-		s.Xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(lanes[8*i:]))
-		s.Ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(lanes[8*(rows+i):]))
-		s.IDs[i] = int64(binary.LittleEndian.Uint64(lanes[8*(2*rows+i):]))
+	var flag [1]byte
+	err := codec.ReadLane(r, left, s.Xs, 8, getF64)
+	if err == nil {
+		err = codec.ReadLane(r, left, s.Ys, 8, getF64)
+	}
+	if err == nil {
+		err = codec.ReadLane(r, left, s.IDs, 8, getI64)
+	}
+	if err == nil {
+		err = codec.ReadLane(r, left, flag[:], 1, getU8)
 	}
 	s.Payloads = nil
-	switch flag {
-	case 0:
-		return r.Rest(), nil
-	case 1:
-	default:
-		return nil, errors.New("colpipe: slab payload column has a bad flag")
+	if err != nil || flag[0] == 0 {
+		return err
+	}
+	if flag[0] != 1 {
+		return errors.New("colpipe: slab payload column has a bad flag")
 	}
 	// rows is bounded by the lanes just read, so the column's slice
 	// headers cost no more than those lanes did.
 	s.Payloads = make([][]byte, rows)
-	for i := 0; i < rows && r.Err() == nil; i++ {
-		if p := r.Bytes(int(r.U32())); len(p) > 0 {
-			s.Payloads[i] = p
+	for i := range s.Payloads {
+		if codec.ReadLane(r, left, u32[:], 4, getU32) != nil || int(u32[0]) > *left {
+			return errors.New("colpipe: slab payload column is shorter than its lengths")
+		}
+		if u32[0] == 0 {
+			continue
+		}
+		s.Payloads[i] = make([]byte, u32[0])
+		*left -= int(u32[0])
+		if _, err := io.ReadFull(r, s.Payloads[i]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
 		}
 	}
-	if r.Err() != nil {
-		return nil, errors.New("colpipe: slab payload column is shorter than its lengths")
-	}
-	return r.Rest(), nil
+	return nil
 }
 
-// decodeI32s reads the little-endian u32s filling b.
-func decodeI32s(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
+// writeU32 writes one u32 through w's buffer.
+func writeU32(w *bufio.Writer, v int) {
+	w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(v)))
 }
+
+func putI32(b []byte, v int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
+func putI64(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
+func getU8(b []byte) byte             { return b[0] }
+func getU32(b []byte) uint32          { return binary.LittleEndian.Uint32(b) }
+func getI32(b []byte) int32           { return int32(binary.LittleEndian.Uint32(b)) }
+func getI64(b []byte) int64           { return int64(binary.LittleEndian.Uint64(b)) }
+func getF64(b []byte) float64         { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }

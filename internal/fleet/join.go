@@ -48,11 +48,10 @@ type joinResp struct {
 	JoinID      int64      `json:"join_id"`
 }
 
-// joinLeg records the shard execution of a routed join, for
-// trace stitching.
+// joinLeg records the one shard execution of a routed join, for trace
+// stitching.
 type joinLeg struct {
 	shardID string
-	url     string
 	joinID  int64
 	span    uint64 // the SpanFleetProxy span the shard's tree grafts under
 }
@@ -115,12 +114,12 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request, allowCollec
 	var (
 		resp    *joinResp
 		mode    string
-		legs    []joinLeg
+		leg     joinLeg
 		lastErr error
 	)
 	for attempt := 0; ; attempt++ {
 		var err error
-		resp, mode, legs, err = rt.routeJoin(r.Context(), tr, root, tenant, wire, entR, entS)
+		resp, mode, leg, err = rt.routeJoin(r.Context(), tr, root, tenant, wire, entR, entS)
 		if err == nil {
 			break
 		}
@@ -142,7 +141,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request, allowCollec
 	root.SetStr("mode", mode)
 	root.End()
 	rt.Metrics.Joins.Inc(mode)
-	resp.JoinID = rt.recordTrace(mode, tr, legs)
+	resp.JoinID = rt.recordTrace(mode, tr, leg)
 	return writeJSON(w, http.StatusOK, resp), nil
 }
 
@@ -175,13 +174,14 @@ func (rt *Router) rememberJoin(keyR, keyS, tenant string, wire joinWire) {
 }
 
 // routeJoin makes one routing attempt against the current live shard
-// view. A *transportError return means a shard died under it and the
-// caller may retry; placement re-resolves to the replicas.
-func (rt *Router) routeJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span, tenant string, wire joinWire, entR, entS *catEntry) (*joinResp, string, []joinLeg, error) {
+// view and runs the join on exactly one shard. A *transportError return
+// means a shard died under it and the caller may retry; placement
+// re-resolves to the replicas.
+func (rt *Router) routeJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span, tenant string, wire joinWire, entR, entS *catEntry) (*joinResp, string, joinLeg, error) {
 	keyR, keyS := Key(tenant, wire.R), Key(tenant, wire.S)
 	targetR, targetS := rt.serveTarget(keyR), rt.serveTarget(keyS)
 	if targetR == nil || targetS == nil {
-		return nil, "", nil, fmt.Errorf("fleet: no live shard holds the datasets")
+		return nil, "", joinLeg{}, fmt.Errorf("fleet: no live shard holds the datasets")
 	}
 	snameR := shardDatasetName(tenant, wire.R)
 	snameS := shardDatasetName(tenant, wire.S)
@@ -191,10 +191,7 @@ func (rt *Router) routeJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span,
 		sw := wire
 		sw.R, sw.S = snameR, snameS
 		resp, leg, err := rt.proxyJoin(ctx, tr, root, targetR, sw)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return resp, "local", []joinLeg{leg}, nil
+		return resp, "local", leg, err
 	}
 
 	// Cross-shard: stream the smaller dataset to the larger's shard as a
@@ -207,7 +204,7 @@ func (rt *Router) routeJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span,
 	}
 	mirror, err := rt.ensureMirror(ctx, tr, root, small, big, smallKey, smallEnt, smallName)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", joinLeg{}, err
 	}
 	sw := wire
 	if big == targetR {
@@ -216,10 +213,7 @@ func (rt *Router) routeJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span,
 		sw.R, sw.S = mirror, snameS
 	}
 	resp, leg, err := rt.proxyJoin(ctx, tr, root, big, sw)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	return resp, "streamed", []joinLeg{leg}, nil
+	return resp, "streamed", leg, err
 }
 
 // proxyJoin runs one join on one shard under a SpanFleetProxy span.
@@ -249,7 +243,7 @@ func (rt *Router) proxyJoin(ctx context.Context, tr *obs.Tracer, root *obs.Span,
 		return nil, joinLeg{}, fmt.Errorf("fleet: bad join response from %s: %w", sh.id, err)
 	}
 	span.SetInt("results", resp.Results).SetInt("shard_join_id", resp.JoinID)
-	return &resp, joinLeg{shardID: sh.id, url: sh.url, joinID: resp.JoinID, span: uint64(span.SpanID())}, nil
+	return &resp, joinLeg{shardID: sh.id, joinID: resp.JoinID, span: uint64(span.SpanID())}, nil
 }
 
 // ensureMirror ships a dataset from shard src to shard dst under a

@@ -10,18 +10,18 @@ import (
 )
 
 // routerTrace is one retained routed join: the router's own fleet spans
-// plus pointers to the shard-local executions, fetched and grafted in
+// plus a pointer to the shard-local execution, fetched and grafted in
 // lazily when the trace is requested.
 type routerTrace struct {
 	mode   string
 	tracer *obs.Tracer
-	legs   []joinLeg
+	leg    joinLeg
 }
 
 // recordTrace retains a finished routed join's trace and returns its
 // router-scoped join id.
-func (rt *Router) recordTrace(mode string, tr *obs.Tracer, legs []joinLeg) int64 {
-	return rt.traces.Put(routerTrace{mode: mode, tracer: tr, legs: legs})
+func (rt *Router) recordTrace(mode string, tr *obs.Tracer, leg joinLeg) int64 {
+	return rt.traces.Put(routerTrace{mode: mode, tracer: tr, leg: leg})
 }
 
 // TraceResponse is the payload of the router's GET /v1/joins/{id}/trace:
@@ -50,27 +50,19 @@ func (rt *Router) handleJoinTrace(w http.ResponseWriter, r *http.Request) (int, 
 	if !ok {
 		return http.StatusNotFound, fmt.Errorf("fleet: no retained trace for join %d", id)
 	}
-	tree := jt.tracer.Tree()
-	resp := &TraceResponse{JoinID: id, Mode: jt.mode, Tree: tree}
-	for i, leg := range jt.legs {
-		resp.Shards = append(resp.Shards, leg.shardID)
-		sh := rt.shardByID(leg.shardID)
-		if sh == nil || !sh.alive.Load() {
-			continue
-		}
+	leg := jt.leg
+	resp := &TraceResponse{JoinID: id, Mode: jt.mode, Shards: []string{leg.shardID}, Tree: jt.tracer.Tree()}
+	// A shard that is gone, unreachable or has evicted the join leaves
+	// the fleet spans served alone.
+	if sh := rt.shardByID(leg.shardID); sh != nil && sh.alive.Load() {
 		body, _, err := rt.shardGet(r.Context(), sh, "/v1/joins/"+strconv.FormatInt(leg.joinID, 10)+"/trace")
-		if err != nil {
-			continue // evicted or unreachable: serve the fleet spans alone
-		}
 		var wire shardTraceWire
-		if json.Unmarshal(body, &wire) != nil {
-			continue
+		if err == nil && json.Unmarshal(body, &wire) == nil {
+			// Shard span ids were minted in a different process; lift them
+			// clear of the router's own.
+			rebase(wire.Tree, 1<<32, leg.shardID)
+			obs.Graft(resp.Tree, leg.span, wire.Tree)
 		}
-		// Shard span ids were minted in a different process; rebase them
-		// into a per-leg id range so grafted trees cannot collide with the
-		// router's own spans (or each other's).
-		rebase(wire.Tree, uint64(i+1)<<32, leg.shardID)
-		obs.Graft(resp.Tree, leg.span, wire.Tree)
 	}
 	resp.Spans = countNodes(resp.Tree)
 	return writeJSON(w, http.StatusOK, resp), nil
