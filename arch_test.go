@@ -20,7 +20,7 @@ import (
 // TestArchitecture holds the repo's single paths — one execution
 // format, one agreement store, one sweep kernel, one orchestrator, one
 // sampling rule, one join pipeline, one codec, one metric registry, one
-// cross-shard join and measured clocks only — as one table over the
+// cross-shard join, one plan decision and measured clocks only — as one table over the
 // non-test Go of the module. Each check is the regexp a CI grep step used to run, matched
 // the way grep matched it (unanchored, line by line) but over the
 // source with its comments blanked: a retired name in a comment
@@ -268,6 +268,12 @@ var archGuards = []archGuard{
 		hint:    "the fleet's strip fan-out is back beside the streamed join: a cross-shard join mirrors the smaller input to the larger's shard",
 		badPath: "internal/fleet/bad.go",
 		bad:     "type Config struct{ FanoutMinPoints int }\nvar _ = flag.Int(\"fanout-min-points\", 0, \"\")\nfunc fanoutJoin() {}\ntype regionFilter struct{}\nvar _ = obs.SpanFleetMerge",
+	}}},
+	{"one plan decision", []archCheck{{
+		re:      `planner\.|UniversalR|UniversalS|StragglerMin|StragglerFactor|SegmentBytes|MaxSkewSamples`,
+		hint:    "a decision no input or caller varies is back as a strategy race or a knob: AutoPlanned is LPiB (DESIGN.md), and the straggler, segment and skew-history bounds are constants",
+		badPath: "internal/core/bad.go",
+		bad:     "var _ = planner.Auto\nconst UniversalR = 1\nvar _ = cfg.UniversalS\ntype Config struct{ StragglerMin int }\nvar _ = c.StragglerFactor\nvar _ = Options{SegmentBytes: 1}\nvar _ = o.MaxSkewSamples",
 	}}},
 }
 

@@ -12,7 +12,7 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// everyAlgorithm is allAlgorithms plus the planner's choice among them.
+// everyAlgorithm is allAlgorithms plus AutoPlanned.
 func everyAlgorithm() []Algorithm { return append(allAlgorithms(), AutoPlanned) }
 
 func supportsSelfJoin(a Algorithm) bool {
@@ -246,11 +246,10 @@ func TestHostileParallelism(t *testing.T) {
 	}
 }
 
-// TestAutoPlannedSamplesOnce: AutoPlanned costs the strategies on the
-// sample and graph its own plan is then built from, so the report is the
-// resolved algorithm's field for field and the trace shows one sample
-// phase. (internal/planner covers the universal outcomes, which the
-// planner never reaches on natural data.)
+// TestAutoPlannedSamplesOnce: AutoPlanned is built as the algorithm it
+// reports, so the report is that algorithm's field for field and the
+// trace shows one sample phase. (No universal outcome exists: see
+// costmodel.TestAdaptiveNeverAboveUniversal.)
 func TestAutoPlannedSamplesOnce(t *testing.T) {
 	rs, ss := GenerateTigerLike(6000, 1), GenerateGaussian(6000, 2)
 	opt := Options{Eps: 0.6, Algorithm: AutoPlanned, SampleFraction: 0.2, Seed: 3, Workers: 4, Partitions: 16}

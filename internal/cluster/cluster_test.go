@@ -352,11 +352,11 @@ func TestClusterSpeculativeStraggler(t *testing.T) {
 	rs := datagen.Uniform(world, 1500, 9, 0)
 	ss := datagen.Uniform(world, 1500, 10, 1<<20)
 
-	// One healthy worker, one straggler that stalls every task far past
-	// the threshold: its partitions must be speculatively duplicated on
-	// the healthy worker, whose copies win.
+	// One healthy worker, one straggler that stalls every task past the
+	// 2s speculation floor: its partitions must be speculatively
+	// duplicated on the healthy worker, whose copies win.
 	h := startHarness(t,
-		Config{StragglerMin: 100 * time.Millisecond, StragglerFactor: 2},
+		Config{},
 		WorkerOptions{Name: "fast"},
 		WorkerOptions{Name: "slow", TaskDelay: 5 * time.Second, Parallel: 1},
 	)

@@ -34,27 +34,15 @@ const maxTaskRetries = 8
 
 // Config tunes the coordinator. Zero values select defaults. Liveness
 // timing and the frame cap are protocol constants (see proto.go), not
-// settings, so coordinator and workers cannot disagree on them.
+// settings, so coordinator and workers cannot disagree on them; the
+// speculation timing beside them has no caller that sets another value.
 type Config struct {
-	// StragglerMin is the floor a task must run before it can be
-	// speculatively duplicated; default 2s.
-	StragglerMin time.Duration
-	// StragglerFactor scales the median completed-task time into the
-	// speculation threshold (threshold = max(StragglerMin, factor ×
-	// median)); default 3.
-	StragglerFactor float64
 	// Log receives structured progress and fault events; nil discards
 	// them.
 	Log *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
-	if c.StragglerMin <= 0 {
-		c.StragglerMin = 2 * time.Second
-	}
-	if c.StragglerFactor <= 0 {
-		c.StragglerFactor = 3
-	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
 	}
@@ -758,15 +746,11 @@ func (c *Coordinator) handleTaskErr(w *remote, payload []byte) {
 }
 
 // speculateLoop duplicates straggling tasks: once a task's only attempt
-// has run past max(StragglerMin, StragglerFactor × median completed
+// has run past max(stragglerMin, stragglerFactor × median completed
 // duration), a second attempt is launched on another worker and the
 // first finisher wins.
 func (c *Coordinator) speculateLoop(r *run, stop <-chan struct{}) {
-	interval := c.cfg.StragglerMin / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(stragglerMin / 4)
 	defer ticker.Stop()
 	for {
 		select {
@@ -784,11 +768,11 @@ func (c *Coordinator) speculateLoop(r *run, stop <-chan struct{}) {
 		var specs []spec
 		now := time.Now()
 		r.mu.Lock()
-		threshold := c.cfg.StragglerMin
+		threshold := stragglerMin
 		if n := len(r.durs); n > 0 {
 			sorted := append([]time.Duration(nil), r.durs...)
 			slices.Sort(sorted)
-			if scaled := time.Duration(c.cfg.StragglerFactor * float64(sorted[n/2])); scaled > threshold {
+			if scaled := time.Duration(stragglerFactor * float64(sorted[n/2])); scaled > threshold {
 				threshold = scaled
 			}
 		}

@@ -83,6 +83,14 @@ const (
 	heartbeatMisses = 5
 )
 
+// Speculation timing: the coordinator duplicates a task whose only
+// attempt has run past max(stragglerMin, stragglerFactor × the median
+// completed-task time); see speculateLoop.
+const (
+	stragglerMin    = 2 * time.Second
+	stragglerFactor = 3
+)
+
 // maxFrame bounds a single frame; a task carries a whole reduce
 // partition, so the cap is generous.
 const maxFrame = 1 << 30

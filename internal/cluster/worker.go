@@ -263,9 +263,9 @@ func (w *workerState) handlePlan(payload []byte) error {
 var buildKernel = func(desc dpe.KernelDesc) (dpe.Kernel, error) {
 	switch desc.Kind {
 	case dpe.KernelSweep:
-		// nil kernel: JoinSlabs runs the columnar zero-allocation sweep
-		// in place, so remote workers execute the same fast path as the
-		// local engine.
+		// nil kernel: JoinSlabsTraced runs the columnar zero-allocation
+		// sweep in place, so remote workers execute the same fast path as
+		// the local engine.
 		return nil, nil
 	case dpe.KernelRefPoint:
 		return pbsm.RefPointKernel(grid.New(desc.Bounds, desc.GridEps, desc.GridRes)), nil

@@ -60,7 +60,7 @@ type Config struct {
 	// Scheme is the algorithm: which cells a point is assigned to. Nil is
 	// the paper's adaptive replication, which Res, Policy, UseLPT, Order
 	// and Simple parameterise; the baselines (internal/pbsm,
-	// internal/sedonasim) and the cost-model planner supply their own.
+	// internal/sedonasim) supply their own.
 	Scheme Scheme
 
 	// Engine selects the execution backend for the partition-level joins:
@@ -212,19 +212,19 @@ func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
 // adaptive is the default scheme, the paper's contribution: sample both
 // inputs, then assign by the graph of agreements built on the sample.
 func adaptive(in Input, spec *dpe.Spec, p *Plan) error {
-	st, err := SampleStats(in, p)
+	st, err := sampleStats(in, p)
 	if err != nil {
 		return err
 	}
-	Adaptive(in, spec, p, st, nil)
+	assignAdaptive(in, spec, p, st)
 	return nil
 }
 
-// SampleStats is phase 1: it builds the scheme's Res·ε grid and the
+// sampleStats is phase 1: it builds the scheme's Res·ε grid and the
 // per-cell statistics of each input's sample — the tuples sample.Keep
 // selects by id (R with Seed, S with Seed+1), so the statistics do not
 // depend on input order — and records them on p.
-func SampleStats(in Input, p *Plan) (*grid.Stats, error) {
+func sampleStats(in Input, p *Plan) (*grid.Stats, error) {
 	res := in.Res
 	if res == 0 {
 		res = 2
@@ -260,22 +260,20 @@ func SampleStats(in Input, p *Plan) (*grid.Stats, error) {
 	return st, nil
 }
 
-// Adaptive is phases 2-3 on sampled statistics: the graph of agreements
-// with its duplicate-free resolution (built here with Config.Policy and
-// Order unless the caller already holds gr), the cell placement, and the
-// adaptive assignment written into spec.
-func Adaptive(in Input, spec *dpe.Spec, p *Plan, st *grid.Stats, gr *agreements.Graph) {
+// assignAdaptive is phases 2-3 on sampled statistics: the graph of
+// agreements with its duplicate-free resolution (built with Config.Policy
+// and Order), the cell placement, and the adaptive assignment written
+// into spec.
+func assignAdaptive(in Input, spec *dpe.Spec, p *Plan, st *grid.Stats) {
 	partSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanPartition)
 	start := time.Now()
-	if gr == nil {
-		gr = agreements.BuildParallel(st, in.Policy, in.Order, in.planWidth())
-	}
+	gr := agreements.BuildParallel(st, in.Policy, in.Order, in.planWidth())
 	spec.Part = dpe.HashPartitioner{N: in.Partitions}
 	if in.UseLPT {
 		costs := gr.EstimatedCostsParallel(st, in.planWidth())
 		spec.Part = dpe.ExplicitPartitioner{Table: lpt.Assign(costs, in.Partitions), N: in.Partitions}
 	}
-	p.BuildTime += time.Since(start)
+	p.BuildTime = time.Since(start)
 	if partSp != nil {
 		marked, locked := gr.EdgeCounts()
 		partSp.SetInt("partitions", int64(in.Partitions))

@@ -717,34 +717,27 @@ type PartitionResult struct {
 	Cost     int64 // Σ over the partition's cells of |R_c|·|S_c|
 }
 
-// JoinSlabs joins the matching rank groups of a partition's two slabs —
-// the reduce task both the local engine and remote cluster workers run —
-// through colpipe.JoinSlabsContext, with kernel as the per-group join
-// (nil: the in-place sweep). The pairs reach one pooled colsweep.Sink,
-// so the self-filter and collect mode behave alike for every kernel;
-// with a nil kernel a partition allocates nothing in steady state
-// (result collection, when requested, is the only growth). ctx is
-// checked once per matched group; when it reports an error, JoinSlabs
-// returns it with the groups joined so far.
-func JoinSlabs(ctx context.Context, rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool) (PartitionResult, error) {
+// JoinSlabsTraced joins the matching rank groups of a partition's two
+// slabs — the reduce task both the local engine and remote cluster
+// workers run — through colpipe.JoinSlabsContext, with kernel as the
+// per-group join (nil: the in-place sweep). The pairs reach one pooled
+// colsweep.Sink, so the self-filter and collect mode behave alike for
+// every kernel; with a nil kernel a partition allocates nothing in
+// steady state (result collection, when requested, is the only growth).
+// ctx is checked once per matched group; when it reports an error,
+// JoinSlabsTraced returns it with the groups joined so far. The
+// partition's row counts, pair count and cost are attached to sp, which
+// is then ended; a nil sp (tracing disabled) adds zero work and zero
+// allocations, which keeps the traced path on by default.
+func JoinSlabsTraced(ctx context.Context, rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool, sp *obs.Span) (PartitionResult, error) {
 	bufs := colsweep.Get()
 	defer colsweep.Put(bufs)
 	sink := bufs.Sink(collect, selfFilter)
 	cost, err := colpipe.JoinSlabsContext(ctx, rs, ss, eps, kernel, sink)
-	return PartitionResult{Results: sink.N, Checksum: sink.Checksum, Pairs: sink.Pairs, Cost: cost}, err
-}
-
-// JoinSlabsTraced is JoinSlabs plus span instrumentation: the
-// partition's row counts, pair count and cost are attached to sp, which
-// is then ended. A nil sp (tracing disabled) adds zero work and zero
-// allocations — the guarantee the engines rely on to keep the traced
-// path on by default.
-func JoinSlabsTraced(ctx context.Context, rs, ss *colpipe.Slab, eps float64, kernel Kernel, collect, selfFilter bool, sp *obs.Span) (PartitionResult, error) {
-	out, err := JoinSlabs(ctx, rs, ss, eps, kernel, collect, selfFilter)
 	sp.SetInt("tuples_r", int64(rs.Rows()))
 	sp.SetInt("tuples_s", int64(ss.Rows()))
-	sp.SetInt("pairs", out.Results)
-	sp.SetInt("cost", out.Cost)
+	sp.SetInt("pairs", sink.N)
+	sp.SetInt("cost", cost)
 	sp.End()
-	return out, err
+	return PartitionResult{Results: sink.N, Checksum: sink.Checksum, Pairs: sink.Pairs, Cost: cost}, err
 }

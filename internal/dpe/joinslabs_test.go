@@ -26,7 +26,7 @@ func oneGroupSlab(ts []tuple.Tuple) *colpipe.Slab {
 
 // TestJoinSlabsZeroAllocs pins the kernel's scratch as bounded and
 // pooled: over one group whose ε-window spans 5,000 S rows, the count
-// mode of JoinSlabs allocates nothing once its Buffers are warm.
+// mode of JoinSlabsTraced allocates nothing once its Buffers are warm.
 func TestJoinSlabsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under -race")
@@ -47,23 +47,23 @@ func TestJoinSlabsZeroAllocs(t *testing.T) {
 	sweep.NestedLoop(r, s, eps, want.Emit)
 
 	ctx := context.Background()
-	got, err := JoinSlabs(ctx, rs, ss, eps, nil, false, false)
+	got, err := JoinSlabsTraced(ctx, rs, ss, eps, nil, false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Results != want.N || got.Checksum != want.Checksum {
-		t.Fatalf("JoinSlabs %d/%x, nested loop %d/%x", got.Results, got.Checksum, want.N, want.Checksum)
+		t.Fatalf("JoinSlabsTraced %d/%x, nested loop %d/%x", got.Results, got.Checksum, want.N, want.Checksum)
 	}
 	if want.N == 0 || want.N == int64(len(r)*len(s)) {
 		t.Fatalf("%d of %d pairs match: the selection step is not exercised", want.N, len(r)*len(s))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := JoinSlabs(ctx, rs, ss, eps, nil, false, false); err != nil {
+		if _, err := JoinSlabsTraced(ctx, rs, ss, eps, nil, false, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("count-mode JoinSlabs allocated %v times per run, want 0", allocs)
+		t.Fatalf("count-mode JoinSlabsTraced allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -89,8 +89,9 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestJoinSlabsStopsWithinOneGroup cancels a partition join part-way:
-// JoinSlabs must return the context's error having joined no group past
-// the check that reported it, on the in-place sweep and on a lane kernel.
+// JoinSlabsTraced must return the context's error having joined no group
+// past the check that reported it, on the in-place sweep and on a lane
+// kernel.
 func TestJoinSlabsStopsWithinOneGroup(t *testing.T) {
 	const groups, after = 50, 7
 	// Group k holds one R and one S point at the same spot: one pair each.
@@ -112,14 +113,14 @@ func TestJoinSlabsStopsWithinOneGroup(t *testing.T) {
 		name   string
 		kernel Kernel
 	}{{"slab", nil}, {"lane kernel", NestedLoopKernel}} {
-		full, err := JoinSlabs(context.Background(), rs, ss, 0.5, tc.kernel, false, false)
+		full, err := JoinSlabsTraced(context.Background(), rs, ss, 0.5, tc.kernel, false, false, nil)
 		if err != nil || full.Results != groups {
 			t.Fatalf("%s: uncancelled join %d pairs, err %v; want %d", tc.name, full.Results, err, groups)
 		}
 		ctx := newCountdown(after)
-		got, err := JoinSlabs(ctx, rs, ss, 0.5, tc.kernel, false, false)
+		got, err := JoinSlabsTraced(ctx, rs, ss, 0.5, tc.kernel, false, false, nil)
 		if !errors.Is(err, errCountdown) {
-			t.Fatalf("%s: JoinSlabs returned %v, want the context's error", tc.name, err)
+			t.Fatalf("%s: JoinSlabsTraced returned %v, want the context's error", tc.name, err)
 		}
 		if got.Results > after+1 {
 			t.Fatalf("%s: %d groups joined after the context expired at check %d", tc.name, got.Results, after+1)

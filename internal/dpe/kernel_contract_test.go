@@ -110,7 +110,7 @@ func contractSlab(ts []tuple.Tuple) *colpipe.Slab {
 	return s
 }
 
-// TestKernelContract runs every lane kernel through JoinSlabs on the
+// TestKernelContract runs every lane kernel through JoinSlabsTraced on the
 // adversarial cases, in count, collect and self-filter mode, and checks
 // each against sweep.NestedLoop over the same rows — the reference-point
 // kernel against the pairs whose midpoint lies in the cell.
@@ -160,7 +160,7 @@ func TestKernelContract(t *testing.T) {
 				}
 				slices.SortFunc(want, comparePairs)
 				for _, collect := range []bool{false, true} {
-					got, err := dpe.JoinSlabs(context.Background(), rs, ss, contractEps, kn.k, collect, selfFilter)
+					got, err := dpe.JoinSlabsTraced(context.Background(), rs, ss, contractEps, kn.k, collect, selfFilter, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

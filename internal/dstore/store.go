@@ -11,16 +11,15 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
+// maxSkewSamples bounds the persisted skew history per (R, S, eps) key;
+// an append past it drops the oldest sample.
+const maxSkewSamples = 32
+
 // Options tunes a Store.
 type Options struct {
 	// Fsync syncs the log after every append (crash-durable acks).
 	// When false, appends are durable only at checkpoints and rotation.
 	Fsync bool
-	// SegmentBytes is the log rotation threshold (default 64 MiB).
-	SegmentBytes int64
-	// MaxSkewSamples bounds the persisted skew history per (R, S, eps)
-	// key (default 32).
-	MaxSkewSamples int
 	// OnAppend, OnFsync, OnSegments and OnCheckpoint feed metrics.
 	OnAppend     func(recordBytes int64)
 	OnFsync      func()
@@ -32,12 +31,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = defaultSegMax
-	}
-	if o.MaxSkewSamples <= 0 {
-		o.MaxSkewSamples = 32
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -159,7 +152,6 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	}
 	log, err := openLog(filepath.Join(dir, "wal"), logOptions{
 		fsync:      opts.Fsync,
-		segBytes:   opts.SegmentBytes,
 		onAppend:   opts.OnAppend,
 		onFsync:    opts.OnFsync,
 		onSegments: opts.OnSegments,
@@ -654,7 +646,7 @@ func (s *Store) addSkewLocked(sample SkewSample) {
 		s.skewKeys = append(s.skewKeys, key)
 	}
 	ring = append(ring, sample)
-	if over := len(ring) - s.opts.MaxSkewSamples; over > 0 {
+	if over := len(ring) - maxSkewSamples; over > 0 {
 		ring = append(ring[:0], ring[over:]...)
 	}
 	s.skew[key] = ring

@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -279,21 +280,22 @@ func TestStoreStreamDeleteDropsTail(t *testing.T) {
 
 func TestStoreSkewHistoryBounded(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := Open(dir, Options{MaxSkewSamples: 3})
+	st, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer st.Close()
-	for i := 0; i < 10; i++ {
+	const rounds = maxSkewSamples + 8
+	for i := 0; i < rounds; i++ {
 		if err := st.AppendSkew("r", "s", 1.0, map[string]int{"round": i}); err != nil {
 			t.Fatalf("skew %d: %v", i, err)
 		}
 	}
 	hist := st.SkewHistory()
-	if len(hist) != 3 {
-		t.Fatalf("history holds %d samples, want 3 (bounded)", len(hist))
+	if len(hist) != maxSkewSamples {
+		t.Fatalf("history holds %d samples, want %d (bounded)", len(hist), maxSkewSamples)
 	}
-	if string(hist[len(hist)-1].Report) != `{"round":9}` {
-		t.Fatalf("latest sample = %s, want round 9", hist[len(hist)-1].Report)
+	if want := fmt.Sprintf(`{"round":%d}`, rounds-1); string(hist[len(hist)-1].Report) != want {
+		t.Fatalf("latest sample = %s, want %s", hist[len(hist)-1].Report, want)
 	}
 }

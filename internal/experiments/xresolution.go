@@ -2,10 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"spatialjoin"
+	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/core"
-	"spatialjoin/internal/planner"
+	"spatialjoin/internal/costmodel"
+	"spatialjoin/internal/geom"
+	"spatialjoin/internal/grid"
+	"spatialjoin/internal/sample"
+	"spatialjoin/internal/tuple"
 )
 
 // XResolution validates the resolution planner against measurement: the
@@ -26,7 +32,7 @@ func XResolution(sc Scale) []*Table {
 	if err != nil {
 		panic(fmt.Sprintf("xresolution: %v", err))
 	}
-	choice, err := planner.PlanResolution(bounds, rs, ss, DefaultEps, 0, sc.Seed, 24, ResSweep)
+	choice, err := planResolution(bounds, rs, ss, DefaultEps, 0, sc.Seed, 24, ResSweep)
 	if err != nil {
 		panic(fmt.Sprintf("xresolution: %v", err))
 	}
@@ -35,15 +41,71 @@ func XResolution(sc Scale) []*Table {
 		opt.GridRes = res
 		rep := sc.run(rs, ss, opt)
 		marker := ""
-		if res == choice.Res {
+		if res == choice.res {
 			marker = " <- planned"
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%geps%s", res, marker),
-			fmt.Sprintf("%.3g", choice.Costs[res]),
+			fmt.Sprintf("%.3g", choice.costs[res]),
 			fmtCount(rep.CandidatePairs),
 			fmtDur(rep.TotalTime()),
 		})
 	}
 	return []*Table{t}
+}
+
+// Resolution ranking converts the cost model's mixed units into one
+// scalar cost, predicted nanoseconds, with rough single-machine
+// constants; they only need to be correct relative to each other.
+const (
+	nsPerCandidatePair = 5 // one refine comparison
+	nsPerShuffledByte  = 1 // one byte through the shuffle (serialisation + network amortised)
+)
+
+// resolutionChoice is the outcome of planResolution.
+type resolutionChoice struct {
+	res   float64             // chosen multiplier (cell side res·ε)
+	costs map[float64]float64 // predicted ns per candidate resolution
+}
+
+// planResolution picks the grid resolution multiplier (from candidates,
+// each >= 2) that minimises the predicted adaptive join cost — the
+// "proper tuning of the number of grid partitions" of the parallel
+// in-memory join literature, driven by the cost model instead of trial
+// runs. An empty candidate list defaults to {2, 3, 4, 5} (the paper's
+// Figure 15 sweep). The pick drives no join: XResolution sets it beside
+// the measured join work of every candidate.
+func planResolution(bounds geom.Rect, rs, ss []tuple.Tuple, eps, fraction float64, seed int64, tupleBytes int, candidates []float64) (*resolutionChoice, error) {
+	if eps <= 0 {
+		return nil, fmt.Errorf("xresolution: eps must be positive, got %v", eps)
+	}
+	if len(candidates) == 0 {
+		candidates = []float64{2, 3, 4, 5}
+	}
+	if fraction <= 0 {
+		fraction = sample.DefaultFraction
+	}
+	smpR := sample.Bernoulli(rs, fraction, seed)
+	smpS := sample.Bernoulli(ss, fraction, seed+1)
+
+	choice := &resolutionChoice{costs: make(map[float64]float64, len(candidates))}
+	bestCost := math.Inf(1)
+	for _, res := range candidates {
+		if res < 2 {
+			return nil, fmt.Errorf("xresolution: resolution %v violates the l >= 2ε requirement", res)
+		}
+		g := grid.New(bounds, eps, res)
+		st := grid.NewStats(g)
+		st.AddAll(tuple.R, smpR)
+		st.AddAll(tuple.S, smpS)
+		gr := agreements.Build(st, agreements.LPiB)
+		p := costmodel.Adaptive(gr, st, fraction, tupleBytes)
+		cost := p.CandidatePairs*nsPerCandidatePair + p.ShuffledBytes*nsPerShuffledByte
+		choice.costs[res] = cost
+		if cost < bestCost {
+			bestCost = cost
+			choice.res = res
+		}
+	}
+	return choice, nil
 }

@@ -104,11 +104,13 @@ func run[R any](ctx context.Context, s *Service, q query, e engine[R]) (_ *R, er
 	// request answers its deadline even mid-join. An abandoned join
 	// finishes in the background and only then releases its plan and its
 	// slot: the pool stays honest about CPU use, and a plan evicted
-	// meanwhile is freed after its last user.
+	// meanwhile is freed after its last user. The slot is released before
+	// the outcome is sent, so a returned join no longer counts in flight.
 	done := make(chan error, 1)
 	go func() {
-		defer release()
-		done <- prepareAndExecute(ctx, s, e, j)
+		err := prepareAndExecute(ctx, s, e, j)
+		release()
+		done <- err
 	}()
 	select {
 	case err := <-done:

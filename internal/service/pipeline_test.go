@@ -294,3 +294,19 @@ func TestDiskJoinEvictionUnderLoad(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestJoinReturnsWithSlotReleased: a join that has returned no longer
+// counts in sjoind_requests_in_flight — run releases the slot before it
+// hands back the outcome.
+func TestJoinReturnsWithSlotReleased(t *testing.T) {
+	s := testService(t, Config{})
+	defer s.Close()
+	for i := 0; i < 200; i++ {
+		if _, err := s.Join(context.Background(), JoinRequest{R: "r", S: "s", Eps: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.InFlight(); n != 0 {
+			t.Fatalf("join %d returned with %d in flight, want 0", i, n)
+		}
+	}
+}

@@ -345,6 +345,45 @@ func TestTwoLayerResweep(t *testing.T) {
 	}
 }
 
+// TestTwoLayerExecuteSpansPerExecution: the sweep and refine spans of
+// an execution count that execution's kernel work only, so executing a
+// cached plan a second time reports what the first did.
+func TestTwoLayerExecuteSpansPerExecution(t *testing.T) {
+	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}
+	rng := rand.New(rand.NewSource(29))
+	rs := randObjects(rng, 300, 0, world, 4)
+	ss := randObjects(rng, 300, 10_000, world, 4)
+	p, err := Prepare(Config{R: rs, S: ss, Pred: extgeom.WithinDistance, Eps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := func() map[string][]obs.Attr {
+		tr := obs.New()
+		if _, err := p.Execute(context.Background(), ExecOptions{Tracer: tr}); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]obs.Attr{}
+		for _, sp := range tr.Spans() {
+			if sp.Name == obs.SpanSweep || sp.Name == obs.SpanRefine {
+				out[sp.Name] = sp.Attrs
+			}
+		}
+		return out
+	}
+	first, second := attrs(), attrs()
+	if len(first) != 2 {
+		t.Fatalf("spans %v, want one sweep and one refine", first)
+	}
+	if tiles := first[obs.SpanSweep][0]; tiles.Key != "tiles" || tiles.Int == 0 {
+		t.Fatalf("first sweep span %v: no tiles joined", first[obs.SpanSweep])
+	}
+	for name, want := range first {
+		if got := second[name]; !slices.Equal(got, want) {
+			t.Errorf("second execution's %s span %v, the first's %v", name, got, want)
+		}
+	}
+}
+
 func TestTwoLayerKernelDescRoundTrip(t *testing.T) {
 	k := &Kernel{
 		Grid: NewTileGrid(geom.Rect{MinX: -3, MinY: 2, MaxX: 9, MaxY: 11}, 12, 7),

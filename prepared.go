@@ -6,7 +6,6 @@ import (
 	"spatialjoin/internal/agreements"
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/pbsm"
-	"spatialjoin/internal/planner"
 	"spatialjoin/internal/sedonasim"
 )
 
@@ -40,8 +39,7 @@ type PreparedJoin struct {
 }
 
 // Prepare builds a reusable plan for the join R ⋈ε S. Every algorithm is
-// preparable; AutoPlanned is resolved to a concrete strategy at prepare
-// time.
+// preparable; AutoPlanned is prepared, and reported, as AdaptiveLPiB.
 func Prepare(rs, ss []Tuple, opt Options) (*PreparedJoin, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -73,7 +71,7 @@ func prepare(rs, ss []Tuple, opt Options, selfJoin bool) (*PreparedJoin, error) 
 	cfg := opt.config()
 	cfg.Res, cfg.UseLPT = opt.GridRes, opt.UseLPT
 	cfg.SelfFilter = selfJoin
-	var auto planner.Choice
+	algo := opt.Algorithm
 	switch opt.Algorithm {
 	case AdaptiveDIFF:
 		cfg.Policy = agreements.DIFF
@@ -90,21 +88,19 @@ func prepare(rs, ss []Tuple, opt Options, selfJoin bool) (*PreparedJoin, error) 
 	case SedonaLike:
 		cfg.Scheme = sedonasim.Scheme
 	case AutoPlanned:
-		cfg.Scheme = planner.Auto(&auto)
+		// The cost model never predicts a universal choice below LPiB's
+		// shuffle (DESIGN.md), so auto is LPiB.
+		algo = AdaptiveLPiB
 	}
 	plan, err := core.BuildPlan(rs, ss, cfg)
 	if err != nil {
 		return nil, err
 	}
-	algo := opt.Algorithm
-	if algo == AutoPlanned {
-		algo = [...]Algorithm{planner.Adaptive: AdaptiveLPiB, planner.UniversalR: PBSMUniR, planner.UniversalS: PBSMUniS}[auto.Strategy]
-	}
 	return &PreparedJoin{algorithm: algo, plan: plan}, nil
 }
 
-// Algorithm returns the concrete strategy of the plan (AutoPlanned is
-// resolved at prepare time).
+// Algorithm returns the concrete strategy of the plan (AdaptiveLPiB for
+// AutoPlanned).
 func (p *PreparedJoin) Algorithm() Algorithm { return p.algorithm }
 
 // Eps returns the distance threshold the plan was prepared for — the

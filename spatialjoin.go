@@ -109,10 +109,10 @@ const (
 	// a 2ε grid, duplicates avoided with the reference-point technique (a
 	// pair is reported only by the cell containing its midpoint).
 	PBSMClone
-	// AutoPlanned lets the cost-model planner choose between adaptive
-	// replication and the two universal choices from sampled statistics,
-	// minimising predicted shuffle volume. Report.Algorithm holds the
-	// strategy it selected.
+	// AutoPlanned asks for the strategy of least predicted shuffle volume.
+	// On the cost model's sampled statistics LPiB's per-border choice never
+	// predicts more replication than either universal choice, so it is
+	// always AdaptiveLPiB, and Report.Algorithm says so.
 	AutoPlanned
 )
 
