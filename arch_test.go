@@ -20,7 +20,8 @@ import (
 // TestArchitecture holds the repo's single paths — one execution
 // format, one agreement store, one sweep kernel, one orchestrator, one
 // sampling rule, one join pipeline, one codec, one metric registry, one
-// cross-shard join, one plan decision and measured clocks only — as one table over the
+// cross-shard join, one plan decision, in-place two-layer geometry and
+// measured clocks only — as one table over the
 // non-test Go of the module. Each check is the regexp a CI grep step used to run, matched
 // the way grep matched it (unanchored, line by line) but over the
 // source with its comments blanked: a retired name in a comment
@@ -274,6 +275,18 @@ var archGuards = []archGuard{
 		hint:    "a decision no input or caller varies is back as a strategy race or a knob: AutoPlanned is LPiB (DESIGN.md), and the straggler, segment and skew-history bounds are constants",
 		badPath: "internal/core/bad.go",
 		bad:     "var _ = planner.Auto\nconst UniversalR = 1\nvar _ = cfg.UniversalS\ntype Config struct{ StragglerMin int }\nvar _ = c.StragglerFactor\nvar _ = Options{SegmentBytes: 1}\nvar _ = o.MaxSkewSamples",
+	}}},
+	{"two-layer reads geometry in place", []archCheck{{
+		re:      `DecodeObjectBounds`,
+		hint:    "an MBR-only payload decoder is back: the map phase reads each row's MBR from the table Prepare computed once",
+		badPath: "internal/extgeom/bad.go",
+		bad:     "func DecodeObjectBounds(b []byte) {}\nvar _ = extgeom.DecodeObjectBounds",
+	}, {
+		re:      `extgeom\.Eval\(`,
+		in:      []string{"internal/twolayer/"},
+		hint:    "the two-layer kernel refines through extgeom.EvalBoxed with the MBRs it already holds; Eval re-derives both per candidate",
+		badPath: "internal/twolayer/bad.go",
+		bad:     "func refine(a, b *extgeom.Object) bool { return extgeom.Eval(extgeom.Intersects, a, b, 0) }",
 	}}},
 }
 

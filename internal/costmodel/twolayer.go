@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"slices"
 
 	"spatialjoin/internal/geom"
 )
@@ -58,9 +59,10 @@ func TwoLayerResolution(bounds geom.Rect, sampleR, sampleS []geom.Rect, nR, nS, 
 		maxN *= 2
 	}
 
+	var tl tileTally
 	best := TwoLayerPrediction{Score: math.Inf(1)}
 	for n := 1; n <= maxN; n *= 2 {
-		p := twoLayerPredict(bounds, sampleR, sampleS, scaleR, scaleS, n)
+		p := tl.predict(bounds, sampleR, sampleS, scaleR, scaleS, n)
 		// Floor for parallelism: with fewer tiles than workers the
 		// reduce phase cannot balance; skip unless it is the only
 		// candidate left.
@@ -72,23 +74,45 @@ func TwoLayerResolution(bounds geom.Rect, sampleR, sampleS []geom.Rect, nR, nS, 
 		}
 	}
 	if math.IsInf(best.Score, 1) {
-		best = twoLayerPredict(bounds, sampleR, sampleS, scaleR, scaleS, maxN)
+		best = tl.predict(bounds, sampleR, sampleS, scaleR, scaleS, maxN)
 	}
 	return best
 }
 
-func twoLayerPredict(bounds geom.Rect, sampleR, sampleS []geom.Rect, scaleR, scaleS float64, n int) TwoLayerPrediction {
+// tileTally holds each side's covered tile ids for one resolution step;
+// the slices are reused across the steps of one TwoLayerResolution.
+type tileTally struct {
+	r, s []int
+}
+
+// predict models one n×n resolution: each side's covered tile ids,
+// sorted, give the per-tile counts |R_t| and |S_t| as runs, and one
+// merge of the two sums |R_t|·|S_t| over the tiles both sides reach.
+func (tl *tileTally) predict(bounds geom.Rect, sampleR, sampleS []geom.Rect, scaleR, scaleS float64, n int) TwoLayerPrediction {
 	tw := bounds.Width() / float64(n)
 	th := bounds.Height() / float64(n)
-	histR := make(map[int]float64, len(sampleR))
-	histS := make(map[int]float64, len(sampleS))
-	replR := tally(bounds, sampleR, tw, th, n, histR)
-	replS := tally(bounds, sampleS, tw, th, n, histS)
+	var replR, replS float64
+	tl.r, replR = cover(bounds, sampleR, tw, th, n, tl.r[:0])
+	tl.s, replS = cover(bounds, sampleS, tw, th, n, tl.s[:0])
+	slices.Sort(tl.r)
+	slices.Sort(tl.s)
 
 	var cand float64
-	for t, hr := range histR {
-		if hs, ok := histS[t]; ok {
-			cand += hr * hs
+	for i, j := 0, 0; i < len(tl.r) && j < len(tl.s); {
+		switch t := tl.r[i]; {
+		case t < tl.s[j]:
+			i++
+		case t > tl.s[j]:
+			j++
+		default:
+			i0, j0 := i, j
+			for i < len(tl.r) && tl.r[i] == t {
+				i++
+			}
+			for j < len(tl.s) && tl.s[j] == t {
+				j++
+			}
+			cand += float64(i-i0) * float64(j-j0)
 		}
 	}
 	p := TwoLayerPrediction{
@@ -101,9 +125,10 @@ func twoLayerPredict(bounds geom.Rect, sampleR, sampleS []geom.Rect, scaleR, sca
 	return p
 }
 
-// tally adds each sampled MBR to the per-tile histogram and returns the
-// sample's replica count (covered tiles beyond the first).
-func tally(bounds geom.Rect, mbrs []geom.Rect, tw, th float64, n int, hist map[int]float64) float64 {
+// cover appends the id of every tile each sampled MBR covers to tiles
+// and returns it with the sample's replica count (covered tiles beyond
+// the first).
+func cover(bounds geom.Rect, mbrs []geom.Rect, tw, th float64, n int, tiles []int) ([]int, float64) {
 	clampTile := func(v float64, span float64, lo float64) int {
 		if span <= 0 {
 			return 0
@@ -124,9 +149,9 @@ func tally(bounds geom.Rect, mbrs []geom.Rect, tw, th float64, n int, hist map[i
 		repl += float64((c1-c0+1)*(r1-r0+1) - 1)
 		for row := r0; row <= r1; row++ {
 			for col := c0; col <= c1; col++ {
-				hist[row*n+col]++
+				tiles = append(tiles, row*n+col)
 			}
 		}
 	}
-	return repl
+	return tiles, repl
 }

@@ -62,13 +62,15 @@ import (
 // is assigned to; the first id must be the native cell.
 type Assign func(p geom.Point, set tuple.Set, dst []int) []int
 
-// TupleAssign is the whole-tuple variant of Assign, for join families
-// whose assignment needs more than the point — the two-layer non-point
-// join decodes the object MBR from the tuple payload. When set on a
-// Spec it takes precedence over the point Assign for that side. The
-// contract is the same: append the cell ids of every replica to dst and
-// return it, with the native cell (the one that owns the tuple) first.
-type TupleAssign func(t tuple.Tuple, set tuple.Set, dst []int) []int
+// TupleAssign is the row variant of Assign, for join families whose
+// assignment needs more than the point: it is handed the tuple's row in
+// its input (Spec.R or Spec.S), so it can read what the caller keeps per
+// row beside the tuples — the two-layer non-point join reads the
+// object's MBR from its table. When set on a Spec it takes precedence
+// over the point Assign for that side. The contract is the same: append
+// the cell ids of every replica to dst and return it, with the native
+// cell (the one that owns the tuple) first.
+type TupleAssign func(row int, set tuple.Set, dst []int) []int
 
 // Partitioner routes cell ids to reduce partitions.
 type Partitioner interface {
@@ -161,7 +163,7 @@ type Spec struct {
 	AssignR Assign // assignment rule for R tuples
 	AssignS Assign // assignment rule for S tuples (may differ, e.g. PBSM)
 	// TupleAssignR/TupleAssignS, when non-nil, replace AssignR/AssignS
-	// with whole-tuple assignment (payload-aware joins).
+	// with row assignment (payload-aware joins).
 	TupleAssignR TupleAssign
 	TupleAssignS TupleAssign
 	Part         Partitioner
@@ -472,18 +474,18 @@ func Prepare(spec Spec) (*Prepared, error) {
 }
 
 // side returns one input of the join and its assignment: the point
-// Assign lifted to a TupleAssign unless the caller supplied a
-// whole-tuple assignment, which wins.
+// Assign lifted to a TupleAssign unless the caller supplied a row
+// assignment, which wins.
 func (spec *Spec) side(set tuple.Set) ([]tuple.Tuple, TupleAssign) {
-	in, pt, whole := spec.R, spec.AssignR, spec.TupleAssignR
+	in, pt, rows := spec.R, spec.AssignR, spec.TupleAssignR
 	if set == tuple.S {
-		in, pt, whole = spec.S, spec.AssignS, spec.TupleAssignS
+		in, pt, rows = spec.S, spec.AssignS, spec.TupleAssignS
 	}
-	if whole != nil {
-		return in, whole
+	if rows != nil {
+		return in, rows
 	}
-	return in, func(t tuple.Tuple, set tuple.Set, dst []int) []int {
-		return pt(t.Pt, set, dst)
+	return in, func(row int, set tuple.Set, dst []int) []int {
+		return pt(in[row].Pt, set, dst)
 	}
 }
 
@@ -535,7 +537,7 @@ func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]c
 				errs[w] = &tuple.NonFiniteError{Set: set, Row: w*chunk + i, ID: t.ID, Pt: t.Pt}
 				return
 			}
-			cells = assign(*t, set, cells[:0])
+			cells = assign(w*chunk+i, set, cells[:0])
 			lg.AddRow(cells, spec.CellRank, part, t.KeyedSize(), len(t.Payload))
 		}
 		logs[w] = lg

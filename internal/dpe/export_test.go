@@ -21,12 +21,11 @@ func NestedLoopKernel(_ int, r, s *colpipe.Group, eps float64, out *colsweep.Sin
 	}
 }
 
-// TupleAssigned returns spec with its point assignments lifted to
-// whole-tuple ones — the rule under which the plan carries a payload
-// lane.
+// TupleAssigned returns spec with its point assignments lifted to row
+// ones — the rule under which the plan carries a payload lane.
 func TupleAssigned(spec Spec) Spec {
-	ar, as := spec.AssignR, spec.AssignS
-	spec.TupleAssignR = func(t tuple.Tuple, set tuple.Set, dst []int) []int { return ar(t.Pt, set, dst) }
-	spec.TupleAssignS = func(t tuple.Tuple, set tuple.Set, dst []int) []int { return as(t.Pt, set, dst) }
+	rs, ss, ar, as := spec.R, spec.S, spec.AssignR, spec.AssignS
+	spec.TupleAssignR = func(row int, set tuple.Set, dst []int) []int { return ar(rs[row].Pt, set, dst) }
+	spec.TupleAssignS = func(row int, set tuple.Set, dst []int) []int { return as(ss[row].Pt, set, dst) }
 	return spec
 }

@@ -40,7 +40,7 @@ func referenceSlabs(spec Spec, set tuple.Set, workers int) []colpipe.Slab {
 	var cells []int
 	for i, tu := range in {
 		w := i / chunk
-		cells = assign(tu, set, cells[:0])
+		cells = assign(i, set, cells[:0])
 		for _, c := range cells {
 			rk := int32(c)
 			if spec.CellRank != nil && spec.Kernel == nil {
@@ -230,8 +230,8 @@ func TestWideObjectKeepsEveryReplica(t *testing.T) {
 	}
 	spec := Spec{
 		R: rs, S: ss, Eps: eps,
-		TupleAssignR: func(tu tuple.Tuple, _ tuple.Set, dst []int) []int {
-			if tu.ID != wide.ID {
+		TupleAssignR: func(row int, _ tuple.Set, dst []int) []int {
+			if tu := rs[row]; tu.ID != wide.ID {
 				return append(dst, int(tu.ID)%cells)
 			}
 			for c := 0; c < cells; c++ {
@@ -239,8 +239,8 @@ func TestWideObjectKeepsEveryReplica(t *testing.T) {
 			}
 			return dst
 		},
-		TupleAssignS: func(tu tuple.Tuple, _ tuple.Set, dst []int) []int {
-			return append(dst, int(tu.ID-1_000_000))
+		TupleAssignS: func(row int, _ tuple.Set, dst []int) []int {
+			return append(dst, int(ss[row].ID-1_000_000))
 		},
 		Cells:   cells,
 		Part:    HashPartitioner{N: 7},

@@ -54,39 +54,40 @@ func ParsePredicate(s string) (Predicate, error) {
 // Eval evaluates the predicate on a concrete object pair. eps is only
 // consulted by WithinDistance.
 func Eval(p Predicate, a, b *Object, eps float64) bool {
+	return EvalBoxed(p, a, b, a.Bounds(), b.Bounds(), eps)
+}
+
+// EvalBoxed is Eval for a caller that already holds both objects' MBRs
+// (aBox = a.Bounds(), bBox = b.Bounds(), unwidened): a join kernel that
+// filtered the pair on them refines without a second pass over the
+// vertices.
+func EvalBoxed(p Predicate, a, b *Object, aBox, bBox geom.Rect, eps float64) bool {
 	switch p {
 	case Intersects:
-		return IntersectsObjects(a, b)
+		return aBox.Intersects(bBox) && sqDistUpTo(a, b, aBox, bBox, 0) == 0
 	case Contains:
-		return ContainsObject(a, b)
+		return contains(a, b, aBox, bBox)
 	case WithinDistance:
-		return WithinDist(a, b, eps)
+		return sqDistUpTo(a, b, aBox, bBox, eps) <= eps*eps
 	}
 	return false
 }
 
-// IntersectsObjects reports whether the two objects share at least one
-// point: their boundaries cross or touch, or one lies inside the other's
-// interior.
-func IntersectsObjects(a, b *Object) bool {
-	aBox, bBox := a.Bounds(), b.Bounds()
-	return aBox.Intersects(bBox) && sqDistUpTo(a, b, aBox, bBox, 0) == 0
-}
-
-// ContainsObject reports whether a fully contains b, boundary contact
-// allowed. Only a polygon has an interior; for non-polygon a the relation
-// degenerates to point equality (a point "contains" an identical point).
+// contains reports whether a fully contains b, boundary contact
+// allowed, given both MBRs. Only a polygon has an interior; for
+// non-polygon a the relation degenerates to point equality (a point
+// "contains" an identical point).
 //
 // For polygon a the test is: every vertex of b lies in the closed region
 // of a, and no segment of b properly crosses a's boundary. Segments that
 // graze a's boundary through one of a's vertices are additionally probed
 // at interior sample points, which resolves the vertex-on-edge cases the
 // proper-crossing test alone cannot see.
-func ContainsObject(a, b *Object) bool {
+func contains(a, b *Object, aBox, bBox geom.Rect) bool {
 	if a.Kind != KindPolygon {
 		return a.Kind == KindPoint && b.Kind == KindPoint && a.Verts[0] == b.Verts[0]
 	}
-	if !a.Bounds().ContainsRect(b.Bounds()) {
+	if !aBox.ContainsRect(bBox) {
 		return false
 	}
 	for _, v := range b.Verts {

@@ -227,7 +227,7 @@ func TestContainsObjectVsSampling(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		a := randomSimplePolygon(rng, 1, 5, 5, 4)
 		b := randomObject(rng, 2, 4+rng.Float64()*2, 4+rng.Float64()*2, 0.2+rng.Float64()*3)
-		got := ContainsObject(&a, &b)
+		got := Eval(Contains, &a, &b, 0)
 		// Sample b densely; containment requires every sample inside a.
 		allIn := true
 		for _, p := range samplePoints(&b, 50) {
@@ -237,10 +237,10 @@ func TestContainsObjectVsSampling(t *testing.T) {
 			}
 		}
 		if got && !allIn {
-			t.Fatalf("case %d: ContainsObject=true but a sampled point of b is outside a\na=%+v\nb=%+v", i, a, b)
+			t.Fatalf("case %d: Eval(Contains)=true but a sampled point of b is outside a\na=%+v\nb=%+v", i, a, b)
 		}
 		if !got && allIn {
-			// ContainsObject may only reject a fully-sampled-inside b
+			// Contains may only reject a fully-sampled-inside b
 			// when b grazes the boundary (samples on the edge): verify
 			// there is at least a near-boundary sample before failing.
 			grazing := false
@@ -257,7 +257,7 @@ func TestContainsObjectVsSampling(t *testing.T) {
 				}
 			}
 			if !grazing {
-				t.Fatalf("case %d: ContainsObject=false but every sampled point of b is strictly inside a\na=%+v\nb=%+v", i, a, b)
+				t.Fatalf("case %d: Eval(Contains)=false but every sampled point of b is strictly inside a\na=%+v\nb=%+v", i, a, b)
 			}
 		}
 	}
@@ -291,8 +291,8 @@ func TestContainsObjectCases(t *testing.T) {
 		{"point contains equal point", NewPoint(5, geom.Point{X: 1, Y: 2}), NewPoint(6, geom.Point{X: 1, Y: 2}), true},
 	}
 	for _, c := range cases {
-		if got := ContainsObject(&c.a, &c.b); got != c.want {
-			t.Errorf("%s: ContainsObject = %v, want %v", c.name, got, c.want)
+		if got := Eval(Contains, &c.a, &c.b, 0); got != c.want {
+			t.Errorf("%s: Eval(Contains) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -312,10 +312,10 @@ func TestIntersectsObjectsCases(t *testing.T) {
 		{"point in polygon", square, NewPoint(5, geom.Point{X: 1, Y: 1}), true},
 	}
 	for _, c := range cases {
-		if got := IntersectsObjects(&c.a, &c.b); got != c.want {
+		if got := Eval(Intersects, &c.a, &c.b, 0); got != c.want {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
-		if got := IntersectsObjects(&c.b, &c.a); got != c.want {
+		if got := Eval(Intersects, &c.b, &c.a, 0); got != c.want {
 			t.Errorf("%s (flipped): got %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -342,9 +342,9 @@ func TestObjectWireRoundTrip(t *testing.T) {
 			}
 		}
 		wantB := o.Bounds()
-		gotB, err := DecodeObjectBounds(enc)
+		_, gotB, _, err := DecodeObjectInto(nil, o.ID, enc)
 		if err != nil {
-			t.Fatalf("bounds: %v", err)
+			t.Fatalf("decode into: %v", err)
 		}
 		if gotB != wantB {
 			t.Fatalf("bounds mismatch: %v vs %v", gotB, wantB)

@@ -17,9 +17,8 @@ import (
 //	kind u8 | nverts u32 | nverts × (x f64 | y f64)
 //
 // Little-endian, self-delimiting. The MBR is not stored: it is derivable
-// in one pass, and DecodeObjectBounds performs exactly that pass without
-// materialising the vertex slice (the map phase's assignment only needs
-// the MBR).
+// in one pass, which DecodeObjectInto makes while it copies the vertices
+// out.
 
 // wireHeader is the fixed prefix size of an encoded object.
 const wireHeader = 1 + 4
@@ -73,28 +72,6 @@ func DecodeObjectInto(arena []geom.Point, id int64, b []byte) (Object, geom.Rect
 		return Object{}, geom.Rect{}, arena, err
 	}
 	return o, mbr, verts, nil
-}
-
-// DecodeObjectBounds computes the MBR of an encoded geometry without
-// building the vertex slice. A NaN or infinite vertex is an error, as in
-// DecodeObjectInto.
-func DecodeObjectBounds(b []byte) (geom.Rect, error) {
-	_, n, err := decodeHeader(b)
-	if err != nil {
-		return geom.Rect{}, err
-	}
-	r := geom.EmptyRect()
-	for i := 0; i < n; i++ {
-		p := geom.Point{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(b[wireHeader+16*i:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[wireHeader+16*i+8:])),
-		}
-		if err := checkFinite(i, p); err != nil {
-			return geom.Rect{}, err
-		}
-		r = r.ExtendPoint(p)
-	}
-	return r, nil
 }
 
 // decodeHeader reads the kind and vertex count of an encoded object; the

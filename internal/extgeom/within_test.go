@@ -288,8 +288,7 @@ func TestEvalAllocs(t *testing.T) {
 
 // TestDecodeObjectIntoRejectsNonFinite pins that decoding fails closed
 // on a NaN or ±Inf coordinate in either axis of any vertex, for every
-// kind: DecodeObjectInto leaves the arena as it was passed in, and
-// DecodeObjectBounds returns no MBR.
+// kind: DecodeObjectInto leaves the arena as it was passed in.
 func TestDecodeObjectIntoRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, o := range []Object{
@@ -314,9 +313,6 @@ func TestDecodeObjectIntoRejectsNonFinite(t *testing.T) {
 					if len(grown) != len(arena) || grown[0] != arena[0] {
 						t.Fatalf("%v vertex %d axis %d = %v: rejected payload changed the arena to %v", o.Kind, v, axis, bad, grown)
 					}
-					if mbr, err := DecodeObjectBounds(enc); err == nil {
-						t.Fatalf("%v vertex %d axis %d = %v: DecodeObjectBounds = %v, want an error", o.Kind, v, axis, bad, mbr)
-					}
 				}
 			}
 		}
@@ -326,7 +322,7 @@ func TestDecodeObjectIntoRejectsNonFinite(t *testing.T) {
 // FuzzDecodeObjectInto requires the arena decoder to accept and reject
 // exactly what DecodeObject does, with the same error, to leave the
 // arena it was given untouched, and to hand back the same vertices and
-// the MBR DecodeObjectBounds computes.
+// their MBR, bit for bit what Object.Bounds computes.
 func FuzzDecodeObjectInto(f *testing.F) {
 	for _, o := range []Object{
 		NewPoint(1, geom.Point{X: 1, Y: 2}),
@@ -378,12 +374,8 @@ func FuzzDecodeObjectInto(f *testing.F) {
 			!bytes.Equal(AppendObject(nil, &got), b[:ObjectWireSize(&got)]) {
 			t.Fatalf("vertices differ from DecodeObject's or from the payload")
 		}
-		wantMBR, err := DecodeObjectBounds(b)
-		if err != nil {
-			t.Fatalf("DecodeObjectBounds rejects what DecodeObject accepts: %v", err)
-		}
-		if rectBits(mbr) != rectBits(wantMBR) {
-			t.Fatalf("MBR %v, DecodeObjectBounds %v", mbr, wantMBR)
+		if wantMBR := want.Bounds(); rectBits(mbr) != rectBits(wantMBR) {
+			t.Fatalf("MBR %v, Bounds %v", mbr, wantMBR)
 		}
 	})
 }

@@ -42,11 +42,13 @@ type KernelStats struct {
 }
 
 // Kernel is the per-tile class-pair mini-join. It implements the
-// dpe.Kernel contract: rows arrive grouped by tile with the geometry in
-// the payload lane, classes are recomputed tile-locally from the MBR (no
-// class tags travel on the wire), and the allowed class combinations
+// dpe.Kernel contract: rows arrive grouped by tile and x-sorted by their
+// MBR's begin corner, classes are recomputed tile-locally from the MBR
+// (no class tags travel on the wire), and the allowed class combinations
 // are joined with a forward-scan interval sweep — or a bulk-loaded
-// R-tree when the tile is degenerate.
+// R-tree when the tile is degenerate. An in-process kernel reads each
+// row's object and MBR in place from the plan's inputs; a kernel built
+// from its wire description decodes them from the payload lane.
 type Kernel struct {
 	Grid TileGrid
 	Pred extgeom.Predicate
@@ -60,6 +62,17 @@ type Kernel struct {
 	FallbackMinEntries int
 
 	Stats KernelStats
+
+	// in holds the inputs an in-process plan's id lanes index; empty
+	// when the rows carry object ids and wire-encoded payloads.
+	in inputs
+}
+
+// inputs are both sides of an in-process join by input row: the objects
+// and the MBRs Prepare computed for them.
+type inputs struct {
+	r, s       []extgeom.Object
+	mbrR, mbrS []geom.Rect
 }
 
 // KernelFromDesc rebuilds a kernel from its wire description — the
@@ -94,12 +107,13 @@ func (k *Kernel) Desc(refineEps float64) dpe.KernelDesc {
 	}
 }
 
-// entry is one replica materialised inside a tile: the (widened) MBR
-// drives the filter, the decoded object is what refinement evaluates. Its
-// vertices live in the tile's vertex arena.
+// entry is one replica inside a tile: the (widened) MBR drives the
+// filter, the object and its own MBR are what refinement evaluates. The
+// object's vertices are the input's, or a decoded copy in the tile's
+// vertex arena.
 type entry struct {
 	mbr geom.Rect
-	id  int64
+	box geom.Rect
 	obj extgeom.Object
 }
 
@@ -158,24 +172,36 @@ func (sc *tileScratch) release() {
 	scratchPool.Put(sc)
 }
 
-// load decodes one side's replicas — MBR and vertices in a single pass
-// over each payload — classifies them tile-locally and buckets them by
-// class. widen is the ε the side's MBRs are expanded by.
-func (k *Kernel) load(sc *tileScratch, byClass *[numClasses][]entry, g *colpipe.Group, widen float64, col, row int) {
+// load buckets one side's replicas by class: each row's object and MBR
+// come from the plan's inputs (objs, mbrs) or, when objs is nil, from a
+// single decode pass over its payload. widen is the ε the side's MBRs
+// are expanded by. The rows arrive x-sorted by begin corner and a
+// uniform widening keeps that order, so every bucket is in sweep order;
+// one comparison per replica checks it, and a bucket handed out of
+// order is sorted.
+func (k *Kernel) load(sc *tileScratch, byClass *[numClasses][]entry, g *colpipe.Group, objs []extgeom.Object, mbrs []geom.Rect, widen float64, col, row int) {
+	var unsorted [numClasses]bool
 	for i, id := range g.IDs {
-		var payload []byte // a slab whose rows all carry none has no lane
-		if g.Payloads != nil {
-			payload = g.Payloads[i]
+		var e entry
+		if objs != nil {
+			e.obj, e.box = objs[id], mbrs[id]
+		} else {
+			var payload []byte // a slab whose rows all carry none has no lane
+			if g.Payloads != nil {
+				payload = g.Payloads[i]
+			}
+			obj, mbr, verts, err := extgeom.DecodeObjectInto(sc.verts, id, payload)
+			if err != nil {
+				sc.decodeErrors++
+				continue
+			}
+			sc.verts, e.obj, e.box = verts, obj, mbr
 		}
-		obj, mbr, verts, err := extgeom.DecodeObjectInto(sc.verts, id, payload)
-		if err != nil {
-			sc.decodeErrors++
-			continue
-		}
+		e.mbr = e.box
 		if widen > 0 {
-			mbr = mbr.Expand(widen)
+			e.mbr = e.box.Expand(widen)
 		}
-		if !k.Grid.Covers(mbr, col, row) {
+		if !k.Grid.Covers(e.mbr, col, row) {
 			// A re-sweep at ε' < plan ε: the ε-widened assignment put a
 			// replica here, but the ε'-widened MBR no longer reaches
 			// this tile. Its reference tile is covered by both sides'
@@ -183,9 +209,16 @@ func (k *Kernel) load(sc *tileScratch, byClass *[numClasses][]entry, g *colpipe.
 			// and classifying it would double-emit.
 			continue
 		}
-		sc.verts = verts
-		c := k.Grid.Classify(mbr, col, row)
-		byClass[c] = append(byClass[c], entry{mbr: mbr, id: id, obj: obj})
+		c := k.Grid.Classify(e.mbr, col, row)
+		if n := len(byClass[c]); n > 0 && e.mbr.MinX < byClass[c][n-1].mbr.MinX {
+			unsorted[c] = true
+		}
+		byClass[c] = append(byClass[c], e)
+	}
+	for c, u := range unsorted {
+		if u {
+			slices.SortFunc(byClass[c], func(a, b entry) int { return cmp.Compare(a.mbr.MinX, b.mbr.MinX) })
+		}
 	}
 }
 
@@ -210,8 +243,8 @@ func (k *Kernel) Join(cell int, r, s *colpipe.Group, eps float64, out *colsweep.
 	// in pooled scratch. Only the R side is widened.
 	sc := scratchPool.Get().(*tileScratch)
 	defer sc.release()
-	k.load(sc, &sc.byClassR, r, widen, col, row)
-	k.load(sc, &sc.byClassS, s, 0, col, row)
+	k.load(sc, &sc.byClassR, r, k.in.r, k.in.mbrR, widen, col, row)
+	k.load(sc, &sc.byClassS, s, k.in.s, k.in.mbrS, 0, col, row)
 
 	if k.ForceFallback || k.degenerate(sc) {
 		k.Stats.FallbackTiles.Add(1)
@@ -263,15 +296,10 @@ func (k *Kernel) degenerate(sc *tileScratch) bool {
 }
 
 // sweepCombo forward-scan sweeps one allowed class pair: both lists
-// sorted by MBR x-start, the earlier-starting entry scanned forward in
-// the other list while x-intervals overlap, then a y-overlap check,
-// then exact refinement.
+// sorted by MBR x-start (load leaves them so), the earlier-starting
+// entry scanned forward in the other list while x-intervals overlap,
+// then a y-overlap check, then exact refinement.
 func (k *Kernel) sweepCombo(sc *tileScratch, res, ses []entry, eps float64, out *colsweep.Sink) {
-	if len(res) == 0 || len(ses) == 0 {
-		return
-	}
-	slices.SortFunc(res, func(a, b entry) int { return cmp.Compare(a.mbr.MinX, b.mbr.MinX) })
-	slices.SortFunc(ses, func(a, b entry) int { return cmp.Compare(a.mbr.MinX, b.mbr.MinX) })
 	i, j := 0, 0
 	for i < len(res) && j < len(ses) {
 		if res[i].mbr.MinX <= ses[j].mbr.MinX {
@@ -291,15 +319,15 @@ func (k *Kernel) sweepCombo(sc *tileScratch, res, ses []entry, eps float64, out 
 }
 
 // tryPair finishes the filter (y overlap; x overlap is the sweep's
-// invariant) and refines with the exact predicate.
+// invariant) and refines with the exact predicate on the unwidened MBRs.
 func (k *Kernel) tryPair(sc *tileScratch, r, s *entry, eps float64, out *colsweep.Sink) {
 	if r.mbr.MinY > s.mbr.MaxY || s.mbr.MinY > r.mbr.MaxY {
 		return
 	}
 	sc.candidates++
-	if extgeom.Eval(k.Pred, &r.obj, &s.obj, eps) {
+	if extgeom.EvalBoxed(k.Pred, &r.obj, &s.obj, r.box, s.box, eps) {
 		sc.emitted++
-		out.Add(r.id, s.id)
+		out.Add(r.obj.ID, s.obj.ID)
 	}
 }
 

@@ -42,16 +42,18 @@ type Config struct {
 	// assignment and the kernel.
 	Bounds *geom.Rect
 
-	// Engine executes the reduce phase; nil is the in-process local
-	// engine, a cluster engine ships the tiles to worker processes.
+	// Engine executes the reduce phase. Nil runs it in process, with the
+	// kernel reading the inputs in place; any engine — a cluster's, which
+	// ships the tiles to worker processes, or dpe.LocalEngine — gets the
+	// geometry wire-encoded in the payload lane.
 	Engine dpe.Engine
 
 	Tracer      *obs.Tracer
 	TraceParent obs.SpanID
 }
 
-// Plan is a prepared two-layer join: encoded, replicated, tile-bucketed
-// inputs plus the kernel, reusable across Executes.
+// Plan is a prepared two-layer join: replicated, tile-bucketed inputs
+// plus the kernel, reusable across Executes.
 type Plan struct {
 	Grid       TileGrid
 	Prediction costmodel.TwoLayerPrediction
@@ -69,7 +71,8 @@ func (p *Plan) Kernel() *Kernel { return p.kernel }
 
 // ClassBytes returns the replica payload bytes the map phase produced
 // per class, keyed by class name — class A is the native copies, B/C/D
-// the extent-replication overhead.
+// the extent-replication overhead. A replica counts its object's wire
+// encoding whether or not the plan ships it.
 func (p *Plan) ClassBytes() map[string]int64 {
 	out := make(map[string]int64, int(numClasses))
 	for c := ClassA; c < numClasses; c++ {
@@ -78,35 +81,59 @@ func (p *Plan) ClassBytes() map[string]int64 {
 	return out
 }
 
-// Encode turns objects into join tuples — the object id, the MBR center
-// as the point (cluster shuffle framing needs one), and the geometry
-// wire encoding as the payload — and returns each object's MBR beside
-// them. The payloads are slices of one exactly-sized arena, each capped
-// to its own bytes.
-func Encode(objs []extgeom.Object) ([]tuple.Tuple, []geom.Rect, error) {
-	size := 0
+// validMBRs validates every object and returns its MBR, by input row.
+func validMBRs(objs []extgeom.Object) ([]geom.Rect, error) {
+	mbrs := make([]geom.Rect, len(objs))
 	for i := range objs {
 		o := &objs[i]
 		if err := o.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("twolayer: object %d: %w", o.ID, err)
+			return nil, fmt.Errorf("twolayer: object %d: %w", o.ID, err)
 		}
-		size += extgeom.ObjectWireSize(o)
+		mbrs[i] = o.Bounds()
+	}
+	return mbrs, nil
+}
+
+// beginCorner is a tuple's point: its MBR's (MinX, MinY). The shuffle
+// x-sorts every group by it, so the kernel's class buckets arrive in the
+// sweep's order.
+func beginCorner(mbr geom.Rect) geom.Point { return geom.Point{X: mbr.MinX, Y: mbr.MinY} }
+
+// rowTuples are the in-process plan's join tuples: the input row as the
+// id and the begin corner as the point, no payload — the kernel reads
+// each row's object and MBR in place.
+func rowTuples(mbrs []geom.Rect) []tuple.Tuple {
+	out := make([]tuple.Tuple, len(mbrs))
+	for i, m := range mbrs {
+		out[i] = tuple.Tuple{ID: int64(i), Pt: beginCorner(m)}
+	}
+	return out
+}
+
+// encode builds the engine plan's join tuples, which leave the process:
+// the object id, the begin corner, and the geometry wire encoding as
+// the payload. The payloads are slices of one exactly-sized arena, each
+// capped to its own bytes.
+func encode(objs []extgeom.Object, mbrs []geom.Rect) []tuple.Tuple {
+	size := 0
+	for i := range objs {
+		size += extgeom.ObjectWireSize(&objs[i])
 	}
 	out := make([]tuple.Tuple, len(objs))
-	mbrs := make([]geom.Rect, len(objs))
 	arena := make([]byte, 0, size)
 	for i := range objs {
 		o := &objs[i]
 		start := len(arena)
 		arena = extgeom.AppendObject(arena, o)
-		mbrs[i] = o.Bounds()
-		out[i] = tuple.Tuple{ID: o.ID, Pt: mbrs[i].Center(), Payload: arena[start:len(arena):len(arena)]}
+		out[i] = tuple.Tuple{ID: o.ID, Pt: beginCorner(mbrs[i]), Payload: arena[start:len(arena):len(arena)]}
 	}
-	return out, mbrs, nil
+	return out
 }
 
-// Prepare samples, picks the grid, encodes both inputs, and runs the
-// replication map + shuffle through dpe.
+// Prepare validates both inputs and computes their MBRs once, samples,
+// picks the grid, and runs the replication map + shuffle through dpe.
+// Without an engine the kernel reads the objects in place; an engine
+// plan ships them wire-encoded.
 func Prepare(cfg Config) (*Plan, error) {
 	if cfg.Pred > extgeom.WithinDistance {
 		return nil, fmt.Errorf("twolayer: unknown predicate %d", cfg.Pred)
@@ -119,11 +146,11 @@ func Prepare(cfg Config) (*Plan, error) {
 		widen = cfg.Eps
 	}
 
-	rs, mbrsR, err := Encode(cfg.R)
+	mbrsR, err := validMBRs(cfg.R)
 	if err != nil {
 		return nil, err
 	}
-	ss, mbrsS, err := Encode(cfg.S)
+	mbrsS, err := validMBRs(cfg.S)
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +163,8 @@ func Prepare(cfg Config) (*Plan, error) {
 	if cfg.Tiles > 0 {
 		pred = costmodel.TwoLayerPrediction{NX: cfg.Tiles, NY: cfg.Tiles}
 	} else {
-		sampleR := sampleMBRs(rs, mbrsR, widen, 0)
-		sampleS := sampleMBRs(ss, mbrsS, 0, 1)
+		sampleR := sampleMBRs(cfg.R, mbrsR, widen, 0)
+		sampleS := sampleMBRs(cfg.S, mbrsS, 0, 1)
 		pred = costmodel.TwoLayerResolution(bounds, sampleR, sampleS, len(cfg.R), len(cfg.S), workers)
 	}
 	// Forced or picked, the tile count sizes dpe's dense per-tile tables.
@@ -153,6 +180,13 @@ func Prepare(cfg Config) (*Plan, error) {
 
 	p := &Plan{Grid: tiles, Prediction: pred, cfg: cfg}
 	p.kernel = &Kernel{Grid: tiles, Pred: cfg.Pred}
+	var rs, ss []tuple.Tuple
+	if cfg.Engine == nil {
+		rs, ss = rowTuples(mbrsR), rowTuples(mbrsS)
+		p.kernel.in = inputs{r: cfg.R, s: cfg.S, mbrR: mbrsR, mbrS: mbrsS}
+	} else {
+		rs, ss = encode(cfg.R, mbrsR), encode(cfg.S, mbrsS)
+	}
 
 	// dpe needs a positive plan ε even for the ε-less predicates; the
 	// kernel never interprets it as a distance for those.
@@ -165,8 +199,8 @@ func Prepare(cfg Config) (*Plan, error) {
 		R:            rs,
 		S:            ss,
 		Eps:          planEps,
-		TupleAssignR: p.assign(widen),
-		TupleAssignS: p.assign(0),
+		TupleAssignR: p.assign(cfg.R, mbrsR, widen),
+		TupleAssignS: p.assign(cfg.S, mbrsS, 0),
 		Cells:        tiles.NumTiles(),
 		Part:         dpe.HashPartitioner{N: partitions},
 		Workers:      cfg.Workers,
@@ -195,20 +229,14 @@ func Prepare(cfg Config) (*Plan, error) {
 	return p, nil
 }
 
-// assign builds the tuple-assignment closure for one side: decode the
-// MBR from the payload, widen, cover tiles (reference tile first), and
-// account replica bytes per class — summed per object first, so the
-// shared counters see one add per class an object has, not one per
-// replica.
-func (p *Plan) assign(widen float64) dpe.TupleAssign {
+// assign builds the row-assignment closure for one side: read the
+// row's MBR, widen, cover tiles (reference tile first), and account
+// replica bytes per class — summed per object first, so the shared
+// counters see one add per class an object has, not one per replica.
+func (p *Plan) assign(objs []extgeom.Object, mbrs []geom.Rect, widen float64) dpe.TupleAssign {
 	g := p.Grid
-	return func(t tuple.Tuple, _ tuple.Set, dst []int) []int {
-		mbr, err := extgeom.DecodeObjectBounds(t.Payload)
-		if err != nil {
-			// Undecodable payloads still need a home; the kernel drops
-			// them again and counts the corruption.
-			return append(dst, 0)
-		}
+	return func(i int, _ tuple.Set, dst []int) []int {
+		mbr := mbrs[i]
 		if widen > 0 {
 			mbr = mbr.Expand(widen)
 		}
@@ -218,7 +246,7 @@ func (p *Plan) assign(widen float64) dpe.TupleAssign {
 			col, row := g.TileCoords(cell)
 			replicas[g.Classify(mbr, col, row)]++
 		}
-		sz := int64(len(t.Payload))
+		sz := int64(extgeom.ObjectWireSize(&objs[i]))
 		for c, n := range replicas {
 			if n > 0 {
 				p.classBytes[c].Add(n * sz)
@@ -313,19 +341,19 @@ func dataBounds(explicit *geom.Rect, rs, ss []geom.Rect) geom.Rect {
 // samples are nested (a lower fraction keeps a subset), so the fraction
 // is lowered until at most maxSample remain; counting first also sizes
 // the output exactly.
-func sampleMBRs(ts []tuple.Tuple, mbrs []geom.Rect, widen float64, seed int64) []geom.Rect {
+func sampleMBRs(objs []extgeom.Object, mbrs []geom.Rect, widen float64, seed int64) []geom.Rect {
 	if len(mbrs) == 0 {
 		return nil
 	}
 	fraction := float64(maxSample) / float64(len(mbrs))
-	n := kept(ts, fraction, seed)
+	n := kept(objs, fraction, seed)
 	for n > maxSample {
 		fraction *= 0.9 * maxSample / float64(n)
-		n = kept(ts, fraction, seed)
+		n = kept(objs, fraction, seed)
 	}
 	out := make([]geom.Rect, 0, n)
 	for i, m := range mbrs {
-		if !sample.Keep(ts[i].ID, fraction, seed) {
+		if !sample.Keep(objs[i].ID, fraction, seed) {
 			continue
 		}
 		if widen > 0 {
@@ -336,11 +364,11 @@ func sampleMBRs(ts []tuple.Tuple, mbrs []geom.Rect, widen float64, seed int64) [
 	return out
 }
 
-// kept counts the tuples sample.Keep keeps at fraction and seed.
-func kept(ts []tuple.Tuple, fraction float64, seed int64) int {
+// kept counts the objects sample.Keep keeps at fraction and seed.
+func kept(objs []extgeom.Object, fraction float64, seed int64) int {
 	n := 0
-	for i := range ts {
-		if sample.Keep(ts[i].ID, fraction, seed) {
+	for i := range objs {
+		if sample.Keep(objs[i].ID, fraction, seed) {
 			n++
 		}
 	}

@@ -7,8 +7,11 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"spatialjoin/internal/colpipe"
 	"spatialjoin/internal/colsweep"
@@ -500,12 +503,18 @@ func TestTwoLayerResolutionSelection(t *testing.T) {
 	}
 }
 
-// squareTuple encodes an axis-aligned square as a join tuple.
-func squareTuple(id int64, x, y, side float64) tuple.Tuple {
-	o := extgeom.NewPolygon(id, []geom.Point{
+// square is an axis-aligned square polygon.
+func square(id int64, x, y, side float64) extgeom.Object {
+	return extgeom.NewPolygon(id, []geom.Point{
 		{X: x, Y: y}, {X: x + side, Y: y}, {X: x + side, Y: y + side}, {X: x, Y: y + side},
 	})
-	return tuple.Tuple{ID: o.ID, Pt: o.Bounds().Center(), Payload: extgeom.AppendObject(nil, &o)}
+}
+
+// squareTuple encodes an axis-aligned square as an engine plan's join
+// tuple.
+func squareTuple(id int64, x, y, side float64) tuple.Tuple {
+	o := square(id, x, y, side)
+	return encode([]extgeom.Object{o}, []geom.Rect{o.Bounds()})[0]
 }
 
 // groupOf lays tuples out as the slab group view a kernel is handed.
@@ -518,12 +527,37 @@ func groupOf(ts []tuple.Tuple) *colpipe.Group {
 	return g
 }
 
+// rowGroup lays input rows out as an in-process plan's group view: the
+// row as the id, the begin corner as the point, no payload lane.
+func rowGroup(mbrs []geom.Rect, rows ...int) *colpipe.Group {
+	g := &colpipe.Group{}
+	for _, i := range rows {
+		g.Append(mbrs[i].MinX, mbrs[i].MinY, int64(i))
+	}
+	return g
+}
+
+// tableKernel is an in-process kernel over rs and ss, as Prepare builds
+// it without an engine.
+func tableKernel(grid TileGrid, pred extgeom.Predicate, rs, ss []extgeom.Object) *Kernel {
+	mbrR, err := validMBRs(rs)
+	if err != nil {
+		panic(err)
+	}
+	mbrS, err := validMBRs(ss)
+	if err != nil {
+		panic(err)
+	}
+	return &Kernel{Grid: grid, Pred: pred, in: inputs{r: rs, s: ss, mbrR: mbrR, mbrS: mbrS}}
+}
+
 // TestTwoLayerKernelJoinAllocs pins the per-tile allocation behaviour
 // of the kernel: with the pooled tile scratch warm, a tile join must not
 // allocate at all — not when every candidate dies in the MBR filter, and
-// not when candidates are decoded, refined and emitted. The class
-// buckets, the vertex arena, the sorts, the sweep and the exact
-// predicates all run in reused memory.
+// not when candidates are read, refined and emitted, whether the kernel
+// decodes payloads or reads its inputs in place. The class buckets, the
+// vertex arena, the sweep and the exact predicates all run in reused
+// memory.
 func TestTwoLayerKernelJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race pass")
@@ -542,36 +576,218 @@ func TestTwoLayerKernelJoinAllocs(t *testing.T) {
 		// and the hit comes out of the segment scan.
 		{"near", 11.3, []extgeom.Predicate{extgeom.WithinDistance}, []extgeom.Predicate{extgeom.WithinDistance}},
 	} {
-		var rts, sts []tuple.Tuple
+		var robjs, sobjs []extgeom.Object
+		var rows []int
 		for i := 0; i < 40; i++ {
-			rts = append(rts, squareTuple(int64(i), float64(i)*25, 10, 1))
-			sts = append(sts, squareTuple(int64(1000+i), float64(i)*25+0.5, tc.sy, 1))
+			robjs = append(robjs, square(int64(i), float64(i)*25, 10, 1))
+			sobjs = append(sobjs, square(int64(1000+i), float64(i)*25+0.5, tc.sy, 1))
+			rows = append(rows, i)
 		}
-		rs, ss := groupOf(rts), groupOf(sts)
 		bufs := colsweep.Get()
 		defer colsweep.Put(bufs)
 		for _, pred := range allPredicates {
-			k := &Kernel{
-				Grid: NewTileGrid(world, 1, 1),
-				Pred: pred,
+			for _, path := range []string{"encoded", "table"} {
+				k := tableKernel(NewTileGrid(world, 1, 1), pred, robjs, sobjs)
+				rs, ss := rowGroup(k.in.mbrR, rows...), rowGroup(k.in.mbrS, rows...)
+				if path == "encoded" {
+					rs, ss = groupOf(encode(robjs, k.in.mbrR)), groupOf(encode(sobjs, k.in.mbrS))
+					k.in = inputs{}
+				}
 				// Keep the heuristic from routing this tile to the R-tree
 				// path, whose bulk load allocates by design.
-				FallbackMinEntries: 1 << 30,
-			}
-			out := bufs.Sink(false, false)
-			k.Join(0, rs, ss, 0.5, out) // warm the scratch pool
-			if allocs := testing.AllocsPerRun(100, func() {
-				k.Join(0, rs, ss, 0.5, out)
-			}); allocs > 0 {
-				t.Errorf("%s/%v: steady-state tile join allocates %.1f objects/op, want 0", tc.name, pred, allocs)
-			}
-			if got, want := k.Stats.Candidates.Load() > 0, slices.Contains(tc.refines, pred); got != want {
-				t.Errorf("%s/%v: %d candidates reached refinement, want any: %v", tc.name, pred, k.Stats.Candidates.Load(), want)
-			}
-			if got, want := out.N > 0, slices.Contains(tc.hits, pred); got != want {
-				t.Errorf("%s/%v: %d pairs emitted, want any: %v", tc.name, pred, out.N, want)
+				k.FallbackMinEntries = 1 << 30
+				out := bufs.Sink(false, false)
+				k.Join(0, rs, ss, 0.5, out) // warm the scratch pool
+				if allocs := testing.AllocsPerRun(100, func() {
+					k.Join(0, rs, ss, 0.5, out)
+				}); allocs > 0 {
+					t.Errorf("%s/%v/%s: steady-state tile join allocates %.1f objects/op, want 0", tc.name, pred, path, allocs)
+				}
+				if got, want := k.Stats.Candidates.Load() > 0, slices.Contains(tc.refines, pred); got != want {
+					t.Errorf("%s/%v/%s: %d candidates reached refinement, want any: %v", tc.name, pred, path, k.Stats.Candidates.Load(), want)
+				}
+				if got, want := out.N > 0, slices.Contains(tc.hits, pred); got != want {
+					t.Errorf("%s/%v/%s: %d pairs emitted, want any: %v", tc.name, pred, path, out.N, want)
+				}
 			}
 		}
+	}
+}
+
+// TestTwoLayerKernelUnsortedGroup: the kernel relies on groups arriving
+// x-sorted by begin corner, but a caller that hands it rows in any other
+// order still gets exactly the nested loop's pairs, on both the sweep
+// and the R-tree path, in place and decoded.
+func TestTwoLayerKernelUnsortedGroup(t *testing.T) {
+	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 30, MaxY: 30}
+	rng := rand.New(rand.NewSource(37))
+	rs := randObjects(rng, 120, 0, world, 3)
+	ss := randObjects(rng, 120, 10_000, world, 3)
+	grid := NewTileGrid(world, 1, 1)
+	mbrR, _ := validMBRs(rs)
+	mbrS, _ := validMBRs(ss)
+	// R rows by descending begin corner, so every class bucket arrives
+	// reversed; S rows shuffled.
+	rrows, srows := rng.Perm(len(rs)), rng.Perm(len(ss))
+	slices.SortFunc(rrows, func(a, b int) int { return cmp.Compare(mbrR[b].MinX, mbrR[a].MinX) })
+	encR, encS := encode(rs, mbrR), encode(ss, mbrS)
+	var rts, sts []tuple.Tuple
+	for _, i := range rrows {
+		rts = append(rts, encR[i])
+	}
+	for _, i := range srows {
+		sts = append(sts, encS[i])
+	}
+	bufs := colsweep.Get()
+	defer colsweep.Put(bufs)
+	for _, pred := range allPredicates {
+		const eps = 1.5
+		want := bruteForce(rs, ss, pred, eps)
+		for _, fallback := range []bool{false, true} {
+			k := tableKernel(grid, pred, rs, ss)
+			k.ForceFallback = fallback
+			out := bufs.Sink(true, false)
+			k.Join(0, rowGroup(mbrR, rrows...), rowGroup(mbrS, srows...), eps, out)
+			pairsEqual(t, fmt.Sprintf("%v fallback=%v in place", pred, fallback), slices.Clone(out.Pairs), want)
+
+			dec := &Kernel{Grid: grid, Pred: pred, ForceFallback: fallback}
+			out = bufs.Sink(true, false)
+			dec.Join(0, groupOf(rts), groupOf(sts), eps, out)
+			pairsEqual(t, fmt.Sprintf("%v fallback=%v decoded", pred, fallback), slices.Clone(out.Pairs), want)
+		}
+	}
+}
+
+// TestTwoLayerInPlaceMatchesEncoded is the differential test between
+// the two representations: the same Config runs with no engine (the
+// kernel reads the inputs in place) and with an explicit local engine
+// (every object wire-encoded, shipped through the payload lane and
+// decoded per replica, as on a cluster). Pairs, results, checksum,
+// replication, per-class bytes and every kernel counter must agree —
+// for each predicate, a forced and a cost-model grid, and an ε′ < ε
+// re-sweep of the WithinDistance plans.
+func TestTwoLayerInPlaceMatchesEncoded(t *testing.T) {
+	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 60, MaxY: 60}
+	rng := rand.New(rand.NewSource(41))
+	rs := randObjects(rng, 500, 0, world, 6)
+	ss := randObjects(rng, 400, 10_000, world, 6)
+	type run struct {
+		pairs      []tuple.Pair
+		results    int64
+		checksum   uint64
+		replR      int64
+		replS      int64
+		classBytes map[string]int64
+		stats      [5]int64
+	}
+	execute := func(p *Plan, eps float64) run {
+		res, err := p.Execute(context.Background(), ExecOptions{Eps: eps, Collect: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortPairs(res.Pairs)
+		st := &p.Kernel().Stats
+		return run{
+			res.Pairs, res.Results, res.Checksum, res.ReplicatedR, res.ReplicatedS, p.ClassBytes(),
+			[5]int64{st.Tiles.Load(), st.Candidates.Load(), st.Emitted.Load(), st.FallbackTiles.Load(), st.DecodeErrors.Load()},
+		}
+	}
+	for _, pred := range allPredicates {
+		for _, tiles := range []int{0, 9} {
+			cfg := Config{R: rs, S: ss, Pred: pred, Eps: 2, Tiles: tiles, Workers: 3, Partitions: 8, Collect: true}
+			inPlace, err := Prepare(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Engine = dpe.LocalEngine{}
+			encoded, err := Prepare(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inPlace.Grid != encoded.Grid {
+				t.Fatalf("%v tiles=%d: grids %+v and %+v", pred, tiles, inPlace.Grid, encoded.Grid)
+			}
+			epss := []float64{0}
+			if pred == extgeom.WithinDistance {
+				epss = append(epss, 0.7)
+			}
+			for _, eps := range epss {
+				label := fmt.Sprintf("%v tiles=%d eps'=%v", pred, tiles, eps)
+				a, b := execute(inPlace, eps), execute(encoded, eps)
+				if len(a.pairs) == 0 {
+					t.Fatalf("%s: no pairs; test data too sparse", label)
+				}
+				pairsEqual(t, label+" vs brute force", a.pairs, bruteForce(rs, ss, pred, cmp.Or(eps, cfg.Eps)))
+				pairsEqual(t, label, a.pairs, b.pairs)
+				a.pairs, b.pairs = nil, nil
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: in place %+v, encoded %+v", label, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestTwoLayerPrepareAllocationBudget: an in-process Prepare allocates
+// per object its MBR and its payload-free tuple, per replica its slab
+// lanes and assignment log, and the per-tile tables — no per-object
+// payload arena and no payload lane. The encoded plan, which has both,
+// must not fit the same budget.
+func TestTwoLayerPrepareAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race pass")
+	}
+	const n = 5000
+	gen := func(kind string, verts int, seed, idBase int64) []extgeom.Object {
+		objs, err := datagen.GeomObjects(
+			datagen.GeomSpec{Kind: kind, MinExtent: 0.2, MaxExtent: 1, Verts: verts, ShapeSeed: seed + 1},
+			func(emit func(tuple.Tuple)) { datagen.UniformEach(datagen.World(), n, seed, idBase, emit) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return objs
+	}
+	rs, ss := gen("polygon", 6, 4, 0), gen("polyline", 4, 6, 1<<40)
+	wire := 0
+	for _, objs := range [][]extgeom.Object{rs, ss} {
+		for i := range objs {
+			wire += extgeom.ObjectWireSize(&objs[i])
+		}
+	}
+	cfg := Config{R: rs, S: ss, Pred: extgeom.WithinDistance, Eps: 0.5, Workers: 4, Partitions: 32}
+	measure := func(cfg Config) (allocated, replicas int64, tiles int) {
+		if _, err := Prepare(cfg); err != nil { // warm
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		p, err := Prepare(cfg)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for part := 0; part < p.prep.NumPartitions(); part++ {
+			r, s := p.prep.Slabs(part)
+			replicas += int64(r.Rows() + s.Rows())
+		}
+		return int64(m1.TotalAlloc - m0.TotalAlloc), replicas, p.Grid.NumTiles()
+	}
+	got, replicas, tiles := measure(cfg)
+	objects := int64(len(rs) + len(ss))
+	perObject := int64(unsafe.Sizeof(geom.Rect{}) + unsafe.Sizeof(tuple.Tuple{}))
+	// Per replica: the 24-byte slab row and its 4-byte log entry, twice
+	// over for growth and sort scratch. Per tile: the rank → partition
+	// table and a cursor per worker and side. The cost model's tallies
+	// and the sample are bounded by the sample cap.
+	budget := perObject*objects + 2*28*replicas + int64(4+4*2*cfg.Workers)*int64(tiles) + 1<<18
+	t.Logf("in place: %d objects, %d replicas, %d tiles: allocated %d B, budget %d B (payload arena would add %d B)",
+		objects, replicas, tiles, got, budget, wire)
+	if got > budget {
+		t.Fatalf("in-place Prepare allocated %d B, over the %d B budget", got, budget)
+	}
+	cfg.Engine = dpe.LocalEngine{}
+	if enc, _, _ := measure(cfg); enc <= budget {
+		t.Fatalf("the encoded Prepare allocated %d B, inside the in-place budget of %d B: the budget cannot see a payload arena", enc, budget)
 	}
 }
 
