@@ -20,8 +20,8 @@ import (
 // TestArchitecture holds the repo's single paths — one execution
 // format, one agreement store, one sweep kernel, one orchestrator, one
 // sampling rule, one join pipeline, one codec, one metric registry, one
-// cross-shard join, one plan decision, in-place two-layer geometry and
-// measured clocks only — as one table over the
+// cross-shard join, one plan decision, in-place two-layer geometry, one
+// plan contract and measured clocks only — as one table over the
 // non-test Go of the module. Each check is the regexp a CI grep step used to run, matched
 // the way grep matched it (unanchored, line by line) but over the
 // source with its comments blanked: a retired name in a comment
@@ -287,6 +287,18 @@ var archGuards = []archGuard{
 		hint:    "the two-layer kernel refines through extgeom.EvalBoxed with the MBRs it already holds; Eval re-derives both per candidate",
 		badPath: "internal/twolayer/bad.go",
 		bad:     "func refine(a, b *extgeom.Object) bool { return extgeom.Eval(extgeom.Intersects, a, b, 0) }",
+	}}},
+	{"one plan contract", []archCheck{{
+		re:      `TupleAssign|HashPartitioner|ExplicitPartitioner|dpe\.Partitioner\b`,
+		hint:    "a second assignment hook or a placement type is back in dpe's plan contract: a scheme sets the row dpe.Assign per side, Spec.Partitions and, for an explicit placement, the Spec.Placement table",
+		badPath: "internal/pbsm/bad.go",
+		bad:     "var _ dpe.TupleAssign\nvar _ = dpe.HashPartitioner{N: 8}\nvar _ = dpe.ExplicitPartitioner{Table: t}\nvar _ dpe.Partitioner",
+	}, {
+		re:      `\bPartitioner\b`,
+		in:      []string{"internal/dpe/"},
+		hint:    "dpe routes cells through a partition count and an optional table, not an interface",
+		badPath: "internal/dpe/bad.go",
+		bad:     "type Partitioner interface{ PartitionOf(cell int) int }",
 	}}},
 }
 

@@ -110,16 +110,16 @@ func uniRSpec(rs, ss []tuple.Tuple, eps float64, collect bool) dpe.Spec {
 	g := grid.New(datagen.World(), eps, 2)
 	return dpe.Spec{
 		R: rs, S: ss, Eps: eps,
-		AssignR: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, true, dst)
+		AssignR: func(row int, _ tuple.Set, dst []int) []int {
+			return replicate.Universal(g, rs[row].Pt, true, dst)
 		},
-		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, false, dst)
+		AssignS: func(row int, _ tuple.Set, dst []int) []int {
+			return replicate.Universal(g, ss[row].Pt, false, dst)
 		},
-		Cells:   g.NumCells(),
-		Part:    dpe.HashPartitioner{N: 24},
-		Workers: 3,
-		Collect: collect,
+		Cells:      g.NumCells(),
+		Partitions: 24,
+		Workers:    3,
+		Collect:    collect,
 	}
 }
 
@@ -128,14 +128,16 @@ func uniRSpec(rs, ss []tuple.Tuple, eps float64, collect bool) dpe.Spec {
 func cloneSpec(rs, ss []tuple.Tuple, eps float64) dpe.Spec {
 	bounds := datagen.World()
 	g := grid.New(bounds, eps, 2)
-	both := func(p geom.Point, set tuple.Set, dst []int) []int {
-		return replicate.Universal(g, p, true, dst)
+	both := func(in []tuple.Tuple) dpe.Assign {
+		return func(row int, _ tuple.Set, dst []int) []int {
+			return replicate.Universal(g, in[row].Pt, true, dst)
+		}
 	}
 	return dpe.Spec{
 		R: rs, S: ss, Eps: eps,
-		AssignR: both, AssignS: both,
+		AssignR: both(rs), AssignS: both(ss),
 		Cells:      g.NumCells(),
-		Part:       dpe.HashPartitioner{N: 24},
+		Partitions: 24,
 		Workers:    3,
 		Collect:    true,
 		Kernel:     pbsm.RefPointKernel(g),

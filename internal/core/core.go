@@ -79,8 +79,8 @@ type Config struct {
 // Scheme is the one thing the point algorithms differ in. BuildPlan
 // hands it the resolved Input, the join's dpe.Spec with everything
 // common already filled in, and the Plan to report on; the scheme fills
-// in what varies — Cells (and CellRank), AssignR/AssignS, Part, Kernel
-// with its KernelDesc, Dedup — and the Plan's Grid, Graph,
+// in what varies — Cells (and CellRank), AssignR/AssignS, Placement,
+// Kernel with its KernelDesc, Dedup — and the Plan's Grid, Graph,
 // SampleTime, BuildTime and BroadcastBytes where it has them.
 //
 // A scheme must guarantee what dpe relies on: each Assign emits the
@@ -185,6 +185,7 @@ func BuildPlan(rs, ss []tuple.Tuple, cfg Config) (*Plan, error) {
 	}
 	spec := dpe.Spec{
 		R: rs, S: ss, Eps: cfg.Eps,
+		Partitions: partitions,
 		Workers:    cfg.Workers,
 		Kernel:     cfg.Kernel,
 		Collect:    cfg.Collect,
@@ -268,10 +269,9 @@ func assignAdaptive(in Input, spec *dpe.Spec, p *Plan, st *grid.Stats) {
 	partSp := in.Tracer.Start(in.Span.SpanID(), obs.SpanPartition)
 	start := time.Now()
 	gr := agreements.BuildParallel(st, in.Policy, in.Order, in.planWidth())
-	spec.Part = dpe.HashPartitioner{N: in.Partitions}
 	if in.UseLPT {
 		costs := gr.EstimatedCostsParallel(st, in.planWidth())
-		spec.Part = dpe.ExplicitPartitioner{Table: lpt.Assign(costs, in.Partitions), N: in.Partitions}
+		spec.Placement = lpt.Assign(costs, in.Partitions)
 	}
 	p.BuildTime = time.Since(start)
 	if partSp != nil {
@@ -281,21 +281,26 @@ func assignAdaptive(in Input, spec *dpe.Spec, p *Plan, st *grid.Stats) {
 	}
 	partSp.End()
 
-	spec.AssignR = func(pt geom.Point, set tuple.Set, dst []int) []int {
-		return replicate.Adaptive(gr, pt, set, dst)
-	}
+	assign := replicate.Adaptive
 	if in.Simple {
-		spec.AssignR = func(pt geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.AdaptiveSimple(gr, pt, set, dst)
-		}
+		assign = replicate.AdaptiveSimple
 	}
-	spec.AssignS = spec.AssignR
+	rs, ss := in.R, in.S
+	spec.AssignR = func(row int, set tuple.Set, dst []int) []int {
+		return assign(gr, rs[row].Pt, set, dst)
+	}
+	spec.AssignS = func(row int, set tuple.Set, dst []int) []int {
+		return assign(gr, ss[row].Pt, set, dst)
+	}
 	spec.Dedup = in.Simple
 	// The adaptive assigns emit cell ids of the 2ε-grid; ranking them
 	// along the Hilbert curve keeps adjacent slab groups spatially
-	// adjacent.
+	// adjacent. A kernel plan keeps cell ids as ranks: the kernel is
+	// handed its cell id.
 	spec.Cells = gr.Grid.NumCells()
-	spec.CellRank = colpipe.HilbertRanks(gr.Grid.NX, gr.Grid.NY)
+	if in.Kernel == nil {
+		spec.CellRank = colpipe.HilbertRanks(gr.Grid.NX, gr.Grid.NY)
+	}
 	// Algorithm 5 (line 6) broadcasts the resolved graph to every
 	// worker; account its wire size per receiving node. No engine here
 	// ships it: the cluster coordinator maps and replicates itself.

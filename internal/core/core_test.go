@@ -282,6 +282,9 @@ func TestPlanSameAtEveryPoolSize(t *testing.T) {
 	if marked, _ := serial.plan.Graph.EdgeCounts(); marked == 0 || g.NY < 8 {
 		t.Fatalf("%d marked edges over %d cell rows: too small a plan to test", marked, g.NY)
 	}
+	if len(serial.spec.Placement) != serial.spec.Cells {
+		t.Fatalf("LPT placement of %d cells, want %d", len(serial.spec.Placement), serial.spec.Cells)
+	}
 	serialRes, err := serial.plan.Execute(Exec{})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +308,7 @@ func TestPlanSameAtEveryPoolSize(t *testing.T) {
 		if !slices.Equal(b.spec.CellRank, serial.spec.CellRank) {
 			t.Fatalf("pool %d: Hilbert ranks differ", pool)
 		}
-		if !slices.Equal(b.spec.Part.(dpe.ExplicitPartitioner).Table, serial.spec.Part.(dpe.ExplicitPartitioner).Table) {
+		if !slices.Equal(b.spec.Placement, serial.spec.Placement) {
 			t.Fatalf("pool %d: LPT partition table differs", pool)
 		}
 		res, err := b.plan.Execute(Exec{})

@@ -13,14 +13,21 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// measured runs an actual engine join and returns its metrics.
-func measured(g *grid.Grid, rs, ss []tuple.Tuple, assignR, assignS dpe.Assign) *dpe.Result {
+// pointAssign is an assignment that reads only the row's point.
+type pointAssign func(p geom.Point, set tuple.Set, dst []int) []int
+
+// measured runs an actual engine join, each side's rows assigned by
+// their points, and returns its metrics.
+func measured(g *grid.Grid, rs, ss []tuple.Tuple, assignR, assignS pointAssign) *dpe.Result {
+	rows := func(in []tuple.Tuple, assign pointAssign) dpe.Assign {
+		return func(row int, set tuple.Set, dst []int) []int { return assign(in[row].Pt, set, dst) }
+	}
 	res, err := dpe.Run(dpe.Spec{
 		R: rs, S: ss, Eps: g.Eps,
-		AssignR: assignR, AssignS: assignS,
-		Cells:   g.NumCells(),
-		Part:    dpe.HashPartitioner{N: 64},
-		Workers: 4,
+		AssignR: rows(rs, assignR), AssignS: rows(ss, assignS),
+		Cells:      g.NumCells(),
+		Partitions: 64,
+		Workers:    4,
 	})
 	if err != nil {
 		panic(err)

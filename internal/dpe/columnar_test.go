@@ -68,10 +68,11 @@ func columnarSpec(rs, ss []tuple.Tuple, eps float64, workers, nparts int, hilber
 }
 
 // TestColumnarMatchesBruteForce runs every workload through the slab
-// pipeline — on the in-place columnar sweep and through the Kernel
-// callback (NestedLoopKernel) — and requires outcomes byte-identical to
-// a nested loop over the raw inputs: result count, checksum, and the
-// full collected pair set.
+// pipeline — on the in-place columnar sweep, with identity and Hilbert
+// ranks, and through the Kernel callback (NestedLoopKernel), whose plans
+// rank by cell id — and requires outcomes byte-identical to a nested
+// loop over the raw inputs: result count, checksum, and the full
+// collected pair set.
 func TestColumnarMatchesBruteForce(t *testing.T) {
 	const eps = 0.5
 	for name, w := range columnarWorkloads(eps) {
@@ -85,6 +86,9 @@ func TestColumnarMatchesBruteForce(t *testing.T) {
 
 		for _, hilbert := range []bool{false, true} {
 			for _, kernel := range []Kernel{nil, NestedLoopKernel} {
+				if hilbert && kernel != nil {
+					continue // a kernel plan takes no CellRank
+				}
 				spec, _ := columnarSpec(w[0], w[1], eps, 3, 8, hilbert)
 				spec.Collect = true
 				spec.Kernel = kernel
@@ -124,7 +128,7 @@ func (m cellMembers) sorted() cellMembers {
 // TestColumnarPartitionContents proves the map + counting-sort shuffle
 // places every replica exactly where the assignment says: the reference
 // is computed here by calling the spec's Assign functions directly and
-// routing each cell through the partitioner, and for every reduce
+// routing each cell through the hash placement, and for every reduce
 // partition and every cell the slab group must hold the same tuple IDs
 // — native and halo replicas alike. The modelled footprint must equal
 // one KeyedSize per reference replica.
@@ -148,7 +152,7 @@ func TestColumnarPartitionContents(t *testing.T) {
 				}
 			}
 
-			nparts := spec.Part.NumPartitions()
+			nparts := spec.Partitions
 			if pr.NumPartitions() != nparts {
 				t.Fatalf("%s: %d partitions, want %d", name, pr.NumPartitions(), nparts)
 			}
@@ -164,11 +168,11 @@ func TestColumnarPartitionContents(t *testing.T) {
 					assign, set = spec.AssignS, tuple.S
 				}
 				var cells []int
-				for _, tu := range in {
-					cells = assign(tu.Pt, set, cells[:0])
+				for row, tu := range in {
+					cells = assign(row, set, cells[:0])
 					wantRepl += int64(len(cells) - 1)
 					for _, c := range cells {
-						want[side][spec.Part.PartitionOf(c)].add(c, tu.ID)
+						want[side][hashPartition(c, nparts)].add(c, tu.ID)
 						wantBytes += int64(tu.KeyedSize())
 					}
 				}
@@ -217,10 +221,8 @@ func TestColumnarPartitionContents(t *testing.T) {
 
 // TestKernelViewsCarryPayloads checks the Kernel contract on the slab:
 // the callback sees each matched cell once, with every row's payload
-// still attached to its (id, point) and the cell id intact — even when
-// the spec asks for a Hilbert ranking, which kernel plans ignore. The
-// spec assigns whole tuples, the rule under which payloads ride the
-// shuffle.
+// still attached to its (id, point) and the cell id intact. The spec
+// turns the payload switch on, so payloads ride the shuffle.
 func TestKernelViewsCarryPayloads(t *testing.T) {
 	const eps = 0.5
 	rng := rand.New(rand.NewSource(43))
@@ -232,8 +234,8 @@ func TestKernelViewsCarryPayloads(t *testing.T) {
 	}
 	rs := stamp(randomTuples(rng, 1500, 20, 0))
 	ss := stamp(randomTuples(rng, 1500, 20, 1_000_000))
-	spec, g := columnarSpec(rs, ss, eps, 3, 8, true)
-	spec = TupleAssigned(spec)
+	spec, g := columnarSpec(rs, ss, eps, 3, 8, false)
+	spec.Payloads = true
 
 	var mu sync.Mutex
 	seen := map[int]bool{}
@@ -253,9 +255,9 @@ func TestKernelViewsCarryPayloads(t *testing.T) {
 				if p := side.Payloads[i]; len(p) != 8 || int64(binary.LittleEndian.Uint64(p)) != id {
 					t.Errorf("cell %d: row %d lost its payload (%x)", cell, id, p)
 				}
-				// The id handed to the kernel must be the grid cell, not
-				// its Hilbert rank: every row is native to it or a halo
-				// replica from one of its eight neighbours.
+				// The id handed to the kernel must be the grid cell: every
+				// row is native to it or a halo replica from one of its
+				// eight neighbours.
 				cx, cy := g.CellCoords(cell)
 				hx, hy := g.Locate(geom.Point{X: side.Xs[i], Y: side.Ys[i]})
 				if hx < cx-1 || hx > cx+1 || hy < cy-1 || hy > cy+1 {
@@ -273,5 +275,25 @@ func TestKernelViewsCarryPayloads(t *testing.T) {
 	sweep.NestedLoop(rs, ss, eps, want.Emit)
 	if got.Results != want.N || got.Checksum != want.Checksum {
 		t.Fatalf("kernel join %d/%x, brute force %d/%x", got.Results, got.Checksum, want.N, want.Checksum)
+	}
+}
+
+// TestPrepareRejectsKernelWithCellRank: a kernel is handed its cell id,
+// which the slab carries as the group rank, so a spec with both a Kernel
+// and a CellRank is an error rather than a ranking silently dropped.
+// Each of the two alone prepares.
+func TestPrepareRejectsKernelWithCellRank(t *testing.T) {
+	w := columnarWorkloads(0.5)["random"]
+	spec, _ := columnarSpec(w[0], w[1], 0.5, 3, 8, true)
+	if _, err := Prepare(spec); err != nil {
+		t.Fatalf("Hilbert-ranked sweep plan: %v", err)
+	}
+	spec.Kernel = NestedLoopKernel
+	if _, err := Prepare(spec); err == nil {
+		t.Fatal("a spec with both Kernel and CellRank prepared")
+	}
+	spec.CellRank = nil
+	if _, err := Prepare(spec); err != nil {
+		t.Fatalf("kernel plan without CellRank: %v", err)
 	}
 }

@@ -9,12 +9,12 @@
 // The correspondence to Spark is deliberate and close:
 //
 //   - an input split per worker plays the role of an HDFS partition,
-//   - Assign is the flatMapToPair that keys each tuple by the 1D cell ids
-//     the replication algorithm chooses; a map worker runs it once over
-//     its split and logs only the rank of every replica and a per-rank
-//     row count — the coordinates stay in the input tuples,
-//   - a Partitioner routes cell ids to reduce partitions (hash-based, or
-//     an explicit LPT placement), and each reduce partition is owned by a
+//   - Assign is the flatMapToPair that keys each row by the 1D cell ids
+//     the replication algorithm chooses; a map worker runs it once per
+//     row of its split and logs only the rank of every replica and a
+//     per-rank row count — the coordinates stay in the input tuples,
+//   - a placement routes cell ids to reduce partitions (a hash, or an
+//     explicit LPT table), and each reduce partition is owned by a
 //     worker round-robin,
 //   - shuffled bytes are computed from the tuple wire-size model, and the
 //     subset that crosses worker boundaries is reported as "shuffle remote
@@ -58,59 +58,21 @@ import (
 	"spatialjoin/internal/tuple"
 )
 
-// Assign maps a point of one input set to the cells (partitions keys) it
-// is assigned to; the first id must be the native cell.
-type Assign func(p geom.Point, set tuple.Set, dst []int) []int
+// Assign maps one row of an input (Spec.R or Spec.S, named by set) to
+// the cells (partition keys) it is assigned to: it appends the cell id
+// of every replica to dst and returns it, with the native cell (the one
+// that owns the tuple) first. A scheme closes over what it reads per
+// row — the tuple's point, or the two-layer join's MBR table.
+type Assign func(row int, set tuple.Set, dst []int) []int
 
-// TupleAssign is the row variant of Assign, for join families whose
-// assignment needs more than the point: it is handed the tuple's row in
-// its input (Spec.R or Spec.S), so it can read what the caller keeps per
-// row beside the tuples — the two-layer non-point join reads the
-// object's MBR from its table. When set on a Spec it takes precedence
-// over the point Assign for that side. The contract is the same: append
-// the cell ids of every replica to dst and return it, with the native
-// cell (the one that owns the tuple) first.
-type TupleAssign func(row int, set tuple.Set, dst []int) []int
-
-// Partitioner routes cell ids to reduce partitions.
-type Partitioner interface {
-	// PartitionOf returns the reduce partition of a cell id.
-	PartitionOf(cell int) int
-	// NumPartitions returns the number of reduce partitions.
-	NumPartitions() int
-}
-
-// HashPartitioner routes cells to partitions by a mixed hash — the
-// engine's default, mirroring Spark's HashPartitioner.
-type HashPartitioner struct{ N int }
-
-// PartitionOf implements Partitioner.
-func (h HashPartitioner) PartitionOf(cell int) int {
+// hashPartition routes a cell to one of n reduce partitions by a mixed
+// hash — the placement of a plan without a table, mirroring Spark's
+// HashPartitioner.
+func hashPartition(cell, n int) int {
 	x := uint64(cell) * 0x9e3779b97f4a7c15
 	x ^= x >> 32
-	return int(x % uint64(h.N))
+	return int(x % uint64(n))
 }
-
-// NumPartitions implements Partitioner.
-func (h HashPartitioner) NumPartitions() int { return h.N }
-
-// ExplicitPartitioner routes cells via a precomputed table (the LPT
-// placement). Cells outside the table fall back to hashing.
-type ExplicitPartitioner struct {
-	Table []int
-	N     int
-}
-
-// PartitionOf implements Partitioner.
-func (e ExplicitPartitioner) PartitionOf(cell int) int {
-	if cell >= 0 && cell < len(e.Table) {
-		return e.Table[cell]
-	}
-	return HashPartitioner{N: e.N}.PartitionOf(cell)
-}
-
-// NumPartitions implements Partitioner.
-func (e ExplicitPartitioner) NumPartitions() int { return e.N }
 
 // Kernel joins the R and S rows of one cell, adding every pair it
 // matches to out exactly once (through out.Add, or a colsweep sweep
@@ -160,19 +122,21 @@ type KernelDesc struct {
 type Spec struct {
 	R, S    []tuple.Tuple
 	Eps     float64
-	AssignR Assign // assignment rule for R tuples
-	AssignS Assign // assignment rule for S tuples (may differ, e.g. PBSM)
-	// TupleAssignR/TupleAssignS, when non-nil, replace AssignR/AssignS
-	// with row assignment (payload-aware joins).
-	TupleAssignR TupleAssign
-	TupleAssignS TupleAssign
-	Part         Partitioner
-	Workers      int // simulated cluster nodes; defaults to GOMAXPROCS
+	AssignR Assign // assignment rule for R rows
+	AssignS Assign // assignment rule for S rows (may differ, e.g. PBSM)
+	// Payloads makes the rows' payloads ride the shuffle into the slabs'
+	// payload lane, where a Kernel reads them; otherwise the plan ships
+	// points and accounts payload bytes in the model alone.
+	Payloads bool
+	// Partitions is the number of reduce partitions (required).
+	Partitions int
+	// Placement optionally maps cell id → reduce partition (the LPT
+	// placement): Cells entries, each in [0, Partitions). Nil places
+	// cells by a mixed hash, as Spark's HashPartitioner does.
+	Placement []int
+	Workers   int // simulated cluster nodes; defaults to GOMAXPROCS
 	// Kernel is the per-cell join callback; nil is the in-place columnar
-	// plane sweep. Tuple payloads ride the shuffle into the slabs (where
-	// a Kernel may read them) only when TupleAssignR or TupleAssignS is
-	// set; otherwise the plan ships points and accounts payload bytes in
-	// the model alone.
+	// plane sweep.
 	Kernel  Kernel
 	Collect bool // materialise result pairs (else count + checksum only)
 	Dedup   bool // run a distinct() pass after the join (Table 6 variant)
@@ -207,10 +171,10 @@ type Spec struct {
 	Cells int
 	// CellRank optionally maps cell id → slab group rank (any bijection
 	// onto [0, Cells)); nil means identity. Orchestrators pass a
-	// Hilbert-curve ranking so adjacent slab groups are
-	// spatially adjacent (see colpipe.HilbertRanks). Ignored when Kernel
-	// is set: a kernel is handed its cell id, which the slab — locally
-	// and on a remote worker — carries as the group rank.
+	// Hilbert-curve ranking so adjacent slab groups are spatially
+	// adjacent (see colpipe.HilbertRanks). A spec with a Kernel must
+	// leave it nil: a kernel is handed its cell id, which the slab —
+	// locally and on a remote worker — carries as the group rank.
 	CellRank []int32
 }
 
@@ -363,12 +327,11 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if spec.Eps <= 0 {
 		return nil, fmt.Errorf("dpe: eps must be positive, got %v", spec.Eps)
 	}
-	if (spec.AssignR == nil && spec.TupleAssignR == nil) ||
-		(spec.AssignS == nil && spec.TupleAssignS == nil) {
+	if spec.AssignR == nil || spec.AssignS == nil {
 		return nil, fmt.Errorf("dpe: both assignment functions are required")
 	}
-	if spec.Part == nil || spec.Part.NumPartitions() <= 0 {
-		return nil, fmt.Errorf("dpe: a partitioner with positive partition count is required")
+	if spec.Partitions <= 0 {
+		return nil, fmt.Errorf("dpe: a positive partition count is required, got %d", spec.Partitions)
 	}
 	if spec.PoolSize < 0 {
 		return nil, fmt.Errorf("dpe: pool size must not be negative, got %d", spec.PoolSize)
@@ -376,17 +339,20 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if spec.Cells <= 0 {
 		return nil, fmt.Errorf("dpe: Cells must be positive (the bound on assigned cell ids), got %d", spec.Cells)
 	}
-	if spec.Kernel != nil {
-		spec.CellRank = nil
+	if spec.CellRank != nil && spec.Kernel != nil {
+		return nil, fmt.Errorf("dpe: a spec with a Kernel takes no CellRank: the kernel is handed its cell id, which the slab carries as the group rank")
 	}
 	if spec.CellRank != nil && len(spec.CellRank) != spec.Cells {
 		return nil, fmt.Errorf("dpe: CellRank ranks %d cells, Cells is %d", len(spec.CellRank), spec.Cells)
+	}
+	if spec.Placement != nil && len(spec.Placement) != spec.Cells {
+		return nil, fmt.Errorf("dpe: Placement places %d cells, Cells is %d", len(spec.Placement), spec.Cells)
 	}
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nparts := spec.Part.NumPartitions()
+	nparts := spec.Partitions
 	if err := CheckParallelism(workers, nparts, spec.Cells); err != nil {
 		return nil, err
 	}
@@ -399,22 +365,27 @@ func Prepare(spec Spec) (*Prepared, error) {
 	// keyed by rank, the id the log and the slabs carry.
 	part := make([]int32, spec.Cells)
 	for c := range part {
-		r := c
+		r, p := c, 0
 		if spec.CellRank != nil {
 			r = int(spec.CellRank[c])
 		}
-		part[r] = int32(spec.Part.PartitionOf(c))
+		if spec.Placement == nil {
+			p = hashPartition(c, nparts)
+		} else if p = spec.Placement[c]; p < 0 || p >= nparts {
+			return nil, fmt.Errorf("dpe: Placement puts cell %d in partition %d, outside [0, %d)", c, p, nparts)
+		}
+		part[r] = int32(p)
 	}
 
 	// ---- Map phase: flatMapToPair on both inputs, one split per worker.
 	replSp := spec.Tracer.Start(spec.TraceParent, obs.SpanReplicate)
 	start := time.Now()
-	logR, busyR, err := mapPhase(&spec, tuple.R, part, nparts, workers)
+	logR, busyR, err := mapPhase(&spec, tuple.R, spec.R, spec.AssignR, part, nparts, workers)
 	if err != nil {
 		replSp.End()
 		return nil, err
 	}
-	logS, busyS, err := mapPhase(&spec, tuple.S, part, nparts, workers)
+	logS, busyS, err := mapPhase(&spec, tuple.S, spec.S, spec.AssignS, part, nparts, workers)
 	if err != nil {
 		replSp.End()
 		return nil, err
@@ -438,8 +409,8 @@ func Prepare(spec Spec) (*Prepared, error) {
 	// carry that split.
 	shufSp := spec.Tracer.Start(spec.TraceParent, obs.SpanShuffle)
 	start = time.Now()
-	if pr.partR, err = shuffle(&spec, tuple.R, logR, part, nparts); err == nil {
-		pr.partS, err = shuffle(&spec, tuple.S, logS, part, nparts)
+	if pr.partR, err = shuffle(spec.PoolSize, tuple.R, spec.R, logR, part, nparts); err == nil {
+		pr.partS, err = shuffle(spec.PoolSize, tuple.S, spec.S, logS, part, nparts)
 	}
 	if err != nil {
 		shufSp.End()
@@ -473,22 +444,6 @@ func Prepare(spec Spec) (*Prepared, error) {
 	return pr, nil
 }
 
-// side returns one input of the join and its assignment: the point
-// Assign lifted to a TupleAssign unless the caller supplied a row
-// assignment, which wins.
-func (spec *Spec) side(set tuple.Set) ([]tuple.Tuple, TupleAssign) {
-	in, pt, rows := spec.R, spec.AssignR, spec.TupleAssignR
-	if set == tuple.S {
-		in, pt, rows = spec.S, spec.AssignS, spec.TupleAssignS
-	}
-	if rows != nil {
-		return in, rows
-	}
-	return in, func(row int, set tuple.Set, dst []int) []int {
-		return pt(in[row].Pt, set, dst)
-	}
-}
-
 // eachWorker runs fn(w) for every simulated worker w on at most
 // maxParallel(workers, pool) goroutines, which take the workers in
 // order, and waits for all.
@@ -513,15 +468,14 @@ func splitOf(in []tuple.Tuple, w, workers int) []tuple.Tuple {
 	return in[min(w*chunk, len(in)):min((w+1)*chunk, len(in))]
 }
 
-// mapPhase assigns one input over the worker pool: each worker runs the
-// assignment once over its split and logs what the shuffle needs to
-// place the replicas — ranks, per-rank counts, modelled (and, when the
-// plan carries a payload lane, payload) bytes per partition. Nothing is
-// copied yet. It returns the per-worker logs and busy times, or a
+// mapPhase assigns one input, in, over the worker pool: each worker runs
+// the assignment once per row of its split and logs what the shuffle
+// needs to place the replicas — ranks, per-rank counts, modelled (and,
+// when the plan carries a payload lane, payload) bytes per partition.
+// Nothing is copied yet. It returns the per-worker logs and busy times, or a
 // *tuple.NonFiniteError for the first row whose point is not finite:
 // no assignment is defined for it, so none is run.
-func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]colpipe.Log, []time.Duration, error) {
-	in, assign := spec.side(set)
+func mapPhase(spec *Spec, set tuple.Set, in []tuple.Tuple, assign Assign, part []int32, nparts, workers int) ([]colpipe.Log, []time.Duration, error) {
 	logs := make([]colpipe.Log, workers)
 	busy := make([]time.Duration, workers)
 	errs := make([]error, workers)
@@ -529,7 +483,7 @@ func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]c
 	eachWorker(workers, spec.PoolSize, func(w int) {
 		t0 := time.Now()
 		split := splitOf(in, w, workers)
-		lg := colpipe.NewLog(spec.Cells, nparts, len(split), spec.TupleAssignR != nil || spec.TupleAssignS != nil)
+		lg := colpipe.NewLog(spec.Cells, nparts, len(split), spec.Payloads)
 		var cells []int
 		for i := range split {
 			t := &split[i]
@@ -554,20 +508,20 @@ func mapPhase(spec *Spec, set tuple.Set, part []int32, nparts, workers int) ([]c
 }
 
 // shuffle turns one input's assignment logs into its slabs: layout, then
-// the workers scatter their splits in parallel (disjoint write ranges,
-// nothing is locked), then the partitions' groups are x-sorted in
-// parallel with one sort scratch per goroutine.
-func shuffle(spec *Spec, set tuple.Set, logs []colpipe.Log, part []int32, nparts int) ([]colpipe.Slab, error) {
-	in, _ := spec.side(set)
+// the workers scatter their splits of in in parallel (disjoint write
+// ranges, nothing is locked), then the partitions' groups are x-sorted
+// in parallel with one sort scratch per goroutine, on at most pool
+// goroutines.
+func shuffle(pool int, set tuple.Set, in []tuple.Tuple, logs []colpipe.Log, part []int32, nparts int) ([]colpipe.Slab, error) {
 	slabs := make([]colpipe.Slab, nparts)
 	if err := colpipe.Layout(slabs, logs, part); err != nil {
 		return nil, fmt.Errorf("dpe: shuffle of %v: %w", set, err)
 	}
-	eachWorker(len(logs), spec.PoolSize, func(w int) {
+	eachWorker(len(logs), pool, func(w int) {
 		logs[w].Scatter(slabs, part, splitOf(in, w, len(logs)))
 	})
 	var next atomic.Int32
-	eachWorker(maxParallel(nparts, spec.PoolSize), spec.PoolSize, func(int) {
+	eachWorker(maxParallel(nparts, pool), pool, func(int) {
 		var st colpipe.Sorter
 		for p := int(next.Add(1)) - 1; p < nparts; p = int(next.Add(1)) - 1 {
 			st.SortGroups(&slabs[p])

@@ -3,6 +3,7 @@ package dpe
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -25,21 +26,25 @@ func randomTuples(rng *rand.Rand, n int, extent float64, base int64) []tuple.Tup
 	return out
 }
 
+// universal is the universal assignment of the rows of in over g: each
+// row's native cell, plus its ε-neighbour cells when repl.
+func universal(g *grid.Grid, in []tuple.Tuple, repl bool) Assign {
+	return func(row int, _ tuple.Set, dst []int) []int {
+		return replicate.Universal(g, in[row].Pt, repl, dst)
+	}
+}
+
 // uniSpec builds a UNI(R) PBSM spec over a fresh grid.
 func uniSpec(rs, ss []tuple.Tuple, eps float64, workers, nparts int) (Spec, *grid.Grid) {
 	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: 20, MaxY: 20}
 	g := grid.New(bounds, eps, 2)
 	spec := Spec{
 		R: rs, S: ss, Eps: eps,
-		AssignR: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, true, dst)
-		},
-		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, false, dst)
-		},
-		Cells:   g.NumCells(),
-		Part:    HashPartitioner{N: nparts},
-		Workers: workers,
+		AssignR:    universal(g, rs, true),
+		AssignS:    universal(g, ss, false),
+		Cells:      g.NumCells(),
+		Partitions: nparts,
+		Workers:    workers,
 	}
 	return spec, g
 }
@@ -112,15 +117,11 @@ func TestReplicationCounts(t *testing.T) {
 	ss := []tuple.Tuple{{ID: 3, Pt: geom.Point{X: 4.4, Y: 2}}}
 	spec := Spec{
 		R: rs, S: ss, Eps: 1,
-		AssignR: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, true, dst)
-		},
-		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, false, dst)
-		},
-		Cells:   g.NumCells(),
-		Part:    HashPartitioner{N: 4},
-		Workers: 2,
+		AssignR:    universal(g, rs, true),
+		AssignS:    universal(g, ss, false),
+		Cells:      g.NumCells(),
+		Partitions: 4,
+		Workers:    2,
 	}
 	res, err := Run(spec)
 	if err != nil {
@@ -146,15 +147,11 @@ func TestShuffleByteAccounting(t *testing.T) {
 	ss := []tuple.Tuple{{ID: 2, Pt: geom.Point{X: 2.2, Y: 2}}}
 	spec := Spec{
 		R: rs, S: ss, Eps: 1,
-		AssignR: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, true, dst)
-		},
-		AssignS: func(p geom.Point, set tuple.Set, dst []int) []int {
-			return replicate.Universal(g, p, false, dst)
-		},
-		Cells:   g.NumCells(),
-		Part:    HashPartitioner{N: 8},
-		Workers: 4,
+		AssignR:    universal(g, rs, true),
+		AssignS:    universal(g, ss, false),
+		Cells:      g.NumCells(),
+		Partitions: 8,
+		Workers:    4,
 	}
 	res, err := Run(spec)
 	if err != nil {
@@ -202,17 +199,14 @@ func TestDedupSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rs := randomTuples(rng, 2000, 20, 0)
 	ss := randomTuples(rng, 2000, 20, 1_000_000)
-	dupAssign := func(p geom.Point, set tuple.Set, dst []int) []int {
-		return replicate.Universal(g, p, true, dst)
-	}
 	var want sweep.Counter
 	sweep.NestedLoop(rs, ss, 1, want.Emit)
 
 	spec := Spec{
 		R: rs, S: ss, Eps: 1,
-		AssignR: dupAssign, AssignS: dupAssign,
-		Cells: g.NumCells(),
-		Part:  HashPartitioner{N: 16}, Workers: 4,
+		AssignR: universal(g, rs, true), AssignS: universal(g, ss, true),
+		Cells:      g.NumCells(),
+		Partitions: 16, Workers: 4,
 		Dedup: true,
 	}
 	res, err := Run(spec)
@@ -233,25 +227,39 @@ func TestDedupSpec(t *testing.T) {
 	}
 }
 
-func TestExplicitPartitioner(t *testing.T) {
-	table := []int{0, 1, 0, 1}
-	p := ExplicitPartitioner{Table: table, N: 2}
-	if p.PartitionOf(2) != 0 || p.PartitionOf(3) != 1 {
-		t.Fatal("table routing broken")
+// TestPlacementTable: a placement table puts every cell's rows in the
+// partition it names, and a table that is not Cells long or names a
+// partition outside [0, Partitions) is an error from Prepare.
+func TestPlacementTable(t *testing.T) {
+	rs := tuple.FromPoints([]geom.Point{{X: 0.5, Y: 0}, {X: 1.5, Y: 0}, {X: 2.5, Y: 0}, {X: 3.5, Y: 0}}, 0)
+	cellOf := func(row int, _ tuple.Set, dst []int) []int { return append(dst, int(rs[row].Pt.X)) }
+	spec := Spec{
+		R: rs, S: rs, Eps: 0.1,
+		AssignR: cellOf, AssignS: cellOf,
+		Cells: 4, Partitions: 2, Placement: []int{1, 0, 1, 1},
 	}
-	if got := p.PartitionOf(99); got < 0 || got >= 2 {
-		t.Fatalf("fallback routing out of range: %d", got)
+	pr, err := Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.NumPartitions() != 2 {
-		t.Fatal("NumPartitions broken")
+	for p, wantIDs := range [][]int64{{1}, {0, 2, 3}} {
+		if r, s := pr.Slabs(p); !slices.Equal(r.IDs, wantIDs) || !slices.Equal(s.IDs, wantIDs) {
+			t.Errorf("partition %d holds R %v and S %v, want %v", p, r.IDs, s.IDs, wantIDs)
+		}
+	}
+	for _, table := range [][]int{{0, 1, 0}, {0, 1, 0, 1, 0}, {0, 1, 2, 0}, {0, -1, 0, 0}} {
+		bad := spec
+		bad.Placement = table
+		if _, err := Prepare(bad); err == nil {
+			t.Errorf("placement %v of 4 cells over 2 partitions accepted", table)
+		}
 	}
 }
 
-func TestHashPartitionerRange(t *testing.T) {
-	h := HashPartitioner{N: 7}
+func TestHashPlacementRange(t *testing.T) {
 	counts := make([]int, 7)
 	for c := 0; c < 10000; c++ {
-		p := h.PartitionOf(c)
+		p := hashPartition(c, 7)
 		if p < 0 || p >= 7 {
 			t.Fatalf("partition %d out of range", p)
 		}
@@ -266,11 +274,11 @@ func TestHashPartitionerRange(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	ok := Spec{
-		Eps:     1,
-		AssignR: func(p geom.Point, s tuple.Set, d []int) []int { return append(d, 0) },
-		AssignS: func(p geom.Point, s tuple.Set, d []int) []int { return append(d, 0) },
-		Cells:   1,
-		Part:    HashPartitioner{N: 1},
+		Eps:        1,
+		AssignR:    func(_ int, _ tuple.Set, d []int) []int { return append(d, 0) },
+		AssignS:    func(_ int, _ tuple.Set, d []int) []int { return append(d, 0) },
+		Cells:      1,
+		Partitions: 1,
 	}
 	bad := ok
 	bad.Eps = 0
@@ -283,9 +291,9 @@ func TestRunValidation(t *testing.T) {
 		t.Error("expected error for nil AssignR")
 	}
 	bad = ok
-	bad.Part = nil
+	bad.Partitions = 0
 	if _, err := Run(bad); err == nil {
-		t.Error("expected error for nil partitioner")
+		t.Error("expected error for no partitions")
 	}
 	bad = ok
 	bad.Cells = 0
@@ -346,9 +354,9 @@ func TestCheckParallelism(t *testing.T) {
 		}
 	}
 	rs := tuple.FromPoints([]geom.Point{{X: 1, Y: 1}}, 0)
-	assign := func(_ geom.Point, _ tuple.Set, dst []int) []int { return append(dst, 0) }
+	assign := func(_ int, _ tuple.Set, dst []int) []int { return append(dst, 0) }
 	for _, c := range bad {
-		spec := Spec{R: rs, S: rs, Eps: 1, AssignR: assign, AssignS: assign, Cells: c[2], Part: HashPartitioner{N: c[1]}, Workers: c[0]}
+		spec := Spec{R: rs, S: rs, Eps: 1, AssignR: assign, AssignS: assign, Cells: c[2], Partitions: c[1], Workers: c[0]}
 		if _, err := Prepare(spec); err == nil {
 			t.Errorf("Prepare accepted workers=%d partitions=%d cells=%d", c[0], c[1], c[2])
 		}

@@ -3,7 +3,6 @@ package dpe
 import (
 	"spatialjoin/internal/colpipe"
 	"spatialjoin/internal/colsweep"
-	"spatialjoin/internal/tuple"
 )
 
 // NestedLoopKernel is the differential second opinion among the lane
@@ -19,13 +18,4 @@ func NestedLoopKernel(_ int, r, s *colpipe.Group, eps float64, out *colsweep.Sin
 			}
 		}
 	}
-}
-
-// TupleAssigned returns spec with its point assignments lifted to row
-// ones — the rule under which the plan carries a payload lane.
-func TupleAssigned(spec Spec) Spec {
-	rs, ss, ar, as := spec.R, spec.S, spec.AssignR, spec.AssignS
-	spec.TupleAssignR = func(row int, set tuple.Set, dst []int) []int { return ar(rs[row].Pt, set, dst) }
-	spec.TupleAssignS = func(row int, set tuple.Set, dst []int) []int { return as(ss[row].Pt, set, dst) }
-	return spec
 }

@@ -7,7 +7,6 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
 	"spatialjoin/internal/lpt"
-	"spatialjoin/internal/replicate"
 	"spatialjoin/internal/tuple"
 )
 
@@ -65,24 +64,22 @@ func TestLPTReducesMakespan(t *testing.T) {
 	}
 
 	const nparts = 16
-	assign := func(p geom.Point, set tuple.Set, dst []int) []int {
-		return replicate.Universal(g, p, set == tuple.R, dst)
-	}
-	runWith := func(part Partitioner) *Result {
+	runWith := func(placement []int) *Result {
 		res, err := Run(Spec{
 			R: rs, S: ss, Eps: 1,
-			AssignR: assign, AssignS: assign,
-			Cells:   g.NumCells(),
-			Part:    part,
-			Workers: 4,
+			AssignR: universal(g, rs, true), AssignS: universal(g, ss, false),
+			Cells:      g.NumCells(),
+			Partitions: nparts,
+			Placement:  placement,
+			Workers:    4,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	hash := runWith(HashPartitioner{N: nparts})
-	balanced := runWith(ExplicitPartitioner{Table: lpt.Assign(costs, nparts), N: nparts})
+	hash := runWith(nil)
+	balanced := runWith(lpt.Assign(costs, nparts))
 
 	if balanced.Results != hash.Results || balanced.Checksum != hash.Checksum {
 		t.Fatalf("LPT changed results: %d vs %d", balanced.Results, hash.Results)

@@ -13,20 +13,22 @@ import (
 	"spatialjoin/internal/colpipe"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/grid"
-	"spatialjoin/internal/replicate"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/tuple"
 )
 
 // referenceSlabs builds, without the engine, the slabs Prepare must
 // produce for one input side: every row is assigned by calling the
-// spec's own assignment function, bucketed by partition and rank in
-// (worker, input) order — worker w owns the w-th contiguous split — and
-// each bucket is stable-sorted by x.
+// spec's own assignment function, placed by the spec's table (or the
+// hash without one), bucketed by partition and rank in (worker, input)
+// order — worker w owns the w-th contiguous split — and each bucket is
+// stable-sorted by x.
 func referenceSlabs(spec Spec, set tuple.Set, workers int) []colpipe.Slab {
-	in, assign := spec.side(set)
-	carry := spec.TupleAssignR != nil || spec.TupleAssignS != nil
-	nparts := spec.Part.NumPartitions()
+	in, assign := spec.R, spec.AssignR
+	if set == tuple.S {
+		in, assign = spec.S, spec.AssignS
+	}
+	nparts := spec.Partitions
 	out := make([]colpipe.Slab, nparts)
 	buckets := make([]map[int32][]tuple.Tuple, nparts)
 	payload := make([][]int64, nparts)
@@ -43,15 +45,18 @@ func referenceSlabs(spec Spec, set tuple.Set, workers int) []colpipe.Slab {
 		cells = assign(i, set, cells[:0])
 		for _, c := range cells {
 			rk := int32(c)
-			if spec.CellRank != nil && spec.Kernel == nil {
+			if spec.CellRank != nil {
 				rk = spec.CellRank[c]
 			}
-			p := spec.Part.PartitionOf(c)
+			p := hashPartition(c, nparts)
+			if spec.Placement != nil {
+				p = spec.Placement[c]
+			}
 			buckets[p][rk] = append(buckets[p][rk], tu)
 			out[p].WorkerRows[w]++
 			out[p].WorkerBytes[w] += int64(tu.KeyedSize())
 			out[p].Bytes += int64(tu.KeyedSize())
-			if carry {
+			if spec.Payloads {
 				payload[p][w] += int64(len(tu.Payload))
 			}
 		}
@@ -116,10 +121,9 @@ func diffSlab(got, want *colpipe.Slab) string {
 // reference built above, for the border-heavy workloads, an empty side,
 // more workers than rows, a single worker, one cell crowded enough for
 // the radix group sort (spread x, lattice ties, a near-equal cluster
-// plus an outlier), identity and Hilbert ranks,
-// a whole-tuple-assigned Kernel plan whose payloads ride in the lane, and
-// a point-assigned Kernel plan whose payloads stay behind — at PoolSize
-// 1 and 4. Equality with one reference at both pool sizes is what makes the
+// plus an outlier), identity and Hilbert ranks, a placement table, and
+// a Kernel plan with the payload switch on (payloads ride in the lane)
+// and off (they stay behind) — at PoolSize 1 and 4. Equality with one reference at both pool sizes is what makes the
 // parallel scatter deterministic, not merely race-free.
 func TestShuffleMatchesReference(t *testing.T) {
 	const eps = 0.5
@@ -176,17 +180,22 @@ func TestShuffleMatchesReference(t *testing.T) {
 		return out
 	}
 	for _, in := range inputs {
-		for _, variant := range []string{"identity", "hilbert", "tuple-assign+payload", "kernel+payload-stays"} {
+		for _, variant := range []string{"identity", "hilbert", "placement-table", "payload-switch-on", "payload-switch-off"} {
+			kernel := variant == "payload-switch-on" || variant == "payload-switch-off"
 			rs, ss := in.rs, in.ss
-			if variant != "identity" && variant != "hilbert" {
+			if kernel {
 				rs, ss = stamp(rs), stamp(ss)
 			}
 			spec, _ := columnarSpec(rs, ss, eps, in.workers, 8, variant == "hilbert")
-			if variant == "tuple-assign+payload" {
-				spec = TupleAssigned(spec)
+			if variant == "placement-table" {
+				spec.Placement = make([]int, spec.Cells)
+				for c := range spec.Placement {
+					spec.Placement[c] = c * 5 % spec.Partitions
+				}
 			}
-			if variant != "identity" && variant != "hilbert" {
+			if kernel {
 				spec.Kernel = NestedLoopKernel
+				spec.Payloads = variant == "payload-switch-on"
 			}
 			want := [2][]colpipe.Slab{
 				referenceSlabs(spec, tuple.R, in.workers),
@@ -230,7 +239,7 @@ func TestWideObjectKeepsEveryReplica(t *testing.T) {
 	}
 	spec := Spec{
 		R: rs, S: ss, Eps: eps,
-		TupleAssignR: func(row int, _ tuple.Set, dst []int) []int {
+		AssignR: func(row int, _ tuple.Set, dst []int) []int {
 			if tu := rs[row]; tu.ID != wide.ID {
 				return append(dst, int(tu.ID)%cells)
 			}
@@ -239,13 +248,13 @@ func TestWideObjectKeepsEveryReplica(t *testing.T) {
 			}
 			return dst
 		},
-		TupleAssignS: func(row int, _ tuple.Set, dst []int) []int {
+		AssignS: func(row int, _ tuple.Set, dst []int) []int {
 			return append(dst, int(ss[row].ID-1_000_000))
 		},
-		Cells:   cells,
-		Part:    HashPartitioner{N: 7},
-		Workers: 2,
-		Collect: true,
+		Cells:      cells,
+		Partitions: 7,
+		Workers:    2,
+		Collect:    true,
 	}
 	got, err := Run(spec)
 	if err != nil {
@@ -299,11 +308,11 @@ func TestPrepareAllocationBudget(t *testing.T) {
 	} {
 		spec := Spec{
 			R: in.rs, S: in.ss, Eps: eps,
-			AssignR: func(p geom.Point, _ tuple.Set, dst []int) []int { return replicate.Universal(g, p, true, dst) },
-			AssignS: func(p geom.Point, _ tuple.Set, dst []int) []int { return replicate.Universal(g, p, false, dst) },
+			AssignR: universal(g, in.rs, true),
+			AssignS: universal(g, in.ss, false),
 			Cells:   g.NumCells(), CellRank: colpipe.HilbertRanks(g.NX, g.NY),
-			Part:    HashPartitioner{N: 32},
-			Workers: 4,
+			Partitions: 32,
+			Workers:    4,
 		}
 		if _, err := Prepare(spec); err != nil { // warm
 			t.Fatal(err)

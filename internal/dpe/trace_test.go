@@ -77,17 +77,20 @@ func TestObsLocalEngineTrace(t *testing.T) {
 		r = append(r, tuple.Tuple{ID: int64(i), Pt: geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}})
 		s = append(s, tuple.Tuple{ID: 1<<40 | int64(i), Pt: geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}})
 	}
-	assign := func(p geom.Point, _ tuple.Set, dst []int) []int {
-		return append(dst[:0], int(p.X)+10*int(p.Y))
+	cellOf := func(in []tuple.Tuple) Assign {
+		return func(row int, _ tuple.Set, dst []int) []int {
+			p := in[row].Pt
+			return append(dst[:0], int(p.X)+10*int(p.Y))
+		}
 	}
 	tr := obs.New()
 	root := tr.Start(0, obs.SpanJoin)
 	spec := Spec{
 		R: r, S: s, Eps: 0.3,
-		AssignR: assign, AssignS: assign,
-		Cells:   100,
-		Part:    HashPartitioner{N: 8},
-		Workers: 4, Dedup: true,
+		AssignR: cellOf(r), AssignS: cellOf(s),
+		Cells:      100,
+		Partitions: 8,
+		Workers:    4, Dedup: true,
 		Tracer: tr, TraceParent: root.SpanID(),
 	}
 	res, err := Run(spec)

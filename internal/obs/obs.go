@@ -47,8 +47,10 @@ const (
 	SpanCompact       = "compact"
 
 	// Two-layer non-point join phase names: MBR tile assignment with
-	// class tagging, the per-tile class-pair interval sweeps, and the
-	// exact-geometry refinement of surviving candidates.
+	// class tagging, and the per-tile class-pair interval sweeps with
+	// the exact-geometry refinement of their candidates. SpanRefine is
+	// an empty marker after the sweep: refinement has no span of its
+	// own, since it runs inside the sweep's tiles.
 	SpanAssign = "assign"
 	SpanSweep  = "sweep"
 	SpanRefine = "refine"

@@ -84,14 +84,14 @@ func Scheme(v Variant) core.Scheme {
 		p.Grid = g
 		p.BuildTime += time.Since(start)
 
-		spec.AssignR = func(pt geom.Point, _ tuple.Set, dst []int) []int {
-			return replicate.Universal(g, pt, replR, dst)
+		rs, ss := in.R, in.S
+		spec.AssignR = func(row int, _ tuple.Set, dst []int) []int {
+			return replicate.Universal(g, rs[row].Pt, replR, dst)
 		}
-		spec.AssignS = func(pt geom.Point, _ tuple.Set, dst []int) []int {
-			return replicate.Universal(g, pt, replS, dst)
+		spec.AssignS = func(row int, _ tuple.Set, dst []int) []int {
+			return replicate.Universal(g, ss[row].Pt, replS, dst)
 		}
 		spec.Cells = g.NumCells()
-		spec.Part = dpe.HashPartitioner{N: in.Partitions}
 		if v == Clone {
 			spec.Kernel = RefPointKernel(g)
 			// Remote workers rebuild the kernel from the grid geometry.

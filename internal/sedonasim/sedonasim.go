@@ -63,20 +63,25 @@ func Scheme(in core.Input, spec *dpe.Spec, p *core.Plan) error {
 	partSp.SetInt("partitions", int64(in.Partitions)).SetInt("leaves", int64(qt.NumLeaves()))
 	partSp.End()
 
-	locate := func(pt geom.Point, _ tuple.Set, dst []int) []int {
-		return append(dst, qt.Locate(pt))
+	// The closures outlive the build: keep them off the whole Input.
+	eps, rs, ss := in.Eps, in.R, in.S
+	locate := func(ts []tuple.Tuple) dpe.Assign {
+		return func(row int, _ tuple.Set, dst []int) []int {
+			return append(dst, qt.Locate(ts[row].Pt))
+		}
 	}
-	eps := in.Eps // the closures outlive the build: keep them off the whole Input
-	replicateCircle := func(pt geom.Point, _ tuple.Set, dst []int) []int {
-		dst = qt.CircleLeaves(pt, eps, dst)
-		return moveNativeFirst(dst, qt.Locate(pt))
+	replicateCircle := func(ts []tuple.Tuple) dpe.Assign {
+		return func(row int, _ tuple.Set, dst []int) []int {
+			pt := ts[row].Pt
+			dst = qt.CircleLeaves(pt, eps, dst)
+			return moveNativeFirst(dst, qt.Locate(pt))
+		}
 	}
-	spec.AssignR, spec.AssignS = locate, replicateCircle
+	spec.AssignR, spec.AssignS = locate(rs), replicateCircle(ss)
 	if smallIsR {
-		spec.AssignR, spec.AssignS = replicateCircle, locate
+		spec.AssignR, spec.AssignS = replicateCircle(rs), locate(ss)
 	}
 	spec.Cells = qt.NumLeaves()
-	spec.Part = dpe.HashPartitioner{N: in.Partitions}
 	spec.Kernel = IndexProbeKernel(smallIsR)
 	return nil
 }

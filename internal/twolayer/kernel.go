@@ -18,15 +18,15 @@ import (
 
 // Defaults for the degenerate-tile fallback heuristic.
 const (
-	// DefaultFallbackMinEntries is the minimum tile population before
+	// defaultFallbackMinEntries is the minimum tile population before
 	// the kernel considers switching to the R-tree path — below it the
 	// sweep wins regardless of shape.
-	DefaultFallbackMinEntries = 48
-	// DefaultFallbackExtentFrac is the mean x-extent (as a fraction of
+	defaultFallbackMinEntries = 48
+	// defaultFallbackExtentFrac is the mean x-extent (as a fraction of
 	// the tile width) beyond which x-interval sweeping degenerates:
 	// when most intervals span most of the tile, every pair survives
 	// the x test and the sweep is a disguised nested loop.
-	DefaultFallbackExtentFrac = 0.5
+	defaultFallbackExtentFrac = 0.5
 )
 
 // KernelStats counts the kernel's filter/refine work across all tiles.
@@ -53,13 +53,13 @@ type Kernel struct {
 	Grid TileGrid
 	Pred extgeom.Predicate
 
-	// ForceFallback routes every tile through the R-tree path; the
+	// forceFallback routes every tile through the R-tree path; the
 	// differential tests use it to prove both paths emit identical
 	// result sets.
-	ForceFallback bool
-	// FallbackMinEntries tunes the degeneracy heuristic's population
-	// floor (zero selects DefaultFallbackMinEntries).
-	FallbackMinEntries int
+	forceFallback bool
+	// fallbackMinEntries tunes the degeneracy heuristic's population
+	// floor (zero selects defaultFallbackMinEntries).
+	fallbackMinEntries int
 
 	Stats KernelStats
 
@@ -246,7 +246,7 @@ func (k *Kernel) Join(cell int, r, s *colpipe.Group, eps float64, out *colsweep.
 	k.load(sc, &sc.byClassR, r, k.in.r, k.in.mbrR, widen, col, row)
 	k.load(sc, &sc.byClassS, s, k.in.s, k.in.mbrS, 0, col, row)
 
-	if k.ForceFallback || k.degenerate(sc) {
+	if k.forceFallback || k.degenerate(sc) {
 		k.Stats.FallbackTiles.Add(1)
 		k.joinRtree(sc, eps, out)
 	} else {
@@ -273,9 +273,9 @@ func (k *Kernel) Join(cell int, r, s *colpipe.Group, eps float64, out *colsweep.
 // quadratic, so the R-tree (which also partitions on y) wins.
 func (k *Kernel) degenerate(sc *tileScratch) bool {
 	byClassR, byClassS := &sc.byClassR, &sc.byClassS
-	minEntries := k.FallbackMinEntries
+	minEntries := k.fallbackMinEntries
 	if minEntries <= 0 {
-		minEntries = DefaultFallbackMinEntries
+		minEntries = defaultFallbackMinEntries
 	}
 	tw := k.Grid.tw
 	if tw <= 0 {
@@ -292,7 +292,7 @@ func (k *Kernel) degenerate(sc *tileScratch) bool {
 		}
 		n += len(byClassR[c]) + len(byClassS[c])
 	}
-	return n >= minEntries && extent/float64(n) >= DefaultFallbackExtentFrac*tw
+	return n >= minEntries && extent/float64(n) >= defaultFallbackExtentFrac*tw
 }
 
 // sweepCombo forward-scan sweeps one allowed class pair: both lists

@@ -196,21 +196,22 @@ func Prepare(cfg Config) (*Plan, error) {
 	}
 
 	spec := dpe.Spec{
-		R:            rs,
-		S:            ss,
-		Eps:          planEps,
-		TupleAssignR: p.assign(cfg.R, mbrsR, widen),
-		TupleAssignS: p.assign(cfg.S, mbrsS, 0),
-		Cells:        tiles.NumTiles(),
-		Part:         dpe.HashPartitioner{N: partitions},
-		Workers:      cfg.Workers,
-		PoolSize:     cfg.PoolSize,
-		Collect:      cfg.Collect,
-		Kernel:       p.kernel.Join,
-		KernelDesc:   p.kernel.Desc(planEps),
-		Engine:       cfg.Engine,
-		Tracer:       cfg.Tracer,
-		TraceParent:  cfg.TraceParent,
+		R:           rs,
+		S:           ss,
+		Eps:         planEps,
+		AssignR:     p.assign(cfg.R, mbrsR, widen),
+		AssignS:     p.assign(cfg.S, mbrsS, 0),
+		Payloads:    cfg.Engine != nil,
+		Cells:       tiles.NumTiles(),
+		Partitions:  partitions,
+		Workers:     cfg.Workers,
+		PoolSize:    cfg.PoolSize,
+		Collect:     cfg.Collect,
+		Kernel:      p.kernel.Join,
+		KernelDesc:  p.kernel.Desc(planEps),
+		Engine:      cfg.Engine,
+		Tracer:      cfg.Tracer,
+		TraceParent: cfg.TraceParent,
 	}
 
 	// ---- Assignment: the map + shuffle phases, with per-class replica
@@ -233,7 +234,7 @@ func Prepare(cfg Config) (*Plan, error) {
 // row's MBR, widen, cover tiles (reference tile first), and account
 // replica bytes per class — summed per object first, so the shared
 // counters see one add per class an object has, not one per replica.
-func (p *Plan) assign(objs []extgeom.Object, mbrs []geom.Rect, widen float64) dpe.TupleAssign {
+func (p *Plan) assign(objs []extgeom.Object, mbrs []geom.Rect, widen float64) dpe.Assign {
 	g := p.Grid
 	return func(i int, _ tuple.Set, dst []int) []int {
 		mbr := mbrs[i]
@@ -256,17 +257,12 @@ func (p *Plan) assign(objs []extgeom.Object, mbrs []geom.Rect, widen float64) dp
 	}
 }
 
-// ExecOptions are the per-execution knobs.
-type ExecOptions struct {
-	// Eps re-sweeps a WithinDistance plan at ε' ≤ the plan's ε: both
-	// replica sets cover the narrower widening's reference tiles, so
-	// correctness and exactly-once emission hold. Zero means the plan ε.
-	Eps     float64
-	Collect bool
-
-	Tracer      *obs.Tracer
-	TraceParent obs.SpanID
-}
+// ExecOptions are the per-execution knobs, dpe's own: Eps re-sweeps a
+// WithinDistance plan at ε' ≤ the plan's ε (both replica sets cover the
+// narrower widening's reference tiles, so correctness and exactly-once
+// emission hold; zero means the plan ε), Collect materialises the
+// pairs, Tracer/TraceParent record this execution's spans.
+type ExecOptions = dpe.ExecOptions
 
 // Execute runs the per-tile mini-joins over the prepared tiles.
 func (p *Plan) Execute(ctx context.Context, opt ExecOptions) (*dpe.Result, error) {
@@ -281,29 +277,23 @@ func (p *Plan) Execute(ctx context.Context, opt ExecOptions) (*dpe.Result, error
 	tiles0, cand0, emit0 := st.Tiles.Load(), st.Candidates.Load(), st.Emitted.Load()
 	fallback0, decodeErrs0 := st.FallbackTiles.Load(), st.DecodeErrors.Load()
 	sweepSp := tr.Start(parent, obs.SpanSweep)
-	res, err := p.prep.ExecuteContext(ctx, dpe.ExecOptions{
-		Eps:         opt.Eps,
-		Collect:     opt.Collect,
-		Tracer:      opt.Tracer,
-		TraceParent: opt.TraceParent,
-	})
+	res, err := p.prep.ExecuteContext(ctx, opt)
 	if err != nil {
 		sweepSp.End()
 		return nil, err
 	}
-	// The sweep and refine phases interleave inside the partition
-	// tasks; the spans carry this execution's kernel counter deltas
-	// (zero on cluster runs, where the kernels live in the worker
-	// processes).
-	cand := st.Candidates.Load() - cand0
+	// Refinement runs inside the sweep's tiles, so the sweep span
+	// carries all of this execution's kernel counter deltas (zero on
+	// cluster runs, where the kernels live in the worker processes).
 	sweepSp.SetInt("tiles", st.Tiles.Load()-tiles0)
-	sweepSp.SetInt("candidates", cand)
+	sweepSp.SetInt("candidates", st.Candidates.Load()-cand0)
+	sweepSp.SetInt("emitted", st.Emitted.Load()-emit0)
 	sweepSp.SetInt("fallback_tiles", st.FallbackTiles.Load()-fallback0)
+	sweepSp.SetInt("decode_errors", st.DecodeErrors.Load()-decodeErrs0)
 	sweepSp.End()
+	// The benchmark's obs.span.refine_ms reads this empty marker; the
+	// refinement time is inside the sweep span.
 	refineSp := tr.Start(parent, obs.SpanRefine)
-	refineSp.SetInt("candidates", cand)
-	refineSp.SetInt("emitted", st.Emitted.Load()-emit0)
-	refineSp.SetInt("decode_errors", st.DecodeErrors.Load()-decodeErrs0)
 	refineSp.End()
 	return res, nil
 }

@@ -279,7 +279,7 @@ func TestTwoLayerForcedFallbackEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fallback %v: %v", pred, err)
 		}
-		plan.Kernel().ForceFallback = true
+		plan.Kernel().forceFallback = true
 		forced, err := plan.Execute(context.Background(), ExecOptions{Collect: true})
 		if err != nil {
 			t.Fatalf("fallback %v: %v", pred, err)
@@ -348,9 +348,11 @@ func TestTwoLayerResweep(t *testing.T) {
 	}
 }
 
-// TestTwoLayerExecuteSpansPerExecution: the sweep and refine spans of
-// an execution count that execution's kernel work only, so executing a
-// cached plan a second time reports what the first did.
+// TestTwoLayerExecuteSpansPerExecution: an execution has one sweep span
+// — refinement runs inside the sweep's tiles — and it carries that
+// execution's five kernel counter deltas only, so executing a cached
+// plan a second time reports what the first did. The refine span after
+// it is an empty marker.
 func TestTwoLayerExecuteSpansPerExecution(t *testing.T) {
 	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}
 	rng := rand.New(rand.NewSource(29))
@@ -360,30 +362,40 @@ func TestTwoLayerExecuteSpansPerExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attrs := func() map[string][]obs.Attr {
+	sweeps := func() [][]obs.Attr {
 		tr := obs.New()
 		if _, err := p.Execute(context.Background(), ExecOptions{Tracer: tr}); err != nil {
 			t.Fatal(err)
 		}
-		out := map[string][]obs.Attr{}
+		var out [][]obs.Attr
 		for _, sp := range tr.Spans() {
-			if sp.Name == obs.SpanSweep || sp.Name == obs.SpanRefine {
-				out[sp.Name] = sp.Attrs
+			switch sp.Name {
+			case obs.SpanSweep:
+				out = append(out, sp.Attrs)
+			case obs.SpanRefine:
+				if len(sp.Attrs) != 0 {
+					t.Errorf("refine marker carries %v", sp.Attrs)
+				}
 			}
 		}
 		return out
 	}
-	first, second := attrs(), attrs()
-	if len(first) != 2 {
-		t.Fatalf("spans %v, want one sweep and one refine", first)
+	first, second := sweeps(), sweeps()
+	if len(first) != 1 || len(second) != 1 {
+		t.Fatalf("%d and %d sweep spans, want one per execution", len(first), len(second))
 	}
-	if tiles := first[obs.SpanSweep][0]; tiles.Key != "tiles" || tiles.Int == 0 {
-		t.Fatalf("first sweep span %v: no tiles joined", first[obs.SpanSweep])
+	var keys []string
+	for _, a := range first[0] {
+		keys = append(keys, a.Key)
 	}
-	for name, want := range first {
-		if got := second[name]; !slices.Equal(got, want) {
-			t.Errorf("second execution's %s span %v, the first's %v", name, got, want)
-		}
+	if want := []string{"tiles", "candidates", "emitted", "fallback_tiles", "decode_errors"}; !slices.Equal(keys, want) {
+		t.Fatalf("sweep span counters %v, want %v", keys, want)
+	}
+	if tiles := first[0][0]; tiles.Int == 0 {
+		t.Fatalf("first sweep span %v: no tiles joined", first[0])
+	}
+	if !slices.Equal(second[0], first[0]) {
+		t.Errorf("second execution's sweep span %v, the first's %v", second[0], first[0])
 	}
 }
 
@@ -595,7 +607,7 @@ func TestTwoLayerKernelJoinAllocs(t *testing.T) {
 				}
 				// Keep the heuristic from routing this tile to the R-tree
 				// path, whose bulk load allocates by design.
-				k.FallbackMinEntries = 1 << 30
+				k.fallbackMinEntries = 1 << 30
 				out := bufs.Sink(false, false)
 				k.Join(0, rs, ss, 0.5, out) // warm the scratch pool
 				if allocs := testing.AllocsPerRun(100, func() {
@@ -645,12 +657,12 @@ func TestTwoLayerKernelUnsortedGroup(t *testing.T) {
 		want := bruteForce(rs, ss, pred, eps)
 		for _, fallback := range []bool{false, true} {
 			k := tableKernel(grid, pred, rs, ss)
-			k.ForceFallback = fallback
+			k.forceFallback = fallback
 			out := bufs.Sink(true, false)
 			k.Join(0, rowGroup(mbrR, rrows...), rowGroup(mbrS, srows...), eps, out)
 			pairsEqual(t, fmt.Sprintf("%v fallback=%v in place", pred, fallback), slices.Clone(out.Pairs), want)
 
-			dec := &Kernel{Grid: grid, Pred: pred, ForceFallback: fallback}
+			dec := &Kernel{Grid: grid, Pred: pred, forceFallback: fallback}
 			out = bufs.Sink(true, false)
 			dec.Join(0, groupOf(rts), groupOf(sts), eps, out)
 			pairsEqual(t, fmt.Sprintf("%v fallback=%v decoded", pred, fallback), slices.Clone(out.Pairs), want)
@@ -866,7 +878,7 @@ func FuzzTwoLayerKernelPayload(f *testing.F) {
 		defer colsweep.Put(bufs)
 		for _, pred := range allPredicates {
 			for _, fallback := range []bool{false, true} {
-				k := &Kernel{Grid: NewTileGrid(geom.Rect{MaxX: 100, MaxY: 100}, 1, 1), Pred: pred, ForceFallback: fallback}
+				k := &Kernel{Grid: NewTileGrid(geom.Rect{MaxX: 100, MaxY: 100}, 1, 1), Pred: pred, forceFallback: fallback}
 				out := bufs.Sink(true, false)
 				k.Join(0, rs, ss, 0.5, out)
 				soundPair := slices.Contains(out.Pairs, tuple.Pair{RID: 1, SID: 2})
